@@ -44,7 +44,6 @@ from .dilation import (
     TruncatedLimit,
     TruncatedOperator,
     TruncationError,
-    build_truncation,
     cocycle_from_unit,
     compression_defect,
     continuity_profile,

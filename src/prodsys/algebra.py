@@ -12,6 +12,7 @@ inner product of coordinate vectors equals the trace inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,9 +59,6 @@ class Algebra:
 
     def identity(self) -> "AlgebraElement":
         return self.element([np.eye(n) for n in self.blocks])
-
-    def zero(self) -> "AlgebraElement":
-        return self.element([np.zeros((n, n)) for n in self.blocks])
 
     def diagonal(self, values: Sequence[complex]) -> "AlgebraElement":
         """Element with the given scalar on each block diagonal."""
@@ -209,12 +207,6 @@ class StandardForm:
     def cyclic(self) -> np.ndarray:
         return np.concatenate([r.reshape(-1) for r in self.root])
 
-    def apply_left(self, x: AlgebraElement, xi: np.ndarray) -> np.ndarray:
-        return lmult_matrix(x) @ xi
-
-    def apply_right(self, x: AlgebraElement, xi: np.ndarray) -> np.ndarray:
-        return rmult_matrix(x) @ xi
-
     def embed_left(self, x: AlgebraElement) -> np.ndarray:
         """Coordinates of x acting on the cyclic vector from the left."""
         return np.concatenate(
@@ -227,15 +219,23 @@ class StandardForm:
             [(r @ m).reshape(-1) for m, r in zip(x.mats, self.root)]
         )
 
+    @cached_property
+    def solve_left_matrix(self) -> np.ndarray:
+        """Coordinate matrix of `solve_left`: right multiplication by the inverse root."""
+        return rmult_matrix(self.algebra.element(self.root_inv))
+
+    @cached_property
+    def solve_right_matrix(self) -> np.ndarray:
+        """Coordinate matrix of `solve_right`: left multiplication by the inverse root."""
+        return lmult_matrix(self.algebra.element(self.root_inv))
+
     def solve_right(self, eta: np.ndarray) -> AlgebraElement:
         """The unique x with embed_right(x) == eta."""
-        el = self.algebra.from_vec(eta)
-        return self.algebra.element([ri @ m for ri, m in zip(self.root_inv, el.mats)])
+        return self.algebra.from_vec(self.solve_right_matrix @ eta)
 
     def solve_left(self, eta: np.ndarray) -> AlgebraElement:
         """The unique x with embed_left(x) == eta."""
-        el = self.algebra.from_vec(eta)
-        return self.algebra.element([m @ ri for m, ri in zip(el.mats, self.root_inv)])
+        return self.algebra.from_vec(self.solve_left_matrix @ eta)
 
 
 def standard_form(algebra: Algebra, state: State) -> StandardForm:

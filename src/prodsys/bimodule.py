@@ -51,10 +51,8 @@ class Bimodule:
     dim: int
     left: np.ndarray
     right: np.ndarray
-    provenance: str
     embed: np.ndarray | None = None
     lift: np.ndarray | None = None
-    factors: tuple = ()
     gram_eigs: np.ndarray | None = None
 
     def left_matrix(self, x: AlgebraElement) -> np.ndarray:
@@ -123,8 +121,7 @@ def l2_bimodule(sf: StandardForm) -> Bimodule:
     left = np.stack([lmult_matrix(x) for x in basis])
     right = np.stack([rmult_matrix(x) for x in basis])
     d = sf.dim
-    return Bimodule(sf.algebra, d, left, right, "standard_form",
-                    embed=np.eye(d), lift=np.eye(d))
+    return Bimodule(sf.algebra, d, left, right, embed=np.eye(d), lift=np.eye(d))
 
 
 def pi_phi(h: Bimodule, xi: np.ndarray, sf: StandardForm) -> np.ndarray:
@@ -132,16 +129,10 @@ def pi_phi(h: Bimodule, xi: np.ndarray, sf: StandardForm) -> np.ndarray:
 
     The defining property is that the cyclic vector times x goes to xi
     acted on by x from the right; in finite dimension with a faithful state
-    every vector is bounded, so the matrix is assembled column by column by
-    solving for x on the coordinate basis of the standard space.
+    every vector is bounded, and the matrix is the right action on xi
+    composed with the solve map of the standard space.
     """
-    cols = []
-    for j in range(sf.dim):
-        e = np.zeros(sf.dim, dtype=complex)
-        e[j] = 1.0
-        x = sf.solve_right(e)
-        cols.append(h.act_right(x, xi))
-    return np.column_stack(cols)
+    return (h.right @ xi).T @ sf.solve_right_matrix
 
 
 def left_element_of(op: np.ndarray, sf: StandardForm) -> tuple[AlgebraElement, float]:
@@ -185,7 +176,7 @@ def gns_tensor(t_map, sf: StandardForm) -> Bimodule:
         alg, embed.shape[0],
         _push_action(left_pre, embed, lift),
         _push_action(right_pre, embed, lift),
-        "gns_tensor", embed=embed, lift=lift, gram_eigs=eigs,
+        embed=embed, lift=lift, gram_eigs=eigs,
     )
 
 
@@ -204,13 +195,12 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     one sweep: compositions of bounded-vector maps for every pair of basis
     vectors, their algebra elements, and the left action of those elements.
     """
-    d = sf.dim
     basis = list(sf.algebra.basis())
-    rights = np.stack([h.right_matrix(sf.solve_right(np.eye(d)[:, j])) for j in range(d)])
+    rights = np.tensordot(sf.solve_right_matrix.T, h.right, axes=1)
     # comp[a, b] is the composition of the bounded-vector maps of basis a, b
     comp = np.einsum("ira,jrb->abij", rights.conj(), rights, optimize=True)
-    solve = rmult_matrix(sf.algebra.element(sf.root_inv))
-    elements = np.einsum("mi,abi->abm", solve, comp @ sf.cyclic, optimize=True)
+    elements = np.einsum("mi,abi->abm", sf.solve_left_matrix, comp @ sf.cyclic,
+                         optimize=True)
     lstack = np.stack([lmult_matrix(x) for x in basis])
     residual = np.abs(comp - np.einsum("abm,mij->abij", elements, lstack,
                                        optimize=True)).max()
@@ -227,13 +217,25 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
         sf.algebra, embed.shape[0],
         _push_action(left_pre, embed, lift),
         _push_action(right_pre, embed, lift),
-        "relative_tensor", embed=embed, lift=lift, factors=(h, k), gram_eigs=eigs,
+        embed=embed, lift=lift, gram_eigs=eigs,
     )
 
 
 def pair_vec(r: Bimodule, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Coordinates of the fused pair of vectors in a relative tensor product."""
     return r.embed @ np.kron(v, w)
+
+
+def extend_from_family(z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares linear map u with u @ z = v on a defining family.
+
+    The columns of z span the source and the columns of v are their
+    prescribed images.  Returns u and the spectral-norm residual on the
+    family, which is zero exactly when the prescription extends linearly.
+    """
+    u, *_ = np.linalg.lstsq(z.conj().T, v.conj().T, rcond=None)
+    u = u.conj().T
+    return u, float(np.linalg.norm(u @ z - v, 2))
 
 
 def product_formula_defect(

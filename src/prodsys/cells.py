@@ -26,6 +26,7 @@ from .algebra import AlgebraElement, StandardForm
 from .bimodule import (
     Bimodule,
     BimoduleMap,
+    extend_from_family,
     gns_tensor,
     l2_bimodule,
     left_element_of,
@@ -33,7 +34,7 @@ from .bimodule import (
     relative_tensor,
     tensor_vec,
 )
-from .cpdyn import CpMap, CpSemigroup, evaluate
+from .cpdyn import CpMap, CpSemigroup, evaluate, law_defect
 from .partition import Partition, coarsenings, grouping, join, refines
 
 
@@ -80,10 +81,14 @@ class CellSystem:
         """
         if len(xs) != len(p) or len(vs) != len(p):
             raise ValueError("one algebra and one vector slot per part expected")
-        u = tensor_vec(self.gns(p.parts[0]), xs[0], vs[0])
-        for i in range(1, len(p)):
-            g = tensor_vec(self.gns(p.parts[i]), xs[i], vs[i])
-            u = self.cell(Partition(p.parts[:i + 1])).embed @ np.kron(u, g)
+        return self.fuse(p.parts, [tensor_vec(self.gns(t), x, v)
+                                   for t, x, v in zip(p.parts, xs, vs)])
+
+    def fuse(self, parts: Sequence[Fraction], vecs: Sequence[np.ndarray]) -> np.ndarray:
+        """Fuse one vector per single-part cell, left to right, into cell(parts)."""
+        u = vecs[0]
+        for i in range(1, len(parts)):
+            u = self.cell(Partition(tuple(parts[:i + 1]))).embed @ np.kron(u, vecs[i])
         return u
 
     # -- canonical collapse -------------------------------------------
@@ -100,21 +105,13 @@ class CellSystem:
             return self._collapse[key]
         n = len(p)
         cellp = self.cell(p)
-        d = self.sf.dim
         if a == 0:
-            blocks = []
-            for j in range(d):
-                e = np.zeros(d, dtype=complex)
-                e[j] = 1.0
-                blocks.append(cellp.left_matrix(self.sf.solve_left(e)))
-            m = np.hstack(blocks)
+            # block j is the left action of the element solved from basis vector j
+            m = np.tensordot(self.sf.solve_left_matrix.T, cellp.left, axes=1)
+            m = m.transpose(1, 0, 2).reshape(cellp.dim, -1)
         elif a == n:
-            m = np.zeros((cellp.dim, cellp.dim * d), dtype=complex)
-            for j in range(d):
-                e = np.zeros(d, dtype=complex)
-                e[j] = 1.0
-                r = cellp.right_matrix(self.sf.solve_right(e))
-                m[:, j::d] = r
+            m = np.tensordot(self.sf.solve_right_matrix.T, cellp.right, axes=1)
+            m = m.transpose(1, 2, 0).reshape(cellp.dim, -1)
         else:
             da = self.cell(Partition(p.parts[:a])).dim
             m = self.cell(Partition(p.parts[:a + 1])).embed
@@ -232,9 +229,8 @@ def unit_report(unit: Unit) -> UnitReport:
         for t in times:
             if (s + t) not in unit.vectors:
                 continue
-            pair = Partition((s, t))
-            v = cs.cell(pair).embed @ np.kron(unit.vectors[s], unit.vectors[t])
-            w = cs.refinement(pair, Partition((s + t,))).matrix @ unit.vectors[s + t]
+            v = cs.fuse((s, t), [unit.vectors[s], unit.vectors[t]])
+            w = cs.refinement(Partition((s, t)), Partition((s + t,))).matrix @ unit.vectors[s + t]
             fact = max(fact, float(np.linalg.norm(v - w)))
     return UnitReport(unital, excess, fact)
 
@@ -268,14 +264,9 @@ def cp_from_unit(unit: Unit) -> dict[Fraction, CpMap]:
 
 def semigroup_defect(maps: dict[Fraction, CpMap]) -> float:
     """Largest composition defect over grid pairs with representable sums."""
-    worst = 0.0
     times = [t for t in maps if t > 0]
-    for s in times:
-        for t in times:
-            if (s + t) in maps:
-                d = np.linalg.norm(maps[s].action @ maps[t].action - maps[s + t].action, 2)
-                worst = max(worst, float(d))
-    return worst
+    return law_defect(lambda t: maps[t].action,
+                      [(s, t) for s in times for t in times if (s + t) in maps])
 
 
 def generating_rank(unit: Unit, p: Partition, rtol: float = 1e-10) -> tuple[int, int]:
@@ -292,17 +283,11 @@ def generating_rank(unit: Unit, p: Partition, rtol: float = 1e-10) -> tuple[int,
         if any(t not in unit.vectors for t in c.parts):
             continue
         ref = cs.refinement(p, c).matrix if c != p else np.eye(cs.cell(p).dim)
-        m = len(c)
-        for combo in np.ndindex(*([len(basis)] * m)):
-            vecs = [cs.cell(Partition((c.parts[i],))).act_left(basis[combo[i]], unit.vectors[c.parts[i]])
-                    for i in range(m)]
+        elem = cell_target_elementary(cs, unit, c.parts)
+        for combo in np.ndindex(*([len(basis)] * len(c))):
+            xs = [basis[i] for i in combo]
             for y in basis:
-                vecs_y = list(vecs)
-                vecs_y[-1] = cs.cell(Partition((c.parts[-1],))).right_matrix(y) @ vecs_y[-1]
-                u = vecs_y[0]
-                for i in range(1, m):
-                    u = cs.cell(Partition(c.parts[:i + 1])).embed @ np.kron(u, vecs_y[i])
-                cols.append(ref @ u)
+                cols.append(ref @ elem(xs, y))
     z = np.column_stack(cols)
     sv = np.linalg.svd(z, compute_uv=False)
     rank = int(np.sum(sv > rtol * max(sv[0], 1e-300)))
@@ -334,26 +319,16 @@ def unit_system_isomorphism(
             vs = [cyc] * (n - 1) + [sf.embed_right(y)]
             zcols.append(cs.elementary(p, xs, vs))
             vcols.append(target_elementary(xs, y))
-    z = np.column_stack(zcols)
-    v = np.column_stack(vcols)
-    u, *_ = np.linalg.lstsq(z.conj().T, v.conj().T, rcond=None)
-    u = u.conj().T
-    defect = float(np.linalg.norm(u @ z - v, 2))
+    u, defect = extend_from_family(np.column_stack(zcols), np.column_stack(vcols))
     return BimoduleMap(cs.cell(p), target, u), defect
 
 
 def cell_target_elementary(cs: CellSystem, unit: Unit, parts: Sequence[Fraction]):
     """Target-side multiplied unit vectors for a cell system with a unit."""
-    sf = cs.sf
 
     def elem(xs: Sequence[AlgebraElement], y: AlgebraElement) -> np.ndarray:
-        vecs = []
-        for t, x in zip(parts, xs):
-            vecs.append(cs.cell(Partition((t,))).act_left(x, unit.vectors[Fraction(t)]))
-        vecs[-1] = cs.cell(Partition((parts[-1],))).right_matrix(y) @ vecs[-1]
-        u = vecs[0]
-        for i in range(1, len(parts)):
-            u = cs.cell(Partition(tuple(parts[:i + 1]))).embed @ np.kron(u, vecs[i])
-        return u
+        vecs = [cs.gns(t).act_left(x, unit.vectors[Fraction(t)]) for t, x in zip(parts, xs)]
+        vecs[-1] = cs.gns(parts[-1]).right_matrix(y) @ vecs[-1]
+        return cs.fuse(parts, vecs)
 
     return elem

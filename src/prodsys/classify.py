@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import Algebra, AlgebraElement, StandardForm, lmult_matrix, rmult_matrix
-from .bimodule import Bimodule, BimoduleMap, left_element_of, pi_phi
+from .bimodule import Bimodule, BimoduleMap, extend_from_family, left_element_of, pi_phi
 from .cells import CellSystem
 from .partition import Partition
 
@@ -114,16 +114,6 @@ def endomorphism_report(theta: E0Semigroup, t) -> EndomorphismReport:
     return EndomorphismReport(mult, adj, (theta.apply(t, one) - one).norm())
 
 
-def semigroup_law_defect(theta: E0Semigroup, times: Sequence) -> float:
-    worst = 0.0
-    ts = [Fraction(t) for t in times]
-    for s in ts:
-        for t in ts:
-            d = np.linalg.norm(theta.map_at(s) @ theta.map_at(t) - theta.map_at(s + t), 2)
-            worst = max(worst, float(d))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Twisted cells
 # ---------------------------------------------------------------------------
@@ -134,8 +124,7 @@ def twisted_cell(theta: E0Semigroup, t, sf: StandardForm) -> Bimodule:
     left = np.stack([lmult_matrix(theta.apply(t, x)) for x in basis])
     right = np.stack([rmult_matrix(x) for x in basis])
     d = sf.dim
-    return Bimodule(sf.algebra, d, left, right, "twisted",
-                    embed=np.eye(d), lift=np.eye(d))
+    return Bimodule(sf.algebra, d, left, right, embed=np.eye(d), lift=np.eye(d))
 
 
 class TwistedSystem:
@@ -159,16 +148,11 @@ class TwistedSystem:
         """Multiplication on kron coordinates of cell(s) (x) cell(t).
 
         The first factor is materialized from the left against the cyclic
-        vector and pushed through the endomorphism at the second time.
+        vector and pushed through the endomorphism at the second time, which
+        is the twisted left action of cell(t).
         """
-        d = self.sf.dim
-        cols = np.zeros((d, d * d), dtype=complex)
-        for a in range(d):
-            e = np.zeros(d, dtype=complex)
-            e[a] = 1.0
-            m = lmult_matrix(self.theta.apply(t, self.sf.solve_left(e)))
-            cols[:, a * d:(a + 1) * d] = m
-        return cols
+        m = np.tensordot(self.sf.solve_left_matrix.T, self.cell(t).left, axes=1)
+        return m.transpose(1, 0, 2).reshape(self.sf.dim, -1)
 
     def fold(self, parts: Sequence[Fraction], xs: Sequence[AlgebraElement],
              ys: Sequence[AlgebraElement]) -> np.ndarray:
@@ -222,17 +206,18 @@ def canonical_iso(theta: E0Semigroup, cs: CellSystem, p: Partition,
         vs = [sf.embed_left(y) for y in ys]
         zcols.append(cs.elementary(p, xs, vs))
         vcols.append(ts.fold(p.parts, xs, ys))
-    z = np.column_stack(zcols)
-    v = np.column_stack(vcols)
-    u, *_ = np.linalg.lstsq(z.conj().T, v.conj().T, rcond=None)
-    u = u.conj().T
-    defect = float(np.linalg.norm(u @ z - v, 2))
+    u, defect = extend_from_family(np.column_stack(zcols), np.column_stack(vcols))
     return BimoduleMap(cs.cell(p), ts.cell(p.total), u), defect
 
 
 # ---------------------------------------------------------------------------
 # Cocycle equivalence
 # ---------------------------------------------------------------------------
+
+# A generic intertwiner whose smallest singular value, relative to its
+# largest, is at or below this cutoff is taken as singular: then no
+# invertible, hence no unitary, intertwiner exists.
+INTERTWINER_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -264,18 +249,27 @@ def _intertwiner_space(alpha_t: np.ndarray, beta_t: np.ndarray,
     return vh.conj().T[:, -null_dim:]
 
 
-def _nearest_unitary(algebra: Algebra, m: AlgebraElement) -> AlgebraElement | None:
-    blocks = []
-    for b in m.mats:
-        u, _ = scipy.linalg.polar(b)
-        if not np.isfinite(u).all():
-            return None
-        blocks.append(u)
-    cand = algebra.element(blocks)
-    defect = max(np.linalg.norm(c.conj().T @ c - np.eye(c.shape[0])) for c in cand.mats)
-    if defect > 1e-8:
-        return None
-    return cand
+def _unitary_intertwiner(algebra: Algebra,
+                         space: np.ndarray) -> tuple[AlgebraElement | None, float]:
+    """Unitary intertwiner from a generic element of the intertwiner space.
+
+    A seeded random combination of the basis is invertible with probability
+    one whenever the space holds an invertible element, and the blockwise
+    polar factor of an invertible intertwiner of *-homomorphisms is a
+    unitary intertwiner.  Returns that factor, or None when the generic
+    element is singular, together with its smallest singular value relative
+    to its largest.
+    """
+    if space.shape[1] == 0:
+        return None, 0.0
+    rng = np.random.default_rng(0)
+    coeffs = rng.standard_normal(space.shape[1]) + 1j * rng.standard_normal(space.shape[1])
+    m = algebra.from_vec(space @ coeffs)
+    sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in m.mats])
+    margin = float(sv.min() / sv.max())
+    if margin <= INTERTWINER_RTOL:
+        return None, margin
+    return algebra.element([scipy.linalg.polar(b)[0] for b in m.mats]), margin
 
 
 def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
@@ -285,9 +279,9 @@ def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
     """Decide cocycle equivalence on a grid and certify the witness.
 
     Forward mode solves the twisted-cell intertwiner equation at the grid
-    step, corrects to the nearest unitary, extends along the grid by the
-    cocycle law, and accepts only if the conjugation identity holds at
-    every grid time.  Backward mode verifies a declared cocycle instead.
+    step, takes the unitary part of a generic solution, extends it along
+    the grid by the cocycle law, and accepts only if the conjugation
+    identity holds at every grid time.  Backward mode verifies a declared cocycle instead.
     Failures carry the first grid time at which certification broke down.
     """
     algebra = alpha.algebra
@@ -304,17 +298,10 @@ def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
 
     if cocycle is None:
         space = _intertwiner_space(alpha.map_at(delta), beta.map_at(delta), algebra)
-        w_delta = None
-        for i in range(space.shape[1]):
-            cand = _nearest_unitary(algebra, algebra.from_vec(space[:, i]))
-            if cand is not None:
-                w_delta = cand
-                break
-        if w_delta is None and space.shape[1] > 1:
-            mixed = algebra.from_vec(space.sum(axis=1))
-            w_delta = _nearest_unitary(algebra, mixed)
+        w_delta, margin = _unitary_intertwiner(algebra, space)
         if w_delta is None:
-            failures.append((delta, "no unitary intertwiner at the grid step", np.inf))
+            failures.append((delta, "no unitary intertwiner at the grid step: generic "
+                             f"intertwiner has relative singular value {margin:.3e}", np.inf))
             return EquivalenceReport(False, None, np.inf, np.inf, tuple(failures))
         w = {times[0]: w_delta}
         for k in range(2, levels + 1):
@@ -384,14 +371,6 @@ def unit_operator(theta: E0Semigroup, a: dict, sf: StandardForm) -> dict[Fractio
     for dmat, n in zip(sf.state.density, sf.algebra.blocks):
         if np.linalg.norm(dmat - np.eye(n) / total) > 1e-12:
             raise ValueError("unit operators are only provided for the tracial state")
-    out = {}
-    d = sf.dim
-    for t, at in a.items():
-        cols = []
-        for j in range(d):
-            e = np.zeros(d, dtype=complex)
-            e[j] = 1.0
-            x = sf.solve_left(e)
-            cols.append(sf.embed_left(theta.apply(t, x) * at))
-        out[Fraction(t)] = np.column_stack(cols)
-    return out
+    root = sf.algebra.element(sf.root)
+    return {Fraction(t): rmult_matrix(at * root) @ theta.map_at(t) @ sf.solve_left_matrix
+            for t, at in a.items()}

@@ -51,6 +51,7 @@ from .classify import (
 from .cpdyn import (
     evaluate,
     identity_generator,
+    law_defect,
     lindblad_generator,
     semigroup_from_generator,
     stochastic_pair_generator,
@@ -58,8 +59,8 @@ from .cpdyn import (
     verify_ucp,
 )
 from .dilation import (
+    TruncatedLimit,
     TruncationError,
-    build_truncation,
     cocycle_from_unit,
     compression_defect,
     continuity_profile,
@@ -211,13 +212,9 @@ def suite_check_cp(cfg: ExperimentConfig) -> Report:
         u = verify_ucp(evaluate(cfg.semigroup, t), cfg.tol(1e-10))
         rep.add(f"unital[{t}]", "ucp-map", u.unital_defect, cfg.tol(1e-10))
         rep.add(f"choi[{t}]", "ucp-map", max(0.0, -u.choi_min_eigenvalue), cfg.tol(1e-10))
-    worst = 0.0
-    for s in [cfg.delta, 2 * cfg.delta]:
-        for t in [cfg.delta, 3 * cfg.delta]:
-            d = np.linalg.norm(
-                evaluate(cfg.semigroup, s).action @ evaluate(cfg.semigroup, t).action
-                - evaluate(cfg.semigroup, s + t).action, 2)
-            worst = max(worst, float(d))
+    worst = law_defect(lambda t: evaluate(cfg.semigroup, t).action,
+                       [(s, t) for s in [cfg.delta, 2 * cfg.delta]
+                        for t in [cfg.delta, 3 * cfg.delta]])
     rep.add("semigroup-law", "semigroup-law", worst, cfg.tol(1e-10))
     return rep
 
@@ -339,7 +336,7 @@ def suite_dilate(cfg: ExperimentConfig) -> Report:
                        "horizon": str(levels * cfg.delta)})
     grid = [k * cfg.delta for k in range(levels + 1)]
     unit = canonical_unit(cs, grid)
-    tl = build_truncation(cs, unit, cfg.delta, levels)
+    tl = TruncatedLimit(cs, unit, cfg.delta, levels)
     worst = 0.0
     residual_rows = [["t", "basis_index", "defect"]]
     for mu, x in enumerate(cfg.algebra.basis()):

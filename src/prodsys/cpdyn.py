@@ -12,26 +12,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
 
 import numpy as np
 import scipy.linalg
 
 from .algebra import Algebra, AlgebraElement, ConfigurationError, lmult_matrix, rmult_matrix
-
-# Condition-number bound above which the eigendecomposition route for the
-# matrix exponential is abandoned in favor of scaling-and-squaring (Pade 13).
-_EXPM_COND_BOUND = 1e8
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    try:
-        w, v = np.linalg.eig(a)
-        cond = np.linalg.cond(v)
-        if np.isfinite(cond) and cond < _EXPM_COND_BOUND:
-            return (v * np.exp(w)) @ np.linalg.inv(v)
-    except np.linalg.LinAlgError:
-        pass
-    return scipy.linalg.expm(a)
 
 
 @dataclass(frozen=True)
@@ -137,11 +123,23 @@ def evaluate(sg: CpSemigroup, t) -> CpMap:
     if tf == 0.0:
         action = np.eye(sg.algebra.dim, dtype=complex)
     else:
-        action = _expm(tf * sg.generator)
+        action = scipy.linalg.expm(tf * sg.generator)
     result = CpMap(sg.algebra, action)
     with sg._lock:
         sg._cache[key] = result
     return result
+
+
+def law_defect(action_at: Callable[[Any], np.ndarray], pairs: Iterable[tuple]) -> float:
+    """Largest defect of action(s) action(t) = action(s + t) over the time pairs.
+
+    Defects are spectral norms of coordinate matrices; no pairs give zero.
+    """
+    return max(
+        (float(np.linalg.norm(action_at(s) @ action_at(t) - action_at(s + t), 2))
+         for s, t in pairs),
+        default=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------

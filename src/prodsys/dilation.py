@@ -46,19 +46,14 @@ class TruncatedLimit:
         self.levels = int(levels)
         if self.levels < 1:
             raise TruncationError("at least one level is required")
-        self.spaces: list[Bimodule] = [cs.l2]
-        self.unit_level: list[np.ndarray] = [cs.sf.cyclic.copy()]
-        for k in range(1, self.levels + 1):
-            p = uniform(k * self.delta, k)
-            self.spaces.append(cs.cell(p))
-            t = Fraction(k * self.delta)
+        times = [k * self.delta for k in range(self.levels + 1)]
+        for t in times[1:]:
             if t not in unit.vectors:
                 raise TruncationError(f"unit has no vector at grid time {t}")
-            if k == 1:
-                self.unit_level.append(unit.vectors[t].copy())
-            else:
-                ref = cs.refinement(p, Partition((t,)))
-                self.unit_level.append(ref.matrix @ unit.vectors[t])
+        self.spaces: list[Bimodule] = [cs.cell(self.partition_at(k))
+                                       for k in range(self.levels + 1)]
+        vectors = unit_level_vectors(self, unit)
+        self.unit_level: list[np.ndarray] = [vectors[t] for t in times]
         self._embed: dict[tuple[int, int], np.ndarray] = {}
         self._split: dict[tuple[int, int], tuple] = {}
 
@@ -137,10 +132,6 @@ class TruncatedOperator:
     def compose(self, other: "TruncatedOperator") -> "TruncatedOperator":
         lvl = max(self.level, other.level)
         return TruncatedOperator(self.tl, lvl, self.at_level(lvl) @ other.at_level(lvl))
-
-
-def build_truncation(cs: CellSystem, unit: Unit, delta, levels: int) -> TruncatedLimit:
-    return TruncatedLimit(cs, unit, delta, levels)
 
 
 def represent(tl: TruncatedLimit, x: AlgebraElement) -> TruncatedOperator:

@@ -188,7 +188,7 @@ def l2_cell(mdl: MarkovModel, p: Partition) -> Bimodule:
     last = keep % m
     left = np.stack([np.diag((first == s).astype(complex)) for s in range(m)])
     right = np.stack([np.diag((last == s).astype(complex)) for s in range(m)])
-    return Bimodule(mdl.algebra(), dim, left, right, "l2_path", embed=embed, lift=lift)
+    return Bimodule(mdl.algebra(), dim, left, right, embed=embed, lift=lift)
 
 
 def slot_product(m: int, fs: Sequence[np.ndarray], gs: Sequence[np.ndarray]) -> np.ndarray:

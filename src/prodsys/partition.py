@@ -58,10 +58,6 @@ def uniform(total, n: int) -> Partition:
     return Partition((t / n,) * n)
 
 
-def empty() -> Partition:
-    return Partition(())
-
-
 def join(p: Partition, q: Partition) -> Partition:
     """Concatenation; partitions the sum of the two totals."""
     return Partition(p.parts + q.parts)

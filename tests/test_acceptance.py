@@ -26,7 +26,7 @@ from prodsys.cpdyn import (
     stochastic_pair_generator,
 )
 from prodsys.dilation import (
-    build_truncation,
+    TruncatedLimit,
     cocycle_from_levels,
     cocycle_from_unit,
     compression_defect,
@@ -154,7 +154,7 @@ def test_criterion_5_dilation_tower():
     delta, levels = Fraction(1, 8), 8
     grid = [k * delta for k in range(levels + 1)]
     unit = canonical_unit(cs, grid)
-    tl = build_truncation(cs, unit, delta, levels)
+    tl = TruncatedLimit(cs, unit, delta, levels)
     worst = 0.0
     for x in cs.sf.algebra.basis():
         for k in range(1, levels):
@@ -171,7 +171,7 @@ def test_criterion_6_cocycle_unit_bijection():
     delta, levels = Fraction(1, 4), 4
     grid = [k * delta for k in range(levels + 1)]
     base = canonical_unit(cs, grid)
-    tl = build_truncation(cs, base, delta, levels)
+    tl = TruncatedLimit(cs, base, delta, levels)
     rng = np.random.default_rng(SEED + 2)
     rates = [0.0, float(rng.uniform(0.2, 0.9)), float(rng.uniform(0.9, 1.6))]
     worst_unit, worst_cocycle, worst_law = 0.0, 0.0, 0.0
@@ -300,7 +300,7 @@ def test_criterion_9_continuity_profile_decreases():
         delta = Fraction(1, 2 ** k)
         cs = CellSystem(sg, sf)
         unit = canonical_unit(cs, [j * delta for j in range(3)])
-        tl = build_truncation(cs, unit, delta, 2)
+        tl = TruncatedLimit(cs, unit, delta, 2)
         prof = continuity_profile(tl)
         profiles[delta] = [prof[(delta, mu)] for mu in range(sf.dim)]
     ok = all(

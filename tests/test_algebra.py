@@ -111,3 +111,15 @@ def test_embeddings_are_bijections(rng):
     assert max(np.linalg.norm(a - b) for a, b in zip(x.mats, back.mats)) < 1e-10
     back = sf.solve_left(sf.embed_left(x))
     assert max(np.linalg.norm(a - b) for a, b in zip(x.mats, back.mats)) < 1e-10
+
+
+def test_solve_matrices_are_the_solve_maps(rng):
+    alg = make_algebra([1, 2])
+    sf = standard_form(alg, random_state(alg, rng))
+    eye = np.eye(sf.dim)
+    for j in range(sf.dim):
+        assert np.array_equal(sf.solve_left_matrix[:, j], sf.solve_left(eye[:, j]).vec())
+        assert np.array_equal(sf.solve_right_matrix[:, j], sf.solve_right(eye[:, j]).vec())
+    for x in [random_element(alg, rng) for _ in range(3)]:
+        assert np.linalg.norm(sf.solve_left_matrix @ sf.embed_left(x) - x.vec()) < 1e-12
+        assert np.linalg.norm(sf.solve_right_matrix @ sf.embed_right(x) - x.vec()) < 1e-12

@@ -5,6 +5,7 @@ import scipy.linalg
 from prodsys.algebra import (
     lmult_matrix,
     make_algebra,
+    rmult_matrix,
     standard_form,
     uniform_state,
 )
@@ -124,7 +125,7 @@ def test_pi_phi_composition_recovers_element(rng):
     assert np.linalg.norm(comp - lmult_matrix(x.adjoint() * x)) < 1e-11
     # defining property on a basis: pi(xi) maps cyclic . y to xi . y
     for y in alg.basis():
-        assert np.linalg.norm(p @ sf.embed_right(y) - sf.apply_right(y, sf.embed_left(x))) < 1e-12
+        assert np.linalg.norm(p @ sf.embed_right(y) - rmult_matrix(y) @ sf.embed_left(x)) < 1e-12
 
 
 def test_pi_phi_does_not_intertwine_left_multiplication(rng):

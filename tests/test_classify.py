@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from prodsys.algebra import diagonal_state, make_algebra, make_state, standard_form, uniform_state
+from prodsys.algebra import (
+    diagonal_state,
+    lmult_matrix,
+    make_algebra,
+    make_state,
+    rmult_matrix,
+    standard_form,
+    uniform_state,
+)
 from prodsys.bimodule import verify_map
 from prodsys.cells import CellSystem
 from prodsys.classify import (
@@ -15,14 +23,13 @@ from prodsys.classify import (
     endomorphism_report,
     identity_semigroup,
     inner_semigroup,
-    semigroup_law_defect,
     twisted_cell,
     twisted_cp_defect,
     TwistedSystem,
     unit_operator,
     unit_to_cocycle,
 )
-from prodsys.cpdyn import evaluate, semigroup_from_generator, unitary_conjugation_generator
+from prodsys.cpdyn import evaluate, law_defect, semigroup_from_generator, unitary_conjugation_generator
 from prodsys.partition import Partition, join, partition
 
 from conftest import random_hermitian
@@ -41,7 +48,8 @@ def test_inner_semigroup_is_endomorphism_family(m2_inner):
     for t in [Fraction(1, 2), Fraction(3, 4)]:
         rep = endomorphism_report(theta, t)
         assert rep.passed(1e-10), rep
-    assert semigroup_law_defect(theta, [Fraction(1, 2), Fraction(1, 4)]) < 1e-10
+    ts = [Fraction(1, 2), Fraction(1, 4)]
+    assert law_defect(theta.map_at, [(s, t) for s in ts for t in ts]) < 1e-10
 
 
 def test_inner_matches_conjugation_generator(m2_inner, rng):
@@ -204,6 +212,36 @@ def test_permutation_not_equivalent_to_identity():
     rep = cocycle_equivalence(identity_semigroup(alg), swap, delta, 3, sf)
     assert not rep.equivalent
     assert rep.first_failing_time == delta
+
+
+def _haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def test_equivalence_found_when_intertwiner_basis_is_singular():
+    # theta(X, Y) = (X, X (x) I_2) is idempotent, so a grid E0 semigroup, and
+    # beta = Ad(u) theta Ad(u*) is equivalent to it through w = theta(u) u*;
+    # single basis vectors of the intertwiner space can have a zero block,
+    # and which of the first draws hit one depends on the LAPACK build
+    alg = make_algebra([2, 4])
+    sf = standard_form(alg, uniform_state(alg))
+    base = np.column_stack([
+        alg.element([x.mats[0], np.kron(x.mats[0], np.eye(2))]).vec() for x in alg.basis()])
+    eye = np.eye(alg.dim, dtype=complex)
+    theta = E0Semigroup(alg, lambda t: base if t > 0 else eye)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        u = alg.element([_haar_unitary(rng, n) for n in alg.blocks])
+        ad_u = lmult_matrix(u) @ rmult_matrix(u.adjoint())
+        ad_us = lmult_matrix(u.adjoint()) @ rmult_matrix(u)
+        beta = E0Semigroup(alg, lambda t: ad_u @ theta.map_at(t) @ ad_us)
+        rep = cocycle_equivalence(theta, beta, Fraction(1, 4), 3, sf)
+        assert rep.equivalent, rep.failures
+        assert rep.conjugation_defect < 1e-9
+        assert rep.cocycle_law_defect < 1e-9
+    assert not cocycle_equivalence(theta, identity_semigroup(alg), Fraction(1, 4), 3, sf).equivalent
 
 
 def test_broken_semigroup_law_detected_at_first_bad_time(rng):

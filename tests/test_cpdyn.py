@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from prodsys.cpdyn import (
     CpMap,
     evaluate,
     identity_generator,
+    law_defect,
     lindblad_generator,
     semigroup_from_generator,
     stochastic_pair_generator,
@@ -83,6 +86,21 @@ def test_lindblad_elementary_jump_is_ucp():
     for t in [0.1, 0.5, 1.0]:
         rep = verify_ucp(evaluate(sg, t), 1e-10)
         assert rep.passed, rep
+
+
+def test_exceptional_point_semigroup_passes_at_tolerance():
+    # sigma_minus jump with H = sigma_x / 8: the generator sits at its
+    # exceptional point, where its eigenvector matrix is nearly singular
+    alg = make_algebra([2])
+    v = alg.element([np.array([[0.0, 1.0], [0.0, 0.0]])])
+    h = alg.element([np.array([[0.0, 1.0], [1.0, 0.0]]) / 8])
+    sg = semigroup_from_generator(alg, lindblad_generator(alg, [v], h))
+    grid = [Fraction(k, 4) for k in range(5)]
+    for t in grid:
+        rep = verify_ucp(evaluate(sg, t), 1e-10)
+        assert rep.passed, (t, rep)
+    pairs = [(s, t) for s in grid[1:] for t in grid[1:] if s + t <= 1]
+    assert law_defect(lambda t: evaluate(sg, t).action, pairs) <= 1e-10
 
 
 def test_verify_ucp_identity():

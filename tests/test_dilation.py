@@ -7,9 +7,9 @@ from prodsys.algebra import diagonal_state, lmult_matrix, make_algebra, standard
 from prodsys.cells import CellSystem, canonical_unit
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
 from prodsys.dilation import (
+    TruncatedLimit,
     TruncatedOperator,
     TruncationError,
-    build_truncation,
     cocycle_from_levels,
     cocycle_from_unit,
     compression_defect,
@@ -31,7 +31,7 @@ def make_tl(pair, delta=Fraction(1, 4), levels=4):
     cs = CellSystem(sg, sf)
     grid = [k * delta for k in range(levels + 1)]
     unit = canonical_unit(cs, grid)
-    return build_truncation(cs, unit, delta, levels), cs, unit
+    return TruncatedLimit(cs, unit, delta, levels), cs, unit
 
 
 def test_tower_dimensions(pair):
@@ -62,7 +62,7 @@ def test_identity_semigroup_tower_is_flat():
     cs = CellSystem(sg, sf)
     delta = Fraction(1, 4)
     unit = canonical_unit(cs, [k * delta for k in range(5)])
-    tl = build_truncation(cs, unit, delta, 4)
+    tl = TruncatedLimit(cs, unit, delta, 4)
     assert all(s.dim == sf.dim for s in tl.spaces)
     for k in range(5):
         b = tl.embed_matrix(4, k)
@@ -74,9 +74,9 @@ def test_non_unital_unit_breaks_embedding_isometry(pair):
     cs = CellSystem(sg, sf)
     delta = Fraction(1, 4)
     grid = [k * delta for k in range(4)]
-    unital_tl = build_truncation(cs, canonical_unit(cs, grid), delta, 3)
+    unital_tl = TruncatedLimit(cs, canonical_unit(cs, grid), delta, 3)
     assert unital_tl.embedding_isometry_defect() < 1e-10
-    damped_tl = build_truncation(cs, canonical_unit(cs, grid).scaled(0.5), delta, 3)
+    damped_tl = TruncatedLimit(cs, canonical_unit(cs, grid).scaled(0.5), delta, 3)
     assert damped_tl.embedding_isometry_defect() > 1e-2
 
 
@@ -117,7 +117,7 @@ def test_compression_identity_near_log2(pair):
     cs = CellSystem(sg, sf)
     delta = Fraction(1, 8)
     grid = [k * delta for k in range(9)]
-    tl = build_truncation(cs, canonical_unit(cs, grid), delta, 8)
+    tl = TruncatedLimit(cs, canonical_unit(cs, grid), delta, 8)
     t = Fraction(round(np.log(2.0) * 8), 8)
     e1 = sf.algebra.element([[[1.0]], [[0.0]]])
     assert compression_defect(tl, t, e1) < 1e-9
@@ -187,7 +187,7 @@ def test_minimality_identity_semigroup():
     cs = CellSystem(sg, sf)
     delta = Fraction(1, 2)
     unit = canonical_unit(cs, [k * delta for k in range(4)])
-    tl = build_truncation(cs, unit, delta, 3)
+    tl = TruncatedLimit(cs, unit, delta, 3)
     rep = minimality_evidence(tl)
     assert rep.full and rep.top_dim == sf.dim
 
@@ -199,7 +199,7 @@ def test_continuity_profile_identity_semigroup_vanishes():
     cs = CellSystem(sg, sf)
     delta = Fraction(1, 4)
     unit = canonical_unit(cs, [k * delta for k in range(5)])
-    tl = build_truncation(cs, unit, delta, 4)
+    tl = TruncatedLimit(cs, unit, delta, 4)
     prof = continuity_profile(tl)
     assert max(prof.values()) < 1e-12
 
@@ -224,7 +224,7 @@ def test_continuity_profile_decreases_when_halving(pair):
         delta = Fraction(1, 2 ** k)
         cs = CellSystem(sg, sf)
         unit = canonical_unit(cs, [j * delta for j in range(3)])
-        tl = build_truncation(cs, unit, delta, 2)
+        tl = TruncatedLimit(cs, unit, delta, 2)
         prof = continuity_profile(tl)
         values[delta] = [prof[(delta, mu)] for mu in range(sf.dim)]
     for mu in range(sf.dim):

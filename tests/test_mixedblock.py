@@ -16,7 +16,7 @@ from prodsys.algebra import make_algebra, make_state, standard_form
 from prodsys.bimodule import verify_map
 from prodsys.cells import CellSystem, canonical_unit, cp_from_unit, unit_report
 from prodsys.cpdyn import evaluate, semigroup_from_generator, verify_ucp
-from prodsys.dilation import build_truncation, compression_defect, minimality_evidence
+from prodsys.dilation import TruncatedLimit, compression_defect, minimality_evidence
 from prodsys.partition import partition, uniform
 
 
@@ -74,7 +74,7 @@ def test_mixed_dilation_tower(mixed):
     cs, sf = mixed
     delta, levels = Fraction(1, 4), 2
     unit = canonical_unit(cs, [k * delta for k in range(levels + 1)])
-    tl = build_truncation(cs, unit, delta, levels)
+    tl = TruncatedLimit(cs, unit, delta, levels)
     assert tl.embedding_isometry_defect() < 1e-10
     worst = max(
         compression_defect(tl, k * delta, x)
