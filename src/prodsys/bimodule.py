@@ -1,21 +1,29 @@
 """Bimodule construction kit: Gram quotients and the two tensor products.
 
 Every Hilbert space here is presented in orthonormal coordinates.  New
-spaces are produced from a spanning family by assembling its Gram matrix
-and discarding null directions: `embed` maps spanning-family coordinates
+spaces are produced from a spanning family by discarding the null
+directions of its Gram matrix: `embed` maps spanning-family coordinates
 onto orthonormal coordinates of the quotient, `lift` is the canonical
 right inverse supported on the orthogonal complement of the null space.
 
 Two constructions are provided.  The GNS tensor couples the algebra to its
-standard space through a UCP map via <x(.)xi, y(.)eta> = <xi, T(x*y) eta>.
-The relative tensor product fuses a right module with a left module over
-the algebra via <xi1(.)eta1, xi2(.)eta2> = <eta1, m eta2> where m is the
-algebra element implementing the bounded-vector composition of xi1, xi2.
+standard space through a UCP map via <x(.)xi, y(.)eta> = <xi, T(x*y) eta>;
+its Gram matrix is assembled and diagonalized whole.  The relative tensor
+product fuses a right module with a left module over the algebra via
+<xi1(.)eta1, xi2(.)eta2> = <eta1, m eta2> where m is the algebra element
+implementing the bounded-vector composition of xi1, xi2.  Its Gram matrix
+is never assembled: the left module splits, block by block of the algebra,
+into a matrix block tensored with a multiplicity space (Paschke's picture
+of finite-dimensional modules), and in those coordinates the Gram matrix
+is the direct sum over blocks of one small matrix of algebra-element
+entries tensored with the identity on the multiplicity space.  Only the
+small matrices are diagonalized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +75,25 @@ class Bimodule:
     def act_right(self, x: AlgebraElement, v: np.ndarray) -> np.ndarray:
         return self.right_matrix(x) @ v
 
+    @cached_property
+    def multiplicity(self) -> tuple[np.ndarray, ...]:
+        """Multiplicity decomposition of the left action, one array per block.
+
+        For block M_n of the algebra, B is an orthonormal basis of the range
+        of the left action of the matrix unit e_11 and the array V has
+        V[:, r, :] = left(e_r1) B.  Its columns are orthonormal, and the
+        left action of e_rc sends V[:, c', s] to delta(c, c') V[:, r, s]: on
+        the span of V the left action is x (x) I_m, with m = B.shape[1].
+        """
+        out, off = [], 0
+        for n in self.algebra.blocks:
+            units = self.left[off:off + n * n:n]
+            p = units[0]
+            w, v = np.linalg.eigh((p + p.conj().T) / 2)
+            out.append((units @ v[:, w > 0.5]).transpose(1, 0, 2))
+            off += n * n
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class BimoduleMap:
@@ -99,20 +126,30 @@ def gram_quotient(gram: np.ndarray, rtol: float = GRAM_RTOL):
     reproduces the Gram matrix, and lift embeds the quotient back into the
     family coordinates with embed @ lift = identity.
     """
-    g = (gram + gram.conj().T) / 2
-    w, v = np.linalg.eigh(g)
-    top = max(w.max(), 0.0)
+    w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
+    return _quotient_factors(w, v, _kept(w, rtol))
+
+
+def _kept(w: np.ndarray, rtol: float) -> np.ndarray:
+    """The rank rule: mask of the Gram eigenvalues that are kept.
+
+    An eigenvalue is kept above `rtol` times the largest one; an eigenvalue
+    below -GRAM_NEG_RTOL times the largest rejects the Gram matrix.
+    """
+    top = max(w.max(initial=0.0), 0.0)
     if top == 0.0:
-        return np.zeros((0, g.shape[0])), np.zeros((g.shape[0], 0)), w[:0]
+        return np.zeros(w.shape, dtype=bool)
     if w.min() < -GRAM_NEG_RTOL * top:
         raise NotCompletelyPositiveError(
             f"Gram matrix has negative eigenvalue {w.min():.3e} (max {top:.3e})"
         )
-    keep = w > rtol * top
+    return w > rtol * top
+
+
+def _quotient_factors(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
+    """(embed, lift, kept eigenvalues) from an eigendecomposition."""
     wk, vk = w[keep], v[:, keep]
-    embed = (np.sqrt(wk)[:, None]) * vk.conj().T
-    lift = vk * (1.0 / np.sqrt(wk))[None, :]
-    return embed, lift, wk
+    return np.sqrt(wk)[:, None] * vk.conj().T, vk / np.sqrt(wk)[None, :], wk
 
 
 def l2_bimodule(sf: StandardForm) -> Bimodule:
@@ -191,9 +228,15 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     Spanning family: pairs of coordinate basis vectors in kron order
     (h index major).  The inner product routes through the bounded-vector
     composition on h, recognized as a left multiplication and then applied
-    through the left action of k.  The whole Gram matrix is assembled in
-    one sweep: compositions of bounded-vector maps for every pair of basis
-    vectors, their algebra elements, and the left action of those elements.
+    through the left action of k: the Gram matrix is the sum over the
+    algebra basis of elements[a, b, mu] k.left[mu].
+
+    In the coordinates of `k.multiplicity` that sum is the direct sum over
+    blocks M_n of E (x) I_m, where E[(a, r), (b, c)] is the (r, c) entry of
+    the block part of elements[a, b].  Only the E are diagonalized, under
+    one rank rule over all blocks with m > 0, which are the blocks the Gram
+    matrix sees; the quotient coordinates are (block, kept direction,
+    multiplicity index), and the actions are assembled block by block.
     """
     basis = list(sf.algebra.basis())
     rights = np.tensordot(sf.solve_right_matrix.T, h.right, axes=1)
@@ -208,17 +251,42 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
         raise NotCompletelyPositiveError(
             f"bounded-vector composition is not a left multiplication ({residual:.3e})"
         )
-    gram = np.einsum("abm,mpq->apbq", elements, k.left,
-                     optimize=True).reshape(h.dim * k.dim, h.dim * k.dim)
-    embed, lift, eigs = gram_quotient(gram)
-    left_pre = [np.kron(h.left[i], np.eye(k.dim)) for i in range(len(h.left))]
-    right_pre = [np.kron(np.eye(h.dim), k.right[i]) for i in range(len(k.right))]
-    return Bimodule(
-        sf.algebra, embed.shape[0],
-        _push_action(left_pre, embed, lift),
-        _push_action(right_pre, embed, lift),
-        embed=embed, lift=lift, gram_eigs=eigs,
-    )
+    hd, kd = h.dim, k.dim
+    seen, off = [], 0  # (V, eigenvalues, eigenvectors of E) per block with m > 0
+    for n, v in zip(sf.algebra.blocks, k.multiplicity):
+        e = elements[:, :, off:off + n * n].reshape(hd, hd, n, n)
+        off += n * n
+        if v.shape[2]:
+            e = e.transpose(0, 2, 1, 3).reshape(hd * n, hd * n)
+            seen.append((v, *np.linalg.eigh((e + e.conj().T) / 2)))
+    eig_all = np.concatenate([w for _, w, _ in seen] or [np.zeros(0)])
+    keeps = np.split(_kept(eig_all, GRAM_RTOL), np.cumsum([w.size for _, w, _ in seen])[:-1])
+
+    dim = sum(int(kp.sum()) * v.shape[2] for (v, _, _), kp in zip(seen, keeps))
+    embed = np.zeros((dim, hd * kd), dtype=complex)
+    lift = np.zeros((hd * kd, dim), dtype=complex)
+    left = np.zeros((len(h.left), dim, dim), dtype=complex)
+    right = np.zeros((len(k.right), dim, dim), dtype=complex)
+    eigs, o = [np.zeros(0)], 0
+    for (v, w, u), kp in zip(seen, keeps):
+        wmat, lmat, wk = _quotient_factors(w, u, kp)
+        n, kk, m = v.shape[1], wk.size, v.shape[2]
+        q = slice(o, o + kk * m)
+        o += kk * m
+        embed[q] = np.tensordot(wmat.reshape(kk, hd, n), v.conj(), axes=([2], [1])
+                                ).transpose(0, 3, 1, 2).reshape(kk * m, hd * kd)
+        lift[:, q] = np.tensordot(lmat.reshape(hd, n, kk), v, axes=([1], [1])
+                                  ).transpose(0, 2, 1, 3).reshape(hd * kd, kk * m)
+        # left(x) = W (x (x) I_n) L (x) I_m and right(y) = I (x) B* k.right(y) B
+        act = wmat @ np.tensordot(h.left, lmat.reshape(hd, n * kk), axes=1
+                                  ).reshape(-1, hd * n, kk)
+        left[:, q, q] = np.einsum("xab,st->xasbt", act, np.eye(m)).reshape(-1, kk * m, kk * m)
+        b = v[:, 0, :]
+        act = b.conj().T @ k.right @ b
+        right[:, q, q] = np.einsum("ab,xst->xasbt", np.eye(kk), act).reshape(-1, kk * m, kk * m)
+        eigs.append(np.repeat(wk, m))
+    return Bimodule(sf.algebra, dim, left, right, embed=embed, lift=lift,
+                    gram_eigs=np.concatenate(eigs))
 
 
 def pair_vec(r: Bimodule, v: np.ndarray, w: np.ndarray) -> np.ndarray:

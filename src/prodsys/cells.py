@@ -119,7 +119,10 @@ class CellSystem:
                 g = self.gns(p.parts[j - 1])
                 sub = self.cell(Partition(p.parts[a:j]))
                 ej = self.cell(Partition(p.parts[:j])).embed
-                m = ej @ np.kron(m, np.eye(g.dim)) @ np.kron(np.eye(da), sub.lift)
+                rows = ej.shape[0]
+                # ej @ kron(m, I_g) @ kron(I_da, sub.lift), on reshaped views
+                m = ej.reshape(rows, -1, g.dim).transpose(0, 2, 1) @ m
+                m = (m.transpose(0, 2, 1).reshape(rows, da, -1) @ sub.lift).reshape(rows, -1)
         self._collapse[key] = m
         return m
 

@@ -101,17 +101,35 @@ class EndomorphismReport:
 
 
 def endomorphism_report(theta: E0Semigroup, t) -> EndomorphismReport:
+    """Defects of theta_t as a unital *-map and as a product map on basis pairs.
+
+    The images of the matrix units are the columns of one action matrix.
+    A product of two matrix units is a matrix unit or zero and the adjoint
+    of one is another, so every defect is a batch of differences of those
+    images, measured in the largest block spectral norm.
+    """
     alg = theta.algebra
-    basis = list(alg.basis())
-    mult = 0.0
-    adj = 0.0
-    for x in basis:
-        tx = theta.apply(t, x)
-        adj = max(adj, (theta.apply(t, x.adjoint()) - tx.adjoint()).norm())
-        for y in basis:
-            mult = max(mult, (theta.apply(t, x * y) - tx * theta.apply(t, y)).norm())
+    d = alg.dim
+    action = theta.map_at(t)
+    units = [(b, r, c) for b, n in enumerate(alg.blocks) for r in range(n) for c in range(n)]
+    where = {u: i for i, u in enumerate(units)}
+    # prod[mu, nu]: index of the product of units mu and nu, d when it is zero
+    prod = np.array([[where[(b, r, c2)] if (b, c) == (b2, r2) else d
+                      for b2, r2, c2 in units] for b, r, c in units])
+    adj = np.array([where[(b, c, r)] for b, r, c in units])
+    images = np.hstack([action, np.zeros((d, 1))])
+    mult = adjoint = 0.0
+    off = 0
+    for m in alg.blocks:
+        tb = images[off:off + m * m].T.reshape(d + 1, m, m)
+        off += m * m
+        mult = max(mult, np.linalg.norm(tb[prod] - tb[:d, None] @ tb[None, :d],
+                                        2, axis=(-2, -1)).max())
+        adjoint = max(adjoint, np.linalg.norm(tb[adj] - tb[:d].conj().swapaxes(1, 2),
+                                              2, axis=(-2, -1)).max())
     one = alg.identity()
-    return EndomorphismReport(mult, adj, (theta.apply(t, one) - one).norm())
+    unital = (alg.from_vec(action @ one.vec()) - one).norm()
+    return EndomorphismReport(float(mult), float(adjoint), float(unital))
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,8 @@ def dilate(tl: TruncatedLimit, t, op: TruncatedOperator) -> TruncatedOperator:
             max_time=max_t,
         )
     r, u = tl.split(target, j)
-    inner = r.embed @ np.kron(op.matrix, np.eye(tl.spaces[j].dim)) @ r.lift
+    # op (x) 1 on kron coordinates (op index major), applied to r.lift by a reshape
+    inner = r.embed @ (op.matrix @ r.lift.reshape(op.matrix.shape[1], -1)).reshape(r.lift.shape)
     return TruncatedOperator(tl, target, u @ inner @ u.conj().T)
 
 

@@ -31,6 +31,18 @@ def random_state(algebra, rng):
     return make_state(algebra, [m / total for m in mats])
 
 
+def mixed_semigroup():
+    """Block-mixing semigroup on [1, 2] with a non-tracial state."""
+    alg = make_algebra([1, 2])
+    # E(a (+) B) = (tr B / 2) (+) a I, completely positive and unital
+    expectation = np.zeros((5, 5), dtype=complex)
+    expectation[0, 1] = expectation[0, 4] = 0.5
+    expectation[1, 0] = expectation[4, 0] = 1.0
+    sg = semigroup_from_generator(alg, expectation - np.eye(5))
+    state = make_state(alg, [np.array([[0.4]]), np.diag([0.3, 0.3])])
+    return sg, standard_form(alg, state)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from prodsys import bimodule
 from prodsys.algebra import (
+    diagonal_state,
     lmult_matrix,
     make_algebra,
     rmult_matrix,
@@ -10,9 +14,11 @@ from prodsys.algebra import (
     uniform_state,
 )
 from prodsys.bimodule import (
+    GRAM_RTOL,
     BimoduleMap,
     NotCompletelyPositiveError,
     gns_tensor,
+    gram_quotient,
     l2_bimodule,
     left_element_of,
     pair_vec,
@@ -22,14 +28,17 @@ from prodsys.bimodule import (
     tensor_vec,
     verify_map,
 )
+from prodsys.cells import CellSystem
 from prodsys.cpdyn import (
     CpMap,
     evaluate,
     semigroup_from_generator,
     unitary_conjugation_generator,
 )
+from prodsys.heatmarkov import make_model
+from prodsys.partition import uniform
 
-from conftest import random_element, random_hermitian
+from conftest import SEED, mixed_semigroup, random_element, random_hermitian
 
 
 def test_gns_identity_map_collapses_to_standard_space(pair):
@@ -258,3 +267,101 @@ def test_verify_map_identity_all_flags(pair):
     assert rep.bilinear_defect == 0.0
     assert rep.isometry_defect == 0.0
     assert rep.unitary_defect == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Relative tensor product against the dense Gram quotient
+# ---------------------------------------------------------------------------
+
+def dense_oracle(h, k, sf, rtol=GRAM_RTOL):
+    """Assembled relative-tensor Gram, its quotient, and the composition elements.
+
+    elements[a, b] is the algebra element of the composition of the
+    bounded-vector maps of the coordinate basis vectors a and b of h.
+    """
+    pis = np.stack([pi_phi(h, e, sf) for e in np.eye(h.dim)])
+    comp = np.einsum("axi,bxj->abij", pis.conj(), pis)
+    elements = np.einsum("mi,abi->abm", sf.solve_left_matrix, comp @ sf.cyclic)
+    gram = np.einsum("abm,mpq->apbq", elements, k.left).reshape(h.dim * k.dim, -1)
+    return gram, gram_quotient(gram, rtol), elements
+
+
+def assert_matches_oracle(h, k, sf):
+    r = relative_tensor(h, k, sf)
+    gram, (_, _, eigs), _ = dense_oracle(h, k, sf)
+    top = eigs.max()
+    assert r.dim == eigs.size
+    assert np.abs(r.embed.conj().T @ r.embed - gram).max() <= 1e-10 * top
+    assert np.abs(r.embed @ r.lift - np.eye(r.dim)).max() < 1e-10
+    assert np.abs(np.sort(r.gram_eigs) - eigs).max() <= 1e-10 * top
+    for i in range(len(h.left)):
+        pre = np.kron(h.left[i], np.eye(k.dim))
+        assert np.abs(r.left[i] - r.embed @ pre @ r.lift).max() < 1e-10
+    for i in range(len(k.right)):
+        pre = np.kron(np.eye(h.dim), k.right[i])
+        assert np.abs(r.right[i] - r.embed @ pre @ r.lift).max() < 1e-10
+
+
+@pytest.fixture
+def mixed_block():
+    return mixed_semigroup()
+
+
+@pytest.fixture
+def chain6():
+    """Seeded reversible birth-death chain on six states."""
+    rng = np.random.default_rng(SEED)
+    mu = rng.uniform(0.5, 1.5, 6)
+    mu /= mu.sum()
+    c = np.diag(rng.uniform(0.5, 1.5, 5), 1)
+    c += c.T
+    mdl = make_model(mu, (np.diag(c.sum(axis=1)) - c) / mu[:, None])
+    sf = mdl.standard_form()
+    return semigroup_from_generator(sf.algebra, -mdl.laplacian.astype(complex)), sf
+
+
+@pytest.mark.parametrize("system, parts", [
+    ("m2_lindblad", 2),  # cell of 2 parts fused with a coupling: pre-quotient dim 1024
+    ("mixed_block", 1),  # two couplings of dim 25: pre-quotient dim 625
+    ("pair", 2),
+    ("chain6", 1),       # two couplings of dim 36: pre-quotient dim 1296
+])
+def test_relative_tensor_matches_dense_oracle(system, parts, request):
+    sg, sf = request.getfixturevalue(system)
+    cs = CellSystem(sg, sf)
+    cell = cs.cell(uniform(Fraction(parts, 4), parts))
+    for h, k in [(cell, cs.gns(Fraction(1, 4))), (cs.l2, cell), (cell, cs.l2)]:
+        assert_matches_oracle(h, k, sf)
+
+
+def character_coupling(sf):
+    """GNS coupling of T(x) = x_0 1 on [1, 2]; the matrix block acts as zero."""
+    action = np.zeros((5, 5), dtype=complex)
+    action[:, 0] = sf.algebra.identity().vec()
+    return gns_tensor(CpMap(sf.algebra, action), sf)
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5], [0.01, 0.99], [0.99, 0.01]])
+def test_relative_tensor_with_zero_multiplicity_block(weights):
+    alg = make_algebra([1, 2])
+    sf = standard_form(alg, diagonal_state(alg, weights))
+    g = character_coupling(sf)
+    assert [v.shape[2] for v in g.multiplicity] == [5, 0]
+    for h in (l2_bimodule(sf), g):
+        assert_matches_oracle(h, g, sf)
+
+
+def test_zero_multiplicity_block_does_not_set_the_cutoff(monkeypatch):
+    # the matrix block's composition entries dominate (top eigenvalue 400
+    # against 1.01), but with multiplicity zero they never reach the Gram
+    alg = make_algebra([1, 2])
+    sf = standard_form(alg, diagonal_state(alg, [0.99, 0.01]))
+    g = character_coupling(sf)
+    l2 = l2_bimodule(sf)
+    rtol = 0.1
+    _, (_, _, eigs), elements = dense_oracle(l2, g, sf, rtol)
+    silent = elements[:, :, 1:].reshape(5, 5, 2, 2).transpose(0, 2, 1, 3).reshape(10, 10)
+    assert rtol * np.linalg.eigvalsh(silent).max() > eigs.max()
+    monkeypatch.setattr(bimodule, "GRAM_RTOL", rtol)
+    r = relative_tensor(l2, g, sf)
+    assert r.dim == eigs.size == 5

@@ -52,6 +52,33 @@ def test_inner_semigroup_is_endomorphism_family(m2_inner):
     assert law_defect(theta.map_at, [(s, t) for s in ts for t in ts]) < 1e-10
 
 
+def loop_endomorphism_defects(theta, t):
+    """Basis-pair loop over Python-level products, the reference."""
+    alg = theta.algebra
+    basis = list(alg.basis())
+    mult = adj = 0.0
+    for x in basis:
+        tx = theta.apply(t, x)
+        adj = max(adj, (theta.apply(t, x.adjoint()) - tx.adjoint()).norm())
+        for y in basis:
+            mult = max(mult, (theta.apply(t, x * y) - tx * theta.apply(t, y)).norm())
+    one = alg.identity()
+    return mult, adj, (theta.apply(t, one) - one).norm()
+
+
+@pytest.mark.parametrize("blocks", [[2, 4], [1, 2], [1, 1, 1]])
+def test_endomorphism_report_matches_basis_loop(blocks, rng):
+    alg = make_algebra(blocks)
+    generic = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
+    for theta in (inner_semigroup(alg, random_hermitian(alg, rng)),
+                  E0Semigroup(alg, lambda t: generic)):
+        rep = endomorphism_report(theta, Fraction(1, 3))
+        got = (rep.multiplicative_defect, rep.adjoint_defect, rep.unital_defect)
+        want = loop_endomorphism_defects(theta, Fraction(1, 3))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14), (got, want)
+    assert min(want) > 0.1  # the generic map fails every law
+
+
 def test_inner_matches_conjugation_generator(m2_inner, rng):
     alg, h, theta, sf = m2_inner
     sg = semigroup_from_generator(alg, unitary_conjugation_generator(alg, h))

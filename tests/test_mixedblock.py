@@ -12,25 +12,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prodsys.algebra import make_algebra, make_state, standard_form
 from prodsys.bimodule import verify_map
 from prodsys.cells import CellSystem, canonical_unit, cp_from_unit, unit_report
-from prodsys.cpdyn import evaluate, semigroup_from_generator, verify_ucp
+from prodsys.cpdyn import evaluate, verify_ucp
 from prodsys.dilation import TruncatedLimit, compression_defect, minimality_evidence
 from prodsys.partition import partition, uniform
+
+from conftest import mixed_semigroup
 
 
 @pytest.fixture(scope="module")
 def mixed():
-    alg = make_algebra([1, 2])
-    # E(a (+) B) = (tr B / 2) (+) a I, completely positive and unital
-    expectation = np.zeros((5, 5), dtype=complex)
-    expectation[0, 1] = expectation[0, 4] = 0.5
-    expectation[1, 0] = expectation[4, 0] = 1.0
-    gen = expectation - np.eye(5)
-    sg = semigroup_from_generator(alg, gen)
-    state = make_state(alg, [np.array([[0.4]]), np.diag([0.3, 0.3])])
-    sf = standard_form(alg, state)
+    sg, sf = mixed_semigroup()
     return CellSystem(sg, sf), sf
 
 
