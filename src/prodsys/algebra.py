@@ -207,17 +207,23 @@ class StandardForm:
     def cyclic(self) -> np.ndarray:
         return np.concatenate([r.reshape(-1) for r in self.root])
 
+    @cached_property
+    def embed_left_matrix(self) -> np.ndarray:
+        """Coordinate matrix of `embed_left`: right multiplication by the root."""
+        return rmult_matrix(self.algebra.element(self.root))
+
+    @cached_property
+    def embed_right_matrix(self) -> np.ndarray:
+        """Coordinate matrix of `embed_right`: left multiplication by the root."""
+        return lmult_matrix(self.algebra.element(self.root))
+
     def embed_left(self, x: AlgebraElement) -> np.ndarray:
         """Coordinates of x acting on the cyclic vector from the left."""
-        return np.concatenate(
-            [(m @ r).reshape(-1) for m, r in zip(x.mats, self.root)]
-        )
+        return self.embed_left_matrix @ x.vec()
 
     def embed_right(self, x: AlgebraElement) -> np.ndarray:
         """Coordinates of the cyclic vector multiplied by x on the right."""
-        return np.concatenate(
-            [(r @ m).reshape(-1) for m, r in zip(x.mats, self.root)]
-        )
+        return self.embed_right_matrix @ x.vec()
 
     @cached_property
     def solve_left_matrix(self) -> np.ndarray:

@@ -247,10 +247,11 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     lstack = np.stack([lmult_matrix(x) for x in basis])
     residual = np.abs(comp - np.einsum("abm,mij->abij", elements, lstack,
                                        optimize=True)).max()
-    if residual > 1e-8:
-        raise NotCompletelyPositiveError(
-            f"bounded-vector composition is not a left multiplication ({residual:.3e})"
-        )
+    # relative to the entries, which grow like the inverse of a small state weight
+    scale = max(1.0, np.abs(comp).max())
+    if residual > 1e-8 * scale:
+        raise NotCompletelyPositiveError("bounded-vector composition is not a left "
+                                         f"multiplication ({residual:.3e}, scale {scale:.3e})")
     hd, kd = h.dim, k.dim
     seen, off = [], 0  # (V, eigenvalues, eigenvectors of E) per block with m > 0
     for n, v in zip(sf.algebra.blocks, k.multiplicity):
@@ -287,6 +288,16 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
         eigs.append(np.repeat(wk, m))
     return Bimodule(sf.algebra, dim, left, right, embed=embed, lift=lift,
                     gram_eigs=np.concatenate(eigs))
+
+
+def left_materialization(h: Bimodule, sf: StandardForm) -> np.ndarray:
+    """Matrix of the canonical map l2 (x) h -> h, x.cyclic (x) eta -> x eta.
+
+    Acts on kron coordinates (standard-space index major): block j is the
+    left action of the element solved from coordinate basis vector j.
+    """
+    m = np.tensordot(sf.solve_left_matrix.T, h.left, axes=1)
+    return m.transpose(1, 0, 2).reshape(h.dim, -1)
 
 
 def pair_vec(r: Bimodule, v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .bimodule import (
     gns_tensor,
     l2_bimodule,
     left_element_of,
+    left_materialization,
     pi_phi,
     relative_tensor,
     tensor_vec,
@@ -77,18 +78,35 @@ class CellSystem:
         """Image in cell(p) of the elementary tensor with the given factors.
 
         xs are the algebra slots, vs the standard-space slots, one pair per
-        part of p.
+        part of p: the one-column case of `family`.
         """
         if len(xs) != len(p) or len(vs) != len(p):
             raise ValueError("one algebra and one vector slot per part expected")
-        return self.fuse(p.parts, [tensor_vec(self.gns(t), x, v)
-                                   for t, x, v in zip(p.parts, xs, vs)])
+        return self.family(p.parts, [x.vec()[:, None] for x in xs],
+                           [v[:, None] for v in vs])[:, 0]
 
-    def fuse(self, parts: Sequence[Fraction], vecs: Sequence[np.ndarray]) -> np.ndarray:
-        """Fuse one vector per single-part cell, left to right, into cell(parts)."""
-        u = vecs[0]
-        for i in range(1, len(parts)):
-            u = self.cell(Partition(tuple(parts[:i + 1]))).embed @ np.kron(u, vecs[i])
+    def family(self, parts: Sequence[Fraction], xs: Sequence[np.ndarray],
+               vs: Sequence[np.ndarray]) -> np.ndarray:
+        """Every elementary tensor over the slot columns, in kron column order.
+
+        xs[i] holds algebra coordinate vectors and vs[i] standard-space
+        vectors as columns; part i takes every pair, algebra index major.
+        """
+        return self.fuse(parts, [self.gns(t).embed @ np.kron(x, v)
+                                 for t, x, v in zip(parts, xs, vs)])
+
+    def fuse(self, parts: Sequence[Fraction], slots: Sequence[np.ndarray]) -> np.ndarray:
+        """Fuse one slot matrix per part, left to right, into cell(parts).
+
+        The columns of slots[i] are vectors of the single-part cell at
+        parts[i]; the result has a column for every choice of one column per
+        slot, in np.kron order.  Each step contracts against a reshaped view
+        of the cell's embed, so no pre-quotient kron product is formed.
+        """
+        u = slots[0]
+        for i, w in enumerate(slots[1:], 2):
+            e = self.cell(Partition(tuple(parts[:i]))).embed
+            u = (u.T @ (e.reshape(len(e), len(u), len(w)) @ w)).reshape(len(e), -1)
         return u
 
     # -- canonical collapse -------------------------------------------
@@ -106,9 +124,7 @@ class CellSystem:
         n = len(p)
         cellp = self.cell(p)
         if a == 0:
-            # block j is the left action of the element solved from basis vector j
-            m = np.tensordot(self.sf.solve_left_matrix.T, cellp.left, axes=1)
-            m = m.transpose(1, 0, 2).reshape(cellp.dim, -1)
+            m = left_materialization(cellp, self.sf)
         elif a == n:
             m = np.tensordot(self.sf.solve_right_matrix.T, cellp.right, axes=1)
             m = m.transpose(1, 2, 0).reshape(cellp.dim, -1)
@@ -161,19 +177,10 @@ class CellSystem:
         g = self.gns(sub.total)
         if len(sub) == 1:
             return np.eye(g.dim, dtype=complex)
-        d = self.sf.dim
-        one = self.sf.algebra.identity()
-        cyc = self.sf.cyclic
-        cols = []
-        for mu, x in enumerate(self.sf.algebra.basis()):
-            xs = [x] + [one] * (len(sub) - 1)
-            for j in range(d):
-                e = np.zeros(d, dtype=complex)
-                e[j] = 1.0
-                vs = [cyc] * (len(sub) - 1) + [e]
-                cols.append(self.elementary(sub, xs, vs))
-        w = np.column_stack(cols)
-        return w @ g.lift
+        eye, n = np.eye(self.sf.dim), len(sub)
+        xs = [eye] + [self.sf.algebra.identity().vec()[:, None]] * (n - 1)
+        vs = [self.sf.cyclic[:, None]] * (n - 1) + [eye]
+        return self.family(sub.parts, xs, vs) @ g.lift
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +239,7 @@ def unit_report(unit: Unit) -> UnitReport:
         for t in times:
             if (s + t) not in unit.vectors:
                 continue
-            v = cs.fuse((s, t), [unit.vectors[s], unit.vectors[t]])
+            v = cs.fuse((s, t), [unit.vectors[s][:, None], unit.vectors[t][:, None]])[:, 0]
             w = cs.refinement(Partition((s, t)), Partition((s + t,))).matrix @ unit.vectors[s + t]
             fact = max(fact, float(np.linalg.norm(v - w)))
     return UnitReport(unital, excess, fact)
@@ -279,19 +286,14 @@ def generating_rank(unit: Unit, p: Partition, rtol: float = 1e-10) -> tuple[int,
     the unit's slots with algebra basis elements and a final right factor,
     refined into cell(p).  Returns (rank, dim of the cell).
     """
-    cs, sf = unit.system, unit.system.sf
-    basis = list(sf.algebra.basis())
+    cs = unit.system
     cols = []
     for c in coarsenings(p):
         if any(t not in unit.vectors for t in c.parts):
             continue
         ref = cs.refinement(p, c).matrix if c != p else np.eye(cs.cell(p).dim)
-        elem = cell_target_elementary(cs, unit, c.parts)
-        for combo in np.ndindex(*([len(basis)] * len(c))):
-            xs = [basis[i] for i in combo]
-            for y in basis:
-                cols.append(ref @ elem(xs, y))
-    z = np.column_stack(cols)
+        cols.append(ref @ cell_target_elementary(cs, unit, c.parts))
+    z = np.hstack(cols)
     sv = np.linalg.svd(z, compute_uv=False)
     rank = int(np.sum(sv > rtol * max(sv[0], 1e-300)))
     return rank, cs.cell(p).dim
@@ -301,37 +303,31 @@ def unit_system_isomorphism(
     cs: CellSystem,
     p: Partition,
     target: Bimodule,
-    target_elementary: Callable[[Sequence[AlgebraElement], AlgebraElement], np.ndarray],
+    target_family: np.ndarray,
 ) -> tuple[BimoduleMap, float]:
     """Isomorphism from cell(p) onto a unit-bearing target at level p.
 
     The map sends the elementary tensor with algebra slots xs over cyclic
     vectors, and a final right factor y, to the target's multiplied unit
-    vectors with the same slots.  Returns the map together with the
+    vectors with the same slots, column (xs, y) of `target_family` as
+    `cell_target_elementary` orders it.  Returns the map together with the
     extension defect on the defining family; a generating target makes the
     map unitary, a rank-deficient family shows up in the defect report.
     """
     sf = cs.sf
-    basis = list(sf.algebra.basis())
-    n = len(p)
-    cyc = sf.cyclic
-    zcols, vcols = [], []
-    for combo in np.ndindex(*([len(basis)] * n)):
-        xs = [basis[i] for i in combo]
-        for y in basis:
-            vs = [cyc] * (n - 1) + [sf.embed_right(y)]
-            zcols.append(cs.elementary(p, xs, vs))
-            vcols.append(target_elementary(xs, y))
-    u, defect = extend_from_family(np.column_stack(zcols), np.column_stack(vcols))
+    vs = [sf.cyclic[:, None]] * (len(p) - 1) + [sf.embed_right_matrix]
+    z = cs.family(p.parts, [np.eye(sf.dim)] * len(p), vs)
+    u, defect = extend_from_family(z, target_family)
     return BimoduleMap(cs.cell(p), target, u), defect
 
 
-def cell_target_elementary(cs: CellSystem, unit: Unit, parts: Sequence[Fraction]):
-    """Target-side multiplied unit vectors for a cell system with a unit."""
+def cell_target_elementary(cs: CellSystem, unit: Unit, parts: Sequence[Fraction]) -> np.ndarray:
+    """Target-side multiplied unit vectors for a cell system with a unit.
 
-    def elem(xs: Sequence[AlgebraElement], y: AlgebraElement) -> np.ndarray:
-        vecs = [cs.gns(t).act_left(x, unit.vectors[Fraction(t)]) for t, x in zip(parts, xs)]
-        vecs[-1] = cs.gns(parts[-1]).right_matrix(y) @ vecs[-1]
-        return cs.fuse(parts, vecs)
-
-    return elem
+    Column (x_1, ..., x_n, y), in kron order over the algebra basis, fuses
+    x_i acting on the unit vector of each part, y on the last from the right.
+    """
+    slots = [(cs.gns(t).left @ unit.vectors[Fraction(t)]).T for t in parts]
+    last = cs.gns(parts[-1])
+    slots[-1] = np.einsum("yab,bx->axy", last.right, slots[-1]).reshape(last.dim, -1)
+    return cs.fuse(parts, slots)

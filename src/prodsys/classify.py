@@ -20,7 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import Algebra, AlgebraElement, StandardForm, lmult_matrix, rmult_matrix
-from .bimodule import Bimodule, BimoduleMap, extend_from_family, left_element_of, pi_phi
+from .bimodule import (Bimodule, BimoduleMap, extend_from_family, left_element_of,
+                       left_materialization, pi_phi)
 from .cells import CellSystem
 from .partition import Partition
 
@@ -169,26 +170,23 @@ class TwistedSystem:
         vector and pushed through the endomorphism at the second time, which
         is the twisted left action of cell(t).
         """
-        m = np.tensordot(self.sf.solve_left_matrix.T, self.cell(t).left, axes=1)
-        return m.transpose(1, 0, 2).reshape(self.sf.dim, -1)
+        return left_materialization(self.cell(t), self.sf)
 
-    def fold(self, parts: Sequence[Fraction], xs: Sequence[AlgebraElement],
-             ys: Sequence[AlgebraElement]) -> np.ndarray:
-        """Multiplied elementary vector with nested endomorphism images."""
-        acc = None
-        for t, x, y in zip(parts, xs, ys):
-            step = self.theta.apply(t, x if acc is None else acc * x)
-            acc = step * y
-        return self.sf.embed_left(acc)
+    def fold(self, parts: Sequence[Fraction]) -> np.ndarray:
+        """Multiplied elementary vectors with nested endomorphism images.
 
-    def elementary(self, parts: Sequence[Fraction]):
-        one = self.sf.algebra.identity()
-
-        def elem(xs: Sequence[AlgebraElement], y: AlgebraElement) -> np.ndarray:
-            ys = [one] * (len(parts) - 1) + [y]
-            return self.fold(parts, xs, ys)
-
-        return elem
+        Column (x_1, y_1, ..., x_n, y_n), in kron order over the algebra
+        basis, is theta(... theta(x_1) y_1 ... x_n) y_n against the cyclic
+        vector, each theta at the time of its part.
+        """
+        alg = self.sf.algebra
+        rights = np.stack([rmult_matrix(x) for x in alg.basis()])
+        acc = alg.identity().vec()[:, None]
+        for t in parts:
+            # theta_t(a x) y = rmult(y) theta_t rmult(x) a, indexed [x, y]
+            step = rights[None] @ (self.theta.map_at(t) @ rights)[:, None]
+            acc = np.einsum("xyab,bj->ajxy", step, acc).reshape(alg.dim, -1)
+        return self.sf.embed_left_matrix @ acc
 
 
 def twisted_cp_defect(ts: TwistedSystem, t, tol: float = 1e-10) -> float:
@@ -215,16 +213,8 @@ def canonical_iso(theta: E0Semigroup, cs: CellSystem, p: Partition,
     sf = cs.sf
     if ts is None:
         ts = TwistedSystem(theta, sf)
-    basis = list(sf.algebra.basis())
-    n = len(p)
-    zcols, vcols = [], []
-    for combo in np.ndindex(*([len(basis)] * (2 * n))):
-        xs = [basis[combo[2 * i]] for i in range(n)]
-        ys = [basis[combo[2 * i + 1]] for i in range(n)]
-        vs = [sf.embed_left(y) for y in ys]
-        zcols.append(cs.elementary(p, xs, vs))
-        vcols.append(ts.fold(p.parts, xs, ys))
-    u, defect = extend_from_family(np.column_stack(zcols), np.column_stack(vcols))
+    z = cs.family(p.parts, [np.eye(sf.dim)] * len(p), [sf.embed_left_matrix] * len(p))
+    u, defect = extend_from_family(z, ts.fold(p.parts))
     return BimoduleMap(cs.cell(p), ts.cell(p.total), u), defect
 
 

@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from .algebra import (
     uniform_state,
 )
 from .bimodule import (
-    gns_tensor,
     left_element_of,
     pi_phi,
     product_formula_defect,
@@ -146,6 +146,11 @@ class ExperimentConfig:
     def tol(self, value: float) -> float:
         return value * self.tol_scale
 
+    @cached_property
+    def cells(self) -> CellSystem:
+        """Cell system shared by the refine, roundtrip and dilate suites."""
+        return CellSystem(self.semigroup, self.sf)
+
 
 def load_config(path: str | None, seed: int | None, tol_scale: float) -> ExperimentConfig:
     raw = {}
@@ -221,7 +226,7 @@ def suite_check_cp(cfg: ExperimentConfig) -> Report:
 
 def suite_cells(cfg: ExperimentConfig) -> Report:
     rep = Report("cells", cfg.seed)
-    cs = CellSystem(cfg.semigroup, cfg.sf)
+    cs = CellSystem(cfg.semigroup, cfg.sf)  # unshared: no later suite reuses these cells
     for p in cfg.partitions:
         cell = cs.cell(p)
         rep.add(f"dim{p}={cell.dim}", "cell-construction", 0.0, 1.0)
@@ -239,7 +244,7 @@ def suite_cells(cfg: ExperimentConfig) -> Report:
                 _, res = left_element_of(comp, cfg.sf)
                 worst_res = max(worst_res, res)
         rep.add(f"bounded-vector{p}", "bounded-vector-composition", worst_res, cfg.tol(1e-10))
-    g = gns_tensor(evaluate(cfg.semigroup, cfg.delta), cfg.sf)
+    g = cs.gns(cfg.delta)
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for _ in range(20):
@@ -284,7 +289,7 @@ def _admissible_dyadic_chain(cs: CellSystem, max_parts: int = 16) -> list:
 
 def suite_refine(cfg: ExperimentConfig) -> Report:
     rep = Report("refine", cfg.seed)
-    cs = CellSystem(cfg.semigroup, cfg.sf)
+    cs = cfg.cells
     chain = _admissible_dyadic_chain(cs)
     rep.meta["chain-depth"] = str(len(chain[-1]))
     for i in range(len(chain) - 1):
@@ -304,7 +309,7 @@ def suite_refine(cfg: ExperimentConfig) -> Report:
 
 def suite_roundtrip(cfg: ExperimentConfig) -> Report:
     rep = Report("roundtrip", cfg.seed)
-    cs = CellSystem(cfg.semigroup, cfg.sf)
+    cs = cfg.cells
     grid = [k * cfg.delta for k in range(cfg.levels + 1)]
     unit = canonical_unit(cs, grid)
     ur = unit_report(unit)
@@ -324,7 +329,7 @@ def suite_roundtrip(cfg: ExperimentConfig) -> Report:
 
 
 def suite_dilate(cfg: ExperimentConfig) -> Report:
-    cs = CellSystem(cfg.semigroup, cfg.sf)
+    cs = cfg.cells
     levels = min(cfg.levels, 1)
     while levels < cfg.levels:
         nxt = uniform((levels + 1) * cfg.delta, levels + 1)

@@ -198,20 +198,12 @@ def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
     """
     n = depth if depth is not None else tl.levels
     basis = list(tl.sf.algebra.basis()) if elements is None else list(elements)
-    theta_top = {}
+    # the family is kept as rows, so that every step reshapes without a copy
+    z = (tl.embed_matrix(tl.levels, 0) @ tl.sf.embed_left_matrix).T
     for k in range(1, n + 1):
-        for mu, x in enumerate(basis):
-            theta_top[(k, mu)] = dilate(tl, k * tl.delta, represent(tl, x)).on_top()
-    k0 = tl.embed_matrix(tl.levels, 0)
-    cols = []
-    for y in tl.sf.algebra.basis():
-        seed = k0 @ tl.sf.embed_left(y)
-        for combo in np.ndindex(*([len(basis)] * n)):
-            v = seed
-            for i in range(n - 1, -1, -1):
-                v = theta_top[(n - i, combo[i])] @ v
-            cols.append(v)
-    z = np.column_stack(cols)
+        thetas = np.stack([dilate(tl, k * tl.delta, represent(tl, x)).on_top()
+                           for x in basis])
+        z = (z @ thetas.transpose(0, 2, 1)).reshape(-1, z.shape[1])
     sv = np.linalg.svd(z, compute_uv=False)
     rank = int(np.sum(sv > rtol * max(sv[0], 1e-300)))
     return MinimalityReport(rank, tl.spaces[tl.levels].dim)

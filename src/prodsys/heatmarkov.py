@@ -17,6 +17,7 @@ closed form, which is what the end-of-tower identity checks exploit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -204,6 +205,18 @@ def slot_product(m: int, fs: Sequence[np.ndarray], gs: Sequence[np.ndarray]) -> 
     return out
 
 
+def indicator_products(m: int, n: int) -> np.ndarray:
+    """`slot_product` of every choice of state indicator slots, as columns.
+
+    Column (f_1, g_1, ..., f_n, g_n), in kron order, is the indicator of
+    the path (f_1, ..., f_n, g_n) if g_i = f_{i+1} for all i < n, else zero:
+    I (x) C (x) ... (x) C (x) I with C[x, (g, f)] = delta(x, g) delta(x, f).
+    """
+    eye = np.eye(m)
+    glue = np.einsum("xg,xf->xgf", eye, eye).reshape(m, m * m)
+    return functools.reduce(np.kron, [eye] + [glue] * (n - 1) + [eye])
+
+
 def cell_match_defect(mdl: MarkovModel, p: Partition, cs) -> tuple[float, int, int]:
     """Gram agreement between the semigroup cell and the path-space cell.
 
@@ -211,26 +224,12 @@ def cell_match_defect(mdl: MarkovModel, p: Partition, cs) -> tuple[float, int, i
     are compared against their product functions in the path space.
     Returns the largest Gram deviation and the two dimensions.
     """
-    sf = cs.sf
-    m = mdl.states
     n = len(p)
-    basis = list(sf.algebra.basis())
-    eye = np.eye(m)
-    cell = cs.cell(p)
     path = l2_cell(mdl, p)
-    zcols, ycols = [], []
-    for combo in np.ndindex(*([m] * (2 * n))):
-        fs = [combo[2 * i] for i in range(n)]
-        gs = [combo[2 * i + 1] for i in range(n)]
-        xs = [basis[s] for s in fs]
-        vs = [sf.embed_left(basis[s]) for s in gs]
-        zcols.append(cs.elementary(p, xs, vs))
-        func = slot_product(m, [eye[s] for s in fs], [eye[s] for s in gs])
-        ycols.append(path.embed @ func.reshape(-1))
-    z = np.column_stack(zcols)
-    y = np.column_stack(ycols)
+    z = cs.family(p.parts, [np.eye(cs.sf.dim)] * n, [cs.sf.embed_left_matrix] * n)
+    y = path.embed @ indicator_products(mdl.states, n)
     gram_defect = float(np.abs(z.conj().T @ z - y.conj().T @ y).max())
-    return gram_defect, cell.dim, path.dim
+    return gram_defect, cs.cell(p).dim, path.dim
 
 
 def refinement_duplication_matrix(mdl: MarkovModel, fine: Partition,

@@ -365,3 +365,25 @@ def test_zero_multiplicity_block_does_not_set_the_cutoff(monkeypatch):
     monkeypatch.setattr(bimodule, "GRAM_RTOL", rtol)
     r = relative_tensor(l2, g, sf)
     assert r.dim == eigs.size == 5
+
+
+def test_composition_residual_is_relative_to_the_composition_entries():
+    # a block weight of 1e-9 makes the composition entries about 2e9, and
+    # their rounding alone leaves an absolute residual far above 1e-8
+    alg = make_algebra([1, 2])
+    sf = standard_form(alg, diagonal_state(alg, [1 - 1e-9, 1e-9]))
+    g = character_coupling(sf)
+    r = relative_tensor(l2_bimodule(sf), g, sf)
+    assert r.dim == g.dim
+
+
+def test_composition_residual_rejects_a_broken_right_module(pair):
+    # a right action that is not multiplicative breaks the bounded-vector
+    # composition, which is then no left multiplication
+    _, sf = pair
+    l2 = l2_bimodule(sf)
+    bent = l2.right.copy()
+    bent[0] += 0.1 * np.ones((sf.dim, sf.dim))
+    broken = bimodule.Bimodule(sf.algebra, l2.dim, l2.left, bent)
+    with pytest.raises(NotCompletelyPositiveError, match="not a left multiplication"):
+        relative_tensor(broken, l2, sf)

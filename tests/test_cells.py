@@ -18,6 +18,8 @@ from prodsys.cells import (
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
 from prodsys.partition import Partition, join, partition, uniform
 
+from conftest import mixed_semigroup
+
 
 @pytest.fixture
 def pair_system(pair):
@@ -364,3 +366,25 @@ def test_unit_system_isomorphism_compatibility(pair_system):
     lhs = j @ np.kron(u_s.matrix, u_t.matrix)
     rhs = u_st.matrix @ j
     assert np.linalg.norm(lhs - rhs, 2) < 1e-10
+
+
+@pytest.mark.parametrize("system,parts", [("m2_lindblad", 2), ("mixed", 3)])
+def test_family_matches_elementary_columns(request, system, parts):
+    # the batched fold against one elementary tensor per choice of slot columns
+    sg, sf = mixed_semigroup() if system == "mixed" else request.getfixturevalue(system)
+    cs = CellSystem(sg, sf)
+    p = partition([Fraction(1, 3)] + [Fraction(1, 4)] * (parts - 1))
+    rng = np.random.default_rng(parts)
+    d = sf.dim
+    xs = [rng.standard_normal((d, i + 1)) + 1j * rng.standard_normal((d, i + 1))
+          for i in range(parts)]
+    vs = [rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2)) for _ in range(parts)]
+    cols = []
+    for combo in np.ndindex(*[n for x in xs for n in (x.shape[1], 2)]):
+        cols.append(cs.elementary(
+            p, [sf.algebra.from_vec(x[:, combo[2 * i]]) for i, x in enumerate(xs)],
+            [v[:, combo[2 * i + 1]] for i, v in enumerate(vs)]))
+    reference = np.column_stack(cols)
+    batched = cs.family(p.parts, xs, vs)
+    assert batched.shape == reference.shape
+    assert np.abs(batched - reference).max() < 1e-12 * np.abs(reference).max()

@@ -32,7 +32,7 @@ from prodsys.classify import (
 from prodsys.cpdyn import evaluate, law_defect, semigroup_from_generator, unitary_conjugation_generator
 from prodsys.partition import Partition, join, partition
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_state
 
 
 @pytest.fixture
@@ -399,3 +399,26 @@ def test_unit_operator_requires_tracial_state(m2_inner, rng):
     skew = standard_form(alg, make_state(alg, [np.diag([0.3, 0.7])]))
     with pytest.raises(ValueError):
         unit_operator(theta, {Fraction(1, 2): alg.identity()}, skew)
+
+
+def nested_fold_loop(theta, sf, parts):
+    """One nested endomorphism image per choice of basis slots, the reference."""
+    basis = list(sf.algebra.basis())
+    cols = []
+    for combo in np.ndindex(*([len(basis)] * (2 * len(parts)))):
+        acc = None
+        for i, t in enumerate(parts):
+            x, y = basis[combo[2 * i]], basis[combo[2 * i + 1]]
+            acc = theta.apply(t, x if acc is None else acc * x) * y
+        cols.append(sf.embed_left(acc))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("blocks,parts", [([2], ["1/2", "1/4", "3/4"]), ([1, 2], ["1/3", "1"])])
+def test_fold_matches_nested_apply_loop(rng, blocks, parts):
+    alg = make_algebra(blocks)
+    sf = standard_form(alg, random_state(alg, rng))
+    theta = inner_semigroup(alg, random_hermitian(alg, rng))
+    parts = [Fraction(t) for t in parts]
+    reference = nested_fold_loop(theta, sf, parts)
+    assert np.abs(TwistedSystem(theta, sf).fold(parts) - reference).max() < 1e-12

@@ -284,3 +284,31 @@ def test_unit_cocycle_roundtrips(pair, rng):
         for t in w.values:
             lvl = w.values[t].level
             assert np.linalg.norm(again.values[t].matrix - w.values[t].matrix, 2) < 1e-9
+
+
+def word_loop_rank(tl, depth, elements, rtol=1e-10):
+    """Rank of one decreasing word per choice of letters, the reference."""
+    k0 = tl.embed_matrix(tl.levels, 0)
+    cols = []
+    for y in tl.sf.algebra.basis():
+        for combo in np.ndindex(*([len(elements)] * depth)):
+            v = k0 @ tl.sf.embed_left(y)
+            for k in range(1, depth + 1):
+                x = elements[combo[depth - k]]
+                v = dilate(tl, k * tl.delta, represent(tl, x)).on_top() @ v
+            cols.append(v)
+    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    return int(np.sum(sv > rtol * sv[0]))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_minimality_rank_matches_word_loop(pair, m2_lindblad, depth):
+    for system, levels in [(pair, 3), (m2_lindblad, 2)]:
+        tl, _, _ = make_tl(system, levels=levels)
+        if depth > levels:
+            continue
+        alg = tl.sf.algebra
+        basis = list(alg.basis())
+        for elements in [basis, basis[:1], [alg.identity()], [basis[-1], alg.identity()]]:
+            rep = minimality_evidence(tl, depth=depth, elements=elements)
+            assert rep.span_rank == word_loop_rank(tl, depth, elements)

@@ -14,10 +14,12 @@ from prodsys.heatmarkov import (
     graph_model,
     heat_dilation_defect,
     heat_kernel,
+    indicator_products,
     l2_cell,
     make_model,
     path_measure,
     refinement_duplication_matrix,
+    slot_product,
 )
 from prodsys.partition import Partition, partition, uniform
 
@@ -278,3 +280,12 @@ def test_heat_dilation_embeddings_are_isometries(two_state):
             assert np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1]), 2) < 1e-12
     b42 = hd.embed_matrix(4, 2) @ hd.embed_matrix(2, 0)
     assert np.linalg.norm(b42 - hd.embed_matrix(4, 0), 2) < 1e-12
+
+
+def test_indicator_products_match_slot_product_columns():
+    m, n = 3, 2
+    eye = np.eye(m)
+    cols = [slot_product(m, [eye[f] for f in combo[::2]], [eye[g] for g in combo[1::2]])
+            for combo in np.ndindex(*([m] * (2 * n)))]
+    cols = [c.reshape(-1) for c in cols]
+    assert np.array_equal(indicator_products(m, n), np.column_stack(cols))
