@@ -226,6 +226,11 @@ class StandardForm:
         return self.embed_right_matrix @ x.vec()
 
     @cached_property
+    def lmult_basis(self) -> np.ndarray:
+        """Left multiplications by the matrix-unit basis, stacked in coordinate order."""
+        return np.stack([lmult_matrix(x) for x in self.algebra.basis()])
+
+    @cached_property
     def solve_left_matrix(self) -> np.ndarray:
         """Coordinate matrix of `solve_left`: right multiplication by the inverse root."""
         return rmult_matrix(self.algebra.element(self.root_inv))

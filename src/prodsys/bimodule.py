@@ -146,6 +146,11 @@ def _kept(w: np.ndarray, rtol: float) -> np.ndarray:
     return w > rtol * top
 
 
+def numerical_rank(z: np.ndarray, rtol: float = GRAM_RTOL) -> int:
+    """Rank of a matrix under the rank rule, applied to its singular values."""
+    return int(_kept(np.linalg.svd(z, compute_uv=False), rtol).sum())
+
+
 def _quotient_factors(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
     """(embed, lift, kept eigenvalues) from an eigendecomposition."""
     wk, vk = w[keep], v[:, keep]
@@ -154,11 +159,9 @@ def _quotient_factors(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
 
 def l2_bimodule(sf: StandardForm) -> Bimodule:
     """The standard space itself, acting by two-sided multiplication."""
-    basis = list(sf.algebra.basis())
-    left = np.stack([lmult_matrix(x) for x in basis])
-    right = np.stack([rmult_matrix(x) for x in basis])
+    right = np.stack([rmult_matrix(x) for x in sf.algebra.basis()])
     d = sf.dim
-    return Bimodule(sf.algebra, d, left, right, embed=np.eye(d), lift=np.eye(d))
+    return Bimodule(sf.algebra, d, sf.lmult_basis, right, embed=np.eye(d), lift=np.eye(d))
 
 
 def pi_phi(h: Bimodule, xi: np.ndarray, sf: StandardForm) -> np.ndarray:
@@ -181,6 +184,27 @@ def left_element_of(op: np.ndarray, sf: StandardForm) -> tuple[AlgebraElement, f
     a = sf.solve_left(op @ sf.cyclic)
     residual = float(np.linalg.norm(op - lmult_matrix(a), 2))
     return a, residual
+
+
+def inner(h: Bimodule, xs: np.ndarray, ys: np.ndarray,
+          sf: StandardForm) -> tuple[np.ndarray, float, float]:
+    """Algebra-valued inner products of the columns of xs with those of ys.
+
+    The composition of the bounded-vector maps of xs[:, a] and ys[:, b] is
+    a left multiplication on the standard space, and elements[a, b] holds
+    the coordinates of its algebra element, solved from the image of the
+    cyclic vector.  Returns (elements, residual, scale): the residual is
+    the largest Frobenius norm, over the pairs, of the composition minus
+    the left multiplication by its element, and the scale is the largest
+    composition entry, at least 1.
+    """
+    rights = np.tensordot(sf.solve_right_matrix.T, h.right, axes=1)
+    # (rights @ xs)[:, :, a] is the transposed bounded-vector map of xs[:, a]
+    comp = np.einsum("ira,jrb->abij", (rights @ xs).conj(), rights @ ys, optimize=True)
+    elements = (comp @ sf.cyclic) @ sf.solve_left_matrix.T
+    miss = comp.reshape(*comp.shape[:2], -1) - elements @ sf.lmult_basis.reshape(sf.dim, -1)
+    residual = float(np.linalg.norm(miss, axis=2).max(initial=0.0))
+    return elements, residual, max(1.0, float(np.abs(comp).max(initial=0.0)))
 
 
 def _push_action(pre: list[np.ndarray], embed: np.ndarray, lift: np.ndarray) -> np.ndarray:
@@ -238,21 +262,12 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     matrix sees; the quotient coordinates are (block, kept direction,
     multiplicity index), and the actions are assembled block by block.
     """
-    basis = list(sf.algebra.basis())
-    rights = np.tensordot(sf.solve_right_matrix.T, h.right, axes=1)
-    # comp[a, b] is the composition of the bounded-vector maps of basis a, b
-    comp = np.einsum("ira,jrb->abij", rights.conj(), rights, optimize=True)
-    elements = np.einsum("mi,abi->abm", sf.solve_left_matrix, comp @ sf.cyclic,
-                         optimize=True)
-    lstack = np.stack([lmult_matrix(x) for x in basis])
-    residual = np.abs(comp - np.einsum("abm,mij->abij", elements, lstack,
-                                       optimize=True)).max()
+    hd, kd = h.dim, k.dim
+    elements, residual, scale = inner(h, np.eye(hd), np.eye(hd), sf)
     # relative to the entries, which grow like the inverse of a small state weight
-    scale = max(1.0, np.abs(comp).max())
     if residual > 1e-8 * scale:
         raise NotCompletelyPositiveError("bounded-vector composition is not a left "
                                          f"multiplication ({residual:.3e}, scale {scale:.3e})")
-    hd, kd = h.dim, k.dim
     seen, off = [], 0  # (V, eigenvalues, eigenvectors of E) per block with m > 0
     for n, v in zip(sf.algebra.blocks, k.multiplicity):
         e = elements[:, :, off:off + n * n].reshape(hd, hd, n, n)

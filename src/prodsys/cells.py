@@ -28,10 +28,10 @@ from .bimodule import (
     BimoduleMap,
     extend_from_family,
     gns_tensor,
+    inner,
     l2_bimodule,
-    left_element_of,
     left_materialization,
-    pi_phi,
+    numerical_rank,
     relative_tensor,
     tensor_vec,
 )
@@ -231,8 +231,9 @@ def unit_report(unit: Unit) -> UnitReport:
     unital, excess, fact = 0.0, 0.0, 0.0
     times = unit.times
     for t in times:
-        p = pi_phi(cs.cell(Partition((t,))), unit.vectors[t], sf)
-        m, res = left_element_of(p.conj().T @ p, sf)
+        xi = unit.vectors[t][:, None]
+        elements, res, _ = inner(cs.cell(Partition((t,))), xi, xi, sf)
+        m = sf.algebra.from_vec(elements[0, 0])
         unital = max(unital, (m - one).norm(), res)
         excess = max(excess, m.norm() - 1.0)
     for s in times:
@@ -248,8 +249,8 @@ def unit_report(unit: Unit) -> UnitReport:
 def cp_from_unit(unit: Unit) -> dict[Fraction, CpMap]:
     """The completely positive family induced by a unit.
 
-    T_t(x) is the algebra element implementing the composition of the
-    bounded-vector maps of xi(t) and of x acting on xi(t).
+    T_t(x) is the algebra-valued inner product of xi(t) with x acting on
+    xi(t); column mu of the action is that of the basis element x_mu.
     """
     cs, sf = unit.system, unit.system.sf
     alg = sf.algebra
@@ -260,15 +261,10 @@ def cp_from_unit(unit: Unit) -> dict[Fraction, CpMap]:
             continue
         cell = cs.cell(Partition((t,)))
         xi = unit.vectors[t]
-        p_xi = pi_phi(cell, xi, sf)
-        cols = []
-        for x in alg.basis():
-            p_x = pi_phi(cell, cell.act_left(x, xi), sf)
-            m, res = left_element_of(p_xi.conj().T @ p_x, sf)
-            if res > 1e-8:
-                raise ValueError(f"induced map is not well defined (residual {res:.3e})")
-            cols.append(m.vec())
-        out[t] = CpMap(alg, np.column_stack(cols))
+        elements, res, _ = inner(cell, xi[:, None], (cell.left @ xi).T, sf)
+        if res > 1e-8:
+            raise ValueError(f"induced map is not well defined (residual {res:.3e})")
+        out[t] = CpMap(alg, elements[0].T)
     return out
 
 
@@ -293,10 +289,7 @@ def generating_rank(unit: Unit, p: Partition, rtol: float = 1e-10) -> tuple[int,
             continue
         ref = cs.refinement(p, c).matrix if c != p else np.eye(cs.cell(p).dim)
         cols.append(ref @ cell_target_elementary(cs, unit, c.parts))
-    z = np.hstack(cols)
-    sv = np.linalg.svd(z, compute_uv=False)
-    rank = int(np.sum(sv > rtol * max(sv[0], 1e-300)))
-    return rank, cs.cell(p).dim
+    return numerical_rank(np.hstack(cols), rtol), cs.cell(p).dim
 
 
 def unit_system_isomorphism(

@@ -20,8 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import Algebra, AlgebraElement, StandardForm, lmult_matrix, rmult_matrix
-from .bimodule import (Bimodule, BimoduleMap, extend_from_family, left_element_of,
-                       left_materialization, pi_phi)
+from .bimodule import Bimodule, BimoduleMap, extend_from_family, inner, left_materialization
 from .cells import CellSystem
 from .partition import Partition
 
@@ -189,18 +188,13 @@ class TwistedSystem:
         return self.sf.embed_left_matrix @ acc
 
 
-def twisted_cp_defect(ts: TwistedSystem, t, tol: float = 1e-10) -> float:
+def twisted_cp_defect(ts: TwistedSystem, t) -> float:
     """Defect of the unit of the twisted system inducing the endomorphism back."""
-    sf = ts.sf
     cell = ts.cell(t)
     xi = ts.unit_vector(t)
-    p_xi = pi_phi(cell, xi, sf)
-    worst = 0.0
-    for x in sf.algebra.basis():
-        p_x = pi_phi(cell, cell.act_left(x, xi), sf)
-        m, res = left_element_of(p_xi.conj().T @ p_x, sf)
-        worst = max(worst, res, (m - ts.theta.apply(t, x)).norm())
-    return worst
+    elements, res, _ = inner(cell, xi[:, None], (cell.left @ xi).T, ts.sf)
+    miss = elements[0] - ts.theta.map_at(t).T
+    return max(res, *(ts.sf.algebra.from_vec(m).norm() for m in miss))
 
 
 def canonical_iso(theta: E0Semigroup, cs: CellSystem, p: Partition,
@@ -335,37 +329,37 @@ def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
             failures.append((t, "conjugation identity fails", worst))
             return EquivalenceReport(False, None, conj_defect, np.inf, tuple(failures))
 
-    law = 0.0
-    for s in times:
-        for t in times:
-            if (s + t) not in w:
-                continue
-            d = (w[s + t] - alpha.apply(t, w[s]) * w[t]).norm()
-            law = max(law, d)
+    defects = cocycle_law_defects(alpha, w, times)
+    law = max(defects.values(), default=0.0)
     if law > tol:
-        first = min(s + t for s in times for t in times
-                    if (s + t) in w and (w[s + t] - alpha.apply(t, w[s]) * w[t]).norm() > tol)
+        first = min(st for st, d in defects.items() if d > tol)
         failures.append((first, "cocycle law fails", law))
         return EquivalenceReport(False, None, conj_defect, law, tuple(failures))
 
     return EquivalenceReport(True, w, conj_defect, law)
 
 
-def unit_to_cocycle(theta: E0Semigroup, xi: dict, sf: StandardForm,
-                    tol: float = 1e-9) -> tuple[dict[Fraction, AlgebraElement], float]:
+def cocycle_law_defects(theta: E0Semigroup, w: dict, times) -> dict[Fraction, float]:
+    """Worst defect of w(s + t) = theta_t(w(s)) w(t) per sum s + t at which w is given."""
+    out: dict[Fraction, float] = {}
+    for s in times:
+        for t in times:
+            if (s + t) in w:
+                d = (w[s + t] - theta.apply(t, w[s]) * w[t]).norm()
+                out[s + t] = max(out.get(s + t, 0.0), d)
+    return out
+
+
+def unit_to_cocycle(theta: E0Semigroup, xi: dict,
+                    sf: StandardForm) -> tuple[dict[Fraction, AlgebraElement], float]:
     """Materialize a unit of the twisted system into a cocycle in the algebra.
 
     Each unit vector is the image of a unique algebra element against the
     cyclic vector; the family then satisfies the cocycle law for theta.
     """
     a = {Fraction(t): sf.solve_left(np.asarray(v, dtype=complex)) for t, v in xi.items()}
-    worst = 0.0
-    times = sorted(t for t in a if t > 0)
-    for s in times:
-        for t in times:
-            if (s + t) in a:
-                worst = max(worst, (theta.apply(t, a[s]) * a[t] - a[s + t]).norm())
-    return a, worst
+    defects = cocycle_law_defects(theta, a, sorted(t for t in a if t > 0))
+    return a, max(defects.values(), default=0.0)
 
 
 def unit_operator(theta: E0Semigroup, a: dict, sf: StandardForm) -> dict[Fraction, np.ndarray]:

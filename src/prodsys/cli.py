@@ -28,12 +28,7 @@ from .algebra import (
     standard_form,
     uniform_state,
 )
-from .bimodule import (
-    left_element_of,
-    pi_phi,
-    product_formula_defect,
-    verify_map,
-)
+from .bimodule import inner, product_formula_defect, verify_map
 from .cells import (
     CellSystem,
     canonical_unit,
@@ -169,9 +164,10 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
     sg_cfg = raw.get("semigroup", {"builtin": "stochastic_pair"})
     builtin = sg_cfg.get("builtin")
     if builtin == "stochastic_pair":
-        algebra, gen = stochastic_pair_generator()
-        state = diagonal_state(algebra, raw.get("state", {}).get("weights", [0.5, 0.5]))
-        sf = standard_form(algebra, state)
+        pair, gen = stochastic_pair_generator()
+        if algebra != pair:
+            raise ValueError(f"the stochastic_pair semigroup needs algebra {list(pair.blocks)}, "
+                             f"configured {list(algebra.blocks)}")
     elif builtin == "identity":
         gen = identity_generator(algebra)
     elif builtin == "unitary_conjugation":
@@ -236,13 +232,7 @@ def suite_cells(cfg: ExperimentConfig) -> Report:
         # composition checked on generator vectors (spanning-family images)
         rng = np.random.default_rng(cfg.seed)
         cols = rng.choice(cell.embed.shape[1], size=min(4, cell.embed.shape[1]), replace=False)
-        worst_res = 0.0
-        for i in cols:
-            for j in cols:
-                comp = (pi_phi(cell, cell.embed[:, i], cfg.sf).conj().T
-                        @ pi_phi(cell, cell.embed[:, j], cfg.sf))
-                _, res = left_element_of(comp, cfg.sf)
-                worst_res = max(worst_res, res)
+        _, worst_res, _ = inner(cell, cell.embed[:, cols], cell.embed[:, cols], cfg.sf)
         rep.add(f"bounded-vector{p}", "bounded-vector-composition", worst_res, cfg.tol(1e-10))
     g = cs.gns(cfg.delta)
     rng = np.random.default_rng(cfg.seed)

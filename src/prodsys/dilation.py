@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraElement, lmult_matrix
-from .bimodule import Bimodule, left_element_of, pi_phi, relative_tensor
+from .bimodule import Bimodule, inner, numerical_rank, pi_phi, relative_tensor
 from .cells import CellSystem, Unit
 from .cpdyn import evaluate
 from .partition import Partition, uniform
@@ -102,13 +102,16 @@ class TruncatedLimit:
                     b.conj().T @ b - np.eye(self.spaces[j].dim), 2)))
         return worst
 
-    def split(self, level: int, j: int):
-        """Relative tensor of levels (level - j, j) and its collapse unitary."""
+    def split(self, level: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fold u r.embed and unfold r.lift u* of a level split as (level - j, j).
+
+        r is the relative tensor of the two levels and u its collapse unitary.
+        """
         key = (level, j)
         if key not in self._split:
             r = relative_tensor(self.spaces[level - j], self.spaces[j], self.sf)
             u = self.system.collapse(self.partition_at(level), level - j) @ r.lift
-            self._split[key] = (r, u)
+            self._split[key] = (u @ r.embed, r.lift @ u.conj().T)
         return self._split[key]
 
 
@@ -162,10 +165,10 @@ def dilate(tl: TruncatedLimit, t, op: TruncatedOperator) -> TruncatedOperator:
             f"max admissible {max_t}",
             max_time=max_t,
         )
-    r, u = tl.split(target, j)
-    # op (x) 1 on kron coordinates (op index major), applied to r.lift by a reshape
-    inner = r.embed @ (op.matrix @ r.lift.reshape(op.matrix.shape[1], -1)).reshape(r.lift.shape)
-    return TruncatedOperator(tl, target, u @ inner @ u.conj().T)
+    fold, unfold = tl.split(target, j)
+    # op (x) 1 on kron coordinates (op index major), applied to unfold by a reshape
+    shifted = (op.matrix @ unfold.reshape(op.matrix.shape[1], -1)).reshape(unfold.shape)
+    return TruncatedOperator(tl, target, fold @ shifted)
 
 
 def compression_defect(tl: TruncatedLimit, t, x: AlgebraElement) -> float:
@@ -204,9 +207,7 @@ def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
         thetas = np.stack([dilate(tl, k * tl.delta, represent(tl, x)).on_top()
                            for x in basis])
         z = (z @ thetas.transpose(0, 2, 1)).reshape(-1, z.shape[1])
-    sv = np.linalg.svd(z, compute_uv=False)
-    rank = int(np.sum(sv > rtol * max(sv[0], 1e-300)))
-    return MinimalityReport(rank, tl.spaces[tl.levels].dim)
+    return MinimalityReport(numerical_rank(z, rtol), tl.spaces[tl.levels].dim)
 
 
 def continuity_profile(tl: TruncatedLimit) -> dict[tuple[Fraction, int], float]:
@@ -303,12 +304,12 @@ def cocycle_from_levels(tl: TruncatedLimit, vectors: dict[Fraction, np.ndarray],
             values[t] = TruncatedOperator(tl, 0, np.eye(tl.sf.dim, dtype=complex))
             continue
         space = tl.spaces[k]
-        p = pi_phi(space, v, tl.sf)
-        m, _ = left_element_of(p.conj().T @ p, tl.sf)
+        elements, _, _ = inner(space, v[:, None], v[:, None], tl.sf)
+        m = tl.sf.algebra.from_vec(elements[0, 0])
         if m.norm() > 1.0 + tol:
             raise ValueError(f"unit is not contractive at {t} (norm {m.norm():.6f})")
         b = tl.embed_matrix(k, 0)
-        values[t] = TruncatedOperator(tl, k, p @ b.conj().T)
+        values[t] = TruncatedOperator(tl, k, pi_phi(space, v, tl.sf) @ b.conj().T)
     return Cocycle(tl, values)
 
 

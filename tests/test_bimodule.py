@@ -19,6 +19,7 @@ from prodsys.bimodule import (
     NotCompletelyPositiveError,
     gns_tensor,
     gram_quotient,
+    inner,
     l2_bimodule,
     left_element_of,
     pair_vec,
@@ -387,3 +388,53 @@ def test_composition_residual_rejects_a_broken_right_module(pair):
     broken = bimodule.Bimodule(sf.algebra, l2.dim, l2.left, bent)
     with pytest.raises(NotCompletelyPositiveError, match="not a left multiplication"):
         relative_tensor(broken, l2, sf)
+
+
+# ---------------------------------------------------------------------------
+# Algebra-valued inner product against the per-pair composition
+# ---------------------------------------------------------------------------
+
+def inner_oracle(h, xs, ys, sf):
+    """Per-pair compositions recognized one at a time by `left_element_of`."""
+    elements, residual, scale = [], 0.0, 1.0
+    for x in xs.T:
+        row = []
+        for y in ys.T:
+            comp = pi_phi(h, x, sf).conj().T @ pi_phi(h, y, sf)
+            a, spectral = left_element_of(comp, sf)
+            frobenius = np.linalg.norm(comp - lmult_matrix(a))
+            assert frobenius >= spectral - 1e-15
+            row.append(a.vec())
+            residual = max(residual, frobenius)
+            scale = max(scale, np.abs(comp).max())
+        elements.append(row)
+    return np.array(elements), residual, scale
+
+
+@pytest.mark.parametrize("system", ["m2_lindblad", "mixed_block", "pair"])
+def test_inner_matches_pairwise_compositions(system, request, rng):
+    sg, sf = request.getfixturevalue(system)
+    cell = CellSystem(sg, sf).cell(uniform(Fraction(1, 2), 2))
+    for na, nb in [(3, 2), (1, 5), (4, 1)]:
+        xs, ys = (rng.standard_normal((cell.dim, n)) + 1j * rng.standard_normal((cell.dim, n))
+                  for n in (na, nb))
+        elements, residual, scale = inner(cell, xs, ys, sf)
+        want, want_residual, want_scale = inner_oracle(cell, xs, ys, sf)
+        assert elements.shape == (na, nb, sf.dim)
+        assert np.abs(elements - want).max() <= 1e-10 * want_scale
+        assert residual == pytest.approx(want_residual, abs=1e-12 * want_scale)
+        assert residual < 1e-10 * scale
+        assert scale == pytest.approx(want_scale)
+
+
+def test_inner_residual_flags_a_broken_right_module(pair):
+    _, sf = pair
+    l2 = l2_bimodule(sf)
+    bent = l2.right.copy()
+    bent[0] += 0.1 * np.ones((sf.dim, sf.dim))
+    broken = bimodule.Bimodule(sf.algebra, l2.dim, l2.left, bent)
+    eye = np.eye(sf.dim)
+    _, residual, scale = inner(broken, eye, eye, sf)
+    _, want, _ = inner_oracle(broken, eye, eye, sf)
+    assert residual == pytest.approx(want)
+    assert residual > 1e-2 * scale

@@ -20,6 +20,7 @@ from prodsys.classify import (
     block_permutation_semigroup,
     canonical_iso,
     cocycle_equivalence,
+    cocycle_law_defects,
     endomorphism_report,
     identity_semigroup,
     inner_semigroup,
@@ -223,6 +224,32 @@ def test_equivalence_backward_mode_with_declared_cocycle(rng):
     assert rep.equivalent
     assert rep.conjugation_defect < 1e-9
     assert rep.cocycle_law_defect < 1e-9
+
+
+def test_declared_cocycle_breaking_the_law_is_not_equivalent():
+    # w(2 delta) = diag(1, -1) conjugates like 1, but alpha_delta(w(delta)) w(delta) = 1
+    alg = make_algebra([1, 1])
+    sf = standard_form(alg, diagonal_state(alg, [0.5, 0.5]))
+    ident = identity_semigroup(alg)
+    delta = Fraction(1, 4)
+    w = {delta: alg.identity(), 2 * delta: alg.diagonal([1.0, -1.0])}
+    rep = cocycle_equivalence(ident, ident, delta, 2, sf, cocycle=w)
+    assert not rep.equivalent
+    assert rep.first_failing_time == 2 * delta
+    assert rep.failures[0][1] == "cocycle law fails"
+    assert rep.cocycle_law_defect == pytest.approx(2.0)
+
+
+def test_cocycle_law_defect_at_a_sum_is_the_worst_pair(rng):
+    # with theta = id, the pair (d, 2d) gives |BA - AB| and (2d, d) gives 0
+    alg = make_algebra([2])
+    a, b = random_hermitian(alg, rng), random_hermitian(alg, rng)
+    d = Fraction(1, 4)
+    w = {d: a, 2 * d: b, 3 * d: b * a}
+    defects = cocycle_law_defects(identity_semigroup(alg), w, [d, 2 * d])
+    assert set(defects) == {2 * d, 3 * d}
+    assert defects[3 * d] == pytest.approx((b * a - a * b).norm())
+    assert defects[3 * d] > 0.1
 
 
 def test_inner_equivalent_to_identity(m2_inner):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from prodsys.cli import complex_matrix, load_config, main
 
 
@@ -72,6 +74,24 @@ def test_bad_config_exits_2(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"semigroup": {"builtin": "unknown-thing"}}))
     assert main(["cells", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("config", [
+    {"algebra": [2]},
+    {"algebra": [1, 1, 1], "state": {"weights": [0.2, 0.3, 0.5]}},
+])
+def test_stochastic_pair_on_another_algebra_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["check-cp", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "stochastic_pair" in capsys.readouterr().err
+
+
+def test_configured_density_state_is_used(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"state": {"density": [[[[0.9, 0.0]]], [[[0.1, 0.0]]]]}}))
+    cfg = load_config(str(path), None, 1.0)
+    assert [complex(d[0, 0]) for d in cfg.sf.state.density] == [0.9, 0.1]
 
 
 def test_tiny_tolerance_scale_fails(tmp_path):

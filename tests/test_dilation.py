@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prodsys.algebra import diagonal_state, lmult_matrix, make_algebra, standard_form
+from prodsys.bimodule import relative_tensor
 from prodsys.cells import CellSystem, canonical_unit
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
 from prodsys.dilation import (
@@ -102,6 +103,22 @@ def test_dilate_corner_unit_stays_identity(pair):
         out = dilate(tl, k * tl.delta, a)
         assert out.level == k
         assert np.linalg.norm(out.matrix - np.eye(tl.spaces[k].dim), 2) < 1e-10
+
+
+def test_dilate_matches_relative_tensor_formula(m2_lindblad):
+    # u r.embed (op (x) 1) r.lift u*, with r the relative tensor of the two
+    # levels and u its collapse unitary, built here from the definitions
+    tl, cs, _ = make_tl(m2_lindblad, levels=3)
+    for j in range(1, tl.levels + 1):
+        for level in range(tl.levels - j + 1):
+            r = relative_tensor(tl.spaces[level], tl.spaces[j], tl.sf)
+            u = cs.collapse(tl.partition_at(level + j), level) @ r.lift
+            for x in tl.sf.algebra.basis():
+                op = represent(tl, x).at_level(level)
+                expected = u @ r.embed @ np.kron(op, np.eye(tl.spaces[j].dim)) @ r.lift @ u.conj().T
+                got = dilate(tl, j * tl.delta, TruncatedOperator(tl, level, op))
+                assert got.level == level + j
+                assert np.abs(got.matrix - expected).max() < 1e-12
 
 
 def test_compression_identity(pair):
