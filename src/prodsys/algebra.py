@@ -228,7 +228,9 @@ class StandardForm:
     @cached_property
     def lmult_basis(self) -> np.ndarray:
         """Left multiplications by the matrix-unit basis, stacked in coordinate order."""
-        return np.stack([lmult_matrix(x) for x in self.algebra.basis()])
+        stack = np.stack([lmult_matrix(x) for x in self.algebra.basis()])
+        stack.flags.writeable = False  # l2_bimodule shares it as its left action
+        return stack
 
     @cached_property
     def solve_left_matrix(self) -> np.ndarray:

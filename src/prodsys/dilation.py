@@ -308,8 +308,7 @@ def cocycle_from_levels(tl: TruncatedLimit, vectors: dict[Fraction, np.ndarray],
         m = tl.sf.algebra.from_vec(elements[0, 0])
         if m.norm() > 1.0 + tol:
             raise ValueError(f"unit is not contractive at {t} (norm {m.norm():.6f})")
-        b = tl.embed_matrix(k, 0)
-        values[t] = TruncatedOperator(tl, k, pi_phi(space, v, tl.sf) @ b.conj().T)
+        values[t] = TruncatedOperator(tl, k, pi_phi(space, v, tl.sf) @ tl.embed_matrix(k, 0).conj().T)
     return Cocycle(tl, values)
 
 

@@ -438,3 +438,14 @@ def test_inner_residual_flags_a_broken_right_module(pair):
     _, want, _ = inner_oracle(broken, eye, eye, sf)
     assert residual == pytest.approx(want)
     assert residual > 1e-2 * scale
+
+
+def test_l2_left_action_is_the_read_only_cached_stack(pair):
+    # l2_bimodule shares the cached stack that inner uses for every residual,
+    # so an in-place write must fail instead of changing that stack
+    _, sf = pair
+    l2 = l2_bimodule(sf)
+    assert l2.left is sf.lmult_basis
+    with pytest.raises(ValueError, match="read-only"):
+        l2.left[0, 0, 0] = 1.0
+    assert np.array_equal(sf.lmult_basis[0], lmult_matrix(next(iter(sf.algebra.basis()))))
