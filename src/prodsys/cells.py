@@ -261,9 +261,11 @@ def cp_from_unit(unit: Unit) -> dict[Fraction, CpMap]:
             continue
         cell = cs.cell(Partition((t,)))
         xi = unit.vectors[t]
-        elements, res, _ = inner(cell, xi[:, None], (cell.left @ xi).T, sf)
-        if res > 1e-8:
-            raise ValueError(f"induced map is not well defined (residual {res:.3e})")
+        elements, res, scale = inner(cell, xi[:, None], (cell.left @ xi).T, sf)
+        # relative to the entries, which grow like the inverse of a small state weight
+        if res > 1e-8 * scale:
+            raise ValueError("induced map is not well defined "
+                             f"(residual {res:.3e}, scale {scale:.3e})")
         out[t] = CpMap(alg, elements[0].T)
     return out
 

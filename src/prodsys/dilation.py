@@ -10,8 +10,21 @@ values.
 
 Operators are carried with a support level: an operator at level k acts on
 the level-k space and is extended to the top through the connecting
-isometries.  The endomorphism family splits the level of its argument off
-the prefix of a deeper level, which is exact at partition level.
+isometries.  The endomorphism at time j delta acts by amplification,
+theta(a) = u (a (x) 1) u* on E_k (x) E_j = E_{k+j}, and is computed as
+
+    theta(a) = C ((a R_k(z^-1)) (x) 1) C*
+
+with C the cached collapse of the level-(k + j) cell at its k-th part,
+R_k the right action on level k and z = sum_i Tr(rho_i^-1) p_i the central
+element given by the state density rho and the central projections p_i.
+Why: with L_e the bounded-vector map of e, Psi_k = sum_a L_{e_a} L_{e_a}*
+over an orthonormal basis of E_k equals R_k(z), which is right-linear and
+invertible, so the vectors Psi_k^{-1/2} e_a form a module frame and every
+right-linear a is sum_a L_{a f_a} L_{f_a}*.  The amplification sends
+L_v L_u* to A_v A_u* with A_v = C (v (x) 1), and summing over the frame
+gives the formula.  No relative tensor product is formed;
+`TruncatedLimit.split` keeps that definition as the reference.
 """
 
 from __future__ import annotations
@@ -21,8 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraElement, lmult_matrix
-from .bimodule import Bimodule, inner, numerical_rank, pi_phi, relative_tensor
+from .algebra import AlgebraElement, StandardForm, lmult_matrix
+from .bimodule import Bimodule, numerical_rank, pi_phi, relative_tensor
 from .cells import CellSystem, Unit
 from .cpdyn import evaluate
 from .partition import Partition, uniform
@@ -55,7 +68,9 @@ class TruncatedLimit:
         vectors = unit_level_vectors(self, unit)
         self.unit_level: list[np.ndarray] = [vectors[t] for t in times]
         self._embed: dict[tuple[int, int], np.ndarray] = {}
-        self._split: dict[tuple[int, int], tuple] = {}
+        zinv = self.sf.algebra.diagonal([1.0 / w for w in frame_weights(self.sf)])
+        # right action of z^-1 on each level, the frame normalization of `dilate`
+        self.frame_inverse: list[np.ndarray] = [s.right_matrix(zinv) for s in self.spaces]
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -106,13 +121,12 @@ class TruncatedLimit:
         """Fold u r.embed and unfold r.lift u* of a level split as (level - j, j).
 
         r is the relative tensor of the two levels and u its collapse unitary.
+        This is the definition of the dilation, fold (op (x) 1) unfold, kept
+        as the reference for `dilate`, which forms no relative tensor.
         """
-        key = (level, j)
-        if key not in self._split:
-            r = relative_tensor(self.spaces[level - j], self.spaces[j], self.sf)
-            u = self.system.collapse(self.partition_at(level), level - j) @ r.lift
-            self._split[key] = (u @ r.embed, r.lift @ u.conj().T)
-        return self._split[key]
+        r = relative_tensor(self.spaces[level - j], self.spaces[j], self.sf)
+        u = self.system.collapse(self.partition_at(level), level - j) @ r.lift
+        return u @ r.embed, r.lift @ u.conj().T
 
 
 @dataclass(frozen=True)
@@ -126,6 +140,8 @@ class TruncatedOperator:
     def at_level(self, m: int) -> np.ndarray:
         if m < self.level:
             raise TruncationError(f"operator lives at level {self.level}, asked for {m}")
+        if m == self.level:
+            return self.matrix
         b = self.tl.embed_matrix(m, self.level)
         return b @ self.matrix @ b.conj().T
 
@@ -148,16 +164,22 @@ def corner_projection(tl: TruncatedLimit) -> np.ndarray:
     return k0 @ k0.conj().T
 
 
-def dilate(tl: TruncatedLimit, t, op: TruncatedOperator) -> TruncatedOperator:
-    """Shift an operator by the endomorphism at a grid time.
+def frame_weights(sf: StandardForm) -> list[float]:
+    """Coefficients Tr(rho_i^-1) of the central element z, one per block.
 
-    The argument's support level moves up by t / delta; the result is only
-    defined while that stays inside the tower.
+    On every level, the sum of L_e L_e* over an orthonormal basis, with L_e
+    the bounded-vector map of e, is the right action of z.
     """
-    j = tl.grid_index(t)
-    if j == 0:
-        return op
-    target = op.level + j
+    return [float(np.trace(np.linalg.inv(d)).real) for d in sf.state.density]
+
+
+def _amplification(tl: TruncatedLimit, t, op: TruncatedOperator):
+    """(target level, C, Y) with theta_t(op) = C (Y (x) 1) C* at the target.
+
+    C is the collapse of the target cell at the argument's level and
+    Y = op R(z^-1); the target must stay inside the tower.
+    """
+    target = op.level + tl.grid_index(t)
     if target > tl.levels:
         max_t = (tl.levels - op.level) * tl.delta
         raise TruncationError(
@@ -165,17 +187,39 @@ def dilate(tl: TruncatedLimit, t, op: TruncatedOperator) -> TruncatedOperator:
             f"max admissible {max_t}",
             max_time=max_t,
         )
-    fold, unfold = tl.split(target, j)
-    # op (x) 1 on kron coordinates (op index major), applied to unfold by a reshape
-    shifted = (op.matrix @ unfold.reshape(op.matrix.shape[1], -1)).reshape(unfold.shape)
-    return TruncatedOperator(tl, target, fold @ shifted)
+    c = tl.system.collapse(tl.partition_at(target), op.level)
+    return target, c, op.matrix @ tl.frame_inverse[op.level]
+
+
+def _amplify(c: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """C (y (x) 1) w, with (y (x) 1) applied to kron rows (y index major) by a reshape."""
+    return c @ (y @ w.reshape(len(y), -1)).reshape(w.shape)
+
+
+def dilate(tl: TruncatedLimit, t, op: TruncatedOperator) -> TruncatedOperator:
+    """Shift an operator by the endomorphism at a grid time.
+
+    theta_t(op) = C ((op R_k(z^-1)) (x) 1) C*, with k the argument's support
+    level, C the cached collapse of cell k + t / delta at its k-th part and
+    z from `frame_weights` (see the module docstring for the frame
+    argument).  The argument's support level moves up by t / delta; the
+    result is only defined while that stays inside the tower.
+    """
+    if tl.grid_index(t) == 0:
+        return op
+    target, c, y = _amplification(tl, t, op)
+    return TruncatedOperator(tl, target, _amplify(c, y, c.conj().T))
 
 
 def compression_defect(tl: TruncatedLimit, t, x: AlgebraElement) -> float:
-    """Defect of compressing the dilated representation back to the semigroup."""
-    theta = dilate(tl, t, represent(tl, x))
-    k0 = tl.embed_matrix(theta.level, 0)
-    compressed = k0.conj().T @ theta.matrix @ k0
+    """Defect of compressing the dilated representation back to the semigroup.
+
+    k0* theta_t(x) k0 is formed as the thin product k0* C (Y (x) 1) (C* k0),
+    with d columns, so the top-level matrix of theta_t(x) is never built.
+    """
+    target, c, y = _amplification(tl, t, represent(tl, x))
+    k0 = tl.embed_matrix(target, 0)
+    compressed = k0.conj().T @ _amplify(c, y, c.conj().T @ k0)
     expected = lmult_matrix(evaluate(tl.system.semigroup, t)(x))
     return float(np.linalg.norm(compressed - expected, 2))
 
@@ -303,12 +347,12 @@ def cocycle_from_levels(tl: TruncatedLimit, vectors: dict[Fraction, np.ndarray],
         if k == 0:
             values[t] = TruncatedOperator(tl, 0, np.eye(tl.sf.dim, dtype=complex))
             continue
-        space = tl.spaces[k]
-        elements, _, _ = inner(space, v[:, None], v[:, None], tl.sf)
-        m = tl.sf.algebra.from_vec(elements[0, 0])
+        b = pi_phi(tl.spaces[k], v, tl.sf)
+        # <v, v> is the element whose left multiplication is b* b; b maps cyclic to v
+        m = tl.sf.algebra.from_vec(tl.sf.solve_left_matrix @ (b.conj().T @ v))
         if m.norm() > 1.0 + tol:
             raise ValueError(f"unit is not contractive at {t} (norm {m.norm():.6f})")
-        values[t] = TruncatedOperator(tl, k, pi_phi(space, v, tl.sf) @ tl.embed_matrix(k, 0).conj().T)
+        values[t] = TruncatedOperator(tl, k, b @ tl.embed_matrix(k, 0).conj().T)
     return Cocycle(tl, values)
 
 

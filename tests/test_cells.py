@@ -1,12 +1,14 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from prodsys.algebra import make_algebra, standard_form, uniform_state
-from prodsys.bimodule import verify_map
+from prodsys.algebra import lmult_matrix, make_algebra, make_state, standard_form, uniform_state
+from prodsys.bimodule import pi_phi, verify_map
 from prodsys.cells import (
     CellSystem,
+    Unit,
     canonical_unit,
     cell_target_elementary,
     cp_from_unit,
@@ -336,6 +338,39 @@ def test_skewed_state_keeps_tolerances(rng):
     a = cs.refinement(uniform(Fraction(1, 2), 2), partition([Fraction(1, 2)]))
     rep = verify_map(a, bilinear=True, isometric=True)
     assert rep.passed, rep
+
+
+def test_cp_from_unit_accepts_small_state_weights(rng):
+    # block weight 1e-9 makes the composition entries about 5e8: a residual
+    # of 1e-7 is round-off there, and an absolute 1e-8 cutoff rejected it
+    sg, sf0 = mixed_semigroup()
+    eps = 1e-9
+    sf = standard_form(sf0.algebra, make_state(
+        sf0.algebra, [np.array([[1 - eps]]), np.diag([eps / 2, eps / 2])]))
+    cs = CellSystem(sg, sf)
+    t = Fraction(1, 2)
+    cell = cs.cell(Partition((t,)))
+    v = rng.standard_normal(cell.dim) + 1j * rng.standard_normal(cell.dim)
+    v /= np.linalg.norm(v)
+    family = cp_from_unit(Unit(cs, {Fraction(0): sf.cyclic.copy(), t: v}))
+    # T(1) = <v, v> is the left multiplication b* b, b the bounded-vector map of v
+    b = pi_phi(cell, v, sf)
+    comp = b.conj().T @ b
+    got = lmult_matrix(family[t](sf.algebra.identity()))
+    assert np.linalg.norm(got - comp, 2) < 1e-12 * np.linalg.norm(comp, 2)
+
+
+def test_cp_from_unit_rejects_broken_right_module():
+    # transposing the right action leaves no right module: the bounded-vector
+    # composition is no longer a left multiplication
+    sg, sf = mixed_semigroup()
+    cs = CellSystem(sg, sf)
+    t = Fraction(1, 2)
+    unit = canonical_unit(cs, [t])
+    cell = cs.cell(Partition((t,)))
+    cs._cells[(t,)] = dataclasses.replace(cell, right=cell.right.transpose(0, 2, 1))
+    with pytest.raises(ValueError, match="not well defined"):
+        cp_from_unit(unit)
 
 
 def test_unit_system_isomorphism_identity_case(pair_system):

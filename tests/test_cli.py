@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from prodsys.cli import complex_matrix, load_config, main
+import prodsys.dilation
+from prodsys.cli import complex_matrix, load_config, main, suite_dilate
+from prodsys.dilation import TruncatedLimit
 
 
 def test_complex_matrix_parsing():
@@ -104,3 +107,38 @@ def test_truncation_error_is_surfaced(tmp_path, capsys):
     assert main(["dilate", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "truncation error" in err
+
+
+def test_dilate_suite_builds_no_relative_tensor(tmp_path, monkeypatch):
+    # a generic 2x2 Lindblad tower at 3 levels: every dilation goes through
+    # the cached collapses, so no relative tensor of two levels is formed
+    rng = np.random.default_rng(307)
+
+    def pairs(m):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+    v, h, w = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
+    density = w @ w.conj().T + 0.4 * np.eye(2)
+    density /= np.trace(density).real
+    config = {
+        "algebra": [2],
+        "state": {"density": [pairs((density + density.conj().T) / 2)]},
+        "semigroup": {"builtin": "lindblad", "jumps": [pairs(v)],
+                      "hamiltonian": pairs((h + h.conj().T) / 2)},
+        "grid": {"delta": "1/4", "levels": 3},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    cfg = load_config(str(path), None, 1.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dilation formed a relative tensor")
+
+    monkeypatch.setattr(prodsys.dilation, "relative_tensor", forbidden)
+    monkeypatch.setattr(TruncatedLimit, "split", forbidden)
+    rep = suite_dilate(cfg)
+    assert rep.meta["levels"] == "3"
+    assert [c.check_id for c in rep.checks] == [
+        "compression", "minimality", "continuity-sup",
+        "cocycle-law", "cocycle-roundtrip", "corner-isometry"]
+    assert rep.passed, [c for c in rep.checks if not c.passed]

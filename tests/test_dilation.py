@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prodsys.algebra import diagonal_state, lmult_matrix, make_algebra, standard_form
-from prodsys.bimodule import relative_tensor
+from prodsys.bimodule import pi_phi
 from prodsys.cells import CellSystem, canonical_unit
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
 from prodsys.dilation import (
@@ -18,13 +18,14 @@ from prodsys.dilation import (
     corner_isometry_defect,
     corner_projection,
     dilate,
+    frame_weights,
     minimality_evidence,
     represent,
     unit_from_cocycle,
     unit_level_vectors,
 )
 
-from conftest import random_element
+from conftest import mixed_semigroup, random_element
 
 
 def make_tl(pair, delta=Fraction(1, 4), levels=4):
@@ -96,29 +97,82 @@ def test_representation_is_faithful_unital_multiplicative(pair, rng):
         assert abs(np.linalg.norm(px, 2) - x.norm()) < 1e-10
 
 
-def test_dilate_corner_unit_stays_identity(pair):
-    tl, _, _ = make_tl(pair)
-    a = TruncatedOperator(tl, 0, np.eye(tl.sf.dim, dtype=complex))
-    for k in range(1, tl.levels + 1):
-        out = dilate(tl, k * tl.delta, a)
-        assert out.level == k
-        assert np.linalg.norm(out.matrix - np.eye(tl.spaces[k].dim), 2) < 1e-10
+def tower(request, system, levels):
+    sg_sf = mixed_semigroup() if system == "mixed" else request.getfixturevalue(system)
+    return make_tl(sg_sf, levels=levels)
+
+
+# cell dimensions grow as 4^k and 5^k on the m2_lindblad and mixed towers
+TOWERS = [("pair", 4), ("m2_lindblad", 3), ("mixed", 2)]
+
+
+def test_dilate_corner_unit_stays_identity(request):
+    # theta(1) = 1 from every level, at a tolerance scaled by the frame weights
+    for system, levels in TOWERS:
+        tl, _, _ = tower(request, system, levels)
+        scale = max(frame_weights(tl.sf))
+        for level in range(tl.levels):
+            one = TruncatedOperator(tl, level, np.eye(tl.spaces[level].dim, dtype=complex))
+            for j in range(1, tl.levels - level + 1):
+                out = dilate(tl, j * tl.delta, one)
+                assert out.level == level + j
+                assert np.abs(out.matrix - np.eye(tl.spaces[level + j].dim)).max() < 1e-12 * scale
 
 
 def test_dilate_matches_relative_tensor_formula(m2_lindblad):
-    # u r.embed (op (x) 1) r.lift u*, with r the relative tensor of the two
-    # levels and u its collapse unitary, built here from the definitions
-    tl, cs, _ = make_tl(m2_lindblad, levels=3)
-    for j in range(1, tl.levels + 1):
-        for level in range(tl.levels - j + 1):
-            r = relative_tensor(tl.spaces[level], tl.spaces[j], tl.sf)
-            u = cs.collapse(tl.partition_at(level + j), level) @ r.lift
-            for x in tl.sf.algebra.basis():
-                op = represent(tl, x).at_level(level)
-                expected = u @ r.embed @ np.kron(op, np.eye(tl.spaces[j].dim)) @ r.lift @ u.conj().T
-                got = dilate(tl, j * tl.delta, TruncatedOperator(tl, level, op))
-                assert got.level == level + j
-                assert np.abs(got.matrix - expected).max() < 1e-12
+    # fold (op (x) 1) unfold from `split`, which forms the relative tensor of
+    # the two levels; the operators are represented algebra elements and the
+    # values of the unit's cocycle, which are not
+    for system, levels in [(m2_lindblad, 3), (mixed_semigroup(), 2)]:
+        tl, _, unit = make_tl(system, levels=levels)
+        w = cocycle_from_unit(tl, unit)
+        for j in range(1, tl.levels + 1):
+            for level in range(tl.levels - j + 1):
+                fold, unfold = tl.split(level + j, j)
+                ops = [represent(tl, x).at_level(level) for x in tl.sf.algebra.basis()]
+                ops.append(w.values[level * tl.delta].matrix)
+                for op in ops:
+                    expected = fold @ np.kron(op, np.eye(tl.spaces[j].dim)) @ unfold
+                    got = dilate(tl, j * tl.delta, TruncatedOperator(tl, level, op))
+                    assert got.level == level + j
+                    assert np.abs(got.matrix - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("system, levels", TOWERS)
+def test_frame_sum_is_right_action_of_center(request, system, levels):
+    # Psi_k = sum_a L_{e_a} L_{e_a}* over the coordinate basis of each level
+    tl, _, _ = tower(request, system, levels)
+    weights = frame_weights(tl.sf)
+    z = tl.sf.algebra.diagonal(weights)
+    for space in tl.spaces:
+        maps = np.stack([pi_phi(space, e, tl.sf) for e in np.eye(space.dim)])
+        psi = np.einsum("aij,akj->ik", maps, maps.conj())
+        assert np.abs(psi - space.right_matrix(z)).max() < 1e-12 * max(weights)
+
+
+@pytest.mark.parametrize("system, levels", TOWERS)
+def test_dilated_representation_is_left_action(request, system, levels):
+    # theta_t(pi(x)) is the left action of x on the level-t space
+    tl, _, _ = tower(request, system, levels)
+    scale = max(frame_weights(tl.sf))
+    for k in range(tl.levels + 1):
+        for x in tl.sf.algebra.basis():
+            got = dilate(tl, k * tl.delta, represent(tl, x))
+            assert got.level == k
+            assert np.abs(got.matrix - tl.spaces[k].left_matrix(x)).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("system, levels", TOWERS)
+def test_thin_compression_matches_dense(request, system, levels):
+    tl, cs, _ = tower(request, system, levels)
+    for k in range(tl.levels + 1):
+        t = k * tl.delta
+        for x in tl.sf.algebra.basis():
+            theta = dilate(tl, t, represent(tl, x))
+            k0 = tl.embed_matrix(k, 0)
+            dense = np.linalg.norm(k0.conj().T @ theta.matrix @ k0
+                                   - lmult_matrix(evaluate(cs.semigroup, t)(x)), 2)
+            assert abs(compression_defect(tl, t, x) - dense) < 1e-13
 
 
 def test_compression_identity(pair):
