@@ -6,18 +6,22 @@ directions of its Gram matrix: `embed` maps spanning-family coordinates
 onto orthonormal coordinates of the quotient, `lift` is the canonical
 right inverse supported on the orthogonal complement of the null space.
 
-Two constructions are provided.  The GNS tensor couples the algebra to its
-standard space through a UCP map via <x(.)xi, y(.)eta> = <xi, T(x*y) eta>;
-its Gram matrix is assembled and diagonalized whole.  The relative tensor
-product fuses a right module with a left module over the algebra via
-<xi1(.)eta1, xi2(.)eta2> = <eta1, m eta2> where m is the algebra element
-implementing the bounded-vector composition of xi1, xi2.  Its Gram matrix
-is never assembled: the left module splits, block by block of the algebra,
-into a matrix block tensored with a multiplicity space (Paschke's picture
-of finite-dimensional modules), and in those coordinates the Gram matrix
-is the direct sum over blocks of one small matrix of algebra-element
-entries tensored with the identity on the multiplicity space.  Only the
-small matrices are diagonalized.
+Two constructions are provided, and both go through one block quotient.
+The relative tensor product fuses a right module with a left module over
+the algebra via <xi1(.)eta1, xi2(.)eta2> = <eta1, m eta2> where m is the
+algebra element implementing the bounded-vector composition of xi1, xi2.
+The GNS tensor couples the algebra to its standard space through a UCP map
+via <x(.)xi, y(.)eta> = <xi, T(x*y) eta>: the standard space fused with
+itself through T, with m = T(x*y).  In both, the Gram matrix is the sum
+over the algebra basis of <x_a, x_b>_mu L(e_mu), and it is never
+assembled: the left module splits, block by block of the algebra, into a
+matrix block tensored with a multiplicity space (Paschke's picture of
+finite-dimensional modules), and in those coordinates the Gram matrix is
+the direct sum over blocks of one small matrix of algebra-element entries
+tensored with the identity on the multiplicity space.  Only the small
+matrices are diagonalized.  `gram_quotient` diagonalizes an assembled Gram
+matrix whole; it is the dense reference the block quotient is tested
+against.
 """
 
 from __future__ import annotations
@@ -71,9 +75,6 @@ class Bimodule:
 
     def act_left(self, x: AlgebraElement, v: np.ndarray) -> np.ndarray:
         return self.left_matrix(x) @ v
-
-    def act_right(self, x: AlgebraElement, v: np.ndarray) -> np.ndarray:
-        return self.right_matrix(x) @ v
 
     @cached_property
     def multiplicity(self) -> tuple[np.ndarray, ...]:
@@ -207,38 +208,24 @@ def inner(h: Bimodule, xs: np.ndarray, ys: np.ndarray,
     return elements, residual, max(1.0, float(np.abs(comp).max(initial=0.0)))
 
 
-def _push_action(pre: list[np.ndarray], embed: np.ndarray, lift: np.ndarray) -> np.ndarray:
-    return np.stack([embed @ m @ lift for m in pre])
-
-
 def gns_tensor(t_map, sf: StandardForm) -> Bimodule:
     """Couple the algebra to its standard space through a UCP map.
 
     Spanning family: elementary tensors over the matrix-unit basis of the
     algebra and the coordinate basis of the standard space, in kron order
-    (algebra index major).  A non-CP input shows up as a genuinely negative
-    Gram eigenvalue and is rejected.
+    (algebra index major).  This is the standard space fused with itself
+    through T: the Gram matrix is the sum over the algebra basis of
+    T(e_a* e_b)_mu l2.left[mu], so the coupling goes through the same block
+    quotient as `relative_tensor`, with the algebra acting on the left by
+    multiplication.  Row b of conj(lmult(e_a)) holds the coordinates of
+    e_a* e_b, because lmult(x*) = lmult(x)*.  A non-CP input shows up as a
+    genuinely negative Gram eigenvalue and is rejected.
     """
-    alg = sf.algebra
-    d = sf.dim
-    basis = list(alg.basis())
-    gram = np.zeros((d * d, d * d), dtype=complex)
-    for i, xi in enumerate(basis):
-        for k, xk in enumerate(basis):
-            w = t_map(xi.adjoint() * xk)
-            gram[i * d:(i + 1) * d, k * d:(k + 1) * d] = lmult_matrix(w)
+    elements = sf.lmult_basis.conj() @ t_map.action.T
     try:
-        embed, lift, eigs = gram_quotient(gram)
+        return _block_quotient(elements, sf.lmult_basis, l2_bimodule(sf), sf)
     except NotCompletelyPositiveError as exc:
         raise NotCompletelyPositiveError(f"GNS coupling failed, map is not CP: {exc}") from exc
-    left_pre = [np.kron(lmult_matrix(x), np.eye(d)) for x in basis]
-    right_pre = [np.kron(np.eye(d), rmult_matrix(x)) for x in basis]
-    return Bimodule(
-        alg, embed.shape[0],
-        _push_action(left_pre, embed, lift),
-        _push_action(right_pre, embed, lift),
-        embed=embed, lift=lift, gram_eigs=eigs,
-    )
 
 
 def tensor_vec(g: Bimodule, x: AlgebraElement, xi: np.ndarray) -> np.ndarray:
@@ -252,22 +239,32 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     Spanning family: pairs of coordinate basis vectors in kron order
     (h index major).  The inner product routes through the bounded-vector
     composition on h, recognized as a left multiplication and then applied
-    through the left action of k: the Gram matrix is the sum over the
-    algebra basis of elements[a, b, mu] k.left[mu].
-
-    In the coordinates of `k.multiplicity` that sum is the direct sum over
-    blocks M_n of E (x) I_m, where E[(a, r), (b, c)] is the (r, c) entry of
-    the block part of elements[a, b].  Only the E are diagonalized, under
-    one rank rule over all blocks with m > 0, which are the blocks the Gram
-    matrix sees; the quotient coordinates are (block, kept direction,
-    multiplicity index), and the actions are assembled block by block.
+    through the left action of k; the quotient is `_block_quotient`.
     """
-    hd, kd = h.dim, k.dim
+    hd = h.dim
     elements, residual, scale = inner(h, np.eye(hd), np.eye(hd), sf)
     # relative to the entries, which grow like the inverse of a small state weight
     if residual > 1e-8 * scale:
         raise NotCompletelyPositiveError("bounded-vector composition is not a left "
                                          f"multiplication ({residual:.3e}, scale {scale:.3e})")
+    return _block_quotient(elements, h.left, k, sf)
+
+
+def _block_quotient(elements: np.ndarray, left: np.ndarray, k: Bimodule,
+                    sf: StandardForm) -> Bimodule:
+    """Quotient of the family of pairs (a, coordinate of k) under one Gram form.
+
+    The Gram matrix is the sum over the algebra basis of elements[a, b, mu]
+    k.left[mu], in kron order (a major); `left` is the left action on the
+    a-index, `k.right` the right action.  In the coordinates of
+    `k.multiplicity` that sum is the direct sum over blocks M_n of E (x) I_m,
+    where E[(a, r), (b, c)] is the (r, c) entry of the block part of
+    elements[a, b].  Only the E are diagonalized, under one rank rule over
+    all blocks with m > 0, which are the blocks the Gram matrix sees; the
+    quotient coordinates are (block, kept direction, multiplicity index),
+    and the actions are assembled block by block.
+    """
+    hd, kd = elements.shape[0], k.dim
     seen, off = [], 0  # (V, eigenvalues, eigenvectors of E) per block with m > 0
     for n, v in zip(sf.algebra.blocks, k.multiplicity):
         e = elements[:, :, off:off + n * n].reshape(hd, hd, n, n)
@@ -281,8 +278,8 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     dim = sum(int(kp.sum()) * v.shape[2] for (v, _, _), kp in zip(seen, keeps))
     embed = np.zeros((dim, hd * kd), dtype=complex)
     lift = np.zeros((hd * kd, dim), dtype=complex)
-    left = np.zeros((len(h.left), dim, dim), dtype=complex)
-    right = np.zeros((len(k.right), dim, dim), dtype=complex)
+    lefts = np.zeros((len(left), dim, dim), dtype=complex)
+    rights = np.zeros((len(k.right), dim, dim), dtype=complex)
     eigs, o = [np.zeros(0)], 0
     for (v, w, u), kp in zip(seen, keeps):
         wmat, lmat, wk = _quotient_factors(w, u, kp)
@@ -294,14 +291,14 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
         lift[:, q] = np.tensordot(lmat.reshape(hd, n, kk), v, axes=([1], [1])
                                   ).transpose(0, 2, 1, 3).reshape(hd * kd, kk * m)
         # left(x) = W (x (x) I_n) L (x) I_m and right(y) = I (x) B* k.right(y) B
-        act = wmat @ np.tensordot(h.left, lmat.reshape(hd, n * kk), axes=1
+        act = wmat @ np.tensordot(left, lmat.reshape(hd, n * kk), axes=1
                                   ).reshape(-1, hd * n, kk)
-        left[:, q, q] = np.einsum("xab,st->xasbt", act, np.eye(m)).reshape(-1, kk * m, kk * m)
+        lefts[:, q, q] = np.einsum("xab,st->xasbt", act, np.eye(m)).reshape(-1, kk * m, kk * m)
         b = v[:, 0, :]
         act = b.conj().T @ k.right @ b
-        right[:, q, q] = np.einsum("ab,xst->xasbt", np.eye(kk), act).reshape(-1, kk * m, kk * m)
+        rights[:, q, q] = np.einsum("ab,xst->xasbt", np.eye(kk), act).reshape(-1, kk * m, kk * m)
         eigs.append(np.repeat(wk, m))
-    return Bimodule(sf.algebra, dim, left, right, embed=embed, lift=lift,
+    return Bimodule(sf.algebra, dim, lefts, rights, embed=embed, lift=lift,
                     gram_eigs=np.concatenate(eigs))
 
 
@@ -313,11 +310,6 @@ def left_materialization(h: Bimodule, sf: StandardForm) -> np.ndarray:
     """
     m = np.tensordot(sf.solve_left_matrix.T, h.left, axes=1)
     return m.transpose(1, 0, 2).reshape(h.dim, -1)
-
-
-def pair_vec(r: Bimodule, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Coordinates of the fused pair of vectors in a relative tensor product."""
-    return r.embed @ np.kron(v, w)
 
 
 def extend_from_family(z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import Algebra, StandardForm, diagonal_state, make_algebra, standard_form
-from .bimodule import Bimodule
+from .bimodule import GRAM_RTOL, Bimodule, _kept
 from .partition import Partition, grouping
 
 
@@ -175,7 +175,7 @@ def l2_cell(mdl: MarkovModel, p: Partition) -> Bimodule:
     """
     pm = path_measure(mdl, p)
     w = pm.weights.reshape(-1)
-    keep = np.flatnonzero(w > 1e-10 * w.max())
+    keep = np.flatnonzero(_kept(w, GRAM_RTOL))
     sq = np.sqrt(w[keep])
     npaths = w.size
     dim = keep.size

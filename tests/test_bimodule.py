@@ -22,7 +22,6 @@ from prodsys.bimodule import (
     inner,
     l2_bimodule,
     left_element_of,
-    pair_vec,
     pi_phi,
     product_formula_defect,
     relative_tensor,
@@ -108,14 +107,22 @@ def test_gns_unitary_conjugation_collapse(rng):
     assert rep.passed, rep
 
 
+def transpose_on_last_block(blocks):
+    """Action matrix of the identity map with the transpose on the last block."""
+    alg = make_algebra(blocks)
+    action = np.eye(alg.dim, dtype=complex)
+    n = blocks[-1]
+    last = np.arange(alg.dim - n * n, alg.dim)
+    action[last] = action[last.reshape(n, n).T.reshape(-1)]
+    return alg, action
+
+
 def test_gns_rejects_non_cp_map():
-    alg = make_algebra([2])
-    sf = standard_form(alg, uniform_state(alg))
-    action = np.zeros((4, 4))
-    action[0, 0] = action[3, 3] = 1.0
-    action[1, 2] = action[2, 1] = 1.0  # transpose
-    with pytest.raises(NotCompletelyPositiveError):
-        gns_tensor(CpMap(alg, action.astype(complex)), sf)
+    for blocks in ([2], [1, 2]):
+        alg, action = transpose_on_last_block(blocks)
+        sf = standard_form(alg, uniform_state(alg))
+        with pytest.raises(NotCompletelyPositiveError, match="GNS coupling failed"):
+            gns_tensor(CpMap(alg, action), sf)
 
 
 def test_pi_phi_of_cyclic_is_identity(pair):
@@ -146,7 +153,7 @@ def test_pi_phi_does_not_intertwine_left_multiplication(rng):
     h = l2_bimodule(sf)
     xi = sf.embed_left(random_element(alg, rng))
     x = random_element(alg, rng)
-    lhs = pi_phi(h, h.act_right(x, xi), sf)
+    lhs = pi_phi(h, h.right_matrix(x) @ xi, sf)
     rhs = pi_phi(h, xi, sf) @ lmult_matrix(x)
     assert np.linalg.norm(lhs - rhs, 2) > 1e-3
 
@@ -212,7 +219,7 @@ def test_relative_tensor_of_stochastic_cells_dim(pair):
     for (xa, ya, xc, yc) in fam:
         va = tensor_vec(g, xa, sf.embed_left(ya))
         vc = tensor_vec(g, xc, sf.embed_left(yc))
-        vecs.append(pair_vec(r, va, vc))
+        vecs.append(r.embed @ np.kron(va, vc))
     z = np.column_stack(vecs)
     assert np.abs(z.conj().T @ z - gram).max() < 1e-11
 
@@ -271,7 +278,7 @@ def test_verify_map_identity_all_flags(pair):
 
 
 # ---------------------------------------------------------------------------
-# Relative tensor product against the dense Gram quotient
+# GNS coupling and relative tensor product against the dense Gram quotient
 # ---------------------------------------------------------------------------
 
 def dense_oracle(h, k, sf, rtol=GRAM_RTOL):
@@ -287,20 +294,40 @@ def dense_oracle(h, k, sf, rtol=GRAM_RTOL):
     return gram, gram_quotient(gram, rtol), elements
 
 
-def assert_matches_oracle(h, k, sf):
-    r = relative_tensor(h, k, sf)
+def gns_oracle(t_map, sf):
+    """Assembled GNS Gram, its kept eigenvalues and the pre-quotient actions.
+
+    The family is the elementary tensors in kron order (algebra index major).
+    """
+    d = sf.dim
+    basis = list(sf.algebra.basis())
+    gram = np.zeros((d * d, d * d), dtype=complex)
+    for i, xi in enumerate(basis):
+        for k, xk in enumerate(basis):
+            gram[i * d:(i + 1) * d, k * d:(k + 1) * d] = lmult_matrix(t_map(xi.adjoint() * xk))
+    left_pre = [np.kron(lmult_matrix(x), np.eye(d)) for x in basis]
+    right_pre = [np.kron(np.eye(d), rmult_matrix(x)) for x in basis]
+    return gram, gram_quotient(gram)[2], left_pre, right_pre
+
+
+def relative_oracle(h, k, sf):
+    """Assembled relative-tensor Gram, its kept eigenvalues and the pre-quotient actions."""
     gram, (_, _, eigs), _ = dense_oracle(h, k, sf)
+    left_pre = [np.kron(x, np.eye(k.dim)) for x in h.left]
+    right_pre = [np.kron(np.eye(h.dim), y) for y in k.right]
+    return gram, eigs, left_pre, right_pre
+
+
+def assert_matches_oracle(r, gram, eigs, left_pre, right_pre):
     top = eigs.max()
     assert r.dim == eigs.size
     assert np.abs(r.embed.conj().T @ r.embed - gram).max() <= 1e-10 * top
     assert np.abs(r.embed @ r.lift - np.eye(r.dim)).max() < 1e-10
     assert np.abs(np.sort(r.gram_eigs) - eigs).max() <= 1e-10 * top
-    for i in range(len(h.left)):
-        pre = np.kron(h.left[i], np.eye(k.dim))
-        assert np.abs(r.left[i] - r.embed @ pre @ r.lift).max() < 1e-10
-    for i in range(len(k.right)):
-        pre = np.kron(np.eye(h.dim), k.right[i])
-        assert np.abs(r.right[i] - r.embed @ pre @ r.lift).max() < 1e-10
+    for act, pre in zip(r.left, left_pre, strict=True):
+        assert np.abs(act - r.embed @ pre @ r.lift).max() < 1e-10
+    for act, pre in zip(r.right, right_pre, strict=True):
+        assert np.abs(act - r.embed @ pre @ r.lift).max() < 1e-10
 
 
 @pytest.fixture
@@ -331,25 +358,33 @@ def test_relative_tensor_matches_dense_oracle(system, parts, request):
     sg, sf = request.getfixturevalue(system)
     cs = CellSystem(sg, sf)
     cell = cs.cell(uniform(Fraction(parts, 4), parts))
-    for h, k in [(cell, cs.gns(Fraction(1, 4))), (cs.l2, cell), (cell, cs.l2)]:
-        assert_matches_oracle(h, k, sf)
+    gns = cs.gns(Fraction(1, 4))
+    assert_matches_oracle(gns, *gns_oracle(evaluate(sg, Fraction(1, 4)), sf))
+    for h, k in [(cell, gns), (cs.l2, cell), (cell, cs.l2)]:
+        assert_matches_oracle(relative_tensor(h, k, sf), *relative_oracle(h, k, sf))
+
+
+def character_map(sf):
+    """T(x) = x_0 1 on [1, 2]; the matrix block acts as zero."""
+    action = np.zeros((5, 5), dtype=complex)
+    action[:, 0] = sf.algebra.identity().vec()
+    return CpMap(sf.algebra, action)
 
 
 def character_coupling(sf):
-    """GNS coupling of T(x) = x_0 1 on [1, 2]; the matrix block acts as zero."""
-    action = np.zeros((5, 5), dtype=complex)
-    action[:, 0] = sf.algebra.identity().vec()
-    return gns_tensor(CpMap(sf.algebra, action), sf)
+    return gns_tensor(character_map(sf), sf)
 
 
 @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.01, 0.99], [0.99, 0.01]])
 def test_relative_tensor_with_zero_multiplicity_block(weights):
     alg = make_algebra([1, 2])
     sf = standard_form(alg, diagonal_state(alg, weights))
-    g = character_coupling(sf)
+    tm = character_map(sf)
+    g = gns_tensor(tm, sf)
+    assert_matches_oracle(g, *gns_oracle(tm, sf))
     assert [v.shape[2] for v in g.multiplicity] == [5, 0]
     for h in (l2_bimodule(sf), g):
-        assert_matches_oracle(h, g, sf)
+        assert_matches_oracle(relative_tensor(h, g, sf), *relative_oracle(h, g, sf))
 
 
 def test_zero_multiplicity_block_does_not_set_the_cutoff(monkeypatch):

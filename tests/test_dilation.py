@@ -312,7 +312,7 @@ def test_cocycle_of_unit_moves_corner_to_unit_line(pair):
         k = tl.grid_index(t)
         for x in tl.sf.algebra.basis():
             lhs = op.at_level(k) @ tl.embed_matrix(k, 0) @ tl.sf.embed_right(x)
-            rhs = tl.spaces[k].act_right(x, levels[t])
+            rhs = tl.spaces[k].right_matrix(x) @ levels[t]
             assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
