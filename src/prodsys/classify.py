@@ -12,6 +12,7 @@ cocycle law and certifies the conjugation identity at every grid time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -46,12 +47,15 @@ def inner_semigroup(algebra: Algebra, h: AlgebraElement) -> E0Semigroup:
     if herm > 1e-12:
         raise ValueError("inner semigroup needs a Hermitian element")
 
+    @functools.cache
     def action(t: Fraction) -> np.ndarray:
         blocks = []
         for hb, n in zip(h.mats, algebra.blocks):
             u = scipy.linalg.expm(1j * float(t) * hb)
             blocks.append(np.kron(u.conj().T, u.T))
-        return scipy.linalg.block_diag(*blocks)
+        out = scipy.linalg.block_diag(*blocks)
+        out.flags.writeable = False  # cached, shared by every map_at at t
+        return out
 
     return E0Semigroup(algebra, action, label="inner")
 

@@ -249,9 +249,10 @@ def suite_cells(cfg: ExperimentConfig) -> Report:
     return rep
 
 
-# Largest pre-quotient Gram size a suite is allowed to assemble; generic
-# semigroups on matrix blocks grow cell dimensions geometrically in the
-# number of parts, so deep chains are only walked while they stay cheap.
+# Largest product of a prefix cell's dimension and the next part's GNS
+# dimension that a suite extends a cell by; generic semigroups on matrix
+# blocks grow cell dimensions geometrically in the number of parts, so deep
+# chains are only walked while they stay cheap.
 _SPACE_BUDGET = 1500
 
 

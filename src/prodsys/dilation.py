@@ -25,6 +25,13 @@ right-linear a is sum_a L_{a f_a} L_{f_a}*.  The amplification sends
 L_v L_u* to A_v A_u* with A_v = C (v (x) 1), and summing over the frame
 gives the formula.  No relative tensor product is formed;
 `TruncatedLimit.split` keeps that definition as the reference.
+
+The two checks on the whole tower work on factors of the size of the
+spaces.  The orbit family of `minimality_evidence` is replaced by its R
+factor after every level, which keeps its singular values.  A cocycle is
+kept as its bounded-vector maps b_t (D_k x d), with w_t = b_t k0_t*, so the
+cocycle law compares two sums of rank-d products U V* through a QR of the
+2d right factors.
 """
 
 from __future__ import annotations
@@ -242,6 +249,12 @@ def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
     applied to the corner vectors; with the full basis these reach every
     elementary tensor of the top cell.  Restricting `elements` produces an
     honest partial rank.
+
+    The d |elements|^n words are never held at once.  Whenever the family
+    has more rows than the top dimension it is replaced by the R factor of
+    its QR: with z = Q R, stacking [z theta_x^T]_x is blockdiag(Q, ..., Q)
+    times the stack of [R theta_x^T]_x, and that factor has orthonormal
+    columns, so every level keeps the singular values of the full family.
     """
     n = depth if depth is not None else tl.levels
     basis = list(tl.sf.algebra.basis()) if elements is None else list(elements)
@@ -251,6 +264,8 @@ def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
         thetas = np.stack([dilate(tl, k * tl.delta, represent(tl, x)).on_top()
                            for x in basis])
         z = (z @ thetas.transpose(0, 2, 1)).reshape(-1, z.shape[1])
+        if z.shape[0] > z.shape[1]:
+            z = np.linalg.qr(z, mode="r")
     return MinimalityReport(numerical_rank(z, rtol), tl.spaces[tl.levels].dim)
 
 
@@ -278,28 +293,53 @@ def continuity_profile(tl: TruncatedLimit) -> dict[tuple[Fraction, int], float]:
 
 @dataclass
 class Cocycle:
-    """Family of level-supported operators indexed by grid times."""
+    """Adapted cocycle kept as bounded-vector maps indexed by grid times.
+
+    maps[t] is the bounded-vector map b_t of the unit vector at level k =
+    t / delta, from the standard space to that level (D_k x d); the value
+    w_t = b_t k0_t*, with k0_t the corner embedding into level k, has rank
+    at most d.  Every check works on these thin factors.
+    """
 
     tl: TruncatedLimit
-    values: dict[Fraction, TruncatedOperator]
+    maps: dict[Fraction, np.ndarray]
+
+    def value(self, t) -> TruncatedOperator:
+        """w_t as a dense operator at its support level."""
+        k = self.tl.grid_index(t)
+        return TruncatedOperator(self.tl, k, self.maps[t] @ self.tl.embed_matrix(k, 0).conj().T)
+
+    @property
+    def values(self) -> dict[Fraction, TruncatedOperator]:
+        return {t: self.value(t) for t in self.maps}
 
     def law_defect(self) -> float:
-        """Largest defect of w(s + t) = theta_t(w(s)) w(t) inside the horizon."""
+        """Largest defect of w(s + t) = theta_t(w(s)) w(t) inside the horizon.
+
+        At level k(s + t) both sides are sums of rank-d products: U1 V1* with
+        U1 = theta_t(w_s) E b_t and V1 = E k0_t (E the embedding of level
+        k(t)), and U2 V2* with U2 = b_(s+t) and V2 the corner embedding.
+        With [V1, V2] = Q R, the spectral norm of U1 V1* - U2 V2* is that of
+        [U1, -U2] R*, which has 2d columns.
+        """
+        tl = self.tl
         worst = 0.0
-        times = sorted(t for t in self.values if t > 0)
+        times = sorted(t for t in self.maps if t > 0)
         for s in times:
+            ws = self.value(s)
             for t in times:
-                ts = s + t
-                if ts not in self.values:
+                kt = tl.grid_index(t)
+                if ws.level + kt > tl.levels:
+                    break
+                if s + t not in self.maps:
                     continue
-                ws = self.values[s]
-                if ws.level + self.tl.grid_index(t) > self.tl.levels:
-                    continue
-                lhs = dilate(self.tl, t, ws).compose(self.values[t])
-                rhs = self.values[ts]
-                lvl = max(lhs.level, rhs.level)
-                worst = max(worst, float(np.linalg.norm(
-                    lhs.at_level(lvl) - rhs.at_level(lvl), 2)))
+                lvl, c, y = _amplification(tl, t, ws)
+                e = tl.embed_matrix(lvl, kt)
+                u1 = _amplify(c, y, c.conj().T @ (e @ self.maps[t]))
+                v1 = e @ tl.embed_matrix(kt, 0)
+                r = np.linalg.qr(np.hstack([v1, tl.embed_matrix(lvl, 0)]), mode="r")
+                diff = np.hstack([u1, -self.maps[s + t]]) @ r.conj().T
+                worst = max(worst, float(np.linalg.norm(diff, 2)))
         return worst
 
     def adapted_defect(self) -> float:
@@ -341,42 +381,44 @@ def cocycle_from_unit(tl: TruncatedLimit, lam: Unit, tol: float = 1e-10) -> Cocy
 def cocycle_from_levels(tl: TruncatedLimit, vectors: dict[Fraction, np.ndarray],
                         tol: float = 1e-10) -> Cocycle:
     """Cocycle built from unit vectors already represented on the levels."""
-    values: dict[Fraction, TruncatedOperator] = {}
+    maps: dict[Fraction, np.ndarray] = {}
     for t, v in vectors.items():
         k = tl.grid_index(t)
         if k == 0:
-            values[t] = TruncatedOperator(tl, 0, np.eye(tl.sf.dim, dtype=complex))
+            maps[t] = np.eye(tl.sf.dim, dtype=complex)
             continue
         b = pi_phi(tl.spaces[k], v, tl.sf)
         # <v, v> is the element whose left multiplication is b* b; b maps cyclic to v
         m = tl.sf.algebra.from_vec(tl.sf.solve_left_matrix @ (b.conj().T @ v))
         if m.norm() > 1.0 + tol:
             raise ValueError(f"unit is not contractive at {t} (norm {m.norm():.6f})")
-        values[t] = TruncatedOperator(tl, k, b @ tl.embed_matrix(k, 0).conj().T)
-    return Cocycle(tl, values)
+        maps[t] = b
+    return Cocycle(tl, maps)
 
 
 def unit_from_cocycle(tl: TruncatedLimit, w: Cocycle) -> dict[Fraction, np.ndarray]:
     """Level-represented unit vectors extracted from an adapted cocycle."""
     out: dict[Fraction, np.ndarray] = {}
-    for t, op in w.values.items():
-        k = tl.grid_index(t)
-        if k == 0:
-            out[t] = tl.sf.cyclic.copy()
-            continue
-        b = tl.embed_matrix(k, 0)
-        out[t] = op.at_level(k) @ b @ tl.sf.cyclic
+    for t, b in w.maps.items():
+        k0 = tl.embed_matrix(tl.grid_index(t), 0)
+        out[t] = b @ (k0.conj().T @ (k0 @ tl.sf.cyclic))
     return out
 
 
 def corner_isometry_defect(tl: TruncatedLimit, w: Cocycle) -> float:
-    """How far the cocycle is from preserving inner products on the corner."""
+    """How far the cocycle is from preserving inner products on the corner.
+
+    w_t k0 at the top is the top x d product (E b_t)((E k0_t)* k0), with E
+    the embedding of the support level into the top.
+    """
     worst = 0.0
     k0 = tl.embed_matrix(tl.levels, 0)
-    for t, op in w.values.items():
+    for t, b in w.maps.items():
         if t == 0:
             continue
-        wk = op.on_top() @ k0
+        k = tl.grid_index(t)
+        e = tl.embed_matrix(tl.levels, k)
+        wk = (e @ b) @ ((e @ tl.embed_matrix(k, 0)).conj().T @ k0)
         worst = max(worst, float(np.linalg.norm(
             wk.conj().T @ wk - np.eye(tl.sf.dim), 2)))
     return worst

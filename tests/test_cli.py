@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,3 +143,23 @@ def test_dilate_suite_builds_no_relative_tensor(tmp_path, monkeypatch):
         "compression", "minimality", "continuity-sup",
         "cocycle-law", "cocycle-roundtrip", "corner-isometry"]
     assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
+def test_dilate_suite_memory_on_deep_pair_tower(tmp_path):
+    # the 16-level stochastic pair tower: 2 * 2^16 orbit words and cocycle
+    # values up to level 16, checked on factors of the top dimension 18
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": {"delta": "1/16", "levels": 16}}))
+    cfg = load_config(str(path), None, 1.0)
+    tracemalloc.start()
+    try:
+        rep = suite_dilate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.meta["levels"] == "16"
+    assert [c.check_id for c in rep.checks] == [
+        "compression", "minimality", "continuity-sup",
+        "cocycle-law", "cocycle-roundtrip", "corner-isometry"]
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"

@@ -7,7 +7,9 @@ from prodsys.algebra import diagonal_state, lmult_matrix, make_algebra, standard
 from prodsys.bimodule import pi_phi
 from prodsys.cells import CellSystem, canonical_unit
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
+import prodsys.dilation
 from prodsys.dilation import (
+    Cocycle,
     TruncatedLimit,
     TruncatedOperator,
     TruncationError,
@@ -316,6 +318,50 @@ def test_cocycle_of_unit_moves_corner_to_unit_line(pair):
             assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
+def dense_law_defect(w):
+    """Cocycle law on dense top-level products theta_t(w_s) w_t, the reference."""
+    tl, values = w.tl, w.values
+    worst = 0.0
+    times = sorted(t for t in values if t > 0)
+    for s in times:
+        for t in times:
+            if s + t not in values or values[s].level + tl.grid_index(t) > tl.levels:
+                continue
+            lhs = dilate(tl, t, values[s]).compose(values[t])
+            rhs = values[s + t]
+            lvl = max(lhs.level, rhs.level)
+            worst = max(worst, float(np.linalg.norm(lhs.at_level(lvl) - rhs.at_level(lvl), 2)))
+    return worst
+
+
+def dense_corner_defect(w):
+    """Corner isometry defect from the dense top-level values, the reference."""
+    tl = w.tl
+    k0 = tl.embed_matrix(tl.levels, 0)
+    worst = 0.0
+    for t, op in w.values.items():
+        if t > 0:
+            wk = op.on_top() @ k0
+            worst = max(worst, float(np.linalg.norm(wk.conj().T @ wk - np.eye(tl.sf.dim), 2)))
+    return worst
+
+
+@pytest.mark.parametrize("system, levels", TOWERS)
+def test_thin_cocycle_law_matches_dense(request, system, levels):
+    tl, _, unit = tower(request, system, levels)
+    for lam in [unit, unit.scaled(0.5)]:
+        w = cocycle_from_unit(tl, lam)
+        assert abs(w.law_defect() - dense_law_defect(w)) < 1e-12
+        assert abs(corner_isometry_defect(tl, w) - dense_corner_defect(w)) < 1e-12
+    # a broken value at 2 delta: both routes see the same defect
+    two = 2 * tl.delta
+    broken = Cocycle(tl, {**w.maps, two: 1.1 * w.maps[two]})
+    defect = broken.law_defect()
+    assert abs(defect - dense_law_defect(broken)) < 1e-12 * defect
+    assert defect > 0.05 * np.linalg.norm(w.values[two].matrix, 2)
+    assert abs(corner_isometry_defect(tl, broken) - dense_corner_defect(broken)) < 1e-12
+
+
 def test_cocycle_law_and_adaptedness(pair):
     tl, cs, unit = make_tl(pair)
     w = cocycle_from_unit(tl, unit)
@@ -357,8 +403,8 @@ def test_unit_cocycle_roundtrips(pair, rng):
             assert np.linalg.norm(again.values[t].matrix - w.values[t].matrix, 2) < 1e-9
 
 
-def word_loop_rank(tl, depth, elements, rtol=1e-10):
-    """Rank of one decreasing word per choice of letters, the reference."""
+def word_loop_family(tl, depth, elements):
+    """One decreasing word per choice of letters, as columns; the reference."""
     k0 = tl.embed_matrix(tl.levels, 0)
     cols = []
     for y in tl.sf.algebra.basis():
@@ -368,7 +414,11 @@ def word_loop_rank(tl, depth, elements, rtol=1e-10):
                 x = elements[combo[depth - k]]
                 v = dilate(tl, k * tl.delta, represent(tl, x)).on_top() @ v
             cols.append(v)
-    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    return np.column_stack(cols)
+
+
+def word_loop_rank(tl, depth, elements, rtol=1e-10):
+    sv = np.linalg.svd(word_loop_family(tl, depth, elements), compute_uv=False)
     return int(np.sum(sv > rtol * sv[0]))
 
 
@@ -383,3 +433,24 @@ def test_minimality_rank_matches_word_loop(pair, m2_lindblad, depth):
         for elements in [basis, basis[:1], [alg.identity()], [basis[-1], alg.identity()]]:
             rep = minimality_evidence(tl, depth=depth, elements=elements)
             assert rep.span_rank == word_loop_rank(tl, depth, elements)
+
+
+def test_minimality_family_stays_thin(pair, monkeypatch):
+    # 2 * 2^3 = 16 words at 3 levels against a top dimension of 5
+    tl, _, _ = make_tl(pair, levels=3)
+    seen = []
+    rank = prodsys.dilation.numerical_rank
+
+    def recording(z, rtol):
+        seen.append(z)
+        return rank(z, rtol)
+
+    monkeypatch.setattr(prodsys.dilation, "numerical_rank", recording)
+    rep = minimality_evidence(tl)
+    (z,) = seen
+    assert z.shape[0] <= rep.top_dim == 5
+    basis = list(tl.sf.algebra.basis())
+    full = np.linalg.svd(word_loop_family(tl, 3, basis), compute_uv=False)
+    got = np.linalg.svd(z, compute_uv=False)
+    assert len(got) == len(full)
+    assert np.abs(got - full).max() < 1e-12 * full[0]
