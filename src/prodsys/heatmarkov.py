@@ -11,13 +11,17 @@ through the first path variable, the right action through the last.
 These path spaces realize, for the commutative algebra with the weight
 state, exactly the partition cells of the heat semigroup; the matching
 isometries send elementary tensors to products of slot functions evaluated
-along the path.  The tower of path spaces also carries the dilation in
-closed form, which is what the end-of-tower identity checks exploit.
+along the path.  With state indicators in the slots such a product is a
+path indicator when the slots are glued (each right slot equals the next
+left slot) and zero otherwise, so the cross-check compares Grams on the
+glued columns only and bounds every other Gram entry by column norms.  The
+tower of path spaces also carries the dilation in closed form, which is
+what the end-of-tower identity checks exploit; the shifted operators are
+applied to the columns of the corner isometry, never formed at the top.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -27,7 +31,7 @@ import scipy.linalg
 
 from .algebra import Algebra, StandardForm, diagonal_state, make_algebra, standard_form
 from .bimodule import GRAM_RTOL, Bimodule, _kept
-from .partition import Partition, grouping
+from .partition import Partition
 
 
 class ModelError(ValueError):
@@ -192,76 +196,45 @@ def l2_cell(mdl: MarkovModel, p: Partition) -> Bimodule:
     return Bimodule(mdl.algebra(), dim, left, right, embed=embed, lift=lift)
 
 
-def slot_product(m: int, fs: Sequence[np.ndarray], gs: Sequence[np.ndarray]) -> np.ndarray:
-    """Path function f1(x1) g1(x2) f2(x2) ... fn(xn) gn(x_{n+1})."""
-    n = len(fs)
-    factors = [np.asarray(fs[0], dtype=complex)]
-    for i in range(1, n):
-        factors.append(np.asarray(gs[i - 1], dtype=complex) * np.asarray(fs[i], dtype=complex))
-    factors.append(np.asarray(gs[n - 1], dtype=complex))
-    out = factors[0]
-    for v in factors[1:]:
-        out = out[..., None] * v
-    return out
+def _glued_columns(m: int, n: int) -> np.ndarray:
+    """Kron indices of the glued slot columns, in path order.
 
-
-def indicator_products(m: int, n: int) -> np.ndarray:
-    """`slot_product` of every choice of state indicator slots, as columns.
-
-    Column (f_1, g_1, ..., f_n, g_n), in kron order, is the indicator of
-    the path (f_1, ..., f_n, g_n) if g_i = f_{i+1} for all i < n, else zero:
-    I (x) C (x) ... (x) C (x) I with C[x, (g, f)] = delta(x, g) delta(x, f).
+    Slot column (f_1, g_1, ..., f_n, g_n) is glued when g_i = f_{i+1} for
+    all i < n; the glued ones are in bijection with the paths
+    (f_1, ..., f_n, g_n), and entry x of the result is the column of path x.
     """
-    eye = np.eye(m)
-    glue = np.einsum("xg,xf->xgf", eye, eye).reshape(m, m * m)
-    return functools.reduce(np.kron, [eye] + [glue] * (n - 1) + [eye])
+    x = np.indices((m,) * (n + 1)).reshape(n + 1, -1)
+    col = x[0]
+    for i in range(1, n):
+        col = (col * m + x[i]) * m + x[i]
+    return col * m + x[n]
 
 
 def cell_match_defect(mdl: MarkovModel, p: Partition, cs) -> tuple[float, int, int]:
     """Gram agreement between the semigroup cell and the path-space cell.
 
-    Elementary tensors with slot functions over the state indicator basis
-    are compared against their product functions in the path space.
-    Returns the largest Gram deviation and the two dimensions.
+    The elementary tensors z_a with state indicators in the slots,
+    a = (f_1, g_1, ..., f_n, g_n) in kron order, correspond to product
+    functions in the path space: the indicator of the path
+    (f_1, ..., f_n, g_n) when a is glued (g_i = f_{i+1}), and zero
+    otherwise.  The m^{n+1} glued columns are compared, in path order,
+    through their Gram against `path.embed* path.embed`; every Gram entry
+    that involves a non-glued column a must vanish and is bounded by
+    max_{a not glued} |z_a| max_b |z_b|.  The larger of the two is
+    returned, which is never below the largest entry of the m^{2n}-square
+    Gram difference, together with the two dimensions.
     """
     n = len(p)
     path = l2_cell(mdl, p)
     z = cs.family(p.parts, [np.eye(cs.sf.dim)] * n, [cs.sf.embed_left_matrix] * n)
-    y = path.embed @ indicator_products(mdl.states, n)
-    gram_defect = float(np.abs(z.conj().T @ z - y.conj().T @ y).max())
-    return gram_defect, cs.cell(p).dim, path.dim
-
-
-def refinement_duplication_matrix(mdl: MarkovModel, fine: Partition,
-                                  coarse: Partition) -> np.ndarray:
-    """Path-space refinement: read the first variable of each refined group.
-
-    Maps weighted coordinates of the coarse path space into the fine one,
-    duplicating each coarse variable across its group.
-    """
-    groups = grouping(fine, coarse)
-    m = mdl.states
-    nf = len(fine)
-    coarse_cell = l2_cell(mdl, coarse)
-    fine_cell = l2_cell(mdl, fine)
-    positions = []
-    pos = 0
-    for g in groups:
-        positions.append(pos)
-        pos += len(g)
-    positions.append(pos)
-    fine_idx = np.arange(m ** (nf + 1))
-    digits = np.zeros((nf + 1, m ** (nf + 1)), dtype=int)
-    rem = fine_idx.copy()
-    for axis in range(nf, -1, -1):
-        digits[axis] = rem % m
-        rem //= m
-    coarse_of_fine = np.zeros(m ** (nf + 1), dtype=int)
-    for pos in positions:
-        coarse_of_fine = coarse_of_fine * m + digits[pos]
-    cols = np.zeros((m ** (nf + 1), m ** (len(coarse) + 1)))
-    cols[fine_idx, coarse_of_fine] = 1.0
-    return fine_cell.embed @ cols @ coarse_cell.lift
+    glued = _glued_columns(mdl.states, n)
+    zg = z[:, glued]
+    gram_defect = np.abs(zg.conj().T @ zg - path.embed.conj().T @ path.embed).max()
+    norms = np.linalg.norm(z, axis=0)
+    loose = norms.copy()
+    loose[glued] = 0.0
+    bound = loose.max() * norms.max()
+    return float(max(gram_defect, bound)), cs.cell(p).dim, path.dim
 
 
 def embed_base_adjoint(mdl: MarkovModel, p: Partition, f: np.ndarray) -> np.ndarray:
@@ -321,29 +294,25 @@ class HeatDilation:
         ext = np.kron(np.ones((m ** (k - j), 1)), np.eye(m ** (j + 1)))
         return (np.sqrt(self.weights[k])[:, None] * ext) / np.sqrt(self.weights[j])[None, :]
 
-    def theta(self, op: np.ndarray, op_level: int, t) -> np.ndarray:
-        """Shift a level-supported operator by the endomorphism at a grid time.
+    def theta(self, op: np.ndarray, op_level: int, t, cols: np.ndarray) -> np.ndarray:
+        """Apply a level-supported operator, shifted to a grid time, to columns.
 
-        In function coordinates the shifted operator acts on the leading
-        path variables and leaves the trailing ones untouched; the shared
-        boundary variable is respected because level operators are
-        right-linear, hence block diagonal over the last variable.
+        In function coordinates the shifted operator is A (x) I_{m^j}: it acts
+        on the leading path variables and leaves the trailing ones untouched;
+        the shared boundary variable is respected because level operators
+        are right-linear, hence block diagonal over the last variable.  The
+        columns, at level op_level + j, are reshaped so that A acts on their
+        leading variables; the target-level matrix is never formed.
         """
         j = self.grid_index(t)
         target = op_level + j
         if target > self.levels:
             raise ValueError(f"horizon exceeded, max level {self.levels}")
-        m = self.m
         pre = np.sqrt(self.weights[op_level])
         a_func = (op / pre[:, None]) * pre[None, :]
-        a_func = np.kron(a_func, np.eye(m ** j))
-        w = np.sqrt(self.weights[target])
-        return (w[:, None] * a_func) / w[None, :]
-
-    def multiplication(self, f: np.ndarray, level: int) -> np.ndarray:
-        """Multiplication by a state function through the last path variable."""
-        vals = np.kron(np.ones(self.m ** level), np.asarray(f, dtype=complex))
-        return np.diag(vals)
+        w = np.sqrt(self.weights[target])[:, None]
+        x = (cols / w).reshape(pre.size, self.m ** j, -1)
+        return w * np.tensordot(a_func, x, axes=1).reshape(w.size, -1)
 
     def represent(self, f: np.ndarray, level: int) -> np.ndarray:
         """Corner representation of a state function at a tower level."""
@@ -357,15 +326,17 @@ def heat_dilation_defect(mdl: MarkovModel, delta, levels: int, t,
 
     Compressing the shifted corner representation of f back to the base
     must multiply by the evolved function.  The first defect compares the
-    operators directly; the second recomputes the compression through the
-    kernel-marginalization formula on the single-part path space.
+    operators directly, with the shifted operator applied to the m columns
+    of the corner isometry only; the second recomputes the compression
+    through the kernel-marginalization formula on the single-part path
+    space.
     """
     f = np.asarray(f, dtype=complex)
     hd = HeatDilation(mdl, delta, levels)
     j = hd.grid_index(t)
-    theta_op = hd.theta(hd.represent(f, hd.levels - j), hd.levels - j, t)
+    level = hd.levels - j
     k0 = hd.embed_matrix(hd.levels, 0)
-    compressed = k0.conj().T @ theta_op @ k0
+    compressed = k0.conj().T @ hd.theta(hd.represent(f, level), level, t, k0)
     evolved = mdl.transition(float(t)) @ f
     direct = float(np.linalg.norm(compressed - np.diag(evolved), 2))
 

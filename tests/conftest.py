@@ -43,6 +43,21 @@ def mixed_semigroup():
     return sg, standard_form(alg, state)
 
 
+def reversible_chain(seed, m):
+    """Seeded reversible chain on m states: weights and a weight-symmetric Laplacian.
+
+    Conductances c_ij = c_ji > 0 on the complete graph give L_ij = -c_ij / mu_i
+    off the diagonal; the diagonal makes the rows sum to zero.
+    """
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(0.5, 1.5, m)
+    mu /= mu.sum()
+    c = np.triu(rng.uniform(0.2, 1.0, (m, m)), 1)
+    lap = -(c + c.T) / mu[:, None]
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    return mu, lap
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import prodsys.dilation
-from prodsys.cli import complex_matrix, load_config, main, suite_dilate
+from prodsys.cli import complex_matrix, load_config, main, suite_dilate, suite_heat
 from prodsys.dilation import TruncatedLimit
+
+from conftest import SEED, reversible_chain
 
 
 def test_complex_matrix_parsing():
@@ -163,3 +165,26 @@ def test_dilate_suite_memory_on_deep_pair_tower(tmp_path):
         "cocycle-law", "cocycle-roundtrip", "corner-isometry"]
     assert rep.passed, [c for c in rep.checks if not c.passed]
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_heat_suite_memory_on_six_state_chain(tmp_path):
+    # a seeded reversible chain on six states: 1296 slot columns for the
+    # two-part cell match and a 1296-dim top level for the dilation, checked
+    # on the 216 glued columns and the 6 corner columns
+    mu, lap = reversible_chain(SEED, 6)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"markov": {"mu": mu.tolist(), "laplacian": lap.tolist()}}))
+    cfg = load_config(str(path), None, 1.0)
+    tracemalloc.start()
+    try:
+        rep = suite_heat(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kernel = [f"kernel-{law}[{t}]" for t in (0.25, 1.0)
+              for law in ("symmetry", "mass", "composition")]
+    assert [c.check_id for c in rep.checks] == kernel + [
+        "path-mass", "cell-match(1)", "cell-dims(1)", "cell-match(1/2,1/2)",
+        "cell-dims(1/2,1/2)", "adjoint-mass", "dilation-direct", "dilation-formula"]
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+    assert peak < 50 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"

@@ -1,27 +1,105 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from prodsys.cells import CellSystem
+from prodsys.cli import Check
 from prodsys.cpdyn import semigroup_from_generator
 from prodsys.heatmarkov import (
     HeatDilation,
     ModelError,
+    _glued_columns,
     box,
     cell_match_defect,
     embed_base_adjoint,
     graph_model,
     heat_dilation_defect,
     heat_kernel,
-    indicator_products,
     l2_cell,
     make_model,
     path_measure,
-    refinement_duplication_matrix,
-    slot_product,
 )
-from prodsys.partition import Partition, partition, uniform
+from prodsys.partition import Partition, grouping, partition, uniform
+
+from conftest import SEED, reversible_chain
+
+
+# -- oracles: the dense routes that the production checks replace ------------
+
+def slot_product(fs, gs):
+    """Path function f1(x1) g1(x2) f2(x2) ... fn(xn) gn(x_{n+1})."""
+    n = len(fs)
+    factors = [np.asarray(fs[0], dtype=complex)]
+    for i in range(1, n):
+        factors.append(np.asarray(gs[i - 1], dtype=complex) * np.asarray(fs[i], dtype=complex))
+    factors.append(np.asarray(gs[n - 1], dtype=complex))
+    out = factors[0]
+    for v in factors[1:]:
+        out = out[..., None] * v
+    return out
+
+
+def indicator_products(m, n):
+    """`slot_product` of every choice of state indicator slots, as columns.
+
+    Column (f_1, g_1, ..., f_n, g_n), in kron order, is the indicator of
+    the path (f_1, ..., f_n, g_n) if g_i = f_{i+1} for all i < n, else zero:
+    I (x) C (x) ... (x) C (x) I with C[x, (g, f)] = delta(x, g) delta(x, f).
+    """
+    eye = np.eye(m)
+    glue = np.einsum("xg,xf->xgf", eye, eye).reshape(m, m * m)
+    return functools.reduce(np.kron, [eye] + [glue] * (n - 1) + [eye])
+
+
+def dense_cell_match_oracle(mdl, p, cs):
+    """Largest entry of the m^{2n}-square Gram difference over all slot columns."""
+    n = len(p)
+    path = l2_cell(mdl, p)
+    z = cs.family(p.parts, [np.eye(cs.sf.dim)] * n, [cs.sf.embed_left_matrix] * n)
+    y = path.embed @ indicator_products(mdl.states, n)
+    return float(np.abs(z.conj().T @ z - y.conj().T @ y).max())
+
+
+def dense_theta(hd, op, op_level, t):
+    """Target-level matrix of the shifted operator, lifted by np.kron."""
+    j = hd.grid_index(t)
+    pre = np.sqrt(hd.weights[op_level])
+    a_func = np.kron((op / pre[:, None]) * pre[None, :], np.eye(hd.m ** j))
+    w = np.sqrt(hd.weights[op_level + j])
+    return (w[:, None] * a_func) / w[None, :]
+
+
+def refinement_duplication_matrix(mdl, fine, coarse):
+    """Path-space refinement: read the first variable of each refined group.
+
+    Maps weighted coordinates of the coarse path space into the fine one,
+    duplicating each coarse variable across its group.
+    """
+    groups = grouping(fine, coarse)
+    m = mdl.states
+    nf = len(fine)
+    coarse_cell = l2_cell(mdl, coarse)
+    fine_cell = l2_cell(mdl, fine)
+    positions = []
+    pos = 0
+    for g in groups:
+        positions.append(pos)
+        pos += len(g)
+    positions.append(pos)
+    fine_idx = np.arange(m ** (nf + 1))
+    digits = np.zeros((nf + 1, m ** (nf + 1)), dtype=int)
+    rem = fine_idx.copy()
+    for axis in range(nf, -1, -1):
+        digits[axis] = rem % m
+        rem //= m
+    coarse_of_fine = np.zeros(m ** (nf + 1), dtype=int)
+    for pos in positions:
+        coarse_of_fine = coarse_of_fine * m + digits[pos]
+    cols = np.zeros((m ** (nf + 1), m ** (len(coarse) + 1)))
+    cols[fine_idx, coarse_of_fine] = 1.0
+    return fine_cell.embed @ cols @ coarse_cell.lift
 
 
 @pytest.fixture
@@ -32,6 +110,22 @@ def two_state():
 @pytest.fixture
 def cycle5():
     return graph_model("cycle", 5)
+
+
+@pytest.fixture
+def cycle3():
+    return graph_model("cycle", 3)
+
+
+@pytest.fixture
+def path3():
+    return graph_model("path", 3)
+
+
+@pytest.fixture
+def chain6():
+    """Seeded reversible chain on six states with unequal weights."""
+    return make_model(*reversible_chain(SEED, 6))
 
 
 def heat_system(mdl):
@@ -160,6 +254,57 @@ def test_cell_match_has_teeth(two_state):
     assert defect > 1e-3
 
 
+@pytest.mark.parametrize("model, parts, dim", [
+    ("two_state", 1, 4),
+    ("cycle3", 2, 27),
+    # the first case with two glues: g1 = f2 and g2 = f3
+    ("path3", 3, 81),
+    ("chain6", 2, 216),
+])
+def test_cell_match_never_below_dense_oracle(model, parts, dim, request):
+    mdl = request.getfixturevalue(model)
+    p = uniform(1, parts)
+    cs = heat_system(mdl)
+    defect, dim_cell, dim_path = cell_match_defect(mdl, p, cs)
+    oracle = dense_cell_match_oracle(mdl, p, cs)
+    assert dim_cell == dim_path == dim
+    assert defect >= oracle - 1e-15
+    assert defect < 1e-10
+    assert oracle < 1e-10
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (3, 3), (4, 2)])
+def test_glued_columns_are_the_nonzero_indicator_columns(m, n):
+    ind = indicator_products(m, n)
+    glued = _glued_columns(m, n)
+    assert np.array_equal(ind[:, glued], np.eye(m ** (n + 1)))
+    rest = np.ones(ind.shape[1], dtype=bool)
+    rest[glued] = False
+    assert not ind[:, rest].any()
+
+
+def test_cell_match_bounds_non_glued_columns(cycle3, monkeypatch):
+    # a defect confined to one non-glued column, where the path side is zero
+    p = uniform(1, 2)
+    cs = heat_system(cycle3)
+    m = cycle3.states
+    loose = np.ravel_multi_index((0, 1, 2, 0), (m,) * 4)
+    assert loose not in _glued_columns(m, 2)
+    family = cs.family
+
+    def perturbed(*args):
+        z = family(*args).copy()
+        z[:, loose] += 1e-6
+        return z
+
+    monkeypatch.setattr(cs, "family", perturbed)
+    defect, _, _ = cell_match_defect(cycle3, p, cs)
+    z = perturbed(p.parts, [np.eye(cs.sf.dim)] * 2, [cs.sf.embed_left_matrix] * 2)
+    assert defect >= 1e-6 * np.linalg.norm(z, axis=0).max()
+    assert not Check("heat", f"cell-match{p}", "path-space-cells", defect, 1e-10).passed
+    assert dense_cell_match_oracle(cycle3, p, cs) > 1e-10
+
+
 def test_heat_dilation_at_full_horizon(two_state, rng):
     f = rng.standard_normal(2)
     direct, formula = heat_dilation_defect(two_state, Fraction(1, 4), 3, Fraction(3, 4), f)
@@ -182,8 +327,6 @@ def test_refinement_matches_variable_duplication(two_state):
     sf = cs.sf
     basis = list(sf.algebra.basis())
     m = two_state.states
-    from prodsys.heatmarkov import slot_product
-
     eye = np.eye(m)
 
     def u_matrix(p):
@@ -195,7 +338,7 @@ def test_refinement_matches_variable_duplication(two_state):
             gs = [combo[2 * i + 1] for i in range(n)]
             zc.append(cs.elementary(p, [basis[s] for s in fs],
                                     [sf.embed_left(basis[s]) for s in gs]))
-            yc.append(path.embed @ slot_product(m, [eye[s] for s in fs],
+            yc.append(path.embed @ slot_product([eye[s] for s in fs],
                                                 [eye[s] for s in gs]).reshape(-1))
         z, y = np.column_stack(zc), np.column_stack(yc)
         u, *_ = np.linalg.lstsq(z.conj().T, y.conj().T, rcond=None)
@@ -272,6 +415,29 @@ def test_heat_dilation_cycle_random(rng):
     assert formula < 1e-12
 
 
+@pytest.mark.parametrize("model", ["two_state", "cycle5", "chain6"])
+@pytest.mark.parametrize("steps", [1, 2])
+def test_theta_on_columns_matches_dense_oracle(model, steps, request, rng):
+    mdl = request.getfixturevalue(model)
+    delta, levels = Fraction(1, 4), 3
+    t = steps * delta
+    hd = HeatDilation(mdl, delta, levels)
+    level = levels - steps
+    f = rng.standard_normal(mdl.states)
+    op = hd.represent(f, level)
+    theta = dense_theta(hd, op, level, t)
+    k0 = hd.embed_matrix(levels, 0)
+    compressed = k0.conj().T @ hd.theta(op, level, t, k0)
+    oracle = k0.conj().T @ theta @ k0
+    assert np.linalg.norm(compressed - oracle, 2) < 1e-12
+    cols = rng.standard_normal((theta.shape[0], 3))
+    assert np.abs(hd.theta(op, level, t, cols) - theta @ cols).max() < 1e-12
+    evolved = mdl.transition(float(t)) @ f
+    direct, _ = heat_dilation_defect(mdl, delta, levels, t, f)
+    assert abs(direct - np.linalg.norm(oracle - np.diag(evolved), 2)) < 1e-12
+    assert direct < 1e-10
+
+
 def test_heat_dilation_embeddings_are_isometries(two_state):
     hd = HeatDilation(two_state, Fraction(1, 4), 4)
     for k in range(5):
@@ -285,7 +451,7 @@ def test_heat_dilation_embeddings_are_isometries(two_state):
 def test_indicator_products_match_slot_product_columns():
     m, n = 3, 2
     eye = np.eye(m)
-    cols = [slot_product(m, [eye[f] for f in combo[::2]], [eye[g] for g in combo[1::2]])
+    cols = [slot_product([eye[f] for f in combo[::2]], [eye[g] for g in combo[1::2]])
             for combo in np.ndindex(*([m] * (2 * n)))]
     cols = [c.reshape(-1) for c in cols]
     assert np.array_equal(indicator_products(m, n), np.column_stack(cols))
