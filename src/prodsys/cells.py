@@ -36,7 +36,7 @@ from .bimodule import (
     tensor_vec,
 )
 from .cpdyn import CpMap, CpSemigroup, evaluate, law_defect
-from .partition import Partition, coarsenings, grouping, join, refines
+from .partition import Partition, grouping, join, refines
 
 
 class CellSystem:
@@ -95,18 +95,25 @@ class CellSystem:
         return self.fuse(parts, [self.gns(t).embed @ np.kron(x, v)
                                  for t, x, v in zip(parts, xs, vs)])
 
-    def fuse(self, parts: Sequence[Fraction], slots: Sequence[np.ndarray]) -> np.ndarray:
+    def fuse(self, parts: Sequence[Fraction], slots: Sequence[np.ndarray],
+             thin: bool = False) -> np.ndarray:
         """Fuse one slot matrix per part, left to right, into cell(parts).
 
         The columns of slots[i] are vectors of the single-part cell at
         parts[i]; the result has a column for every choice of one column per
         slot, in np.kron order.  Each step contracts against a reshaped view
         of the cell's embed, so no pre-quotient kron product is formed.
+
+        With `thin`, a fused family u wider than tall is replaced by R* from
+        u* = Q R; later steps act column by column, so the result is the
+        full fold times the co-isometry Q* (x) I, with its singular values.
         """
         u = slots[0]
         for i, w in enumerate(slots[1:], 2):
             e = self.cell(Partition(tuple(parts[:i]))).embed
             u = (u.T @ (e.reshape(len(e), len(u), len(w)) @ w)).reshape(len(e), -1)
+            if thin and u.shape[1] > len(u):
+                u = np.linalg.qr(u.conj().T, mode="r").conj().T
         return u
 
     # -- canonical collapse -------------------------------------------
@@ -136,9 +143,9 @@ class CellSystem:
                 sub = self.cell(Partition(p.parts[a:j]))
                 ej = self.cell(Partition(p.parts[:j])).embed
                 rows = ej.shape[0]
-                # ej @ kron(m, I_g) @ kron(I_da, sub.lift), on reshaped views
-                m = ej.reshape(rows, -1, g.dim).transpose(0, 2, 1) @ m
-                m = (m.transpose(0, 2, 1).reshape(rows, da, -1) @ sub.lift).reshape(rows, -1)
+                # ej @ kron(m, I_g) @ kron(I_da, sub.lift), contracted in `fuse`'s order
+                m = (m.T @ ej.reshape(rows, -1, g.dim)).reshape(rows, da, -1) @ sub.lift
+                m = m.reshape(rows, -1)
         self._collapse[key] = m
         return m
 
@@ -278,20 +285,15 @@ def semigroup_defect(maps: dict[Fraction, CpMap]) -> float:
 
 
 def generating_rank(unit: Unit, p: Partition, rtol: float = 1e-10) -> tuple[int, int]:
-    """Rank of the span produced by the unit at one partition level.
+    """Rank of the unit's elementary tensors at p, and the dim of cell(p).
 
-    Collects, over every coarsening of p, the vectors obtained by filling
-    the unit's slots with algebra basis elements and a final right factor,
-    refined into cell(p).  Returns (rank, dim of the cell).
+    The family of `cell_target_elementary`, folded thin.  Refining a tensor
+    of a coarsening of p gives, by unit factorization, one of p with 1 in
+    the merged slots, so the family spans all the unit produces at p.
     """
-    cs = unit.system
-    cols = []
-    for c in coarsenings(p):
-        if any(t not in unit.vectors for t in c.parts):
-            continue
-        ref = cs.refinement(p, c).matrix if c != p else np.eye(cs.cell(p).dim)
-        cols.append(ref @ cell_target_elementary(cs, unit, c.parts))
-    return numerical_rank(np.hstack(cols), rtol), cs.cell(p).dim
+    cs, eye = unit.system, np.eye(unit.system.sf.algebra.dim)
+    z = _unit_fold(cs, unit.vectors, p.parts, eye, eye, thin=True)
+    return numerical_rank(z, rtol), cs.cell(p).dim
 
 
 def unit_system_isomorphism(
@@ -322,7 +324,21 @@ def cell_target_elementary(cs: CellSystem, unit: Unit, parts: Sequence[Fraction]
     Column (x_1, ..., x_n, y), in kron order over the algebra basis, fuses
     x_i acting on the unit vector of each part, y on the last from the right.
     """
-    slots = [(cs.gns(t).left @ unit.vectors[Fraction(t)]).T for t in parts]
+    eye = np.eye(cs.sf.algebra.dim)
+    return _unit_fold(cs, unit.vectors, [Fraction(t) for t in parts], eye, eye)
+
+
+def _unit_fold(cs: CellSystem, vectors: dict[Fraction, np.ndarray], parts: Sequence[Fraction],
+               elements: np.ndarray, right: np.ndarray, thin: bool = False) -> np.ndarray:
+    """`fuse` of x_i acting on vectors[parts[i]], the last slot also times y from the right.
+
+    x_i runs over the coordinate columns of `elements`, y over those of `right`.
+    """
+    for t in parts:
+        if t not in vectors:
+            raise ValueError(f"unit has no vector at time {t}")
+    slots = [(cs.gns(t).left @ vectors[t]).T @ elements for t in parts]
     last = cs.gns(parts[-1])
-    slots[-1] = np.einsum("yab,bx->axy", last.right, slots[-1]).reshape(last.dim, -1)
-    return cs.fuse(parts, slots)
+    rights = np.tensordot(right, last.right, axes=(0, 0))
+    slots[-1] = np.einsum("yab,bx->axy", rights, slots[-1]).reshape(last.dim, -1)
+    return cs.fuse(parts, slots, thin=thin)

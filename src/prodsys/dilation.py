@@ -27,11 +27,11 @@ gives the formula.  No relative tensor product is formed;
 `TruncatedLimit.split` keeps that definition as the reference.
 
 The two checks on the whole tower work on factors of the size of the
-spaces.  The orbit family of `minimality_evidence` is replaced by its R
-factor after every level, which keeps its singular values.  A cocycle is
-kept as its bounded-vector maps b_t (D_k x d), with w_t = b_t k0_t*, so the
-cocycle law compares two sums of rank-d products U V* through a QR of the
-2d right factors.
+spaces.  Minimality forms no theta: the orbit of the corner is the unit's
+elementary tensors at n parts of delta, folded thin (`minimality_evidence`
+proves the span identity).  A cocycle is kept as its bounded-vector maps
+b_t (D_k x d), with w_t = b_t k0_t*, so the cocycle law compares two sums
+of rank-d products U V* through a QR of the 2d right factors.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, StandardForm, lmult_matrix
 from .bimodule import Bimodule, numerical_rank, pi_phi, relative_tensor
-from .cells import CellSystem, Unit
+from .cells import CellSystem, Unit, _unit_fold
 from .cpdyn import evaluate
 from .partition import Partition, uniform
 
@@ -109,21 +109,6 @@ class TruncatedLimit:
             self._embed[key] = jmat @ np.kron(xi[:, None], np.eye(self.spaces[j].dim))
         return self._embed[key]
 
-    def embedding_isometry_defect(self) -> float:
-        """Largest isometry defect among the connecting maps.
-
-        Zero for unital units; a non-unital unit makes the connecting maps
-        strict contractions and the defect reports how far they are from
-        preserving norms.
-        """
-        worst = 0.0
-        for k in range(self.levels + 1):
-            for j in range(k):
-                b = self.embed_matrix(k, j)
-                worst = max(worst, float(np.linalg.norm(
-                    b.conj().T @ b - np.eye(self.spaces[j].dim), 2)))
-        return worst
-
     def split(self, level: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Fold u r.embed and unfold r.lift u* of a level split as (level - j, j).
 
@@ -155,20 +140,10 @@ class TruncatedOperator:
     def on_top(self) -> np.ndarray:
         return self.at_level(self.tl.levels)
 
-    def compose(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        lvl = max(self.level, other.level)
-        return TruncatedOperator(self.tl, lvl, self.at_level(lvl) @ other.at_level(lvl))
-
 
 def represent(tl: TruncatedLimit, x: AlgebraElement) -> TruncatedOperator:
     """The algebra represented on the tower: compress to level 0, act, re-embed."""
     return TruncatedOperator(tl, 0, lmult_matrix(x))
-
-
-def corner_projection(tl: TruncatedLimit) -> np.ndarray:
-    """Top-level projection onto the embedded standard space."""
-    k0 = tl.embed_matrix(tl.levels, 0)
-    return k0 @ k0.conj().T
 
 
 def frame_weights(sf: StandardForm) -> list[float]:
@@ -250,23 +225,32 @@ def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
     elementary tensor of the top cell.  Restricting `elements` produces an
     honest partial rank.
 
-    The d |elements|^n words are never held at once.  Whenever the family
-    has more rows than the top dimension it is replaced by the R factor of
-    its QR: with z = Q R, stacking [z theta_x^T]_x is blockdiag(Q, ..., Q)
-    times the stack of [R theta_x^T]_x, and that factor has orthonormal
-    columns, so every level keeps the singular values of the full family.
+    No theta is formed.  With xi the unit, (x) the collapse and Omega b_y =
+    y Omega, the word applied to k0(y Omega) = xi_{top delta} b_y is
+
+        xi_{(top-n) delta} (x) x_n xi_delta (x) ... (x) x_1 xi_delta b_y.
+
+    Induction: theta_{k delta}(x) is x acting on the left of level k,
+    carried to the top by xi_{(top-k) delta} (x) -; splitting the leading
+    unit vector as xi_{(top-k) delta} (x) xi_delta puts x_k on the first
+    slot of level k.  So the words are an isometry applied to the unit's
+    fold at n parts of delta, which keeps their singular values, given the
+    unit law and isometric connecting maps.  y -> b_y is unitary only for a
+    tracial density: with y, not b_y, in the last slot the singular values
+    were 0.58 to 1.94 times the words' on a non-tracial 2x2 Lindblad tower.
     """
-    n = depth if depth is not None else tl.levels
-    basis = list(tl.sf.algebra.basis()) if elements is None else list(elements)
-    # the family is kept as rows, so that every step reshapes without a copy
-    z = (tl.embed_matrix(tl.levels, 0) @ tl.sf.embed_left_matrix).T
-    for k in range(1, n + 1):
-        thetas = np.stack([dilate(tl, k * tl.delta, represent(tl, x)).on_top()
-                           for x in basis])
-        z = (z @ thetas.transpose(0, 2, 1)).reshape(-1, z.shape[1])
-        if z.shape[0] > z.shape[1]:
-            z = np.linalg.qr(z, mode="r")
-    return MinimalityReport(numerical_rank(z, rtol), tl.spaces[tl.levels].dim)
+    n = tl.levels if depth is None else depth
+    if not 0 <= n <= tl.levels:
+        raise TruncationError(f"words of length {n} leave a tower of {tl.levels} levels",
+                              max_time=tl.levels * tl.delta)
+    sf, top = tl.sf, tl.spaces[tl.levels].dim
+    if n == 0:
+        return MinimalityReport(numerical_rank(sf.embed_left_matrix, rtol), top)
+    xs = np.eye(sf.algebra.dim) if elements is None else np.column_stack(
+        [x.vec() for x in elements])
+    z = _unit_fold(tl.system, {tl.delta: tl.unit_level[1]}, tl.partition_at(n).parts, xs,
+                   sf.solve_right_matrix @ sf.embed_left_matrix, thin=True)
+    return MinimalityReport(numerical_rank(z, rtol), top)
 
 
 def continuity_profile(tl: TruncatedLimit) -> dict[tuple[Fraction, int], float]:
@@ -340,16 +324,6 @@ class Cocycle:
                 r = np.linalg.qr(np.hstack([v1, tl.embed_matrix(lvl, 0)]), mode="r")
                 diff = np.hstack([u1, -self.maps[s + t]]) @ r.conj().T
                 worst = max(worst, float(np.linalg.norm(diff, 2)))
-        return worst
-
-    def adapted_defect(self) -> float:
-        worst = 0.0
-        for t, op in self.values.items():
-            k = self.tl.grid_index(t)
-            top = op.on_top()
-            kk = self.tl.embed_matrix(self.tl.levels, k)
-            proj = kk @ kk.conj().T
-            worst = max(worst, float(np.linalg.norm(proj @ top @ proj - top, 2)))
         return worst
 
 

@@ -58,6 +58,22 @@ def reversible_chain(seed, m):
     return mu, lap
 
 
+def embedding_isometry_defect(tl):
+    """Largest isometry defect among a tower's connecting maps.
+
+    Zero for unital units; a non-unital unit makes the connecting maps
+    strict contractions and the defect reports how far they are from
+    preserving norms.
+    """
+    worst = 0.0
+    for k in range(tl.levels + 1):
+        for j in range(k):
+            b = tl.embed_matrix(k, j)
+            worst = max(worst, float(np.linalg.norm(
+                b.conj().T @ b - np.eye(tl.spaces[j].dim), 2)))
+    return worst
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)

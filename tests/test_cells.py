@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from prodsys.algebra import lmult_matrix, make_algebra, make_state, standard_form, uniform_state
-from prodsys.bimodule import pi_phi, verify_map
+from prodsys.bimodule import left_materialization, numerical_rank, pi_phi, verify_map
 from prodsys.cells import (
     CellSystem,
     Unit,
@@ -17,8 +18,10 @@ from prodsys.cells import (
     unit_report,
     unit_system_isomorphism,
 )
+from prodsys.cli import load_config, suite_roundtrip
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
-from prodsys.partition import Partition, join, partition, uniform
+import prodsys.cli
+from prodsys.partition import Partition, coarsenings, join, partition, uniform
 
 from conftest import mixed_semigroup
 
@@ -423,3 +426,112 @@ def test_family_matches_elementary_columns(request, system, parts):
     batched = cs.family(p.parts, xs, vs)
     assert batched.shape == reference.shape
     assert np.abs(batched - reference).max() < 1e-12 * np.abs(reference).max()
+
+
+def coarsening_union_rank(unit, p, rtol=1e-10):
+    """Rank of every coarsening's unit tensors refined into cell(p); the reference."""
+    cs = unit.system
+    cols = []
+    for c in coarsenings(p):
+        if any(t not in unit.vectors for t in c.parts):
+            continue
+        ref = cs.refinement(p, c).matrix if c != p else np.eye(cs.cell(p).dim)
+        cols.append(ref @ cell_target_elementary(cs, unit, c.parts))
+    return numerical_rank(np.hstack(cols), rtol)
+
+
+def _system(request, name):
+    if name == "mixed":
+        return mixed_semigroup()
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("system,p", [
+    ("pair", uniform(1, 1)), ("pair", uniform(1, 2)), ("pair", uniform(1, 3)),
+    ("pair", uniform(1, 4)), ("m2_lindblad", uniform(Fraction(3, 4), 3)),
+    ("mixed", uniform(1, 2)),
+])
+def test_generating_rank_matches_coarsening_union(request, system, p):
+    sg, sf = _system(request, system)
+    cs = CellSystem(sg, sf)
+    # every sum of consecutive parts, so that no coarsening is skipped
+    grid = {sum(p.parts[i:j], Fraction(0)) for i in range(len(p)) for j in range(i + 1, len(p) + 1)}
+    unit = canonical_unit(cs, sorted(grid))
+    rank, dim = generating_rank(unit, p)
+    assert dim == cs.cell(p).dim
+    assert rank == coarsening_union_rank(unit, p)
+
+
+def test_generating_rank_needs_every_part():
+    sg, sf = mixed_semigroup()
+    cs = CellSystem(sg, sf)
+    unit = canonical_unit(cs, [Fraction(1, 2)])
+    with pytest.raises(ValueError, match="1/4"):
+        generating_rank(unit, partition([Fraction(1, 2), Fraction(1, 4)]))
+
+
+def test_generating_rank_check_fails_on_a_block_zeroed_unit(monkeypatch):
+    cfg = load_config(None, None, 1.0)
+    block = cfg.algebra.diagonal([0.0, 1.0])
+
+    def zeroed(cs, grid):
+        unit = canonical_unit(cs, grid)
+        g = cs.gns(cfg.delta)
+        unit.vectors[cfg.delta] = g.left_matrix(block) @ unit.vectors[cfg.delta]
+        return unit
+
+    (check,) = [c for c in suite_roundtrip(cfg).checks if c.check_id == "generating-rank"]
+    assert check.passed
+    monkeypatch.setattr(prodsys.cli, "canonical_unit", zeroed)
+    (check,) = [c for c in suite_roundtrip(cfg).checks if c.check_id == "generating-rank"]
+    assert not check.passed
+
+
+def collapse_oracle(cs, p, a):
+    """The canonical collapse by the transposed-view recursion; the reference."""
+    n, cellp = len(p), cs.cell(p)
+    if a == 0:
+        return left_materialization(cellp, cs.sf)
+    if a == n:
+        m = np.tensordot(cs.sf.solve_right_matrix.T, cellp.right, axes=1)
+        return m.transpose(1, 2, 0).reshape(cellp.dim, -1)
+    da = cs.cell(Partition(p.parts[:a])).dim
+    m = cs.cell(Partition(p.parts[:a + 1])).embed
+    for j in range(a + 2, n + 1):
+        g = cs.gns(p.parts[j - 1])
+        sub = cs.cell(Partition(p.parts[a:j]))
+        ej = cs.cell(Partition(p.parts[:j])).embed
+        rows = ej.shape[0]
+        # ej @ kron(m, I_g) @ kron(I_da, sub.lift), on reshaped views
+        m = ej.reshape(rows, -1, g.dim).transpose(0, 2, 1) @ m
+        m = (m.transpose(0, 2, 1).reshape(rows, da, -1) @ sub.lift).reshape(rows, -1)
+    return m
+
+
+@pytest.mark.parametrize("system,p", [
+    ("pair", partition([Fraction(1, 8), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16),
+                        Fraction(1, 16), Fraction(1, 8), Fraction(1, 8), Fraction(1, 8)])),
+    ("m2_lindblad", partition([Fraction(1, 4), Fraction(1, 3), Fraction(1, 4)])),
+    ("mixed", partition([Fraction(1, 4), Fraction(1, 3), Fraction(1, 4)])),
+])
+def test_collapse_matches_transposed_recursion(request, system, p):
+    sg, sf = _system(request, system)
+    cs = CellSystem(sg, sf)
+    for a in range(len(p) + 1):
+        got, ref = cs.collapse(p, a), collapse_oracle(cs, p, a)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() < 1e-12 * max(1.0, np.abs(ref).max()), a
+
+
+def test_collapse_memory_at_an_interior_cut(m2_lindblad):
+    cs = CellSystem(*m2_lindblad)
+    p = uniform(Fraction(3, 4), 3)
+    cs.cell(p)
+    tracemalloc.start()
+    try:
+        m = cs.collapse(p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (256, 1024)
+    assert peak < 6 * m.nbytes

@@ -5,7 +5,7 @@ import pytest
 
 from prodsys.algebra import diagonal_state, lmult_matrix, make_algebra, standard_form
 from prodsys.bimodule import pi_phi
-from prodsys.cells import CellSystem, canonical_unit
+from prodsys.cells import CellSystem, _unit_fold, canonical_unit
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
 import prodsys.dilation
 from prodsys.dilation import (
@@ -18,7 +18,6 @@ from prodsys.dilation import (
     compression_defect,
     continuity_profile,
     corner_isometry_defect,
-    corner_projection,
     dilate,
     frame_weights,
     minimality_evidence,
@@ -27,7 +26,7 @@ from prodsys.dilation import (
     unit_level_vectors,
 )
 
-from conftest import mixed_semigroup, random_element
+from conftest import embedding_isometry_defect, mixed_semigroup, random_element
 
 
 def make_tl(pair, delta=Fraction(1, 4), levels=4):
@@ -36,6 +35,12 @@ def make_tl(pair, delta=Fraction(1, 4), levels=4):
     grid = [k * delta for k in range(levels + 1)]
     unit = canonical_unit(cs, grid)
     return TruncatedLimit(cs, unit, delta, levels), cs, unit
+
+
+def corner_projection(tl):
+    """Top-level projection onto the embedded standard space."""
+    k0 = tl.embed_matrix(tl.levels, 0)
+    return k0 @ k0.conj().T
 
 
 def test_tower_dimensions(pair):
@@ -79,9 +84,9 @@ def test_non_unital_unit_breaks_embedding_isometry(pair):
     delta = Fraction(1, 4)
     grid = [k * delta for k in range(4)]
     unital_tl = TruncatedLimit(cs, canonical_unit(cs, grid), delta, 3)
-    assert unital_tl.embedding_isometry_defect() < 1e-10
+    assert embedding_isometry_defect(unital_tl) < 1e-10
     damped_tl = TruncatedLimit(cs, canonical_unit(cs, grid).scaled(0.5), delta, 3)
-    assert damped_tl.embedding_isometry_defect() > 1e-2
+    assert embedding_isometry_defect(damped_tl) > 1e-2
 
 
 def test_representation_is_faithful_unital_multiplicative(pair, rng):
@@ -327,7 +332,9 @@ def dense_law_defect(w):
         for t in times:
             if s + t not in values or values[s].level + tl.grid_index(t) > tl.levels:
                 continue
-            lhs = dilate(tl, t, values[s]).compose(values[t])
+            lhs, wt = dilate(tl, t, values[s]), values[t]
+            lvl = max(lhs.level, wt.level)
+            lhs = TruncatedOperator(tl, lvl, lhs.at_level(lvl) @ wt.at_level(lvl))
             rhs = values[s + t]
             lvl = max(lhs.level, rhs.level)
             worst = max(worst, float(np.linalg.norm(lhs.at_level(lvl) - rhs.at_level(lvl), 2)))
@@ -362,11 +369,21 @@ def test_thin_cocycle_law_matches_dense(request, system, levels):
     assert abs(corner_isometry_defect(tl, broken) - dense_corner_defect(broken)) < 1e-12
 
 
+def adapted_defect(w):
+    """How far each value w_t leaves the range of its support level at the top."""
+    tl, worst = w.tl, 0.0
+    for t, op in w.values.items():
+        kk = tl.embed_matrix(tl.levels, tl.grid_index(t))
+        proj, top = kk @ kk.conj().T, op.on_top()
+        worst = max(worst, float(np.linalg.norm(proj @ top @ proj - top, 2)))
+    return worst
+
+
 def test_cocycle_law_and_adaptedness(pair):
     tl, cs, unit = make_tl(pair)
     w = cocycle_from_unit(tl, unit)
     assert w.law_defect() < 1e-9
-    assert w.adapted_defect() < 1e-12
+    assert adapted_defect(w) < 1e-12
     assert corner_isometry_defect(tl, w) < 1e-9  # unital case
 
 
@@ -406,38 +423,20 @@ def test_unit_cocycle_roundtrips(pair, rng):
 def word_loop_family(tl, depth, elements):
     """One decreasing word per choice of letters, as columns; the reference."""
     k0 = tl.embed_matrix(tl.levels, 0)
+    thetas = {(k, i): dilate(tl, k * tl.delta, represent(tl, x)).on_top()
+              for k in range(1, depth + 1) for i, x in enumerate(elements)}
     cols = []
     for y in tl.sf.algebra.basis():
         for combo in np.ndindex(*([len(elements)] * depth)):
             v = k0 @ tl.sf.embed_left(y)
             for k in range(1, depth + 1):
-                x = elements[combo[depth - k]]
-                v = dilate(tl, k * tl.delta, represent(tl, x)).on_top() @ v
+                v = thetas[(k, combo[depth - k])] @ v
             cols.append(v)
     return np.column_stack(cols)
 
 
-def word_loop_rank(tl, depth, elements, rtol=1e-10):
-    sv = np.linalg.svd(word_loop_family(tl, depth, elements), compute_uv=False)
-    return int(np.sum(sv > rtol * sv[0]))
-
-
-@pytest.mark.parametrize("depth", [1, 2, 3])
-def test_minimality_rank_matches_word_loop(pair, m2_lindblad, depth):
-    for system, levels in [(pair, 3), (m2_lindblad, 2)]:
-        tl, _, _ = make_tl(system, levels=levels)
-        if depth > levels:
-            continue
-        alg = tl.sf.algebra
-        basis = list(alg.basis())
-        for elements in [basis, basis[:1], [alg.identity()], [basis[-1], alg.identity()]]:
-            rep = minimality_evidence(tl, depth=depth, elements=elements)
-            assert rep.span_rank == word_loop_rank(tl, depth, elements)
-
-
-def test_minimality_family_stays_thin(pair, monkeypatch):
-    # 2 * 2^3 = 16 words at 3 levels against a top dimension of 5
-    tl, _, _ = make_tl(pair, levels=3)
+def recorded_minimality(monkeypatch, tl, **kwargs):
+    """(report, family whose rank it took) of one `minimality_evidence` call."""
     seen = []
     rank = prodsys.dilation.numerical_rank
 
@@ -446,11 +445,56 @@ def test_minimality_family_stays_thin(pair, monkeypatch):
         return rank(z, rtol)
 
     monkeypatch.setattr(prodsys.dilation, "numerical_rank", recording)
-    rep = minimality_evidence(tl)
+    rep = minimality_evidence(tl, **kwargs)
+    monkeypatch.setattr(prodsys.dilation, "numerical_rank", rank)
     (z,) = seen
-    assert z.shape[0] <= rep.top_dim == 5
-    basis = list(tl.sf.algebra.basis())
-    full = np.linalg.svd(word_loop_family(tl, 3, basis), compute_uv=False)
+    return rep, z
+
+
+def assert_same_singular_values(z, reference):
     got = np.linalg.svd(z, compute_uv=False)
-    assert len(got) == len(full)
-    assert np.abs(got - full).max() < 1e-12 * full[0]
+    full = np.linalg.svd(reference, compute_uv=False)
+    n = min(len(got), len(full))
+    scale = 1e-12 * full[0]
+    assert np.abs(got[:n] - full[:n]).max() <= scale
+    assert got[n:].max(initial=0.0) <= scale and full[n:].max(initial=0.0) <= scale
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_minimality_rank_matches_word_loop(pair, m2_lindblad, monkeypatch, depth):
+    # with b_y in the last slot the fold has the words' singular values,
+    # also for the non-tracial density of m2_lindblad
+    towers = [(pair, 3), (pair, 4), (m2_lindblad, 2), (m2_lindblad, 3), (mixed_semigroup(), 2)]
+    for system, levels in towers:
+        if depth > levels:
+            continue
+        tl, _, _ = make_tl(system, levels=levels)
+        alg = tl.sf.algebra
+        basis = list(alg.basis())
+        for elements in [basis, basis[:1], [alg.identity()], [basis[-1], alg.identity()]]:
+            rep, z = recorded_minimality(monkeypatch, tl, depth=depth, elements=elements)
+            words = word_loop_family(tl, depth, elements)
+            sv = np.linalg.svd(words, compute_uv=False)
+            assert rep.span_rank == int(np.sum(sv > 1e-10 * sv[0]))
+            assert_same_singular_values(z, words)
+
+
+def test_minimality_family_stays_thin(pair, monkeypatch):
+    # the unthinned fold of 16 levels has 2^16 * 2 = 2^17 columns in 18 rows
+    tl, cs, _ = make_tl(pair, delta=Fraction(1, 16), levels=16)
+    rep, z = recorded_minimality(monkeypatch, tl)
+    assert rep.full and rep.top_dim == 18
+    assert z.shape[1] <= z.shape[0] == 18
+    sf = tl.sf
+    full = _unit_fold(cs, {tl.delta: tl.unit_level[1]}, tl.partition_at(16).parts,
+                      np.eye(sf.algebra.dim), sf.solve_right_matrix @ sf.embed_left_matrix)
+    assert full.shape == (18, 2 ** 17)
+    assert_same_singular_values(z, full)
+
+
+def test_minimality_depth_bounds(pair):
+    tl, _, _ = make_tl(pair, levels=3)
+    with pytest.raises(TruncationError):
+        minimality_evidence(tl, depth=4)
+    rep = minimality_evidence(tl, depth=0)
+    assert rep.span_rank == tl.sf.dim and rep.top_dim == 5
