@@ -287,12 +287,13 @@ def semigroup_defect(maps: dict[Fraction, CpMap]) -> float:
 def generating_rank(unit: Unit, p: Partition, rtol: float = 1e-10) -> tuple[int, int]:
     """Rank of the unit's elementary tensors at p, and the dim of cell(p).
 
-    The family of `cell_target_elementary`, folded thin.  Refining a tensor
-    of a coarsening of p gives, by unit factorization, one of p with 1 in
-    the merged slots, so the family spans all the unit produces at p.
+    Slot i holds the basis acting on the unit vector of part i, the last
+    also a basis element from the right.  Refining a tensor of a coarsening
+    of p gives, by unit factorization, one of p with 1 in the merged slots,
+    so the family spans all the unit produces at p.
     """
     cs, eye = unit.system, np.eye(unit.system.sf.algebra.dim)
-    z = _unit_fold(cs, unit.vectors, p.parts, eye, eye, thin=True)
+    z = _unit_fold(cs, unit.vectors, p.parts, eye, eye)
     return numerical_rank(z, rtol), cs.cell(p).dim
 
 
@@ -306,8 +307,8 @@ def unit_system_isomorphism(
 
     The map sends the elementary tensor with algebra slots xs over cyclic
     vectors, and a final right factor y, to the target's multiplied unit
-    vectors with the same slots, column (xs, y) of `target_family` as
-    `cell_target_elementary` orders it.  Returns the map together with the
+    vectors with the same slots, column (xs, y) of `target_family` in kron
+    order over the algebra basis.  Returns the map together with the
     extension defect on the defining family; a generating target makes the
     map unitary, a rank-deficient family shows up in the defect report.
     """
@@ -318,21 +319,12 @@ def unit_system_isomorphism(
     return BimoduleMap(cs.cell(p), target, u), defect
 
 
-def cell_target_elementary(cs: CellSystem, unit: Unit, parts: Sequence[Fraction]) -> np.ndarray:
-    """Target-side multiplied unit vectors for a cell system with a unit.
-
-    Column (x_1, ..., x_n, y), in kron order over the algebra basis, fuses
-    x_i acting on the unit vector of each part, y on the last from the right.
-    """
-    eye = np.eye(cs.sf.algebra.dim)
-    return _unit_fold(cs, unit.vectors, [Fraction(t) for t in parts], eye, eye)
-
-
 def _unit_fold(cs: CellSystem, vectors: dict[Fraction, np.ndarray], parts: Sequence[Fraction],
-               elements: np.ndarray, right: np.ndarray, thin: bool = False) -> np.ndarray:
+               elements: np.ndarray, right: np.ndarray) -> np.ndarray:
     """`fuse` of x_i acting on vectors[parts[i]], the last slot also times y from the right.
 
-    x_i runs over the coordinate columns of `elements`, y over those of `right`.
+    x_i runs over the coordinate columns of `elements`, y over those of
+    `right`.  The fold runs thin: only the family's singular values are kept.
     """
     for t in parts:
         if t not in vectors:
@@ -341,4 +333,4 @@ def _unit_fold(cs: CellSystem, vectors: dict[Fraction, np.ndarray], parts: Seque
     last = cs.gns(parts[-1])
     rights = np.tensordot(right, last.right, axes=(0, 0))
     slots[-1] = np.einsum("yab,bx->axy", rights, slots[-1]).reshape(last.dim, -1)
-    return cs.fuse(parts, slots, thin=thin)
+    return cs.fuse(parts, slots, thin=True)

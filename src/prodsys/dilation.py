@@ -109,6 +109,21 @@ class TruncatedLimit:
             self._embed[key] = jmat @ np.kron(xi[:, None], np.eye(self.spaces[j].dim))
         return self._embed[key]
 
+    def embedding_isometry_defect(self) -> float:
+        """Largest isometry defect among the connecting maps.
+
+        Zero for unital units; a non-unital unit makes the connecting maps
+        strict contractions and the defect reports how far they are from
+        preserving norms.
+        """
+        worst = 0.0
+        for k in range(self.levels + 1):
+            for j in range(k):
+                b = self.embed_matrix(k, j)
+                worst = max(worst, float(np.linalg.norm(
+                    b.conj().T @ b - np.eye(self.spaces[j].dim), 2)))
+        return worst
+
     def split(self, level: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Fold u r.embed and unfold r.lift u* of a level split as (level - j, j).
 
@@ -140,10 +155,20 @@ class TruncatedOperator:
     def on_top(self) -> np.ndarray:
         return self.at_level(self.tl.levels)
 
+    def compose(self, other: "TruncatedOperator") -> "TruncatedOperator":
+        lvl = max(self.level, other.level)
+        return TruncatedOperator(self.tl, lvl, self.at_level(lvl) @ other.at_level(lvl))
+
 
 def represent(tl: TruncatedLimit, x: AlgebraElement) -> TruncatedOperator:
     """The algebra represented on the tower: compress to level 0, act, re-embed."""
     return TruncatedOperator(tl, 0, lmult_matrix(x))
+
+
+def corner_projection(tl: TruncatedLimit) -> np.ndarray:
+    """Top-level projection onto the embedded standard space."""
+    k0 = tl.embed_matrix(tl.levels, 0)
+    return k0 @ k0.conj().T
 
 
 def frame_weights(sf: StandardForm) -> list[float]:
@@ -234,22 +259,26 @@ def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
     carried to the top by xi_{(top-k) delta} (x) -; splitting the leading
     unit vector as xi_{(top-k) delta} (x) xi_delta puts x_k on the first
     slot of level k.  So the words are an isometry applied to the unit's
-    fold at n parts of delta, which keeps their singular values, given the
-    unit law and isometric connecting maps.  y -> b_y is unitary only for a
-    tracial density: with y, not b_y, in the last slot the singular values
-    were 0.58 to 1.94 times the words' on a non-tracial 2x2 Lindblad tower.
+    fold at n parts of delta, which keeps their singular values, given
+    isometric connecting maps and the unit law xi_{k delta} = xi_{(k-1)
+    delta} (x) xi_delta, which is checked on every level (ValueError past
+    1e-8).  y -> b_y is unitary only for a tracial density: with y, not
+    b_y, in the last slot the singular values were 0.58 to 1.94 times the
+    words' on a non-tracial 2x2 Lindblad tower.
     """
-    n = tl.levels if depth is None else depth
-    if not 0 <= n <= tl.levels:
-        raise TruncationError(f"words of length {n} leave a tower of {tl.levels} levels",
-                              max_time=tl.levels * tl.delta)
-    sf, top = tl.sf, tl.spaces[tl.levels].dim
+    n = tl.levels if depth is None else tl.grid_index(depth * tl.delta)
+    sf, top, xi = tl.sf, tl.spaces[tl.levels].dim, tl.unit_level[1]
     if n == 0:
         return MinimalityReport(numerical_rank(sf.embed_left_matrix, rtol), top)
-    xs = np.eye(sf.algebra.dim) if elements is None else np.column_stack(
-        [x.vec() for x in elements])
-    z = _unit_fold(tl.system, {tl.delta: tl.unit_level[1]}, tl.partition_at(n).parts, xs,
-                   sf.solve_right_matrix @ sf.embed_left_matrix, thin=True)
+    for k in range(2, tl.levels + 1):
+        e = tl.spaces[k].embed
+        law = np.linalg.norm((e.reshape(len(e), -1, len(xi)) @ xi) @ tl.unit_level[k - 1]
+                             - tl.unit_level[k])
+        if law > 1e-8:
+            raise ValueError(f"unit law fails at level {k} (defect {law:.2e})")
+    xs = np.column_stack([x.vec() for x in (sf.algebra.basis() if elements is None else elements)])
+    z = _unit_fold(tl.system, {tl.delta: xi}, tl.partition_at(n).parts, xs,
+                   sf.solve_right_matrix @ sf.embed_left_matrix)
     return MinimalityReport(numerical_rank(z, rtol), top)
 
 
@@ -324,6 +353,16 @@ class Cocycle:
                 r = np.linalg.qr(np.hstack([v1, tl.embed_matrix(lvl, 0)]), mode="r")
                 diff = np.hstack([u1, -self.maps[s + t]]) @ r.conj().T
                 worst = max(worst, float(np.linalg.norm(diff, 2)))
+        return worst
+
+    def adapted_defect(self) -> float:
+        worst = 0.0
+        for t, op in self.values.items():
+            k = self.tl.grid_index(t)
+            top = op.on_top()
+            kk = self.tl.embed_matrix(self.tl.levels, k)
+            proj = kk @ kk.conj().T
+            worst = max(worst, float(np.linalg.norm(proj @ top @ proj - top, 2)))
         return worst
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -58,20 +60,16 @@ def reversible_chain(seed, m):
     return mu, lap
 
 
-def embedding_isometry_defect(tl):
-    """Largest isometry defect among a tower's connecting maps.
+def cell_target_elementary(cs, unit, parts):
+    """Every unit tensor at `parts`, unthinned; the reference for the thin unit fold.
 
-    Zero for unital units; a non-unital unit makes the connecting maps
-    strict contractions and the defect reports how far they are from
-    preserving norms.
+    Column (x_1, ..., x_n, y), in kron order over the algebra basis, fuses
+    x_i acting on the unit vector of each part, y on the last from the right.
     """
-    worst = 0.0
-    for k in range(tl.levels + 1):
-        for j in range(k):
-            b = tl.embed_matrix(k, j)
-            worst = max(worst, float(np.linalg.norm(
-                b.conj().T @ b - np.eye(tl.spaces[j].dim), 2)))
-    return worst
+    slots = [(cs.gns(t).left @ unit.vectors[Fraction(t)]).T for t in parts]
+    last = cs.gns(parts[-1])
+    slots[-1] = np.einsum("yab,bx->axy", last.right, slots[-1]).reshape(last.dim, -1)
+    return cs.fuse(parts, slots)
 
 
 @pytest.fixture

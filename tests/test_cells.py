@@ -11,7 +11,6 @@ from prodsys.cells import (
     CellSystem,
     Unit,
     canonical_unit,
-    cell_target_elementary,
     cp_from_unit,
     generating_rank,
     semigroup_defect,
@@ -23,7 +22,7 @@ from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
 import prodsys.cli
 from prodsys.partition import Partition, coarsenings, join, partition, uniform
 
-from conftest import mixed_semigroup
+from conftest import cell_target_elementary, mixed_semigroup
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 
 from prodsys.algebra import diagonal_state, lmult_matrix, make_algebra, standard_form
 from prodsys.bimodule import pi_phi
-from prodsys.cells import CellSystem, _unit_fold, canonical_unit
+from prodsys.cells import CellSystem, canonical_unit
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
 import prodsys.dilation
 from prodsys.dilation import (
@@ -18,6 +18,7 @@ from prodsys.dilation import (
     compression_defect,
     continuity_profile,
     corner_isometry_defect,
+    corner_projection,
     dilate,
     frame_weights,
     minimality_evidence,
@@ -26,7 +27,7 @@ from prodsys.dilation import (
     unit_level_vectors,
 )
 
-from conftest import embedding_isometry_defect, mixed_semigroup, random_element
+from conftest import cell_target_elementary, mixed_semigroup, random_element
 
 
 def make_tl(pair, delta=Fraction(1, 4), levels=4):
@@ -35,12 +36,6 @@ def make_tl(pair, delta=Fraction(1, 4), levels=4):
     grid = [k * delta for k in range(levels + 1)]
     unit = canonical_unit(cs, grid)
     return TruncatedLimit(cs, unit, delta, levels), cs, unit
-
-
-def corner_projection(tl):
-    """Top-level projection onto the embedded standard space."""
-    k0 = tl.embed_matrix(tl.levels, 0)
-    return k0 @ k0.conj().T
 
 
 def test_tower_dimensions(pair):
@@ -84,9 +79,9 @@ def test_non_unital_unit_breaks_embedding_isometry(pair):
     delta = Fraction(1, 4)
     grid = [k * delta for k in range(4)]
     unital_tl = TruncatedLimit(cs, canonical_unit(cs, grid), delta, 3)
-    assert embedding_isometry_defect(unital_tl) < 1e-10
+    assert unital_tl.embedding_isometry_defect() < 1e-10
     damped_tl = TruncatedLimit(cs, canonical_unit(cs, grid).scaled(0.5), delta, 3)
-    assert embedding_isometry_defect(damped_tl) > 1e-2
+    assert damped_tl.embedding_isometry_defect() > 1e-2
 
 
 def test_representation_is_faithful_unital_multiplicative(pair, rng):
@@ -332,9 +327,7 @@ def dense_law_defect(w):
         for t in times:
             if s + t not in values or values[s].level + tl.grid_index(t) > tl.levels:
                 continue
-            lhs, wt = dilate(tl, t, values[s]), values[t]
-            lvl = max(lhs.level, wt.level)
-            lhs = TruncatedOperator(tl, lvl, lhs.at_level(lvl) @ wt.at_level(lvl))
+            lhs = dilate(tl, t, values[s]).compose(values[t])
             rhs = values[s + t]
             lvl = max(lhs.level, rhs.level)
             worst = max(worst, float(np.linalg.norm(lhs.at_level(lvl) - rhs.at_level(lvl), 2)))
@@ -369,21 +362,11 @@ def test_thin_cocycle_law_matches_dense(request, system, levels):
     assert abs(corner_isometry_defect(tl, broken) - dense_corner_defect(broken)) < 1e-12
 
 
-def adapted_defect(w):
-    """How far each value w_t leaves the range of its support level at the top."""
-    tl, worst = w.tl, 0.0
-    for t, op in w.values.items():
-        kk = tl.embed_matrix(tl.levels, tl.grid_index(t))
-        proj, top = kk @ kk.conj().T, op.on_top()
-        worst = max(worst, float(np.linalg.norm(proj @ top @ proj - top, 2)))
-    return worst
-
-
 def test_cocycle_law_and_adaptedness(pair):
     tl, cs, unit = make_tl(pair)
     w = cocycle_from_unit(tl, unit)
     assert w.law_defect() < 1e-9
-    assert adapted_defect(w) < 1e-12
+    assert w.adapted_defect() < 1e-12
     assert corner_isometry_defect(tl, w) < 1e-9  # unital case
 
 
@@ -481,13 +464,14 @@ def test_minimality_rank_matches_word_loop(pair, m2_lindblad, monkeypatch, depth
 
 def test_minimality_family_stays_thin(pair, monkeypatch):
     # the unthinned fold of 16 levels has 2^16 * 2 = 2^17 columns in 18 rows
-    tl, cs, _ = make_tl(pair, delta=Fraction(1, 16), levels=16)
+    tl, cs, unit = make_tl(pair, delta=Fraction(1, 16), levels=16)
     rep, z = recorded_minimality(monkeypatch, tl)
     assert rep.full and rep.top_dim == 18
     assert z.shape[1] <= z.shape[0] == 18
-    sf = tl.sf
-    full = _unit_fold(cs, {tl.delta: tl.unit_level[1]}, tl.partition_at(16).parts,
-                      np.eye(sf.algebra.dim), sf.solve_right_matrix @ sf.embed_left_matrix)
+    # b_y in place of y in the last slot: y is the minor column index
+    full = cell_target_elementary(cs, unit, tl.partition_at(16).parts)
+    full = (full.reshape(18, -1, 2) @ (tl.sf.solve_right_matrix @ tl.sf.embed_left_matrix))
+    full = full.reshape(18, -1)
     assert full.shape == (18, 2 ** 17)
     assert_same_singular_values(z, full)
 
@@ -498,3 +482,15 @@ def test_minimality_depth_bounds(pair):
         minimality_evidence(tl, depth=4)
     rep = minimality_evidence(tl, depth=0)
     assert rep.span_rank == tl.sf.dim and rep.top_dim == 5
+
+
+def test_minimality_needs_the_unit_law(pair):
+    # a sign flip at 2 delta leaves every level isometric but breaks xi_2d = xi_d (x) xi_d
+    cs = CellSystem(*pair)
+    delta = Fraction(1, 4)
+    unit = canonical_unit(cs, [k * delta for k in range(4)])
+    unit.vectors[2 * delta] = -unit.vectors[2 * delta]
+    tl = TruncatedLimit(cs, unit, delta, 3)
+    assert minimality_evidence(tl, depth=0).span_rank == tl.sf.dim
+    with pytest.raises(ValueError, match="unit law fails at level 2"):
+        minimality_evidence(tl, depth=1)

@@ -18,7 +18,7 @@ from prodsys.cpdyn import evaluate, verify_ucp
 from prodsys.dilation import TruncatedLimit, compression_defect, minimality_evidence
 from prodsys.partition import partition, uniform
 
-from conftest import embedding_isometry_defect, mixed_semigroup
+from conftest import mixed_semigroup
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ def test_mixed_dilation_tower(mixed):
     delta, levels = Fraction(1, 4), 2
     unit = canonical_unit(cs, [k * delta for k in range(levels + 1)])
     tl = TruncatedLimit(cs, unit, delta, levels)
-    assert embedding_isometry_defect(tl) < 1e-10
+    assert tl.embedding_isometry_defect() < 1e-10
     worst = max(
         compression_defect(tl, k * delta, x)
         for x in sf.algebra.basis()
