@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 
 class ConfigurationError(ValueError):
@@ -170,18 +169,88 @@ def diagonal_state(algebra: Algebra, weights: Sequence[float]) -> State:
     )
 
 
+def block_diag(*mats: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of 2-d blocks, rectangular ones included."""
+    rows = sum(m.shape[0] for m in mats)
+    cols = sum(m.shape[1] for m in mats)
+    out = np.zeros((rows, cols), dtype=np.result_type(*mats))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r += m.shape[0]
+        c += m.shape[1]
+    return out
+
+
+# Padé coefficients b_0..b_m and the 1-norm bounds theta_m below which the
+# degree-m approximant has backward error at most the unit roundoff (Higham
+# 2005, Table 2.3).
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+         960960.0, 16380.0, 182.0, 1.0),
+}
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152e0
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with a Padé approximant.
+
+    Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl. 26 (2005): the smallest Padé
+    degree m in {3, 5, 7, 9} whose bound theta_m covers the 1-norm, else
+    degree 13 after s = ceil(log2(norm / theta_13)) halvings, undone by s
+    squarings.  The matrix is never diagonalized, so defective generators
+    lose no accuracy.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, float), copy=False)
+    norm = float(np.abs(a).sum(axis=0).max())  # NaN or inf for any non-finite entry
+    if not np.isfinite(norm):
+        raise ValueError("matrix exponential of a non-finite matrix")
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    for m, theta in _THETA:
+        if norm <= theta:
+            b = _PADE[m]
+            powers = [eye, a2]
+            while len(powers) <= m // 2:
+                powers.append(powers[-1] @ a2)
+            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+            v = sum(b[2 * k] * p for k, p in enumerate(powers))
+            return np.linalg.solve(v - u, v + u)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
+    b = _PADE[13]
+    a = a / 2.0 ** s
+    a2 = a2 / 4.0 ** s
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def lmult_matrix(x: AlgebraElement) -> np.ndarray:
     """Coordinate matrix of left multiplication by x on the Hilbert-Schmidt space."""
-    return scipy.linalg.block_diag(
-        *[np.kron(m, np.eye(n)) for m, n in zip(x.mats, x.algebra.blocks)]
-    )
+    return block_diag(*[np.kron(m, np.eye(n)) for m, n in zip(x.mats, x.algebra.blocks)])
 
 
 def rmult_matrix(x: AlgebraElement) -> np.ndarray:
     """Coordinate matrix of right multiplication by x."""
-    return scipy.linalg.block_diag(
-        *[np.kron(np.eye(n), m.T) for m, n in zip(x.mats, x.algebra.blocks)]
-    )
+    return block_diag(*[np.kron(np.eye(n), m.T) for m, n in zip(x.mats, x.algebra.blocks)])
 
 
 @dataclass(frozen=True)

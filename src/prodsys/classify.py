@@ -18,9 +18,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import Algebra, AlgebraElement, StandardForm, lmult_matrix, rmult_matrix
+from .algebra import (
+    Algebra, AlgebraElement, StandardForm, block_diag, expm, lmult_matrix, rmult_matrix,
+)
 from .bimodule import Bimodule, BimoduleMap, extend_from_family, inner, left_materialization
 from .cells import CellSystem
 from .partition import Partition
@@ -51,9 +52,9 @@ def inner_semigroup(algebra: Algebra, h: AlgebraElement) -> E0Semigroup:
     def action(t: Fraction) -> np.ndarray:
         blocks = []
         for hb, n in zip(h.mats, algebra.blocks):
-            u = scipy.linalg.expm(1j * float(t) * hb)
+            u = expm(1j * float(t) * hb)
             blocks.append(np.kron(u.conj().T, u.T))
-        out = scipy.linalg.block_diag(*blocks)
+        out = block_diag(*blocks)
         out.flags.writeable = False  # cached, shared by every map_at at t
         return out
 
@@ -271,11 +272,13 @@ def _unitary_intertwiner(algebra: Algebra,
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(space.shape[1]) + 1j * rng.standard_normal(space.shape[1])
     m = algebra.from_vec(space @ coeffs)
-    sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in m.mats])
+    svds = [np.linalg.svd(b) for b in m.mats]
+    sv = np.concatenate([s for _, s, _ in svds])
     margin = float(sv.min() / sv.max())
     if margin <= INTERTWINER_RTOL:
         return None, margin
-    return algebra.element([scipy.linalg.polar(b)[0] for b in m.mats]), margin
+    # the polar factor of b = u diag(s) vh is u vh
+    return algebra.element([u @ vh for u, _, vh in svds]), margin
 
 
 def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,

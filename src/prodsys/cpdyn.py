@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import Algebra, AlgebraElement, ConfigurationError, lmult_matrix, rmult_matrix
+from .algebra import Algebra, AlgebraElement, ConfigurationError, expm, lmult_matrix, rmult_matrix
 
 
 @dataclass(frozen=True)
@@ -103,6 +102,8 @@ def semigroup_from_generator(algebra: Algebra, generator: np.ndarray) -> CpSemig
     d = algebra.dim
     if gen.shape != (d, d):
         raise ConfigurationError(f"generator shape {gen.shape} != ({d}, {d})")
+    if not np.isfinite(gen).all():
+        raise ConfigurationError("generator has non-finite entries")
     one = algebra.identity().vec()
     defect = np.linalg.norm(gen @ one)
     if defect > 1e-10:
@@ -123,7 +124,7 @@ def evaluate(sg: CpSemigroup, t) -> CpMap:
     if tf == 0.0:
         action = np.eye(sg.algebra.dim, dtype=complex)
     else:
-        action = scipy.linalg.expm(tf * sg.generator)
+        action = expm(tf * sg.generator)
     result = CpMap(sg.algebra, action)
     with sg._lock:
         sg._cache[key] = result

@@ -27,9 +27,8 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import Algebra, StandardForm, diagonal_state, make_algebra, standard_form
+from .algebra import Algebra, StandardForm, diagonal_state, expm, make_algebra, standard_form
 from .bimodule import GRAM_RTOL, Bimodule, _kept
 from .partition import Partition
 
@@ -51,7 +50,7 @@ class MarkovModel:
 
     def transition(self, t: float) -> np.ndarray:
         """Matrix of the semigroup on functions at time t."""
-        return scipy.linalg.expm(-float(t) * self.laplacian)
+        return expm(-float(t) * self.laplacian)
 
     def algebra(self) -> Algebra:
         return make_algebra([1] * self.states)
@@ -64,6 +63,8 @@ class MarkovModel:
 def make_model(mu: Sequence[float], laplacian: np.ndarray) -> MarkovModel:
     mu = np.asarray(mu, dtype=float)
     lap = np.asarray(laplacian, dtype=float)
+    if not (np.isfinite(mu).all() and np.isfinite(lap).all()):
+        raise ModelError("weights and Laplacian must be finite")
     if mu.ndim != 1 or (mu <= 0).any():
         raise ModelError("weights must be positive")
     if abs(mu.sum() - 1.0) > 1e-12:
@@ -138,9 +139,7 @@ class PathMeasure:
 def path_measure(mdl: MarkovModel, p: Partition) -> PathMeasure:
     w = mdl.mu.copy()
     for part in p.parts:
-        kernel, _ = heat_kernel(mdl, part)
-        step = kernel * mdl.mu[None, :]
-        w = w[..., :, None] * step
+        w = w[..., :, None] * mdl.transition(part)
     return PathMeasure(p, w)
 
 
@@ -250,8 +249,7 @@ def embed_base_adjoint(mdl: MarkovModel, p: Partition, f: np.ndarray) -> np.ndar
         raise ValueError("at least one part required")
     m = mdl.states
     f = np.asarray(f, dtype=complex).reshape((m,) * (n + 1))
-    kernel, _ = heat_kernel(mdl, p.parts[-1])
-    kernel = kernel.astype(complex)
+    kernel = (mdl.transition(p.parts[-1]) / mdl.mu[None, :]).astype(complex)
     if n == 1:
         return np.einsum("ay,ay,a->y", f, kernel, mdl.mu.astype(complex))
     sub = path_measure(mdl, Partition(p.parts[:-1])).weights

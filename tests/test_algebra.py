@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodsys.algebra import (
     ConfigurationError,
     FaithfulnessError,
+    block_diag,
     diagonal_state,
+    expm,
     lmult_matrix,
     make_algebra,
     make_state,
@@ -12,8 +17,10 @@ from prodsys.algebra import (
     standard_form,
     uniform_state,
 )
+from prodsys.classify import _unitary_intertwiner
+from prodsys.cpdyn import lindblad_generator
 
-from conftest import random_element, random_state
+from conftest import random_element, random_hermitian, random_state
 
 
 def test_make_algebra_dimensions():
@@ -123,3 +130,85 @@ def test_solve_matrices_are_the_solve_maps(rng):
     for x in [random_element(alg, rng) for _ in range(3)]:
         assert np.linalg.norm(sf.solve_left_matrix @ sf.embed_left(x) - x.vec()) < 1e-12
         assert np.linalg.norm(sf.solve_right_matrix @ sf.embed_right(x) - x.vec()) < 1e-12
+
+
+# -- expm, block_diag and the polar factor against scipy, the oracle -----------
+
+def _expm_rel_defect(a):
+    want = scipy.linalg.expm(a)
+    return np.linalg.norm(expm(a) - want) / np.linalg.norm(want)
+
+
+def _exceptional_point_generator():
+    # sigma_minus jump with H = sigma_x / 8, as in the cpdyn exceptional-point test
+    alg = make_algebra([2])
+    v = alg.element([np.array([[0.0, 1.0], [0.0, 0.0]])])
+    h = alg.element([np.array([[0.0, 1.0], [1.0, 0.0]]) / 8])
+    return lindblad_generator(alg, [v], h)
+
+
+@pytest.mark.parametrize("t", [2.0 ** -20, 0.25, 1.0, 8.0, 64.0])
+def test_expm_matches_scipy_at_exceptional_point(t):
+    assert _expm_rel_defect(t * _exceptional_point_generator()) <= 1e-13
+
+
+def test_expm_matches_scipy_on_hard_matrices(rng):
+    h = random_hermitian(make_algebra([5]), rng).mats[0]
+    cases = [
+        np.array([[1.0, 1e3], [0.0, 1.0]]),
+        10 * np.triu(rng.standard_normal((6, 6)), 1),
+        np.diag([-1e3, 0.0, -5.0]),
+        30j * h,
+        np.zeros((3, 3)),
+        np.array([[-0.7]]),
+    ]
+    for a in cases:
+        assert _expm_rel_defect(a) <= 1e-13, a
+    u = expm(30j * h)
+    assert np.linalg.norm(u @ u.conj().T - np.eye(5), 2) <= 1e-13
+
+
+def test_expm_rejects_non_finite_input():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            expm(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       blocks=st.sampled_from([(2,), (1, 2)]),
+       log2_t=st.floats(-20.0, 4.0))
+def test_expm_matches_scipy_on_lindblad_generators(seed, blocks, log2_t):
+    # Both routes square their scaled Padé value s times and the rounding
+    # error of the squarings grows like 2^s: t <= 16 keeps ||tL||_1 below
+    # about 500 for these generators, where the two agree to 1e-13.
+    rng = np.random.default_rng(seed)
+    alg = make_algebra(blocks)
+    jumps = [random_element(alg, rng) for _ in range(2)]
+    gen = lindblad_generator(alg, jumps, random_hermitian(alg, rng))
+    assert _expm_rel_defect(2.0 ** log2_t * gen) <= 1e-13
+
+
+def test_block_diag_matches_scipy(rng):
+    mats = [rng.standard_normal((2, 3)),
+            rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)),
+            rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))]
+    got = block_diag(*mats)
+    want = scipy.linalg.block_diag(*mats)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert block_diag(np.eye(2)).dtype == np.float64
+
+
+def test_unitary_intertwiner_is_the_polar_factor(rng):
+    # a one-dimensional space: the generic element is c x for a seeded scalar
+    # c, whose polar factor is c / |c| times that of x on every block
+    alg = make_algebra([2, 3])
+    x = random_element(alg, rng)
+    u, margin = _unitary_intertwiner(alg, x.vec()[:, None])
+    assert margin > 0
+    phases = [ub @ scipy.linalg.polar(xb)[0].conj().T for ub, xb in zip(u.mats, x.mats)]
+    c = phases[0][0, 0]
+    assert abs(abs(c) - 1.0) <= 1e-13
+    for p in phases:
+        assert np.linalg.norm(p - c * np.eye(p.shape[0])) <= 1e-13

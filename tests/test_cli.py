@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,34 @@ def test_configured_markov_model(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["heat", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("suite, config", [
+    ("check-cp", {"semigroup": {"generator": [[[NAN, 0.0], [0.0, 0.0]],
+                                              [[0.0, 0.0], [0.0, 0.0]]]}}),
+    ("heat", {"markov": {"mu": [0.5, 0.5], "laplacian": [[NAN, -1.0], [-1.0, 1.0]]}}),
+    ("heat", {"markov": {"mu": [NAN, 0.5], "laplacian": [[1.0, -1.0], [-1.0, 1.0]]}}),
+])
+def test_non_finite_config_exits_2(tmp_path, capsys, suite, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))  # json writes the bare NaN token and reads it back
+    assert main([suite, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only; importing it more than doubles the start-up time
+    src = str(Path(prodsys.dilation.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, prodsys.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_bad_config_exits_2(tmp_path):

@@ -59,6 +59,14 @@ def test_non_unital_generator_rejected():
         semigroup_from_generator(alg, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_generator_rejected(bad):
+    # a NaN entry makes the unit defect NaN, which no `>` comparison catches
+    alg = make_algebra([1, 1])
+    with pytest.raises(ConfigurationError):
+        semigroup_from_generator(alg, np.array([[bad, 0.0], [0.0, 0.0]]))
+
+
 def test_evaluate_at_log2():
     algebra, gen = stochastic_pair_generator()
     sg = semigroup_from_generator(algebra, gen)

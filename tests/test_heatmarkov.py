@@ -174,6 +174,16 @@ def test_model_validation_catches_asymmetry():
         make_model([0.5, 0.5], np.array([[1.0, -1.0], [-0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("mu, lap", [
+    ([0.5, 0.5], [[np.nan, -1.0], [-1.0, 1.0]]),
+    ([0.5, 0.5], [[np.inf, -1.0], [-1.0, 1.0]]),
+    ([np.nan, 0.5], [[1.0, -1.0], [-1.0, 1.0]]),
+])
+def test_model_validation_rejects_non_finite_data(mu, lap):
+    with pytest.raises(ModelError):
+        make_model(mu, np.array(lap))
+
+
 def test_path_measure_single_step(two_state):
     t = 0.6
     pm = path_measure(two_state, partition([Fraction(3, 5)]))
