@@ -2,10 +2,11 @@
 
 For a partition p = (t_1, ..., t_n) the cell is the iterated relative
 tensor product of the GNS couplings at the part values, built left to
-right.  Cells are cached per partition, so the first k intermediate spaces
-of a cell coincide (as objects) with the cell of the length-k prefix.
-That makes the canonical collapse of cell(prefix) (x) cell(suffix) onto
-cell(p) computable by a short recursion over the stored quotient maps.
+right.  Cells are cached per partition under exact integer keys, so the
+first k intermediate spaces of a cell coincide (as objects) with the cell
+of the length-k prefix.  The canonical collapse of cell(prefix) (x)
+cell(suffix) onto cell(p) then extends the cached collapse of the longest
+prefix of p by one contraction of the stored quotient maps per part.
 
 On top of the cells this module provides the coarse-to-fine refinement
 isometries, the multiplication unitaries joining two cells into the cell
@@ -46,7 +47,7 @@ class CellSystem:
         self.semigroup = semigroup
         self.sf = sf
         self.l2 = l2_bimodule(sf)
-        self._gns: dict[Fraction, Bimodule] = {}
+        self._gns: dict[tuple[int, int], Bimodule] = {}
         self._cells: dict[tuple, Bimodule] = {}
         self._collapse: dict[tuple, np.ndarray] = {}
 
@@ -54,13 +55,14 @@ class CellSystem:
 
     def gns(self, t) -> Bimodule:
         t = Fraction(t)
-        if t not in self._gns:
-            self._gns[t] = gns_tensor(evaluate(self.semigroup, t), self.sf)
-        return self._gns[t]
+        key = (t.numerator, t.denominator)
+        if key not in self._gns:
+            self._gns[key] = gns_tensor(evaluate(self.semigroup, t), self.sf)
+        return self._gns[key]
 
     def cell(self, p: Partition) -> Bimodule:
         """The cell at a partition; the empty partition gives the standard space."""
-        key = p.parts
+        key = p.key
         if key in self._cells:
             return self._cells[key]
         if len(p) == 0:
@@ -124,8 +126,9 @@ class CellSystem:
         Acts on kron coordinates (prefix index major).  For a = 0 or
         a = len(p) this is the canonical identification with the standard
         space acting through left, respectively right, materialization.
+        An interior cut extends its longest cached prefix, caching each step.
         """
-        key = (p.parts, a)
+        key = (p.key, a)
         if key in self._collapse:
             return self._collapse[key]
         n = len(p)
@@ -136,9 +139,13 @@ class CellSystem:
             m = np.tensordot(self.sf.solve_right_matrix.T, cellp.right, axes=1)
             m = m.transpose(1, 2, 0).reshape(cellp.dim, -1)
         else:
+            done = max(n - 1, a + 1)
+            while done > a + 1 and (p.key[:done], a) not in self._collapse:
+                done -= 1
+            m = self._collapse.get((p.key[:done], a))
+            m = self.cell(Partition(p.parts[:done])).embed if m is None else m
             da = self.cell(Partition(p.parts[:a])).dim
-            m = self.cell(Partition(p.parts[:a + 1])).embed
-            for j in range(a + 2, n + 1):
+            for j in range(done + 1, n + 1):
                 g = self.gns(p.parts[j - 1])
                 sub = self.cell(Partition(p.parts[a:j]))
                 ej = self.cell(Partition(p.parts[:j])).embed
@@ -146,6 +153,7 @@ class CellSystem:
                 # ej @ kron(m, I_g) @ kron(I_da, sub.lift), contracted in `fuse`'s order
                 m = (m.T @ ej.reshape(rows, -1, g.dim)).reshape(rows, da, -1) @ sub.lift
                 m = m.reshape(rows, -1)
+                self._collapse[(p.key[:j], a)] = m
         self._collapse[key] = m
         return m
 

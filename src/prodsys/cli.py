@@ -62,7 +62,6 @@ from .dilation import (
     corner_isometry_defect,
     minimality_evidence,
     unit_from_cocycle,
-    unit_level_vectors,
 )
 from .heatmarkov import (
     cell_match_defect,
@@ -349,8 +348,8 @@ def suite_dilate(cfg: ExperimentConfig) -> Report:
     w = cocycle_from_unit(tl, unit)
     rep.add("cocycle-law", "cocycle-unit-correspondence", w.law_defect(), cfg.tol(1e-9))
     back = unit_from_cocycle(tl, w)
-    expected = unit_level_vectors(tl, unit)
-    round_defect = max(float(np.linalg.norm(back[t] - expected[t])) for t in back)
+    expected = tl.unit_level
+    round_defect = max(float(np.linalg.norm(back[t] - expected[tl.grid_index(t)])) for t in back)
     rep.add("cocycle-roundtrip", "cocycle-unit-correspondence", round_defect, cfg.tol(1e-9))
     rep.add("corner-isometry", "cocycle-unit-correspondence",
             corner_isometry_defect(tl, w), cfg.tol(1e-9))

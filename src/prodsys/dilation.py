@@ -70,8 +70,8 @@ class TruncatedLimit:
         for t in times[1:]:
             if t not in unit.vectors:
                 raise TruncationError(f"unit has no vector at grid time {t}")
-        self.spaces: list[Bimodule] = [cs.cell(self.partition_at(k))
-                                       for k in range(self.levels + 1)]
+        self._partitions = [Partition(())] + [uniform(t, k) for k, t in enumerate(times) if k]
+        self.spaces: list[Bimodule] = [cs.cell(p) for p in self._partitions]
         vectors = unit_level_vectors(self, unit)
         self.unit_level: list[np.ndarray] = [vectors[t] for t in times]
         self._embed: dict[tuple[int, int], np.ndarray] = {}
@@ -94,7 +94,7 @@ class TruncatedLimit:
         return int(k)
 
     def partition_at(self, k: int) -> Partition:
-        return uniform(k * self.delta, k) if k else Partition(())
+        return self._partitions[k]
 
     def embed_matrix(self, k: int, j: int) -> np.ndarray:
         """Connecting isometry from level j into level k, j <= k."""
@@ -373,11 +373,10 @@ def unit_level_vectors(tl: TruncatedLimit, unit: Unit) -> dict[Fraction, np.ndar
         t = k * tl.delta
         if t not in unit.vectors:
             continue
-        p = tl.partition_at(k)
         if k == 1:
             out[t] = unit.vectors[t].copy()
         else:
-            out[t] = tl.system.refinement(p, Partition((t,))).matrix @ unit.vectors[t]
+            out[t] = tl.system.refinement(tl.partition_at(k), Partition((t,))).matrix @ unit.vectors[t]
     return out
 
 

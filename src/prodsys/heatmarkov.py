@@ -22,7 +22,7 @@ applied to the columns of the corner isometry, never formed at the top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,14 +43,18 @@ class MarkovModel:
 
     mu: np.ndarray
     laplacian: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def states(self) -> int:
         return self.mu.size
 
     def transition(self, t: float) -> np.ndarray:
-        """Matrix of the semigroup on functions at time t."""
-        return expm(-float(t) * self.laplacian)
+        """Matrix of the semigroup on functions at time t, cached read-only per float(t)."""
+        if (t := float(t)) not in self._cache:
+            self._cache[t] = m = expm(-t * self.laplacian)
+            m.flags.writeable = False
+        return self._cache[t]
 
     def algebra(self) -> Algebra:
         return make_algebra([1] * self.states)

@@ -9,6 +9,7 @@ decided exactly, which is why parts are `Fraction`s and never floats.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -16,10 +17,14 @@ from typing import Iterable, Iterator
 
 @dataclass(frozen=True, order=True)
 class Partition:
+    """Positive rational parts; `key`, the exact cache key, holds them as (num, den) pairs."""
     parts: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
+        if bad := [p for p in self.parts if not isinstance(p, numbers.Rational)]:
+            raise TypeError(f"parts must be rational, got {bad[0]!r}")
+        object.__setattr__(self, "key", tuple((p.numerator, p.denominator) for p in self.parts))
+        if any(num <= 0 for num, _ in self.key):
             raise ValueError(f"parts must be positive, got {self.parts}")
 
     @property

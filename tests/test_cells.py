@@ -369,8 +369,9 @@ def test_cp_from_unit_rejects_broken_right_module():
     cs = CellSystem(sg, sf)
     t = Fraction(1, 2)
     unit = canonical_unit(cs, [t])
-    cell = cs.cell(Partition((t,)))
-    cs._cells[(t,)] = dataclasses.replace(cell, right=cell.right.transpose(0, 2, 1))
+    p = Partition((t,))
+    cell = cs.cell(p)
+    cs._cells[p.key] = dataclasses.replace(cell, right=cell.right.transpose(0, 2, 1))
     with pytest.raises(ValueError, match="not well defined"):
         cp_from_unit(unit)
 
@@ -512,14 +513,54 @@ def collapse_oracle(cs, p, a):
                         Fraction(1, 16), Fraction(1, 8), Fraction(1, 8), Fraction(1, 8)])),
     ("m2_lindblad", partition([Fraction(1, 4), Fraction(1, 3), Fraction(1, 4)])),
     ("mixed", partition([Fraction(1, 4), Fraction(1, 3), Fraction(1, 4)])),
+    ("pair", uniform(1, 16)),
 ])
 def test_collapse_matches_transposed_recursion(request, system, p):
     sg, sf = _system(request, system)
-    cs = CellSystem(sg, sf)
+    # cold: the top cut first, on a system holding no collapse of a prefix
+    cold = CellSystem(sg, sf)
+    got = {a: cold.collapse(p, a) for a in reversed(range(len(p) + 1))}
+    # warm: every prefix collapsed at every cut before p itself
+    warm = CellSystem(sg, sf)
+    for j in range(len(p)):
+        for a in range(j + 1):
+            warm.collapse(Partition(p.parts[:j]), a)
     for a in range(len(p) + 1):
-        got, ref = cs.collapse(p, a), collapse_oracle(cs, p, a)
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() < 1e-12 * max(1.0, np.abs(ref).max()), a
+        ref = collapse_oracle(cold, p, a)
+        assert got[a].shape == ref.shape
+        assert np.abs(got[a] - ref).max() < 1e-12 * max(1.0, np.abs(ref).max()), a
+        # the same contractions in the same order, whichever prefix was cached
+        assert np.array_equal(warm.collapse(p, a), got[a]), a
+
+
+def test_partition_keys_are_exact_integers():
+    assert Partition((Fraction(2, 4), Fraction(3))).key == ((1, 2), (3, 1))
+    assert Partition((Fraction(2, 4),)).key == Partition((Fraction(1, 2),)).key
+    assert Partition((1,)).key == Partition((Fraction(1),)).key == ((1, 1),)
+    assert Partition(()).key == ()
+
+
+def test_warm_cell_caches_hash_no_fraction(pair_system, monkeypatch):
+    cs, _ = pair_system
+    p = uniform(1, 16)
+    t = Fraction(1, 16)
+    for a in range(len(p) + 1):
+        cs.collapse(p, a)
+    hashes = []
+
+    def counting_hash(self, _hash=Fraction.__hash__):
+        hashes.append(self)
+        return _hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    hash(t)
+    assert hashes == [t]  # the counter sees every Fraction hash
+    hashes.clear()
+    cs.cell(p)
+    cs.gns(t)
+    for a in range(len(p) + 1):
+        cs.collapse(p, a)
+    assert hashes == []
 
 
 def test_collapse_memory_at_an_interior_cut(m2_lindblad):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import prodsys.heatmarkov
+from prodsys.algebra import expm
 from prodsys.cells import CellSystem
 from prodsys.cli import Check
 from prodsys.cpdyn import semigroup_from_generator
@@ -162,6 +164,26 @@ def test_kernel_properties_on_cycle(cycle5):
     p10, _ = heat_kernel(cycle5, 1.0)
     composed = (p3 * cycle5.mu[None, :]) @ p7
     assert np.abs(composed - p10).max() < 1e-12
+
+
+def test_transition_is_computed_once_per_time(chain6, monkeypatch):
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(prodsys.heatmarkov, "expm", counting_expm)
+    first = chain6.transition(Fraction(1, 4))
+    assert len(calls) == 1
+    assert chain6.transition(0.25) is first
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 0.0
+    assert np.array_equal(first, expm(-0.25 * chain6.laplacian))
+    assert chain6.transition(0.5) is not first
+    assert len(calls) == 2
+    assert "_cache" not in repr(chain6)
 
 
 def test_kernel_rejects_nonpositive_time(two_state):

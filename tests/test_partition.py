@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,20 @@ def test_uniform_and_parse():
 def test_positive_parts_enforced():
     with pytest.raises(ValueError):
         partition(["1/2", "0"])
+    with pytest.raises(ValueError):
+        Partition((Fraction(1, 2), Fraction(-1, 4)))
+
+
+@pytest.mark.parametrize("part", [0.5, "1/2", complex(1, 0)])
+def test_non_rational_parts_are_rejected(part):
+    # a float part would compare and hash equal to its Fraction and share its cells
+    with pytest.raises(TypeError, match=re.escape(repr(part))):
+        Partition((Fraction(1, 4), part))
+
+
+def test_converting_constructors_accept_floats_and_strings():
+    assert partition([0.5, "1/4", 1]).parts == (Fraction(1, 2), Fraction(1, 4), Fraction(1))
+    assert parse_partition(" 1/2 , 0.25").parts == (Fraction(1, 2), Fraction(1, 4))
 
 
 def test_coarsenings_enumeration():
