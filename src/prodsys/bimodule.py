@@ -22,12 +22,19 @@ tensored with the identity on the multiplicity space.  Only the small
 matrices are diagonalized.  `gram_quotient` diagonalizes an assembled Gram
 matrix whole; it is the dense reference the block quotient is tested
 against.
+
+A module pays only for what its readers use.  The quotient keeps its
+per-block factors and assembles the dense left and right action stacks
+each on its first read, cached read-only; and a left factor keeps the
+diagonalized blocks of its composition Gram (`Bimodule.gram_blocks`), so
+fusing it with many right factors diagonalizes them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -49,20 +56,45 @@ class NotCompletelyPositiveError(ValueError):
     """Raised when a Gram matrix has a genuinely negative eigenvalue."""
 
 
+class _OnFirstRead:
+    """Dataclass field holding an array, or a function that assembles it.
+
+    The function runs on the first read; its array replaces it on the
+    instance, read-only.  The field has no default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = value()
+            value.flags.writeable = False
+            obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class Bimodule:
     """Hilbert space with commuting left and right algebra actions.
 
     `left[k]` / `right[k]` are the action matrices of the k-th coordinate
-    basis element of the algebra.  When the space was produced as a
-    quotient of a spanning family, `embed` / `lift` translate between
-    family coordinates and orthonormal coordinates.
+    basis element of the algebra; each may be given as a zero-argument
+    function, which assembles the stack on its first read.  When the space
+    was produced as a quotient of a spanning family, `embed` / `lift`
+    translate between family coordinates and orthonormal coordinates.
     """
 
     algebra: Algebra
     dim: int
-    left: np.ndarray
-    right: np.ndarray
+    left: np.ndarray | Callable[[], np.ndarray] = _OnFirstRead()
+    right: np.ndarray | Callable[[], np.ndarray] = _OnFirstRead()
     embed: np.ndarray | None = None
     lift: np.ndarray | None = None
     gram_eigs: np.ndarray | None = None
@@ -94,6 +126,32 @@ class Bimodule:
             out.append((units @ v[:, w > 0.5]).transpose(1, 0, 2))
             off += n * n
         return tuple(out)
+
+    def gram_blocks(self, sf: StandardForm) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Eigendecompositions (w, u) of this left factor's Gram blocks under sf.
+
+        elements[a, b] is the algebra element of the composition of the
+        bounded-vector maps of coordinate basis vectors a and b (`inner`);
+        block M_n contributes E[(a, r), (b, c)], the (r, c) entry of the
+        block part of elements[a, b].  The blocks are memoized for the
+        last state they were computed under, compared by identity, and are
+        read-only.  A composition that is no left multiplication raises on
+        every call, since nothing is memoized then.
+        """
+        memo = self.__dict__.get("_gram_blocks")
+        if memo is not None and memo[0] is sf:
+            return memo[1]
+        hd = self.dim
+        elements, residual, scale = inner(self, np.eye(hd), np.eye(hd), sf)
+        # relative to the entries, which grow like the inverse of a small state weight
+        if residual > 1e-8 * scale:
+            raise NotCompletelyPositiveError("bounded-vector composition is not a left "
+                                             f"multiplication ({residual:.3e}, scale {scale:.3e})")
+        blocks = _gram_blocks(elements, sf.algebra.blocks)
+        for w, u in blocks:
+            w.flags.writeable = u.flags.writeable = False
+        self.__dict__["_gram_blocks"] = (sf, blocks)
+        return blocks
 
 
 @dataclass(frozen=True)
@@ -160,9 +218,10 @@ def _quotient_factors(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
 
 def l2_bimodule(sf: StandardForm) -> Bimodule:
     """The standard space itself, acting by two-sided multiplication."""
-    right = np.stack([rmult_matrix(x) for x in sf.algebra.basis()])
     d = sf.dim
-    return Bimodule(sf.algebra, d, sf.lmult_basis, right, embed=np.eye(d), lift=np.eye(d))
+    return Bimodule(sf.algebra, d, sf.lmult_basis,
+                    lambda: np.stack([rmult_matrix(x) for x in sf.algebra.basis()]),
+                    embed=np.eye(d), lift=np.eye(d))
 
 
 def pi_phi(h: Bimodule, xi: np.ndarray, sf: StandardForm) -> np.ndarray:
@@ -222,8 +281,9 @@ def gns_tensor(t_map, sf: StandardForm) -> Bimodule:
     genuinely negative Gram eigenvalue and is rejected.
     """
     elements = sf.lmult_basis.conj() @ t_map.action.T
+    l2 = l2_bimodule(sf)
     try:
-        return _block_quotient(elements, sf.lmult_basis, l2_bimodule(sf), sf)
+        return _block_quotient(_gram_blocks(elements, sf.algebra.blocks), l2, l2, sf)
     except NotCompletelyPositiveError as exc:
         raise NotCompletelyPositiveError(f"GNS coupling failed, map is not CP: {exc}") from exc
 
@@ -239,48 +299,46 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     Spanning family: pairs of coordinate basis vectors in kron order
     (h index major).  The inner product routes through the bounded-vector
     composition on h, recognized as a left multiplication and then applied
-    through the left action of k; the quotient is `_block_quotient`.
+    through the left action of k; the quotient is `_block_quotient`, over
+    the Gram blocks that h keeps for all its right factors.
     """
-    hd = h.dim
-    elements, residual, scale = inner(h, np.eye(hd), np.eye(hd), sf)
-    # relative to the entries, which grow like the inverse of a small state weight
-    if residual > 1e-8 * scale:
-        raise NotCompletelyPositiveError("bounded-vector composition is not a left "
-                                         f"multiplication ({residual:.3e}, scale {scale:.3e})")
-    return _block_quotient(elements, h.left, k, sf)
+    return _block_quotient(h.gram_blocks(sf), h, k, sf)
 
 
-def _block_quotient(elements: np.ndarray, left: np.ndarray, k: Bimodule,
-                    sf: StandardForm) -> Bimodule:
-    """Quotient of the family of pairs (a, coordinate of k) under one Gram form.
-
-    The Gram matrix is the sum over the algebra basis of elements[a, b, mu]
-    k.left[mu], in kron order (a major); `left` is the left action on the
-    a-index, `k.right` the right action.  In the coordinates of
-    `k.multiplicity` that sum is the direct sum over blocks M_n of E (x) I_m,
-    where E[(a, r), (b, c)] is the (r, c) entry of the block part of
-    elements[a, b].  Only the E are diagonalized, under one rank rule over
-    all blocks with m > 0, which are the blocks the Gram matrix sees; the
-    quotient coordinates are (block, kept direction, multiplicity index),
-    and the actions are assembled block by block.
-    """
-    hd, kd = elements.shape[0], k.dim
-    seen, off = [], 0  # (V, eigenvalues, eigenvectors of E) per block with m > 0
-    for n, v in zip(sf.algebra.blocks, k.multiplicity):
+def _gram_blocks(elements: np.ndarray, blocks) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """eigh of E[(a, r), (b, c)], the (r, c) entry of the block part of elements[a, b]."""
+    hd, out, off = elements.shape[0], [], 0
+    for n in blocks:
         e = elements[:, :, off:off + n * n].reshape(hd, hd, n, n)
         off += n * n
-        if v.shape[2]:
-            e = e.transpose(0, 2, 1, 3).reshape(hd * n, hd * n)
-            seen.append((v, *np.linalg.eigh((e + e.conj().T) / 2)))
+        e = e.transpose(0, 2, 1, 3).reshape(hd * n, hd * n)
+        out.append(np.linalg.eigh((e + e.conj().T) / 2))
+    return tuple(out)
+
+
+def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
+    """Quotient of the family of pairs (coordinate of h, coordinate of k) under one Gram form.
+
+    The Gram matrix is the sum over the algebra basis of elements[a, b, mu]
+    k.left[mu], in kron order (a major), given through `blocks`, the
+    eigendecompositions of its block matrices E from `_gram_blocks`.  In
+    the coordinates of `k.multiplicity` that sum is the direct sum over
+    blocks M_n of E (x) I_m.  Only blocks with m > 0 are seen by the Gram
+    matrix, and one rank rule runs over all of them; the quotient
+    coordinates are (block, kept direction, multiplicity index).  `embed`
+    and `lift` are assembled at once; the left action of h and the right
+    action of k are carried into the quotient block by block, each on the
+    first read of the result's `left` or `right`.
+    """
+    hd, kd = h.dim, k.dim
+    seen = [(v, w, u) for (w, u), v in zip(blocks, k.multiplicity) if v.shape[2]]
     eig_all = np.concatenate([w for _, w, _ in seen] or [np.zeros(0)])
     keeps = np.split(_kept(eig_all, GRAM_RTOL), np.cumsum([w.size for _, w, _ in seen])[:-1])
 
     dim = sum(int(kp.sum()) * v.shape[2] for (v, _, _), kp in zip(seen, keeps))
     embed = np.zeros((dim, hd * kd), dtype=complex)
     lift = np.zeros((hd * kd, dim), dtype=complex)
-    lefts = np.zeros((len(left), dim, dim), dtype=complex)
-    rights = np.zeros((len(k.right), dim, dim), dtype=complex)
-    eigs, o = [np.zeros(0)], 0
+    factors, eigs, o = [], [np.zeros(0)], 0  # factors: (slice, W, L, V) per seen block
     for (v, w, u), kp in zip(seen, keeps):
         wmat, lmat, wk = _quotient_factors(w, u, kp)
         n, kk, m = v.shape[1], wk.size, v.shape[2]
@@ -290,15 +348,28 @@ def _block_quotient(elements: np.ndarray, left: np.ndarray, k: Bimodule,
                                 ).transpose(0, 3, 1, 2).reshape(kk * m, hd * kd)
         lift[:, q] = np.tensordot(lmat.reshape(hd, n, kk), v, axes=([1], [1])
                                   ).transpose(0, 2, 1, 3).reshape(hd * kd, kk * m)
-        # left(x) = W (x (x) I_n) L (x) I_m and right(y) = I (x) B* k.right(y) B
-        act = wmat @ np.tensordot(left, lmat.reshape(hd, n * kk), axes=1
-                                  ).reshape(-1, hd * n, kk)
-        lefts[:, q, q] = np.einsum("xab,st->xasbt", act, np.eye(m)).reshape(-1, kk * m, kk * m)
-        b = v[:, 0, :]
-        act = b.conj().T @ k.right @ b
-        rights[:, q, q] = np.einsum("ab,xst->xasbt", np.eye(kk), act).reshape(-1, kk * m, kk * m)
+        factors.append((q, wmat, lmat, v))
         eigs.append(np.repeat(wk, m))
-    return Bimodule(sf.algebra, dim, lefts, rights, embed=embed, lift=lift,
+
+    # left(x) = W (x (x) I_n) L (x) I_m and right(y) = I (x) B* k.right(y) B
+    def left():
+        out = np.zeros((len(h.left), dim, dim), dtype=complex)
+        for q, wmat, lmat, v in factors:
+            n, kk, m = v.shape[1], wmat.shape[0], v.shape[2]
+            act = wmat @ np.tensordot(h.left, lmat.reshape(hd, n * kk), axes=1
+                                      ).reshape(-1, hd * n, kk)
+            out[:, q, q] = np.einsum("xab,st->xasbt", act, np.eye(m)).reshape(-1, kk * m, kk * m)
+        return out
+
+    def right():
+        out = np.zeros((len(k.right), dim, dim), dtype=complex)
+        for q, wmat, _, v in factors:
+            kk, m, b = wmat.shape[0], v.shape[2], v[:, 0, :]
+            act = b.conj().T @ k.right @ b
+            out[:, q, q] = np.einsum("ab,xst->xasbt", np.eye(kk), act).reshape(-1, kk * m, kk * m)
+        return out
+
+    return Bimodule(sf.algebra, dim, left, right, embed=embed, lift=lift,
                     gram_eigs=np.concatenate(eigs))
 
 

@@ -37,7 +37,7 @@ from .bimodule import (
     tensor_vec,
 )
 from .cpdyn import CpMap, CpSemigroup, evaluate, law_defect
-from .partition import Partition, grouping, join, refines
+from .partition import Partition, grouping, join
 
 
 class CellSystem:
@@ -150,9 +150,15 @@ class CellSystem:
                 sub = self.cell(Partition(p.parts[a:j]))
                 ej = self.cell(Partition(p.parts[:j])).embed
                 rows = ej.shape[0]
+                ej = ej.reshape(rows, -1, g.dim)
+                out = np.empty((rows, da, sub.dim), dtype=complex)
                 # ej @ kron(m, I_g) @ kron(I_da, sub.lift), contracted in `fuse`'s order
-                m = (m.T @ ej.reshape(rows, -1, g.dim)).reshape(rows, da, -1) @ sub.lift
-                m = m.reshape(rows, -1)
+                # over row blocks whose temporary is no larger than the result
+                step = max(1, out.size // (m.shape[1] * g.dim))
+                for r in range(0, rows, step):
+                    np.matmul((m.T @ ej[r:r + step]).reshape(-1, da, sub.lift.shape[0]),
+                              sub.lift, out=out[r:r + step])
+                m = out.reshape(rows, -1)
                 self._collapse[(p.key[:j], a)] = m
         self._collapse[key] = m
         return m
@@ -167,8 +173,6 @@ class CellSystem:
 
     def refinement(self, p: Partition, q: Partition) -> BimoduleMap:
         """Isometry from the coarse cell(q) into the fine cell(p)."""
-        if not refines(p, q):
-            raise ValueError(f"{p} does not refine {q}")
         groups = grouping(p, q)
         if not groups:
             return BimoduleMap(self.l2, self.l2, np.eye(self.sf.dim, dtype=complex))

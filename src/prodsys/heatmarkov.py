@@ -178,7 +178,8 @@ def l2_cell(mdl: MarkovModel, p: Partition) -> Bimodule:
     Coordinates are function values scaled by the square root of the path
     weight; paths of negligible weight are quotiented away.  The left
     action multiplies through the first variable, the right action through
-    the last.
+    the last; each is a stack of diagonal matrices, assembled on its first
+    read, since the cross-check reads only `embed` and `dim`.
     """
     pm = path_measure(mdl, p)
     w = pm.weights.reshape(-1)
@@ -194,9 +195,10 @@ def l2_cell(mdl: MarkovModel, p: Partition) -> Bimodule:
     n = len(p)
     first = keep // m ** n
     last = keep % m
-    left = np.stack([np.diag((first == s).astype(complex)) for s in range(m)])
-    right = np.stack([np.diag((last == s).astype(complex)) for s in range(m)])
-    return Bimodule(mdl.algebra(), dim, left, right, embed=embed, lift=lift)
+    return Bimodule(mdl.algebra(), dim,
+                    lambda: np.stack([np.diag((first == s).astype(complex)) for s in range(m)]),
+                    lambda: np.stack([np.diag((last == s).astype(complex)) for s in range(m)]),
+                    embed=embed, lift=lift)
 
 
 def _glued_columns(m: int, n: int) -> np.ndarray:

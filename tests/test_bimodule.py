@@ -36,7 +36,7 @@ from prodsys.cpdyn import (
     unitary_conjugation_generator,
 )
 from prodsys.heatmarkov import make_model
-from prodsys.partition import uniform
+from prodsys.partition import Partition, uniform
 
 from conftest import SEED, mixed_semigroup, random_element, random_hermitian
 
@@ -362,6 +362,75 @@ def test_relative_tensor_matches_dense_oracle(system, parts, request):
     assert_matches_oracle(gns, *gns_oracle(evaluate(sg, Fraction(1, 4)), sf))
     for h, k in [(cell, gns), (cs.l2, cell), (cell, cs.l2)]:
         assert_matches_oracle(relative_tensor(h, k, sf), *relative_oracle(h, k, sf))
+
+
+def assembled(cell, name):
+    """Whether the action stack `name` of a cell has been assembled."""
+    return isinstance(vars(cell)[name], np.ndarray)
+
+
+@pytest.mark.parametrize("system, parts", [("m2_lindblad", 2), ("pair", 3), ("mixed_block", 2)])
+def test_fused_cell_assembles_its_actions_only_when_read(system, parts, request):
+    sg, sf = request.getfixturevalue(system)
+    cs = CellSystem(sg, sf)
+    p = uniform(Fraction(parts, 4), parts)
+    eye, cyclic = np.eye(sf.dim), sf.cyclic[:, None]
+    cs.family(p.parts, [eye] * parts, [cyclic] * parts)
+    cell, prefix = cs.cell(p), cs.cell(Partition(p.parts[:-1]))
+    assert not assembled(cell, "left") and not assembled(cell, "right")
+    if parts > 2:  # a single-part prefix is also the right factor, read for its multiplicity
+        assert not assembled(prefix, "left")
+    assert_matches_oracle(cell, *relative_oracle(prefix, cs.gns(p.parts[-1]), sf))
+    assert assembled(cell, "left") and assembled(cell, "right")
+
+
+@pytest.mark.parametrize("system", ["m2_lindblad", "mixed_block"])
+def test_left_factor_diagonalizes_its_gram_blocks_once(system, request, monkeypatch):
+    sg, sf = request.getfixturevalue(system)
+    cs = CellSystem(sg, sf)
+    s, ts = Fraction(1, 3), [Fraction(k, 8) for k in range(1, 9)]
+    h = cs.gns(s)
+    calls, real = [], bimodule.inner
+
+    def counting(module, *args):
+        calls.append(module is h)
+        return real(module, *args)
+
+    monkeypatch.setattr(bimodule, "inner", counting)
+    cells = [cs.cell(Partition((s, t))) for t in ts]
+    assert calls == [True]
+    monkeypatch.undo()
+    for t, cell in zip(ts, cells):
+        fresh = CellSystem(sg, sf).cell(Partition((s, t)))
+        for name in ("embed", "lift", "gram_eigs", "left", "right"):
+            assert np.array_equal(getattr(cell, name), getattr(fresh, name)), (t, name)
+
+
+def test_failing_left_factor_raises_on_every_call(pair):
+    _, sf = pair
+    l2 = l2_bimodule(sf)
+    bent = l2.right.copy()
+    bent[0] += 0.1 * np.ones((sf.dim, sf.dim))
+    broken = bimodule.Bimodule(sf.algebra, l2.dim, l2.left, bent)
+    for _ in range(2):
+        with pytest.raises(NotCompletelyPositiveError, match="not a left multiplication"):
+            relative_tensor(broken, l2, sf)
+
+
+def test_left_factor_fused_under_two_states_matches_fresh_quotients(pair):
+    # the memoized Gram blocks belong to one state; another state recomputes them
+    sg, sf = pair
+    other = standard_form(sf.algebra, diagonal_state(sf.algebra, [0.2, 0.8]))
+    h = CellSystem(sg, sf).cell(uniform(Fraction(1, 2), 2))
+    out = {}
+    for state in (sf, other, sf, other):
+        k = l2_bimodule(state)
+        r = relative_tensor(h, k, state)
+        fresh = relative_tensor(bimodule.Bimodule(h.algebra, h.dim, h.left, h.right), k, state)
+        for name in ("embed", "lift", "gram_eigs", "left", "right"):
+            assert np.array_equal(getattr(r, name), getattr(fresh, name)), name
+        out[id(state)] = r.gram_eigs
+    assert not np.allclose(out[id(sf)], out[id(other)])
 
 
 def character_map(sf):

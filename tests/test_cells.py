@@ -575,3 +575,34 @@ def test_collapse_memory_at_an_interior_cut(m2_lindblad):
         tracemalloc.stop()
     assert m.shape == (256, 1024)
     assert peak < 6 * m.nbytes
+    # the contraction runs over row blocks sized from the shapes, so the
+    # peak is the result plus one block no larger than it
+    assert peak < 2 * m.nbytes + 2**16
+
+
+def test_refinement_rejects_partitions_that_do_not_refine(pair_system):
+    cs, _ = pair_system
+    with pytest.raises(ValueError, match="does not refine"):
+        cs.refinement(Partition((Fraction(1, 3), Fraction(2, 3))), uniform(1, 2))
+    with pytest.raises(ValueError, match="does not refine"):
+        cs.refinement(uniform(1, 2), uniform(1, 4))
+    with pytest.raises(ValueError, match="totals differ"):
+        cs.refinement(uniform(1, 2), uniform(2, 1))
+
+
+def test_cached_cell_actions_are_read_only(pair_system):
+    # the stacks are assembled on first read and shared by every reader of
+    # the cached cell, so an in-place write must fail instead of changing them
+    cs, sf = pair_system
+    p = uniform(1, 2)
+    for cell in (cs.gns(Fraction(1, 2)), cs.cell(p)):
+        for name in ("left", "right"):
+            before = getattr(cell, name).copy()
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cell, name)[0, 0, 0] = 1.0
+            assert np.array_equal(getattr(cell, name), before)
+    for w, u in cs.gns(Fraction(1, 2)).gram_blocks(sf):
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import prodsys.heatmarkov
 from prodsys.algebra import expm
+from prodsys.bimodule import GRAM_RTOL
 from prodsys.cells import CellSystem
 from prodsys.cli import Check
 from prodsys.cpdyn import semigroup_from_generator
@@ -260,6 +262,54 @@ def test_l2_cell_dimension_and_actions(two_state):
         for j in range(2):
             assert np.linalg.norm(cell.left[i] @ cell.right[j]
                                   - cell.right[j] @ cell.left[i]) == 0.0
+
+
+def diagonal_stack_oracle(mdl, p):
+    """Left and right actions of the path cell as stacks of diagonal matrices.
+
+    Path coordinates run over the paths of non-negligible weight in C order;
+    the left action of state s keeps the paths starting at s, the right
+    action those ending at s.
+    """
+    w = path_measure(mdl, p).weights
+    kept = (w > GRAM_RTOL * w.max()).reshape(-1)
+    ends = [np.indices(w.shape)[i].reshape(-1)[kept] for i in (0, -1)]
+    return [np.stack([np.diag((e == s).astype(complex)) for s in range(mdl.states)])
+            for e in ends]
+
+
+@pytest.mark.parametrize("model, parts", [("two_state", 1), ("cycle3", 2), ("chain6", 2)])
+def test_l2_cell_actions_are_assembled_on_first_read(model, parts, request):
+    mdl = request.getfixturevalue(model)
+    p = uniform(1, parts)
+    cell = l2_cell(mdl, p)
+    assert not any(isinstance(vars(cell)[name], np.ndarray) for name in ("left", "right"))
+    for name, want in zip(("left", "right"), diagonal_stack_oracle(mdl, p)):
+        got = getattr(cell, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0, 0] = 2.0
+        assert getattr(cell, name) is got
+
+
+def test_cell_match_allocates_no_action_stacks(chain6):
+    # the path cell's dense stacks were never read; with the cell warm, the
+    # check allocates less than one stack pair beyond the fold it compares
+    p = uniform(1, 2)
+    cs = heat_system(chain6)
+    dim = cs.cell(p).dim
+    pair_bytes = 2 * chain6.states * dim * dim * 16
+    peaks = []
+    for run in (lambda: cs.family(p.parts, [np.eye(cs.sf.dim)] * 2, [cs.sf.embed_left_matrix] * 2),
+                lambda: cell_match_defect(chain6, p, cs)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    fold, check = peaks
+    assert check - fold < pair_bytes
 
 
 def test_cell_match_two_state(two_state):
