@@ -6,7 +6,9 @@ right.  Cells are cached per partition under exact integer keys, so the
 first k intermediate spaces of a cell coincide (as objects) with the cell
 of the length-k prefix.  The canonical collapse of cell(prefix) (x)
 cell(suffix) onto cell(p) then extends the cached collapse of the longest
-prefix of p by one contraction of the stored quotient maps per part.
+prefix of p by one contraction of the stored quotient maps per part;
+`CellSystem.apply_collapse` takes the last of these steps on a column
+block instead, so the collapse of p is applied without being formed.
 
 On top of the cells this module provides the coarse-to-fine refinement
 isometries, the multiplication unitaries joining two cells into the cell
@@ -146,22 +148,64 @@ class CellSystem:
             m = self.cell(Partition(p.parts[:done])).embed if m is None else m
             da = self.cell(Partition(p.parts[:a])).dim
             for j in range(done + 1, n + 1):
-                g = self.gns(p.parts[j - 1])
-                sub = self.cell(Partition(p.parts[a:j]))
-                ej = self.cell(Partition(p.parts[:j])).embed
+                ej, g, lift = self._extension(p, a, j)
                 rows = ej.shape[0]
-                ej = ej.reshape(rows, -1, g.dim)
-                out = np.empty((rows, da, sub.dim), dtype=complex)
-                # ej @ kron(m, I_g) @ kron(I_da, sub.lift), contracted in `fuse`'s order
+                ej = ej.reshape(rows, -1, g)
+                out = np.empty((rows, da, lift.shape[1]), dtype=complex)
+                # ej @ kron(m, I_g) @ kron(I_da, lift), contracted in `fuse`'s order
                 # over row blocks whose temporary is no larger than the result
-                step = max(1, out.size // (m.shape[1] * g.dim))
+                step = max(1, out.size // (m.shape[1] * g))
                 for r in range(0, rows, step):
-                    np.matmul((m.T @ ej[r:r + step]).reshape(-1, da, sub.lift.shape[0]),
-                              sub.lift, out=out[r:r + step])
+                    np.matmul((m.T @ ej[r:r + step]).reshape(-1, da, lift.shape[0]),
+                              lift, out=out[r:r + step])
                 m = out.reshape(rows, -1)
                 self._collapse[(p.key[:j], a)] = m
         self._collapse[key] = m
         return m
+
+    def apply_collapse(self, p: Partition, a: int, x: np.ndarray,
+                       adjoint: bool = False) -> np.ndarray:
+        """C x, or C* x with `adjoint`, for C = collapse(p, a) and a column block x.
+
+        No collapse of p is formed.  An interior cut takes the last
+        extension step of `collapse` on the columns, C = E (C' (x) I_g)
+        (I (x) L), through the cached collapse C' of p without its last
+        part; for a = len(p) - 1 that is E = cell(p).embed alone.  Cut 0
+        and cut len(p) apply the left, respectively right, action stack,
+        contracted with the solve map first.
+        """
+        n, cols = len(p), x.shape[1]
+        if a in (0, n):
+            cellp, sf = self.cell(p), self.sf
+            stack, solve = ((cellp.left, sf.solve_left_matrix) if a == 0
+                            else (cellp.right, sf.solve_right_matrix))
+            if adjoint:
+                # conj(solve^T (x^H stack)) holds C* x, (solve index, column, cell index)
+                v = np.tensordot(solve, x.conj().T @ stack, axes=(0, 0)).conj()
+                v = v.transpose(0, 2, 1) if a == 0 else v.transpose(2, 0, 1)
+                return v.reshape(-1, cols)
+            x = (x.reshape(sf.dim, -1, cols) if a == 0
+                 else x.reshape(-1, sf.dim, cols).transpose(1, 0, 2))
+            return (stack @ np.tensordot(solve, x, axes=1)).sum(axis=0)
+        ej, g, lift = self._extension(p, a, n)
+        if a == n - 1:
+            return ej.conj().T @ x if adjoint else ej @ x
+        prev = self.collapse(Partition(p.parts[:-1]), a)
+        if adjoint:
+            v = (ej.conj().T @ x).reshape(prev.shape[0], -1)
+            v = (prev.conj().T @ v).reshape(-1, lift.shape[0], cols)
+            return (lift.conj().T @ v).reshape(-1, cols)
+        v = (lift @ x.reshape(-1, lift.shape[1], cols)).reshape(prev.shape[1], -1)
+        return ej @ (prev @ v).reshape(-1, cols)
+
+    def _extension(self, p: Partition, a: int, j: int) -> tuple[np.ndarray, int, np.ndarray]:
+        """(E, g, L) with C_j = E (C_{j-1} (x) I_g)(I (x) L), C_j the cut-a collapse of p[:j].
+
+        E is the embed of cell(p[:j]), g the dimension of the GNS coupling of
+        its last part and L the lift of cell(p[a:j]).
+        """
+        return (self.cell(Partition(p.parts[:j])).embed, self.gns(p.parts[j - 1]).dim,
+                self.cell(Partition(p.parts[a:j])).lift)
 
     # -- product structure --------------------------------------------
 

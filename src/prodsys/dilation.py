@@ -3,10 +3,20 @@
 The limit over ever finer partitions is replaced by a finite tower: level k
 is the cell at the uniform partition of k delta into k parts, level 0 is
 the standard space, and the connecting isometries multiply the unit vector
-of the time gap into the prefix slot.  The top level stands in for the
-limit space; every identity is checked where the shifted supports stay
-inside the tower, so truncation only restricts domains and never perturbs
-values.
+of the time gap into the prefix slot, v -> xi_{(k-j) delta} (x) v.  The top
+level stands in for the limit space; every identity is checked where the
+shifted supports stay inside the tower, so truncation only restricts
+domains and never perturbs values.
+
+The connecting maps and the endomorphisms only ever act on vectors, so
+neither is formed through a collapse of a whole level.  The connecting
+maps follow the level recursion
+
+    iota_{k,j} = E_k (iota_{k-1,j-1} (x) I_g) L_j,
+
+with E_k the embed of level k, L_j the lift of level j and g the dimension
+of one part's GNS coupling: the collapse recursion with the unit vector put
+into the prefix slot first (`TruncatedLimit.embed_matrix`).
 
 Operators are carried with a support level: an operator at level k acts on
 the level-k space and is extended to the top through the connecting
@@ -15,9 +25,11 @@ theta(a) = u (a (x) 1) u* on E_k (x) E_j = E_{k+j}, and is computed as
 
     theta(a) = C ((a R_k(z^-1)) (x) 1) C*
 
-with C the cached collapse of the level-(k + j) cell at its k-th part,
-R_k the right action on level k and z = sum_i Tr(rho_i^-1) p_i the central
-element given by the state density rho and the central projections p_i.
+with C the collapse of the level-(k + j) cell at its k-th part, R_k the
+right action on level k and z = sum_i Tr(rho_i^-1) p_i the central element
+given by the state density rho and the central projections p_i.  C is
+applied, not formed: `CellSystem.apply_collapse` takes C* and C on a column
+block in one extension step each, and (Y (x) 1) is a reshape between them.
 Why: with L_e the bounded-vector map of e, Psi_k = sum_a L_{e_a} L_{e_a}*
 over an orthonormal basis of E_k equals R_k(z), which is right-linear and
 invertible, so the vectors Psi_k^{-1/2} e_a form a module frame and every
@@ -76,8 +88,8 @@ class TruncatedLimit:
         self.unit_level: list[np.ndarray] = [vectors[t] for t in times]
         self._embed: dict[tuple[int, int], np.ndarray] = {}
         zinv = self.sf.algebra.diagonal([1.0 / w for w in frame_weights(self.sf)])
-        # right action of z^-1 on each level, the frame normalization of `dilate`
-        self.frame_inverse: list[np.ndarray] = [s.right_matrix(zinv) for s in self.spaces]
+        # right action of z^-1 on each level an argument of `dilate` can live on
+        self.frame_inverse: list[np.ndarray] = [s.right_matrix(zinv) for s in self.spaces[:-1]]
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -97,32 +109,32 @@ class TruncatedLimit:
         return self._partitions[k]
 
     def embed_matrix(self, k: int, j: int) -> np.ndarray:
-        """Connecting isometry from level j into level k, j <= k."""
+        """Connecting isometry iota_{k,j}: v -> xi_{(k-j) delta} (x) v, level j into level k.
+
+        Built by the level recursion iota_{k,j} = E_k (iota_{k-1,j-1} (x)
+        I_g) L_j of the module docstring, from iota_{k,1}, E_k contracted
+        with xi_{(k-1) delta} on its prefix index, and iota_{k,0}, the
+        bounded-vector map of xi_{k delta}.  It is exact and needs no unit
+        law, because the suffix cells of a uniform partition are the lower
+        levels; no collapse of level k is formed.
+        """
         if not 0 <= j <= k <= self.levels:
             raise TruncationError(f"invalid level pair ({k}, {j})")
         if j == k:
             return np.eye(self.spaces[k].dim, dtype=complex)
         key = (k, j)
         if key not in self._embed:
-            jmat = self.system.collapse(self.partition_at(k), k - j)
-            xi = self.unit_level[k - j]
-            self._embed[key] = jmat @ np.kron(xi[:, None], np.eye(self.spaces[j].dim))
+            e = self.spaces[k].embed
+            if j == 0:
+                b = pi_phi(self.spaces[k], self.unit_level[k], self.sf)
+            elif j == 1:
+                xi = self.unit_level[k - 1]
+                b = xi @ e.reshape(len(e), len(xi), -1)
+            else:
+                prev, lift = self.embed_matrix(k - 1, j - 1), self.spaces[j].lift
+                b = e @ (prev @ lift.reshape(prev.shape[1], -1)).reshape(-1, lift.shape[1])
+            self._embed[key] = b
         return self._embed[key]
-
-    def embedding_isometry_defect(self) -> float:
-        """Largest isometry defect among the connecting maps.
-
-        Zero for unital units; a non-unital unit makes the connecting maps
-        strict contractions and the defect reports how far they are from
-        preserving norms.
-        """
-        worst = 0.0
-        for k in range(self.levels + 1):
-            for j in range(k):
-                b = self.embed_matrix(k, j)
-                worst = max(worst, float(np.linalg.norm(
-                    b.conj().T @ b - np.eye(self.spaces[j].dim), 2)))
-        return worst
 
     def split(self, level: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Fold u r.embed and unfold r.lift u* of a level split as (level - j, j).
@@ -155,20 +167,10 @@ class TruncatedOperator:
     def on_top(self) -> np.ndarray:
         return self.at_level(self.tl.levels)
 
-    def compose(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        lvl = max(self.level, other.level)
-        return TruncatedOperator(self.tl, lvl, self.at_level(lvl) @ other.at_level(lvl))
-
 
 def represent(tl: TruncatedLimit, x: AlgebraElement) -> TruncatedOperator:
     """The algebra represented on the tower: compress to level 0, act, re-embed."""
     return TruncatedOperator(tl, 0, lmult_matrix(x))
-
-
-def corner_projection(tl: TruncatedLimit) -> np.ndarray:
-    """Top-level projection onto the embedded standard space."""
-    k0 = tl.embed_matrix(tl.levels, 0)
-    return k0 @ k0.conj().T
 
 
 def frame_weights(sf: StandardForm) -> list[float]:
@@ -181,10 +183,10 @@ def frame_weights(sf: StandardForm) -> list[float]:
 
 
 def _amplification(tl: TruncatedLimit, t, op: TruncatedOperator):
-    """(target level, C, Y) with theta_t(op) = C (Y (x) 1) C* at the target.
+    """(target level, cut, Y) with theta_t(op) = C (Y (x) 1) C* at the target.
 
-    C is the collapse of the target cell at the argument's level and
-    Y = op R(z^-1); the target must stay inside the tower.
+    C is the collapse of the target cell at the cut, the argument's level,
+    and Y = op R(z^-1); the target must stay inside the tower.
     """
     target = op.level + tl.grid_index(t)
     if target > tl.levels:
@@ -194,39 +196,50 @@ def _amplification(tl: TruncatedLimit, t, op: TruncatedOperator):
             f"max admissible {max_t}",
             max_time=max_t,
         )
-    c = tl.system.collapse(tl.partition_at(target), op.level)
-    return target, c, op.matrix @ tl.frame_inverse[op.level]
+    return target, op.level, op.matrix @ tl.frame_inverse[op.level]
 
 
-def _amplify(c: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """C (y (x) 1) w, with (y (x) 1) applied to kron rows (y index major) by a reshape."""
-    return c @ (y @ w.reshape(len(y), -1)).reshape(w.shape)
+def _amplify(tl: TruncatedLimit, target: int, cut: int, y: np.ndarray,
+             w: np.ndarray) -> np.ndarray:
+    """C (Y (x) 1) C* w for the collapse C of the target cell at the cut.
+
+    One step per factor on the columns of w: C* and C through
+    `CellSystem.apply_collapse`, which forms no collapse of the target
+    cell, and (Y (x) 1) on the kron rows (Y index major) by a reshape.
+    """
+    cs, p = tl.system, tl.partition_at(target)
+    v = cs.apply_collapse(p, cut, w, adjoint=True)
+    v = (y @ v.reshape(len(y), -1)).reshape(v.shape)
+    return cs.apply_collapse(p, cut, v)
 
 
 def dilate(tl: TruncatedLimit, t, op: TruncatedOperator) -> TruncatedOperator:
     """Shift an operator by the endomorphism at a grid time.
 
     theta_t(op) = C ((op R_k(z^-1)) (x) 1) C*, with k the argument's support
-    level, C the cached collapse of cell k + t / delta at its k-th part and
-    z from `frame_weights` (see the module docstring for the frame
-    argument).  The argument's support level moves up by t / delta; the
-    result is only defined while that stays inside the tower.
+    level, C the collapse of cell k + t / delta at its k-th part and z from
+    `frame_weights` (see the module docstring for the frame argument).  The
+    dense result is `_amplify` applied to the identity.  The argument's
+    support level moves up by t / delta; the result is only defined while
+    that stays inside the tower.
     """
     if tl.grid_index(t) == 0:
         return op
-    target, c, y = _amplification(tl, t, op)
-    return TruncatedOperator(tl, target, _amplify(c, y, c.conj().T))
+    target, cut, y = _amplification(tl, t, op)
+    eye = np.eye(tl.spaces[target].dim, dtype=complex)
+    return TruncatedOperator(tl, target, _amplify(tl, target, cut, y, eye))
 
 
 def compression_defect(tl: TruncatedLimit, t, x: AlgebraElement) -> float:
     """Defect of compressing the dilated representation back to the semigroup.
 
-    k0* theta_t(x) k0 is formed as the thin product k0* C (Y (x) 1) (C* k0),
-    with d columns, so the top-level matrix of theta_t(x) is never built.
+    k0* theta_t(x) k0 is formed as the thin product k0* C (Y (x) 1) C* k0,
+    applied to the d columns of k0, so neither the top-level matrix of
+    theta_t(x) nor C is built.
     """
-    target, c, y = _amplification(tl, t, represent(tl, x))
+    target, cut, y = _amplification(tl, t, represent(tl, x))
     k0 = tl.embed_matrix(target, 0)
-    compressed = k0.conj().T @ _amplify(c, y, c.conj().T @ k0)
+    compressed = k0.conj().T @ _amplify(tl, target, cut, y, k0)
     expected = lmult_matrix(evaluate(tl.system.semigroup, t)(x))
     return float(np.linalg.norm(compressed - expected, 2))
 
@@ -346,23 +359,13 @@ class Cocycle:
                     break
                 if s + t not in self.maps:
                     continue
-                lvl, c, y = _amplification(tl, t, ws)
+                lvl, cut, y = _amplification(tl, t, ws)
                 e = tl.embed_matrix(lvl, kt)
-                u1 = _amplify(c, y, c.conj().T @ (e @ self.maps[t]))
+                u1 = _amplify(tl, lvl, cut, y, e @ self.maps[t])
                 v1 = e @ tl.embed_matrix(kt, 0)
                 r = np.linalg.qr(np.hstack([v1, tl.embed_matrix(lvl, 0)]), mode="r")
                 diff = np.hstack([u1, -self.maps[s + t]]) @ r.conj().T
                 worst = max(worst, float(np.linalg.norm(diff, 2)))
-        return worst
-
-    def adapted_defect(self) -> float:
-        worst = 0.0
-        for t, op in self.values.items():
-            k = self.tl.grid_index(t)
-            top = op.on_top()
-            kk = self.tl.embed_matrix(self.tl.levels, k)
-            proj = kk @ kk.conj().T
-            worst = max(worst, float(np.linalg.norm(proj @ top @ proj - top, 2)))
         return worst
 
 

@@ -9,6 +9,7 @@ from prodsys.cpdyn import (
     semigroup_from_generator,
     stochastic_pair_generator,
 )
+from prodsys.dilation import TruncatedOperator
 
 SEED = 20250808
 
@@ -70,6 +71,46 @@ def cell_target_elementary(cs, unit, parts):
     last = cs.gns(parts[-1])
     slots[-1] = np.einsum("yab,bx->axy", last.right, slots[-1]).reshape(last.dim, -1)
     return cs.fuse(parts, slots)
+
+
+def corner_projection(tl):
+    """Top-level projection onto the embedded standard space."""
+    k0 = tl.embed_matrix(tl.levels, 0)
+    return k0 @ k0.conj().T
+
+
+def compose(a, b):
+    """Product of two tower operators at the higher of their support levels."""
+    lvl = max(a.level, b.level)
+    return TruncatedOperator(a.tl, lvl, a.at_level(lvl) @ b.at_level(lvl))
+
+
+def embedding_isometry_defect(tl):
+    """Largest isometry defect among the connecting maps.
+
+    Zero for unital units; a non-unital unit makes the connecting maps
+    strict contractions and the defect reports how far they are from
+    preserving norms.
+    """
+    worst = 0.0
+    for k in range(tl.levels + 1):
+        for j in range(k):
+            b = tl.embed_matrix(k, j)
+            worst = max(worst, float(np.linalg.norm(
+                b.conj().T @ b - np.eye(tl.spaces[j].dim), 2)))
+    return worst
+
+
+def adapted_defect(w):
+    """Largest distance of a cocycle value at the top from its compression to its level."""
+    worst = 0.0
+    for t, op in w.values.items():
+        k = w.tl.grid_index(t)
+        top = op.on_top()
+        kk = w.tl.embed_matrix(w.tl.levels, k)
+        proj = kk @ kk.conj().T
+        worst = max(worst, float(np.linalg.norm(proj @ top @ proj - top, 2)))
+    return worst
 
 
 @pytest.fixture

@@ -508,13 +508,15 @@ def collapse_oracle(cs, p, a):
     return m
 
 
-@pytest.mark.parametrize("system,p", [
+COLLAPSE_CASES = [
     ("pair", partition([Fraction(1, 8), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16),
                         Fraction(1, 16), Fraction(1, 8), Fraction(1, 8), Fraction(1, 8)])),
     ("m2_lindblad", partition([Fraction(1, 4), Fraction(1, 3), Fraction(1, 4)])),
     ("mixed", partition([Fraction(1, 4), Fraction(1, 3), Fraction(1, 4)])),
-    ("pair", uniform(1, 16)),
-])
+]
+
+
+@pytest.mark.parametrize("system,p", COLLAPSE_CASES + [("pair", uniform(1, 16))])
 def test_collapse_matches_transposed_recursion(request, system, p):
     sg, sf = _system(request, system)
     # cold: the top cut first, on a system holding no collapse of a prefix
@@ -531,6 +533,21 @@ def test_collapse_matches_transposed_recursion(request, system, p):
         assert np.abs(got[a] - ref).max() < 1e-12 * max(1.0, np.abs(ref).max()), a
         # the same contractions in the same order, whichever prefix was cached
         assert np.array_equal(warm.collapse(p, a), got[a]), a
+
+
+@pytest.mark.parametrize("system,p", COLLAPSE_CASES)
+def test_apply_collapse_matches_dense(request, system, p, rng):
+    # C x and C* x on column blocks, at every cut, against the formed collapse
+    cs = CellSystem(*_system(request, system))
+    for a in range(len(p) + 1):
+        c = cs.collapse(p, a)
+        for cols in (1, 3, 7):
+            for m, adjoint in ((c, False), (c.conj().T, True)):
+                x = rng.standard_normal((m.shape[1], cols)) + 1j * rng.standard_normal((m.shape[1], cols))
+                ref = m @ x
+                got = cs.apply_collapse(p, a, x, adjoint=adjoint)
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max(), (a, cols, adjoint)
 
 
 def test_partition_keys_are_exact_integers():

@@ -3,14 +3,17 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import prodsys.dilation
+from prodsys.cells import CellSystem
 from prodsys.cli import complex_matrix, load_config, main, suite_dilate, suite_heat
 from prodsys.dilation import TruncatedLimit
+from prodsys.partition import uniform
 
 from conftest import SEED, reversible_chain
 
@@ -144,9 +147,8 @@ def test_truncation_error_is_surfaced(tmp_path, capsys):
     assert "truncation error" in err
 
 
-def test_dilate_suite_builds_no_relative_tensor(tmp_path, monkeypatch):
-    # a generic 2x2 Lindblad tower at 3 levels: every dilation goes through
-    # the cached collapses, so no relative tensor of two levels is formed
+def lindblad_tower_config(tmp_path):
+    """A generic 2x2 Lindblad config at 3 levels of 1/4: cells of dims 16, 64, 256."""
     rng = np.random.default_rng(307)
 
     def pairs(m):
@@ -164,19 +166,54 @@ def test_dilate_suite_builds_no_relative_tensor(tmp_path, monkeypatch):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    cfg = load_config(str(path), None, 1.0)
+    return load_config(str(path), None, 1.0)
+
+
+DILATE_CHECKS = ["compression", "minimality", "continuity-sup",
+                 "cocycle-law", "cocycle-roundtrip", "corner-isometry"]
+
+
+def test_dilate_suite_builds_no_relative_tensor(tmp_path, monkeypatch):
+    # every dilation goes through the cells, so no relative tensor of two
+    # levels is formed; the collapses of the top cell are applied to column
+    # blocks, never formed
+    cfg = lindblad_tower_config(tmp_path)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the dilation formed a relative tensor")
 
+    top, collapse = uniform(Fraction(3, 4), 3), CellSystem.collapse
+
+    def no_top_collapse(self, p, a):
+        if p == top:
+            raise AssertionError(f"the dilation formed the collapse of the top cell at {a}")
+        return collapse(self, p, a)
+
     monkeypatch.setattr(prodsys.dilation, "relative_tensor", forbidden)
     monkeypatch.setattr(TruncatedLimit, "split", forbidden)
+    monkeypatch.setattr(CellSystem, "collapse", no_top_collapse)
     rep = suite_dilate(cfg)
     assert rep.meta["levels"] == "3"
-    assert [c.check_id for c in rep.checks] == [
-        "compression", "minimality", "continuity-sup",
-        "cocycle-law", "cocycle-roundtrip", "corner-isometry"]
+    assert [c.check_id for c in rep.checks] == DILATE_CHECKS
     assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
+def test_dilate_suite_memory_on_warm_lindblad_tower(tmp_path):
+    # with the three level cells built, the suite allocates their action
+    # stacks and thin factors, about 13 MiB; forming the 256 x 1024
+    # collapses of the top cell instead takes the peak near 27 MiB
+    cfg = lindblad_tower_config(tmp_path)
+    for k in range(1, 4):
+        cfg.cells.cell(uniform(k * cfg.delta, k))
+    tracemalloc.start()
+    try:
+        rep = suite_dilate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.meta["levels"] == "3"
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+    assert peak < 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_dilate_suite_memory_on_deep_pair_tower(tmp_path):
@@ -192,9 +229,7 @@ def test_dilate_suite_memory_on_deep_pair_tower(tmp_path):
     finally:
         tracemalloc.stop()
     assert rep.meta["levels"] == "16"
-    assert [c.check_id for c in rep.checks] == [
-        "compression", "minimality", "continuity-sup",
-        "cocycle-law", "cocycle-roundtrip", "corner-isometry"]
+    assert [c.check_id for c in rep.checks] == DILATE_CHECKS
     assert rep.passed, [c for c in rep.checks if not c.passed]
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 

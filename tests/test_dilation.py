@@ -18,7 +18,6 @@ from prodsys.dilation import (
     compression_defect,
     continuity_profile,
     corner_isometry_defect,
-    corner_projection,
     dilate,
     frame_weights,
     minimality_evidence,
@@ -27,7 +26,15 @@ from prodsys.dilation import (
     unit_level_vectors,
 )
 
-from conftest import cell_target_elementary, mixed_semigroup, random_element
+from conftest import (
+    adapted_defect,
+    cell_target_elementary,
+    compose,
+    corner_projection,
+    embedding_isometry_defect,
+    mixed_semigroup,
+    random_element,
+)
 
 
 def make_tl(pair, delta=Fraction(1, 4), levels=4):
@@ -79,9 +86,9 @@ def test_non_unital_unit_breaks_embedding_isometry(pair):
     delta = Fraction(1, 4)
     grid = [k * delta for k in range(4)]
     unital_tl = TruncatedLimit(cs, canonical_unit(cs, grid), delta, 3)
-    assert unital_tl.embedding_isometry_defect() < 1e-10
+    assert embedding_isometry_defect(unital_tl) < 1e-10
     damped_tl = TruncatedLimit(cs, canonical_unit(cs, grid).scaled(0.5), delta, 3)
-    assert damped_tl.embedding_isometry_defect() > 1e-2
+    assert embedding_isometry_defect(damped_tl) > 1e-2
 
 
 def test_representation_is_faithful_unital_multiplicative(pair, rng):
@@ -106,6 +113,34 @@ def tower(request, system, levels):
 
 # cell dimensions grow as 4^k and 5^k on the m2_lindblad and mixed towers
 TOWERS = [("pair", 4), ("m2_lindblad", 3), ("mixed", 2)]
+
+
+def embed_oracle(tl, k, j):
+    """The connecting map as the collapse of level k at k - j times xi (x) I; the reference."""
+    if j == k:
+        return np.eye(tl.spaces[k].dim, dtype=complex)
+    jmat = tl.system.collapse(tl.partition_at(k), k - j)
+    return jmat @ np.kron(tl.unit_level[k - j][:, None], np.eye(tl.spaces[j].dim))
+
+
+@pytest.mark.parametrize("system, levels", TOWERS)
+def test_embed_recursion_matches_collapse(request, monkeypatch, system, levels):
+    # the level recursion forms no collapse, also for a non-unital unit
+    _, cs, unit = tower(request, system, levels)
+
+    def forbidden(*args):
+        raise AssertionError("a connecting map formed a collapse")
+
+    for lam in [unit, unit.scaled(0.5)]:
+        tl = TruncatedLimit(cs, lam, Fraction(1, 4), levels)
+        with monkeypatch.context() as m:
+            m.setattr(CellSystem, "collapse", forbidden)
+            got = {(k, j): tl.embed_matrix(k, j)
+                   for k in range(levels + 1) for j in range(k + 1)}
+        for (k, j), b in got.items():
+            ref = embed_oracle(tl, k, j)
+            assert b.shape == ref.shape
+            assert np.abs(b - ref).max() < 1e-12 * max(1.0, np.abs(ref).max()), (k, j)
 
 
 def test_dilate_corner_unit_stays_identity(request):
@@ -327,7 +362,7 @@ def dense_law_defect(w):
         for t in times:
             if s + t not in values or values[s].level + tl.grid_index(t) > tl.levels:
                 continue
-            lhs = dilate(tl, t, values[s]).compose(values[t])
+            lhs = compose(dilate(tl, t, values[s]), values[t])
             rhs = values[s + t]
             lvl = max(lhs.level, rhs.level)
             worst = max(worst, float(np.linalg.norm(lhs.at_level(lvl) - rhs.at_level(lvl), 2)))
@@ -366,7 +401,7 @@ def test_cocycle_law_and_adaptedness(pair):
     tl, cs, unit = make_tl(pair)
     w = cocycle_from_unit(tl, unit)
     assert w.law_defect() < 1e-9
-    assert w.adapted_defect() < 1e-12
+    assert adapted_defect(w) < 1e-12
     assert corner_isometry_defect(tl, w) < 1e-9  # unital case
 
 
