@@ -24,10 +24,14 @@ matrix whole; it is the dense reference the block quotient is tested
 against.
 
 A module pays only for what its readers use.  The quotient keeps its
-per-block factors and assembles the dense left and right action stacks
-each on its first read, cached read-only; and a left factor keeps the
-diagonalized blocks of its composition Gram (`Bimodule.gram_blocks`), so
-fusing it with many right factors diagonalizes them once.
+quotient maps as per-block factors (`Quotient`), and every reader
+contracts them against its own vectors: `embed` applied to the kron
+pairs of two column blocks, to a column block and its adjoint, and
+`lift` applied to a column block.  The dense `embed`, `lift` and left and
+right action stacks are assembled each on its first read, cached
+read-only; and a left factor keeps the diagonalized blocks of its
+composition Gram (`Bimodule.gram_blocks`), so fusing it with many right
+factors diagonalizes them once.
 """
 
 from __future__ import annotations
@@ -60,14 +64,20 @@ class _OnFirstRead:
     """Dataclass field holding an array, or a function that assembles it.
 
     The function runs on the first read; its array replaces it on the
-    instance, read-only.  The field has no default.
+    instance, read-only.  The field is required unless `optional`, when it
+    defaults to None.
     """
+
+    def __init__(self, optional: bool = False):
+        self.optional = optional
 
     def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
+            if self.optional:
+                return None
             raise AttributeError(self.name)
         value = obj.__dict__[self.name]
         if callable(value):
@@ -81,6 +91,73 @@ class _OnFirstRead:
 
 
 @dataclass(frozen=True)
+class Quotient:
+    """Per-block factors of the quotient of the kron pairs of h and k.
+
+    With V_i = k.multiplicity[i] (kd x n x m_i), I (x) V splits the pair
+    space h (x) k into the direct sum over blocks of (h (x) C^n) (x) C^m,
+    and the quotient coordinates are the direct sum of C^kk (x) C^m, in
+    rows q_i.  There embed = (+)_i W_i (x) I_m and lift = (+)_i L_i (x)
+    I_m, with W_i (kk x hd n) and L_i (hd n x kk) the factors of the Gram
+    block's kept eigenvectors (`_quotient_factors`); `blocks` holds
+    (q_i, W_i, L_i, V_i).  The identity of a space of dim d is the single
+    block with hd = 1, W = L = 1 and V = I_d.
+    """
+
+    hd: int
+    kd: int
+    dim: int
+    blocks: tuple
+
+    @classmethod
+    def identity(cls, d: int) -> "Quotient":
+        one = np.ones((1, 1))
+        return cls(1, d, d, ((slice(0, d), one, one, np.eye(d)[:, None, :]),))
+
+    def embed_pairs(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """embed @ kron(u, w) for column blocks u of h and w of k, in kron column order.
+
+        Block i sends column pair (c, e) to sum_r Y[:, r, c] (x) X[r, :, e],
+        with Y = W_i (u (x) I_n) and X = V_i* w; no kron product is formed.
+        """
+        nu, nw = u.shape[1], w.shape[1]
+        out = np.empty((self.dim, nu * nw), dtype=complex)
+        for q, wm, _, v in self.blocks:
+            kk, (_, n, m) = len(wm), v.shape
+            y = wm.reshape(kk, self.hd, n).transpose(0, 2, 1).reshape(kk * n, -1) @ u
+            x = (v.reshape(self.kd, n * m).conj().T @ w).reshape(n, m, nw)
+            np.matmul(y.reshape(kk, n, nu).transpose(0, 2, 1)[:, None], x.transpose(1, 0, 2)[None],
+                      out=out[q].reshape(kk, m, nu, nw))
+        return out
+
+    def embed_apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """embed @ x for a column block x of pair coordinates, or embed* @ x with `adjoint`."""
+        if adjoint:
+            return self._from_blocks(x, [wm.conj().T for _, wm, _, _ in self.blocks])
+        cols, xr = x.shape[1], x.reshape(self.hd, self.kd, -1)
+        out = np.empty((self.dim, cols), dtype=complex)
+        for q, wm, _, v in self.blocks:
+            n, m = v.shape[1:]
+            t = v.reshape(self.kd, n * m).conj().T @ xr  # (hd, n m, cols)
+            out[q] = (wm @ t.reshape(-1, m * cols)).reshape(-1, cols)
+        return out
+
+    def lift_apply(self, x: np.ndarray) -> np.ndarray:
+        """lift @ x for a column block x of quotient coordinates."""
+        return self._from_blocks(x, [lm for _, _, lm, _ in self.blocks])
+
+    def _from_blocks(self, x: np.ndarray, mats) -> np.ndarray:
+        """(I (x) V)((+)_i M_i (x) I_m) x, for M_i (hd n x kk) per block."""
+        cols = x.shape[1]
+        out = np.zeros((self.hd, cols, self.kd), dtype=complex)
+        for (q, _, _, v), mat in zip(self.blocks, mats):
+            n, m = v.shape[1:]
+            t = (mat @ x[q].reshape(-1, m * cols)).reshape(self.hd, n * m, cols)
+            out += t.transpose(0, 2, 1) @ v.reshape(self.kd, n * m).T
+        return out.transpose(0, 2, 1).reshape(-1, cols)
+
+
+@dataclass(frozen=True)
 class Bimodule:
     """Hilbert space with commuting left and right algebra actions.
 
@@ -88,16 +165,35 @@ class Bimodule:
     basis element of the algebra; each may be given as a zero-argument
     function, which assembles the stack on its first read.  When the space
     was produced as a quotient of a spanning family, `embed` / `lift`
-    translate between family coordinates and orthonormal coordinates.
+    translate between family coordinates and orthonormal coordinates.  A
+    quotient of kron pairs keeps them as factors (`quotient`), which its
+    readers contract through `embed_pairs`, `embed_apply` and `lift_apply`;
+    the dense matrices are assembled from the factors on their first read.
     """
 
     algebra: Algebra
     dim: int
     left: np.ndarray | Callable[[], np.ndarray] = _OnFirstRead()
     right: np.ndarray | Callable[[], np.ndarray] = _OnFirstRead()
-    embed: np.ndarray | None = None
-    lift: np.ndarray | None = None
+    embed: np.ndarray | Callable[[], np.ndarray] | None = _OnFirstRead(optional=True)
+    lift: np.ndarray | Callable[[], np.ndarray] | None = _OnFirstRead(optional=True)
     gram_eigs: np.ndarray | None = None
+    quotient: Quotient | None = None
+
+    def __post_init__(self):
+        q = self.quotient
+        if q is not None and self.__dict__["embed"] is None:  # assembled from q alone
+            object.__setattr__(self, "embed", lambda: q.embed_pairs(np.eye(q.hd), np.eye(q.kd)))
+            object.__setattr__(self, "lift", lambda: q.lift_apply(np.eye(q.dim)))
+
+    def embed_pairs(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return self.quotient.embed_pairs(u, w)
+
+    def embed_apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        return self.quotient.embed_apply(x, adjoint)
+
+    def lift_apply(self, x: np.ndarray) -> np.ndarray:
+        return self.quotient.lift_apply(x)
 
     def left_matrix(self, x: AlgebraElement) -> np.ndarray:
         return np.tensordot(x.vec(), self.left, axes=1)
@@ -218,10 +314,9 @@ def _quotient_factors(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
 
 def l2_bimodule(sf: StandardForm) -> Bimodule:
     """The standard space itself, acting by two-sided multiplication."""
-    d = sf.dim
-    return Bimodule(sf.algebra, d, sf.lmult_basis,
+    return Bimodule(sf.algebra, sf.dim, sf.lmult_basis,
                     lambda: np.stack([rmult_matrix(x) for x in sf.algebra.basis()]),
-                    embed=np.eye(d), lift=np.eye(d))
+                    quotient=Quotient.identity(sf.dim))
 
 
 def pi_phi(h: Bimodule, xi: np.ndarray, sf: StandardForm) -> np.ndarray:
@@ -290,7 +385,7 @@ def gns_tensor(t_map, sf: StandardForm) -> Bimodule:
 
 def tensor_vec(g: Bimodule, x: AlgebraElement, xi: np.ndarray) -> np.ndarray:
     """Coordinates of the elementary tensor of x and xi in a GNS coupling."""
-    return g.embed @ np.kron(x.vec(), xi)
+    return g.embed_pairs(x.vec()[:, None], xi[:, None])[:, 0]
 
 
 def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
@@ -325,31 +420,25 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
     the coordinates of `k.multiplicity` that sum is the direct sum over
     blocks M_n of E (x) I_m.  Only blocks with m > 0 are seen by the Gram
     matrix, and one rank rule runs over all of them; the quotient
-    coordinates are (block, kept direction, multiplicity index).  `embed`
-    and `lift` are assembled at once; the left action of h and the right
-    action of k are carried into the quotient block by block, each on the
-    first read of the result's `left` or `right`.
+    coordinates are (block, kept direction, multiplicity index).  The
+    quotient maps stay per-block factors (`Quotient`): `embed` and `lift`
+    are assembled from them only on their first read, and so are the left
+    action of h and the right action of k, carried into the quotient block
+    by block.
     """
     hd, kd = h.dim, k.dim
     seen = [(v, w, u) for (w, u), v in zip(blocks, k.multiplicity) if v.shape[2]]
     eig_all = np.concatenate([w for _, w, _ in seen] or [np.zeros(0)])
     keeps = np.split(_kept(eig_all, GRAM_RTOL), np.cumsum([w.size for _, w, _ in seen])[:-1])
 
-    dim = sum(int(kp.sum()) * v.shape[2] for (v, _, _), kp in zip(seen, keeps))
-    embed = np.zeros((dim, hd * kd), dtype=complex)
-    lift = np.zeros((hd * kd, dim), dtype=complex)
     factors, eigs, o = [], [np.zeros(0)], 0  # factors: (slice, W, L, V) per seen block
     for (v, w, u), kp in zip(seen, keeps):
         wmat, lmat, wk = _quotient_factors(w, u, kp)
-        n, kk, m = v.shape[1], wk.size, v.shape[2]
-        q = slice(o, o + kk * m)
-        o += kk * m
-        embed[q] = np.tensordot(wmat.reshape(kk, hd, n), v.conj(), axes=([2], [1])
-                                ).transpose(0, 3, 1, 2).reshape(kk * m, hd * kd)
-        lift[:, q] = np.tensordot(lmat.reshape(hd, n, kk), v, axes=([1], [1])
-                                  ).transpose(0, 2, 1, 3).reshape(hd * kd, kk * m)
+        q = slice(o, o + wk.size * v.shape[2])
+        o = q.stop
         factors.append((q, wmat, lmat, v))
-        eigs.append(np.repeat(wk, m))
+        eigs.append(np.repeat(wk, v.shape[2]))
+    dim = o
 
     # left(x) = W (x (x) I_n) L (x) I_m and right(y) = I (x) B* k.right(y) B
     def left():
@@ -369,8 +458,68 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
             out[:, q, q] = np.einsum("ab,xst->xasbt", np.eye(kk), act).reshape(-1, kk * m, kk * m)
         return out
 
-    return Bimodule(sf.algebra, dim, left, right, embed=embed, lift=lift,
-                    gram_eigs=np.concatenate(eigs))
+    return Bimodule(sf.algebra, dim, left, right, gram_eigs=np.concatenate(eigs),
+                    quotient=Quotient(hd, kd, dim, tuple(factors)))
+
+
+def extension(e: Bimodule, x: np.ndarray, sub: Bimodule) -> "BlockMap":
+    """E (X (x) I_k)(I_a (x) L) for two quotients of pairs over one right factor k.
+
+    E is the embed of e, from pairs (h, k); L the lift of sub, from pairs
+    (h', k); X maps a (x) h' into h, with a the column count of X over
+    dim h'.  Both quotients split k through the same V_i, whose columns are
+    orthonormal, so (I (x) V_i*)(X (x) I_k)(I (x) V_j) = delta_ij X (x)
+    I_(n m), and the product is (+)_i Z_i (x) I_m in the block coordinates
+    of e and of a (x) sub, with Z_i = W_i (X (x) I_n)(I_a (x) L_i) of shape
+    (kk_i, a, kk'_i).
+    """
+    qe, qs = e.quotient, sub.quotient
+    da, out = x.shape[1] // qs.hd, []
+    for (q, wm, _, v), (q2, _, lm, v2) in zip(qe.blocks, qs.blocks):
+        if v is not v2:
+            raise ValueError("the quotients do not share their right factor")
+        kk, n = len(wm), v.shape[1]
+        z = wm.reshape(kk, qe.hd, n).transpose(0, 2, 1).reshape(kk * n, -1) @ x
+        z = z.reshape(kk, n, da, qs.hd).transpose(0, 2, 3, 1).reshape(kk * da, -1) @ lm
+        out.append((q, q2, z.reshape(kk, da, -1), v.shape[2]))
+    return BlockMap(e.dim, da, sub.dim, tuple(out))
+
+
+@dataclass(frozen=True)
+class BlockMap:
+    """Map (+)_i Z_i (x) I_m from a (x) C^cols to C^rows, in block coordinates.
+
+    Block i holds (q_i, q'_i, Z_i, m_i): row (k, s) of q_i and column
+    (alpha, (k', s')) of q'_i meet in Z_i[k, alpha, k'] when s = s'.
+    """
+
+    rows: int
+    da: int
+    cols: int
+    blocks: tuple
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.rows, self.da, self.cols), dtype=complex)
+        for q, q2, z, m in self.blocks:
+            view = out[q, :, q2].reshape(len(z), m, self.da, -1, m)
+            for s in range(m):
+                view[:, s, :, :, s] = z
+        return out.reshape(self.rows, -1)
+
+    def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """The map applied to a column block x, or its adjoint with `adjoint`."""
+        cols = x.shape[1]
+        if adjoint:
+            out = np.zeros((self.da, self.cols, cols), dtype=complex)
+            for q, q2, z, m in self.blocks:
+                zh = z.reshape(len(z), -1).conj().T
+                out[:, q2] = (zh @ x[q].reshape(len(z), -1)).reshape(self.da, -1, cols)
+            return out.reshape(-1, cols)
+        x = x.reshape(self.da, self.cols, cols)
+        out = np.empty((self.rows, cols), dtype=complex)
+        for q, q2, z, m in self.blocks:
+            out[q] = (z.reshape(len(z), -1) @ x[:, q2].reshape(-1, m * cols)).reshape(-1, cols)
+        return out
 
 
 def left_materialization(h: Bimodule, sf: StandardForm) -> np.ndarray:

@@ -6,9 +6,11 @@ right.  Cells are cached per partition under exact integer keys, so the
 first k intermediate spaces of a cell coincide (as objects) with the cell
 of the length-k prefix.  The canonical collapse of cell(prefix) (x)
 cell(suffix) onto cell(p) then extends the cached collapse of the longest
-prefix of p by one contraction of the stored quotient maps per part;
-`CellSystem.apply_collapse` takes the last of these steps on a column
-block instead, so the collapse of p is applied without being formed.
+prefix of p by one step per part, which contracts the per-block factors
+of the quotient maps (`bimodule.extension`) and is block diagonal in the
+multiplicity index; `CellSystem.apply_collapse` takes the last of these
+steps on a column block instead, so the collapse of p is applied without
+being formed.  No reader forms a cell's dense embed or lift.
 
 On top of the cells this module provides the coarse-to-fine refinement
 isometries, the multiplication unitaries joining two cells into the cell
@@ -29,7 +31,9 @@ from .algebra import AlgebraElement, StandardForm
 from .bimodule import (
     Bimodule,
     BimoduleMap,
+    BlockMap,
     extend_from_family,
+    extension,
     gns_tensor,
     inner,
     l2_bimodule,
@@ -96,7 +100,7 @@ class CellSystem:
         xs[i] holds algebra coordinate vectors and vs[i] standard-space
         vectors as columns; part i takes every pair, algebra index major.
         """
-        return self.fuse(parts, [self.gns(t).embed @ np.kron(x, v)
+        return self.fuse(parts, [self.gns(t).embed_pairs(x, v)
                                  for t, x, v in zip(parts, xs, vs)])
 
     def fuse(self, parts: Sequence[Fraction], slots: Sequence[np.ndarray],
@@ -105,8 +109,9 @@ class CellSystem:
 
         The columns of slots[i] are vectors of the single-part cell at
         parts[i]; the result has a column for every choice of one column per
-        slot, in np.kron order.  Each step contracts against a reshaped view
-        of the cell's embed, so no pre-quotient kron product is formed.
+        slot, in np.kron order.  Each step contracts against the factors of
+        the cell's embed (`Bimodule.embed_pairs`), so no pre-quotient kron
+        product is formed.
 
         With `thin`, a fused family u wider than tall is replaced by R* from
         u* = Q R; later steps act column by column, so the result is the
@@ -114,8 +119,7 @@ class CellSystem:
         """
         u = slots[0]
         for i, w in enumerate(slots[1:], 2):
-            e = self.cell(Partition(tuple(parts[:i]))).embed
-            u = (u.T @ (e.reshape(len(e), len(u), len(w)) @ w)).reshape(len(e), -1)
+            u = self.cell(Partition(tuple(parts[:i]))).embed_pairs(u, w)
             if thin and u.shape[1] > len(u):
                 u = np.linalg.qr(u.conj().T, mode="r").conj().T
         return u
@@ -140,25 +144,16 @@ class CellSystem:
         elif a == n:
             m = np.tensordot(self.sf.solve_right_matrix.T, cellp.right, axes=1)
             m = m.transpose(1, 2, 0).reshape(cellp.dim, -1)
+        elif a == n - 1:
+            m = cellp.embed_pairs(np.eye(self.cell(Partition(p.parts[:a])).dim),
+                                  np.eye(self.gns(p.parts[-1]).dim))
         else:
-            done = max(n - 1, a + 1)
+            done = n - 1
             while done > a + 1 and (p.key[:done], a) not in self._collapse:
                 done -= 1
-            m = self._collapse.get((p.key[:done], a))
-            m = self.cell(Partition(p.parts[:done])).embed if m is None else m
-            da = self.cell(Partition(p.parts[:a])).dim
+            m = self.collapse(Partition(p.parts[:done]), a)
             for j in range(done + 1, n + 1):
-                ej, g, lift = self._extension(p, a, j)
-                rows = ej.shape[0]
-                ej = ej.reshape(rows, -1, g)
-                out = np.empty((rows, da, lift.shape[1]), dtype=complex)
-                # ej @ kron(m, I_g) @ kron(I_da, lift), contracted in `fuse`'s order
-                # over row blocks whose temporary is no larger than the result
-                step = max(1, out.size // (m.shape[1] * g))
-                for r in range(0, rows, step):
-                    np.matmul((m.T @ ej[r:r + step]).reshape(-1, da, lift.shape[0]),
-                              lift, out=out[r:r + step])
-                m = out.reshape(rows, -1)
+                m = self._step(p, a, j, m).dense()
                 self._collapse[(p.key[:j], a)] = m
         self._collapse[key] = m
         return m
@@ -168,11 +163,11 @@ class CellSystem:
         """C x, or C* x with `adjoint`, for C = collapse(p, a) and a column block x.
 
         No collapse of p is formed.  An interior cut takes the last
-        extension step of `collapse` on the columns, C = E (C' (x) I_g)
-        (I (x) L), through the cached collapse C' of p without its last
-        part; for a = len(p) - 1 that is E = cell(p).embed alone.  Cut 0
-        and cut len(p) apply the left, respectively right, action stack,
-        contracted with the solve map first.
+        extension step of `collapse` on the columns, through the cached
+        collapse of p without its last part; for a = len(p) - 1, C is the
+        embed of cell(p), applied through its factors.  Cut 0 and cut
+        len(p) apply the left, respectively right, action stack, contracted
+        with the solve map first.
         """
         n, cols = len(p), x.shape[1]
         if a in (0, n):
@@ -187,25 +182,19 @@ class CellSystem:
             x = (x.reshape(sf.dim, -1, cols) if a == 0
                  else x.reshape(-1, sf.dim, cols).transpose(1, 0, 2))
             return (stack @ np.tensordot(solve, x, axes=1)).sum(axis=0)
-        ej, g, lift = self._extension(p, a, n)
         if a == n - 1:
-            return ej.conj().T @ x if adjoint else ej @ x
-        prev = self.collapse(Partition(p.parts[:-1]), a)
-        if adjoint:
-            v = (ej.conj().T @ x).reshape(prev.shape[0], -1)
-            v = (prev.conj().T @ v).reshape(-1, lift.shape[0], cols)
-            return (lift.conj().T @ v).reshape(-1, cols)
-        v = (lift @ x.reshape(-1, lift.shape[1], cols)).reshape(prev.shape[1], -1)
-        return ej @ (prev @ v).reshape(-1, cols)
+            return self.cell(p).embed_apply(x, adjoint)
+        return self._step(p, a, n, self.collapse(Partition(p.parts[:-1]), a)).apply(x, adjoint)
 
-    def _extension(self, p: Partition, a: int, j: int) -> tuple[np.ndarray, int, np.ndarray]:
-        """(E, g, L) with C_j = E (C_{j-1} (x) I_g)(I (x) L), C_j the cut-a collapse of p[:j].
+    def _step(self, p: Partition, a: int, j: int, prev: np.ndarray) -> BlockMap:
+        """C_j = E (C_(j-1) (x) I_g)(I (x) L) in block form, C_j the cut-a collapse of p[:j].
 
         E is the embed of cell(p[:j]), g the dimension of the GNS coupling of
-        its last part and L the lift of cell(p[a:j]).
+        its last part, L the lift of cell(p[a:j]) and prev = C_(j-1); both
+        cells end in that coupling (`bimodule.extension`).
         """
-        return (self.cell(Partition(p.parts[:j])).embed, self.gns(p.parts[j - 1]).dim,
-                self.cell(Partition(p.parts[a:j])).lift)
+        return extension(self.cell(Partition(p.parts[:j])), prev,
+                         self.cell(Partition(p.parts[a:j])))
 
     # -- product structure --------------------------------------------
 
@@ -213,37 +202,62 @@ class CellSystem:
         """Unitary from cell(q) (x)_M cell(p) onto cell(q joined with p)."""
         r = relative_tensor(self.cell(q), self.cell(p), self.sf)
         j = self.collapse(join(q, p), len(q))
-        return BimoduleMap(r, self.cell(join(q, p)), j @ r.lift)
+        return BimoduleMap(r, self.cell(join(q, p)), j @ r.lift_apply(np.eye(r.dim)))
 
     def refinement(self, p: Partition, q: Partition) -> BimoduleMap:
         """Isometry from the coarse cell(q) into the fine cell(p)."""
-        groups = grouping(p, q)
-        if not groups:
-            return BimoduleMap(self.l2, self.l2, np.eye(self.sf.dim, dtype=complex))
-        factor_maps = [self._group_map(g) for g in groups]
-        a = factor_maps[0]
-        parts_done = len(groups[0])
-        for i in range(1, len(groups)):
-            jmat = self.collapse(Partition(p.parts[:parts_done + len(groups[i])]), parts_done)
-            lift = self.cell(Partition(q.parts[:i + 1])).lift
-            a = jmat @ np.kron(a, factor_maps[i]) @ lift
-            parts_done += len(groups[i])
+        a = self.refine_apply(p, q, np.eye(self.cell(q).dim, dtype=complex))
         return BimoduleMap(self.cell(q), self.cell(p), a)
 
-    def _group_map(self, sub: Partition) -> np.ndarray:
-        """Isometry of one GNS coupling into the cell of a sub-partition.
+    def refine_apply(self, p: Partition, q: Partition, x: np.ndarray) -> np.ndarray:
+        """The refinement isometry of cell(q) into cell(p), applied to a column block x.
 
-        An elementary tensor with slots (x, eta) goes to the elementary
-        tensor of the sub-partition with x in the first algebra slot, the
-        cyclic vector in every intermediate slot and eta in the last one.
+        With the parts of p grouped into those of q, the isometry of the
+        first i groups is A_i = J (A_(i-1) (x) F) L: L the lift of
+        cell(q[:i]), F the isometry of the GNS coupling at q's part i into
+        the cell of its group (`_group_apply`) and J the collapse of p at
+        the start of that group (`apply_collapse`).  Each A_i is applied to
+        the identity, the last one to x, so no collapse of p is formed.
         """
-        g = self.gns(sub.total)
-        if len(sub) == 1:
-            return np.eye(g.dim, dtype=complex)
-        eye, n = np.eye(self.sf.dim), len(sub)
-        xs = [eye] + [self.sf.algebra.identity().vec()[:, None]] * (n - 1)
-        vs = [self.sf.cyclic[:, None]] * (n - 1) + [eye]
-        return self.family(sub.parts, xs, vs) @ g.lift
+        groups = grouping(p, q)
+        if not groups:
+            return x
+        last, done = len(groups) - 1, len(groups[0])
+        a = self._group_apply(groups[0], x if last == 0 else np.eye(self.gns(q.parts[0]).dim))
+        for i, sub in enumerate(groups[1:], 1):
+            cell = self.cell(Partition(q.parts[:i + 1]))
+            cols = x if i == last else np.eye(cell.dim)
+            g, c = self.gns(q.parts[i]).dim, cols.shape[1]
+            y = (a @ cell.lift_apply(cols).reshape(a.shape[1], -1)).reshape(-1, g, c)
+            head = len(y)
+            y = self._group_apply(sub, y.transpose(1, 0, 2).reshape(g, -1))
+            y = y.reshape(-1, head, c).transpose(1, 0, 2).reshape(-1, c)
+            a = self.apply_collapse(Partition(p.parts[:done + len(sub)]), done, y)
+            done += len(sub)
+        return a
+
+    def _group_apply(self, sub: Partition, x: np.ndarray) -> np.ndarray:
+        """Isometry of one GNS coupling into the cell of a sub-partition, applied to columns.
+
+        An elementary tensor with slots (y, eta) goes to the elementary
+        tensor of the sub-partition with y in the first algebra slot, the
+        cyclic vector in every intermediate slot and eta in the last one.
+        Column c of x is the sum of lam[y, eta, c] (y, eta), lam = lift x:
+        lam folds into the first slot, and the first and last slots that
+        share eta are paired in one column of pair coordinates of cell(sub).
+        """
+        n, d, cols = len(sub), self.sf.dim, x.shape[1]
+        if n == 1:
+            return x
+        lam = self.gns(sub.total).lift_apply(x).reshape(d, -1)
+        one, omega = self.sf.algebra.identity().vec()[:, None], self.sf.cyclic[:, None]
+        first = self.gns(sub.parts[0]).embed_pairs(np.eye(d), omega) @ lam
+        slots = [first.reshape(-1, d, cols).transpose(0, 2, 1).reshape(len(first), -1)]
+        slots += [self.gns(t).embed_pairs(one, omega) for t in sub.parts[1:-1]]
+        u = self.fuse(sub.parts[:-1], slots)
+        last = self.gns(sub.parts[-1]).embed_pairs(one, np.eye(d))
+        pairs = (u.reshape(len(u), cols, d) @ last.T).transpose(0, 2, 1)
+        return self.cell(sub).embed_apply(pairs.reshape(-1, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +318,8 @@ def unit_report(unit: Unit) -> UnitReport:
             if (s + t) not in unit.vectors:
                 continue
             v = cs.fuse((s, t), [unit.vectors[s][:, None], unit.vectors[t][:, None]])[:, 0]
-            w = cs.refinement(Partition((s, t)), Partition((s + t,))).matrix @ unit.vectors[s + t]
+            w = cs.refine_apply(Partition((s, t)), Partition((s + t,)),
+                                unit.vectors[s + t][:, None])[:, 0]
             fact = max(fact, float(np.linalg.norm(v - w)))
     return UnitReport(unital, excess, fact)
 

@@ -22,7 +22,9 @@ import numpy as np
 from .algebra import (
     Algebra, AlgebraElement, StandardForm, block_diag, expm, lmult_matrix, rmult_matrix,
 )
-from .bimodule import Bimodule, BimoduleMap, extend_from_family, inner, left_materialization
+from .bimodule import (
+    Bimodule, BimoduleMap, Quotient, extend_from_family, inner, left_materialization,
+)
 from .cells import CellSystem
 from .partition import Partition
 
@@ -146,8 +148,7 @@ def twisted_cell(theta: E0Semigroup, t, sf: StandardForm) -> Bimodule:
     basis = list(sf.algebra.basis())
     left = np.stack([lmult_matrix(theta.apply(t, x)) for x in basis])
     right = np.stack([rmult_matrix(x) for x in basis])
-    d = sf.dim
-    return Bimodule(sf.algebra, d, left, right, embed=np.eye(d), lift=np.eye(d))
+    return Bimodule(sf.algebra, sf.dim, left, right, quotient=Quotient.identity(sf.dim))
 
 
 class TwistedSystem:

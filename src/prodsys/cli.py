@@ -56,6 +56,7 @@ from .cpdyn import (
 from .dilation import (
     TruncatedLimit,
     TruncationError,
+    UnitLawError,
     cocycle_from_unit,
     compression_defect,
     continuity_profile,
@@ -230,8 +231,12 @@ def suite_cells(cfg: ExperimentConfig) -> Report:
             rep.add(f"gram-spread{p}", "cell-construction", 0.0 if ratio > 0 else 1.0, 0.5)
         # composition checked on generator vectors (spanning-family images)
         rng = np.random.default_rng(cfg.seed)
-        cols = rng.choice(cell.embed.shape[1], size=min(4, cell.embed.shape[1]), replace=False)
-        _, worst_res, _ = inner(cell, cell.embed[:, cols], cell.embed[:, cols], cfg.sf)
+        pre = cell.quotient.hd * cell.quotient.kd
+        cols = rng.choice(pre, size=min(4, pre), replace=False)
+        basis = np.zeros((pre, cols.size))
+        basis[cols, np.arange(cols.size)] = 1.0
+        vecs = cell.embed_apply(basis)
+        _, worst_res, _ = inner(cell, vecs, vecs, cfg.sf)
         rep.add(f"bounded-vector{p}", "bounded-vector-composition", worst_res, cfg.tol(1e-10))
     g = cs.gns(cfg.delta)
     rng = np.random.default_rng(cfg.seed)
@@ -341,8 +346,13 @@ def suite_dilate(cfg: ExperimentConfig) -> Report:
             worst = max(worst, d)
     rep.artifacts["dilate_residuals"] = residual_rows
     rep.add("compression", "dilation-compression", worst, cfg.tol(1e-9))
-    mini = minimality_evidence(tl)
-    rep.add("minimality", "orbit-span", float(mini.top_dim - mini.span_rank), 0.5)
+    try:
+        mini = minimality_evidence(tl)
+        rank_defect = float(mini.top_dim - mini.span_rank)
+    except UnitLawError as exc:  # the orbit rank rests on the unit law: not decided
+        rep.meta["unit-law"] = f"level {exc.level} defect {exc.defect:.6e}"
+        rank_defect = np.inf
+    rep.add("minimality", "orbit-span", rank_defect, 0.5)
     prof = continuity_profile(tl)
     rep.add("continuity-sup", "unit-continuity", max(prof.values()), 10.0)
     w = cocycle_from_unit(tl, unit)

@@ -16,7 +16,8 @@ maps follow the level recursion
 
 with E_k the embed of level k, L_j the lift of level j and g the dimension
 of one part's GNS coupling: the collapse recursion with the unit vector put
-into the prefix slot first (`TruncatedLimit.embed_matrix`).
+into the prefix slot first (`TruncatedLimit.embed_matrix`), taken on the
+per-block factors of E_k and L_j.
 
 Operators are carried with a support level: an operator at level k acts on
 the level-k space and is extended to the top through the connecting
@@ -54,10 +55,18 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraElement, StandardForm, lmult_matrix
-from .bimodule import Bimodule, numerical_rank, pi_phi, relative_tensor
+from .bimodule import Bimodule, extension, numerical_rank, pi_phi, relative_tensor
 from .cells import CellSystem, Unit, _unit_fold
 from .cpdyn import evaluate
 from .partition import Partition, uniform
+
+
+class UnitLawError(ValueError):
+    """The unit law xi_{k delta} = xi_{(k-1) delta} (x) xi_delta fails on a tower level."""
+
+    def __init__(self, level: int, defect: float):
+        super().__init__(f"unit law fails at level {level} (defect {defect:.2e})")
+        self.level, self.defect = level, defect
 
 
 class TruncationError(RuntimeError):
@@ -112,8 +121,9 @@ class TruncatedLimit:
         """Connecting isometry iota_{k,j}: v -> xi_{(k-j) delta} (x) v, level j into level k.
 
         Built by the level recursion iota_{k,j} = E_k (iota_{k-1,j-1} (x)
-        I_g) L_j of the module docstring, from iota_{k,1}, E_k contracted
-        with xi_{(k-1) delta} on its prefix index, and iota_{k,0}, the
+        I_g) L_j of the module docstring, in the block form of
+        `bimodule.extension`, from iota_{k,1}, E_k applied to xi_{(k-1)
+        delta} paired with every vector of level 1, and iota_{k,0}, the
         bounded-vector map of xi_{k delta}.  It is exact and needs no unit
         law, because the suffix cells of a uniform partition are the lower
         levels; no collapse of level k is formed.
@@ -124,15 +134,13 @@ class TruncatedLimit:
             return np.eye(self.spaces[k].dim, dtype=complex)
         key = (k, j)
         if key not in self._embed:
-            e = self.spaces[k].embed
+            top = self.spaces[k]
             if j == 0:
-                b = pi_phi(self.spaces[k], self.unit_level[k], self.sf)
+                b = pi_phi(top, self.unit_level[k], self.sf)
             elif j == 1:
-                xi = self.unit_level[k - 1]
-                b = xi @ e.reshape(len(e), len(xi), -1)
+                b = top.embed_pairs(self.unit_level[k - 1][:, None], np.eye(self.spaces[1].dim))
             else:
-                prev, lift = self.embed_matrix(k - 1, j - 1), self.spaces[j].lift
-                b = e @ (prev @ lift.reshape(prev.shape[1], -1)).reshape(-1, lift.shape[1])
+                b = extension(top, self.embed_matrix(k - 1, j - 1), self.spaces[j]).dense()
             self._embed[key] = b
         return self._embed[key]
 
@@ -274,8 +282,8 @@ def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
     slot of level k.  So the words are an isometry applied to the unit's
     fold at n parts of delta, which keeps their singular values, given
     isometric connecting maps and the unit law xi_{k delta} = xi_{(k-1)
-    delta} (x) xi_delta, which is checked on every level (ValueError past
-    1e-8).  y -> b_y is unitary only for a tracial density: with y, not
+    delta} (x) xi_delta, which is checked on every level (`UnitLawError`
+    past 1e-8).  y -> b_y is unitary only for a tracial density: with y, not
     b_y, in the last slot the singular values were 0.58 to 1.94 times the
     words' on a non-tracial 2x2 Lindblad tower.
     """
@@ -284,11 +292,10 @@ def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
     if n == 0:
         return MinimalityReport(numerical_rank(sf.embed_left_matrix, rtol), top)
     for k in range(2, tl.levels + 1):
-        e = tl.spaces[k].embed
-        law = np.linalg.norm((e.reshape(len(e), -1, len(xi)) @ xi) @ tl.unit_level[k - 1]
-                             - tl.unit_level[k])
+        fused = tl.spaces[k].embed_pairs(tl.unit_level[k - 1][:, None], xi[:, None])[:, 0]
+        law = np.linalg.norm(fused - tl.unit_level[k])
         if law > 1e-8:
-            raise ValueError(f"unit law fails at level {k} (defect {law:.2e})")
+            raise UnitLawError(k, float(law))
     xs = np.column_stack([x.vec() for x in (sf.algebra.basis() if elements is None else elements)])
     z = _unit_fold(tl.system, {tl.delta: xi}, tl.partition_at(n).parts, xs,
                    sf.solve_right_matrix @ sf.embed_left_matrix)
@@ -379,7 +386,8 @@ def unit_level_vectors(tl: TruncatedLimit, unit: Unit) -> dict[Fraction, np.ndar
         if k == 1:
             out[t] = unit.vectors[t].copy()
         else:
-            out[t] = tl.system.refinement(tl.partition_at(k), Partition((t,))).matrix @ unit.vectors[t]
+            out[t] = tl.system.refine_apply(tl.partition_at(k), Partition((t,)),
+                                            unit.vectors[t][:, None])[:, 0]
     return out
 
 

@@ -227,19 +227,27 @@ def cell_match_defect(mdl: MarkovModel, p: Partition, cs) -> tuple[float, int, i
     that involves a non-glued column a must vanish and is bounded by
     max_{a not glued} |z_a| max_b |z_b|.  The larger of the two is
     returned, which is never below the largest entry of the m^{2n}-square
-    Gram difference, together with the two dimensions.
+    Gram difference, together with the two dimensions.  The family is
+    fused in m column blocks, one per state f_1, so only the glued columns
+    and one block are held at a time.
     """
-    n = len(p)
+    n, m = len(p), mdl.states
     path = l2_cell(mdl, p)
-    z = cs.family(p.parts, [np.eye(cs.sf.dim)] * n, [cs.sf.embed_left_matrix] * n)
-    glued = _glued_columns(mdl.states, n)
-    zg = z[:, glued]
+    eye, vs = np.eye(m), [cs.sf.embed_left_matrix] * n
+    glued = _glued_columns(m, n).reshape(m, -1)  # row f: the glued columns with f_1 = f
+    width = m ** (2 * n - 1)
+    zg, loose, top = [], 0.0, 0.0
+    for f in range(m):
+        z = cs.family(p.parts, [eye[:, [f]]] + [eye] * (n - 1), vs)
+        inside = glued[f] - f * width
+        zg.append(z[:, inside])
+        norms = np.linalg.norm(z, axis=0)
+        top = max(top, norms.max())
+        norms[inside] = 0.0
+        loose = max(loose, norms.max())
+    zg = np.hstack(zg)
     gram_defect = np.abs(zg.conj().T @ zg - path.embed.conj().T @ path.embed).max()
-    norms = np.linalg.norm(z, axis=0)
-    loose = norms.copy()
-    loose[glued] = 0.0
-    bound = loose.max() * norms.max()
-    return float(max(gram_defect, bound)), cs.cell(p).dim, path.dim
+    return float(max(gram_defect, loose * top)), cs.cell(p).dim, path.dim
 
 
 def embed_base_adjoint(mdl: MarkovModel, p: Partition, f: np.ndarray) -> np.ndarray:

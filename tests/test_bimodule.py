@@ -29,6 +29,7 @@ from prodsys.bimodule import (
     verify_map,
 )
 from prodsys.cells import CellSystem
+from prodsys.classify import identity_semigroup, twisted_cell
 from prodsys.cpdyn import (
     CpMap,
     evaluate,
@@ -367,6 +368,56 @@ def test_relative_tensor_matches_dense_oracle(system, parts, request):
 def assembled(cell, name):
     """Whether the action stack `name` of a cell has been assembled."""
     return isinstance(vars(cell)[name], np.ndarray)
+
+
+def pre_change_quotient_maps(r):
+    """embed and lift of a block quotient, assembled at once from its factors.
+
+    This is how the quotient built them before it kept its factors; the
+    reference for the factor contractions and the lazy assembly.
+    """
+    q = r.quotient
+    embed = np.zeros((r.dim, q.hd * q.kd), dtype=complex)
+    lift = np.zeros((q.hd * q.kd, r.dim), dtype=complex)
+    for rows, wmat, lmat, v in q.blocks:
+        n, kk, m = v.shape[1], wmat.shape[0], v.shape[2]
+        embed[rows] = np.tensordot(wmat.reshape(kk, q.hd, n), v.conj(), axes=([2], [1])
+                                   ).transpose(0, 3, 1, 2).reshape(kk * m, -1)
+        lift[:, rows] = np.tensordot(lmat.reshape(q.hd, n, kk), v, axes=([1], [1])
+                                     ).transpose(0, 2, 1, 3).reshape(-1, kk * m)
+    return embed, lift
+
+
+def close(got, want, rtol=1e-13):
+    return got.shape == want.shape and np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("system", ["pair", "mixed_block", "m2_lindblad", "chain6"])
+def test_factor_contractions_match_the_dense_quotient_maps(system, request, rng):
+    sg, sf = request.getfixturevalue(system)
+    cs = CellSystem(sg, sf)
+    for cell in (cs.gns(Fraction(1, 4)), cs.cell(uniform(Fraction(1, 2), 2)),
+                 cs.cell(uniform(Fraction(3, 4), 3))):
+        q = cell.quotient
+        embed, lift = pre_change_quotient_maps(cell)
+        u, w, x, y = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                      for s in ((q.hd, 3), (q.kd, 2), (q.hd * q.kd, 4), (cell.dim, 5)))
+        assert close(cell.embed_pairs(u, w), embed @ np.kron(u, w))
+        assert close(cell.embed_apply(x), embed @ x)
+        assert close(cell.embed_apply(y, adjoint=True), embed.conj().T @ y)
+        assert close(cell.lift_apply(y), lift @ y)
+        assert not assembled(cell, "embed") and not assembled(cell, "lift")
+        assert close(cell.embed, embed) and close(cell.lift, lift)
+        assert assembled(cell, "embed") and assembled(cell, "lift")
+        with pytest.raises(ValueError, match="read-only"):
+            cell.lift[0, 0] = 1.0
+    v = rng.standard_normal((sf.dim, 2)) + 1j * rng.standard_normal((sf.dim, 2))
+    for identity in (cs.l2, twisted_cell(identity_semigroup(sf.algebra), 1, sf)):
+        assert identity.quotient.hd == 1
+        assert np.array_equal(identity.embed, np.eye(sf.dim))
+        assert np.array_equal(identity.lift, np.eye(sf.dim))
+        assert np.array_equal(identity.embed_pairs(np.ones((1, 1)), v), v)
+        assert np.array_equal(identity.lift_apply(v), v)
 
 
 @pytest.mark.parametrize("system, parts", [("m2_lindblad", 2), ("pair", 3), ("mixed_block", 2)])

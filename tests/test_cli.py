@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import prodsys.dilation
 from prodsys.cells import CellSystem
-from prodsys.cli import complex_matrix, load_config, main, suite_dilate, suite_heat
+from prodsys.cli import SUITES, complex_matrix, load_config, main, suite_dilate, suite_heat
 from prodsys.dilation import TruncatedLimit
 from prodsys.partition import uniform
 
@@ -147,8 +148,11 @@ def test_truncation_error_is_surfaced(tmp_path, capsys):
     assert "truncation error" in err
 
 
-def lindblad_tower_config(tmp_path):
-    """A generic 2x2 Lindblad config at 3 levels of 1/4: cells of dims 16, 64, 256."""
+def lindblad_config(tmp_path, **fields):
+    """Path of a generic 2x2 Lindblad config drawn from seed 307, with `fields` set.
+
+    The draws are those of the lindblad_m2 benchmark workload at seed 307.
+    """
     rng = np.random.default_rng(307)
 
     def pairs(m):
@@ -162,11 +166,38 @@ def lindblad_tower_config(tmp_path):
         "state": {"density": [pairs((density + density.conj().T) / 2)]},
         "semigroup": {"builtin": "lindblad", "jumps": [pairs(v)],
                       "hamiltonian": pairs((h + h.conj().T) / 2)},
-        "grid": {"delta": "1/4", "levels": 3},
+        **fields,
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
+    return path
+
+
+def lindblad_tower_config(tmp_path):
+    """A generic 2x2 Lindblad config at 3 levels of 1/4: cells of dims 16, 64, 256."""
+    path = lindblad_config(tmp_path, grid={"delta": "1/4", "levels": 3})
     return load_config(str(path), None, 1.0)
+
+
+def test_fine_grid_unit_law_failure_is_a_verdict(tmp_path, capsys):
+    # the lindblad_m2 workload at grid step 1/1024: the unit law fails on
+    # tower level 2, so the orbit rank is not decided; every suite still
+    # writes its CSV and the run exits 1
+    path = lindblad_config(tmp_path, partitions=["1", "1/2,1/2", "1/3,1/3,1/3"],
+                           grid={"delta": "1/1024", "levels": 4},
+                           markov={"graph": "cycle", "states": 3})
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out), "--seed", "307"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(f.name for f in out.glob("*.csv")) == sorted(
+        f"{name}.csv" for name in SUITES + ("dilate_residuals", "heat_kernel"))
+    rows = list(csv.reader((out / "dilate.csv").read_text().splitlines()))
+    meta = {r[0]: r[1] for r in rows if r[0].startswith("# ")}
+    level, defect = meta["# unit-law"].split()[1::2]
+    assert level == "2" and 1e-8 < float(defect) < 1e-4
+    checks = {r[1]: r[3:] for r in rows if r[0] == "dilate"}
+    assert list(checks) == DILATE_CHECKS
+    assert checks["minimality"][0] == "inf" and checks["minimality"][2] == "FAIL"
 
 
 DILATE_CHECKS = ["compression", "minimality", "continuity-sup",
@@ -196,6 +227,41 @@ def test_dilate_suite_builds_no_relative_tensor(tmp_path, monkeypatch):
     assert rep.meta["levels"] == "3"
     assert [c.check_id for c in rep.checks] == DILATE_CHECKS
     assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
+def dense_quotient_maps(cs):
+    """Dimensions of the cells of a cell system whose dense embed or lift was assembled."""
+    cells = [*cs._cells.values(), *cs._gns.values()]
+    assert cells
+    return [c.dim for c in cells
+            if any(isinstance(vars(c)[name], np.ndarray) for name in ("embed", "lift"))]
+
+
+def test_dilate_suite_assembles_no_dense_quotient_map(tmp_path):
+    # every reader contracts the cells' quotient factors; only an oracle
+    # reads the dense embed or lift
+    cfg = lindblad_tower_config(tmp_path)
+    for k in range(1, 4):
+        cfg.cells.cell(uniform(k * cfg.delta, k))
+    rep = suite_dilate(cfg)
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+    assert dense_quotient_maps(cfg.cells) == []
+
+
+def test_heat_suite_assembles_no_dense_quotient_map(tmp_path, monkeypatch):
+    systems = []
+
+    class Recorded(CellSystem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            systems.append(self)
+
+    monkeypatch.setattr(prodsys.cli, "CellSystem", Recorded)
+    rep = suite_heat(chain6_config(tmp_path))
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+    (cs,) = systems
+    assert cs.cell(uniform(1, 2)).dim == 216
+    assert dense_quotient_maps(cs) == []
 
 
 def test_dilate_suite_memory_on_warm_lindblad_tower(tmp_path):
@@ -234,14 +300,19 @@ def test_dilate_suite_memory_on_deep_pair_tower(tmp_path):
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
+def chain6_config(tmp_path):
+    """The seeded reversible chain on six states, as a markov config."""
+    mu, lap = reversible_chain(SEED, 6)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"markov": {"mu": mu.tolist(), "laplacian": lap.tolist()}}))
+    return load_config(str(path), None, 1.0)
+
+
 def test_heat_suite_memory_on_six_state_chain(tmp_path):
     # a seeded reversible chain on six states: 1296 slot columns for the
     # two-part cell match and a 1296-dim top level for the dilation, checked
     # on the 216 glued columns and the 6 corner columns
-    mu, lap = reversible_chain(SEED, 6)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"markov": {"mu": mu.tolist(), "laplacian": lap.tolist()}}))
-    cfg = load_config(str(path), None, 1.0)
+    cfg = chain6_config(tmp_path)
     tracemalloc.start()
     try:
         rep = suite_heat(cfg)

@@ -312,6 +312,21 @@ def test_cell_match_allocates_no_action_stacks(chain6):
     assert check - fold < pair_bytes
 
 
+def test_cell_match_memory_on_cold_six_state_chain(chain6):
+    # the 216-dim cell is built from its factors and the 1296-column family
+    # is fused in six blocks of 216; dense quotient maps of that cell and
+    # the whole family took the peak to 19.8 MiB
+    cs = heat_system(chain6)
+    tracemalloc.start()
+    try:
+        defect, dim, _ = cell_match_defect(chain6, uniform(1, 2), cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 216 and defect < 1e-10
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 def test_cell_match_two_state(two_state):
     cs = heat_system(two_state)
     defect, dim_cell, dim_path = cell_match_defect(two_state, partition([1]), cs)
@@ -366,21 +381,27 @@ def test_glued_columns_are_the_nonzero_indicator_columns(m, n):
 
 
 def test_cell_match_bounds_non_glued_columns(cycle3, monkeypatch):
-    # a defect confined to one non-glued column, where the path side is zero
+    # a defect confined to one non-glued column, where the path side is zero;
+    # the check fuses the family in column blocks of the first algebra slot,
+    # so the column is found through that slot in whichever block holds it
     p = uniform(1, 2)
     cs = heat_system(cycle3)
     m = cycle3.states
     loose = np.ravel_multi_index((0, 1, 2, 0), (m,) * 4)
     assert loose not in _glued_columns(m, 2)
-    family = cs.family
+    family, hits = cs.family, []
 
-    def perturbed(*args):
-        z = family(*args).copy()
-        z[:, loose] += 1e-6
+    def perturbed(parts, xs, vs):
+        z = family(parts, xs, vs).copy()
+        width = z.shape[1] // xs[0].shape[1]  # columns per first-slot column, kron order
+        for c in np.flatnonzero(xs[0][0]):  # first-slot columns holding the state f_1 = 0
+            z[:, c * width + loose] += 1e-6
+            hits.append(c)
         return z
 
     monkeypatch.setattr(cs, "family", perturbed)
     defect, _, _ = cell_match_defect(cycle3, p, cs)
+    assert len(hits) == 1
     z = perturbed(p.parts, [np.eye(cs.sf.dim)] * 2, [cs.sf.embed_left_matrix] * 2)
     assert defect >= 1e-6 * np.linalg.norm(z, axis=0).max()
     assert not Check("heat", f"cell-match{p}", "path-space-cells", defect, 1e-10).passed
