@@ -23,14 +23,13 @@ matrices are diagonalized.  `gram_quotient` diagonalizes an assembled Gram
 matrix whole; it is the dense reference the block quotient is tested
 against.
 
-A module pays only for what its readers use.  The quotient keeps its
-quotient maps as per-block factors (`Quotient`), and every reader
-contracts them against its own vectors: `embed` applied to the kron
-pairs of two column blocks, to a column block and its adjoint, and
-`lift` applied to a column block.  The dense `embed`, `lift` and left and
-right action stacks are assembled each on its first read, cached
-read-only; and a left factor keeps the diagonalized blocks of its
-composition Gram (`Bimodule.gram_blocks`), so fusing it with many right
+A module pays only for what its readers use.  A quotient keeps its maps
+only as per-block factors (`Quotient`), and every reader contracts them
+against its own vectors: `embed` applied to the kron pairs of two column
+blocks, to a column block and its adjoint, and `lift` applied to a column
+block.  The left and right action stacks are assembled each on its first
+read, cached read-only; and a left factor keeps the diagonalized blocks of
+its composition Gram (`Bimodule.gram_blocks`), so fusing it with many right
 factors diagonalizes them once.
 """
 
@@ -64,20 +63,14 @@ class _OnFirstRead:
     """Dataclass field holding an array, or a function that assembles it.
 
     The function runs on the first read; its array replaces it on the
-    instance, read-only.  The field is required unless `optional`, when it
-    defaults to None.
+    instance, read-only.  The field is required.
     """
-
-    def __init__(self, optional: bool = False):
-        self.optional = optional
 
     def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            if self.optional:
-                return None
             raise AttributeError(self.name)
         value = obj.__dict__[self.name]
         if callable(value):
@@ -100,19 +93,15 @@ class Quotient:
     rows q_i.  There embed = (+)_i W_i (x) I_m and lift = (+)_i L_i (x)
     I_m, with W_i (kk x hd n) and L_i (hd n x kk) the factors of the Gram
     block's kept eigenvectors (`_quotient_factors`); `blocks` holds
-    (q_i, W_i, L_i, V_i).  The identity of a space of dim d is the single
-    block with hd = 1, W = L = 1 and V = I_d.
+    (q_i, W_i, L_i, V_i).  These factors are the only form of the two maps:
+    readers apply them to column blocks, and a dense map is the contraction
+    with an identity.
     """
 
     hd: int
     kd: int
     dim: int
     blocks: tuple
-
-    @classmethod
-    def identity(cls, d: int) -> "Quotient":
-        one = np.ones((1, 1))
-        return cls(1, d, d, ((slice(0, d), one, one, np.eye(d)[:, None, :]),))
 
     def embed_pairs(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """embed @ kron(u, w) for column blocks u of h and w of k, in kron column order.
@@ -163,37 +152,19 @@ class Bimodule:
 
     `left[k]` / `right[k]` are the action matrices of the k-th coordinate
     basis element of the algebra; each may be given as a zero-argument
-    function, which assembles the stack on its first read.  When the space
-    was produced as a quotient of a spanning family, `embed` / `lift`
-    translate between family coordinates and orthonormal coordinates.  A
-    quotient of kron pairs keeps them as factors (`quotient`), which its
-    readers contract through `embed_pairs`, `embed_apply` and `lift_apply`;
-    the dense matrices are assembled from the factors on their first read.
+    function, which assembles the stack on its first read.  A space produced
+    as a quotient of kron pairs carries its quotient maps as per-block
+    factors (`quotient`), which translate between pair coordinates and
+    orthonormal coordinates; the standard space and the twisted cells are
+    no quotient and carry none.
     """
 
     algebra: Algebra
     dim: int
     left: np.ndarray | Callable[[], np.ndarray] = _OnFirstRead()
     right: np.ndarray | Callable[[], np.ndarray] = _OnFirstRead()
-    embed: np.ndarray | Callable[[], np.ndarray] | None = _OnFirstRead(optional=True)
-    lift: np.ndarray | Callable[[], np.ndarray] | None = _OnFirstRead(optional=True)
     gram_eigs: np.ndarray | None = None
     quotient: Quotient | None = None
-
-    def __post_init__(self):
-        q = self.quotient
-        if q is not None and self.__dict__["embed"] is None:  # assembled from q alone
-            object.__setattr__(self, "embed", lambda: q.embed_pairs(np.eye(q.hd), np.eye(q.kd)))
-            object.__setattr__(self, "lift", lambda: q.lift_apply(np.eye(q.dim)))
-
-    def embed_pairs(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self.quotient.embed_pairs(u, w)
-
-    def embed_apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        return self.quotient.embed_apply(x, adjoint)
-
-    def lift_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.quotient.lift_apply(x)
 
     def left_matrix(self, x: AlgebraElement) -> np.ndarray:
         return np.tensordot(x.vec(), self.left, axes=1)
@@ -315,8 +286,7 @@ def _quotient_factors(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
 def l2_bimodule(sf: StandardForm) -> Bimodule:
     """The standard space itself, acting by two-sided multiplication."""
     return Bimodule(sf.algebra, sf.dim, sf.lmult_basis,
-                    lambda: np.stack([rmult_matrix(x) for x in sf.algebra.basis()]),
-                    quotient=Quotient.identity(sf.dim))
+                    lambda: np.stack([rmult_matrix(x) for x in sf.algebra.basis()]))
 
 
 def pi_phi(h: Bimodule, xi: np.ndarray, sf: StandardForm) -> np.ndarray:
@@ -385,7 +355,7 @@ def gns_tensor(t_map, sf: StandardForm) -> Bimodule:
 
 def tensor_vec(g: Bimodule, x: AlgebraElement, xi: np.ndarray) -> np.ndarray:
     """Coordinates of the elementary tensor of x and xi in a GNS coupling."""
-    return g.embed_pairs(x.vec()[:, None], xi[:, None])[:, 0]
+    return g.quotient.embed_pairs(x.vec()[:, None], xi[:, None])[:, 0]
 
 
 def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
@@ -421,10 +391,9 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
     blocks M_n of E (x) I_m.  Only blocks with m > 0 are seen by the Gram
     matrix, and one rank rule runs over all of them; the quotient
     coordinates are (block, kept direction, multiplicity index).  The
-    quotient maps stay per-block factors (`Quotient`): `embed` and `lift`
-    are assembled from them only on their first read, and so are the left
-    action of h and the right action of k, carried into the quotient block
-    by block.
+    quotient maps are kept as per-block factors (`Quotient`) and never
+    assembled; the left action of h and the right action of k, carried into
+    the quotient block by block, are assembled on their first read.
     """
     hd, kd = h.dim, k.dim
     seen = [(v, w, u) for (w, u), v in zip(blocks, k.multiplicity) if v.shape[2]]

@@ -4,13 +4,13 @@ For a partition p = (t_1, ..., t_n) the cell is the iterated relative
 tensor product of the GNS couplings at the part values, built left to
 right.  Cells are cached per partition under exact integer keys, so the
 first k intermediate spaces of a cell coincide (as objects) with the cell
-of the length-k prefix.  The canonical collapse of cell(prefix) (x)
-cell(suffix) onto cell(p) then extends the cached collapse of the longest
-prefix of p by one step per part, which contracts the per-block factors
-of the quotient maps (`bimodule.extension`) and is block diagonal in the
-multiplicity index; `CellSystem.apply_collapse` takes the last of these
-steps on a column block instead, so the collapse of p is applied without
-being formed.  No reader forms a cell's dense embed or lift.
+of the length-k prefix.  A cell's quotient maps are per-block factors
+(`bimodule.Quotient`), and every reader contracts them.  The canonical
+collapse of cell(prefix) (x) cell(suffix) onto cell(p) is one step from
+the cached collapse of p without its last part, which contracts those
+factors (`bimodule.extension`) and is block diagonal in the multiplicity
+index; `CellSystem.apply_collapse` takes that step on a column block
+instead, so the collapse of p is applied without being formed.
 
 On top of the cells this module provides the coarse-to-fine refinement
 isometries, the multiplication unitaries joining two cells into the cell
@@ -100,7 +100,7 @@ class CellSystem:
         xs[i] holds algebra coordinate vectors and vs[i] standard-space
         vectors as columns; part i takes every pair, algebra index major.
         """
-        return self.fuse(parts, [self.gns(t).embed_pairs(x, v)
+        return self.fuse(parts, [self.gns(t).quotient.embed_pairs(x, v)
                                  for t, x, v in zip(parts, xs, vs)])
 
     def fuse(self, parts: Sequence[Fraction], slots: Sequence[np.ndarray],
@@ -110,7 +110,7 @@ class CellSystem:
         The columns of slots[i] are vectors of the single-part cell at
         parts[i]; the result has a column for every choice of one column per
         slot, in np.kron order.  Each step contracts against the factors of
-        the cell's embed (`Bimodule.embed_pairs`), so no pre-quotient kron
+        the cell's embed (`Quotient.embed_pairs`), so no pre-quotient kron
         product is formed.
 
         With `thin`, a fused family u wider than tall is replaced by R* from
@@ -119,7 +119,7 @@ class CellSystem:
         """
         u = slots[0]
         for i, w in enumerate(slots[1:], 2):
-            u = self.cell(Partition(tuple(parts[:i]))).embed_pairs(u, w)
+            u = self.cell(Partition(tuple(parts[:i]))).quotient.embed_pairs(u, w)
             if thin and u.shape[1] > len(u):
                 u = np.linalg.qr(u.conj().T, mode="r").conj().T
         return u
@@ -132,7 +132,8 @@ class CellSystem:
         Acts on kron coordinates (prefix index major).  For a = 0 or
         a = len(p) this is the canonical identification with the standard
         space acting through left, respectively right, materialization.
-        An interior cut extends its longest cached prefix, caching each step.
+        An interior cut is one extension step from the collapse of p without
+        its last part, the step that `apply_collapse` takes.
         """
         key = (p.key, a)
         if key in self._collapse:
@@ -145,16 +146,10 @@ class CellSystem:
             m = np.tensordot(self.sf.solve_right_matrix.T, cellp.right, axes=1)
             m = m.transpose(1, 2, 0).reshape(cellp.dim, -1)
         elif a == n - 1:
-            m = cellp.embed_pairs(np.eye(self.cell(Partition(p.parts[:a])).dim),
-                                  np.eye(self.gns(p.parts[-1]).dim))
+            q = cellp.quotient
+            m = q.embed_pairs(np.eye(q.hd), np.eye(q.kd))
         else:
-            done = n - 1
-            while done > a + 1 and (p.key[:done], a) not in self._collapse:
-                done -= 1
-            m = self.collapse(Partition(p.parts[:done]), a)
-            for j in range(done + 1, n + 1):
-                m = self._step(p, a, j, m).dense()
-                self._collapse[(p.key[:j], a)] = m
+            m = self._step(p, a, n, self.collapse(Partition(p.parts[:-1]), a)).dense()
         self._collapse[key] = m
         return m
 
@@ -183,7 +178,7 @@ class CellSystem:
                  else x.reshape(-1, sf.dim, cols).transpose(1, 0, 2))
             return (stack @ np.tensordot(solve, x, axes=1)).sum(axis=0)
         if a == n - 1:
-            return self.cell(p).embed_apply(x, adjoint)
+            return self.cell(p).quotient.embed_apply(x, adjoint)
         return self._step(p, a, n, self.collapse(Partition(p.parts[:-1]), a)).apply(x, adjoint)
 
     def _step(self, p: Partition, a: int, j: int, prev: np.ndarray) -> BlockMap:
@@ -202,7 +197,7 @@ class CellSystem:
         """Unitary from cell(q) (x)_M cell(p) onto cell(q joined with p)."""
         r = relative_tensor(self.cell(q), self.cell(p), self.sf)
         j = self.collapse(join(q, p), len(q))
-        return BimoduleMap(r, self.cell(join(q, p)), j @ r.lift_apply(np.eye(r.dim)))
+        return BimoduleMap(r, self.cell(join(q, p)), j @ r.quotient.lift_apply(np.eye(r.dim)))
 
     def refinement(self, p: Partition, q: Partition) -> BimoduleMap:
         """Isometry from the coarse cell(q) into the fine cell(p)."""
@@ -228,7 +223,7 @@ class CellSystem:
             cell = self.cell(Partition(q.parts[:i + 1]))
             cols = x if i == last else np.eye(cell.dim)
             g, c = self.gns(q.parts[i]).dim, cols.shape[1]
-            y = (a @ cell.lift_apply(cols).reshape(a.shape[1], -1)).reshape(-1, g, c)
+            y = (a @ cell.quotient.lift_apply(cols).reshape(a.shape[1], -1)).reshape(-1, g, c)
             head = len(y)
             y = self._group_apply(sub, y.transpose(1, 0, 2).reshape(g, -1))
             y = y.reshape(-1, head, c).transpose(1, 0, 2).reshape(-1, c)
@@ -249,15 +244,15 @@ class CellSystem:
         n, d, cols = len(sub), self.sf.dim, x.shape[1]
         if n == 1:
             return x
-        lam = self.gns(sub.total).lift_apply(x).reshape(d, -1)
+        lam = self.gns(sub.total).quotient.lift_apply(x).reshape(d, -1)
         one, omega = self.sf.algebra.identity().vec()[:, None], self.sf.cyclic[:, None]
-        first = self.gns(sub.parts[0]).embed_pairs(np.eye(d), omega) @ lam
+        first = self.gns(sub.parts[0]).quotient.embed_pairs(np.eye(d), omega) @ lam
         slots = [first.reshape(-1, d, cols).transpose(0, 2, 1).reshape(len(first), -1)]
-        slots += [self.gns(t).embed_pairs(one, omega) for t in sub.parts[1:-1]]
+        slots += [self.gns(t).quotient.embed_pairs(one, omega) for t in sub.parts[1:-1]]
         u = self.fuse(sub.parts[:-1], slots)
-        last = self.gns(sub.parts[-1]).embed_pairs(one, np.eye(d))
+        last = self.gns(sub.parts[-1]).quotient.embed_pairs(one, np.eye(d))
         pairs = (u.reshape(len(u), cols, d) @ last.T).transpose(0, 2, 1)
-        return self.cell(sub).embed_apply(pairs.reshape(-1, cols))
+        return self.cell(sub).quotient.embed_apply(pairs.reshape(-1, cols))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .algebra import (
     Algebra, AlgebraElement, StandardForm, block_diag, expm, lmult_matrix, rmult_matrix,
 )
 from .bimodule import (
-    Bimodule, BimoduleMap, Quotient, extend_from_family, inner, left_materialization,
+    Bimodule, BimoduleMap, extend_from_family, inner, left_materialization,
 )
 from .cells import CellSystem
 from .partition import Partition
@@ -148,7 +148,7 @@ def twisted_cell(theta: E0Semigroup, t, sf: StandardForm) -> Bimodule:
     basis = list(sf.algebra.basis())
     left = np.stack([lmult_matrix(theta.apply(t, x)) for x in basis])
     right = np.stack([rmult_matrix(x) for x in basis])
-    return Bimodule(sf.algebra, sf.dim, left, right, quotient=Quotient.identity(sf.dim))
+    return Bimodule(sf.algebra, sf.dim, left, right)
 
 
 class TwistedSystem:

@@ -235,7 +235,7 @@ def suite_cells(cfg: ExperimentConfig) -> Report:
         cols = rng.choice(pre, size=min(4, pre), replace=False)
         basis = np.zeros((pre, cols.size))
         basis[cols, np.arange(cols.size)] = 1.0
-        vecs = cell.embed_apply(basis)
+        vecs = cell.quotient.embed_apply(basis)
         _, worst_res, _ = inner(cell, vecs, vecs, cfg.sf)
         rep.add(f"bounded-vector{p}", "bounded-vector-composition", worst_res, cfg.tol(1e-10))
     g = cs.gns(cfg.delta)
@@ -260,32 +260,26 @@ def suite_cells(cfg: ExperimentConfig) -> Report:
 _SPACE_BUDGET = 1500
 
 
-def _build_cell_within_budget(cs: CellSystem, p, budget: int = _SPACE_BUDGET):
-    """Build a cell part by part, or return None once an extension is too big."""
-    for i in range(1, len(p) + 1):
-        if i >= 2:
-            prev = cs.cell(Partition(p.parts[:i - 1])).dim
-            if prev * cs.gns(p.parts[i - 1]).dim > budget:
-                return None
-        cell = cs.cell(Partition(p.parts[:i]))
-    return cell
+def _affordable(cs: CellSystem, candidates: list[Partition]) -> list[Partition]:
+    """The longest prefix of the candidates whose cells stay within the budget.
 
-
-def _admissible_dyadic_chain(cs: CellSystem, max_parts: int = 16) -> list:
-    chain = [uniform(1, 1)]
-    parts = 1
-    while parts * 2 <= max_parts:
-        if _build_cell_within_budget(cs, uniform(1, parts * 2)) is None:
-            break
-        chain.append(uniform(1, parts * 2))
-        parts *= 2
-    return chain
+    Each cell is built part by part; the walk stops at the first candidate
+    with an extension past `_SPACE_BUDGET`.
+    """
+    out = []
+    for p in candidates:
+        for i in range(1, len(p)):
+            if cs.cell(Partition(p.parts[:i])).dim * cs.gns(p.parts[i]).dim > _SPACE_BUDGET:
+                return out
+        cs.cell(p)
+        out.append(p)
+    return out
 
 
 def suite_refine(cfg: ExperimentConfig) -> Report:
     rep = Report("refine", cfg.seed)
     cs = cfg.cells
-    chain = _admissible_dyadic_chain(cs)
+    chain = _affordable(cs, [uniform(1, 2 ** k) for k in range(5)])
     rep.meta["chain-depth"] = str(len(chain[-1]))
     for i in range(len(chain) - 1):
         a = cs.refinement(chain[i + 1], chain[i])
@@ -325,12 +319,7 @@ def suite_roundtrip(cfg: ExperimentConfig) -> Report:
 
 def suite_dilate(cfg: ExperimentConfig) -> Report:
     cs = cfg.cells
-    levels = min(cfg.levels, 1)
-    while levels < cfg.levels:
-        nxt = uniform((levels + 1) * cfg.delta, levels + 1)
-        if _build_cell_within_budget(cs, nxt) is None:
-            break
-        levels += 1
+    levels = len(_affordable(cs, [uniform(k * cfg.delta, k) for k in range(1, cfg.levels + 1)]))
     rep = Report("dilate", cfg.seed,
                  meta={"delta": str(cfg.delta), "levels": str(levels),
                        "horizon": str(levels * cfg.delta)})

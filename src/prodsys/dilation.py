@@ -138,22 +138,25 @@ class TruncatedLimit:
             if j == 0:
                 b = pi_phi(top, self.unit_level[k], self.sf)
             elif j == 1:
-                b = top.embed_pairs(self.unit_level[k - 1][:, None], np.eye(self.spaces[1].dim))
+                b = top.quotient.embed_pairs(self.unit_level[k - 1][:, None],
+                                             np.eye(self.spaces[1].dim))
             else:
                 b = extension(top, self.embed_matrix(k - 1, j - 1), self.spaces[j]).dense()
             self._embed[key] = b
         return self._embed[key]
 
     def split(self, level: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Fold u r.embed and unfold r.lift u* of a level split as (level - j, j).
+        """Fold u E and unfold L u* of a level split as (level - j, j).
 
-        r is the relative tensor of the two levels and u its collapse unitary.
-        This is the definition of the dilation, fold (op (x) 1) unfold, kept
-        as the reference for `dilate`, which forms no relative tensor.
+        r is the relative tensor of the two levels, E and L its embed and
+        lift, and u = C L its collapse unitary, C the collapse of the level
+        at the cut.  This is the definition of the dilation, fold (op (x) 1)
+        unfold, kept as the reference for `dilate`, which forms no relative
+        tensor; E and L are applied through the quotient factors of r.
         """
-        r = relative_tensor(self.spaces[level - j], self.spaces[j], self.sf)
-        u = self.system.collapse(self.partition_at(level), level - j) @ r.lift
-        return u @ r.embed, r.lift @ u.conj().T
+        q = relative_tensor(self.spaces[level - j], self.spaces[j], self.sf).quotient
+        u = self.system.collapse(self.partition_at(level), level - j) @ q.lift_apply(np.eye(q.dim))
+        return q.embed_apply(u.conj().T, adjoint=True).conj().T, q.lift_apply(u.conj().T)
 
 
 @dataclass(frozen=True)
@@ -292,7 +295,7 @@ def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
     if n == 0:
         return MinimalityReport(numerical_rank(sf.embed_left_matrix, rtol), top)
     for k in range(2, tl.levels + 1):
-        fused = tl.spaces[k].embed_pairs(tl.unit_level[k - 1][:, None], xi[:, None])[:, 0]
+        fused = tl.spaces[k].quotient.embed_pairs(tl.unit_level[k - 1][:, None], xi[:, None])[:, 0]
         law = np.linalg.norm(fused - tl.unit_level[k])
         if law > 1e-8:
             raise UnitLawError(k, float(law))

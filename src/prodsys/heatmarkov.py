@@ -172,33 +172,31 @@ def box(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     raise ValueError("at least one argument must be a path function")
 
 
+def _kept_path_weights(mdl: MarkovModel, p: Partition) -> np.ndarray:
+    """Path weights of p in path order, set to zero on paths of negligible weight.
+
+    A path is kept when its weight passes the rank rule of the Gram
+    quotients; the kept paths are the coordinates of `l2_cell`.
+    """
+    w = path_measure(mdl, p).weights.reshape(-1)
+    return np.where(_kept(w, GRAM_RTOL), w, 0.0)
+
+
 def l2_cell(mdl: MarkovModel, p: Partition) -> Bimodule:
     """Path functions as a two-sided module in weighted coordinates.
 
     Coordinates are function values scaled by the square root of the path
-    weight; paths of negligible weight are quotiented away.  The left
-    action multiplies through the first variable, the right action through
-    the last; each is a stack of diagonal matrices, assembled on its first
-    read, since the cross-check reads only `embed` and `dim`.
+    weight, one per kept path (`_kept_path_weights`).  The left action
+    multiplies through the first variable, the right action through the
+    last; each is a stack of diagonal matrices, assembled on its first read.
     """
-    pm = path_measure(mdl, p)
-    w = pm.weights.reshape(-1)
-    keep = np.flatnonzero(_kept(w, GRAM_RTOL))
-    sq = np.sqrt(w[keep])
-    npaths = w.size
-    dim = keep.size
-    embed = np.zeros((dim, npaths), dtype=complex)
-    embed[np.arange(dim), keep] = sq
-    lift = np.zeros((npaths, dim), dtype=complex)
-    lift[keep, np.arange(dim)] = 1.0 / sq
+    keep = np.flatnonzero(_kept_path_weights(mdl, p))
     m = mdl.states
-    n = len(p)
-    first = keep // m ** n
+    first = keep // m ** len(p)
     last = keep % m
-    return Bimodule(mdl.algebra(), dim,
+    return Bimodule(mdl.algebra(), keep.size,
                     lambda: np.stack([np.diag((first == s).astype(complex)) for s in range(m)]),
-                    lambda: np.stack([np.diag((last == s).astype(complex)) for s in range(m)]),
-                    embed=embed, lift=lift)
+                    lambda: np.stack([np.diag((last == s).astype(complex)) for s in range(m)]))
 
 
 def _glued_columns(m: int, n: int) -> np.ndarray:
@@ -223,7 +221,8 @@ def cell_match_defect(mdl: MarkovModel, p: Partition, cs) -> tuple[float, int, i
     functions in the path space: the indicator of the path
     (f_1, ..., f_n, g_n) when a is glued (g_i = f_{i+1}), and zero
     otherwise.  The m^{n+1} glued columns are compared, in path order,
-    through their Gram against `path.embed* path.embed`; every Gram entry
+    through their Gram against the diagonal of the path weights, which is
+    zero on the paths that the path cell drops; every Gram entry
     that involves a non-glued column a must vanish and is bounded by
     max_{a not glued} |z_a| max_b |z_b|.  The larger of the two is
     returned, which is never below the largest entry of the m^{2n}-square
@@ -232,7 +231,7 @@ def cell_match_defect(mdl: MarkovModel, p: Partition, cs) -> tuple[float, int, i
     and one block are held at a time.
     """
     n, m = len(p), mdl.states
-    path = l2_cell(mdl, p)
+    w = _kept_path_weights(mdl, p)
     eye, vs = np.eye(m), [cs.sf.embed_left_matrix] * n
     glued = _glued_columns(m, n).reshape(m, -1)  # row f: the glued columns with f_1 = f
     width = m ** (2 * n - 1)
@@ -246,8 +245,8 @@ def cell_match_defect(mdl: MarkovModel, p: Partition, cs) -> tuple[float, int, i
         norms[inside] = 0.0
         loose = max(loose, norms.max())
     zg = np.hstack(zg)
-    gram_defect = np.abs(zg.conj().T @ zg - path.embed.conj().T @ path.embed).max()
-    return float(max(gram_defect, loose * top)), cs.cell(p).dim, path.dim
+    gram_defect = np.abs(zg.conj().T @ zg - np.diag(w)).max()
+    return float(max(gram_defect, loose * top)), cs.cell(p).dim, np.count_nonzero(w)
 
 
 def embed_base_adjoint(mdl: MarkovModel, p: Partition, f: np.ndarray) -> np.ndarray:

@@ -68,34 +68,32 @@ def join(p: Partition, q: Partition) -> Partition:
     return Partition(p.parts + q.parts)
 
 
-def refines(p: Partition, q: Partition) -> bool:
-    """Whether the parts of p group consecutively into the parts of q."""
+def _groups(p: Partition, q: Partition) -> list[Partition] | None:
+    """Consecutive sub-partitions of p summing to the parts of q, or None if there are none."""
     if p.total != q.total:
         raise ValueError(f"totals differ: {p.total} vs {q.total}")
-    it = iter(p.parts)
+    out, i = [], 0
     for target in q.parts:
-        acc = Fraction(0)
-        while acc < target:
-            try:
-                acc += next(it)
-            except StopIteration:
-                return False
+        acc, start = Fraction(0), i
+        while acc < target:  # with equal totals of positive parts, p never runs out here
+            acc += p.parts[i]
+            i += 1
         if acc != target:
-            return False
-    return next(it, None) is None
+            return None
+        out.append(Partition(p.parts[start:i]))
+    return out
+
+
+def refines(p: Partition, q: Partition) -> bool:
+    """Whether the parts of p group consecutively into the parts of q."""
+    return _groups(p, q) is not None
 
 
 def grouping(p: Partition, q: Partition) -> list[Partition]:
     """Split p into consecutive sub-partitions summing to the parts of q."""
-    if not refines(p, q):
+    out = _groups(p, q)
+    if out is None:
         raise ValueError(f"{p} does not refine {q}")
-    out, i = [], 0
-    for target in q.parts:
-        acc, start = Fraction(0), i
-        while acc < target:
-            acc += p.parts[i]
-            i += 1
-        out.append(Partition(p.parts[start:i]))
     return out
 
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from prodsys.algebra import diagonal_state, make_algebra, make_state, standard_form
+from prodsys.bimodule import GRAM_RTOL
 from prodsys.cpdyn import (
     lindblad_generator,
     semigroup_from_generator,
     stochastic_pair_generator,
 )
 from prodsys.dilation import TruncatedOperator
+from prodsys.heatmarkov import path_measure
 
 SEED = 20250808
 
@@ -59,6 +61,28 @@ def reversible_chain(seed, m):
     lap = -(c + c.T) / mu[:, None]
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return mu, lap
+
+
+def dense_maps(cell):
+    """Dense embed and lift of a block quotient: its factors contracted with identities."""
+    q = cell.quotient
+    return q.embed_pairs(np.eye(q.hd), np.eye(q.kd)), q.lift_apply(np.eye(q.dim))
+
+
+def path_maps(mdl, p):
+    """Dense embed and lift of the path cell at p, a diagonal selection of paths.
+
+    Path coordinates run over the paths of non-negligible weight in C order;
+    embed scales the value on a kept path by the square root of its weight.
+    """
+    w = path_measure(mdl, p).weights.reshape(-1)
+    keep = np.flatnonzero(w > GRAM_RTOL * w.max())
+    rows = np.arange(keep.size)
+    embed = np.zeros((keep.size, w.size))
+    embed[rows, keep] = np.sqrt(w[keep])
+    lift = np.zeros((w.size, keep.size))
+    lift[keep, rows] = 1.0 / np.sqrt(w[keep])
+    return embed, lift
 
 
 def cell_target_elementary(cs, unit, parts):

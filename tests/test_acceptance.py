@@ -42,11 +42,10 @@ from prodsys.heatmarkov import (
     graph_model,
     heat_dilation_defect,
     heat_kernel,
-    l2_cell,
 )
 from prodsys.partition import Partition, partition, refines, uniform
 
-from conftest import SEED, random_element, random_hermitian, random_state
+from conftest import SEED, path_maps, random_element, random_hermitian, random_state
 
 
 def verdict(num: int, ok: bool, text: str):
@@ -215,17 +214,17 @@ def test_criterion_7_markov_suite():
             dims_ok = dims_ok and dc == dp
             worst_gram = max(worst_gram, defect)
         p2 = uniform(1, 2)
-        cell = l2_cell(mdl, p2)
-        base = l2_cell(mdl, Partition(()))
+        cell_embed, _ = path_maps(mdl, p2)
+        _, base_lift = path_maps(mdl, Partition(()))
         cols = []
         for y in range(mdl.states):
             ext = np.zeros((mdl.states,) * 3)
             ext[..., y] = 1.0
-            cols.append(cell.embed @ ext.reshape(-1))
-        b = np.column_stack(cols) @ base.lift
+            cols.append(cell_embed @ ext.reshape(-1))
+        b = np.column_stack(cols) @ base_lift
         f = rng.standard_normal((mdl.states,) * 3)
         formula = embed_base_adjoint(mdl, p2, f)
-        matrix_route = base.lift.conj().T @ (b.conj().T @ (cell.embed @ f.reshape(-1)))
+        matrix_route = base_lift.conj().T @ (b.conj().T @ (cell_embed @ f.reshape(-1)))
         worst_adj = max(worst_adj, float(np.abs(formula - matrix_route).max()))
         direct, formula_d = heat_dilation_defect(mdl, Fraction(1, 4), 3, Fraction(1, 2),
                                                  rng.standard_normal(mdl.states))

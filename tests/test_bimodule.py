@@ -29,7 +29,6 @@ from prodsys.bimodule import (
     verify_map,
 )
 from prodsys.cells import CellSystem
-from prodsys.classify import identity_semigroup, twisted_cell
 from prodsys.cpdyn import (
     CpMap,
     evaluate,
@@ -39,7 +38,7 @@ from prodsys.cpdyn import (
 from prodsys.heatmarkov import make_model
 from prodsys.partition import Partition, uniform
 
-from conftest import SEED, mixed_semigroup, random_element, random_hermitian
+from conftest import SEED, dense_maps, mixed_semigroup, random_element, random_hermitian
 
 
 def test_gns_identity_map_collapses_to_standard_space(pair):
@@ -51,7 +50,7 @@ def test_gns_identity_map_collapses_to_standard_space(pair):
     w = np.zeros((d, d * d), dtype=complex)
     for mu, x in enumerate(sf.algebra.basis()):
         w[:, mu * d:(mu + 1) * d] = lmult_matrix(x)
-    u = BimoduleMap(g, l2_bimodule(sf), w @ g.lift)
+    u = BimoduleMap(g, l2_bimodule(sf), w @ dense_maps(g)[1])
     rep = verify_map(u, bilinear=True, unitary=True)
     assert rep.passed, rep
 
@@ -103,7 +102,7 @@ def test_gns_unitary_conjugation_collapse(rng):
     w = np.zeros((d, d * d), dtype=complex)
     for mu, x in enumerate(alg.basis()):
         w[:, mu * d:(mu + 1) * d] = lmult_matrix(x * vt)
-    u = BimoduleMap(g, l2_bimodule(sf), w @ g.lift)
+    u = BimoduleMap(g, l2_bimodule(sf), w @ dense_maps(g)[1])
     rep = verify_map(u, bilinear=True, unitary=True)
     assert rep.passed, rep
 
@@ -216,11 +215,11 @@ def test_relative_tensor_of_stochastic_cells_dim(pair):
             gram[i, j] = sf.embed_left(yc).conj() @ lmult_matrix(inner) @ sf.embed_left(yg)
     assert np.linalg.matrix_rank(gram, tol=1e-10) == 4
     # implementation Gram agrees entrywise on the same family
-    vecs = []
+    vecs, embed = [], dense_maps(r)[0]
     for (xa, ya, xc, yc) in fam:
         va = tensor_vec(g, xa, sf.embed_left(ya))
         vc = tensor_vec(g, xc, sf.embed_left(yc))
-        vecs.append(r.embed @ np.kron(va, vc))
+        vecs.append(embed @ np.kron(va, vc))
     z = np.column_stack(vecs)
     assert np.abs(z.conj().T @ z - gram).max() < 1e-11
 
@@ -320,15 +319,15 @@ def relative_oracle(h, k, sf):
 
 
 def assert_matches_oracle(r, gram, eigs, left_pre, right_pre):
-    top = eigs.max()
+    top, (embed, lift) = eigs.max(), dense_maps(r)
     assert r.dim == eigs.size
-    assert np.abs(r.embed.conj().T @ r.embed - gram).max() <= 1e-10 * top
-    assert np.abs(r.embed @ r.lift - np.eye(r.dim)).max() < 1e-10
+    assert np.abs(embed.conj().T @ embed - gram).max() <= 1e-10 * top
+    assert np.abs(embed @ lift - np.eye(r.dim)).max() < 1e-10
     assert np.abs(np.sort(r.gram_eigs) - eigs).max() <= 1e-10 * top
     for act, pre in zip(r.left, left_pre, strict=True):
-        assert np.abs(act - r.embed @ pre @ r.lift).max() < 1e-10
+        assert np.abs(act - embed @ pre @ lift).max() < 1e-10
     for act, pre in zip(r.right, right_pre, strict=True):
-        assert np.abs(act - r.embed @ pre @ r.lift).max() < 1e-10
+        assert np.abs(act - embed @ pre @ lift).max() < 1e-10
 
 
 @pytest.fixture
@@ -374,7 +373,7 @@ def pre_change_quotient_maps(r):
     """embed and lift of a block quotient, assembled at once from its factors.
 
     This is how the quotient built them before it kept its factors; the
-    reference for the factor contractions and the lazy assembly.
+    reference for the factor contractions and for `dense_maps`.
     """
     q = r.quotient
     embed = np.zeros((r.dim, q.hd * q.kd), dtype=complex)
@@ -402,22 +401,12 @@ def test_factor_contractions_match_the_dense_quotient_maps(system, request, rng)
         embed, lift = pre_change_quotient_maps(cell)
         u, w, x, y = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
                       for s in ((q.hd, 3), (q.kd, 2), (q.hd * q.kd, 4), (cell.dim, 5)))
-        assert close(cell.embed_pairs(u, w), embed @ np.kron(u, w))
-        assert close(cell.embed_apply(x), embed @ x)
-        assert close(cell.embed_apply(y, adjoint=True), embed.conj().T @ y)
-        assert close(cell.lift_apply(y), lift @ y)
-        assert not assembled(cell, "embed") and not assembled(cell, "lift")
-        assert close(cell.embed, embed) and close(cell.lift, lift)
-        assert assembled(cell, "embed") and assembled(cell, "lift")
-        with pytest.raises(ValueError, match="read-only"):
-            cell.lift[0, 0] = 1.0
-    v = rng.standard_normal((sf.dim, 2)) + 1j * rng.standard_normal((sf.dim, 2))
-    for identity in (cs.l2, twisted_cell(identity_semigroup(sf.algebra), 1, sf)):
-        assert identity.quotient.hd == 1
-        assert np.array_equal(identity.embed, np.eye(sf.dim))
-        assert np.array_equal(identity.lift, np.eye(sf.dim))
-        assert np.array_equal(identity.embed_pairs(np.ones((1, 1)), v), v)
-        assert np.array_equal(identity.lift_apply(v), v)
+        assert close(q.embed_pairs(u, w), embed @ np.kron(u, w))
+        assert close(q.embed_apply(x), embed @ x)
+        assert close(q.embed_apply(y, adjoint=True), embed.conj().T @ y)
+        assert close(q.lift_apply(y), lift @ y)
+        dense_embed, dense_lift = dense_maps(cell)
+        assert close(dense_embed, embed) and close(dense_lift, lift)
 
 
 @pytest.mark.parametrize("system, parts", [("m2_lindblad", 2), ("pair", 3), ("mixed_block", 2)])
@@ -453,8 +442,10 @@ def test_left_factor_diagonalizes_its_gram_blocks_once(system, request, monkeypa
     monkeypatch.undo()
     for t, cell in zip(ts, cells):
         fresh = CellSystem(sg, sf).cell(Partition((s, t)))
-        for name in ("embed", "lift", "gram_eigs", "left", "right"):
+        for name in ("gram_eigs", "left", "right"):
             assert np.array_equal(getattr(cell, name), getattr(fresh, name)), (t, name)
+        for got, want in zip(dense_maps(cell), dense_maps(fresh), strict=True):
+            assert np.array_equal(got, want), t
 
 
 def test_failing_left_factor_raises_on_every_call(pair):
@@ -478,8 +469,10 @@ def test_left_factor_fused_under_two_states_matches_fresh_quotients(pair):
         k = l2_bimodule(state)
         r = relative_tensor(h, k, state)
         fresh = relative_tensor(bimodule.Bimodule(h.algebra, h.dim, h.left, h.right), k, state)
-        for name in ("embed", "lift", "gram_eigs", "left", "right"):
+        for name in ("gram_eigs", "left", "right"):
             assert np.array_equal(getattr(r, name), getattr(fresh, name)), name
+        for got, want in zip(dense_maps(r), dense_maps(fresh), strict=True):
+            assert np.array_equal(got, want)
         out[id(state)] = r.gram_eigs
     assert not np.allclose(out[id(sf)], out[id(other)])
 

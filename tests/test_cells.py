@@ -22,7 +22,7 @@ from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
 import prodsys.cli
 from prodsys.partition import Partition, coarsenings, join, partition, uniform
 
-from conftest import cell_target_elementary, mixed_semigroup
+from conftest import cell_target_elementary, dense_maps, mixed_semigroup
 
 
 @pytest.fixture
@@ -133,8 +133,8 @@ def test_multiply_associativity_on_singletons(pair_system):
     prst = Partition((r, s, t))
     dr = cs.cell(Partition((r,))).dim
     dt = cs.cell(Partition((t,))).dim
-    lhs = cs.collapse(prst, 2) @ np.kron(cs.cell(prs).embed, np.eye(dt))
-    rhs = cs.collapse(prst, 1) @ np.kron(np.eye(dr), cs.cell(pst).embed)
+    lhs = cs.collapse(prst, 2) @ np.kron(dense_maps(cs.cell(prs))[0], np.eye(dt))
+    rhs = cs.collapse(prst, 1) @ np.kron(np.eye(dr), dense_maps(cs.cell(pst))[0])
     assert np.linalg.norm(lhs - rhs, 2) < 1e-10
 
 
@@ -263,7 +263,7 @@ def test_identity_semigroup_unit_is_cyclic_vector():
     w = np.zeros((d, d * d), dtype=complex)
     for mu, x in enumerate(alg.basis()):
         w[:, mu * d:(mu + 1) * d] = lmult_matrix(x)
-    collapse = w @ g.lift
+    collapse = w @ dense_maps(g)[1]
     assert np.linalg.norm(collapse @ v - sf.cyclic) < 1e-12
 
 
@@ -496,15 +496,15 @@ def collapse_oracle(cs, p, a):
         m = np.tensordot(cs.sf.solve_right_matrix.T, cellp.right, axes=1)
         return m.transpose(1, 2, 0).reshape(cellp.dim, -1)
     da = cs.cell(Partition(p.parts[:a])).dim
-    m = cs.cell(Partition(p.parts[:a + 1])).embed
+    m = dense_maps(cs.cell(Partition(p.parts[:a + 1])))[0]
     for j in range(a + 2, n + 1):
         g = cs.gns(p.parts[j - 1])
-        sub = cs.cell(Partition(p.parts[a:j]))
-        ej = cs.cell(Partition(p.parts[:j])).embed
+        sub_lift = dense_maps(cs.cell(Partition(p.parts[a:j])))[1]
+        ej = dense_maps(cs.cell(Partition(p.parts[:j])))[0]
         rows = ej.shape[0]
-        # ej @ kron(m, I_g) @ kron(I_da, sub.lift), on reshaped views
+        # ej @ kron(m, I_g) @ kron(I_da, sub_lift), on reshaped views
         m = ej.reshape(rows, -1, g.dim).transpose(0, 2, 1) @ m
-        m = (m.transpose(0, 2, 1).reshape(rows, da, -1) @ sub.lift).reshape(rows, -1)
+        m = (m.transpose(0, 2, 1).reshape(rows, da, -1) @ sub_lift).reshape(rows, -1)
     return m
 
 

@@ -229,41 +229,6 @@ def test_dilate_suite_builds_no_relative_tensor(tmp_path, monkeypatch):
     assert rep.passed, [c for c in rep.checks if not c.passed]
 
 
-def dense_quotient_maps(cs):
-    """Dimensions of the cells of a cell system whose dense embed or lift was assembled."""
-    cells = [*cs._cells.values(), *cs._gns.values()]
-    assert cells
-    return [c.dim for c in cells
-            if any(isinstance(vars(c)[name], np.ndarray) for name in ("embed", "lift"))]
-
-
-def test_dilate_suite_assembles_no_dense_quotient_map(tmp_path):
-    # every reader contracts the cells' quotient factors; only an oracle
-    # reads the dense embed or lift
-    cfg = lindblad_tower_config(tmp_path)
-    for k in range(1, 4):
-        cfg.cells.cell(uniform(k * cfg.delta, k))
-    rep = suite_dilate(cfg)
-    assert rep.passed, [c for c in rep.checks if not c.passed]
-    assert dense_quotient_maps(cfg.cells) == []
-
-
-def test_heat_suite_assembles_no_dense_quotient_map(tmp_path, monkeypatch):
-    systems = []
-
-    class Recorded(CellSystem):
-        def __init__(self, *args):
-            super().__init__(*args)
-            systems.append(self)
-
-    monkeypatch.setattr(prodsys.cli, "CellSystem", Recorded)
-    rep = suite_heat(chain6_config(tmp_path))
-    assert rep.passed, [c for c in rep.checks if not c.passed]
-    (cs,) = systems
-    assert cs.cell(uniform(1, 2)).dim == 216
-    assert dense_quotient_maps(cs) == []
-
-
 def test_dilate_suite_memory_on_warm_lindblad_tower(tmp_path):
     # with the three level cells built, the suite allocates their action
     # stacks and thin factors, about 13 MiB; forming the 256 x 1024
