@@ -253,6 +253,13 @@ def rmult_matrix(x: AlgebraElement) -> np.ndarray:
     return block_diag(*[np.kron(np.eye(n), m.T) for m, n in zip(x.mats, x.algebra.blocks)])
 
 
+def projection_range(p: np.ndarray) -> np.ndarray:
+    """Range rule: orthonormal columns spanning the range of a numerical projection,
+    the eigenvectors of its Hermitian part with eigenvalue above 1/2 (margin ~1/2)."""
+    w, v = np.linalg.eigh((p + p.conj().T) / 2)
+    return v[:, w > 0.5]
+
+
 @dataclass(frozen=True)
 class StandardForm:
     """The algebra represented on block Hilbert-Schmidt space.

@@ -46,6 +46,7 @@ from .algebra import (
     AlgebraElement,
     StandardForm,
     lmult_matrix,
+    projection_range,
     rmult_matrix,
 )
 
@@ -179,8 +180,8 @@ class Bimodule:
     def multiplicity(self) -> tuple[np.ndarray, ...]:
         """Multiplicity decomposition of the left action, one array per block.
 
-        For block M_n of the algebra, B is an orthonormal basis of the range
-        of the left action of the matrix unit e_11 and the array V has
+        For block M_n of the algebra, B spans the range of the left action of
+        the matrix unit e_11 (`projection_range`) and the array V has
         V[:, r, :] = left(e_r1) B.  Its columns are orthonormal, and the
         left action of e_rc sends V[:, c', s] to delta(c, c') V[:, r, s]: on
         the span of V the left action is x (x) I_m, with m = B.shape[1].
@@ -188,9 +189,7 @@ class Bimodule:
         out, off = [], 0
         for n in self.algebra.blocks:
             units = self.left[off:off + n * n:n]
-            p = units[0]
-            w, v = np.linalg.eigh((p + p.conj().T) / 2)
-            out.append((units @ v[:, w > 0.5]).transpose(1, 0, 2))
+            out.append((units @ projection_range(units[0])).transpose(1, 0, 2))
             off += n * n
         return tuple(out)
 

@@ -37,7 +37,6 @@ from .bimodule import (
     gns_tensor,
     inner,
     l2_bimodule,
-    left_materialization,
     numerical_rank,
     relative_tensor,
     tensor_vec,
@@ -131,22 +130,18 @@ class CellSystem:
 
         Acts on kron coordinates (prefix index major).  For a = 0 or
         a = len(p) this is the canonical identification with the standard
-        space acting through left, respectively right, materialization.
-        An interior cut is one extension step from the collapse of p without
-        its last part, the step that `apply_collapse` takes.
+        space, `apply_collapse` of the identity.  An interior cut is one
+        extension step from the collapse of p without its last part, the
+        step that `apply_collapse` takes.
         """
         key = (p.key, a)
         if key in self._collapse:
             return self._collapse[key]
         n = len(p)
-        cellp = self.cell(p)
-        if a == 0:
-            m = left_materialization(cellp, self.sf)
-        elif a == n:
-            m = np.tensordot(self.sf.solve_right_matrix.T, cellp.right, axes=1)
-            m = m.transpose(1, 2, 0).reshape(cellp.dim, -1)
+        if a in (0, n):
+            m = self.apply_collapse(p, a, np.eye(self.sf.dim * self.cell(p).dim))
         elif a == n - 1:
-            q = cellp.quotient
+            q = self.cell(p).quotient
             m = q.embed_pairs(np.eye(q.hd), np.eye(q.kd))
         else:
             m = self._step(p, a, n, self.collapse(Partition(p.parts[:-1]), a)).dense()
@@ -350,7 +345,7 @@ def semigroup_defect(maps: dict[Fraction, CpMap]) -> float:
                       [(s, t) for s in times for t in times if (s + t) in maps])
 
 
-def generating_rank(unit: Unit, p: Partition, rtol: float = 1e-10) -> tuple[int, int]:
+def generating_rank(unit: Unit, p: Partition) -> tuple[int, int]:
     """Rank of the unit's elementary tensors at p, and the dim of cell(p).
 
     Slot i holds the basis acting on the unit vector of part i, the last
@@ -360,7 +355,7 @@ def generating_rank(unit: Unit, p: Partition, rtol: float = 1e-10) -> tuple[int,
     """
     cs, eye = unit.system, np.eye(unit.system.sf.algebra.dim)
     z = _unit_fold(cs, unit.vectors, p.parts, eye, eye)
-    return numerical_rank(z, rtol), cs.cell(p).dim
+    return numerical_rank(z), cs.cell(p).dim
 
 
 def unit_system_isomorphism(

@@ -5,9 +5,11 @@ action gives, for each time, a copy of the standard space whose left action
 is routed through the endomorphism.  These twisted cells multiply by
 materializing the first factor and pushing it through the endomorphism,
 which makes the cyclic vectors a generating unital unit.  Two semigroups
-are cocycle equivalent exactly when their twisted systems are isomorphic;
-the solver looks for the intertwiner at the grid step, extends it by the
-cocycle law and certifies the conjugation identity at every grid time.
+are cocycle equivalent exactly when their twisted systems are isomorphic.
+On a grid the solver decides it by the integer multiplicity matrices of
+the two endomorphisms at the grid step; a positive answer carries the
+matrix-unit intertwiner there, extended by the cocycle law and certified
+by the conjugation identity at every grid time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (
-    Algebra, AlgebraElement, StandardForm, block_diag, expm, lmult_matrix, rmult_matrix,
+    Algebra, AlgebraElement, StandardForm, block_diag, expm, lmult_matrix, projection_range,
+    rmult_matrix,
 )
 from .bimodule import (
     Bimodule, BimoduleMap, extend_from_family, inner, left_materialization,
@@ -103,8 +106,12 @@ class EndomorphismReport:
     adjoint_defect: float
     unital_defect: float
 
+    @property
+    def worst(self) -> float:
+        return max(self.multiplicative_defect, self.adjoint_defect, self.unital_defect)
+
     def passed(self, tol: float) -> bool:
-        return max(self.multiplicative_defect, self.adjoint_defect, self.unital_defect) <= tol
+        return self.worst <= tol
 
 
 def endomorphism_report(theta: E0Semigroup, t) -> EndomorphismReport:
@@ -165,9 +172,6 @@ class TwistedSystem:
             self._cells[t] = twisted_cell(self.theta, t, self.sf)
         return self._cells[t]
 
-    def unit_vector(self, t) -> np.ndarray:
-        return self.sf.cyclic.copy()
-
     def multiply_kron(self, s, t) -> np.ndarray:
         """Multiplication on kron coordinates of cell(s) (x) cell(t).
 
@@ -197,7 +201,7 @@ class TwistedSystem:
 def twisted_cp_defect(ts: TwistedSystem, t) -> float:
     """Defect of the unit of the twisted system inducing the endomorphism back."""
     cell = ts.cell(t)
-    xi = ts.unit_vector(t)
+    xi = ts.sf.cyclic
     elements, res, _ = inner(cell, xi[:, None], (cell.left @ xi).T, ts.sf)
     miss = elements[0] - ts.theta.map_at(t).T
     return max(res, *(ts.sf.algebra.from_vec(m).norm() for m in miss))
@@ -222,11 +226,6 @@ def canonical_iso(theta: E0Semigroup, cs: CellSystem, p: Partition,
 # Cocycle equivalence
 # ---------------------------------------------------------------------------
 
-# A generic intertwiner whose smallest singular value, relative to its
-# largest, is at or below this cutoff is taken as singular: then no
-# invertible, hence no unitary, intertwiner exists.
-INTERTWINER_RTOL = 1e-8
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     equivalent: bool
@@ -240,46 +239,44 @@ class EquivalenceReport:
         return self.failures[0][0] if self.failures else None
 
 
-def _intertwiner_space(alpha_t: np.ndarray, beta_t: np.ndarray,
-                       algebra: Algebra) -> np.ndarray:
-    """Basis of {m : m beta_t(x) = alpha_t(x) m for all x}, as columns."""
-    rows = []
-    for x in algebra.basis():
-        bx = algebra.from_vec(beta_t @ x.vec())
-        ax = algebra.from_vec(alpha_t @ x.vec())
-        rows.append(rmult_matrix(bx) - lmult_matrix(ax))
-    stack = np.vstack(rows)
-    _, s, vh = np.linalg.svd(stack)
-    tolcut = max(stack.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    null_dim = int(np.sum(s <= tolcut)) + (stack.shape[1] - len(s))
-    if null_dim == 0:
-        return np.zeros((algebra.dim, 0))
-    return vh.conj().T[:, -null_dim:]
+def _unit_offsets(algebra: Algebra) -> list[int]:
+    """Coordinate index of e_11 in each block; e_rc of block M_n sits r n + c past it."""
+    return np.cumsum([0, *(n * n for n in algebra.blocks)])[:-1].tolist()
 
 
-def _unitary_intertwiner(algebra: Algebra,
-                         space: np.ndarray) -> tuple[AlgebraElement | None, float]:
-    """Unitary intertwiner from a generic element of the intertwiner space.
+def multiplicity_matrix(action: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """Multiplicity matrix of the unital *-homomorphism with this coordinate action.
 
-    A seeded random combination of the basis is invertible with probability
-    one whenever the space holds an invertible element, and the blockwise
-    polar factor of an invertible intertwiner of *-homomorphisms is a
-    unitary intertwiner.  Returns that factor, or None when the generic
-    element is singular, together with its smallest singular value relative
-    to its largest.
+    m[i, j] is the rank of the block-i part of theta(e^j_11) under the range
+    rule (`projection_range`): the copies of block j that theta puts in
+    block i.  Unital *-homomorphisms are unitarily equivalent exactly when
+    their matrices agree (Bratteli, "Inductive limits of finite dimensional
+    C*-algebras", 1972).
     """
-    if space.shape[1] == 0:
-        return None, 0.0
-    rng = np.random.default_rng(0)
-    coeffs = rng.standard_normal(space.shape[1]) + 1j * rng.standard_normal(space.shape[1])
-    m = algebra.from_vec(space @ coeffs)
-    svds = [np.linalg.svd(b) for b in m.mats]
-    sv = np.concatenate([s for _, s, _ in svds])
-    margin = float(sv.min() / sv.max())
-    if margin <= INTERTWINER_RTOL:
-        return None, margin
-    # the polar factor of b = u diag(s) vh is u vh
-    return algebra.element([u @ vh for u, _, vh in svds]), margin
+    return np.array([[projection_range(b).shape[1] for b in algebra.from_vec(action[:, o]).mats]
+                     for o in _unit_offsets(algebra)], dtype=int).T
+
+
+def _matrix_unit_intertwiner(alpha_t: np.ndarray, beta_t: np.ndarray,
+                             algebra: Algebra) -> AlgebraElement:
+    """Unitary u with u beta(x) = alpha(x) u, for equal multiplicity matrices.
+
+    u = sum_j sum_r alpha(e^j_r1) V_j beta(e^j_1r), where V_j is A_i B_i* on
+    block i and A_i, B_i are orthonormal range bases of the block-i parts of
+    alpha(e^j_11) and beta(e^j_11), of equal width as the matrices agree.
+    So V_j* V_j = beta(e^j_11) and V_j V_j* = alpha(e^j_11), and the
+    matrix-unit relations give u beta(e_rc) = alpha(e_r1) V_j beta(e_1c) =
+    alpha(e_rc) u and u* u = sum beta(e_r1) V_j* V_j beta(e_1r) = sum
+    beta(e_rr) = 1, the cross terms vanishing.
+    """
+    u = 0 * algebra.identity()
+    for o, n in zip(_unit_offsets(algebra), algebra.blocks):
+        ea, eb = ([algebra.from_vec(c) for c in m[:, o:o + n * n].T] for m in (alpha_t, beta_t))
+        v = algebra.element([projection_range(a) @ projection_range(b).conj().T
+                             for a, b in zip(ea[0].mats, eb[0].mats)])
+        for r in range(n):  # e_rc is unit r n + c of the block
+            u = u + ea[r * n] * v * eb[r]
+    return u
 
 
 def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
@@ -288,31 +285,39 @@ def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
                         cocycle: dict | None = None) -> EquivalenceReport:
     """Decide cocycle equivalence on a grid and certify the witness.
 
-    Forward mode solves the twisted-cell intertwiner equation at the grid
-    step, takes the unitary part of a generic solution, extends it along
-    the grid by the cocycle law, and accepts only if the conjugation
-    identity holds at every grid time.  Backward mode verifies a declared cocycle instead.
-    Failures carry the first grid time at which certification broke down.
+    The cocycle law fixes a grid cocycle by w_delta, so alpha and beta are
+    equivalent exactly when alpha_delta and beta_delta are unitarily
+    equivalent: when their multiplicity matrices agree.  Forward mode
+    checks alpha_delta as an endomorphism (then each alpha_delta(e_11) is a
+    projection to 1e-9, well inside the margin of the range rule), answers
+    *not equivalent* naming both matrices when they differ, and otherwise
+    extends the matrix-unit intertwiner w_delta along the grid by the
+    cocycle law.  Backward mode verifies a declared cocycle instead.  Either
+    way *equivalent* needs the conjugation identity at every grid time and
+    the cocycle law; failures carry the first grid time that broke down.
     """
     algebra = alpha.algebra
     delta = Fraction(delta)
     times = [delta * k for k in range(1, levels + 1)]
-    failures = []
+
+    def refused(t, reason, defect=np.inf, conj=np.inf, law=np.inf):
+        return EquivalenceReport(False, None, conj, law, ((t, reason, defect),))
 
     for t in times:
         rep = endomorphism_report(beta, t)
         if not rep.passed(1e-9):
-            failures.append((t, "beta is not an endomorphism", max(
-                rep.multiplicative_defect, rep.adjoint_defect, rep.unital_defect)))
-            return EquivalenceReport(False, None, np.inf, np.inf, tuple(failures))
+            return refused(t, "beta is not an endomorphism", rep.worst)
 
     if cocycle is None:
-        space = _intertwiner_space(alpha.map_at(delta), beta.map_at(delta), algebra)
-        w_delta, margin = _unitary_intertwiner(algebra, space)
-        if w_delta is None:
-            failures.append((delta, "no unitary intertwiner at the grid step: generic "
-                             f"intertwiner has relative singular value {margin:.3e}", np.inf))
-            return EquivalenceReport(False, None, np.inf, np.inf, tuple(failures))
+        rep = endomorphism_report(alpha, delta)
+        if not rep.passed(1e-9):
+            return refused(delta, "alpha is not an endomorphism", rep.worst)
+        alpha_d, beta_d = alpha.map_at(delta), beta.map_at(delta)
+        ma, mb = multiplicity_matrix(alpha_d, algebra), multiplicity_matrix(beta_d, algebra)
+        if not np.array_equal(ma, mb):
+            return refused(delta, f"not equivalent: multiplicity matrices {ma.tolist()} "
+                           f"(alpha) and {mb.tolist()} (beta) differ at the grid step")
+        w_delta = _matrix_unit_intertwiner(alpha_d, beta_d, algebra)
         w = {times[0]: w_delta}
         for k in range(2, levels + 1):
             w[delta * k] = alpha.apply(delta, w[delta * (k - 1)]) * w_delta
@@ -322,27 +327,21 @@ def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
     conj_defect = 0.0
     for t in times:
         if t not in w:
-            failures.append((t, "cocycle has no value at grid time", np.inf))
-            return EquivalenceReport(False, None, np.inf, np.inf, tuple(failures))
+            return refused(t, "cocycle has no value at grid time")
         wt = w[t]
-        udef = max(np.linalg.norm(b.conj().T @ b - np.eye(b.shape[0]), 2) for b in wt.mats)
-        worst = udef
+        worst = max(np.linalg.norm(b.conj().T @ b - np.eye(b.shape[0]), 2) for b in wt.mats)
         ws = wt.adjoint()
         for x in algebra.basis():
-            lhs = beta.apply(t, x)
-            rhs = ws * alpha.apply(t, x) * wt
-            worst = max(worst, (lhs - rhs).norm())
+            worst = max(worst, (beta.apply(t, x) - ws * alpha.apply(t, x) * wt).norm())
         conj_defect = max(conj_defect, worst)
         if worst > tol:
-            failures.append((t, "conjugation identity fails", worst))
-            return EquivalenceReport(False, None, conj_defect, np.inf, tuple(failures))
+            return refused(t, "conjugation identity fails", worst, conj=conj_defect)
 
     defects = cocycle_law_defects(alpha, w, times)
     law = max(defects.values(), default=0.0)
     if law > tol:
         first = min(st for st, d in defects.items() if d > tol)
-        failures.append((first, "cocycle law fails", law))
-        return EquivalenceReport(False, None, conj_defect, law, tuple(failures))
+        return refused(first, "cocycle law fails", law, conj=conj_defect, law=law)
 
     return EquivalenceReport(True, w, conj_defect, law)
 

@@ -136,7 +136,6 @@ class ExperimentConfig:
     markov_graph: str
     markov_states: int
     markov_model: object
-    raw: dict
 
     def tol(self, value: float) -> float:
         return value * self.tol_scale
@@ -198,7 +197,7 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
         delta=delta, levels=levels,
         seed=seed if seed is not None else int(raw.get("seed", DEFAULT_SEED)),
         tol_scale=tol_scale, markov_graph=graph, markov_states=states,
-        markov_model=model, raw=raw,
+        markov_model=model,
     )
 
 
@@ -281,17 +280,15 @@ def suite_refine(cfg: ExperimentConfig) -> Report:
     cs = cfg.cells
     chain = _affordable(cs, [uniform(1, 2 ** k) for k in range(5)])
     rep.meta["chain-depth"] = str(len(chain[-1]))
-    for i in range(len(chain) - 1):
-        a = cs.refinement(chain[i + 1], chain[i])
+    steps = [cs.refinement(fine, coarse) for coarse, fine in zip(chain, chain[1:])]
+    for fine, a in zip(chain[1:], steps):
         r = verify_map(a, bilinear=True, isometric=True, tol=cfg.tol(1e-10))
-        rep.add(f"isometry[{len(chain[i + 1])}]", "refinement-isometry",
+        rep.add(f"isometry[{len(fine)}]", "refinement-isometry",
                 max(r.bilinear_defect, r.isometry_defect), cfg.tol(1e-10))
     worst = 0.0
     for i in range(len(chain) - 2):
-        a10 = cs.refinement(chain[i + 1], chain[i]).matrix
-        a21 = cs.refinement(chain[i + 2], chain[i + 1]).matrix
         a20 = cs.refinement(chain[i + 2], chain[i]).matrix
-        worst = max(worst, float(np.linalg.norm(a21 @ a10 - a20, 2)))
+        worst = max(worst, float(np.linalg.norm(steps[i + 1].matrix @ steps[i].matrix - a20, 2)))
     rep.add("composition-law", "refinement-functoriality", worst, cfg.tol(1e-10))
     return rep
 

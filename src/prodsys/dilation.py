@@ -266,7 +266,7 @@ class MinimalityReport:
 
 
 def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
-                        elements=None, rtol: float = 1e-10) -> MinimalityReport:
+                        elements=None) -> MinimalityReport:
     """Rank of the orbit of the embedded standard space under the dilation.
 
     Words are decreasing chains theta at times n delta, (n-1) delta, ...,
@@ -293,7 +293,7 @@ def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
     n = tl.levels if depth is None else tl.grid_index(depth * tl.delta)
     sf, top, xi = tl.sf, tl.spaces[tl.levels].dim, tl.unit_level[1]
     if n == 0:
-        return MinimalityReport(numerical_rank(sf.embed_left_matrix, rtol), top)
+        return MinimalityReport(numerical_rank(sf.embed_left_matrix), top)
     for k in range(2, tl.levels + 1):
         fused = tl.spaces[k].quotient.embed_pairs(tl.unit_level[k - 1][:, None], xi[:, None])[:, 0]
         law = np.linalg.norm(fused - tl.unit_level[k])
@@ -302,7 +302,7 @@ def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
     xs = np.column_stack([x.vec() for x in (sf.algebra.basis() if elements is None else elements)])
     z = _unit_fold(tl.system, {tl.delta: xi}, tl.partition_at(n).parts, xs,
                    sf.solve_right_matrix @ sf.embed_left_matrix)
-    return MinimalityReport(numerical_rank(z, rtol), top)
+    return MinimalityReport(numerical_rank(z), top)
 
 
 def continuity_profile(tl: TruncatedLimit) -> dict[tuple[Fraction, int], float]:
@@ -326,6 +326,8 @@ def continuity_profile(tl: TruncatedLimit) -> dict[tuple[Fraction, int], float]:
 # ---------------------------------------------------------------------------
 # Cocycles
 # ---------------------------------------------------------------------------
+
+CONTRACTIVE_TOL = 1e-10  # slack above norm 1 of <v, v> before a unit is refused
 
 @dataclass
 class Cocycle:
@@ -394,18 +396,17 @@ def unit_level_vectors(tl: TruncatedLimit, unit: Unit) -> dict[Fraction, np.ndar
     return out
 
 
-def cocycle_from_unit(tl: TruncatedLimit, lam: Unit, tol: float = 1e-10) -> Cocycle:
+def cocycle_from_unit(tl: TruncatedLimit, lam: Unit) -> Cocycle:
     """The adapted cocycle of a contractive unit.
 
     At level k the operator is the bounded-vector map of the unit vector
     composed with the adjoint of the corner embedding; it moves the
     embedded standard space onto the unit's line and kills the complement.
     """
-    return cocycle_from_levels(tl, unit_level_vectors(tl, lam), tol=tol)
+    return cocycle_from_levels(tl, unit_level_vectors(tl, lam))
 
 
-def cocycle_from_levels(tl: TruncatedLimit, vectors: dict[Fraction, np.ndarray],
-                        tol: float = 1e-10) -> Cocycle:
+def cocycle_from_levels(tl: TruncatedLimit, vectors: dict[Fraction, np.ndarray]) -> Cocycle:
     """Cocycle built from unit vectors already represented on the levels."""
     maps: dict[Fraction, np.ndarray] = {}
     for t, v in vectors.items():
@@ -416,7 +417,7 @@ def cocycle_from_levels(tl: TruncatedLimit, vectors: dict[Fraction, np.ndarray],
         b = pi_phi(tl.spaces[k], v, tl.sf)
         # <v, v> is the element whose left multiplication is b* b; b maps cyclic to v
         m = tl.sf.algebra.from_vec(tl.sf.solve_left_matrix @ (b.conj().T @ v))
-        if m.norm() > 1.0 + tol:
+        if m.norm() > 1.0 + CONTRACTIVE_TOL:
             raise ValueError(f"unit is not contractive at {t} (norm {m.norm():.6f})")
         maps[t] = b
     return Cocycle(tl, maps)

@@ -17,7 +17,6 @@ from prodsys.algebra import (
     standard_form,
     uniform_state,
 )
-from prodsys.classify import _unitary_intertwiner
 from prodsys.cpdyn import lindblad_generator
 
 from conftest import random_element, random_hermitian, random_state
@@ -132,7 +131,7 @@ def test_solve_matrices_are_the_solve_maps(rng):
         assert np.linalg.norm(sf.solve_right_matrix @ sf.embed_right(x) - x.vec()) < 1e-12
 
 
-# -- expm, block_diag and the polar factor against scipy, the oracle -----------
+# -- expm and block_diag against scipy, the oracle ----------------------------
 
 def _expm_rel_defect(a):
     want = scipy.linalg.expm(a)
@@ -198,17 +197,3 @@ def test_block_diag_matches_scipy(rng):
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert block_diag(np.eye(2)).dtype == np.float64
-
-
-def test_unitary_intertwiner_is_the_polar_factor(rng):
-    # a one-dimensional space: the generic element is c x for a seeded scalar
-    # c, whose polar factor is c / |c| times that of x on every block
-    alg = make_algebra([2, 3])
-    x = random_element(alg, rng)
-    u, margin = _unitary_intertwiner(alg, x.vec()[:, None])
-    assert margin > 0
-    phases = [ub @ scipy.linalg.polar(xb)[0].conj().T for ub, xb in zip(u.mats, x.mats)]
-    c = phases[0][0, 0]
-    assert abs(abs(c) - 1.0) <= 1e-13
-    for p in phases:
-        assert np.linalg.norm(p - c * np.eye(p.shape[0])) <= 1e-13

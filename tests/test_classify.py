@@ -24,6 +24,7 @@ from prodsys.classify import (
     endomorphism_report,
     identity_semigroup,
     inner_semigroup,
+    multiplicity_matrix,
     twisted_cell,
     twisted_cp_defect,
     TwistedSystem,
@@ -268,6 +269,12 @@ def test_permutation_not_equivalent_to_identity():
     assert rep.first_failing_time == delta
 
 
+def _doubling_action(alg):
+    """Coordinate action of theta(X, Y) = (X, X (x) I_2) on [2, 4]."""
+    return np.column_stack([
+        alg.element([x.mats[0], np.kron(x.mats[0], np.eye(2))]).vec() for x in alg.basis()])
+
+
 def _haar_unitary(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     d = np.diag(r)
@@ -277,12 +284,12 @@ def _haar_unitary(rng, n):
 def test_equivalence_found_when_intertwiner_basis_is_singular():
     # theta(X, Y) = (X, X (x) I_2) is idempotent, so a grid E0 semigroup, and
     # beta = Ad(u) theta Ad(u*) is equivalent to it through w = theta(u) u*;
-    # single basis vectors of the intertwiner space can have a zero block,
-    # and which of the first draws hit one depends on the LAPACK build
+    # the intertwiner space holds singular elements (single basis vectors can
+    # have a zero block), and the matrix-unit witness must avoid them for
+    # every conjugating unitary
     alg = make_algebra([2, 4])
     sf = standard_form(alg, uniform_state(alg))
-    base = np.column_stack([
-        alg.element([x.mats[0], np.kron(x.mats[0], np.eye(2))]).vec() for x in alg.basis()])
+    base = _doubling_action(alg)
     eye = np.eye(alg.dim, dtype=complex)
     theta = E0Semigroup(alg, lambda t: base if t > 0 else eye)
     rng = np.random.default_rng(0)
@@ -296,6 +303,66 @@ def test_equivalence_found_when_intertwiner_basis_is_singular():
         assert rep.conjugation_defect < 1e-9
         assert rep.cocycle_law_defect < 1e-9
     assert not cocycle_equivalence(theta, identity_semigroup(alg), Fraction(1, 4), 3, sf).equivalent
+
+
+def test_inner_pairs_at_large_scale_are_all_equivalent():
+    # inner semigroups are always equivalent; at scale 100 the expm rounding
+    # in alpha_delta and beta_delta is far above machine epsilon, and which
+    # draws come near any cutoff depends on the LAPACK build, so every seed
+    # of the sweep is run
+    alg = make_algebra([2])
+    sf = standard_form(alg, uniform_state(alg))
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        h, g = (alg.element([100 * (x + x.conj().T) / 2]) for x in (
+            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)))
+        rep = cocycle_equivalence(inner_semigroup(alg, h), inner_semigroup(alg, g),
+                                  Fraction(1, 4), 2, sf)
+        assert rep.equivalent, (seed, rep.failures)
+        assert max(rep.conjugation_defect, rep.cocycle_law_defect) <= 1e-9, seed
+
+
+def test_multiplicity_matrices_of_identity_and_swap_name_the_refusal():
+    alg = make_algebra([1, 1])
+    sf = standard_form(alg, diagonal_state(alg, [0.5, 0.5]))
+    delta = Fraction(1, 2)
+    ident, swap = identity_semigroup(alg), block_permutation_semigroup(alg, (1, 0), delta)
+    assert multiplicity_matrix(ident.map_at(delta), alg).tolist() == [[1, 0], [0, 1]]
+    assert multiplicity_matrix(swap.map_at(delta), alg).tolist() == [[0, 1], [1, 0]]
+    (t, reason, _), = cocycle_equivalence(ident, swap, delta, 2, sf).failures
+    assert t == delta
+    assert "[[1, 0], [0, 1]]" in reason and "[[0, 1], [1, 0]]" in reason
+
+
+def test_multiplicity_matrix_counts_copies_of_a_block():
+    # block 0 goes once into block 0 and twice into block 1; block 1 is dropped
+    alg = make_algebra([2, 4])
+    assert multiplicity_matrix(_doubling_action(alg), alg).tolist() == [[1, 0], [2, 0]]
+
+
+def test_multiplicity_matrices_of_the_two_rotations_differ():
+    alg = make_algebra([1, 1, 1])
+    delta = Fraction(1, 2)
+    got = {}
+    for perm in [(1, 2, 0), (2, 0, 1)]:
+        m = multiplicity_matrix(block_permutation_semigroup(alg, perm, delta).map_at(delta), alg)
+        # output block i carries input block perm[i]
+        assert m.tolist() == np.eye(3, dtype=int)[list(perm)].tolist()
+        got[perm] = m.tolist()
+    assert got[(1, 2, 0)] != got[(2, 0, 1)]
+
+
+def test_alpha_that_is_not_an_endomorphism_is_refused():
+    # x -> tr(x) / 2 on M_2 is unital and *-preserving but not multiplicative
+    alg = make_algebra([2])
+    sf = standard_form(alg, uniform_state(alg))
+    one = alg.identity().vec()
+    alpha = E0Semigroup(alg, lambda t: np.outer(one, one) / 2)
+    rep = cocycle_equivalence(alpha, identity_semigroup(alg), Fraction(1, 4), 2, sf)
+    assert not rep.equivalent
+    (t, reason, defect), = rep.failures
+    assert (t, reason) == (Fraction(1, 4), "alpha is not an endomorphism")
+    assert defect >= 0.25
 
 
 def test_broken_semigroup_law_detected_at_first_bad_time(rng):

@@ -458,9 +458,9 @@ def recorded_minimality(monkeypatch, tl, **kwargs):
     seen = []
     rank = prodsys.dilation.numerical_rank
 
-    def recording(z, rtol):
+    def recording(z):
         seen.append(z)
-        return rank(z, rtol)
+        return rank(z)
 
     monkeypatch.setattr(prodsys.dilation, "numerical_rank", recording)
     rep = minimality_evidence(tl, **kwargs)
