@@ -18,19 +18,20 @@ assembled: the left module splits, block by block of the algebra, into a
 matrix block tensored with a multiplicity space (Paschke's picture of
 finite-dimensional modules), and in those coordinates the Gram matrix is
 the direct sum over blocks of one small matrix of algebra-element entries
-tensored with the identity on the multiplicity space.  Only the small
-matrices are diagonalized.  `gram_quotient` diagonalizes an assembled Gram
-matrix whole; it is the dense reference the block quotient is tested
-against.
+tensored with the identity on the multiplicity space.  In the GNS
+tensor the small matrices hold the Choi data of T, are diagonalized, and
+the rank rule decides what is kept.  In the relative tensor product they
+are tau_j times the projection given by the left factor's right
+multiplicity (`relative_tensor` proves it): no eigh, no rank decided.
+`gram_quotient` diagonalizes an assembled Gram matrix whole; it is the
+dense reference the block quotient is tested against.
 
 A module pays only for what its readers use.  A quotient keeps its maps
 only as per-block factors (`Quotient`), and every reader contracts them
 against its own vectors: `embed` applied to the kron pairs of two column
 blocks, to a column block and its adjoint, and `lift` applied to a column
-block.  The left and right action stacks are assembled each on its first
-read, cached read-only; and a left factor keeps the diagonalized blocks of
-its composition Gram (`Bimodule.gram_blocks`), so fusing it with many right
-factors diagonalizes them once.
+block.  The action stacks, and the multiplicity decompositions of the two
+actions, are computed each on its first read and cached read-only.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ GRAM_NEG_RTOL = 1e-8
 
 
 class NotCompletelyPositiveError(ValueError):
-    """Raised when a Gram matrix has a genuinely negative eigenvalue."""
+    """Raised for a negative Gram eigenvalue, or a right action that is no module's."""
 
 
 class _OnFirstRead:
@@ -186,38 +187,42 @@ class Bimodule:
         left action of e_rc sends V[:, c', s] to delta(c, c') V[:, r, s]: on
         the span of V the left action is x (x) I_m, with m = B.shape[1].
         """
-        out, off = [], 0
-        for n in self.algebra.blocks:
-            units = self.left[off:off + n * n:n]
-            out.append((units @ projection_range(units[0])).transpose(1, 0, 2))
-            off += n * n
-        return tuple(out)
+        return _multiplicity(self.left, self.algebra.blocks, left=True)
 
-    def gram_blocks(self, sf: StandardForm) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Eigendecompositions (w, u) of this left factor's Gram blocks under sf.
+    @cached_property
+    def right_multiplicity(self) -> tuple[np.ndarray, ...]:
+        """Multiplicity decomposition of the right action, one array per block.
 
-        elements[a, b] is the algebra element of the composition of the
-        bounded-vector maps of coordinate basis vectors a and b (`inner`);
-        block M_n contributes E[(a, r), (b, c)], the (r, c) entry of the
-        block part of elements[a, b].  The blocks are memoized for the
-        last state they were computed under, compared by identity, and are
-        read-only.  A composition that is no left multiplication raises on
-        every call, since nothing is memoized then.
+        The mirror of `multiplicity`: X[:, c, :] = right(e_1c) B, with B the
+        range of right(e_11), so X[:, c, p] is copy p of the row vector e_c^T
+        of M_n.  `relative_tensor` reads its Gram off X, so X is checked: its
+        columns must form a unitary, and each matrix unit y must send
+        X[:, c, p] to sum_k y_ck X[:, k, p].  Past 1e-8 that raises, on every
+        call: the bounded-vector compositions are no left multiplications.
         """
-        memo = self.__dict__.get("_gram_blocks")
-        if memo is not None and memo[0] is sf:
-            return memo[1]
-        hd = self.dim
-        elements, residual, scale = inner(self, np.eye(hd), np.eye(hd), sf)
-        # relative to the entries, which grow like the inverse of a small state weight
-        if residual > 1e-8 * scale:
+        out, d = _multiplicity(self.right, self.algebra.blocks, left=False), self.dim
+        x = np.hstack([v.reshape(d, -1) for v in out])
+        defect = np.linalg.norm(x.conj().T @ x - np.eye(d)) if x.shape == (d, d) else np.inf
+        for y, act in zip(self.algebra.basis(), self.right):
+            moved = np.hstack([np.einsum("ck,akp->acp", b, v).reshape(d, -1)
+                               for b, v in zip(y.mats, out)])
+            defect = max(defect, np.linalg.norm(act @ x - moved, axis=0).max(initial=0.0))
+        if defect > 1e-8:
             raise NotCompletelyPositiveError("bounded-vector composition is not a left "
-                                             f"multiplication ({residual:.3e}, scale {scale:.3e})")
-        blocks = _gram_blocks(elements, sf.algebra.blocks)
-        for w, u in blocks:
-            w.flags.writeable = u.flags.writeable = False
-        self.__dict__["_gram_blocks"] = (sf, blocks)
-        return blocks
+                                             f"multiplication (right-action defect {defect:.3e})")
+        return out
+
+
+def _multiplicity(stack: np.ndarray, blocks, left: bool) -> tuple[np.ndarray, ...]:
+    """Per block M_n, stack[e_r1] B (left) or stack[e_1r] B (right) in slice [:, r, :], B the
+    range of stack[e_11]; read-only, as every quotient over the module shares them."""
+    out, off = [], 0
+    for n in blocks:
+        units = stack[off:off + n * n:n] if left else stack[off:off + n]
+        out.append((units @ projection_range(units[0])).transpose(1, 0, 2))
+        out[-1].flags.writeable = False
+        off += n * n
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -252,7 +257,8 @@ def gram_quotient(gram: np.ndarray, rtol: float = GRAM_RTOL):
     family coordinates with embed @ lift = identity.
     """
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
-    return _quotient_factors(w, v, _kept(w, rtol))
+    keep = _kept(w, rtol)
+    return (*_quotient_factors(w[keep], v[:, keep]), w[keep])
 
 
 def _kept(w: np.ndarray, rtol: float) -> np.ndarray:
@@ -276,10 +282,16 @@ def numerical_rank(z: np.ndarray, rtol: float = GRAM_RTOL) -> int:
     return int(_kept(np.linalg.svd(z, compute_uv=False), rtol).sum())
 
 
-def _quotient_factors(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
-    """(embed, lift, kept eigenvalues) from an eigendecomposition."""
-    wk, vk = w[keep], v[:, keep]
-    return np.sqrt(wk)[:, None] * vk.conj().T, vk / np.sqrt(wk)[None, :], wk
+def _quotient_factors(w: np.ndarray, v: np.ndarray):
+    """(embed, lift) from kept eigenpairs: positive eigenvalues w, orthonormal columns v."""
+    return np.sqrt(w)[:, None] * v.conj().T, v / np.sqrt(w)[None, :]
+
+
+def frame_weights(sf: StandardForm) -> list[float]:
+    """tau_i = Tr(rho_i^-1) per block: the Gram eigenvalue of block i in `relative_tensor`,
+    and the coefficient of the central element z of `dilation`, whose right action
+    on every cell is sum_e L_e L_e* over an orthonormal basis (L_e: bounded-vector map)."""
+    return [float(np.trace(np.linalg.inv(d)).real) for d in sf.state.density]
 
 
 def l2_bimodule(sf: StandardForm) -> Bimodule:
@@ -338,18 +350,24 @@ def gns_tensor(t_map, sf: StandardForm) -> Bimodule:
     algebra and the coordinate basis of the standard space, in kron order
     (algebra index major).  This is the standard space fused with itself
     through T: the Gram matrix is the sum over the algebra basis of
-    T(e_a* e_b)_mu l2.left[mu], so the coupling goes through the same block
-    quotient as `relative_tensor`, with the algebra acting on the left by
-    multiplication.  Row b of conj(lmult(e_a)) holds the coordinates of
-    e_a* e_b, because lmult(x*) = lmult(x)*.  A non-CP input shows up as a
-    genuinely negative Gram eigenvalue and is rejected.
+    T(e_a* e_b)_mu l2.left[mu], split into the blocks E[(a, r), (b, c)] of
+    `_block_quotient`; row b of conj(lmult(e_a)) holds the coordinates of
+    e_a* e_b, because lmult(x*) = lmult(x)*.  The E hold the Choi data of
+    T, so this is the one quotient that decides a rank: the rank rule
+    (`_kept`) runs once over the eigenvalues of all blocks.  A non-CP input
+    shows up as a genuinely negative eigenvalue and is rejected.
     """
-    elements = sf.lmult_basis.conj() @ t_map.action.T
-    l2 = l2_bimodule(sf)
+    elements, d, blocks = sf.lmult_basis.conj() @ t_map.action.T, sf.dim, sf.algebra.blocks
+    parts = np.split(elements, np.cumsum([n * n for n in blocks])[:-1], axis=2)
+    es = [e.reshape(d, d, n, n).swapaxes(1, 2).reshape(d * n, -1) for e, n in zip(parts, blocks)]
+    eigs = [np.linalg.eigh((e + e.conj().T) / 2) for e in es]
     try:
-        return _block_quotient(_gram_blocks(elements, sf.algebra.blocks), l2, l2, sf)
+        keep = _kept(np.concatenate([w for w, _ in eigs]), GRAM_RTOL)
     except NotCompletelyPositiveError as exc:
         raise NotCompletelyPositiveError(f"GNS coupling failed, map is not CP: {exc}") from exc
+    keeps = np.split(keep, np.cumsum([w.size for w, _ in eigs])[:-1])
+    l2 = l2_bimodule(sf)
+    return _block_quotient([(w[kp], u[:, kp]) for (w, u), kp in zip(eigs, keeps)], l2, l2, sf)
 
 
 def tensor_vec(g: Bimodule, x: AlgebraElement, xi: np.ndarray) -> np.ndarray:
@@ -361,51 +379,57 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     """Relative tensor product over the algebra, h fused with k.
 
     Spanning family: pairs of coordinate basis vectors in kron order
-    (h index major).  The inner product routes through the bounded-vector
-    composition on h, recognized as a left multiplication and then applied
-    through the left action of k; the quotient is `_block_quotient`, over
-    the Gram blocks that h keeps for all its right factors.
+    (h index major).  The Gram blocks E_j of `_block_quotient`, built from
+    the algebra elements of L_a* L_b (L_a the bounded-vector map of
+    coordinate vector a of h, `inner`), are fixed by the right module
+    structure of h alone (Paschke 1973, "Inner product modules over
+    B*-algebras"): with X = h.right_multiplicity and tau_j = Tr(rho_j^-1),
+
+        E_j = tau_j U_j U_j*,  U_j[(a, r), p] = sum_c X_j[a, c, p] (rho_j^-1/2)_rc / sqrt(tau_j).
+
+    Proof: x_cp = X_j[:, c, p] is copy p of the row vector e_c^T of M_n.
+    L_xi sends eta to xi solve_right(eta), and solve_right multiplies by
+    rho^-1/2 from the left, so L_x_cp sends eta to copy p of e_c^T
+    rho_j^-1/2 eta_j, and L_x_cp* L_x_c'p' is left multiplication by
+    delta(p, p') rho_j^-1/2 e_cc' rho_j^-1/2.  Coordinate vector a is
+    sum_cp conj(X_j[a, c, p]) x_cp on block j, so E_j = sum_p u_p u_p*
+    with u_p = sqrt(tau_j) U_j[:, p]; the x_cp are orthonormal, so the u_p
+    are orthogonal of squared norm sum_c (rho_j^-1)_cc = tau_j.  Hence E_j
+    has the one nonzero eigenvalue tau_j, on the columns of U_j, and there
+    is no rank to decide.
     """
-    return _block_quotient(h.gram_blocks(sf), h, k, sf)
-
-
-def _gram_blocks(elements: np.ndarray, blocks) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """eigh of E[(a, r), (b, c)], the (r, c) entry of the block part of elements[a, b]."""
-    hd, out, off = elements.shape[0], [], 0
-    for n in blocks:
-        e = elements[:, :, off:off + n * n].reshape(hd, hd, n, n)
-        off += n * n
-        e = e.transpose(0, 2, 1, 3).reshape(hd * n, hd * n)
-        out.append(np.linalg.eigh((e + e.conj().T) / 2))
-    return tuple(out)
+    blocks = []
+    for x, root_inv, tau in zip(h.right_multiplicity, sf.root_inv, frame_weights(sf)):
+        hd, n, m = x.shape
+        u = np.einsum("acp,rc->arp", x, root_inv).reshape(hd * n, m) / np.sqrt(tau)
+        blocks.append((np.full(m, tau), u))
+    return _block_quotient(blocks, h, k, sf)
 
 
 def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     """Quotient of the family of pairs (coordinate of h, coordinate of k) under one Gram form.
 
     The Gram matrix is the sum over the algebra basis of elements[a, b, mu]
-    k.left[mu], in kron order (a major), given through `blocks`, the
-    eigendecompositions of its block matrices E from `_gram_blocks`.  In
-    the coordinates of `k.multiplicity` that sum is the direct sum over
-    blocks M_n of E (x) I_m.  Only blocks with m > 0 are seen by the Gram
-    matrix, and one rank rule runs over all of them; the quotient
-    coordinates are (block, kept direction, multiplicity index).  The
-    quotient maps are kept as per-block factors (`Quotient`) and never
-    assembled; the left action of h and the right action of k, carried into
-    the quotient block by block, are assembled on their first read.
+    k.left[mu], in kron order (a major).  In the coordinates of
+    `k.multiplicity` that sum is the direct sum over blocks M_n of E (x)
+    I_m, with E[(a, r), (b, c)] the (r, c) entry of the block part of
+    elements[a, b].  `blocks` gives each E by its kept eigenpairs (w, u),
+    w > 0 and u orthonormal; a block with none, or with m = 0, adds nothing.
+    The quotient coordinates are (block, kept direction, multiplicity
+    index).  The quotient maps are kept as per-block factors (`Quotient`)
+    and never assembled; the left action of h and the right action of k,
+    carried into the quotient block by block, are assembled on first read.
     """
     hd, kd = h.dim, k.dim
-    seen = [(v, w, u) for (w, u), v in zip(blocks, k.multiplicity) if v.shape[2]]
-    eig_all = np.concatenate([w for _, w, _ in seen] or [np.zeros(0)])
-    keeps = np.split(_kept(eig_all, GRAM_RTOL), np.cumsum([w.size for _, w, _ in seen])[:-1])
-
     factors, eigs, o = [], [np.zeros(0)], 0  # factors: (slice, W, L, V) per seen block
-    for (v, w, u), kp in zip(seen, keeps):
-        wmat, lmat, wk = _quotient_factors(w, u, kp)
-        q = slice(o, o + wk.size * v.shape[2])
+    for (w, u), v in zip(blocks, k.multiplicity):
+        if not (w.size and v.shape[2]):
+            continue
+        wmat, lmat = _quotient_factors(w, u)
+        q = slice(o, o + w.size * v.shape[2])
         o = q.stop
         factors.append((q, wmat, lmat, v))
-        eigs.append(np.repeat(wk, v.shape[2]))
+        eigs.append(np.repeat(w, v.shape[2]))
     dim = o
 
     # left(x) = W (x (x) I_n) L (x) I_m and right(y) = I (x) B* k.right(y) B
@@ -488,16 +512,6 @@ class BlockMap:
         for q, q2, z, m in self.blocks:
             out[q] = (z.reshape(len(z), -1) @ x[:, q2].reshape(-1, m * cols)).reshape(-1, cols)
         return out
-
-
-def left_materialization(h: Bimodule, sf: StandardForm) -> np.ndarray:
-    """Matrix of the canonical map l2 (x) h -> h, x.cyclic (x) eta -> x eta.
-
-    Acts on kron coordinates (standard-space index major): block j is the
-    left action of the element solved from coordinate basis vector j.
-    """
-    m = np.tensordot(sf.solve_left_matrix.T, h.left, axes=1)
-    return m.transpose(1, 0, 2).reshape(h.dim, -1)
 
 
 def extend_from_family(z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:

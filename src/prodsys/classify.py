@@ -25,9 +25,7 @@ from .algebra import (
     Algebra, AlgebraElement, StandardForm, block_diag, expm, lmult_matrix, projection_range,
     rmult_matrix,
 )
-from .bimodule import (
-    Bimodule, BimoduleMap, extend_from_family, inner, left_materialization,
-)
+from .bimodule import Bimodule, BimoduleMap, extend_from_family, inner
 from .cells import CellSystem
 from .partition import Partition
 
@@ -171,15 +169,6 @@ class TwistedSystem:
         if t not in self._cells:
             self._cells[t] = twisted_cell(self.theta, t, self.sf)
         return self._cells[t]
-
-    def multiply_kron(self, s, t) -> np.ndarray:
-        """Multiplication on kron coordinates of cell(s) (x) cell(t).
-
-        The first factor is materialized from the left against the cyclic
-        vector and pushed through the endomorphism at the second time, which
-        is the twisted left action of cell(t).
-        """
-        return left_materialization(self.cell(t), self.sf)
 
     def fold(self, parts: Sequence[Fraction]) -> np.ndarray:
         """Multiplied elementary vectors with nested endomorphism images.

@@ -54,8 +54,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraElement, StandardForm, lmult_matrix
-from .bimodule import Bimodule, extension, numerical_rank, pi_phi, relative_tensor
+from .algebra import AlgebraElement, lmult_matrix
+from .bimodule import Bimodule, extension, frame_weights, numerical_rank, pi_phi, relative_tensor
 from .cells import CellSystem, Unit, _unit_fold
 from .cpdyn import evaluate
 from .partition import Partition, uniform
@@ -182,15 +182,6 @@ class TruncatedOperator:
 def represent(tl: TruncatedLimit, x: AlgebraElement) -> TruncatedOperator:
     """The algebra represented on the tower: compress to level 0, act, re-embed."""
     return TruncatedOperator(tl, 0, lmult_matrix(x))
-
-
-def frame_weights(sf: StandardForm) -> list[float]:
-    """Coefficients Tr(rho_i^-1) of the central element z, one per block.
-
-    On every level, the sum of L_e L_e* over an orthonormal basis, with L_e
-    the bounded-vector map of e, is the right action of z.
-    """
-    return [float(np.trace(np.linalg.inv(d)).real) for d in sf.state.density]
 
 
 def _amplification(tl: TruncatedLimit, t, op: TruncatedOperator):

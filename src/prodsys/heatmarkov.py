@@ -173,13 +173,17 @@ def box(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _kept_path_weights(mdl: MarkovModel, p: Partition) -> np.ndarray:
-    """Path weights of p in path order, set to zero on paths of negligible weight.
+    """Path weights of p in path order, set to zero on the paths that the cells drop.
 
-    A path is kept when its weight passes the rank rule of the Gram
-    quotients; the kept paths are the coordinates of `l2_cell`.
+    A part's coupling has one Gram eigenvalue P[b, a] per step (a, b) of its
+    transition matrix P, ranked by `gns_tensor`; relative tensors keep every
+    direction, so the generic cell keeps the paths whose steps all pass.
+    The kept paths are the coordinates of `l2_cell`.
     """
-    w = path_measure(mdl, p).weights.reshape(-1)
-    return np.where(_kept(w, GRAM_RTOL), w, 0.0)
+    keep = np.ones(mdl.states, dtype=bool)
+    for part in p.parts:
+        keep = keep[..., :, None] & _kept(mdl.transition(part).T, GRAM_RTOL)
+    return np.where(keep, path_measure(mdl, p).weights, 0.0).reshape(-1)
 
 
 def l2_cell(mdl: MarkovModel, p: Partition) -> Bimodule:

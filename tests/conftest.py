@@ -1,19 +1,32 @@
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prodsys.algebra import diagonal_state, make_algebra, make_state, standard_form
-from prodsys.bimodule import GRAM_RTOL
 from prodsys.cpdyn import (
     lindblad_generator,
     semigroup_from_generator,
     stochastic_pair_generator,
 )
 from prodsys.dilation import TruncatedOperator
-from prodsys.heatmarkov import path_measure
+from prodsys.heatmarkov import _kept_path_weights
 
 SEED = 20250808
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_module(monkeypatch, name):
+    """A perfbench module loaded from its file, for the length of one test."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ under perfbench
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # verdicts imports tracer by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_element(algebra, rng):
@@ -69,14 +82,24 @@ def dense_maps(cell):
     return q.embed_pairs(np.eye(q.hd), np.eye(q.kd)), q.lift_apply(np.eye(q.dim))
 
 
+def left_materialization(h, sf):
+    """Matrix of the canonical map l2 (x) h -> h, x.cyclic (x) eta -> x eta.
+
+    Acts on kron coordinates (standard-space index major): block j is the
+    left action of the element solved from coordinate basis vector j.
+    """
+    m = np.tensordot(sf.solve_left_matrix.T, h.left, axes=1)
+    return m.transpose(1, 0, 2).reshape(h.dim, -1)
+
+
 def path_maps(mdl, p):
     """Dense embed and lift of the path cell at p, a diagonal selection of paths.
 
-    Path coordinates run over the paths of non-negligible weight in C order;
+    Path coordinates run over the kept paths of `l2_cell` in C order;
     embed scales the value on a kept path by the square root of its weight.
     """
-    w = path_measure(mdl, p).weights.reshape(-1)
-    keep = np.flatnonzero(w > GRAM_RTOL * w.max())
+    w = _kept_path_weights(mdl, p)
+    keep = np.flatnonzero(w)
     rows = np.arange(keep.size)
     embed = np.zeros((keep.size, w.size))
     embed[rows, keep] = np.sqrt(w[keep])

@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodsys import bimodule
 from prodsys.algebra import (
@@ -14,7 +17,6 @@ from prodsys.algebra import (
     uniform_state,
 )
 from prodsys.bimodule import (
-    GRAM_RTOL,
     BimoduleMap,
     NotCompletelyPositiveError,
     gns_tensor,
@@ -29,16 +31,20 @@ from prodsys.bimodule import (
     verify_map,
 )
 from prodsys.cells import CellSystem
+from prodsys.cli import main
 from prodsys.cpdyn import (
     CpMap,
     evaluate,
     semigroup_from_generator,
+    stochastic_pair_generator,
     unitary_conjugation_generator,
 )
 from prodsys.heatmarkov import make_model
 from prodsys.partition import Partition, uniform
 
-from conftest import SEED, dense_maps, mixed_semigroup, random_element, random_hermitian
+from conftest import (
+    SEED, dense_maps, load_module, mixed_semigroup, random_element, random_hermitian,
+)
 
 
 def test_gns_identity_map_collapses_to_standard_space(pair):
@@ -281,8 +287,8 @@ def test_verify_map_identity_all_flags(pair):
 # GNS coupling and relative tensor product against the dense Gram quotient
 # ---------------------------------------------------------------------------
 
-def dense_oracle(h, k, sf, rtol=GRAM_RTOL):
-    """Assembled relative-tensor Gram, its quotient, and the composition elements.
+def dense_oracle(h, k, sf):
+    """Assembled relative-tensor Gram and its quotient.
 
     elements[a, b] is the algebra element of the composition of the
     bounded-vector maps of the coordinate basis vectors a and b of h.
@@ -291,7 +297,7 @@ def dense_oracle(h, k, sf, rtol=GRAM_RTOL):
     comp = np.einsum("axi,bxj->abij", pis.conj(), pis)
     elements = np.einsum("mi,abi->abm", sf.solve_left_matrix, comp @ sf.cyclic)
     gram = np.einsum("abm,mpq->apbq", elements, k.left).reshape(h.dim * k.dim, -1)
-    return gram, gram_quotient(gram, rtol), elements
+    return gram, gram_quotient(gram)
 
 
 def gns_oracle(t_map, sf):
@@ -312,7 +318,7 @@ def gns_oracle(t_map, sf):
 
 def relative_oracle(h, k, sf):
     """Assembled relative-tensor Gram, its kept eigenvalues and the pre-quotient actions."""
-    gram, (_, _, eigs), _ = dense_oracle(h, k, sf)
+    gram, (_, _, eigs) = dense_oracle(h, k, sf)
     left_pre = [np.kron(x, np.eye(k.dim)) for x in h.left]
     right_pre = [np.kron(np.eye(h.dim), y) for y in k.right]
     return gram, eigs, left_pre, right_pre
@@ -425,20 +431,29 @@ def test_fused_cell_assembles_its_actions_only_when_read(system, parts, request)
 
 
 @pytest.mark.parametrize("system", ["m2_lindblad", "mixed_block"])
-def test_left_factor_diagonalizes_its_gram_blocks_once(system, request, monkeypatch):
+def test_relative_tensor_takes_no_inner_product_over_a_whole_basis(
+        system, request, monkeypatch, tmp_path, capsys):
+    # a left factor's Gram comes from its right multiplicity, so the
+    # bimodule layer never asks `inner` for a column block as wide as the
+    # module, neither for the cells (1/3, t) nor in `all` on a workload
     sg, sf = request.getfixturevalue(system)
+    wide, real = [], bimodule.inner
+
+    def guarded(module, xs, ys, state):
+        if max(xs.shape[1], ys.shape[1]) >= module.dim:
+            wide.append((module.dim, xs.shape[1], ys.shape[1]))
+        return real(module, xs, ys, state)
+
+    monkeypatch.setattr(bimodule, "inner", guarded)
     cs = CellSystem(sg, sf)
     s, ts = Fraction(1, 3), [Fraction(k, 8) for k in range(1, 9)]
-    h = cs.gns(s)
-    calls, real = [], bimodule.inner
-
-    def counting(module, *args):
-        calls.append(module is h)
-        return real(module, *args)
-
-    monkeypatch.setattr(bimodule, "inner", counting)
     cells = [cs.cell(Partition((s, t))) for t in ts]
-    assert calls == [True]
+    workloads = load_module(monkeypatch, "workloads")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workloads.WORKLOADS["lindblad_m2"](307)))
+    rc = main(["all", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "307"])
+    capsys.readouterr()
+    assert (rc, wide) == (0, [])
     monkeypatch.undo()
     for t, cell in zip(ts, cells):
         fresh = CellSystem(sg, sf).cell(Partition((s, t)))
@@ -460,7 +475,8 @@ def test_failing_left_factor_raises_on_every_call(pair):
 
 
 def test_left_factor_fused_under_two_states_matches_fresh_quotients(pair):
-    # the memoized Gram blocks belong to one state; another state recomputes them
+    # the right multiplicity cached on h belongs to no state: the Gram of
+    # each state is read off it with that state's weights
     sg, sf = pair
     other = standard_form(sf.algebra, diagonal_state(sf.algebra, [0.2, 0.8]))
     h = CellSystem(sg, sf).cell(uniform(Fraction(1, 2), 2))
@@ -500,25 +516,80 @@ def test_relative_tensor_with_zero_multiplicity_block(weights):
         assert_matches_oracle(relative_tensor(h, g, sf), *relative_oracle(h, g, sf))
 
 
-def test_zero_multiplicity_block_does_not_set_the_cutoff(monkeypatch):
-    # the matrix block's composition entries dominate (top eigenvalue 400
-    # against 1.01), but with multiplicity zero they never reach the Gram
-    alg = make_algebra([1, 2])
+def test_gns_cutoff_runs_over_all_blocks_and_may_empty_one(monkeypatch):
+    # the identity map on [1, 3] has Gram eigenvalue 1 on the scalar block
+    # and 3 on the matrix block: under a cutoff of 1/2 of the largest over
+    # all blocks, the scalar block keeps nothing and the quotient skips it
+    alg = make_algebra([1, 3])
     sf = standard_form(alg, diagonal_state(alg, [0.99, 0.01]))
-    g = character_coupling(sf)
-    l2 = l2_bimodule(sf)
-    rtol = 0.1
-    _, (_, _, eigs), elements = dense_oracle(l2, g, sf, rtol)
-    silent = elements[:, :, 1:].reshape(5, 5, 2, 2).transpose(0, 2, 1, 3).reshape(10, 10)
-    assert rtol * np.linalg.eigvalsh(silent).max() > eigs.max()
+    tm = CpMap(alg, np.eye(alg.dim, dtype=complex))
+    rtol = 0.5
+    gram = gns_oracle(tm, sf)[0]
+    eigs = gram_quotient(gram, rtol)[2]
+    assert np.allclose(np.linalg.eigvalsh(gram)[-10:], [1] + [3] * 9)
     monkeypatch.setattr(bimodule, "GRAM_RTOL", rtol)
-    r = relative_tensor(l2, g, sf)
-    assert r.dim == eigs.size == 5
+    g = gns_tensor(tm, sf)
+    assert g.dim == eigs.size == 9
+    assert np.allclose(g.gram_eigs, 3.0)
+    assert len(g.quotient.blocks) == 1
+    # the relative tensor decides no rank: the cutoff does not reach it
+    assert relative_tensor(g, l2_bimodule(sf), sf).dim == g.dim
+
+
+SKEWED = [1 - 3e-10, 3e-10]  # faithful: the smallest density eigenvalue is 1.5e-10 of the largest
+
+
+def test_relative_tensor_at_a_skewed_state_keeps_every_direction():
+    # the Gram eigenvalues are the frame weights 1/(1 - 3e-10) and 4/3e-10,
+    # which no cutoff relative to the largest may tell apart from zero
+    alg = make_algebra([1, 2])
+    sf = standard_form(alg, diagonal_state(alg, SKEWED))
+    assert relative_tensor(l2_bimodule(sf), l2_bimodule(sf), sf).dim == 5
+
+
+def test_mixed_cells_at_a_skewed_state_have_their_dimension():
+    sg, _ = mixed_semigroup()
+    alg = make_algebra([1, 2])
+    cs = CellSystem(sg, standard_form(alg, diagonal_state(alg, SKEWED)))
+    assert [cs.cell(uniform(Fraction(n, 2), n)).dim for n in (1, 2, 3)] == [25, 125, 625]
+
+
+def pair_semigroup():
+    alg, gen = stochastic_pair_generator()
+    return semigroup_from_generator(alg, gen), alg
+
+
+@pytest.mark.parametrize("system, dims", [
+    (lambda: (mixed_semigroup()[0], make_algebra([1, 2])), [25, 125, 625]),
+    (pair_semigroup, [3, 4, 5]),
+], ids=["mixed", "pair"])
+@settings(max_examples=30, deadline=None)
+@given(log_w=st.floats(np.log(3e-10), np.log(0.5)), small_first=st.booleans())
+def test_cell_dims_do_not_depend_on_a_faithful_diagonal_state(system, dims, log_w, small_first):
+    sg, alg = system()
+    w = float(np.exp(log_w))
+    weights = [w, 1 - w] if small_first else [1 - w, w]
+    cs = CellSystem(sg, standard_form(alg, diagonal_state(alg, weights)))
+    assert [cs.cell(uniform(Fraction(n, 2), n)).dim for n in (1, 2, 3)] == dims
+
+
+def test_a_bent_unit_that_the_decomposition_never_reads_still_raises(m2_lindblad):
+    # right(e_22) enters no multiplicity array (those read e_11 and e_12),
+    # but the bounded-vector compositions see it
+    sg, sf = m2_lindblad
+    cs = CellSystem(sg, sf)
+    cell = cs.cell(uniform(Fraction(1, 2), 2))
+    bent = cell.right.copy()
+    bent[3] += 0.1 * np.eye(cell.dim)
+    broken = bimodule.Bimodule(sf.algebra, cell.dim, cell.left, bent)
+    for _ in range(2):
+        with pytest.raises(NotCompletelyPositiveError, match="not a left multiplication"):
+            relative_tensor(broken, cs.gns(Fraction(1, 4)), sf)
 
 
 def test_composition_residual_is_relative_to_the_composition_entries():
-    # a block weight of 1e-9 makes the composition entries about 2e9, and
-    # their rounding alone leaves an absolute residual far above 1e-8
+    # a block weight of 1e-9 makes the composition entries about 2e9; the
+    # check on the right action does not see the state at all
     alg = make_algebra([1, 2])
     sf = standard_form(alg, diagonal_state(alg, [1 - 1e-9, 1e-9]))
     g = character_coupling(sf)

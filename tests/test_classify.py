@@ -34,7 +34,7 @@ from prodsys.classify import (
 from prodsys.cpdyn import evaluate, law_defect, semigroup_from_generator, unitary_conjugation_generator
 from prodsys.partition import Partition, join, partition
 
-from conftest import random_hermitian, random_state
+from conftest import left_materialization, random_hermitian, random_state
 
 
 @pytest.fixture
@@ -164,7 +164,10 @@ def test_canonical_iso_multi_part_and_compatibility(m2_inner):
     assert max(d_s, d_t, d_st) < 1e-10
     rep = verify_map(u_st, bilinear=True, unitary=True)
     assert rep.passed, rep
-    lhs = ts.multiply_kron(s, t) @ np.kron(u_s.matrix, u_t.matrix)
+    # every twisted cell is the standard space with its left action routed
+    # through theta, so the product of cell(s) and cell(t) materializes the
+    # first factor into cell(t) alone, whatever s is
+    lhs = left_materialization(ts.cell(t), sf) @ np.kron(u_s.matrix, u_t.matrix)
     rhs = u_st.matrix @ cs.collapse(join(ps, pt), 1)
     assert np.linalg.norm(lhs - rhs, 2) < 1e-10
 

@@ -359,18 +359,17 @@ def test_cell_match_has_teeth(two_state):
     # the first case with two glues: g1 = f2 and g2 = f3
     pytest.param("path3", uniform(1, 3), 81, id="path3-3-81"),
     pytest.param("chain6", uniform(1, 2), 216, id="chain6-2-216"),
-    # 6 of the 64 paths fall under the weight cutoff, so the path side is
-    # zero on their glued columns; the path cell keeps 58 paths while the
-    # generic cell's rank rule keeps 64 directions, so no dim is compared
-    pytest.param("path4", uniform(Fraction(1, 32), 2), None, id="path4-dropped-paths"),
+    # 6 of the 64 paths weigh under 1e-10 of the largest, which a cutoff on
+    # the path weights once dropped (58 paths against 64 directions); every
+    # step of them passes the rank rule of its coupling, so both keep 64
+    pytest.param("path4", uniform(Fraction(1, 32), 2), 64, id="path4-dropped-paths"),
 ])
 def test_cell_match_never_below_dense_oracle(model, p, dim, request):
     mdl = request.getfixturevalue(model)
     cs = heat_system(mdl)
     defect, dim_cell, dim_path = cell_match_defect(mdl, p, cs)
     oracle = dense_cell_match_oracle(mdl, p, cs)
-    if dim is not None:
-        assert dim_cell == dim_path == dim
+    assert dim_cell == dim_path == dim
     assert defect >= oracle - 1e-15
     assert defect < 1e-10
     assert oracle < 1e-10

@@ -8,26 +8,15 @@ The perfbench modules are loaded from their files, as in
 `test_tracer_targets.py`, and nothing under `perfbench/` is written.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from prodsys.cli import main
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import PERFBENCH, load_module
+
 WORKLOADS = ("lindblad_m2", "pair_tower", "markov_heat")
-
-
-def load_module(monkeypatch, name):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ under perfbench
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)  # verdicts imports tracer by name
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("seed", [307, 11])
