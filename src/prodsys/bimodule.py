@@ -26,12 +26,15 @@ multiplicity (`relative_tensor` proves it): no eigh, no rank decided.
 `gram_quotient` diagonalizes an assembled Gram matrix whole; it is the
 dense reference the block quotient is tested against.
 
-A module pays only for what its readers use.  A quotient keeps its maps
-only as per-block factors (`Quotient`), and every reader contracts them
-against its own vectors: `embed` applied to the kron pairs of two column
-blocks, to a column block and its adjoint, and `lift` applied to a column
-block.  The action stacks, and the multiplicity decompositions of the two
-actions, are computed each on its first read and cached read-only.
+A module pays only for what its readers use.  A quotient keeps one factor
+per block (`Quotient`), and every reader contracts it against its own
+vectors: `embed` applied to the kron pairs of two column blocks, to a
+column block and its adjoint, and `lift` applied to a column block.  The
+right action touches only the right factor, so a quotient's right side
+is read off that factor's multiplicity spaces, and fusing a cell with one
+more part assembles no stack of the cell.  The action stacks, and the
+multiplicity decompositions of the two actions, are computed each on its
+first read and cached read-only.
 """
 
 from __future__ import annotations
@@ -92,12 +95,12 @@ class Quotient:
     With V_i = k.multiplicity[i] (kd x n x m_i), I (x) V splits the pair
     space h (x) k into the direct sum over blocks of (h (x) C^n) (x) C^m,
     and the quotient coordinates are the direct sum of C^kk (x) C^m, in
-    rows q_i.  There embed = (+)_i W_i (x) I_m and lift = (+)_i L_i (x)
-    I_m, with W_i (kk x hd n) and L_i (hd n x kk) the factors of the Gram
-    block's kept eigenvectors (`_quotient_factors`); `blocks` holds
-    (q_i, W_i, L_i, V_i).  These factors are the only form of the two maps:
-    readers apply them to column blocks, and a dense map is the contraction
-    with an identity.
+    rows q_i.  Block i keeps one factor W_i = sqrt(w_i) u_i* (kk x hd n)
+    from the kept eigenpairs (w_i, u_i) of its Gram block: embed = (+)_i
+    W_i (x) I_m and lift = (+)_i (W_i* / w_i) (x) I_m.  The right action is
+    (+)_i I_kk (x) R_i, R_i = k.right_on_multiplicity[i].  `blocks` holds
+    (q_i, w_i, W_i, V_i, R_i); readers apply the factors to column blocks,
+    and a dense map is the contraction with an identity.
     """
 
     hd: int
@@ -113,7 +116,7 @@ class Quotient:
         """
         nu, nw = u.shape[1], w.shape[1]
         out = np.empty((self.dim, nu * nw), dtype=complex)
-        for q, wm, _, v in self.blocks:
+        for q, _, wm, v, _ in self.blocks:
             kk, (_, n, m) = len(wm), v.shape
             y = wm.reshape(kk, self.hd, n).transpose(0, 2, 1).reshape(kk * n, -1) @ u
             x = (v.reshape(self.kd, n * m).conj().T @ w).reshape(n, m, nw)
@@ -124,10 +127,10 @@ class Quotient:
     def embed_apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """embed @ x for a column block x of pair coordinates, or embed* @ x with `adjoint`."""
         if adjoint:
-            return self._from_blocks(x, [wm.conj().T for _, wm, _, _ in self.blocks])
+            return self._from_blocks(x, lift=False)
         cols, xr = x.shape[1], x.reshape(self.hd, self.kd, -1)
         out = np.empty((self.dim, cols), dtype=complex)
-        for q, wm, _, v in self.blocks:
+        for q, _, wm, v, _ in self.blocks:
             n, m = v.shape[1:]
             t = v.reshape(self.kd, n * m).conj().T @ xr  # (hd, n m, cols)
             out[q] = (wm @ t.reshape(-1, m * cols)).reshape(-1, cols)
@@ -135,14 +138,15 @@ class Quotient:
 
     def lift_apply(self, x: np.ndarray) -> np.ndarray:
         """lift @ x for a column block x of quotient coordinates."""
-        return self._from_blocks(x, [lm for _, _, lm, _ in self.blocks])
+        return self._from_blocks(x, lift=True)
 
-    def _from_blocks(self, x: np.ndarray, mats) -> np.ndarray:
-        """(I (x) V)((+)_i M_i (x) I_m) x, for M_i (hd n x kk) per block."""
+    def _from_blocks(self, x: np.ndarray, lift: bool) -> np.ndarray:
+        """(I (x) V)((+)_i M_i (x) I_m) x, with M_i = W_i* / w_i (lift) or W_i* (embed*)."""
         cols = x.shape[1]
         out = np.zeros((self.hd, cols, self.kd), dtype=complex)
-        for (q, _, _, v), mat in zip(self.blocks, mats):
+        for q, w, wm, v, _ in self.blocks:
             n, m = v.shape[1:]
+            mat = wm.conj().T / w if lift else wm.conj().T
             t = (mat @ x[q].reshape(-1, m * cols)).reshape(self.hd, n * m, cols)
             out += t.transpose(0, 2, 1) @ v.reshape(self.kd, n * m).T
         return out.transpose(0, 2, 1).reshape(-1, cols)
@@ -165,8 +169,14 @@ class Bimodule:
     dim: int
     left: np.ndarray | Callable[[], np.ndarray] = _OnFirstRead()
     right: np.ndarray | Callable[[], np.ndarray] = _OnFirstRead()
-    gram_eigs: np.ndarray | None = None
     quotient: Quotient | None = None
+
+    @property
+    def gram_eigs(self) -> np.ndarray | None:
+        """A quotient's kept Gram eigenvalue at each coordinate; None for no quotient."""
+        q = self.quotient
+        return None if q is None else np.concatenate(
+            [np.zeros(0), *(np.repeat(w, v.shape[2]) for _, w, _, v, _ in q.blocks)])
 
     def left_matrix(self, x: AlgebraElement) -> np.ndarray:
         return np.tensordot(x.vec(), self.left, axes=1)
@@ -190,27 +200,48 @@ class Bimodule:
         return _multiplicity(self.left, self.algebra.blocks, left=True)
 
     @cached_property
+    def right_on_multiplicity(self) -> tuple[np.ndarray, ...]:
+        """The right action on each multiplicity space: R[y] = B* right(y) B, B = V[:, 0, :].
+
+        The right action commutes with the left, so on the span of V it is
+        I_n (x) R; every quotient over this module as its right factor shares R.
+        """
+        out = tuple(b.conj().T @ self.right @ b for b in (v[:, 0, :] for v in self.multiplicity))
+        for r in out:
+            r.flags.writeable = False
+        return out
+
+    @cached_property
     def right_multiplicity(self) -> tuple[np.ndarray, ...]:
         """Multiplicity decomposition of the right action, one array per block.
 
         The mirror of `multiplicity`: X[:, c, :] = right(e_1c) B, with B the
         range of right(e_11), so X[:, c, p] is copy p of the row vector e_c^T
-        of M_n.  `relative_tensor` reads its Gram off X, so X is checked: its
-        columns must form a unitary, and each matrix unit y must send
-        X[:, c, p] to sum_k y_ck X[:, k, p].  Past 1e-8 that raises, on every
-        call: the bounded-vector compositions are no left multiplications.
+        of M_n.  The right action is a sum of parts I_kk (x) R: a quotient's
+        blocks' (kk, R_i), read off its right factor (Paschke 1973), or the
+        one part (1, right) of any other module; X is the sum of the I_kk (x)
+        X_R.  `relative_tensor` reads its Gram off X, so each X_R is checked:
+        its columns must form a unitary, and each matrix unit y must send
+        X_R[:, c, p] to sum_k y_ck X_R[:, k, p].  Past 1e-8 that raises, on
+        every call: the bounded-vector compositions are no left multiplications.
         """
-        out, d = _multiplicity(self.right, self.algebra.blocks, left=False), self.dim
-        x = np.hstack([v.reshape(d, -1) for v in out])
-        defect = np.linalg.norm(x.conj().T @ x - np.eye(d)) if x.shape == (d, d) else np.inf
-        for y, act in zip(self.algebra.basis(), self.right):
-            moved = np.hstack([np.einsum("ck,akp->acp", b, v).reshape(d, -1)
-                               for b, v in zip(y.mats, out)])
-            defect = max(defect, np.linalg.norm(act @ x - moved, axis=0).max(initial=0.0))
+        q, blocks = self.quotient, self.algebra.blocks
+        parts = [(len(w), r) for _, w, _, _, r in q.blocks] if q else [(1, self.right)]
+        decs, defect = [_multiplicity(r, blocks, left=False) for _, r in parts], 0.0
+        for (_, r), dec in zip(parts, decs):
+            d = r.shape[1]
+            x = np.hstack([v.reshape(d, -1) for v in dec])
+            defect = max(defect, np.linalg.norm(x.conj().T @ x - np.eye(d))
+                         if x.shape == (d, d) else np.inf)
+            for y, act in zip(self.algebra.basis(), r):
+                moved = np.hstack([np.einsum("ck,akp->acp", b, v).reshape(d, -1)
+                                   for b, v in zip(y.mats, dec)])
+                defect = max(defect, np.linalg.norm(act @ x - moved, axis=0).max(initial=0.0))
         if defect > 1e-8:
             raise NotCompletelyPositiveError("bounded-vector composition is not a left "
                                              f"multiplication (right-action defect {defect:.3e})")
-        return out
+        return tuple(_direct_sum([(kk, x[j].transpose(1, 0, 2)) for (kk, _), x in zip(parts, decs)],
+                                 n).transpose(1, 0, 2) for j, n in enumerate(blocks))
 
 
 def _multiplicity(stack: np.ndarray, blocks, left: bool) -> tuple[np.ndarray, ...]:
@@ -223,6 +254,18 @@ def _multiplicity(stack: np.ndarray, blocks, left: bool) -> tuple[np.ndarray, ..
         out[-1].flags.writeable = False
         off += n * n
     return tuple(out)
+
+
+def _direct_sum(parts, lead: int) -> np.ndarray:
+    """(+)_i I_kk (x) A_i over the lead axis, for parts (kk, A_i (lead, m_i, c_i)); read-only."""
+    rows, cols = (sum(kk * a.shape[ax] for kk, a in parts) for ax in (1, 2))
+    out, r, c = np.zeros((lead, rows, cols), dtype=complex), 0, 0
+    for kk, a in parts:
+        for _ in range(kk):
+            out[:, r:r + a.shape[1], c:c + a.shape[2]] = a
+            r, c = r + a.shape[1], c + a.shape[2]
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -258,7 +301,8 @@ def gram_quotient(gram: np.ndarray, rtol: float = GRAM_RTOL):
     """
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
     keep = _kept(w, rtol)
-    return (*_quotient_factors(w[keep], v[:, keep]), w[keep])
+    w, v = w[keep], v[:, keep]
+    return np.sqrt(w)[:, None] * v.conj().T, v / np.sqrt(w)[None, :], w
 
 
 def _kept(w: np.ndarray, rtol: float) -> np.ndarray:
@@ -280,11 +324,6 @@ def _kept(w: np.ndarray, rtol: float) -> np.ndarray:
 def numerical_rank(z: np.ndarray, rtol: float = GRAM_RTOL) -> int:
     """Rank of a matrix under the rank rule, applied to its singular values."""
     return int(_kept(np.linalg.svd(z, compute_uv=False), rtol).sum())
-
-
-def _quotient_factors(w: np.ndarray, v: np.ndarray):
-    """(embed, lift) from kept eigenpairs: positive eigenvalues w, orthonormal columns v."""
-    return np.sqrt(w)[:, None] * v.conj().T, v / np.sqrt(w)[None, :]
 
 
 def frame_weights(sf: StandardForm) -> list[float]:
@@ -383,7 +422,8 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     the algebra elements of L_a* L_b (L_a the bounded-vector map of
     coordinate vector a of h, `inner`), are fixed by the right module
     structure of h alone (Paschke 1973, "Inner product modules over
-    B*-algebras"): with X = h.right_multiplicity and tau_j = Tr(rho_j^-1),
+    B*-algebras"): with X = h.right_multiplicity, for a cell read off its
+    last part, and tau_j = Tr(rho_j^-1),
 
         E_j = tau_j U_j U_j*,  U_j[(a, r), p] = sum_c X_j[a, c, p] (rho_j^-1/2)_rc / sqrt(tau_j).
 
@@ -421,36 +461,26 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
     carried into the quotient block by block, are assembled on first read.
     """
     hd, kd = h.dim, k.dim
-    factors, eigs, o = [], [np.zeros(0)], 0  # factors: (slice, W, L, V) per seen block
-    for (w, u), v in zip(blocks, k.multiplicity):
+    factors, o = [], 0  # (rows, w, W, V, R) per kept block
+    for (w, u), v, r in zip(blocks, k.multiplicity, k.right_on_multiplicity):
         if not (w.size and v.shape[2]):
             continue
-        wmat, lmat = _quotient_factors(w, u)
         q = slice(o, o + w.size * v.shape[2])
         o = q.stop
-        factors.append((q, wmat, lmat, v))
-        eigs.append(np.repeat(w, v.shape[2]))
+        factors.append((q, w, np.sqrt(w)[:, None] * u.conj().T, v, r))
     dim = o
 
-    # left(x) = W (x (x) I_n) L (x) I_m and right(y) = I (x) B* k.right(y) B
-    def left():
+    def left():  # left(x) = W (x (x) I_n) (W* / w) (x) I_m
         out = np.zeros((len(h.left), dim, dim), dtype=complex)
-        for q, wmat, lmat, v in factors:
-            n, kk, m = v.shape[1], wmat.shape[0], v.shape[2]
-            act = wmat @ np.tensordot(h.left, lmat.reshape(hd, n * kk), axes=1
+        for q, w, wmat, v, _ in factors:
+            n, kk, m = v.shape[1], len(w), v.shape[2]
+            act = wmat @ np.tensordot(h.left, (wmat.conj().T / w).reshape(hd, n * kk), axes=1
                                       ).reshape(-1, hd * n, kk)
             out[:, q, q] = np.einsum("xab,st->xasbt", act, np.eye(m)).reshape(-1, kk * m, kk * m)
         return out
 
-    def right():
-        out = np.zeros((len(k.right), dim, dim), dtype=complex)
-        for q, wmat, _, v in factors:
-            kk, m, b = wmat.shape[0], v.shape[2], v[:, 0, :]
-            act = b.conj().T @ k.right @ b
-            out[:, q, q] = np.einsum("ab,xst->xasbt", np.eye(kk), act).reshape(-1, kk * m, kk * m)
-        return out
-
-    return Bimodule(sf.algebra, dim, left, right, gram_eigs=np.concatenate(eigs),
+    return Bimodule(sf.algebra, dim, left,
+                    lambda: _direct_sum([(len(w), r) for _, w, _, _, r in factors], sf.algebra.dim),
                     quotient=Quotient(hd, kd, dim, tuple(factors)))
 
 
@@ -463,15 +493,16 @@ def extension(e: Bimodule, x: np.ndarray, sub: Bimodule) -> "BlockMap":
     orthonormal, so (I (x) V_i*)(X (x) I_k)(I (x) V_j) = delta_ij X (x)
     I_(n m), and the product is (+)_i Z_i (x) I_m in the block coordinates
     of e and of a (x) sub, with Z_i = W_i (X (x) I_n)(I_a (x) L_i) of shape
-    (kk_i, a, kk'_i).
+    (kk_i, a, kk'_i) and L_i = W'_i* / w'_i the lift factor of sub.
     """
     qe, qs = e.quotient, sub.quotient
     da, out = x.shape[1] // qs.hd, []
-    for (q, wm, _, v), (q2, _, lm, v2) in zip(qe.blocks, qs.blocks):
+    for (q, _, wm, v, _), (q2, w2, wm2, v2, _) in zip(qe.blocks, qs.blocks):
         if v is not v2:
             raise ValueError("the quotients do not share their right factor")
         kk, n = len(wm), v.shape[1]
         z = wm.reshape(kk, qe.hd, n).transpose(0, 2, 1).reshape(kk * n, -1) @ x
+        lm = wm2.conj().T / w2
         z = z.reshape(kk, n, da, qs.hd).transpose(0, 2, 3, 1).reshape(kk * da, -1) @ lm
         out.append((q, q2, z.reshape(kk, da, -1), v.shape[2]))
     return BlockMap(e.dim, da, sub.dim, tuple(out))

@@ -14,9 +14,8 @@ instead, so the collapse of p is applied without being formed.
 
 On top of the cells this module provides the coarse-to-fine refinement
 isometries, the multiplication unitaries joining two cells into the cell
-of the concatenated partition, canonical units, the completely positive
-semigroup induced by a unit, and the isomorphism sending the cells of an
-induced semigroup onto any system carrying a generating unital unit.
+of the concatenated partition, canonical units, and the completely
+positive semigroup induced by a unit.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .bimodule import (
     Bimodule,
     BimoduleMap,
     BlockMap,
-    extend_from_family,
     extension,
     gns_tensor,
     inner,
@@ -356,28 +354,6 @@ def generating_rank(unit: Unit, p: Partition) -> tuple[int, int]:
     cs, eye = unit.system, np.eye(unit.system.sf.algebra.dim)
     z = _unit_fold(cs, unit.vectors, p.parts, eye, eye)
     return numerical_rank(z), cs.cell(p).dim
-
-
-def unit_system_isomorphism(
-    cs: CellSystem,
-    p: Partition,
-    target: Bimodule,
-    target_family: np.ndarray,
-) -> tuple[BimoduleMap, float]:
-    """Isomorphism from cell(p) onto a unit-bearing target at level p.
-
-    The map sends the elementary tensor with algebra slots xs over cyclic
-    vectors, and a final right factor y, to the target's multiplied unit
-    vectors with the same slots, column (xs, y) of `target_family` in kron
-    order over the algebra basis.  Returns the map together with the
-    extension defect on the defining family; a generating target makes the
-    map unitary, a rank-deficient family shows up in the defect report.
-    """
-    sf = cs.sf
-    vs = [sf.cyclic[:, None]] * (len(p) - 1) + [sf.embed_right_matrix]
-    z = cs.family(p.parts, [np.eye(sf.dim)] * len(p), vs)
-    u, defect = extend_from_family(z, target_family)
-    return BimoduleMap(cs.cell(p), target, u), defect
 
 
 def _unit_fold(cs: CellSystem, vectors: dict[Fraction, np.ndarray], parts: Sequence[Fraction],

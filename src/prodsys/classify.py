@@ -25,7 +25,7 @@ from .algebra import (
     Algebra, AlgebraElement, StandardForm, block_diag, expm, lmult_matrix, projection_range,
     rmult_matrix,
 )
-from .bimodule import Bimodule, BimoduleMap, extend_from_family, inner
+from .bimodule import Bimodule, BimoduleMap, extend_from_family
 from .cells import CellSystem
 from .partition import Partition
 
@@ -185,15 +185,6 @@ class TwistedSystem:
             step = rights[None] @ (self.theta.map_at(t) @ rights)[:, None]
             acc = np.einsum("xyab,bj->ajxy", step, acc).reshape(alg.dim, -1)
         return self.sf.embed_left_matrix @ acc
-
-
-def twisted_cp_defect(ts: TwistedSystem, t) -> float:
-    """Defect of the unit of the twisted system inducing the endomorphism back."""
-    cell = ts.cell(t)
-    xi = ts.sf.cyclic
-    elements, res, _ = inner(cell, xi[:, None], (cell.left @ xi).T, ts.sf)
-    miss = elements[0] - ts.theta.map_at(t).T
-    return max(res, *(ts.sf.algebra.from_vec(m).norm() for m in miss))
 
 
 def canonical_iso(theta: E0Semigroup, cs: CellSystem, p: Partition,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prodsys.algebra import diagonal_state, make_algebra, make_state, standard_form
+from prodsys.bimodule import BimoduleMap, extend_from_family, inner
 from prodsys.cpdyn import (
     lindblad_generator,
     semigroup_from_generator,
@@ -90,6 +91,32 @@ def left_materialization(h, sf):
     """
     m = np.tensordot(sf.solve_left_matrix.T, h.left, axes=1)
     return m.transpose(1, 0, 2).reshape(h.dim, -1)
+
+
+def unit_system_isomorphism(cs, p, target, target_family):
+    """Isomorphism from cell(p) onto a unit-bearing target at level p.
+
+    The map sends the elementary tensor with algebra slots xs over cyclic
+    vectors, and a final right factor y, to the target's multiplied unit
+    vectors with the same slots, column (xs, y) of `target_family` in kron
+    order over the algebra basis.  Returns the map together with the
+    extension defect on the defining family; a generating target makes the
+    map unitary, a rank-deficient family shows up in the defect report.
+    """
+    sf = cs.sf
+    vs = [sf.cyclic[:, None]] * (len(p) - 1) + [sf.embed_right_matrix]
+    z = cs.family(p.parts, [np.eye(sf.dim)] * len(p), vs)
+    u, defect = extend_from_family(z, target_family)
+    return BimoduleMap(cs.cell(p), target, u), defect
+
+
+def twisted_cp_defect(ts, t):
+    """Defect of the unit of the twisted system inducing the endomorphism back."""
+    cell = ts.cell(t)
+    xi = ts.sf.cyclic
+    elements, res, _ = inner(cell, xi[:, None], (cell.left @ xi).T, ts.sf)
+    miss = elements[0] - ts.theta.map_at(t).T
+    return max(res, *(ts.sf.algebra.from_vec(m).norm() for m in miss))
 
 
 def path_maps(mdl, p):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +33,7 @@ from prodsys.bimodule import (
     verify_map,
 )
 from prodsys.cells import CellSystem
-from prodsys.cli import main
+from prodsys.cli import load_config, main
 from prodsys.cpdyn import (
     CpMap,
     evaluate,
@@ -384,8 +386,8 @@ def pre_change_quotient_maps(r):
     q = r.quotient
     embed = np.zeros((r.dim, q.hd * q.kd), dtype=complex)
     lift = np.zeros((q.hd * q.kd, r.dim), dtype=complex)
-    for rows, wmat, lmat, v in q.blocks:
-        n, kk, m = v.shape[1], wmat.shape[0], v.shape[2]
+    for rows, w, wmat, v, _ in q.blocks:
+        n, kk, m, lmat = v.shape[1], wmat.shape[0], v.shape[2], wmat.conj().T / w
         embed[rows] = np.tensordot(wmat.reshape(kk, q.hd, n), v.conj(), axes=([2], [1])
                                    ).transpose(0, 3, 1, 2).reshape(kk * m, -1)
         lift[:, rows] = np.tensordot(lmat.reshape(q.hd, n, kk), v, axes=([1], [1])
@@ -415,19 +417,63 @@ def test_factor_contractions_match_the_dense_quotient_maps(system, request, rng)
         assert close(dense_embed, embed) and close(dense_lift, lift)
 
 
+def recorded_range_widths(monkeypatch):
+    """Widths of the matrices `projection_range` is called on, recorded in a list."""
+    widths, real = [], bimodule.projection_range
+
+    def recorded(m):
+        widths.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(bimodule, "projection_range", recorded)
+    return widths
+
+
 @pytest.mark.parametrize("system, parts", [("m2_lindblad", 2), ("pair", 3), ("mixed_block", 2)])
-def test_fused_cell_assembles_its_actions_only_when_read(system, parts, request):
+def test_fused_cell_assembles_its_actions_only_when_read(system, parts, request, monkeypatch):
+    # the last part is fused onto a built prefix: the prefix's right side is
+    # read off its own right factor, so neither of its stacks is assembled,
+    # and every range is decided on a matrix no wider than the last coupling
     sg, sf = request.getfixturevalue(system)
     cs = CellSystem(sg, sf)
     p = uniform(Fraction(parts, 4), parts)
     eye, cyclic = np.eye(sf.dim), sf.cyclic[:, None]
+    prefix, last = cs.cell(Partition(p.parts[:-1])), cs.gns(p.parts[-1])
+    widths = recorded_range_widths(monkeypatch)
     cs.family(p.parts, [eye] * parts, [cyclic] * parts)
-    cell, prefix = cs.cell(p), cs.cell(Partition(p.parts[:-1]))
+    monkeypatch.undo()
+    cell = cs.cell(p)
     assert not assembled(cell, "left") and not assembled(cell, "right")
     if parts > 2:  # a single-part prefix is also the right factor, read for its multiplicity
-        assert not assembled(prefix, "left")
+        assert not assembled(prefix, "left") and not assembled(prefix, "right")
+    assert widths and max(widths) <= last.dim
     assert_matches_oracle(cell, *relative_oracle(prefix, cs.gns(p.parts[-1]), sf))
     assert assembled(cell, "left") and assembled(cell, "right")
+
+
+def test_fusing_onto_the_dim256_lindblad_prefix_stays_small(monkeypatch, tmp_path):
+    # the dim-1024 cell of the lindblad_m2 workload (seed 307) from its built
+    # 3-part prefix: measured 4.1 MiB peak and 2.0 MiB kept; assembling the
+    # prefix's right stack to decompose it took 9.0 and 7.0
+    workloads = load_module(monkeypatch, "workloads")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workloads.WORKLOADS["lindblad_m2"](307)))
+    cfg = load_config(str(path), 307, 1.0)
+    cs = CellSystem(cfg.semigroup, cfg.sf)
+    p = uniform(1, 4)
+    prefix, last = cs.cell(Partition(p.parts[:-1])), cs.gns(p.parts[-1])
+    last.left, last.right  # the coupling's own stacks are not the fusion's
+    widths = recorded_range_widths(monkeypatch)
+    tracemalloc.start()
+    try:
+        cell = cs.cell(p)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (prefix.dim, cell.dim) == (256, 1024)
+    assert not assembled(prefix, "left") and not assembled(prefix, "right")
+    assert widths and max(widths) <= last.dim
+    assert peak < 6 * 2**20 and kept < 3 * 2**20, (peak, kept)
 
 
 @pytest.mark.parametrize("system", ["m2_lindblad", "mixed_block"])
@@ -463,6 +509,59 @@ def test_relative_tensor_takes_no_inner_product_over_a_whole_basis(
             assert np.array_equal(got, want), t
 
 
+def right_ranges(xs):
+    """X[:, c, :] X[:, c', :]* per block, indexed [c, c']: basis free in the multiplicity index."""
+    return [np.einsum("acp,bdp->cdab", x, x.conj()) for x in xs]
+
+
+def right_multiplicity_cases(case, request):
+    """Modules whose right multiplicity is compared with the dense decomposition."""
+    alg = make_algebra([1, 2])
+    if case == "character":  # the coupling has multiplicity 0 on the matrix block
+        sf = standard_form(alg, diagonal_state(alg, [0.5, 0.5]))
+        g = character_coupling(sf)
+        return [g, relative_tensor(l2_bimodule(sf), g, sf), relative_tensor(g, g, sf)]
+    if case == "skewed":
+        sf = standard_form(alg, diagonal_state(alg, SKEWED))
+        cs = CellSystem(mixed_semigroup()[0], sf)
+        return [relative_tensor(l2_bimodule(sf), l2_bimodule(sf), sf),
+                *(cs.cell(uniform(Fraction(n, 2), n)) for n in (1, 2, 3))]
+    cs = CellSystem(*request.getfixturevalue(case))
+    return [cs.cell(uniform(Fraction(n, 4), n)) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("case", [
+    "pair", "mixed_block", "m2_lindblad", "chain6", "character", "skewed"])
+def test_right_multiplicity_has_the_ranges_of_the_dense_decomposition(case, request):
+    # a quotient's right multiplicity is read off its parts (+) I (x) R; the
+    # dense decomposition of its assembled right stack may pick another
+    # multiplicity basis, but not other ranges or partial isometries
+    for module in right_multiplicity_cases(case, request):
+        dense = bimodule._multiplicity(module.right, module.algebra.blocks, left=False)
+        got = module.right_multiplicity
+        assert [x.shape for x in got] == [x.shape for x in dense]
+        for a, b in zip(right_ranges(got), right_ranges(dense), strict=True):
+            assert np.abs(a - b).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("system", ["m2_lindblad", "mixed_block"])
+def test_a_bent_part_of_a_quotient_raises_on_every_call(system, request):
+    # a quotient's right action is (+) I_kk (x) R_i by construction, so the
+    # check runs on its parts; right(e_22) of the last part, the last basis
+    # element, enters no decomposition
+    sg, sf = request.getfixturevalue(system)
+    cs = CellSystem(sg, sf)
+    cell = cs.cell(uniform(Fraction(1, 2), 2))
+    *rest, (q, w, wm, v, r) = cell.quotient.blocks
+    bent = r.copy()
+    bent[-1] += 0.1 * np.eye(len(bent[-1]))
+    quotient = dataclasses.replace(cell.quotient, blocks=(*rest, (q, w, wm, v, bent)))
+    broken = bimodule.Bimodule(sf.algebra, cell.dim, cell.left, cell.right, quotient=quotient)
+    for _ in range(2):
+        with pytest.raises(NotCompletelyPositiveError, match="not a left multiplication"):
+            relative_tensor(broken, cs.gns(Fraction(1, 4)), sf)
+
+
 def test_failing_left_factor_raises_on_every_call(pair):
     _, sf = pair
     l2 = l2_bimodule(sf)
@@ -476,7 +575,9 @@ def test_failing_left_factor_raises_on_every_call(pair):
 
 def test_left_factor_fused_under_two_states_matches_fresh_quotients(pair):
     # the right multiplicity cached on h belongs to no state: the Gram of
-    # each state is read off it with that state's weights
+    # each state is read off it with that state's weights.  The one-part copy
+    # of h decomposes its dense right stack and may pick another multiplicity
+    # basis, so the two quotients are compared through basis-free quantities
     sg, sf = pair
     other = standard_form(sf.algebra, diagonal_state(sf.algebra, [0.2, 0.8]))
     h = CellSystem(sg, sf).cell(uniform(Fraction(1, 2), 2))
@@ -485,10 +586,14 @@ def test_left_factor_fused_under_two_states_matches_fresh_quotients(pair):
         k = l2_bimodule(state)
         r = relative_tensor(h, k, state)
         fresh = relative_tensor(bimodule.Bimodule(h.algebra, h.dim, h.left, h.right), k, state)
-        for name in ("gram_eigs", "left", "right"):
-            assert np.array_equal(getattr(r, name), getattr(fresh, name)), name
-        for got, want in zip(dense_maps(r), dense_maps(fresh), strict=True):
-            assert np.array_equal(got, want)
+        assert np.array_equal(r.gram_eigs, fresh.gram_eigs)
+        (embed, lift), (embed0, lift0) = dense_maps(r), dense_maps(fresh)
+        assert close(embed.conj().T @ embed, embed0.conj().T @ embed0, 1e-12)
+        assert close(lift @ embed, lift0 @ embed0, 1e-12)
+        for name in ("left", "right"):
+            got, want = (embed.conj().T @ getattr(r, name) @ embed,
+                         embed0.conj().T @ getattr(fresh, name) @ embed0)
+            assert close(got, want, 1e-12), name
         out[id(state)] = r.gram_eigs
     assert not np.allclose(out[id(sf)], out[id(other)])
 

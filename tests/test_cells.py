@@ -15,14 +15,19 @@ from prodsys.cells import (
     generating_rank,
     semigroup_defect,
     unit_report,
-    unit_system_isomorphism,
 )
 from prodsys.cli import load_config, suite_roundtrip
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
 import prodsys.cli
 from prodsys.partition import Partition, coarsenings, join, partition, uniform
 
-from conftest import cell_target_elementary, dense_maps, left_materialization, mixed_semigroup
+from conftest import (
+    cell_target_elementary,
+    dense_maps,
+    left_materialization,
+    mixed_semigroup,
+    unit_system_isomorphism,
+)
 
 
 @pytest.fixture

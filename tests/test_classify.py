@@ -26,7 +26,6 @@ from prodsys.classify import (
     inner_semigroup,
     multiplicity_matrix,
     twisted_cell,
-    twisted_cp_defect,
     TwistedSystem,
     unit_operator,
     unit_to_cocycle,
@@ -34,7 +33,7 @@ from prodsys.classify import (
 from prodsys.cpdyn import evaluate, law_defect, semigroup_from_generator, unitary_conjugation_generator
 from prodsys.partition import Partition, join, partition
 
-from conftest import left_materialization, random_hermitian, random_state
+from conftest import left_materialization, random_hermitian, random_state, twisted_cp_defect
 
 
 @pytest.fixture
