@@ -182,10 +182,11 @@ class Bimodule:
         return np.tensordot(x.vec(), self.left, axes=1)
 
     def right_matrix(self, x: AlgebraElement) -> np.ndarray:
-        return np.tensordot(x.vec(), self.right, axes=1)
-
-    def act_left(self, x: AlgebraElement, v: np.ndarray) -> np.ndarray:
-        return self.left_matrix(x) @ v
+        """The right action of x; a quotient's is read off its blocks, (+)_i I_kk (x) R_i(x)."""
+        if self.quotient is None:
+            return np.tensordot(x.vec(), self.right, axes=1)
+        return _direct_sum([(len(w), np.tensordot(x.vec(), r, axes=1)[None])
+                            for _, w, _, _, r in self.quotient.blocks], 1)[0]
 
     @cached_property
     def multiplicity(self) -> tuple[np.ndarray, ...]:

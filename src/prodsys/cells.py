@@ -100,8 +100,7 @@ class CellSystem:
         return self.fuse(parts, [self.gns(t).quotient.embed_pairs(x, v)
                                  for t, x, v in zip(parts, xs, vs)])
 
-    def fuse(self, parts: Sequence[Fraction], slots: Sequence[np.ndarray],
-             thin: bool = False) -> np.ndarray:
+    def fuse(self, parts: Sequence[Fraction], slots: Sequence[np.ndarray]) -> np.ndarray:
         """Fuse one slot matrix per part, left to right, into cell(parts).
 
         The columns of slots[i] are vectors of the single-part cell at
@@ -109,16 +108,10 @@ class CellSystem:
         slot, in np.kron order.  Each step contracts against the factors of
         the cell's embed (`Quotient.embed_pairs`), so no pre-quotient kron
         product is formed.
-
-        With `thin`, a fused family u wider than tall is replaced by R* from
-        u* = Q R; later steps act column by column, so the result is the
-        full fold times the co-isometry Q* (x) I, with its singular values.
         """
         u = slots[0]
         for i, w in enumerate(slots[1:], 2):
             u = self.cell(Partition(tuple(parts[:i]))).quotient.embed_pairs(u, w)
-            if thin and u.shape[1] > len(u):
-                u = np.linalg.qr(u.conj().T, mode="r").conj().T
         return u
 
     # -- canonical collapse -------------------------------------------
@@ -343,31 +336,39 @@ def semigroup_defect(maps: dict[Fraction, CpMap]) -> float:
                       [(s, t) for s in times for t in times if (s + t) in maps])
 
 
+def span_multiplicity(g: Bimodule, xi: np.ndarray) -> np.ndarray:
+    """Multiplicity matrix m of F = span(M xi M), the sub-bimodule of g that xi generates.
+
+    F is the sum over block pairs (i, j) of C^n_i (x) C^m[i, j] (x) C^n_j, so
+    dim F = n^T m n, and m[i, j] is the dimension of the corner e^i_11 F e^j_11:
+    the rank of the n_i n_j vectors e^i_1a xi e^j_b1, which span it.
+    """
+    blocks, offsets = g.algebra.blocks, np.cumsum([0, *(n * n for n in g.algebra.blocks)])
+    firsts = [g.left[o:o + n] for o, n in zip(offsets, blocks)]  # e^i_1a
+    moved = [g.right[o:o + n * n:n] @ xi for o, n in zip(offsets, blocks)]  # xi e^j_b1
+    return np.array([[numerical_rank(np.einsum("agh,bh->gab", f, v).reshape(g.dim, -1))
+                      for v in moved] for f in firsts])
+
+
 def generating_rank(unit: Unit, p: Partition) -> tuple[int, int]:
     """Rank of the unit's elementary tensors at p, and the dim of cell(p).
 
-    Slot i holds the basis acting on the unit vector of part i, the last
-    also a basis element from the right.  Refining a tensor of a coarsening
-    of p gives, by unit factorization, one of p with 1 in the merged slots,
-    so the family spans all the unit produces at p.
+    Slot i holds the algebra acting on the unit vector xi_i of part i, the
+    last also the algebra from the right; by unit factorization the refined
+    tensors of every coarsening of p are among them.  Their rank is n^T m_1
+    ... m_n n, with n the block sizes and m_i the multiplicity matrix of F_i =
+    span(M xi_i M) (`span_multiplicity`), so no family of cell(p) is ranked.
+    Proof: the tail of x_1 xi_1 (x) ... (x) x_n xi_n y is a left module and
+    xi a (x) eta = xi (x) a eta, so the span is F_1 (x)_M ... (x)_M F_n.  Each
+    F_i is a bimodule summand of its cell, so this sits isometrically in
+    cell(p).  Over a middle block j the corners multiply as C^m[i, j] (x)
+    C^m'[j, k], so multiplicity matrices multiply (Bratteli, "Inductive
+    limits of finite dimensional C*-algebras", 1972).
     """
-    cs, eye = unit.system, np.eye(unit.system.sf.algebra.dim)
-    z = _unit_fold(cs, unit.vectors, p.parts, eye, eye)
-    return numerical_rank(z), cs.cell(p).dim
-
-
-def _unit_fold(cs: CellSystem, vectors: dict[Fraction, np.ndarray], parts: Sequence[Fraction],
-               elements: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """`fuse` of x_i acting on vectors[parts[i]], the last slot also times y from the right.
-
-    x_i runs over the coordinate columns of `elements`, y over those of
-    `right`.  The fold runs thin: only the family's singular values are kept.
-    """
-    for t in parts:
-        if t not in vectors:
+    cs, n = unit.system, np.array(unit.system.sf.algebra.blocks)
+    m = np.eye(len(n), dtype=int)
+    for t in p.parts:
+        if t not in unit.vectors:
             raise ValueError(f"unit has no vector at time {t}")
-    slots = [(cs.gns(t).left @ vectors[t]).T @ elements for t in parts]
-    last = cs.gns(parts[-1])
-    rights = np.tensordot(right, last.right, axes=(0, 0))
-    slots[-1] = np.einsum("yab,bx->axy", rights, slots[-1]).reshape(last.dim, -1)
-    return cs.fuse(parts, slots, thin=True)
+        m = m @ span_multiplicity(cs.gns(t), unit.vectors[t])
+    return int(n @ m @ n), cs.cell(p).dim

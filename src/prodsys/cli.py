@@ -224,7 +224,9 @@ def suite_cells(cfg: ExperimentConfig) -> Report:
     cs = CellSystem(cfg.semigroup, cfg.sf)  # unshared: no later suite reuses these cells
     for p in cfg.partitions:
         cell = cs.cell(p)
-        rep.add(f"dim{p}={cell.dim}", "cell-construction", 0.0, 1.0)
+        # canonical unit vectors generate their parts: n^T (prod_t m_t) n is the cell's dim
+        predicted, _ = generating_rank(canonical_unit(cs, p.parts), p)
+        rep.add(f"dim{p}={cell.dim}", "cell-construction", abs(cell.dim - predicted), 0.5)
         if cell.gram_eigs is not None and cell.gram_eigs.size:
             ratio = float(cell.gram_eigs.min() / cell.gram_eigs.max())
             rep.add(f"gram-spread{p}", "cell-construction", 0.0 if ratio > 0 else 1.0, 0.5)
@@ -310,7 +312,7 @@ def suite_roundtrip(cfg: ExperimentConfig) -> Report:
     rep.add("induced-law", "semigroup-law", semigroup_defect(family), cfg.tol(1e-10))
     rank, dim = generating_rank(unit, uniform(cfg.delta * min(cfg.levels, 3),
                                               min(cfg.levels, 3)))
-    rep.add("generating-rank", "generating-unit", float(dim - rank), 0.5)
+    rep.add("generating-rank", "generating-unit", float(abs(dim - rank)), 0.5)
     return rep
 
 
@@ -334,7 +336,7 @@ def suite_dilate(cfg: ExperimentConfig) -> Report:
     rep.add("compression", "dilation-compression", worst, cfg.tol(1e-9))
     try:
         mini = minimality_evidence(tl)
-        rank_defect = float(mini.top_dim - mini.span_rank)
+        rank_defect = float(abs(mini.top_dim - mini.span_rank))
     except UnitLawError as exc:  # the orbit rank rests on the unit law: not decided
         rep.meta["unit-law"] = f"level {exc.level} defect {exc.defect:.6e}"
         rank_defect = np.inf

@@ -40,11 +40,11 @@ gives the formula.  No relative tensor product is formed;
 `TruncatedLimit.split` keeps that definition as the reference.
 
 The two checks on the whole tower work on factors of the size of the
-spaces.  Minimality forms no theta: the orbit of the corner is the unit's
-elementary tensors at n parts of delta, folded thin (`minimality_evidence`
-proves the span identity).  A cocycle is kept as its bounded-vector maps
-b_t (D_k x d), with w_t = b_t k0_t*, so the cocycle law compares two sums
-of rank-d products U V* through a QR of the 2d right factors.
+spaces.  Minimality forms no theta: the orbit of the corner spans a tensor
+power of span(M xi_delta M), whose dimension is a product of multiplicity
+matrices (`minimality_evidence`).  A cocycle is kept as its bounded-vector
+maps b_t (D_k x d), with w_t = b_t k0_t*, so the cocycle law compares two
+sums of rank-d products U V* through a QR of the 2d right factors.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraElement, lmult_matrix
-from .bimodule import Bimodule, extension, frame_weights, numerical_rank, pi_phi, relative_tensor
-from .cells import CellSystem, Unit, _unit_fold
+from .bimodule import Bimodule, extension, frame_weights, pi_phi, relative_tensor
+from .cells import CellSystem, Unit, span_multiplicity
 from .cpdyn import evaluate
 from .partition import Partition, uniform
 
@@ -256,61 +256,49 @@ class MinimalityReport:
         return self.span_rank == self.top_dim
 
 
-def minimality_evidence(tl: TruncatedLimit, depth: int | None = None,
-                        elements=None) -> MinimalityReport:
+def minimality_evidence(tl: TruncatedLimit) -> MinimalityReport:
     """Rank of the orbit of the embedded standard space under the dilation.
 
-    Words are decreasing chains theta at times n delta, (n-1) delta, ...,
-    applied to the corner vectors; with the full basis these reach every
-    elementary tensor of the top cell.  Restricting `elements` produces an
-    honest partial rank.
+    The words theta_{n delta}(x_n) ... theta_delta(x_1), n = levels, applied
+    to the corner vector k0(y Omega) = xi_{n delta} b_y, Omega b_y = y Omega,
+    are x_n xi_delta (x) ... (x) x_1 xi_delta b_y: theta_{k delta}(x) is x on
+    the left of level k, carried to the top by xi_{(n-k) delta} (x) -, and
+    splitting xi_{(n-k) delta} (x) xi_delta puts x_k on the first slot of
+    level k.  As y runs over the algebra so does b_y, so, with no theta formed,
+    the rank is n^T m^n n by the identity of `cells.generating_rank`, m the
+    multiplicity matrix of span(M xi_delta M) (`span_multiplicity`).
 
-    No theta is formed.  With xi the unit, (x) the collapse and Omega b_y =
-    y Omega, the word applied to k0(y Omega) = xi_{top delta} b_y is
-
-        xi_{(top-n) delta} (x) x_n xi_delta (x) ... (x) x_1 xi_delta b_y.
-
-    Induction: theta_{k delta}(x) is x acting on the left of level k,
-    carried to the top by xi_{(top-k) delta} (x) -; splitting the leading
-    unit vector as xi_{(top-k) delta} (x) xi_delta puts x_k on the first
-    slot of level k.  So the words are an isometry applied to the unit's
-    fold at n parts of delta, which keeps their singular values, given
-    isometric connecting maps and the unit law xi_{k delta} = xi_{(k-1)
-    delta} (x) xi_delta, which is checked on every level (`UnitLawError`
-    past 1e-8).  y -> b_y is unitary only for a tracial density: with y, not
-    b_y, in the last slot the singular values were 0.58 to 1.94 times the
-    words' on a non-tracial 2x2 Lindblad tower.
+    Each check catches its own defect.  The unit law xi_{k delta} = xi_{(k-1)
+    delta} (x) xi_delta, on which the words' form rests, fails for a unit
+    whose levels do not factor, say after a sign flip at 2 delta that leaves
+    every level isometric (`UnitLawError` past 1e-8).  The rank falls short
+    of the top dimension for a xi_delta that generates a proper sub-bimodule
+    of its cell, say one cut down to a block, and misses it for a top cell
+    whose relative tensors lost or gained a direction.
     """
-    n = tl.levels if depth is None else tl.grid_index(depth * tl.delta)
-    sf, top, xi = tl.sf, tl.spaces[tl.levels].dim, tl.unit_level[1]
-    if n == 0:
-        return MinimalityReport(numerical_rank(sf.embed_left_matrix), top)
+    xi = tl.unit_level[1]
     for k in range(2, tl.levels + 1):
         fused = tl.spaces[k].quotient.embed_pairs(tl.unit_level[k - 1][:, None], xi[:, None])[:, 0]
         law = np.linalg.norm(fused - tl.unit_level[k])
         if law > 1e-8:
             raise UnitLawError(k, float(law))
-    xs = np.column_stack([x.vec() for x in (sf.algebra.basis() if elements is None else elements)])
-    z = _unit_fold(tl.system, {tl.delta: xi}, tl.partition_at(n).parts, xs,
-                   sf.solve_right_matrix @ sf.embed_left_matrix)
-    return MinimalityReport(numerical_rank(z), top)
+    n, m = np.array(tl.sf.algebra.blocks), span_multiplicity(tl.spaces[1], xi)
+    return MinimalityReport(int(n @ np.linalg.matrix_power(m, tl.levels) @ n), tl.spaces[-1].dim)
 
 
 def continuity_profile(tl: TruncatedLimit) -> dict[tuple[Fraction, int], float]:
     """Distance from the shifted unit-multiplied corner to the corner itself.
 
     Entry (t, mu) is the norm of kappa_t(x_mu xi(t)) - kappa_0(x_mu cyclic)
-    at the top level, for every grid time and algebra basis element.
+    at the top level, for every grid time and algebra basis element.  The
+    left stack of each level is contracted with its unit vector once.
     """
-    out = {}
-    top = tl.levels
-    k0 = tl.embed_matrix(top, 0)
+    top, out = tl.levels, {}
+    base = tl.embed_matrix(top, 0) @ tl.sf.embed_left_matrix
     for k in range(1, top + 1):
-        kk = tl.embed_matrix(top, k)
-        for mu, x in enumerate(tl.sf.algebra.basis()):
-            moved = kk @ tl.spaces[k].act_left(x, tl.unit_level[k])
-            base = k0 @ tl.sf.embed_left(x)
-            out[(k * tl.delta, mu)] = float(np.linalg.norm(moved - base))
+        moved = tl.embed_matrix(top, k) @ np.tensordot(tl.spaces[k].left, tl.unit_level[k], axes=1).T
+        for mu, d in enumerate(np.linalg.norm(moved - base, axis=0)):
+            out[(k * tl.delta, mu)] = float(d)
     return out
 
 

@@ -136,7 +136,8 @@ def path_maps(mdl, p):
 
 
 def cell_target_elementary(cs, unit, parts):
-    """Every unit tensor at `parts`, unthinned; the reference for the thin unit fold.
+    """Every unit tensor at `parts`, unthinned; its rank is the reference for the
+    multiplicity identity of `generating_rank` and `minimality_evidence`.
 
     Column (x_1, ..., x_n, y), in kron order over the algebra basis, fuses
     x_i acting on the unit vector of each part, y on the last from the right.

@@ -16,9 +16,12 @@ from prodsys.cells import (
     semigroup_defect,
     unit_report,
 )
-from prodsys.cli import load_config, suite_roundtrip
+from prodsys.cli import load_config, suite_cells, suite_dilate, suite_roundtrip
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
+import prodsys.bimodule
+import prodsys.cells
 import prodsys.cli
+import prodsys.dilation
 from prodsys.partition import Partition, coarsenings, join, partition, uniform
 
 from conftest import (
@@ -467,6 +470,36 @@ def test_generating_rank_matches_coarsening_union(request, system, p):
     assert rank == coarsening_union_rank(unit, p)
 
 
+def test_generating_rank_is_full_on_a_fine_lindblad_grid(m2_lindblad):
+    # one SVD over 3 parts of 1/64 lost 16 directions to the product of the
+    # parts' conditions; each part's corners keep their margin
+    cs = CellSystem(*m2_lindblad)
+    delta = Fraction(1, 64)
+    unit = canonical_unit(cs, [k * delta for k in range(4)])
+    assert generating_rank(unit, uniform(3 * delta, 3)) == (256, 256)
+
+
+@pytest.mark.parametrize("system", ["m2_lindblad", "mixed"])
+def test_generating_rank_of_cut_units_matches_the_unthinned_family(request, system):
+    # unit vectors cut by the corner projection q = e_11 of the last block,
+    # from the left at 1/4 and from the right at 1/3, span proper
+    # sub-bimodules whose multiplicity matrices do not commute on [1, 2]
+    sg, sf = _system(request, system)
+    cs = CellSystem(sg, sf)
+    p = partition([Fraction(1, 4), Fraction(1, 3), Fraction(1, 5)])
+    vectors = canonical_unit(cs, p.parts).vectors
+    q = list(sf.algebra.basis())[sf.dim - sf.algebra.blocks[-1] ** 2]
+    a, b = p.parts[:2]
+    vectors[a] = cs.gns(a).left_matrix(q) @ vectors[a]
+    vectors[b] = cs.gns(b).right_matrix(q) @ vectors[b]
+    cut = Unit(cs, vectors)
+    for n in (1, 2, 3):
+        parts = p.parts[:n]
+        rank, dim = generating_rank(cut, Partition(parts))
+        assert rank == numerical_rank(cell_target_elementary(cs, cut, parts))
+        assert rank < dim
+
+
 def test_generating_rank_needs_every_part():
     sg, sf = mixed_semigroup()
     cs = CellSystem(sg, sf)
@@ -490,6 +523,46 @@ def test_generating_rank_check_fails_on_a_block_zeroed_unit(monkeypatch):
     monkeypatch.setattr(prodsys.cli, "canonical_unit", zeroed)
     (check,) = [c for c in suite_roundtrip(cfg).checks if c.check_id == "generating-rank"]
     assert not check.passed
+
+
+def test_cell_dimension_check_fails_on_a_lossy_relative_tensor(monkeypatch):
+    # dim{p} compares the built cell with n^T (prod_t m_t) n from the parts'
+    # canonical unit vectors; a relative tensor that keeps one Gram direction
+    # too few builds a smaller cell and fails it
+    cfg = load_config(None, None, 1.0)
+    dims = [c for c in suite_cells(cfg).checks if c.check_id.startswith("dim")]
+    assert [c.defect for c in dims] == [0.0] * len(cfg.partitions)
+    assert all(c.passed for c in dims)
+    real_quotient, real_tensor = prodsys.bimodule._block_quotient, prodsys.cells.relative_tensor
+
+    def one_direction_short(blocks, h, k, sf):
+        j = max(i for i, (w, _) in enumerate(blocks) if w.size)
+        w, u = blocks[j]
+        return real_quotient([*blocks[:j], (w[:-1], u[:, :-1]), *blocks[j + 1:]], h, k, sf)
+
+    def lossy(h, k, sf):
+        with monkeypatch.context() as m:
+            m.setattr(prodsys.bimodule, "_block_quotient", one_direction_short)
+            return real_tensor(h, k, sf)
+
+    monkeypatch.setattr(prodsys.cells, "relative_tensor", lossy)
+    dims = [c for c in suite_cells(cfg).checks if c.check_id.startswith("dim")]
+    assert [c.passed for c in dims] == [len(p) == 1 for p in cfg.partitions]
+
+
+def test_tower_rank_checks_fail_on_a_rank_above_the_cell(monkeypatch):
+    # the ranks are integer predictions, which may exceed a cell that lost
+    # a direction; one multiplicity too many in every corner stands in for that
+    cfg = load_config(None, None, 1.0)
+    real = prodsys.cells.span_multiplicity
+
+    def inflated(g, xi):
+        return real(g, xi) + 1
+
+    monkeypatch.setattr(prodsys.cells, "span_multiplicity", inflated)
+    monkeypatch.setattr(prodsys.dilation, "span_multiplicity", inflated)
+    checks = {c.check_id: c for s in (suite_roundtrip, suite_dilate) for c in s(cfg).checks}
+    assert not checks["generating-rank"].passed and not checks["minimality"].passed
 
 
 def collapse_oracle(cs, p, a):

@@ -200,6 +200,16 @@ def test_fine_grid_unit_law_failure_is_a_verdict(tmp_path, capsys):
     assert checks["minimality"][0] == "inf" and checks["minimality"][2] == "FAIL"
 
 
+def test_all_passes_on_a_fine_lindblad_grid(tmp_path, capsys):
+    # the lindblad_m2 workload at grid step 1/64: generating-rank and
+    # minimality are decided one part at a time, and every check passes
+    path = lindblad_config(tmp_path, partitions=["1", "1/2,1/2", "1/3,1/3,1/3"],
+                           grid={"delta": "1/64", "levels": 4},
+                           markov={"graph": "cycle", "states": 3})
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "307"]) == 0
+    capsys.readouterr()
+
+
 DILATE_CHECKS = ["compression", "minimality", "continuity-sup",
                  "cocycle-law", "cocycle-roundtrip", "corner-isometry"]
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from prodsys.algebra import diagonal_state, lmult_matrix, make_algebra, standard_form
-from prodsys.bimodule import pi_phi
-from prodsys.cells import CellSystem, canonical_unit
+from prodsys.bimodule import numerical_rank, pi_phi, tensor_vec
+import prodsys.cells
+from prodsys.cells import CellSystem, Unit, canonical_unit, generating_rank
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
-import prodsys.dilation
 from prodsys.dilation import (
     Cocycle,
     TruncatedLimit,
@@ -188,6 +188,20 @@ def test_frame_sum_is_right_action_of_center(request, system, levels):
 
 
 @pytest.mark.parametrize("system, levels", TOWERS)
+def test_frame_inverse_assembles_no_right_stack(request, system, levels):
+    # R(z^-1) of a quotient is read off its blocks, (+)_i I_kk (x) R_i(z^-1)
+    tl, _, _ = tower(request, system, levels)
+    assert all(callable(space.__dict__["right"]) for space in tl.spaces[2:])
+    zinv = tl.sf.algebra.diagonal([1.0 / w for w in frame_weights(tl.sf)])
+    for space, got in zip(tl.spaces, tl.frame_inverse):
+        dense = np.tensordot(zinv.vec(), space.right, axes=1)
+        assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+        for x in tl.sf.algebra.basis():  # no basis element is symmetric on every block
+            dense = np.tensordot(x.vec(), space.right, axes=1)
+            assert np.abs(space.right_matrix(x) - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("system, levels", TOWERS)
 def test_dilated_representation_is_left_action(request, system, levels):
     # theta_t(pi(x)) is the left action of x on the level-t space
     tl, _, _ = tower(request, system, levels)
@@ -278,14 +292,33 @@ def test_horizon_and_grid_errors(pair):
     assert err.value.max_time == 2 * tl.delta
 
 
+def block_unit_levels(tl, block):
+    """Level vectors of the unit t -> p xi_t, p the central projection onto one block.
+
+    Level 1 is p xi_delta, and level k fuses level k - 1 with it, so the unit
+    law holds; the unit generates the proper sub-bimodule p E_delta.
+    """
+    p = tl.sf.algebra.diagonal([float(i == block) for i in range(len(tl.sf.algebra.blocks))])
+    xi = tl.spaces[1].left_matrix(p) @ tl.unit_level[1]
+    levels = [tl.sf.cyclic, xi]
+    for k in range(2, tl.levels + 1):
+        levels.append(tl.spaces[k].quotient.embed_pairs(levels[-1][:, None], xi[:, None])[:, 0])
+    return levels
+
+
 def test_minimality_full_and_subsampled(pair):
-    tl, _, _ = make_tl(pair, levels=3)
+    tl, cs, _ = make_tl(pair, levels=3)
     rep = minimality_evidence(tl)
     assert rep.full
     assert rep.top_dim == 5
-    sub = minimality_evidence(tl, elements=[tl.sf.algebra.identity()])
+    # the unit cut down to the second block spans p E_delta and its powers only
+    tl.unit_level = block_unit_levels(tl, 1)
+    sub = minimality_evidence(tl)
     assert not sub.full
-    assert sub.span_rank < sub.top_dim
+    assert (sub.span_rank, sub.top_dim) == (2, 5)
+    cut = Unit(cs, {tl.delta: tl.unit_level[1]})
+    family = cell_target_elementary(cs, cut, tl.partition_at(3).parts)
+    assert sub.span_rank == numerical_rank(family)
 
 
 def test_minimality_identity_semigroup():
@@ -300,6 +333,32 @@ def test_minimality_identity_semigroup():
     assert rep.full and rep.top_dim == sf.dim
 
 
+def test_minimality_of_a_block_unit_of_the_identity_semigroup():
+    # t -> p_1 Omega is a unit of the identity semigroup on [1, 1]; it spans
+    # one of the two dimensions at every level, its zero corners included
+    alg = make_algebra([1, 1])
+    sf = standard_form(alg, diagonal_state(alg, [0.5, 0.5]))
+    cs = CellSystem(semigroup_from_generator(alg, identity_generator(alg)), sf)
+    delta = Fraction(1, 2)
+    p1 = alg.diagonal([1.0, 0.0])
+    vectors = {k * delta: tensor_vec(cs.gns(k * delta), p1, sf.cyclic) for k in range(1, 5)}
+    unit = Unit(cs, {Fraction(0): sf.cyclic, **vectors})
+    for levels in range(1, 5):
+        tl = TruncatedLimit(cs, unit, delta, levels)
+        rep = minimality_evidence(tl)
+        oracle = numerical_rank(cell_target_elementary(cs, unit, tl.partition_at(levels).parts))
+        assert (rep.span_rank, rep.top_dim) == (oracle, 2) == (1, 2)
+        assert generating_rank(unit, tl.partition_at(levels)) == (1, 2)
+
+
+def test_minimality_is_full_on_a_fine_lindblad_tower(m2_lindblad):
+    # the one-part decision: the fold over 4 parts of 1/16 has 4^5 columns,
+    # and an SVD of it lost directions to the product of the parts' conditions
+    tl, _, _ = make_tl(m2_lindblad, delta=Fraction(1, 16), levels=4)
+    rep = minimality_evidence(tl)
+    assert rep.full and rep.top_dim == 1024
+
+
 def test_continuity_profile_identity_semigroup_vanishes():
     alg = make_algebra([1, 1])
     sf = standard_form(alg, diagonal_state(alg, [0.5, 0.5]))
@@ -312,17 +371,19 @@ def test_continuity_profile_identity_semigroup_vanishes():
     assert max(prof.values()) < 1e-12
 
 
-def test_continuity_profile_matches_closed_form(pair):
-    tl, cs, _ = make_tl(pair)
-    sg, sf = cs.semigroup, cs.sf
-    prof = continuity_profile(tl)
-    for (t, mu), value in prof.items():
-        x = list(sf.algebra.basis())[mu]
-        tm = evaluate(sg, t)
-        sq = (sf.state(tm(x.adjoint() * x)).real
-              - 2 * sf.state(tm(x.adjoint()) * x).real
-              + sf.state(x.adjoint() * x).real)
-        assert abs(value ** 2 - sq) < 1e-12
+def test_continuity_profile_matches_closed_form(pair, m2_lindblad):
+    # m2_lindblad's unit vectors are complex, so a conjugated contraction shows
+    for system, levels in [(pair, 4), (m2_lindblad, 2)]:
+        tl, cs, _ = make_tl(system, levels=levels)
+        sg, sf = cs.semigroup, cs.sf
+        prof = continuity_profile(tl)
+        for (t, mu), value in prof.items():
+            x = list(sf.algebra.basis())[mu]
+            tm = evaluate(sg, t)
+            sq = (sf.state(tm(x.adjoint() * x)).real
+                  - 2 * sf.state(tm(x.adjoint()) * x).real
+                  + sf.state(x.adjoint() * x).real)
+            assert abs(value ** 2 - sq) < 1e-12
 
 
 def test_continuity_profile_decreases_when_halving(pair):
@@ -438,85 +499,53 @@ def test_unit_cocycle_roundtrips(pair, rng):
             assert np.linalg.norm(again.values[t].matrix - w.values[t].matrix, 2) < 1e-9
 
 
-def word_loop_family(tl, depth, elements):
-    """One decreasing word per choice of letters, as columns; the reference."""
-    k0 = tl.embed_matrix(tl.levels, 0)
+def word_loop_family(tl):
+    """One decreasing word per choice of basis letters, as columns; the reference."""
+    n, basis = tl.levels, list(tl.sf.algebra.basis())
+    k0 = tl.embed_matrix(n, 0)
     thetas = {(k, i): dilate(tl, k * tl.delta, represent(tl, x)).on_top()
-              for k in range(1, depth + 1) for i, x in enumerate(elements)}
+              for k in range(1, n + 1) for i, x in enumerate(basis)}
     cols = []
-    for y in tl.sf.algebra.basis():
-        for combo in np.ndindex(*([len(elements)] * depth)):
+    for y in basis:
+        for combo in np.ndindex(*([len(basis)] * n)):
             v = k0 @ tl.sf.embed_left(y)
-            for k in range(1, depth + 1):
-                v = thetas[(k, combo[depth - k])] @ v
+            for k in range(1, n + 1):
+                v = thetas[(k, combo[n - k])] @ v
             cols.append(v)
     return np.column_stack(cols)
 
 
-def recorded_minimality(monkeypatch, tl, **kwargs):
-    """(report, family whose rank it took) of one `minimality_evidence` call."""
-    seen = []
-    rank = prodsys.dilation.numerical_rank
-
-    def recording(z):
-        seen.append(z)
-        return rank(z)
-
-    monkeypatch.setattr(prodsys.dilation, "numerical_rank", recording)
-    rep = minimality_evidence(tl, **kwargs)
-    monkeypatch.setattr(prodsys.dilation, "numerical_rank", rank)
-    (z,) = seen
-    return rep, z
-
-
-def assert_same_singular_values(z, reference):
-    got = np.linalg.svd(z, compute_uv=False)
-    full = np.linalg.svd(reference, compute_uv=False)
-    n = min(len(got), len(full))
-    scale = 1e-12 * full[0]
-    assert np.abs(got[:n] - full[:n]).max() <= scale
-    assert got[n:].max(initial=0.0) <= scale and full[n:].max(initial=0.0) <= scale
-
-
-@pytest.mark.parametrize("depth", [1, 2, 3, 4])
-def test_minimality_rank_matches_word_loop(pair, m2_lindblad, monkeypatch, depth):
-    # with b_y in the last slot the fold has the words' singular values,
-    # also for the non-tracial density of m2_lindblad
-    towers = [(pair, 3), (pair, 4), (m2_lindblad, 2), (m2_lindblad, 3), (mixed_semigroup(), 2)]
-    for system, levels in towers:
-        if depth > levels:
-            continue
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_minimality_rank_matches_word_loop(pair, m2_lindblad, levels):
+    # b_y in the last slot spans what y does, also for the non-tracial
+    # density of m2_lindblad; the words' rank is that of the identity
+    systems = [pair] + [m2_lindblad] * (levels <= 3) + [mixed_semigroup()] * (levels <= 2)
+    for system in systems:
         tl, _, _ = make_tl(system, levels=levels)
-        alg = tl.sf.algebra
-        basis = list(alg.basis())
-        for elements in [basis, basis[:1], [alg.identity()], [basis[-1], alg.identity()]]:
-            rep, z = recorded_minimality(monkeypatch, tl, depth=depth, elements=elements)
-            words = word_loop_family(tl, depth, elements)
-            sv = np.linalg.svd(words, compute_uv=False)
-            assert rep.span_rank == int(np.sum(sv > 1e-10 * sv[0]))
-            assert_same_singular_values(z, words)
+        rep = minimality_evidence(tl)
+        words = word_loop_family(tl)
+        sv = np.linalg.svd(words, compute_uv=False)
+        assert rep.span_rank == int(np.sum(sv > 1e-10 * sv[0])) == rep.top_dim
 
 
 def test_minimality_family_stays_thin(pair, monkeypatch):
-    # the unthinned fold of 16 levels has 2^16 * 2 = 2^17 columns in 18 rows
+    # the unthinned fold of 16 levels has 2^16 * 2 = 2^17 columns in 18 rows;
+    # the identity ranks one part's corners, each of at most n_i n_j vectors
     tl, cs, unit = make_tl(pair, delta=Fraction(1, 16), levels=16)
-    rep, z = recorded_minimality(monkeypatch, tl)
+    ranked = []
+    rank = prodsys.cells.numerical_rank
+
+    def recording(z):
+        ranked.append(z.shape)
+        return rank(z)
+
+    monkeypatch.setattr(prodsys.cells, "numerical_rank", recording)
+    rep = minimality_evidence(tl)
     assert rep.full and rep.top_dim == 18
-    assert z.shape[1] <= z.shape[0] == 18
-    # b_y in place of y in the last slot: y is the minor column index
+    assert ranked == [(tl.spaces[1].dim, 1)] * 4
     full = cell_target_elementary(cs, unit, tl.partition_at(16).parts)
-    full = (full.reshape(18, -1, 2) @ (tl.sf.solve_right_matrix @ tl.sf.embed_left_matrix))
-    full = full.reshape(18, -1)
     assert full.shape == (18, 2 ** 17)
-    assert_same_singular_values(z, full)
-
-
-def test_minimality_depth_bounds(pair):
-    tl, _, _ = make_tl(pair, levels=3)
-    with pytest.raises(TruncationError):
-        minimality_evidence(tl, depth=4)
-    rep = minimality_evidence(tl, depth=0)
-    assert rep.span_rank == tl.sf.dim and rep.top_dim == 5
+    assert numerical_rank(full) == rep.span_rank
 
 
 def test_minimality_needs_the_unit_law(pair):
@@ -526,6 +555,5 @@ def test_minimality_needs_the_unit_law(pair):
     unit = canonical_unit(cs, [k * delta for k in range(4)])
     unit.vectors[2 * delta] = -unit.vectors[2 * delta]
     tl = TruncatedLimit(cs, unit, delta, 3)
-    assert minimality_evidence(tl, depth=0).span_rank == tl.sf.dim
     with pytest.raises(ValueError, match="unit law fails at level 2"):
-        minimality_evidence(tl, depth=1)
+        minimality_evidence(tl)
