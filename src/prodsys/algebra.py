@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -47,6 +48,12 @@ class Algebra:
         """Coordinate dimension of the algebra, sum of squared block sizes."""
         return sum(n * n for n in self.blocks)
 
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Coordinate index of e_11 in each block: coordinates run block by block,
+        and e_rc of block M_n sits r n + c past its block's offset."""
+        return tuple(accumulate((n * n for n in self.blocks[:-1]), initial=0))
+
     def element(self, mats: Sequence[np.ndarray]) -> "AlgebraElement":
         mats = tuple(np.asarray(m, dtype=complex) for m in mats)
         if len(mats) != len(self.blocks):
@@ -78,11 +85,8 @@ class Algebra:
         v = np.asarray(v, dtype=complex).reshape(-1)
         if v.size != self.dim:
             raise ConfigurationError(f"coordinate length {v.size} != {self.dim}")
-        mats, k = [], 0
-        for n in self.blocks:
-            mats.append(v[k:k + n * n].reshape(n, n))
-            k += n * n
-        return AlgebraElement(self, tuple(mats))
+        return AlgebraElement(self, tuple(v[o:o + n * n].reshape(n, n)
+                                          for o, n in zip(self.offsets, self.blocks)))
 
 
 @dataclass(frozen=True)
@@ -170,15 +174,15 @@ def diagonal_state(algebra: Algebra, weights: Sequence[float]) -> State:
 
 
 def block_diag(*mats: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix of 2-d blocks, rectangular ones included."""
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols), dtype=np.result_type(*mats))
+    """Block-diagonal matrix of blocks, rectangular ones included, over the last two axes;
+    leading axes, which every block shares, index a stack of such matrices."""
+    rows, cols = (sum(m.shape[ax] for m in mats) for ax in (-2, -1))
+    out = np.zeros((*mats[0].shape[:-2], rows, cols), dtype=np.result_type(*mats))
     r = c = 0
     for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
+        out[..., r:r + m.shape[-2], c:c + m.shape[-1]] = m
+        r += m.shape[-2]
+        c += m.shape[-1]
     return out
 
 
@@ -306,6 +310,13 @@ class StandardForm:
         """Left multiplications by the matrix-unit basis, stacked in coordinate order."""
         stack = np.stack([lmult_matrix(x) for x in self.algebra.basis()])
         stack.flags.writeable = False  # l2_bimodule shares it as its left action
+        return stack
+
+    @cached_property
+    def rmult_basis(self) -> np.ndarray:
+        """Right multiplications by the matrix-unit basis, stacked in coordinate order."""
+        stack = np.stack([rmult_matrix(x) for x in self.algebra.basis()])
+        stack.flags.writeable = False  # l2_bimodule and the twisted cells share it
         return stack
 
     @cached_property

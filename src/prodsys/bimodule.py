@@ -30,11 +30,12 @@ A module pays only for what its readers use.  A quotient keeps one factor
 per block (`Quotient`), and every reader contracts it against its own
 vectors: `embed` applied to the kron pairs of two column blocks, to a
 column block and its adjoint, and `lift` applied to a column block.  The
-right action touches only the right factor, so a quotient's right side
-is read off that factor's multiplicity spaces, and fusing a cell with one
-more part assembles no stack of the cell.  The action stacks, and the
-multiplicity decompositions of the two actions, are computed each on its
-first read and cached read-only.
+right action has one form, parts (kk, R) with right(y) = (+) I_kk (x) R(y)
+(`Bimodule.right_parts`): a quotient reads its parts off its right
+factor's multiplicity spaces and carries no right stack, and readers
+apply the parts to their own vectors (`Bimodule.right_apply`).  The left
+action stack, and the multiplicity decompositions of the two actions,
+are computed each on its first read and cached read-only.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from .algebra import (
     Algebra,
     AlgebraElement,
     StandardForm,
+    block_diag,
     lmult_matrix,
     projection_range,
-    rmult_matrix,
 )
 
 # Relative cutoff for discarding Gram null directions, and the relative
@@ -156,19 +157,18 @@ class Quotient:
 class Bimodule:
     """Hilbert space with commuting left and right algebra actions.
 
-    `left[k]` / `right[k]` are the action matrices of the k-th coordinate
-    basis element of the algebra; each may be given as a zero-argument
-    function, which assembles the stack on its first read.  A space produced
-    as a quotient of kron pairs carries its quotient maps as per-block
-    factors (`quotient`), which translate between pair coordinates and
-    orthonormal coordinates; the standard space and the twisted cells are
-    no quotient and carry none.
+    `left[k]` is the left action matrix of the k-th coordinate basis element
+    of the algebra, or a zero-argument function that assembles the stack on
+    its first read.  A quotient of kron pairs carries its quotient maps and
+    its right action as per-block factors (`quotient`), and `right` None;
+    any other module carries its right action as a stack like `left`.
+    Readers of the right action go through `right_parts`.
     """
 
     algebra: Algebra
     dim: int
     left: np.ndarray | Callable[[], np.ndarray] = _OnFirstRead()
-    right: np.ndarray | Callable[[], np.ndarray] = _OnFirstRead()
+    right: np.ndarray | Callable[[], np.ndarray] | None = _OnFirstRead()
     quotient: Quotient | None = None
 
     @property
@@ -181,12 +181,27 @@ class Bimodule:
     def left_matrix(self, x: AlgebraElement) -> np.ndarray:
         return np.tensordot(x.vec(), self.left, axes=1)
 
+    @property
+    def right_parts(self) -> list[tuple[int, np.ndarray]]:
+        """The right action as parts (kk, R), right(y) = (+) I_kk (x) R(y) in row order:
+        a quotient's blocks' (kk_i, R_i), none if it kept no block; else the one part (1, right)."""
+        q = self.quotient
+        return [(len(w), r) for _, w, _, _, r in q.blocks] if q else [(1, self.right)]
+
     def right_matrix(self, x: AlgebraElement) -> np.ndarray:
-        """The right action of x; a quotient's is read off its blocks, (+)_i I_kk (x) R_i(x)."""
-        if self.quotient is None:
-            return np.tensordot(x.vec(), self.right, axes=1)
-        return _direct_sum([(len(w), np.tensordot(x.vec(), r, axes=1)[None])
-                            for _, w, _, _, r in self.quotient.blocks], 1)[0]
+        """The right action of x, (+) I_kk (x) R(x) over the parts."""
+        return block_diag(np.zeros((0, 0)), *(a for kk, r in self.right_parts
+                                              for a in [np.tensordot(x.vec(), r, axes=1)] * kk))
+
+    def right_apply(self, x: np.ndarray) -> np.ndarray:
+        """right(e_mu) @ x for every basis element e_mu and a column block x: shape
+        (d, dim, cols), each part applied to its own rows."""
+        out, o = np.empty((self.algebra.dim, *x.shape), dtype=complex), 0
+        for kk, r in self.right_parts:
+            rows = slice(o, o + kk * r.shape[1])
+            y = r[:, None] @ x[rows].reshape(kk, r.shape[1], -1)  # (d, kk, m, cols)
+            out[:, rows], o = y.reshape(out[:, rows].shape), rows.stop
+        return out
 
     @cached_property
     def multiplicity(self) -> tuple[np.ndarray, ...]:
@@ -198,7 +213,7 @@ class Bimodule:
         left action of e_rc sends V[:, c', s] to delta(c, c') V[:, r, s]: on
         the span of V the left action is x (x) I_m, with m = B.shape[1].
         """
-        return _multiplicity(self.left, self.algebra.blocks, left=True)
+        return _multiplicity(self.left, self.algebra, left=True)
 
     @cached_property
     def right_on_multiplicity(self) -> tuple[np.ndarray, ...]:
@@ -207,7 +222,7 @@ class Bimodule:
         The right action commutes with the left, so on the span of V it is
         I_n (x) R; every quotient over this module as its right factor shares R.
         """
-        out = tuple(b.conj().T @ self.right @ b for b in (v[:, 0, :] for v in self.multiplicity))
+        out = tuple(v[:, 0].conj().T @ self.right_apply(v[:, 0]) for v in self.multiplicity)
         for r in out:
             r.flags.writeable = False
         return out
@@ -226,9 +241,8 @@ class Bimodule:
         X_R[:, c, p] to sum_k y_ck X_R[:, k, p].  Past 1e-8 that raises, on
         every call: the bounded-vector compositions are no left multiplications.
         """
-        q, blocks = self.quotient, self.algebra.blocks
-        parts = [(len(w), r) for _, w, _, _, r in q.blocks] if q else [(1, self.right)]
-        decs, defect = [_multiplicity(r, blocks, left=False) for _, r in parts], 0.0
+        parts, alg = self.right_parts, self.algebra
+        decs, defect = [_multiplicity(r, alg, left=False) for _, r in parts], 0.0
         for (_, r), dec in zip(parts, decs):
             d = r.shape[1]
             x = np.hstack([v.reshape(d, -1) for v in dec])
@@ -241,32 +255,23 @@ class Bimodule:
         if defect > 1e-8:
             raise NotCompletelyPositiveError("bounded-vector composition is not a left "
                                              f"multiplication (right-action defect {defect:.3e})")
-        return tuple(_direct_sum([(kk, x[j].transpose(1, 0, 2)) for (kk, _), x in zip(parts, decs)],
-                                 n).transpose(1, 0, 2) for j, n in enumerate(blocks))
+        copies = [c for (kk, _), dec in zip(parts, decs) for c in [dec] * kk]
+        out = tuple(block_diag(np.zeros((n, 0, 0)), *(x[j].transpose(1, 0, 2) for x in copies))
+                    .transpose(1, 0, 2) for j, n in enumerate(alg.blocks))
+        for x in out:
+            x.flags.writeable = False
+        return out
 
 
-def _multiplicity(stack: np.ndarray, blocks, left: bool) -> tuple[np.ndarray, ...]:
+def _multiplicity(stack: np.ndarray, alg: Algebra, left: bool) -> tuple[np.ndarray, ...]:
     """Per block M_n, stack[e_r1] B (left) or stack[e_1r] B (right) in slice [:, r, :], B the
     range of stack[e_11]; read-only, as every quotient over the module shares them."""
-    out, off = [], 0
-    for n in blocks:
-        units = stack[off:off + n * n:n] if left else stack[off:off + n]
+    out = []
+    for o, n in zip(alg.offsets, alg.blocks):
+        units = stack[o:o + n * n:n] if left else stack[o:o + n]
         out.append((units @ projection_range(units[0])).transpose(1, 0, 2))
         out[-1].flags.writeable = False
-        off += n * n
     return tuple(out)
-
-
-def _direct_sum(parts, lead: int) -> np.ndarray:
-    """(+)_i I_kk (x) A_i over the lead axis, for parts (kk, A_i (lead, m_i, c_i)); read-only."""
-    rows, cols = (sum(kk * a.shape[ax] for kk, a in parts) for ax in (1, 2))
-    out, r, c = np.zeros((lead, rows, cols), dtype=complex), 0, 0
-    for kk, a in parts:
-        for _ in range(kk):
-            out[:, r:r + a.shape[1], c:c + a.shape[2]] = a
-            r, c = r + a.shape[1], c + a.shape[2]
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -322,9 +327,9 @@ def _kept(w: np.ndarray, rtol: float) -> np.ndarray:
     return w > rtol * top
 
 
-def numerical_rank(z: np.ndarray, rtol: float = GRAM_RTOL) -> int:
+def numerical_rank(z: np.ndarray) -> int:
     """Rank of a matrix under the rank rule, applied to its singular values."""
-    return int(_kept(np.linalg.svd(z, compute_uv=False), rtol).sum())
+    return int(_kept(np.linalg.svd(z, compute_uv=False), GRAM_RTOL).sum())
 
 
 def frame_weights(sf: StandardForm) -> list[float]:
@@ -336,8 +341,7 @@ def frame_weights(sf: StandardForm) -> list[float]:
 
 def l2_bimodule(sf: StandardForm) -> Bimodule:
     """The standard space itself, acting by two-sided multiplication."""
-    return Bimodule(sf.algebra, sf.dim, sf.lmult_basis,
-                    lambda: np.stack([rmult_matrix(x) for x in sf.algebra.basis()]))
+    return Bimodule(sf.algebra, sf.dim, sf.lmult_basis, sf.rmult_basis)
 
 
 def pi_phi(h: Bimodule, xi: np.ndarray, sf: StandardForm) -> np.ndarray:
@@ -348,7 +352,7 @@ def pi_phi(h: Bimodule, xi: np.ndarray, sf: StandardForm) -> np.ndarray:
     every vector is bounded, and the matrix is the right action on xi
     composed with the solve map of the standard space.
     """
-    return (h.right @ xi).T @ sf.solve_right_matrix
+    return h.right_apply(xi[:, None])[..., 0].T @ sf.solve_right_matrix
 
 
 def left_element_of(op: np.ndarray, sf: StandardForm) -> tuple[AlgebraElement, float]:
@@ -374,9 +378,9 @@ def inner(h: Bimodule, xs: np.ndarray, ys: np.ndarray,
     the left multiplication by its element, and the scale is the largest
     composition entry, at least 1.
     """
-    rights = np.tensordot(sf.solve_right_matrix.T, h.right, axes=1)
-    # (rights @ xs)[:, :, a] is the transposed bounded-vector map of xs[:, a]
-    comp = np.einsum("ira,jrb->abij", (rights @ xs).conj(), rights @ ys, optimize=True)
+    # [:, :, a] is the transposed bounded-vector map of column a
+    bx, by = (np.tensordot(sf.solve_right_matrix.T, h.right_apply(v), axes=1) for v in (xs, ys))
+    comp = np.einsum("ira,jrb->abij", bx.conj(), by, optimize=True)
     elements = (comp @ sf.cyclic) @ sf.solve_left_matrix.T
     miss = comp.reshape(*comp.shape[:2], -1) - elements @ sf.lmult_basis.reshape(sf.dim, -1)
     residual = float(np.linalg.norm(miss, axis=2).max(initial=0.0))
@@ -398,7 +402,7 @@ def gns_tensor(t_map, sf: StandardForm) -> Bimodule:
     shows up as a genuinely negative eigenvalue and is rejected.
     """
     elements, d, blocks = sf.lmult_basis.conj() @ t_map.action.T, sf.dim, sf.algebra.blocks
-    parts = np.split(elements, np.cumsum([n * n for n in blocks])[:-1], axis=2)
+    parts = np.split(elements, sf.algebra.offsets[1:], axis=2)
     es = [e.reshape(d, d, n, n).swapaxes(1, 2).reshape(d * n, -1) for e, n in zip(parts, blocks)]
     eigs = [np.linalg.eigh((e + e.conj().T) / 2) for e in es]
     try:
@@ -458,8 +462,9 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
     w > 0 and u orthonormal; a block with none, or with m = 0, adds nothing.
     The quotient coordinates are (block, kept direction, multiplicity
     index).  The quotient maps are kept as per-block factors (`Quotient`)
-    and never assembled; the left action of h and the right action of k,
-    carried into the quotient block by block, are assembled on first read.
+    and never assembled; the left action of h, carried into the quotient
+    block by block, is assembled on first read, and the right action is
+    the blocks' (+) I_kk (x) R_i, with no stack.
     """
     hd, kd = h.dim, k.dim
     factors, o = [], 0  # (rows, w, W, V, R) per kept block
@@ -480,9 +485,7 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
             out[:, q, q] = np.einsum("xab,st->xasbt", act, np.eye(m)).reshape(-1, kk * m, kk * m)
         return out
 
-    return Bimodule(sf.algebra, dim, left,
-                    lambda: _direct_sum([(len(w), r) for _, w, _, _, r in factors], sf.algebra.dim),
-                    quotient=Quotient(hd, kd, dim, tuple(factors)))
+    return Bimodule(sf.algebra, dim, left, None, quotient=Quotient(hd, kd, dim, tuple(factors)))
 
 
 def extension(e: Bimodule, x: np.ndarray, sub: Bimodule) -> "BlockMap":
@@ -588,11 +591,10 @@ def verify_map(
     m = f.matrix
     bilinear_defect = None
     if bilinear:
-        defs = []
-        for i in range(len(f.source.left)):
-            defs.append(np.linalg.norm(m @ f.source.left[i] - f.target.left[i] @ m, 2))
-            defs.append(np.linalg.norm(m @ f.source.right[i] - f.target.right[i] @ m, 2))
-        bilinear_defect = float(max(defs))
+        bilinear_defect = float(max(max(
+            np.linalg.norm(m @ f.source.left[i] - f.target.left[i] @ m, 2),
+            np.linalg.norm(m @ f.source.right_matrix(x) - f.target.right_matrix(x) @ m, 2))
+            for i, x in enumerate(f.source.algebra.basis())))
     isometry_defect = None
     if isometric:
         isometry_defect = float(

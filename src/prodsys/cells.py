@@ -146,23 +146,28 @@ class CellSystem:
         No collapse of p is formed.  An interior cut takes the last
         extension step of `collapse` on the columns, through the cached
         collapse of p without its last part; for a = len(p) - 1, C is the
-        embed of cell(p), applied through its factors.  Cut 0 and cut
-        len(p) apply the left, respectively right, action stack, contracted
-        with the solve map first.
+        embed of cell(p), applied through its factors.  Cut 0 applies the
+        left action stack, contracted with the solve map first; cut len(p)
+        applies the right action through `Bimodule.right_apply`.
         """
-        n, cols = len(p), x.shape[1]
-        if a in (0, n):
-            cellp, sf = self.cell(p), self.sf
-            stack, solve = ((cellp.left, sf.solve_left_matrix) if a == 0
-                            else (cellp.right, sf.solve_right_matrix))
+        n, cols, sf, d = len(p), x.shape[1], self.sf, self.sf.dim
+        if a == 0:
+            stack, solve = self.cell(p).left, sf.solve_left_matrix
             if adjoint:
                 # conj(solve^T (x^H stack)) holds C* x, (solve index, column, cell index)
                 v = np.tensordot(solve, x.conj().T @ stack, axes=(0, 0)).conj()
-                v = v.transpose(0, 2, 1) if a == 0 else v.transpose(2, 0, 1)
-                return v.reshape(-1, cols)
-            x = (x.reshape(sf.dim, -1, cols) if a == 0
-                 else x.reshape(-1, sf.dim, cols).transpose(1, 0, 2))
-            return (stack @ np.tensordot(solve, x, axes=1)).sum(axis=0)
+                return v.transpose(0, 2, 1).reshape(-1, cols)
+            return (stack @ np.tensordot(solve, x.reshape(d, -1, cols), axes=1)).sum(axis=0)
+        if a == n:
+            cellp, solve = self.cell(p), sf.solve_right_matrix
+            if adjoint:  # sum_mu conj(solve[mu, i]) right(e_mu)* x, in rows (cell index, i)
+                # right(e_mu)* = right(e_mu*), and e_mu* is the matrix unit star[mu]
+                star = [np.flatnonzero(y.adjoint().vec())[0] for y in sf.algebra.basis()]
+                v = np.tensordot(solve.conj()[star], cellp.right_apply(x), axes=(0, 0))
+                return v.transpose(1, 0, 2).reshape(-1, cols)
+            # C x = sum_mu right(e_mu) y[:, :, mu], y[:, :, mu] = sum_i solve[mu, i] x[(:, i)]
+            y = np.tensordot(x.reshape(-1, d, cols), solve, axes=(1, 1)).reshape(cellp.dim, -1)
+            return np.einsum("macm->ac", cellp.right_apply(y).reshape(d, -1, cols, d))
         if a == n - 1:
             return self.cell(p).quotient.embed_apply(x, adjoint)
         return self._step(p, a, n, self.collapse(Partition(p.parts[:-1]), a)).apply(x, adjoint)
@@ -343,9 +348,10 @@ def span_multiplicity(g: Bimodule, xi: np.ndarray) -> np.ndarray:
     dim F = n^T m n, and m[i, j] is the dimension of the corner e^i_11 F e^j_11:
     the rank of the n_i n_j vectors e^i_1a xi e^j_b1, which span it.
     """
-    blocks, offsets = g.algebra.blocks, np.cumsum([0, *(n * n for n in g.algebra.blocks)])
-    firsts = [g.left[o:o + n] for o, n in zip(offsets, blocks)]  # e^i_1a
-    moved = [g.right[o:o + n * n:n] @ xi for o, n in zip(offsets, blocks)]  # xi e^j_b1
+    alg, right = g.algebra, g.right_apply(xi[:, None])[..., 0]
+    units = list(zip(alg.offsets, alg.blocks))
+    firsts = [g.left[o:o + n] for o, n in units]  # e^i_1a
+    moved = [right[o:o + n * n:n] for o, n in units]  # xi e^j_b1
     return np.array([[numerical_rank(np.einsum("agh,bh->gab", f, v).reshape(g.dim, -1))
                       for v in moved] for f in firsts])
 

@@ -82,12 +82,9 @@ def block_permutation_semigroup(algebra: Algebra, perm: Sequence[int], delta) ->
     if any(sizes[i] != sizes[perm[i]] for i in range(len(sizes))):
         raise ValueError("permuted blocks must have equal sizes")
     delta = Fraction(delta)
-    base = np.zeros((algebra.dim, algebra.dim), dtype=complex)
-    offs = np.cumsum([0] + [n * n for n in sizes])
-    # Output block i carries input block perm[i].
-    for i in range(len(sizes)):
-        src = perm[i]
-        base[offs[i]:offs[i + 1], offs[src]:offs[src + 1]] = np.eye(sizes[i] ** 2)
+    base, offs = np.zeros((algebra.dim, algebra.dim), dtype=complex), algebra.offsets
+    for i, n in enumerate(sizes):  # output block i carries input block perm[i]
+        base[offs[i]:offs[i] + n * n, offs[perm[i]]:offs[perm[i]] + n * n] = np.eye(n * n)
 
     def action(t: Fraction) -> np.ndarray:
         k = t / delta
@@ -131,10 +128,8 @@ def endomorphism_report(theta: E0Semigroup, t) -> EndomorphismReport:
     adj = np.array([where[(b, c, r)] for b, r, c in units])
     images = np.hstack([action, np.zeros((d, 1))])
     mult = adjoint = 0.0
-    off = 0
-    for m in alg.blocks:
+    for off, m in zip(alg.offsets, alg.blocks):
         tb = images[off:off + m * m].T.reshape(d + 1, m, m)
-        off += m * m
         mult = max(mult, np.linalg.norm(tb[prod] - tb[:d, None] @ tb[None, :d],
                                         2, axis=(-2, -1)).max())
         adjoint = max(adjoint, np.linalg.norm(tb[adj] - tb[:d].conj().swapaxes(1, 2),
@@ -150,10 +145,8 @@ def endomorphism_report(theta: E0Semigroup, t) -> EndomorphismReport:
 
 def twisted_cell(theta: E0Semigroup, t, sf: StandardForm) -> Bimodule:
     """Standard space with left action routed through the endomorphism."""
-    basis = list(sf.algebra.basis())
-    left = np.stack([lmult_matrix(theta.apply(t, x)) for x in basis])
-    right = np.stack([rmult_matrix(x) for x in basis])
-    return Bimodule(sf.algebra, sf.dim, left, right)
+    left = np.stack([lmult_matrix(theta.apply(t, x)) for x in sf.algebra.basis()])
+    return Bimodule(sf.algebra, sf.dim, left, sf.rmult_basis)
 
 
 class TwistedSystem:
@@ -177,8 +170,7 @@ class TwistedSystem:
         basis, is theta(... theta(x_1) y_1 ... x_n) y_n against the cyclic
         vector, each theta at the time of its part.
         """
-        alg = self.sf.algebra
-        rights = np.stack([rmult_matrix(x) for x in alg.basis()])
+        alg, rights = self.sf.algebra, self.sf.rmult_basis
         acc = alg.identity().vec()[:, None]
         for t in parts:
             # theta_t(a x) y = rmult(y) theta_t rmult(x) a, indexed [x, y]
@@ -219,11 +211,6 @@ class EquivalenceReport:
         return self.failures[0][0] if self.failures else None
 
 
-def _unit_offsets(algebra: Algebra) -> list[int]:
-    """Coordinate index of e_11 in each block; e_rc of block M_n sits r n + c past it."""
-    return np.cumsum([0, *(n * n for n in algebra.blocks)])[:-1].tolist()
-
-
 def multiplicity_matrix(action: np.ndarray, algebra: Algebra) -> np.ndarray:
     """Multiplicity matrix of the unital *-homomorphism with this coordinate action.
 
@@ -234,7 +221,7 @@ def multiplicity_matrix(action: np.ndarray, algebra: Algebra) -> np.ndarray:
     C*-algebras", 1972).
     """
     return np.array([[projection_range(b).shape[1] for b in algebra.from_vec(action[:, o]).mats]
-                     for o in _unit_offsets(algebra)], dtype=int).T
+                     for o in algebra.offsets], dtype=int).T
 
 
 def _matrix_unit_intertwiner(alpha_t: np.ndarray, beta_t: np.ndarray,
@@ -250,7 +237,7 @@ def _matrix_unit_intertwiner(alpha_t: np.ndarray, beta_t: np.ndarray,
     beta(e_rr) = 1, the cross terms vanishing.
     """
     u = 0 * algebra.identity()
-    for o, n in zip(_unit_offsets(algebra), algebra.blocks):
+    for o, n in zip(algebra.offsets, algebra.blocks):
         ea, eb = ([algebra.from_vec(c) for c in m[:, o:o + n * n].T] for m in (alpha_t, beta_t))
         v = algebra.element([projection_range(a) @ projection_range(b).conj().T
                              for a, b in zip(ea[0].mats, eb[0].mats)])
@@ -260,8 +247,7 @@ def _matrix_unit_intertwiner(alpha_t: np.ndarray, beta_t: np.ndarray,
 
 
 def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
-                        delta, levels: int, sf: StandardForm,
-                        tol: float = 1e-9,
+                        delta, levels: int, tol: float = 1e-9,
                         cocycle: dict | None = None) -> EquivalenceReport:
     """Decide cocycle equivalence on a grid and certify the witness.
 

@@ -26,7 +26,6 @@ from .algebra import (
     make_algebra,
     make_state,
     standard_form,
-    uniform_state,
 )
 from .bimodule import inner, product_formula_defect, verify_map
 from .cells import (
@@ -133,16 +132,14 @@ class ExperimentConfig:
     levels: int
     seed: int
     tol_scale: float
-    markov_graph: str
-    markov_states: int
-    markov_model: object
+    markov: object
 
     def tol(self, value: float) -> float:
         return value * self.tol_scale
 
     @cached_property
     def cells(self) -> CellSystem:
-        """Cell system shared by the refine, roundtrip and dilate suites."""
+        """Cell system shared by the cells, refine, roundtrip and dilate suites."""
         return CellSystem(self.semigroup, self.sf)
 
 
@@ -187,17 +184,15 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
     delta = Fraction(grid.get("delta", "1/4"))
     levels = int(grid.get("levels", 4))
     markov = raw.get("markov", {})
-    graph = markov.get("graph", "cycle")
-    states = int(markov.get("states", 5))
-    model = None
     if "laplacian" in markov:
         model = make_model(markov["mu"], np.array(markov["laplacian"], dtype=float))
+    else:
+        model = graph_model(markov.get("graph", "cycle"), int(markov.get("states", 5)))
     return ExperimentConfig(
         algebra=algebra, sf=sf, semigroup=semigroup, partitions=partitions,
         delta=delta, levels=levels,
         seed=seed if seed is not None else int(raw.get("seed", DEFAULT_SEED)),
-        tol_scale=tol_scale, markov_graph=graph, markov_states=states,
-        markov_model=model,
+        tol_scale=tol_scale, markov=model,
     )
 
 
@@ -221,7 +216,7 @@ def suite_check_cp(cfg: ExperimentConfig) -> Report:
 
 def suite_cells(cfg: ExperimentConfig) -> Report:
     rep = Report("cells", cfg.seed)
-    cs = CellSystem(cfg.semigroup, cfg.sf)  # unshared: no later suite reuses these cells
+    cs = cfg.cells
     for p in cfg.partitions:
         cell = cs.cell(p)
         # canonical unit vectors generate their parts: n^T (prod_t m_t) n is the cell's dim
@@ -358,12 +353,11 @@ def suite_classify(cfg: ExperimentConfig) -> Report:
     rep = Report("classify", cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     alg = make_algebra([2])
-    sf = standard_form(alg, uniform_state(alg))
     h = alg.element([_hermitian(rng, 2)])
     g = alg.element([_hermitian(rng, 2)])
     alpha = inner_semigroup(alg, h)
     beta = inner_semigroup(alg, g)
-    res = cocycle_equivalence(alpha, beta, cfg.delta, cfg.levels, sf, tol=cfg.tol(1e-9))
+    res = cocycle_equivalence(alpha, beta, cfg.delta, cfg.levels, tol=cfg.tol(1e-9))
     rep.add("perturbed-pair", "cocycle-equivalence",
             res.conjugation_defect if res.equivalent else np.inf, cfg.tol(1e-9))
     if res.equivalent:
@@ -371,13 +365,13 @@ def suite_classify(cfg: ExperimentConfig) -> Report:
             worst = max((beta.apply(t, x) - wt.adjoint() * alpha.apply(t, x) * wt).norm()
                         for x in alg.basis())
             rep.add(f"conjugation[{t}]", "cocycle-equivalence", worst, cfg.tol(1e-9))
-    res_rev = cocycle_equivalence(beta, alpha, cfg.delta, cfg.levels, sf, tol=cfg.tol(1e-9))
+    res_rev = cocycle_equivalence(beta, alpha, cfg.delta, cfg.levels, tol=cfg.tol(1e-9))
     rep.add("symmetric", "cocycle-equivalence",
             0.0 if res_rev.equivalent == res.equivalent else np.inf, 0.5)
     alg2 = make_algebra([1, 1])
-    sf2 = standard_form(alg2, diagonal_state(alg2, [0.5, 0.5]))
     swap = block_permutation_semigroup(alg2, (1, 0), cfg.delta)
-    res2 = cocycle_equivalence(identity_semigroup(alg2), swap, cfg.delta, cfg.levels, sf2)
+    res2 = cocycle_equivalence(identity_semigroup(alg2), swap, cfg.delta, cfg.levels,
+                               tol=cfg.tol(1e-9))
     rep.add("distinguishes-permutation", "cocycle-equivalence",
             np.inf if res2.equivalent else 0.0, 0.5)
     return rep
@@ -390,7 +384,7 @@ def _hermitian(rng, n):
 
 def suite_heat(cfg: ExperimentConfig) -> Report:
     rep = Report("heat", cfg.seed)
-    mdl = cfg.markov_model or graph_model(cfg.markov_graph, cfg.markov_states)
+    mdl = cfg.markov
     kernel_delta, _ = heat_kernel(mdl, float(cfg.delta))
     rep.artifacts["heat_kernel"] = (
         [["t", str(cfg.delta)]] + [[f"{v:.12e}" for v in row] for row in kernel_delta]

@@ -77,6 +77,11 @@ def reversible_chain(seed, m):
     return mu, lap
 
 
+def dense_right(module):
+    """The right action stack, right(e_mu) for every basis element, built from `right_matrix`."""
+    return np.stack([module.right_matrix(x) for x in module.algebra.basis()])
+
+
 def dense_maps(cell):
     """Dense embed and lift of a block quotient: its factors contracted with identities."""
     q = cell.quotient
@@ -144,7 +149,7 @@ def cell_target_elementary(cs, unit, parts):
     """
     slots = [(cs.gns(t).left @ unit.vectors[Fraction(t)]).T for t in parts]
     last = cs.gns(parts[-1])
-    slots[-1] = np.einsum("yab,bx->axy", last.right, slots[-1]).reshape(last.dim, -1)
+    slots[-1] = np.einsum("yab,bx->axy", dense_right(last), slots[-1]).reshape(last.dim, -1)
     return cs.fuse(parts, slots)
 
 

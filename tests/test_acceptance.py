@@ -14,7 +14,6 @@ from prodsys.algebra import (
     diagonal_state,
     make_algebra,
     standard_form,
-    uniform_state,
 )
 from prodsys.bimodule import gns_tensor, product_formula_defect, verify_map
 from prodsys.cells import CellSystem, canonical_unit, cp_from_unit
@@ -239,7 +238,6 @@ def test_criterion_7_markov_suite():
 def test_criterion_8_classifier():
     rng = np.random.default_rng(SEED + 4)
     alg = make_algebra([2])
-    sf = standard_form(alg, uniform_state(alg))
 
     def herm():
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -269,7 +267,7 @@ def test_criterion_8_classifier():
         return mat
 
     beta = E0Semigroup(alg, beta_action, label="perturbed")
-    rep = cocycle_equivalence(alpha, beta, delta, levels, sf, tol=1e-9)
+    rep = cocycle_equivalence(alpha, beta, delta, levels, tol=1e-9)
 
     hp = herm()
 
@@ -280,7 +278,7 @@ def test_criterion_8_classifier():
         return np.kron(u.conj().T, u.T)
 
     broken = E0Semigroup(alg, broken_action, label="broken")
-    rep2 = cocycle_equivalence(alpha, broken, delta, levels, sf, tol=1e-9)
+    rep2 = cocycle_equivalence(alpha, broken, delta, levels, tol=1e-9)
     ok = (rep.equivalent and rep.conjugation_defect <= 1e-9
           and rep.cocycle_law_defect <= 1e-9
           and not rep2.equivalent and rep2.first_failing_time == 2 * delta)

@@ -45,7 +45,7 @@ from prodsys.heatmarkov import make_model
 from prodsys.partition import Partition, uniform
 
 from conftest import (
-    SEED, dense_maps, load_module, mixed_semigroup, random_element, random_hermitian,
+    SEED, dense_maps, dense_right, load_module, mixed_semigroup, random_element, random_hermitian,
 )
 
 
@@ -322,7 +322,7 @@ def relative_oracle(h, k, sf):
     """Assembled relative-tensor Gram, its kept eigenvalues and the pre-quotient actions."""
     gram, (_, _, eigs) = dense_oracle(h, k, sf)
     left_pre = [np.kron(x, np.eye(k.dim)) for x in h.left]
-    right_pre = [np.kron(np.eye(h.dim), y) for y in k.right]
+    right_pre = [np.kron(np.eye(h.dim), y) for y in dense_right(k)]
     return gram, eigs, left_pre, right_pre
 
 
@@ -334,7 +334,7 @@ def assert_matches_oracle(r, gram, eigs, left_pre, right_pre):
     assert np.abs(np.sort(r.gram_eigs) - eigs).max() <= 1e-10 * top
     for act, pre in zip(r.left, left_pre, strict=True):
         assert np.abs(act - embed @ pre @ lift).max() < 1e-10
-    for act, pre in zip(r.right, right_pre, strict=True):
+    for act, pre in zip(dense_right(r), right_pre, strict=True):
         assert np.abs(act - embed @ pre @ lift).max() < 1e-10
 
 
@@ -432,8 +432,9 @@ def recorded_range_widths(monkeypatch):
 @pytest.mark.parametrize("system, parts", [("m2_lindblad", 2), ("pair", 3), ("mixed_block", 2)])
 def test_fused_cell_assembles_its_actions_only_when_read(system, parts, request, monkeypatch):
     # the last part is fused onto a built prefix: the prefix's right side is
-    # read off its own right factor, so neither of its stacks is assembled,
-    # and every range is decided on a matrix no wider than the last coupling
+    # read off its own right factor, so its left stack is not assembled, no
+    # quotient carries a right stack at all, and every range is decided on a
+    # matrix no wider than the last coupling
     sg, sf = request.getfixturevalue(system)
     cs = CellSystem(sg, sf)
     p = uniform(Fraction(parts, 4), parts)
@@ -443,12 +444,13 @@ def test_fused_cell_assembles_its_actions_only_when_read(system, parts, request,
     cs.family(p.parts, [eye] * parts, [cyclic] * parts)
     monkeypatch.undo()
     cell = cs.cell(p)
-    assert not assembled(cell, "left") and not assembled(cell, "right")
+    assert not assembled(cell, "left")
     if parts > 2:  # a single-part prefix is also the right factor, read for its multiplicity
-        assert not assembled(prefix, "left") and not assembled(prefix, "right")
+        assert not assembled(prefix, "left")
     assert widths and max(widths) <= last.dim
     assert_matches_oracle(cell, *relative_oracle(prefix, cs.gns(p.parts[-1]), sf))
-    assert assembled(cell, "left") and assembled(cell, "right")
+    assert assembled(cell, "left")
+    assert cell.right is None and prefix.right is None and last.right is None
 
 
 def test_fusing_onto_the_dim256_lindblad_prefix_stays_small(monkeypatch, tmp_path):
@@ -462,7 +464,7 @@ def test_fusing_onto_the_dim256_lindblad_prefix_stays_small(monkeypatch, tmp_pat
     cs = CellSystem(cfg.semigroup, cfg.sf)
     p = uniform(1, 4)
     prefix, last = cs.cell(Partition(p.parts[:-1])), cs.gns(p.parts[-1])
-    last.left, last.right  # the coupling's own stacks are not the fusion's
+    last.left  # the coupling's own stack is not the fusion's
     widths = recorded_range_widths(monkeypatch)
     tracemalloc.start()
     try:
@@ -471,7 +473,7 @@ def test_fusing_onto_the_dim256_lindblad_prefix_stays_small(monkeypatch, tmp_pat
     finally:
         tracemalloc.stop()
     assert (prefix.dim, cell.dim) == (256, 1024)
-    assert not assembled(prefix, "left") and not assembled(prefix, "right")
+    assert not assembled(prefix, "left")
     assert widths and max(widths) <= last.dim
     assert peak < 6 * 2**20 and kept < 3 * 2**20, (peak, kept)
 
@@ -503,8 +505,9 @@ def test_relative_tensor_takes_no_inner_product_over_a_whole_basis(
     monkeypatch.undo()
     for t, cell in zip(ts, cells):
         fresh = CellSystem(sg, sf).cell(Partition((s, t)))
-        for name in ("gram_eigs", "left", "right"):
+        for name in ("gram_eigs", "left"):
             assert np.array_equal(getattr(cell, name), getattr(fresh, name)), (t, name)
+        assert np.array_equal(dense_right(cell), dense_right(fresh)), t
         for got, want in zip(dense_maps(cell), dense_maps(fresh), strict=True):
             assert np.array_equal(got, want), t
 
@@ -534,10 +537,10 @@ def right_multiplicity_cases(case, request):
     "pair", "mixed_block", "m2_lindblad", "chain6", "character", "skewed"])
 def test_right_multiplicity_has_the_ranges_of_the_dense_decomposition(case, request):
     # a quotient's right multiplicity is read off its parts (+) I (x) R; the
-    # dense decomposition of its assembled right stack may pick another
-    # multiplicity basis, but not other ranges or partial isometries
+    # dense decomposition of its right stack may pick another multiplicity
+    # basis, but not other ranges or partial isometries
     for module in right_multiplicity_cases(case, request):
-        dense = bimodule._multiplicity(module.right, module.algebra.blocks, left=False)
+        dense = bimodule._multiplicity(dense_right(module), module.algebra, left=False)
         got = module.right_multiplicity
         assert [x.shape for x in got] == [x.shape for x in dense]
         for a, b in zip(right_ranges(got), right_ranges(dense), strict=True):
@@ -556,7 +559,7 @@ def test_a_bent_part_of_a_quotient_raises_on_every_call(system, request):
     bent = r.copy()
     bent[-1] += 0.1 * np.eye(len(bent[-1]))
     quotient = dataclasses.replace(cell.quotient, blocks=(*rest, (q, w, wm, v, bent)))
-    broken = bimodule.Bimodule(sf.algebra, cell.dim, cell.left, cell.right, quotient=quotient)
+    broken = bimodule.Bimodule(sf.algebra, cell.dim, cell.left, None, quotient=quotient)
     for _ in range(2):
         with pytest.raises(NotCompletelyPositiveError, match="not a left multiplication"):
             relative_tensor(broken, cs.gns(Fraction(1, 4)), sf)
@@ -585,14 +588,15 @@ def test_left_factor_fused_under_two_states_matches_fresh_quotients(pair):
     for state in (sf, other, sf, other):
         k = l2_bimodule(state)
         r = relative_tensor(h, k, state)
-        fresh = relative_tensor(bimodule.Bimodule(h.algebra, h.dim, h.left, h.right), k, state)
+        fresh = relative_tensor(bimodule.Bimodule(h.algebra, h.dim, h.left, dense_right(h)),
+                                k, state)
         assert np.array_equal(r.gram_eigs, fresh.gram_eigs)
         (embed, lift), (embed0, lift0) = dense_maps(r), dense_maps(fresh)
         assert close(embed.conj().T @ embed, embed0.conj().T @ embed0, 1e-12)
         assert close(lift @ embed, lift0 @ embed0, 1e-12)
-        for name in ("left", "right"):
-            got, want = (embed.conj().T @ getattr(r, name) @ embed,
-                         embed0.conj().T @ getattr(fresh, name) @ embed0)
+        for name, action in (("left", lambda m: m.left), ("right", dense_right)):
+            got, want = (embed.conj().T @ action(r) @ embed,
+                         embed0.conj().T @ action(fresh) @ embed0)
             assert close(got, want, 1e-12), name
         out[id(state)] = r.gram_eigs
     assert not np.allclose(out[id(sf)], out[id(other)])
@@ -680,11 +684,12 @@ def test_cell_dims_do_not_depend_on_a_faithful_diagonal_state(system, dims, log_
 
 def test_a_bent_unit_that_the_decomposition_never_reads_still_raises(m2_lindblad):
     # right(e_22) enters no multiplicity array (those read e_11 and e_12),
-    # but the bounded-vector compositions see it
+    # but the bounded-vector compositions see it; the bent stack belongs to
+    # a module that is no quotient, so its one part is that stack
     sg, sf = m2_lindblad
     cs = CellSystem(sg, sf)
     cell = cs.cell(uniform(Fraction(1, 2), 2))
-    bent = cell.right.copy()
+    bent = dense_right(cell)
     bent[3] += 0.1 * np.eye(cell.dim)
     broken = bimodule.Bimodule(sf.algebra, cell.dim, cell.left, bent)
     for _ in range(2):

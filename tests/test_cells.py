@@ -27,6 +27,7 @@ from prodsys.partition import Partition, coarsenings, join, partition, uniform
 from conftest import (
     cell_target_elementary,
     dense_maps,
+    dense_right,
     left_materialization,
     mixed_semigroup,
     unit_system_isomorphism,
@@ -371,15 +372,19 @@ def test_cp_from_unit_accepts_small_state_weights(rng):
 
 
 def test_cp_from_unit_rejects_broken_right_module():
-    # transposing the right action leaves no right module: the bounded-vector
-    # composition is no longer a left multiplication
+    # transposing the right action R_i of one block (the last, where R_i acts
+    # on C^2; on the first block it is 1 x 1) leaves no right module: the
+    # bounded-vector composition is no longer a left multiplication
     sg, sf = mixed_semigroup()
     cs = CellSystem(sg, sf)
     t = Fraction(1, 2)
     unit = canonical_unit(cs, [t])
     p = Partition((t,))
     cell = cs.cell(p)
-    cs._cells[p.key] = dataclasses.replace(cell, right=cell.right.transpose(0, 2, 1))
+    *rest, (q, w, wm, v, r) = cell.quotient.blocks
+    blocks = (*rest, (q, w, wm, v, r.transpose(0, 2, 1)))
+    cs._cells[p.key] = dataclasses.replace(
+        cell, quotient=dataclasses.replace(cell.quotient, blocks=blocks))
     with pytest.raises(ValueError, match="not well defined"):
         cp_from_unit(unit)
 
@@ -436,7 +441,7 @@ def test_family_matches_elementary_columns(request, system, parts):
     assert np.abs(batched - reference).max() < 1e-12 * np.abs(reference).max()
 
 
-def coarsening_union_rank(unit, p, rtol=1e-10):
+def coarsening_union_rank(unit, p):
     """Rank of every coarsening's unit tensors refined into cell(p); the reference."""
     cs = unit.system
     cols = []
@@ -445,7 +450,7 @@ def coarsening_union_rank(unit, p, rtol=1e-10):
             continue
         ref = cs.refinement(p, c).matrix if c != p else np.eye(cs.cell(p).dim)
         cols.append(ref @ cell_target_elementary(cs, unit, c.parts))
-    return numerical_rank(np.hstack(cols), rtol)
+    return numerical_rank(np.hstack(cols))
 
 
 def _system(request, name):
@@ -546,8 +551,14 @@ def test_cell_dimension_check_fails_on_a_lossy_relative_tensor(monkeypatch):
             return real_tensor(h, k, sf)
 
     monkeypatch.setattr(prodsys.cells, "relative_tensor", lossy)
+    cfg = load_config(None, None, 1.0)  # the suite builds its cells in the config's system
     dims = [c for c in suite_cells(cfg).checks if c.check_id.startswith("dim")]
     assert [c.passed for c in dims] == [len(p) == 1 for p in cfg.partitions]
+    # the 4-part cell lost every block: its right action has no part, and
+    # applies to a column block of no rows
+    empty = cfg.cells.cell(cfg.partitions[-1])
+    assert (empty.dim, empty.right_parts) == (0, [])
+    assert empty.right_apply(np.zeros((0, 3))).shape == (cfg.algebra.dim, 0, 3)
 
 
 def test_tower_rank_checks_fail_on_a_rank_above_the_cell(monkeypatch):
@@ -571,7 +582,7 @@ def collapse_oracle(cs, p, a):
     if a == 0:
         return left_materialization(cellp, cs.sf)
     if a == n:
-        m = np.tensordot(cs.sf.solve_right_matrix.T, cellp.right, axes=1)
+        m = np.tensordot(cs.sf.solve_right_matrix.T, dense_right(cellp), axes=1)
         return m.transpose(1, 2, 0).reshape(cellp.dim, -1)
     da = cs.cell(Partition(p.parts[:a])).dim
     m = dense_maps(cs.cell(Partition(p.parts[:a + 1])))[0]
@@ -688,16 +699,18 @@ def test_refinement_rejects_partitions_that_do_not_refine(pair_system):
 
 
 def test_cached_cell_actions_are_read_only(pair_system):
-    # the stacks are assembled on first read and shared by every reader of
-    # the cached cell, so an in-place write must fail instead of changing them
+    # the left stack is assembled on first read and the right parts are
+    # shared by every quotient over the same right factor, so an in-place
+    # write must fail instead of changing them
     cs, _ = pair_system
     p = uniform(1, 2)
     for cell in (cs.gns(Fraction(1, 2)), cs.cell(p)):
-        for name in ("left", "right"):
-            before = getattr(cell, name).copy()
+        assert cell.right is None
+        for arr in (cell.left, *(r for _, r in cell.right_parts)):
+            before = arr.copy()
             with pytest.raises(ValueError, match="read-only"):
-                getattr(cell, name)[0, 0, 0] = 1.0
-            assert np.array_equal(getattr(cell, name), before)
+                arr[0, 0, 0] = 1.0
+            assert np.array_equal(arr, before)
     # every relative tensor with the coupling on the left reads its Gram
     # off the cached right multiplicity
     for x in cs.gns(Fraction(1, 2)).right_multiplicity:

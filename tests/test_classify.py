@@ -185,8 +185,8 @@ def test_identity_canonical_iso_is_plain_collapse(pair):
 
 
 def test_equivalence_reflexive(m2_inner):
-    _, _, theta, sf = m2_inner
-    rep = cocycle_equivalence(theta, theta, Fraction(1, 4), 4, sf)
+    _, _, theta, _ = m2_inner
+    rep = cocycle_equivalence(theta, theta, Fraction(1, 4), 4)
     assert rep.equivalent
     assert rep.conjugation_defect < 1e-9
     assert rep.cocycle_law_defect < 1e-9
@@ -194,24 +194,22 @@ def test_equivalence_reflexive(m2_inner):
 
 def test_equivalence_of_cocycle_perturbation(rng):
     alg = make_algebra([2])
-    sf = standard_form(alg, uniform_state(alg))
     h = random_hermitian(alg, rng)
     g = random_hermitian(alg, rng)
     alpha = inner_semigroup(alg, h)
     # w_t = u_t^* c_t is a unitary cocycle for alpha; the perturbed family
     # is conjugation by c alone
     beta = inner_semigroup(alg, g)
-    rep = cocycle_equivalence(alpha, beta, Fraction(1, 4), 4, sf)
+    rep = cocycle_equivalence(alpha, beta, Fraction(1, 4), 4)
     assert rep.equivalent
     assert rep.conjugation_defect < 1e-9
     # both directions succeed
-    rep2 = cocycle_equivalence(beta, alpha, Fraction(1, 4), 4, sf)
+    rep2 = cocycle_equivalence(beta, alpha, Fraction(1, 4), 4)
     assert rep2.equivalent
 
 
 def test_equivalence_backward_mode_with_declared_cocycle(rng):
     alg = make_algebra([2])
-    sf = standard_form(alg, uniform_state(alg))
     h = random_hermitian(alg, rng)
     g = random_hermitian(alg, rng)
     alpha = inner_semigroup(alg, h)
@@ -223,7 +221,7 @@ def test_equivalence_backward_mode_with_declared_cocycle(rng):
         u = scipy.linalg.expm(1j * t * h.mats[0])
         c = scipy.linalg.expm(1j * t * g.mats[0])
         w[k * delta] = alg.element([u.conj().T @ c])
-    rep = cocycle_equivalence(alpha, beta, delta, levels, sf, cocycle=w)
+    rep = cocycle_equivalence(alpha, beta, delta, levels, cocycle=w)
     assert rep.equivalent
     assert rep.conjugation_defect < 1e-9
     assert rep.cocycle_law_defect < 1e-9
@@ -232,11 +230,10 @@ def test_equivalence_backward_mode_with_declared_cocycle(rng):
 def test_declared_cocycle_breaking_the_law_is_not_equivalent():
     # w(2 delta) = diag(1, -1) conjugates like 1, but alpha_delta(w(delta)) w(delta) = 1
     alg = make_algebra([1, 1])
-    sf = standard_form(alg, diagonal_state(alg, [0.5, 0.5]))
     ident = identity_semigroup(alg)
     delta = Fraction(1, 4)
     w = {delta: alg.identity(), 2 * delta: alg.diagonal([1.0, -1.0])}
-    rep = cocycle_equivalence(ident, ident, delta, 2, sf, cocycle=w)
+    rep = cocycle_equivalence(ident, ident, delta, 2, cocycle=w)
     assert not rep.equivalent
     assert rep.first_failing_time == 2 * delta
     assert rep.failures[0][1] == "cocycle law fails"
@@ -256,17 +253,16 @@ def test_cocycle_law_defect_at_a_sum_is_the_worst_pair(rng):
 
 
 def test_inner_equivalent_to_identity(m2_inner):
-    alg, h, theta, sf = m2_inner
-    rep = cocycle_equivalence(theta, identity_semigroup(alg), Fraction(1, 4), 4, sf)
+    alg, h, theta, _ = m2_inner
+    rep = cocycle_equivalence(theta, identity_semigroup(alg), Fraction(1, 4), 4)
     assert rep.equivalent
 
 
 def test_permutation_not_equivalent_to_identity():
     alg = make_algebra([1, 1])
-    sf = standard_form(alg, diagonal_state(alg, [0.5, 0.5]))
     delta = Fraction(1, 2)
     swap = block_permutation_semigroup(alg, (1, 0), delta)
-    rep = cocycle_equivalence(identity_semigroup(alg), swap, delta, 3, sf)
+    rep = cocycle_equivalence(identity_semigroup(alg), swap, delta, 3)
     assert not rep.equivalent
     assert rep.first_failing_time == delta
 
@@ -290,7 +286,6 @@ def test_equivalence_found_when_intertwiner_basis_is_singular():
     # have a zero block), and the matrix-unit witness must avoid them for
     # every conjugating unitary
     alg = make_algebra([2, 4])
-    sf = standard_form(alg, uniform_state(alg))
     base = _doubling_action(alg)
     eye = np.eye(alg.dim, dtype=complex)
     theta = E0Semigroup(alg, lambda t: base if t > 0 else eye)
@@ -300,11 +295,11 @@ def test_equivalence_found_when_intertwiner_basis_is_singular():
         ad_u = lmult_matrix(u) @ rmult_matrix(u.adjoint())
         ad_us = lmult_matrix(u.adjoint()) @ rmult_matrix(u)
         beta = E0Semigroup(alg, lambda t: ad_u @ theta.map_at(t) @ ad_us)
-        rep = cocycle_equivalence(theta, beta, Fraction(1, 4), 3, sf)
+        rep = cocycle_equivalence(theta, beta, Fraction(1, 4), 3)
         assert rep.equivalent, rep.failures
         assert rep.conjugation_defect < 1e-9
         assert rep.cocycle_law_defect < 1e-9
-    assert not cocycle_equivalence(theta, identity_semigroup(alg), Fraction(1, 4), 3, sf).equivalent
+    assert not cocycle_equivalence(theta, identity_semigroup(alg), Fraction(1, 4), 3).equivalent
 
 
 def test_inner_pairs_at_large_scale_are_all_equivalent():
@@ -313,25 +308,23 @@ def test_inner_pairs_at_large_scale_are_all_equivalent():
     # draws come near any cutoff depends on the LAPACK build, so every seed
     # of the sweep is run
     alg = make_algebra([2])
-    sf = standard_form(alg, uniform_state(alg))
     for seed in range(200):
         rng = np.random.default_rng(seed)
         h, g = (alg.element([100 * (x + x.conj().T) / 2]) for x in (
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)))
         rep = cocycle_equivalence(inner_semigroup(alg, h), inner_semigroup(alg, g),
-                                  Fraction(1, 4), 2, sf)
+                                  Fraction(1, 4), 2)
         assert rep.equivalent, (seed, rep.failures)
         assert max(rep.conjugation_defect, rep.cocycle_law_defect) <= 1e-9, seed
 
 
 def test_multiplicity_matrices_of_identity_and_swap_name_the_refusal():
     alg = make_algebra([1, 1])
-    sf = standard_form(alg, diagonal_state(alg, [0.5, 0.5]))
     delta = Fraction(1, 2)
     ident, swap = identity_semigroup(alg), block_permutation_semigroup(alg, (1, 0), delta)
     assert multiplicity_matrix(ident.map_at(delta), alg).tolist() == [[1, 0], [0, 1]]
     assert multiplicity_matrix(swap.map_at(delta), alg).tolist() == [[0, 1], [1, 0]]
-    (t, reason, _), = cocycle_equivalence(ident, swap, delta, 2, sf).failures
+    (t, reason, _), = cocycle_equivalence(ident, swap, delta, 2).failures
     assert t == delta
     assert "[[1, 0], [0, 1]]" in reason and "[[0, 1], [1, 0]]" in reason
 
@@ -357,10 +350,9 @@ def test_multiplicity_matrices_of_the_two_rotations_differ():
 def test_alpha_that_is_not_an_endomorphism_is_refused():
     # x -> tr(x) / 2 on M_2 is unital and *-preserving but not multiplicative
     alg = make_algebra([2])
-    sf = standard_form(alg, uniform_state(alg))
     one = alg.identity().vec()
     alpha = E0Semigroup(alg, lambda t: np.outer(one, one) / 2)
-    rep = cocycle_equivalence(alpha, identity_semigroup(alg), Fraction(1, 4), 2, sf)
+    rep = cocycle_equivalence(alpha, identity_semigroup(alg), Fraction(1, 4), 2)
     assert not rep.equivalent
     (t, reason, defect), = rep.failures
     assert (t, reason) == (Fraction(1, 4), "alpha is not an endomorphism")
@@ -369,7 +361,6 @@ def test_alpha_that_is_not_an_endomorphism_is_refused():
 
 def test_broken_semigroup_law_detected_at_first_bad_time(rng):
     alg = make_algebra([2])
-    sf = standard_form(alg, uniform_state(alg))
     h = random_hermitian(alg, rng)
     hp = random_hermitian(alg, rng)
     alpha = inner_semigroup(alg, h)
@@ -382,7 +373,7 @@ def test_broken_semigroup_law_detected_at_first_bad_time(rng):
         return np.kron(u.conj().T, u.T)
 
     beta = E0Semigroup(alg, broken_action, label="broken")
-    rep = cocycle_equivalence(alpha, beta, delta, 4, sf)
+    rep = cocycle_equivalence(alpha, beta, delta, 4)
     assert not rep.equivalent
     assert rep.first_failing_time == 2 * delta
     assert rep.failures[0][1] == "conjugation identity fails"
@@ -390,13 +381,12 @@ def test_broken_semigroup_law_detected_at_first_bad_time(rng):
 
 def test_permutation_equivalent_to_itself_not_to_its_square():
     alg = make_algebra([1, 1, 1])
-    sf = standard_form(alg, diagonal_state(alg, [1 / 3, 1 / 3, 1 / 3]))
     delta = Fraction(1, 2)
     rot = block_permutation_semigroup(alg, (1, 2, 0), delta)
     rot2 = block_permutation_semigroup(alg, (2, 0, 1), delta)
-    same = cocycle_equivalence(rot, rot, delta, 3, sf)
+    same = cocycle_equivalence(rot, rot, delta, 3)
     assert same.equivalent
-    mixed = cocycle_equivalence(rot, rot2, delta, 3, sf)
+    mixed = cocycle_equivalence(rot, rot2, delta, 3)
     assert not mixed.equivalent
     assert mixed.first_failing_time == delta
 

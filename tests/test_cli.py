@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import prodsys.cli
 import prodsys.dilation
 from prodsys.cells import CellSystem
-from prodsys.cli import SUITES, complex_matrix, load_config, main, suite_dilate, suite_heat
+from prodsys.cli import (
+    SUITES, complex_matrix, load_config, main, suite_classify, suite_dilate, suite_heat,
+)
 from prodsys.dilation import TruncatedLimit
 from prodsys.partition import uniform
 
@@ -116,6 +119,30 @@ def test_bad_config_exits_2(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"semigroup": {"builtin": "unknown-thing"}}))
     assert main(["cells", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("markov", [{"graph": "bogus"}, {"states": 0}])
+def test_invalid_markov_model_is_a_configuration_error(tmp_path, capsys, markov):
+    # the model is built with the configuration, before any suite runs
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"markov": markov}))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_classify_scales_every_equivalence_tolerance(monkeypatch):
+    # --tol-scale reaches all three equivalence decisions of the suite
+    tols, real = [], prodsys.cli.cocycle_equivalence
+
+    def recording(*args, **kwargs):
+        tols.append(kwargs.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(prodsys.cli, "cocycle_equivalence", recording)
+    assert suite_classify(load_config(None, None, 10.0)).passed
+    assert tols == [pytest.approx(1e-8)] * 3
 
 
 @pytest.mark.parametrize("config", [

@@ -1,12 +1,15 @@
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from prodsys.algebra import diagonal_state, lmult_matrix, make_algebra, standard_form
-from prodsys.bimodule import numerical_rank, pi_phi, tensor_vec
+from prodsys.bimodule import l2_bimodule, numerical_rank, pi_phi, tensor_vec
 import prodsys.cells
 from prodsys.cells import CellSystem, Unit, canonical_unit, generating_rank
+from prodsys.cli import load_config
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
 from prodsys.dilation import (
     Cocycle,
@@ -31,7 +34,9 @@ from conftest import (
     cell_target_elementary,
     compose,
     corner_projection,
+    dense_maps,
     embedding_isometry_defect,
+    load_module,
     mixed_semigroup,
     random_element,
 )
@@ -189,16 +194,41 @@ def test_frame_sum_is_right_action_of_center(request, system, levels):
 
 @pytest.mark.parametrize("system, levels", TOWERS)
 def test_frame_inverse_assembles_no_right_stack(request, system, levels):
-    # R(z^-1) of a quotient is read off its blocks, (+)_i I_kk (x) R_i(z^-1)
+    # no quotient carries a right stack: R(x) is read off its blocks,
+    # (+)_i I_kk (x) R_i(x), and must be the right factor's action carried
+    # through the pair space, E (I (x) R_k(x)) L
     tl, _, _ = tower(request, system, levels)
-    assert all(callable(space.__dict__["right"]) for space in tl.spaces[2:])
+    assert all(space.right is None for space in tl.spaces[1:])
     zinv = tl.sf.algebra.diagonal([1.0 / w for w in frame_weights(tl.sf)])
     for space, got in zip(tl.spaces, tl.frame_inverse):
-        dense = np.tensordot(zinv.vec(), space.right, axes=1)
-        assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+        assert np.array_equal(got, space.right_matrix(zinv))
+    for k, space in enumerate(tl.spaces[1:], 1):
+        factor, (embed, lift) = tl.spaces[1] if k > 1 else l2_bimodule(tl.sf), dense_maps(space)
         for x in tl.sf.algebra.basis():  # no basis element is symmetric on every block
-            dense = np.tensordot(x.vec(), space.right, axes=1)
-            assert np.abs(space.right_matrix(x) - dense).max() <= 1e-14 * np.abs(dense).max()
+            dense = embed @ np.kron(np.eye(space.quotient.hd), factor.right_matrix(x)) @ lift
+            assert np.abs(space.right_matrix(x) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_corner_maps_of_a_deep_tower_stay_small(monkeypatch, tmp_path):
+    # the corner embedding of the dim-1024 top of the lindblad_m2 workload
+    # (seed 307) at levels 4 and the cocycle's bounded-vector maps apply the
+    # right action part by part: 68.5 MiB peak when pi_phi read a dense stack
+    workloads = load_module(monkeypatch, "workloads")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workloads.WORKLOADS["lindblad_m2"](307)))
+    cfg = load_config(str(path), 307, 1.0)
+    delta, levels = cfg.delta, 4
+    unit = canonical_unit(cfg.cells, [k * delta for k in range(levels + 1)])
+    tl = TruncatedLimit(cfg.cells, unit, delta, levels)
+    tracemalloc.start()
+    try:
+        k0 = tl.embed_matrix(levels, 0)
+        cocycle_from_unit(tl, unit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k0.shape == (1024, 4)
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("system, levels", TOWERS)
