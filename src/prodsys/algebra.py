@@ -54,6 +54,14 @@ class Algebra:
         and e_rc of block M_n sits r n + c past its block's offset."""
         return tuple(accumulate((n * n for n in self.blocks[:-1]), initial=0))
 
+    @cached_property
+    def star(self) -> np.ndarray:
+        """Coordinate index of e_mu* for each matrix unit e_mu: x* is conj(x[star])."""
+        out = np.array([o + c * n + r for o, n in zip(self.offsets, self.blocks)
+                        for r in range(n) for c in range(n)])
+        out.flags.writeable = False
+        return out
+
     def element(self, mats: Sequence[np.ndarray]) -> "AlgebraElement":
         mats = tuple(np.asarray(m, dtype=complex) for m in mats)
         if len(mats) != len(self.blocks):
@@ -318,6 +326,15 @@ class StandardForm:
         stack = np.stack([rmult_matrix(x) for x in self.algebra.basis()])
         stack.flags.writeable = False  # l2_bimodule and the twisted cells share it
         return stack
+
+    @cached_property
+    def frame_weights(self) -> np.ndarray:
+        """tau_i = Tr(rho_i^-1) per block: the Gram eigenvalue of block i in `relative_tensor`,
+        and the coefficient of the central element z of `dilation`, whose right action on
+        every cell is sum_e L_e L_e* over an orthonormal basis (L_e: bounded-vector map)."""
+        out = np.array([np.trace(np.linalg.inv(d)).real for d in self.state.density])
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def solve_left_matrix(self) -> np.ndarray:

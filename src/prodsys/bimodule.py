@@ -332,13 +332,6 @@ def numerical_rank(z: np.ndarray) -> int:
     return int(_kept(np.linalg.svd(z, compute_uv=False), GRAM_RTOL).sum())
 
 
-def frame_weights(sf: StandardForm) -> list[float]:
-    """tau_i = Tr(rho_i^-1) per block: the Gram eigenvalue of block i in `relative_tensor`,
-    and the coefficient of the central element z of `dilation`, whose right action
-    on every cell is sum_e L_e L_e* over an orthonormal basis (L_e: bounded-vector map)."""
-    return [float(np.trace(np.linalg.inv(d)).real) for d in sf.state.density]
-
-
 def l2_bimodule(sf: StandardForm) -> Bimodule:
     """The standard space itself, acting by two-sided multiplication."""
     return Bimodule(sf.algebra, sf.dim, sf.lmult_basis, sf.rmult_basis)
@@ -428,7 +421,7 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     coordinate vector a of h, `inner`), are fixed by the right module
     structure of h alone (Paschke 1973, "Inner product modules over
     B*-algebras"): with X = h.right_multiplicity, for a cell read off its
-    last part, and tau_j = Tr(rho_j^-1),
+    last part, and tau_j = Tr(rho_j^-1) (`StandardForm.frame_weights`),
 
         E_j = tau_j U_j U_j*,  U_j[(a, r), p] = sum_c X_j[a, c, p] (rho_j^-1/2)_rc / sqrt(tau_j).
 
@@ -444,7 +437,7 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     is no rank to decide.
     """
     blocks = []
-    for x, root_inv, tau in zip(h.right_multiplicity, sf.root_inv, frame_weights(sf)):
+    for x, root_inv, tau in zip(h.right_multiplicity, sf.root_inv, sf.frame_weights):
         hd, n, m = x.shape
         u = np.einsum("acp,rc->arp", x, root_inv).reshape(hd * n, m) / np.sqrt(tau)
         blocks.append((np.full(m, tau), u))
@@ -587,14 +580,20 @@ def verify_map(
     unitary: bool = False,
     tol: float = 1e-10,
 ) -> MapReport:
-    """Defect report for the requested structural properties of a map."""
+    """Defect report for the requested structural properties of a map.
+
+    The bilinearity defect is the largest spectral norm of m L_s(e_mu) -
+    L_t(e_mu) m and of m R_s(e_mu) - R_t(e_mu) m over the basis, one batched
+    norm per side.  The right parts are applied to m and m*
+    (`Bimodule.right_apply`), with m R_s(e_mu) = (R_s(e_mu*) m*)*, so no
+    right action matrix is formed.
+    """
     m = f.matrix
     bilinear_defect = None
     if bilinear:
-        bilinear_defect = float(max(max(
-            np.linalg.norm(m @ f.source.left[i] - f.target.left[i] @ m, 2),
-            np.linalg.norm(m @ f.source.right_matrix(x) - f.target.right_matrix(x) @ m, 2))
-            for i, x in enumerate(f.source.algebra.basis())))
+        right_m = f.source.right_apply(m.conj().T)[f.source.algebra.star].conj().swapaxes(1, 2)
+        bilinear_defect = float(max(np.linalg.norm(diff, 2, axis=(-2, -1)).max() for diff in (
+            m @ f.source.left - f.target.left @ m, right_m - f.target.right_apply(m))))
     isometry_defect = None
     if isometric:
         isometry_defect = float(

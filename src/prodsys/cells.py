@@ -7,10 +7,12 @@ first k intermediate spaces of a cell coincide (as objects) with the cell
 of the length-k prefix.  A cell's quotient maps are per-block factors
 (`bimodule.Quotient`), and every reader contracts them.  The canonical
 collapse of cell(prefix) (x) cell(suffix) onto cell(p) is one step from
-the cached collapse of p without its last part, which contracts those
-factors (`bimodule.extension`) and is block diagonal in the multiplicity
-index; `CellSystem.apply_collapse` takes that step on a column block
-instead, so the collapse of p is applied without being formed.
+the collapse of p without its last part, which contracts those factors
+(`bimodule.extension`) and is block diagonal in the multiplicity index;
+`CellSystem.apply_collapse` takes that step on a column block instead, so
+the collapse of p is applied without being formed.  Each step is built
+once per partition and cut and cached, and so are the slot maps that the
+refinement isometries put into each part.
 
 On top of the cells this module provides the coarse-to-fine refinement
 isometries, the multiplication unitaries joining two cells into the cell
@@ -40,7 +42,7 @@ from .bimodule import (
     tensor_vec,
 )
 from .cpdyn import CpMap, CpSemigroup, evaluate, law_defect
-from .partition import Partition, grouping, join
+from .partition import Partition, grouping, join, sum_pairs
 
 
 class CellSystem:
@@ -53,6 +55,8 @@ class CellSystem:
         self._gns: dict[tuple[int, int], Bimodule] = {}
         self._cells: dict[tuple, Bimodule] = {}
         self._collapse: dict[tuple, np.ndarray] = {}
+        self._steps: dict[tuple, BlockMap] = {}
+        self._slot_maps: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
     # -- spaces -------------------------------------------------------
 
@@ -121,23 +125,22 @@ class CellSystem:
 
         Acts on kron coordinates (prefix index major).  For a = 0 or
         a = len(p) this is the canonical identification with the standard
-        space, `apply_collapse` of the identity.  An interior cut is one
-        extension step from the collapse of p without its last part, the
-        step that `apply_collapse` takes.
+        space, `apply_collapse` of the identity, and for a = len(p) - 1 the
+        embed of cell(p); both are cached.  An interior cut is the dense
+        form of the cached extension step that `apply_collapse` takes.
         """
-        key = (p.key, a)
-        if key in self._collapse:
-            return self._collapse[key]
         n = len(p)
-        if a in (0, n):
-            m = self.apply_collapse(p, a, np.eye(self.sf.dim * self.cell(p).dim))
-        elif a == n - 1:
-            q = self.cell(p).quotient
-            m = q.embed_pairs(np.eye(q.hd), np.eye(q.kd))
-        else:
-            m = self._step(p, a, n, self.collapse(Partition(p.parts[:-1]), a)).dense()
-        self._collapse[key] = m
-        return m
+        if a not in (0, n - 1, n):
+            return self._step(p, a).dense()
+        key = (p.key, a)
+        if key not in self._collapse:
+            if a in (0, n):
+                m = self.apply_collapse(p, a, np.eye(self.sf.dim * self.cell(p).dim))
+            else:
+                q = self.cell(p).quotient
+                m = q.embed_pairs(np.eye(q.hd), np.eye(q.kd))
+            self._collapse[key] = m
+        return self._collapse[key]
 
     def apply_collapse(self, p: Partition, a: int, x: np.ndarray,
                        adjoint: bool = False) -> np.ndarray:
@@ -162,25 +165,28 @@ class CellSystem:
             cellp, solve = self.cell(p), sf.solve_right_matrix
             if adjoint:  # sum_mu conj(solve[mu, i]) right(e_mu)* x, in rows (cell index, i)
                 # right(e_mu)* = right(e_mu*), and e_mu* is the matrix unit star[mu]
-                star = [np.flatnonzero(y.adjoint().vec())[0] for y in sf.algebra.basis()]
-                v = np.tensordot(solve.conj()[star], cellp.right_apply(x), axes=(0, 0))
+                v = np.tensordot(solve.conj()[sf.algebra.star], cellp.right_apply(x), axes=(0, 0))
                 return v.transpose(1, 0, 2).reshape(-1, cols)
             # C x = sum_mu right(e_mu) y[:, :, mu], y[:, :, mu] = sum_i solve[mu, i] x[(:, i)]
             y = np.tensordot(x.reshape(-1, d, cols), solve, axes=(1, 1)).reshape(cellp.dim, -1)
             return np.einsum("macm->ac", cellp.right_apply(y).reshape(d, -1, cols, d))
         if a == n - 1:
             return self.cell(p).quotient.embed_apply(x, adjoint)
-        return self._step(p, a, n, self.collapse(Partition(p.parts[:-1]), a)).apply(x, adjoint)
+        return self._step(p, a).apply(x, adjoint)
 
-    def _step(self, p: Partition, a: int, j: int, prev: np.ndarray) -> BlockMap:
-        """C_j = E (C_(j-1) (x) I_g)(I (x) L) in block form, C_j the cut-a collapse of p[:j].
+    def _step(self, p: Partition, a: int) -> BlockMap:
+        """C = E (C' (x) I_g)(I (x) L) in block form, C the cut-a collapse of p, cached.
 
-        E is the embed of cell(p[:j]), g the dimension of the GNS coupling of
-        its last part, L the lift of cell(p[a:j]) and prev = C_(j-1); both
-        cells end in that coupling (`bimodule.extension`).
+        E is the embed of cell(p), g the dimension of the GNS coupling of its
+        last part, L the lift of cell(p[a:]) and C' the cut-a collapse of p
+        without its last part; both cells end in that coupling
+        (`bimodule.extension`).
         """
-        return extension(self.cell(Partition(p.parts[:j])), prev,
-                         self.cell(Partition(p.parts[a:j])))
+        key = (p.key, a)
+        if key not in self._steps:
+            self._steps[key] = extension(self.cell(p), self.collapse(Partition(p.parts[:-1]), a),
+                                         self.cell(Partition(p.parts[a:])))
+        return self._steps[key]
 
     # -- product structure --------------------------------------------
 
@@ -209,21 +215,22 @@ class CellSystem:
         if not groups:
             return x
         last, done = len(groups) - 1, len(groups[0])
-        a = self._group_apply(groups[0], x if last == 0 else np.eye(self.gns(q.parts[0]).dim))
+        a = self._group_apply(groups[0], q.parts[0],
+                              x if last == 0 else np.eye(self.gns(q.parts[0]).dim))
         for i, sub in enumerate(groups[1:], 1):
             cell = self.cell(Partition(q.parts[:i + 1]))
             cols = x if i == last else np.eye(cell.dim)
             g, c = self.gns(q.parts[i]).dim, cols.shape[1]
             y = (a @ cell.quotient.lift_apply(cols).reshape(a.shape[1], -1)).reshape(-1, g, c)
             head = len(y)
-            y = self._group_apply(sub, y.transpose(1, 0, 2).reshape(g, -1))
+            y = self._group_apply(sub, q.parts[i], y.transpose(1, 0, 2).reshape(g, -1))
             y = y.reshape(-1, head, c).transpose(1, 0, 2).reshape(-1, c)
             a = self.apply_collapse(Partition(p.parts[:done + len(sub)]), done, y)
             done += len(sub)
         return a
 
-    def _group_apply(self, sub: Partition, x: np.ndarray) -> np.ndarray:
-        """Isometry of one GNS coupling into the cell of a sub-partition, applied to columns.
+    def _group_apply(self, sub: Partition, t: Fraction, x: np.ndarray) -> np.ndarray:
+        """Isometry of the GNS coupling at t into the cell of a partition sub of t, on columns.
 
         An elementary tensor with slots (y, eta) goes to the elementary
         tensor of the sub-partition with y in the first algebra slot, the
@@ -235,15 +242,25 @@ class CellSystem:
         n, d, cols = len(sub), self.sf.dim, x.shape[1]
         if n == 1:
             return x
-        lam = self.gns(sub.total).quotient.lift_apply(x).reshape(d, -1)
-        one, omega = self.sf.algebra.identity().vec()[:, None], self.sf.cyclic[:, None]
-        first = self.gns(sub.parts[0]).quotient.embed_pairs(np.eye(d), omega) @ lam
+        lam = self.gns(t).quotient.lift_apply(x).reshape(d, -1)
+        first = self._slots(sub.parts[0])[0] @ lam
         slots = [first.reshape(-1, d, cols).transpose(0, 2, 1).reshape(len(first), -1)]
-        slots += [self.gns(t).quotient.embed_pairs(one, omega) for t in sub.parts[1:-1]]
+        slots += [self._slots(r)[1] for r in sub.parts[1:-1]]
         u = self.fuse(sub.parts[:-1], slots)
-        last = self.gns(sub.parts[-1]).quotient.embed_pairs(one, np.eye(d))
+        last = self._slots(sub.parts[-1])[2]
         pairs = (u.reshape(len(u), cols, d) @ last.T).transpose(0, 2, 1)
         return self.cell(sub).quotient.embed_apply(pairs.reshape(-1, cols))
+
+    def _slots(self, t: Fraction) -> tuple[np.ndarray, ...]:
+        """The slots of `_group_apply` in the GNS coupling at t, cached: the embeds of
+        (y, Omega) for every basis element y, of (1, Omega), and of (1, eta) for every eta."""
+        key = (t.numerator, t.denominator)
+        if key not in self._slot_maps:
+            q, eye = self.gns(t).quotient, np.eye(self.sf.dim)
+            one, omega = self.sf.algebra.identity().vec()[:, None], self.sf.cyclic[:, None]
+            pairs = ((eye, omega), (one, omega), (one, eye))
+            self._slot_maps[key] = tuple(q.embed_pairs(u, w) for u, w in pairs)
+        return self._slot_maps[key]
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +305,26 @@ class UnitReport:
 
 
 def unit_report(unit: Unit) -> UnitReport:
-    """Unitality, contractivity and multiplicativity defects of a unit."""
+    """Unitality, contractivity and multiplicativity defects of a unit.
+
+    Factorization compares xi_s (x) xi_t with xi_(s+t) refined into
+    cell((s, t)), one group of `refine_apply`, at every grid pair."""
     cs, sf = unit.system, unit.system.sf
     one = sf.algebra.identity()
     unital, excess, fact = 0.0, 0.0, 0.0
-    times = unit.times
+    times, keys = unit.times, list(unit.vectors)
     for t in times:
         xi = unit.vectors[t][:, None]
         elements, res, _ = inner(cs.cell(Partition((t,))), xi, xi, sf)
         m = sf.algebra.from_vec(elements[0, 0])
         unital = max(unital, (m - one).norm(), res)
         excess = max(excess, m.norm() - 1.0)
-    for s in times:
-        for t in times:
-            if (s + t) not in unit.vectors:
-                continue
-            v = cs.fuse((s, t), [unit.vectors[s][:, None], unit.vectors[t][:, None]])[:, 0]
-            w = cs.refine_apply(Partition((s, t)), Partition((s + t,)),
-                                unit.vectors[s + t][:, None])[:, 0]
-            fact = max(fact, float(np.linalg.norm(v - w)))
+    for i, j, k in sum_pairs(times, keys):
+        s, t, st = times[i], times[j], keys[k]
+        p = Partition((s, t))
+        v = cs.cell(p).quotient.embed_pairs(unit.vectors[s][:, None], unit.vectors[t][:, None])
+        w = cs._group_apply(p, st, unit.vectors[st][:, None])
+        fact = max(fact, float(np.linalg.norm(v - w)))
     return UnitReport(unital, excess, fact)
 
 
@@ -338,7 +356,7 @@ def semigroup_defect(maps: dict[Fraction, CpMap]) -> float:
     """Largest composition defect over grid pairs with representable sums."""
     times = [t for t in maps if t > 0]
     return law_defect(lambda t: maps[t].action,
-                      [(s, t) for s in times for t in times if (s + t) in maps])
+                      [(times[i], times[j]) for i, j, _ in sum_pairs(times, list(maps))])
 
 
 def span_multiplicity(g: Bimodule, xi: np.ndarray) -> np.ndarray:

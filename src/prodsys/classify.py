@@ -9,14 +9,18 @@ are cocycle equivalent exactly when their twisted systems are isomorphic.
 On a grid the solver decides it by the integer multiplicity matrices of
 the two endomorphisms at the grid step; a positive answer carries the
 matrix-unit intertwiner there, extended by the cocycle law and certified
-by the conjugation identity at every grid time.
+by the conjugation identity at every grid time.  The grid checks are
+stacked: the action matrices and cocycle values of the grid times are
+stacked once per call, the grid pairs of the law are rows of one product,
+and every defect is one batched operator norm per block size.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +31,7 @@ from .algebra import (
 )
 from .bimodule import Bimodule, BimoduleMap, extend_from_family
 from .cells import CellSystem
-from .partition import Partition
+from .partition import Partition, sum_pairs
 
 
 @dataclass
@@ -110,33 +114,49 @@ class EndomorphismReport:
 
 
 def endomorphism_report(theta: E0Semigroup, t) -> EndomorphismReport:
-    """Defects of theta_t as a unital *-map and as a product map on basis pairs.
+    """Defects of theta_t as a unital *-map and as a product map on basis pairs."""
+    mult, adjoint, unital = _endomorphism_defects(theta.algebra, theta.map_at(t)[None])
+    return EndomorphismReport(float(mult[0]), float(adjoint[0]), float(unital[0]))
 
-    The images of the matrix units are the columns of one action matrix.
-    A product of two matrix units is a matrix unit or zero and the adjoint
-    of one is another, so every defect is a batch of differences of those
-    images, measured in the largest block spectral norm.
+
+def _endomorphism_defects(alg: Algebra, actions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Multiplicative, adjoint and unital defects of each action matrix in a stack (L, d, d).
+
+    Column mu of an action matrix is the image of e_mu, so every defect is
+    a stack of coordinate differences, all measured in one `_norms`.
     """
-    alg = theta.algebra
-    d = alg.dim
-    action = theta.map_at(t)
-    units = [(b, r, c) for b, n in enumerate(alg.blocks) for r in range(n) for c in range(n)]
-    where = {u: i for i, u in enumerate(units)}
-    # prod[mu, nu]: index of the product of units mu and nu, d when it is zero
-    prod = np.array([[where[(b, r, c2)] if (b, c) == (b2, r2) else d
-                      for b2, r2, c2 in units] for b, r, c in units])
-    adj = np.array([where[(b, c, r)] for b, r, c in units])
-    images = np.hstack([action, np.zeros((d, 1))])
-    mult = adjoint = 0.0
-    for off, m in zip(alg.offsets, alg.blocks):
-        tb = images[off:off + m * m].T.reshape(d + 1, m, m)
-        mult = max(mult, np.linalg.norm(tb[prod] - tb[:d, None] @ tb[None, :d],
-                                        2, axis=(-2, -1)).max())
-        adjoint = max(adjoint, np.linalg.norm(tb[adj] - tb[:d].conj().swapaxes(1, 2),
-                                              2, axis=(-2, -1)).max())
-    one = alg.identity()
-    unital = (alg.from_vec(action @ one.vec()) - one).norm()
-    return EndomorphismReport(float(mult), float(adjoint), float(unital))
+    d, count, eye = alg.dim, len(actions), np.eye(alg.dim)
+    units = actions.transpose(0, 2, 1)  # [l, mu]: theta_l(e_mu)
+    mult = (_mul(alg, eye[:, None], eye[None]) @ units[:, None]  # theta(e_mu e_nu)
+            - _mul(alg, units[:, :, None], units[:, None]))
+    adjoint = units[:, alg.star] - units.conj()[..., alg.star]
+    one = alg.identity().vec()
+    norms = _norms(alg, np.concatenate([mult.reshape(count, d * d, d), adjoint,
+                                        (actions @ one - one)[:, None]], axis=1))
+    return norms[:, :d * d].max(axis=1), norms[:, d * d:-1].max(axis=1), norms[:, -1]
+
+
+def _mul(alg: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Products of two broadcastable stacks of algebra coordinates (..., d), block by block."""
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    out = np.empty(shape, dtype=complex)
+    for o, n in zip(alg.offsets, alg.blocks):
+        b = slice(o, o + n * n)
+        prod = x[..., b].reshape(*x.shape[:-1], n, n) @ y[..., b].reshape(*y.shape[:-1], n, n)
+        out[..., b] = prod.reshape(*shape[:-1], n * n)
+    return out
+
+
+def _norms(alg: Algebra, x: np.ndarray) -> np.ndarray:
+    """`AlgebraElement.norm` of each element of a stack of algebra coordinates (..., d),
+    with one batched SVD per block size."""
+    out = np.zeros(x.shape[:-1])
+    for n in dict.fromkeys(alg.blocks):
+        offs = [o for o, m in zip(alg.offsets, alg.blocks) if m == n]
+        b = np.stack([x[..., o:o + n * n] for o in offs], axis=-2)
+        b = b.reshape(*out.shape, len(offs), n, n)
+        out = np.maximum(out, np.linalg.norm(b, 2, axis=(-2, -1)).max(axis=-1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +225,8 @@ class EquivalenceReport:
     conjugation_defect: float
     cocycle_law_defect: float
     failures: tuple = ()
+    # for an equivalent pair, per grid time: the conjugation and unitarity defect of w_t
+    conjugation_defects: dict[Fraction, float] = field(default_factory=dict)
 
     @property
     def first_failing_time(self) -> Fraction | None:
@@ -269,10 +291,11 @@ def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
     def refused(t, reason, defect=np.inf, conj=np.inf, law=np.inf):
         return EquivalenceReport(False, None, conj, law, ((t, reason, defect),))
 
-    for t in times:
-        rep = endomorphism_report(beta, t)
-        if not rep.passed(1e-9):
-            return refused(t, "beta is not an endomorphism", rep.worst)
+    # reshaped, not stacked, here and below: an empty grid gives an empty stack
+    beta_maps = np.reshape([beta.map_at(t) for t in times], (-1, algebra.dim, algebra.dim))
+    worst = np.max(_endomorphism_defects(algebra, beta_maps), axis=0)
+    if bad := np.flatnonzero(~(worst <= 1e-9)).tolist():
+        return refused(times[bad[0]], "beta is not an endomorphism", float(worst[bad[0]]))
 
     if cocycle is None:
         rep = endomorphism_report(alpha, delta)
@@ -290,18 +313,15 @@ def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
     else:
         w = {Fraction(t): v for t, v in cocycle.items()}
 
-    conj_defect = 0.0
-    for t in times:
-        if t not in w:
-            return refused(t, "cocycle has no value at grid time")
-        wt = w[t]
-        worst = max(np.linalg.norm(b.conj().T @ b - np.eye(b.shape[0]), 2) for b in wt.mats)
-        ws = wt.adjoint()
-        for x in algebra.basis():
-            worst = max(worst, (beta.apply(t, x) - ws * alpha.apply(t, x) * wt).norm())
-        conj_defect = max(conj_defect, worst)
-        if worst > tol:
-            return refused(t, "conjugation identity fails", worst, conj=conj_defect)
+    given = list(takewhile(w.__contains__, times))  # up to the first time without a value
+    conj = _conjugation_defects(alpha, beta, w, given)
+    running = np.maximum.accumulate(conj)  # the worst defect up to each time
+    if bad := np.flatnonzero(conj > tol).tolist():
+        return refused(given[bad[0]], "conjugation identity fails", float(conj[bad[0]]),
+                       conj=float(running[bad[0]]))
+    if len(given) < len(times):
+        return refused(times[len(given)], "cocycle has no value at grid time")
+    conj_defect = float(running.max(initial=0.0))
 
     defects = cocycle_law_defects(alpha, w, times)
     law = max(defects.values(), default=0.0)
@@ -309,18 +329,39 @@ def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
         first = min(st for st, d in defects.items() if d > tol)
         return refused(first, "cocycle law fails", law, conj=conj_defect, law=law)
 
-    return EquivalenceReport(True, w, conj_defect, law)
+    return EquivalenceReport(True, w, conj_defect, law,
+                             conjugation_defects=dict(zip(times, conj.tolist())))
+
+
+def _conjugation_defects(alpha: E0Semigroup, beta: E0Semigroup, w: dict,
+                         times: Sequence[Fraction]) -> np.ndarray:
+    """Per time t, the largest of ||w_t* w_t - 1|| and ||beta_t(e_mu) - w_t* alpha_t(e_mu) w_t||
+    over the basis, in one stack; column mu of an action matrix is the image of e_mu."""
+    alg, d = alpha.algebra, alpha.algebra.dim
+    a, b = (np.reshape([theta.map_at(t) for t in times], (-1, d, d)).transpose(0, 2, 1)
+            for theta in (alpha, beta))
+    wt = np.reshape([w[t].vec() for t in times], (-1, d))
+    ws = wt.conj()[:, alg.star]
+    unitary = _mul(alg, ws, wt) - alg.identity().vec()
+    moved = _mul(alg, _mul(alg, ws[:, None], a), wt[:, None])
+    return _norms(alg, np.concatenate([unitary[:, None], b - moved], axis=1)).max(axis=1)
 
 
 def cocycle_law_defects(theta: E0Semigroup, w: dict, times) -> dict[Fraction, float]:
-    """Worst defect of w(s + t) = theta_t(w(s)) w(t) per sum s + t at which w is given."""
-    out: dict[Fraction, float] = {}
-    for s in times:
-        for t in times:
-            if (s + t) in w:
-                d = (w[s + t] - theta.apply(t, w[s]) * w[t]).norm()
-                out[s + t] = max(out.get(s + t, 0.0), d)
-    return out
+    """Worst defect of w(s + t) = theta_t(w(s)) w(t) per sum s + t at which w is given,
+    over every grid pair (`partition.sum_pairs`) at once; sums in pair order."""
+    alg, keys = theta.algebra, list(w)
+    pairs = sum_pairs(times, keys)
+    if not pairs:
+        return {}
+    i, j, k = np.array(pairs).T
+    vecs = np.stack([w[t].vec() for t in times])
+    maps = np.stack([theta.map_at(t) for t in times])
+    moved = _mul(alg, (maps[j] @ vecs[i][..., None])[..., 0], vecs[j])
+    total = np.stack([w[t].vec() for t in keys])[k]
+    worst = np.zeros(len(keys))
+    np.maximum.at(worst, k, _norms(alg, total - moved))
+    return {keys[m]: float(worst[m]) for m in dict.fromkeys(k.tolist())}
 
 
 def unit_to_cocycle(theta: E0Semigroup, xi: dict,

@@ -360,11 +360,8 @@ def suite_classify(cfg: ExperimentConfig) -> Report:
     res = cocycle_equivalence(alpha, beta, cfg.delta, cfg.levels, tol=cfg.tol(1e-9))
     rep.add("perturbed-pair", "cocycle-equivalence",
             res.conjugation_defect if res.equivalent else np.inf, cfg.tol(1e-9))
-    if res.equivalent:
-        for t, wt in sorted(res.cocycle.items()):
-            worst = max((beta.apply(t, x) - wt.adjoint() * alpha.apply(t, x) * wt).norm()
-                        for x in alg.basis())
-            rep.add(f"conjugation[{t}]", "cocycle-equivalence", worst, cfg.tol(1e-9))
+    for t, worst in sorted(res.conjugation_defects.items()):
+        rep.add(f"conjugation[{t}]", "cocycle-equivalence", worst, cfg.tol(1e-9))
     res_rev = cocycle_equivalence(beta, alpha, cfg.delta, cfg.levels, tol=cfg.tol(1e-9))
     rep.add("symmetric", "cocycle-equivalence",
             0.0 if res_rev.equivalent == res.equivalent else np.inf, 0.5)

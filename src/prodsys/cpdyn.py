@@ -134,13 +134,15 @@ def evaluate(sg: CpSemigroup, t) -> CpMap:
 def law_defect(action_at: Callable[[Any], np.ndarray], pairs: Iterable[tuple]) -> float:
     """Largest defect of action(s) action(t) = action(s + t) over the time pairs.
 
-    Defects are spectral norms of coordinate matrices; no pairs give zero.
+    Defects are spectral norms of coordinate matrices, one batched norm over
+    the stacked pairs; no pairs give zero.
     """
-    return max(
-        (float(np.linalg.norm(action_at(s) @ action_at(t) - action_at(s + t), 2))
-         for s, t in pairs),
-        default=0.0,
-    )
+    pairs = list(pairs)
+    if not pairs:
+        return 0.0
+    first, second, total = (np.stack([action_at(x) for x in times])
+                            for times in zip(*[(s, t, s + t) for s, t in pairs]))
+    return float(np.linalg.norm(first @ second - total, 2, axis=(-2, -1)).max())
 
 
 # ---------------------------------------------------------------------------

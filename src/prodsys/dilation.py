@@ -55,7 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraElement, lmult_matrix
-from .bimodule import Bimodule, extension, frame_weights, pi_phi, relative_tensor
+from .bimodule import Bimodule, extension, pi_phi, relative_tensor
 from .cells import CellSystem, Unit, span_multiplicity
 from .cpdyn import evaluate
 from .partition import Partition, uniform
@@ -96,7 +96,7 @@ class TruncatedLimit:
         vectors = unit_level_vectors(self, unit)
         self.unit_level: list[np.ndarray] = [vectors[t] for t in times]
         self._embed: dict[tuple[int, int], np.ndarray] = {}
-        zinv = self.sf.algebra.diagonal([1.0 / w for w in frame_weights(self.sf)])
+        zinv = self.sf.algebra.diagonal(1.0 / self.sf.frame_weights)
         # right action of z^-1 on each level an argument of `dilate` can live on
         self.frame_inverse: list[np.ndarray] = [s.right_matrix(zinv) for s in self.spaces[:-1]]
 
@@ -184,17 +184,17 @@ def represent(tl: TruncatedLimit, x: AlgebraElement) -> TruncatedOperator:
     return TruncatedOperator(tl, 0, lmult_matrix(x))
 
 
-def _amplification(tl: TruncatedLimit, t, op: TruncatedOperator):
-    """(target level, cut, Y) with theta_t(op) = C (Y (x) 1) C* at the target.
+def _amplification(tl: TruncatedLimit, k: int, op: TruncatedOperator):
+    """(target level, cut, Y) with theta_(k delta)(op) = C (Y (x) 1) C* at the target.
 
     C is the collapse of the target cell at the cut, the argument's level,
     and Y = op R(z^-1); the target must stay inside the tower.
     """
-    target = op.level + tl.grid_index(t)
+    target = op.level + k
     if target > tl.levels:
         max_t = (tl.levels - op.level) * tl.delta
         raise TruncationError(
-            f"dilating a level-{op.level} operator by {t} exceeds the horizon, "
+            f"dilating a level-{op.level} operator by {k * tl.delta} exceeds the horizon, "
             f"max admissible {max_t}",
             max_time=max_t,
         )
@@ -220,14 +220,15 @@ def dilate(tl: TruncatedLimit, t, op: TruncatedOperator) -> TruncatedOperator:
 
     theta_t(op) = C ((op R_k(z^-1)) (x) 1) C*, with k the argument's support
     level, C the collapse of cell k + t / delta at its k-th part and z from
-    `frame_weights` (see the module docstring for the frame argument).  The
-    dense result is `_amplify` applied to the identity.  The argument's
-    support level moves up by t / delta; the result is only defined while
-    that stays inside the tower.
+    `StandardForm.frame_weights` (see the module docstring for the frame
+    argument).  The dense result is `_amplify` applied to the identity.  The
+    argument's support level moves up by t / delta; the result is only
+    defined while that stays inside the tower.
     """
-    if tl.grid_index(t) == 0:
+    k = tl.grid_index(t)
+    if k == 0:
         return op
-    target, cut, y = _amplification(tl, t, op)
+    target, cut, y = _amplification(tl, k, op)
     eye = np.eye(tl.spaces[target].dim, dtype=complex)
     return TruncatedOperator(tl, target, _amplify(tl, target, cut, y, eye))
 
@@ -239,7 +240,7 @@ def compression_defect(tl: TruncatedLimit, t, x: AlgebraElement) -> float:
     applied to the d columns of k0, so neither the top-level matrix of
     theta_t(x) nor C is built.
     """
-    target, cut, y = _amplification(tl, t, represent(tl, x))
+    target, cut, y = _amplification(tl, tl.grid_index(t), represent(tl, x))
     k0 = tl.embed_matrix(target, 0)
     compressed = k0.conj().T @ _amplify(tl, target, cut, y, k0)
     expected = lmult_matrix(evaluate(tl.system.semigroup, t)(x))
@@ -337,25 +338,28 @@ class Cocycle:
         U1 = theta_t(w_s) E b_t and V1 = E k0_t (E the embedding of level
         k(t)), and U2 V2* with U2 = b_(s+t) and V2 the corner embedding.
         With [V1, V2] = Q R, the spectral norm of U1 V1* - U2 V2* is that of
-        [U1, -U2] R*, which has 2d columns.
+        [U1, -U2] R*, which has 2d columns.  The grid levels are read once per
+        time, and both collapse steps of a pair come from one cached extension
+        (`CellSystem.apply_collapse`).
         """
         tl = self.tl
         worst = 0.0
         times = sorted(t for t in self.maps if t > 0)
-        for s in times:
+        levels = [tl.grid_index(t) for t in times]
+        at_level = dict(zip(levels, times))
+        for s, ks in zip(times, levels):
             ws = self.value(s)
-            for t in times:
-                kt = tl.grid_index(t)
-                if ws.level + kt > tl.levels:
+            for t, kt in zip(times, levels):
+                if ks + kt > tl.levels:
                     break
-                if s + t not in self.maps:
+                if ks + kt not in at_level:
                     continue
-                lvl, cut, y = _amplification(tl, t, ws)
+                lvl, cut, y = _amplification(tl, kt, ws)
                 e = tl.embed_matrix(lvl, kt)
                 u1 = _amplify(tl, lvl, cut, y, e @ self.maps[t])
                 v1 = e @ tl.embed_matrix(kt, 0)
                 r = np.linalg.qr(np.hstack([v1, tl.embed_matrix(lvl, 0)]), mode="r")
-                diff = np.hstack([u1, -self.maps[s + t]]) @ r.conj().T
+                diff = np.hstack([u1, -self.maps[at_level[lvl]]]) @ r.conj().T
                 worst = max(worst, float(np.linalg.norm(diff, 2)))
         return worst
 

@@ -4,15 +4,19 @@ A partition is an ordered tuple of positive rationals; its total is their
 sum.  The join of two partitions is concatenation, which partitions the sum
 of the totals.  A partition p refines q (same total) when the parts of p
 group consecutively, with exact sums, into the parts of q.  Refinement is
-decided exactly, which is why parts are `Fraction`s and never floats.
+decided exactly, which is why parts are `Fraction`s and never floats; it
+and the grid pairs of a semigroup law (`sum_pairs`) are decided on integer
+numerators over a common denominator, with no `Fraction` sum.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -69,19 +73,17 @@ def join(p: Partition, q: Partition) -> Partition:
 
 
 def _groups(p: Partition, q: Partition) -> list[Partition] | None:
-    """Consecutive sub-partitions of p summing to the parts of q, or None if there are none."""
-    if p.total != q.total:
+    """Consecutive sub-partitions of p summing to the parts of q, or None if there are none:
+    p refines q when every cumulative sum of q, over the keys' common denominator, is one of p."""
+    den = math.lcm(*(d for _, d in p.key + q.key))
+    cp, cq = (list(accumulate(n * (den // d) for n, d in x.key)) for x in (p, q))
+    if cp[-1:] != cq[-1:]:
         raise ValueError(f"totals differ: {p.total} vs {q.total}")
-    out, i = [], 0
-    for target in q.parts:
-        acc, start = Fraction(0), i
-        while acc < target:  # with equal totals of positive parts, p never runs out here
-            acc += p.parts[i]
-            i += 1
-        if acc != target:
-            return None
-        out.append(Partition(p.parts[start:i]))
-    return out
+    ends = {c: i + 1 for i, c in enumerate(cp)}
+    if any(c not in ends for c in cq):
+        return None
+    cuts = [0] + [ends[c] for c in cq]
+    return [Partition(p.parts[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def refines(p: Partition, q: Partition) -> bool:
@@ -126,3 +128,14 @@ def coarsenings(p: Partition) -> list[Partition]:
         parts.append(acc)
         out.append(Partition(tuple(parts)))
     return out
+
+
+def sum_pairs(times: Sequence, targets: Sequence) -> list[tuple[int, int, int]]:
+    """Index triples (i, j, k) with times[i] + times[j] == targets[k], i major then j: the
+    grid pairs of a semigroup law, summed over the common denominator of all the times."""
+    keys = [[(t.numerator, t.denominator) for t in map(Fraction, ts)] for ts in (times, targets)]
+    den = math.lcm(*(d for key in keys for _, d in key))
+    nums, sums = ([n * (den // d) for n, d in key] for key in keys)
+    at = {n: k for k, n in enumerate(sums)}
+    return [(i, j, at[a + b])
+            for i, a in enumerate(nums) for j, b in enumerate(nums) if a + b in at]

@@ -15,6 +15,7 @@ from prodsys.cpdyn import (
 )
 from prodsys.dilation import TruncatedOperator
 from prodsys.heatmarkov import _kept_path_weights
+from prodsys.partition import Partition
 
 SEED = 20250808
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -151,6 +152,56 @@ def cell_target_elementary(cs, unit, parts):
     last = cs.gns(parts[-1])
     slots[-1] = np.einsum("yab,bx->axy", dense_right(last), slots[-1]).reshape(last.dim, -1)
     return cs.fuse(parts, slots)
+
+
+def loop_law_defect(action_at, pairs):
+    """Semigroup law defect, one spectral norm per pair: the reference for `cpdyn.law_defect`."""
+    return max((float(np.linalg.norm(action_at(s) @ action_at(t) - action_at(s + t), 2))
+                for s, t in pairs), default=0.0)
+
+
+def loop_cocycle_law_defects(theta, w, times):
+    """Cocycle law per sum s + t, one algebra product per pair: the reference for
+    `classify.cocycle_law_defects`."""
+    out = {}
+    for s in times:
+        for t in times:
+            if (s + t) in w:
+                d = (w[s + t] - theta.apply(t, w[s]) * w[t]).norm()
+                out[s + t] = max(out.get(s + t, 0.0), d)
+    return out
+
+
+def loop_conjugation_defect(alpha, beta, wt, t):
+    """Unitarity and conjugation defect of w_t, one basis element at a time."""
+    worst = max(np.linalg.norm(b.conj().T @ b - np.eye(b.shape[0]), 2) for b in wt.mats)
+    for x in alpha.algebra.basis():
+        worst = max(worst, (beta.apply(t, x) - wt.adjoint() * alpha.apply(t, x) * wt).norm())
+    return worst
+
+
+def loop_factorization_defect(unit):
+    """Unit factorization per grid pair through `fuse` and `refine_apply`: the reference
+    for `cells.unit_report`."""
+    cs, worst = unit.system, 0.0
+    for s in unit.times:
+        for t in unit.times:
+            if (s + t) in unit.vectors:
+                v = cs.fuse((s, t), [unit.vectors[s][:, None], unit.vectors[t][:, None]])
+                w = cs.refine_apply(Partition((s, t)), Partition((s + t,)),
+                                    unit.vectors[s + t][:, None])
+                worst = max(worst, float(np.linalg.norm(v - w)))
+    return worst
+
+
+def dense_bilinear_defect(f):
+    """Bilinearity defect of a map from dense left and right action matrices, per basis
+    element: the reference for `bimodule.verify_map`."""
+    m = f.matrix
+    return float(max(max(
+        np.linalg.norm(m @ f.source.left[i] - f.target.left[i] @ m, 2),
+        np.linalg.norm(m @ f.source.right_matrix(x) - f.target.right_matrix(x) @ m, 2))
+        for i, x in enumerate(f.source.algebra.basis())))
 
 
 def corner_projection(tl):

@@ -19,6 +19,7 @@ from prodsys.algebra import (
     uniform_state,
 )
 from prodsys.bimodule import (
+    Bimodule,
     BimoduleMap,
     NotCompletelyPositiveError,
     gns_tensor,
@@ -45,7 +46,8 @@ from prodsys.heatmarkov import make_model
 from prodsys.partition import Partition, uniform
 
 from conftest import (
-    SEED, dense_maps, dense_right, load_module, mixed_semigroup, random_element, random_hermitian,
+    SEED, dense_bilinear_defect, dense_maps, dense_right, load_module, mixed_semigroup,
+    random_element, random_hermitian,
 )
 
 
@@ -778,3 +780,38 @@ def test_l2_left_action_is_the_read_only_cached_stack(pair):
     with pytest.raises(ValueError, match="read-only"):
         l2.left[0, 0, 0] = 1.0
     assert np.array_equal(sf.lmult_basis[0], lmult_matrix(next(iter(sf.algebra.basis()))))
+
+
+@pytest.mark.parametrize("system", ["pair", "mixed", "m2_lindblad"])
+def test_verify_map_bilinearity_matches_the_dense_route(request, system, rng, monkeypatch):
+    sg, sf = mixed_semigroup() if system == "mixed" else request.getfixturevalue(system)
+    cs = CellSystem(sg, sf)
+    a = cs.refinement(uniform(Fraction(1, 2), 3), uniform(Fraction(1, 2), 1))
+    shape = a.matrix.shape
+    bent = BimoduleMap(a.source, a.target, a.matrix + 0.1 * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    for f in (a, bent):
+        want = dense_bilinear_defect(f)
+        with monkeypatch.context() as m:  # the right parts are applied, never placed
+            m.setattr(Bimodule, "right_matrix", lambda *args: pytest.fail("right_matrix formed"))
+            got = verify_map(f, bilinear=True).bilinear_defect
+        assert abs(got - want) <= 1e-13 * max(1.0, want)
+    assert want > 0.01
+
+
+def test_frame_weights_are_kept_once_per_standard_form(monkeypatch):
+    sg, sf = mixed_semigroup()
+    weights = sf.frame_weights
+    assert np.allclose(weights, [np.trace(np.linalg.inv(d)).real for d in sf.state.density],
+                       rtol=1e-14)
+    assert sf.frame_weights is weights and not weights.flags.writeable
+    inverses, inv = [], np.linalg.inv
+
+    def counting_inv(m):
+        inverses.append(m)
+        return inv(m)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    cs = CellSystem(sg, sf)
+    assert cs.cell(uniform(1, 3)).dim > 0  # two relative tensors, no density inverted
+    assert inverses == []

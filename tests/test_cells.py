@@ -29,6 +29,7 @@ from conftest import (
     dense_maps,
     dense_right,
     left_materialization,
+    loop_factorization_defect,
     mixed_semigroup,
     unit_system_isomorphism,
 )
@@ -716,3 +717,34 @@ def test_cached_cell_actions_are_read_only(pair_system):
     for x in cs.gns(Fraction(1, 2)).right_multiplicity:
         with pytest.raises(ValueError, match="read-only"):
             x[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("system,p", COLLAPSE_CASES)
+def test_collapse_steps_give_the_same_bits_cold_and_cached(request, system, p, rng):
+    # every extension step of p cached on one system; each query on the
+    # other is the first on a fresh system, which builds what it reads
+    sg, sf = _system(request, system)
+    warm = CellSystem(sg, sf)
+    for a in range(len(p) + 1):
+        warm.collapse(p, a)
+    for a in range(len(p) + 1):
+        rows = [warm.cell(q).dim for q in (Partition(p.parts[:a]), Partition(p.parts[a:]))]
+        for adjoint, n in ((False, rows[0] * rows[1]), (True, warm.cell(p).dim)):
+            x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            cold = CellSystem(sg, sf).apply_collapse(p, a, x, adjoint=adjoint)
+            assert np.array_equal(warm.apply_collapse(p, a, x, adjoint=adjoint), cold), (a, adjoint)
+        assert np.array_equal(warm.collapse(p, a), CellSystem(sg, sf).collapse(p, a)), a
+
+
+@pytest.mark.parametrize("system,delta,levels", [
+    ("pair", Fraction(1, 8), 8), ("mixed", Fraction(1, 4), 3), ("m2_lindblad", Fraction(1, 4), 2)])
+def test_unit_factorization_matches_the_pair_loop(request, system, delta, levels):
+    cs = CellSystem(*_system(request, system))
+    unit = canonical_unit(cs, [k * delta for k in range(levels + 1)])
+    assert abs(unit_report(unit).factorization_defect - loop_factorization_defect(unit)) < 1e-13
+    # xi negated at 2 delta: every level stays a unit vector, and the pairs
+    # whose sum or part is 2 delta break
+    flipped = Unit(cs, {**unit.vectors, 2 * delta: -unit.vectors[2 * delta]})
+    fact = unit_report(flipped).factorization_defect
+    assert fact > 1.0
+    assert abs(fact - loop_factorization_defect(flipped)) <= 1e-13 * fact

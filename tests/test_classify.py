@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import numpy as np
+import numpy.linalg._linalg as linalg_impl
 import pytest
 import scipy.linalg
 
@@ -15,8 +17,11 @@ from prodsys.algebra import (
 )
 from prodsys.bimodule import verify_map
 from prodsys.cells import CellSystem
+from prodsys.cli import load_config, suite_classify
 from prodsys.classify import (
     E0Semigroup,
+    _conjugation_defects,
+    _endomorphism_defects,
     block_permutation_semigroup,
     canonical_iso,
     cocycle_equivalence,
@@ -33,7 +38,16 @@ from prodsys.classify import (
 from prodsys.cpdyn import evaluate, law_defect, semigroup_from_generator, unitary_conjugation_generator
 from prodsys.partition import Partition, join, partition
 
-from conftest import left_materialization, random_hermitian, random_state, twisted_cp_defect
+from conftest import (
+    left_materialization,
+    load_module,
+    loop_cocycle_law_defects,
+    loop_conjugation_defect,
+    random_element,
+    random_hermitian,
+    random_state,
+    twisted_cp_defect,
+)
 
 
 @pytest.fixture
@@ -227,7 +241,7 @@ def test_equivalence_backward_mode_with_declared_cocycle(rng):
     assert rep.cocycle_law_defect < 1e-9
 
 
-def test_declared_cocycle_breaking_the_law_is_not_equivalent():
+def test_declared_cocycle_breaking_the_law_is_not_equivalent(rng):
     # w(2 delta) = diag(1, -1) conjugates like 1, but alpha_delta(w(delta)) w(delta) = 1
     alg = make_algebra([1, 1])
     ident = identity_semigroup(alg)
@@ -238,6 +252,106 @@ def test_declared_cocycle_breaking_the_law_is_not_equivalent():
     assert rep.first_failing_time == 2 * delta
     assert rep.failures[0][1] == "cocycle law fails"
     assert rep.cocycle_law_defect == pytest.approx(2.0)
+    # a certified cocycle of two inner semigroups with its value at 3 delta
+    # negated: it still conjugates, and the law breaks first at the pairs
+    # summing to 3 delta, as the per-pair loop finds
+    alg = make_algebra([2])
+    alpha, beta = (inner_semigroup(alg, random_hermitian(alg, rng)) for _ in range(2))
+    good = cocycle_equivalence(alpha, beta, delta, 6)
+    assert good.equivalent
+    w = {**good.cocycle, 3 * delta: -1 * good.cocycle[3 * delta]}
+    rep = cocycle_equivalence(alpha, beta, delta, 6, cocycle=w)
+    oracle = loop_cocycle_law_defects(alpha, w, [k * delta for k in range(1, 7)])
+    assert not rep.equivalent
+    assert rep.failures[0][1] == "cocycle law fails"
+    assert rep.first_failing_time == min(t for t, d in oracle.items() if d > 1e-9) == 3 * delta
+    assert rep.cocycle_law_defect == pytest.approx(max(oracle.values()), rel=1e-13)
+    assert rep.conjugation_defect == pytest.approx(good.conjugation_defect, abs=1e-13)
+
+
+def grid_pair(name, delta, rng):
+    """(algebra, alpha, beta) of a cocycle-equivalent pair: two inner semigroups
+    on the named blocks, or the block swap with itself."""
+    if name == "swap":
+        alg = make_algebra([1, 1])
+        swap = block_permutation_semigroup(alg, (1, 0), delta)
+        return alg, swap, swap
+    alg = make_algebra(name)
+    return (alg, *(inner_semigroup(alg, random_hermitian(alg, rng)) for _ in range(2)))
+
+
+@pytest.mark.parametrize("name", [[2], [3], [1, 2], "swap"])
+def test_stacked_grid_checks_match_the_pair_loops(name, rng):
+    delta, levels = Fraction(1, 4), 6
+    times = [k * delta for k in range(1, levels + 1)]
+    alg, alpha, beta = grid_pair(name, delta, rng)
+    rep = cocycle_equivalence(alpha, beta, delta, levels)
+    assert rep.equivalent
+    assert list(rep.conjugation_defects) == times
+    # the certified cocycle, and random values that break both identities
+    noise = {t: random_element(alg, rng) for t in times}
+    for w in (rep.cocycle, noise):
+        got = cocycle_law_defects(alpha, w, times)
+        want = loop_cocycle_law_defects(alpha, w, times)
+        assert list(got) == list(want)
+        for t, d in want.items():
+            assert abs(got[t] - d) <= 1e-13 * max(1.0, d), t
+        for t, d in zip(times, _conjugation_defects(alpha, beta, w, times)):
+            ref = loop_conjugation_defect(alpha, beta, w[t], t)
+            assert abs(d - ref) <= 1e-13 * max(1.0, ref), t
+    for t, d in rep.conjugation_defects.items():
+        assert abs(d - loop_conjugation_defect(alpha, beta, rep.cocycle[t], t)) <= 1e-13
+    # the endomorphism defects of every grid time at once, and of a family
+    # that is no endomorphism at any of them
+    generic = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
+    bent = E0Semigroup(alg, lambda t: beta.map_at(t) + float(t) * generic)
+    for theta in (beta, bent):
+        got = np.array(_endomorphism_defects(alg, np.stack([theta.map_at(t) for t in times])))
+        for t, g in zip(times, got.T):
+            want = loop_endomorphism_defects(theta, t)
+            assert np.allclose(g, want, rtol=1e-12, atol=1e-13), (t, g, want)
+    assert min(want) > 0.1
+
+
+def test_refusals_keep_grid_order_around_a_missing_time(rng):
+    delta = Fraction(1, 4)
+    alg, alpha, beta = grid_pair([2], delta, rng)
+    w = dict(cocycle_equivalence(alpha, beta, delta, 4).cocycle)
+    del w[3 * delta]
+    rep = cocycle_equivalence(alpha, beta, delta, 4, cocycle=w)
+    assert rep.failures[0][:2] == (3 * delta, "cocycle has no value at grid time")
+    # a value that no longer conjugates, before the missing time, is refused first
+    w[2 * delta] = w[2 * delta] * alg.element([np.diag([1.0, -1.0])])
+    rep = cocycle_equivalence(alpha, beta, delta, 4, cocycle=w)
+    assert rep.failures[0][:2] == (2 * delta, "conjugation identity fails")
+    want = loop_conjugation_defect(alpha, beta, w[2 * delta], 2 * delta)
+    assert rep.conjugation_defect == pytest.approx(want, rel=1e-13)
+    assert want > 0.1
+    # an empty grid stacks nothing and refuses nothing
+    rep = cocycle_equivalence(alpha, beta, delta, 0, cocycle={})
+    assert (rep.equivalent, rep.conjugation_defect, rep.cocycle_law_defect) == (True, 0.0, 0.0)
+
+
+def test_classify_suite_takes_a_handful_of_svds(monkeypatch, tmp_path):
+    # the grid checks of the pair_tower config (16 levels) are stacked: one
+    # batched SVD per check and block size, where one per pair and basis
+    # element took 668
+    workloads = load_module(monkeypatch, "workloads")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workloads.WORKLOADS["pair_tower"](307)))
+    cfg = load_config(str(path), 307, 1.0)
+    calls, svd = [], linalg_impl.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_impl, "svd", counting_svd)  # the one np.linalg.norm calls
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rep = suite_classify(cfg)
+    assert rep.passed
+    assert len([c for c in rep.checks if c.check_id.startswith("conjugation[")]) == 16
+    assert 0 < len(calls) <= 12
 
 
 def test_cocycle_law_defect_at_a_sum_is_the_worst_pair(rng):

@@ -17,7 +17,7 @@ from prodsys.cpdyn import (
     verify_ucp,
 )
 
-from conftest import random_element, random_hermitian
+from conftest import loop_law_defect, mixed_semigroup, random_element, random_hermitian
 
 
 def test_stochastic_pair_closed_form():
@@ -175,3 +175,22 @@ def test_commutative_semigroup_is_row_stochastic():
         action = evaluate(sg, t).action.real
         assert np.abs(action @ np.ones(2) - np.ones(2)).max() < 1e-12
         assert action.min() > -1e-12
+
+
+@pytest.mark.parametrize("system", ["pair", "mixed", "m2_lindblad"])
+def test_stacked_law_defect_matches_the_pair_loop(request, system):
+    sg, _ = mixed_semigroup() if system == "mixed" else request.getfixturevalue(system)
+    grid = [Fraction(k, 8) for k in range(1, 9)]
+    pairs = [(s, t) for s in grid for t in grid if s + t <= 1]
+
+    def exact(t):
+        return evaluate(sg, t).action
+
+    def bent(t):  # no semigroup: the law fails at every pair
+        return (1 + float(t) ** 2) * exact(t)
+
+    for action_at in (exact, bent):
+        want = loop_law_defect(action_at, pairs)
+        assert abs(law_defect(action_at, pairs) - want) <= 1e-13 * max(1.0, want)
+    assert want > 0.1
+    assert law_defect(exact, []) == 0.0

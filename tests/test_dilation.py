@@ -22,7 +22,6 @@ from prodsys.dilation import (
     continuity_profile,
     corner_isometry_defect,
     dilate,
-    frame_weights,
     minimality_evidence,
     represent,
     unit_from_cocycle,
@@ -152,7 +151,7 @@ def test_dilate_corner_unit_stays_identity(request):
     # theta(1) = 1 from every level, at a tolerance scaled by the frame weights
     for system, levels in TOWERS:
         tl, _, _ = tower(request, system, levels)
-        scale = max(frame_weights(tl.sf))
+        scale = max(tl.sf.frame_weights)
         for level in range(tl.levels):
             one = TruncatedOperator(tl, level, np.eye(tl.spaces[level].dim, dtype=complex))
             for j in range(1, tl.levels - level + 1):
@@ -184,7 +183,7 @@ def test_dilate_matches_relative_tensor_formula(m2_lindblad):
 def test_frame_sum_is_right_action_of_center(request, system, levels):
     # Psi_k = sum_a L_{e_a} L_{e_a}* over the coordinate basis of each level
     tl, _, _ = tower(request, system, levels)
-    weights = frame_weights(tl.sf)
+    weights = tl.sf.frame_weights
     z = tl.sf.algebra.diagonal(weights)
     for space in tl.spaces:
         maps = np.stack([pi_phi(space, e, tl.sf) for e in np.eye(space.dim)])
@@ -199,7 +198,7 @@ def test_frame_inverse_assembles_no_right_stack(request, system, levels):
     # through the pair space, E (I (x) R_k(x)) L
     tl, _, _ = tower(request, system, levels)
     assert all(space.right is None for space in tl.spaces[1:])
-    zinv = tl.sf.algebra.diagonal([1.0 / w for w in frame_weights(tl.sf)])
+    zinv = tl.sf.algebra.diagonal(1.0 / tl.sf.frame_weights)
     for space, got in zip(tl.spaces, tl.frame_inverse):
         assert np.array_equal(got, space.right_matrix(zinv))
     for k, space in enumerate(tl.spaces[1:], 1):
@@ -235,7 +234,7 @@ def test_corner_maps_of_a_deep_tower_stay_small(monkeypatch, tmp_path):
 def test_dilated_representation_is_left_action(request, system, levels):
     # theta_t(pi(x)) is the left action of x on the level-t space
     tl, _, _ = tower(request, system, levels)
-    scale = max(frame_weights(tl.sf))
+    scale = max(tl.sf.frame_weights)
     for k in range(tl.levels + 1):
         for x in tl.sf.algebra.basis():
             got = dilate(tl, k * tl.delta, represent(tl, x))
@@ -587,3 +586,19 @@ def test_minimality_needs_the_unit_law(pair):
     tl = TruncatedLimit(cs, unit, delta, 3)
     with pytest.raises(ValueError, match="unit law fails at level 2"):
         minimality_evidence(tl)
+
+
+def test_cocycle_law_builds_one_extension_per_target_and_cut(pair, monkeypatch):
+    # theta_t(w_s) applies C* and C of one collapse step: the step is built
+    # once, where each application had built its own
+    tl, _, unit = make_tl(pair, levels=6)
+    w = cocycle_from_unit(tl, unit)
+    built, extension = [], prodsys.cells.extension
+
+    def counting_extension(e, x, sub):
+        built.append((id(e), id(sub)))  # one cell per target, one suffix cell per cut
+        return extension(e, x, sub)
+
+    monkeypatch.setattr(prodsys.cells, "extension", counting_extension)
+    assert w.law_defect() < 1e-9
+    assert built and len(built) == len(set(built))

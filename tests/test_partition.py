@@ -12,6 +12,7 @@ from prodsys.partition import (
     parse_partition,
     partition,
     refines,
+    sum_pairs,
     uniform,
 )
 
@@ -95,3 +96,36 @@ def test_exactness_of_dyadic_chain():
     for fine, coarse in zip(chain[1:], chain[:-1]):
         assert refines(fine, coarse)
     assert refines(chain[-1], chain[0])
+
+
+def test_grouping_decides_unlike_denominators_on_integer_keys(monkeypatch):
+    p = partition(["1/3", "1/6", "1/2"])
+    halves = partition(["1/2", "1/2"])
+    eps = Fraction(1, 10**12)
+    near = Partition((Fraction(1, 3), Fraction(1, 6) - eps, Fraction(1, 2) + eps))
+    sums = []
+
+    def counting_add(self, other, _add=Fraction.__add__):
+        sums.append(self)
+        return _add(self, other)
+
+    monkeypatch.setattr(Fraction, "__add__", counting_add)
+    assert grouping(p, halves) == [partition(["1/3", "1/6"]), partition(["1/2"])]
+    assert refines(p, partition([1]))
+    assert not refines(near, halves)  # equal totals, no cut at 1/2
+    assert sums == []  # decided on the (num, den) keys, with no Fraction sum
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="does not refine"):
+        grouping(near, halves)
+    with pytest.raises(ValueError, match="totals differ"):
+        grouping(p, Partition((Fraction(1, 2), Fraction(1, 2) + eps)))
+
+
+def test_sum_pairs_finds_every_exact_grid_sum():
+    times = [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2), Fraction(1, 10**9)]
+    targets = [Fraction(2, 3), Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(0)]
+    want = [(i, j, targets.index(s + t)) for i, s in enumerate(times)
+            for j, t in enumerate(times) if s + t in targets]
+    assert sum_pairs(times, targets) == want
+    assert (0, 1, 1) in want and (1, 0, 1) in want  # 1/3 + 1/6 = 1/2, both orders
+    assert sum_pairs([], targets) == [] and sum_pairs(times, []) == []
