@@ -34,15 +34,17 @@ right action has one form, parts (kk, R) with right(y) = (+) I_kk (x) R(y)
 (`Bimodule.right_parts`): a quotient reads its parts off its right
 factor's multiplicity spaces and carries no right stack, and readers
 apply the parts to their own vectors (`Bimodule.right_apply`).  The left
-action stack, and the multiplicity decompositions of the two actions,
-are computed each on its first read and cached read-only.
+action is the mirror, parts (A, m) with left(x) = (+) A(x) (x) I_m
+(`Bimodule.left_parts`, applied by `Bimodule.left_apply`): a quotient
+reads its parts off its left factor's parts and carries no left stack.
+The left parts of a quotient, and the multiplicity decompositions of the
+two actions, are computed each on its first read and cached read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -65,30 +67,6 @@ class NotCompletelyPositiveError(ValueError):
     """Raised for a negative Gram eigenvalue, or a right action that is no module's."""
 
 
-class _OnFirstRead:
-    """Dataclass field holding an array, or a function that assembles it.
-
-    The function runs on the first read; its array replaces it on the
-    instance, read-only.  The field is required.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        value = obj.__dict__[self.name]
-        if callable(value):
-            value = value()
-            value.flags.writeable = False
-            obj.__dict__[self.name] = value
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class Quotient:
     """Per-block factors of the quotient of the kron pairs of h and k.
@@ -99,15 +77,21 @@ class Quotient:
     rows q_i.  Block i keeps one factor W_i = sqrt(w_i) u_i* (kk x hd n)
     from the kept eigenpairs (w_i, u_i) of its Gram block: embed = (+)_i
     W_i (x) I_m and lift = (+)_i (W_i* / w_i) (x) I_m.  The right action is
-    (+)_i I_kk (x) R_i, R_i = k.right_on_multiplicity[i].  `blocks` holds
-    (q_i, w_i, W_i, V_i, R_i); readers apply the factors to column blocks,
-    and a dense map is the contraction with an identity.
+    (+)_i I_kk (x) R_i, R_i = k.right_on_multiplicity[i], and the left
+    action (+)_i A_i (x) I_m, A_i(x) = W_i (left_h(x) (x) I_n)(W_i* / w_i)
+    (`Bimodule.left_parts`).  `blocks` holds (q_i, w_i, W_i, V_i, R_i), and
+    `h` is the left factor; readers apply the factors to column blocks, and
+    a dense map is the contraction with an identity.
     """
 
-    hd: int
     kd: int
     dim: int
     blocks: tuple
+    h: Bimodule
+
+    @property
+    def hd(self) -> int:
+        return self.h.dim
 
     def embed_pairs(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """embed @ kron(u, w) for column blocks u of h and w of k, in kron column order.
@@ -157,18 +141,19 @@ class Quotient:
 class Bimodule:
     """Hilbert space with commuting left and right algebra actions.
 
-    `left[k]` is the left action matrix of the k-th coordinate basis element
-    of the algebra, or a zero-argument function that assembles the stack on
-    its first read.  A quotient of kron pairs carries its quotient maps and
-    its right action as per-block factors (`quotient`), and `right` None;
-    any other module carries its right action as a stack like `left`.
-    Readers of the right action go through `right_parts`.
+    A module that is no quotient carries each action as a stack: `left[k]`
+    is the left action matrix of the k-th coordinate basis element of the
+    algebra, and `right[k]` the right one.  A quotient of kron pairs
+    carries its quotient maps as per-block factors (`quotient`), and
+    `left` and `right` None: its actions are parts read off its blocks.
+    Readers go through `left_parts` and `right_parts`, and apply them to
+    column blocks with `left_apply` and `right_apply`.
     """
 
     algebra: Algebra
     dim: int
-    left: np.ndarray | Callable[[], np.ndarray] = _OnFirstRead()
-    right: np.ndarray | Callable[[], np.ndarray] | None = _OnFirstRead()
+    left: np.ndarray | None
+    right: np.ndarray | None
     quotient: Quotient | None = None
 
     @property
@@ -178,8 +163,31 @@ class Bimodule:
         return None if q is None else np.concatenate(
             [np.zeros(0), *(np.repeat(w, v.shape[2]) for _, w, _, v, _ in q.blocks)])
 
-    def left_matrix(self, x: AlgebraElement) -> np.ndarray:
-        return np.tensordot(x.vec(), self.left, axes=1)
+    @cached_property
+    def left_parts(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """The left action as parts (A, m), left(x) = (+) A(x) (x) I_m in row order: a
+        quotient's blocks' (A_i, m_i), A_i(e_mu) = W_i (left_h(e_mu) (x) I_n)(W_i* / w_i)
+        applied through the parts of its left factor h, read-only; else the one part (left, 1)."""
+        q = self.quotient
+        if q is None:
+            return ((self.left, 1),)
+        out = []
+        for _, w, wm, v, _ in q.blocks:
+            lift = (wm.conj().T / w).reshape(q.hd, -1)  # W* / w, rows (h index, n)
+            a = wm @ q.h.left_apply(lift).reshape(self.algebra.dim, -1, len(w))
+            a.flags.writeable = False
+            out.append((a, v.shape[2]))
+        return tuple(out)
+
+    def left_apply(self, x: np.ndarray) -> np.ndarray:
+        """left(e_mu) @ x for every basis element e_mu and a column block x: shape
+        (d, dim, cols), each part applied to its own rows."""
+        out, o = np.empty((self.algebra.dim, *x.shape), dtype=complex), 0
+        for a, m in self.left_parts:
+            rows = slice(o, o + a.shape[1] * m)
+            y = a @ x[rows].reshape(a.shape[1], -1)  # (d, kk, m cols)
+            out[:, rows], o = y.reshape(out[:, rows].shape), rows.stop
+        return out
 
     @property
     def right_parts(self) -> list[tuple[int, np.ndarray]]:
@@ -212,8 +220,11 @@ class Bimodule:
         V[:, r, :] = left(e_r1) B.  Its columns are orthonormal, and the
         left action of e_rc sends V[:, c', s] to delta(c, c') V[:, r, s]: on
         the span of V the left action is x (x) I_m, with m = B.shape[1].
+        It is read off the left parts applied to the identity: only a right
+        factor reads it, and in production those are l2 and the one-part
+        couplings, of dimension at most d^2.
         """
-        return _multiplicity(self.left, self.algebra, left=True)
+        return _multiplicity(self.left_apply(np.eye(self.dim)), self.algebra, left=True)
 
     @cached_property
     def right_on_multiplicity(self) -> tuple[np.ndarray, ...]:
@@ -387,7 +398,7 @@ def gns_tensor(t_map, sf: StandardForm) -> Bimodule:
     algebra and the coordinate basis of the standard space, in kron order
     (algebra index major).  This is the standard space fused with itself
     through T: the Gram matrix is the sum over the algebra basis of
-    T(e_a* e_b)_mu l2.left[mu], split into the blocks E[(a, r), (b, c)] of
+    T(e_a* e_b)_mu left(e_mu) of l2, split into the blocks E[(a, r), (b, c)] of
     `_block_quotient`; row b of conj(lmult(e_a)) holds the coordinates of
     e_a* e_b, because lmult(x*) = lmult(x)*.  The E hold the Choi data of
     T, so this is the one quotient that decides a rank: the rank rule
@@ -448,18 +459,17 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
     """Quotient of the family of pairs (coordinate of h, coordinate of k) under one Gram form.
 
     The Gram matrix is the sum over the algebra basis of elements[a, b, mu]
-    k.left[mu], in kron order (a major).  In the coordinates of
+    left(e_mu) of k, in kron order (a major).  In the coordinates of
     `k.multiplicity` that sum is the direct sum over blocks M_n of E (x)
     I_m, with E[(a, r), (b, c)] the (r, c) entry of the block part of
     elements[a, b].  `blocks` gives each E by its kept eigenpairs (w, u),
     w > 0 and u orthonormal; a block with none, or with m = 0, adds nothing.
     The quotient coordinates are (block, kept direction, multiplicity
     index).  The quotient maps are kept as per-block factors (`Quotient`)
-    and never assembled; the left action of h, carried into the quotient
-    block by block, is assembled on first read, and the right action is
-    the blocks' (+) I_kk (x) R_i, with no stack.
+    and never assembled, and neither action is: the left action is the
+    blocks' (+) A_i (x) I_m, read off h's parts on first read
+    (`Bimodule.left_parts`), and the right action the blocks' (+) I_kk (x) R_i.
     """
-    hd, kd = h.dim, k.dim
     factors, o = [], 0  # (rows, w, W, V, R) per kept block
     for (w, u), v, r in zip(blocks, k.multiplicity, k.right_on_multiplicity):
         if not (w.size and v.shape[2]):
@@ -467,18 +477,7 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
         q = slice(o, o + w.size * v.shape[2])
         o = q.stop
         factors.append((q, w, np.sqrt(w)[:, None] * u.conj().T, v, r))
-    dim = o
-
-    def left():  # left(x) = W (x (x) I_n) (W* / w) (x) I_m
-        out = np.zeros((len(h.left), dim, dim), dtype=complex)
-        for q, w, wmat, v, _ in factors:
-            n, kk, m = v.shape[1], len(w), v.shape[2]
-            act = wmat @ np.tensordot(h.left, (wmat.conj().T / w).reshape(hd, n * kk), axes=1
-                                      ).reshape(-1, hd * n, kk)
-            out[:, q, q] = np.einsum("xab,st->xasbt", act, np.eye(m)).reshape(-1, kk * m, kk * m)
-        return out
-
-    return Bimodule(sf.algebra, dim, left, None, quotient=Quotient(hd, kd, dim, tuple(factors)))
+    return Bimodule(sf.algebra, o, None, None, Quotient(k.dim, o, tuple(factors), h))
 
 
 def extension(e: Bimodule, x: np.ndarray, sub: Bimodule) -> "BlockMap":
@@ -584,16 +583,16 @@ def verify_map(
 
     The bilinearity defect is the largest spectral norm of m L_s(e_mu) -
     L_t(e_mu) m and of m R_s(e_mu) - R_t(e_mu) m over the basis, one batched
-    norm per side.  The right parts are applied to m and m*
-    (`Bimodule.right_apply`), with m R_s(e_mu) = (R_s(e_mu*) m*)*, so no
-    right action matrix is formed.
+    norm per side.  Each side's parts are applied to m and m*
+    (`Bimodule.left_apply`, `Bimodule.right_apply`), with m X_s(e_mu) =
+    (X_s(e_mu*) m*)*, so no action matrix is formed.
     """
-    m = f.matrix
+    m, s, t = f.matrix, f.source, f.target
     bilinear_defect = None
     if bilinear:
-        right_m = f.source.right_apply(m.conj().T)[f.source.algebra.star].conj().swapaxes(1, 2)
-        bilinear_defect = float(max(np.linalg.norm(diff, 2, axis=(-2, -1)).max() for diff in (
-            m @ f.source.left - f.target.left @ m, right_m - f.target.right_apply(m))))
+        bilinear_defect = float(max(np.linalg.norm(
+            act_s(m.conj().T)[s.algebra.star].conj().swapaxes(1, 2) - act_t(m), 2, axis=(-2, -1)
+        ).max() for act_s, act_t in ((s.left_apply, t.left_apply), (s.right_apply, t.right_apply))))
     isometry_defect = None
     if isometric:
         isometry_defect = float(

@@ -149,27 +149,26 @@ class CellSystem:
         No collapse of p is formed.  An interior cut takes the last
         extension step of `collapse` on the columns, through the cached
         collapse of p without its last part; for a = len(p) - 1, C is the
-        embed of cell(p), applied through its factors.  Cut 0 applies the
-        left action stack, contracted with the solve map first; cut len(p)
-        applies the right action through `Bimodule.right_apply`.
+        embed of cell(p), applied through its factors.  The end cuts are
+        mirrors: cut 0 acts on rows (standard-space index, cell index) by the
+        left action through the solve map of `solve_left`, cut len(p) on
+        rows (cell index, standard-space index) by the right action through
+        that of `solve_right`, each applying the parts of its side
+        (`Bimodule.left_apply`, `Bimodule.right_apply`).
         """
         n, cols, sf, d = len(p), x.shape[1], self.sf, self.sf.dim
-        if a == 0:
-            stack, solve = self.cell(p).left, sf.solve_left_matrix
-            if adjoint:
-                # conj(solve^T (x^H stack)) holds C* x, (solve index, column, cell index)
-                v = np.tensordot(solve, x.conj().T @ stack, axes=(0, 0)).conj()
-                return v.transpose(0, 2, 1).reshape(-1, cols)
-            return (stack @ np.tensordot(solve, x.reshape(d, -1, cols), axes=1)).sum(axis=0)
-        if a == n:
-            cellp, solve = self.cell(p), sf.solve_right_matrix
-            if adjoint:  # sum_mu conj(solve[mu, i]) right(e_mu)* x, in rows (cell index, i)
-                # right(e_mu)* = right(e_mu*), and e_mu* is the matrix unit star[mu]
-                v = np.tensordot(solve.conj()[sf.algebra.star], cellp.right_apply(x), axes=(0, 0))
-                return v.transpose(1, 0, 2).reshape(-1, cols)
-            # C x = sum_mu right(e_mu) y[:, :, mu], y[:, :, mu] = sum_i solve[mu, i] x[(:, i)]
-            y = np.tensordot(x.reshape(-1, d, cols), solve, axes=(1, 1)).reshape(cellp.dim, -1)
-            return np.einsum("macm->ac", cellp.right_apply(y).reshape(d, -1, cols, d))
+        if a in (0, n):
+            cellp, star = self.cell(p), sf.algebra.star
+            act, solve = ((cellp.left_apply, sf.solve_left_matrix) if a == 0
+                          else (cellp.right_apply, sf.solve_right_matrix))
+            if adjoint:  # sum_mu conj(solve[mu, i]) act(e_mu)* x, act(e_mu)* = act(e_mu*)
+                v = np.tensordot(solve.conj()[star], act(x), axes=(0, 0))  # (i, cell index, col)
+                return (v if a == 0 else v.transpose(1, 0, 2)).reshape(-1, cols)
+            # C x = sum_mu act(e_mu) y[..., mu], y[..., mu] = sum_i solve[mu, i] x[i]; one
+            # mu at a time, so no d x d stack of products is held
+            xs = x.reshape(d, -1, cols) if a == 0 else x.reshape(-1, d, cols).transpose(1, 0, 2)
+            y = np.tensordot(xs, solve, axes=(0, 1))
+            return sum(act(y[..., mu])[mu] for mu in range(d))
         if a == n - 1:
             return self.cell(p).quotient.embed_apply(x, adjoint)
         return self._step(p, a).apply(x, adjoint)
@@ -343,7 +342,7 @@ def cp_from_unit(unit: Unit) -> dict[Fraction, CpMap]:
             continue
         cell = cs.cell(Partition((t,)))
         xi = unit.vectors[t]
-        elements, res, scale = inner(cell, xi[:, None], (cell.left @ xi).T, sf)
+        elements, res, scale = inner(cell, xi[:, None], cell.left_apply(xi[:, None])[..., 0].T, sf)
         # relative to the entries, which grow like the inverse of a small state weight
         if res > 1e-8 * scale:
             raise ValueError("induced map is not well defined "
@@ -368,10 +367,10 @@ def span_multiplicity(g: Bimodule, xi: np.ndarray) -> np.ndarray:
     """
     alg, right = g.algebra, g.right_apply(xi[:, None])[..., 0]
     units = list(zip(alg.offsets, alg.blocks))
-    firsts = [g.left[o:o + n] for o, n in units]  # e^i_1a
-    moved = [right[o:o + n * n:n] for o, n in units]  # xi e^j_b1
-    return np.array([[numerical_rank(np.einsum("agh,bh->gab", f, v).reshape(g.dim, -1))
-                      for v in moved] for f in firsts])
+    # block j: e_mu xi e^j_b1 for every mu and b, of which e^i_1a are rows o_i:o_i + n_i
+    moved = [g.left_apply(right[o:o + n * n:n].T) for o, n in units]
+    return np.array([[numerical_rank(v[o:o + n].transpose(1, 0, 2).reshape(g.dim, -1))
+                      for v in moved] for o, n in units])
 
 
 def generating_rank(unit: Unit, p: Partition) -> tuple[int, int]:

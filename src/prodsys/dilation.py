@@ -292,12 +292,12 @@ def continuity_profile(tl: TruncatedLimit) -> dict[tuple[Fraction, int], float]:
 
     Entry (t, mu) is the norm of kappa_t(x_mu xi(t)) - kappa_0(x_mu cyclic)
     at the top level, for every grid time and algebra basis element.  The
-    left stack of each level is contracted with its unit vector once.
+    left parts of each level are applied to its unit vector once.
     """
     top, out = tl.levels, {}
     base = tl.embed_matrix(top, 0) @ tl.sf.embed_left_matrix
     for k in range(1, top + 1):
-        moved = tl.embed_matrix(top, k) @ np.tensordot(tl.spaces[k].left, tl.unit_level[k], axes=1).T
+        moved = tl.embed_matrix(top, k) @ tl.spaces[k].left_apply(tl.unit_level[k][:, None])[..., 0].T
         for mu, d in enumerate(np.linalg.norm(moved - base, axis=0)):
             out[(k * tl.delta, mu)] = float(d)
     return out

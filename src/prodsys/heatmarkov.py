@@ -192,15 +192,15 @@ def l2_cell(mdl: MarkovModel, p: Partition) -> Bimodule:
     Coordinates are function values scaled by the square root of the path
     weight, one per kept path (`_kept_path_weights`).  The left action
     multiplies through the first variable, the right action through the
-    last; each is a stack of diagonal matrices, assembled on its first read.
+    last; each is a read-only stack of diagonal matrices.
     """
     keep = np.flatnonzero(_kept_path_weights(mdl, p))
     m = mdl.states
-    first = keep // m ** len(p)
-    last = keep % m
-    return Bimodule(mdl.algebra(), keep.size,
-                    lambda: np.stack([np.diag((first == s).astype(complex)) for s in range(m)]),
-                    lambda: np.stack([np.diag((last == s).astype(complex)) for s in range(m)]))
+    stacks = [np.stack([np.diag((e == s).astype(complex)) for s in range(m)])
+              for e in (keep // m ** len(p), keep % m)]  # first and last variable
+    for stack in stacks:
+        stack.flags.writeable = False
+    return Bimodule(mdl.algebra(), keep.size, *stacks)
 
 
 def _glued_columns(m: int, n: int) -> np.ndarray:

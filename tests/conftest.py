@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prodsys.algebra import diagonal_state, make_algebra, make_state, standard_form
+from prodsys.algebra import block_diag, diagonal_state, make_algebra, make_state, standard_form
 from prodsys.bimodule import BimoduleMap, extend_from_family, inner
 from prodsys.cpdyn import (
     lindblad_generator,
@@ -83,6 +83,13 @@ def dense_right(module):
     return np.stack([module.right_matrix(x) for x in module.algebra.basis()])
 
 
+def dense_left(module):
+    """The left action stack, left(e_mu) for every basis element: the parts (A, m) placed
+    as (+) A (x) I_m."""
+    d = module.algebra.dim
+    return block_diag(np.zeros((d, 0, 0)), *(np.kron(a, np.eye(m)) for a, m in module.left_parts))
+
+
 def dense_maps(cell):
     """Dense embed and lift of a block quotient: its factors contracted with identities."""
     q = cell.quotient
@@ -95,7 +102,7 @@ def left_materialization(h, sf):
     Acts on kron coordinates (standard-space index major): block j is the
     left action of the element solved from coordinate basis vector j.
     """
-    m = np.tensordot(sf.solve_left_matrix.T, h.left, axes=1)
+    m = np.tensordot(sf.solve_left_matrix.T, dense_left(h), axes=1)
     return m.transpose(1, 0, 2).reshape(h.dim, -1)
 
 
@@ -120,7 +127,7 @@ def twisted_cp_defect(ts, t):
     """Defect of the unit of the twisted system inducing the endomorphism back."""
     cell = ts.cell(t)
     xi = ts.sf.cyclic
-    elements, res, _ = inner(cell, xi[:, None], (cell.left @ xi).T, ts.sf)
+    elements, res, _ = inner(cell, xi[:, None], (dense_left(cell) @ xi).T, ts.sf)
     miss = elements[0] - ts.theta.map_at(t).T
     return max(res, *(ts.sf.algebra.from_vec(m).norm() for m in miss))
 
@@ -148,7 +155,7 @@ def cell_target_elementary(cs, unit, parts):
     Column (x_1, ..., x_n, y), in kron order over the algebra basis, fuses
     x_i acting on the unit vector of each part, y on the last from the right.
     """
-    slots = [(cs.gns(t).left @ unit.vectors[Fraction(t)]).T for t in parts]
+    slots = [(dense_left(cs.gns(t)) @ unit.vectors[Fraction(t)]).T for t in parts]
     last = cs.gns(parts[-1])
     slots[-1] = np.einsum("yab,bx->axy", dense_right(last), slots[-1]).reshape(last.dim, -1)
     return cs.fuse(parts, slots)
@@ -197,9 +204,9 @@ def loop_factorization_defect(unit):
 def dense_bilinear_defect(f):
     """Bilinearity defect of a map from dense left and right action matrices, per basis
     element: the reference for `bimodule.verify_map`."""
-    m = f.matrix
+    m, left_s, left_t = f.matrix, dense_left(f.source), dense_left(f.target)
     return float(max(max(
-        np.linalg.norm(m @ f.source.left[i] - f.target.left[i] @ m, 2),
+        np.linalg.norm(m @ left_s[i] - left_t[i] @ m, 2),
         np.linalg.norm(m @ f.source.right_matrix(x) - f.target.right_matrix(x) @ m, 2))
         for i, x in enumerate(f.source.algebra.basis())))
 

@@ -46,7 +46,7 @@ from prodsys.heatmarkov import make_model
 from prodsys.partition import Partition, uniform
 
 from conftest import (
-    SEED, dense_bilinear_defect, dense_maps, dense_right, load_module, mixed_semigroup,
+    SEED, dense_bilinear_defect, dense_left, dense_maps, dense_right, load_module, mixed_semigroup,
     random_element, random_hermitian,
 )
 
@@ -300,7 +300,7 @@ def dense_oracle(h, k, sf):
     pis = np.stack([pi_phi(h, e, sf) for e in np.eye(h.dim)])
     comp = np.einsum("axi,bxj->abij", pis.conj(), pis)
     elements = np.einsum("mi,abi->abm", sf.solve_left_matrix, comp @ sf.cyclic)
-    gram = np.einsum("abm,mpq->apbq", elements, k.left).reshape(h.dim * k.dim, -1)
+    gram = np.einsum("abm,mpq->apbq", elements, dense_left(k)).reshape(h.dim * k.dim, -1)
     return gram, gram_quotient(gram)
 
 
@@ -323,7 +323,7 @@ def gns_oracle(t_map, sf):
 def relative_oracle(h, k, sf):
     """Assembled relative-tensor Gram, its kept eigenvalues and the pre-quotient actions."""
     gram, (_, _, eigs) = dense_oracle(h, k, sf)
-    left_pre = [np.kron(x, np.eye(k.dim)) for x in h.left]
+    left_pre = [np.kron(x, np.eye(k.dim)) for x in dense_left(h)]
     right_pre = [np.kron(np.eye(h.dim), y) for y in dense_right(k)]
     return gram, eigs, left_pre, right_pre
 
@@ -334,7 +334,7 @@ def assert_matches_oracle(r, gram, eigs, left_pre, right_pre):
     assert np.abs(embed.conj().T @ embed - gram).max() <= 1e-10 * top
     assert np.abs(embed @ lift - np.eye(r.dim)).max() < 1e-10
     assert np.abs(np.sort(r.gram_eigs) - eigs).max() <= 1e-10 * top
-    for act, pre in zip(r.left, left_pre, strict=True):
+    for act, pre in zip(dense_left(r), left_pre, strict=True):
         assert np.abs(act - embed @ pre @ lift).max() < 1e-10
     for act, pre in zip(dense_right(r), right_pre, strict=True):
         assert np.abs(act - embed @ pre @ lift).max() < 1e-10
@@ -374,9 +374,9 @@ def test_relative_tensor_matches_dense_oracle(system, parts, request):
         assert_matches_oracle(relative_tensor(h, k, sf), *relative_oracle(h, k, sf))
 
 
-def assembled(cell, name):
-    """Whether the action stack `name` of a cell has been assembled."""
-    return isinstance(vars(cell)[name], np.ndarray)
+def assembled(cell):
+    """Whether the left parts of a cell have been computed."""
+    return "left_parts" in vars(cell)
 
 
 def pre_change_quotient_maps(r):
@@ -434,9 +434,9 @@ def recorded_range_widths(monkeypatch):
 @pytest.mark.parametrize("system, parts", [("m2_lindblad", 2), ("pair", 3), ("mixed_block", 2)])
 def test_fused_cell_assembles_its_actions_only_when_read(system, parts, request, monkeypatch):
     # the last part is fused onto a built prefix: the prefix's right side is
-    # read off its own right factor, so its left stack is not assembled, no
-    # quotient carries a right stack at all, and every range is decided on a
-    # matrix no wider than the last coupling
+    # read off its own right factor, so its left parts are not computed, no
+    # quotient carries a left or right stack at all, and every range is
+    # decided on a matrix no wider than the last coupling
     sg, sf = request.getfixturevalue(system)
     cs = CellSystem(sg, sf)
     p = uniform(Fraction(parts, 4), parts)
@@ -446,13 +446,14 @@ def test_fused_cell_assembles_its_actions_only_when_read(system, parts, request,
     cs.family(p.parts, [eye] * parts, [cyclic] * parts)
     monkeypatch.undo()
     cell = cs.cell(p)
-    assert not assembled(cell, "left")
+    assert not assembled(cell)
     if parts > 2:  # a single-part prefix is also the right factor, read for its multiplicity
-        assert not assembled(prefix, "left")
+        assert not assembled(prefix)
     assert widths and max(widths) <= last.dim
     assert_matches_oracle(cell, *relative_oracle(prefix, cs.gns(p.parts[-1]), sf))
-    assert assembled(cell, "left")
-    assert cell.right is None and prefix.right is None and last.right is None
+    assert assembled(cell)
+    for module in (cell, prefix, last):
+        assert module.left is None and module.right is None
 
 
 def test_fusing_onto_the_dim256_lindblad_prefix_stays_small(monkeypatch, tmp_path):
@@ -466,7 +467,7 @@ def test_fusing_onto_the_dim256_lindblad_prefix_stays_small(monkeypatch, tmp_pat
     cs = CellSystem(cfg.semigroup, cfg.sf)
     p = uniform(1, 4)
     prefix, last = cs.cell(Partition(p.parts[:-1])), cs.gns(p.parts[-1])
-    last.left  # the coupling's own stack is not the fusion's
+    last.left_parts  # the coupling's own parts are not the fusion's
     widths = recorded_range_widths(monkeypatch)
     tracemalloc.start()
     try:
@@ -475,7 +476,7 @@ def test_fusing_onto_the_dim256_lindblad_prefix_stays_small(monkeypatch, tmp_pat
     finally:
         tracemalloc.stop()
     assert (prefix.dim, cell.dim) == (256, 1024)
-    assert not assembled(prefix, "left")
+    assert not assembled(prefix)
     assert widths and max(widths) <= last.dim
     assert peak < 6 * 2**20 and kept < 3 * 2**20, (peak, kept)
 
@@ -507,9 +508,9 @@ def test_relative_tensor_takes_no_inner_product_over_a_whole_basis(
     monkeypatch.undo()
     for t, cell in zip(ts, cells):
         fresh = CellSystem(sg, sf).cell(Partition((s, t)))
-        for name in ("gram_eigs", "left"):
-            assert np.array_equal(getattr(cell, name), getattr(fresh, name)), (t, name)
-        assert np.array_equal(dense_right(cell), dense_right(fresh)), t
+        assert np.array_equal(cell.gram_eigs, fresh.gram_eigs), t
+        for dense in (dense_left, dense_right):
+            assert np.array_equal(dense(cell), dense(fresh)), (t, dense.__name__)
         for got, want in zip(dense_maps(cell), dense_maps(fresh), strict=True):
             assert np.array_equal(got, want), t
 
@@ -561,7 +562,7 @@ def test_a_bent_part_of_a_quotient_raises_on_every_call(system, request):
     bent = r.copy()
     bent[-1] += 0.1 * np.eye(len(bent[-1]))
     quotient = dataclasses.replace(cell.quotient, blocks=(*rest, (q, w, wm, v, bent)))
-    broken = bimodule.Bimodule(sf.algebra, cell.dim, cell.left, None, quotient=quotient)
+    broken = bimodule.Bimodule(sf.algebra, cell.dim, None, None, quotient=quotient)
     for _ in range(2):
         with pytest.raises(NotCompletelyPositiveError, match="not a left multiplication"):
             relative_tensor(broken, cs.gns(Fraction(1, 4)), sf)
@@ -590,13 +591,13 @@ def test_left_factor_fused_under_two_states_matches_fresh_quotients(pair):
     for state in (sf, other, sf, other):
         k = l2_bimodule(state)
         r = relative_tensor(h, k, state)
-        fresh = relative_tensor(bimodule.Bimodule(h.algebra, h.dim, h.left, dense_right(h)),
+        fresh = relative_tensor(bimodule.Bimodule(h.algebra, h.dim, dense_left(h), dense_right(h)),
                                 k, state)
         assert np.array_equal(r.gram_eigs, fresh.gram_eigs)
         (embed, lift), (embed0, lift0) = dense_maps(r), dense_maps(fresh)
         assert close(embed.conj().T @ embed, embed0.conj().T @ embed0, 1e-12)
         assert close(lift @ embed, lift0 @ embed0, 1e-12)
-        for name, action in (("left", lambda m: m.left), ("right", dense_right)):
+        for name, action in (("left", dense_left), ("right", dense_right)):
             got, want = (embed.conj().T @ action(r) @ embed,
                          embed0.conj().T @ action(fresh) @ embed0)
             assert close(got, want, 1e-12), name
@@ -693,7 +694,7 @@ def test_a_bent_unit_that_the_decomposition_never_reads_still_raises(m2_lindblad
     cell = cs.cell(uniform(Fraction(1, 2), 2))
     bent = dense_right(cell)
     bent[3] += 0.1 * np.eye(cell.dim)
-    broken = bimodule.Bimodule(sf.algebra, cell.dim, cell.left, bent)
+    broken = bimodule.Bimodule(sf.algebra, cell.dim, dense_left(cell), bent)
     for _ in range(2):
         with pytest.raises(NotCompletelyPositiveError, match="not a left multiplication"):
             relative_tensor(broken, cs.gns(Fraction(1, 4)), sf)
@@ -797,6 +798,27 @@ def test_verify_map_bilinearity_matches_the_dense_route(request, system, rng, mo
             got = verify_map(f, bilinear=True).bilinear_defect
         assert abs(got - want) <= 1e-13 * max(1.0, want)
     assert want > 0.01
+
+
+@pytest.mark.parametrize("system", ["pair", "mixed", "m2_lindblad"])
+def test_verify_map_fails_on_a_conjugated_left_part(request, system, rng):
+    # the widest left part A_i of the refinement's target, conjugated by a
+    # random unitary, is still a representation, but the map no longer
+    # intertwines it; the parts are read, so the cached ones are replaced
+    sg, sf = mixed_semigroup() if system == "mixed" else request.getfixturevalue(system)
+    a = CellSystem(sg, sf).refinement(uniform(Fraction(1, 2), 3), uniform(Fraction(1, 2), 1))
+    assert verify_map(a, bilinear=True).passed
+    parts = list(a.target.left_parts)
+    i = max(range(len(parts)), key=lambda j: parts[j][0].shape[1])
+    z = rng.standard_normal((2,) + parts[i][0].shape[1:])
+    u = np.linalg.qr(z[0] + 1j * z[1])[0]
+    parts[i] = (u @ parts[i][0] @ u.conj().T, parts[i][1])
+    target = dataclasses.replace(a.target)
+    vars(target)["left_parts"] = tuple(parts)
+    broken = BimoduleMap(a.source, target, a.matrix)
+    rep, want = verify_map(broken, bilinear=True), dense_bilinear_defect(broken)
+    assert not rep.passed and rep.bilinear_defect > 0.01
+    assert abs(rep.bilinear_defect - want) <= 1e-13 * max(1.0, want)
 
 
 def test_frame_weights_are_kept_once_per_standard_form(monkeypatch):

@@ -26,6 +26,7 @@ from prodsys.partition import Partition, coarsenings, join, partition, uniform
 
 from conftest import (
     cell_target_elementary,
+    dense_left,
     dense_maps,
     dense_right,
     left_materialization,
@@ -159,7 +160,7 @@ def test_two_point_cell_corner_dimensions(pair_system):
         corners = {}
         for left_name, left in [("1", e1), ("2", e2)]:
             for right_name, right in [("1", e1), ("2", e2)]:
-                proj = cell.left_matrix(left) @ cell.right_matrix(right)
+                proj = np.tensordot(left.vec(), dense_left(cell), axes=1) @ cell.right_matrix(right)
                 corners[(left_name, right_name)] = int(round(np.trace(proj).real))
         assert corners[("1", "1")] == 1, (n, corners)
         assert corners[("2", "1")] == n, (n, corners)
@@ -496,7 +497,7 @@ def test_generating_rank_of_cut_units_matches_the_unthinned_family(request, syst
     vectors = canonical_unit(cs, p.parts).vectors
     q = list(sf.algebra.basis())[sf.dim - sf.algebra.blocks[-1] ** 2]
     a, b = p.parts[:2]
-    vectors[a] = cs.gns(a).left_matrix(q) @ vectors[a]
+    vectors[a] = np.tensordot(q.vec(), dense_left(cs.gns(a)), axes=1) @ vectors[a]
     vectors[b] = cs.gns(b).right_matrix(q) @ vectors[b]
     cut = Unit(cs, vectors)
     for n in (1, 2, 3):
@@ -521,7 +522,8 @@ def test_generating_rank_check_fails_on_a_block_zeroed_unit(monkeypatch):
     def zeroed(cs, grid):
         unit = canonical_unit(cs, grid)
         g = cs.gns(cfg.delta)
-        unit.vectors[cfg.delta] = g.left_matrix(block) @ unit.vectors[cfg.delta]
+        zero = np.tensordot(block.vec(), dense_left(g), axes=1)
+        unit.vectors[cfg.delta] = zero @ unit.vectors[cfg.delta]
         return unit
 
     (check,) = [c for c in suite_roundtrip(cfg).checks if c.check_id == "generating-rank"]
@@ -700,14 +702,15 @@ def test_refinement_rejects_partitions_that_do_not_refine(pair_system):
 
 
 def test_cached_cell_actions_are_read_only(pair_system):
-    # the left stack is assembled on first read and the right parts are
-    # shared by every quotient over the same right factor, so an in-place
-    # write must fail instead of changing them
+    # a quotient carries no action stack: its left parts are computed on
+    # first read and its right parts are shared by every quotient over the
+    # same right factor, so an in-place write must fail instead of changing them
     cs, _ = pair_system
     p = uniform(1, 2)
     for cell in (cs.gns(Fraction(1, 2)), cs.cell(p)):
-        assert cell.right is None
-        for arr in (cell.left, *(r for _, r in cell.right_parts)):
+        assert cell.left is None and cell.right is None
+        assert cell.left_parts is cell.left_parts
+        for arr in (*(a for a, _ in cell.left_parts), *(r for _, r in cell.right_parts)):
             before = arr.copy()
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0, 0] = 1.0

@@ -33,6 +33,7 @@ from conftest import (
     cell_target_elementary,
     compose,
     corner_projection,
+    dense_left,
     dense_maps,
     embedding_isometry_defect,
     load_module,
@@ -230,6 +231,32 @@ def test_corner_maps_of_a_deep_tower_stay_small(monkeypatch, tmp_path):
     assert peak < 4 * 2**20, peak
 
 
+def test_checks_on_a_deep_tower_assemble_no_left_stack(monkeypatch, tmp_path):
+    # the levels-4 tower of the lindblad_m2 workload (seed 307), built and
+    # checked by the compression defect over the basis, the cocycle law and
+    # the continuity profile, each applying the left parts of its level:
+    # 136.9 MiB peak when every cell assembled a dense left stack, 34.7 without
+    workloads = load_module(monkeypatch, "workloads")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workloads.WORKLOADS["lindblad_m2"](307)))
+    cfg = load_config(str(path), 307, 1.0)
+    delta, levels = cfg.delta, 4
+    tracemalloc.start()
+    try:
+        unit = canonical_unit(cfg.cells, [k * delta for k in range(levels + 1)])
+        tl = TruncatedLimit(cfg.cells, unit, delta, levels)
+        worst = max(compression_defect(tl, k * delta, x)
+                    for x in cfg.algebra.basis() for k in range(1, levels + 1))
+        law = cocycle_from_unit(tl, unit).law_defect()
+        continuity_profile(tl)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tl.spaces[-1].dim == 1024 and max(worst, law) < 1e-9
+    assert all(space.left is None for space in tl.spaces[1:])
+    assert peak < 70 * 2**20, peak
+
+
 @pytest.mark.parametrize("system, levels", TOWERS)
 def test_dilated_representation_is_left_action(request, system, levels):
     # theta_t(pi(x)) is the left action of x on the level-t space
@@ -239,7 +266,8 @@ def test_dilated_representation_is_left_action(request, system, levels):
         for x in tl.sf.algebra.basis():
             got = dilate(tl, k * tl.delta, represent(tl, x))
             assert got.level == k
-            assert np.abs(got.matrix - tl.spaces[k].left_matrix(x)).max() < 1e-12 * scale
+            want = np.tensordot(x.vec(), dense_left(tl.spaces[k]), axes=1)
+            assert np.abs(got.matrix - want).max() < 1e-12 * scale
 
 
 @pytest.mark.parametrize("system, levels", TOWERS)
@@ -328,7 +356,7 @@ def block_unit_levels(tl, block):
     law holds; the unit generates the proper sub-bimodule p E_delta.
     """
     p = tl.sf.algebra.diagonal([float(i == block) for i in range(len(tl.sf.algebra.blocks))])
-    xi = tl.spaces[1].left_matrix(p) @ tl.unit_level[1]
+    xi = np.tensordot(p.vec(), dense_left(tl.spaces[1]), axes=1) @ tl.unit_level[1]
     levels = [tl.sf.cyclic, xi]
     for k in range(2, tl.levels + 1):
         levels.append(tl.spaces[k].quotient.embed_pairs(levels[-1][:, None], xi[:, None])[:, 0])

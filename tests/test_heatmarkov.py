@@ -281,17 +281,18 @@ def diagonal_stack_oracle(mdl, p):
 
 
 @pytest.mark.parametrize("model, parts", [("two_state", 1), ("cycle3", 2), ("chain6", 2)])
-def test_l2_cell_actions_are_assembled_on_first_read(model, parts, request):
+def test_l2_cell_actions_are_read_only_diagonal_stacks(model, parts, request):
     mdl = request.getfixturevalue(model)
     p = uniform(1, parts)
     cell = l2_cell(mdl, p)
-    assert not any(isinstance(vars(cell)[name], np.ndarray) for name in ("left", "right"))
     for name, want in zip(("left", "right"), diagonal_stack_oracle(mdl, p)):
         got = getattr(cell, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         with pytest.raises(ValueError, match="read-only"):
             got[0, 0, 0] = 2.0
-        assert getattr(cell, name) is got
+        assert np.array_equal(got, want)
+    ((a, m),) = cell.left_parts  # no quotient: the one part is its stack
+    assert a is cell.left and m == 1
 
 
 def test_cell_match_allocates_no_action_stacks(chain6):
