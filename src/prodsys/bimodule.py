@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -553,23 +554,32 @@ def extend_from_family(z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]
     return u, float(np.linalg.norm(u @ z - v, 2))
 
 
-def product_formula_defect(
-    t_map, x1: AlgebraElement, y1: AlgebraElement,
-    x2: AlgebraElement, y2: AlgebraElement, sf: StandardForm,
-    g: Bimodule | None = None,
-) -> float:
-    """Defect of the bounded-vector composition formula in a GNS coupling.
+def product_formula_defect(t_map, draws: Sequence[Sequence[AlgebraElement]], sf: StandardForm,
+                           g: Bimodule | None = None) -> np.ndarray:
+    """Defects of the bounded-vector composition formula in a GNS coupling, one per draw.
 
-    Composing the bounded-vector maps of two elementary tensors must give
-    left multiplication by y1* T(x1* x2) y2 on the standard space.
+    For a draw (x1, y1, x2, y2), composing the bounded-vector maps of the
+    elementary tensors x1 (x) y1 Omega and x2 (x) y2 Omega must give left
+    multiplication by y1* T(x1* x2) y2 on the standard space.  All 2n
+    tensors of n draws are formed by one contraction with the dense embed
+    of g (`tensor_vec`), their maps by one `right_apply` (as in `inner`),
+    the n compositions by one einsum, and the defects are one batched
+    spectral norm.
     """
     if g is None:
         g = gns_tensor(t_map, sf)
-    v1 = tensor_vec(g, x1, sf.embed_left(y1))
-    v2 = tensor_vec(g, x2, sf.embed_left(y2))
-    composed = pi_phi(g, v1, sf).conj().T @ pi_phi(g, v2, sf)
-    expected = y1.adjoint() * t_map(x1.adjoint() * x2) * y2
-    return float(np.linalg.norm(composed - lmult_matrix(expected), 2))
+    coords = np.array([[e.vec() for e in draw] for draw in draws]).T  # (d, slot, draw)
+    d, n = coords.shape[0], coords.shape[2]
+    embed = g.quotient.embed_pairs(np.eye(d), np.eye(d)).reshape(g.dim, d, d)
+    # column c < n pairs x1 with y1 Omega of draw c, column n + c x2 with y2 Omega
+    vecs = np.einsum("iab,ac,bc->ic", embed, coords[:, [0, 2]].reshape(d, -1),
+                     sf.embed_left_matrix @ coords[:, [1, 3]].reshape(d, -1))
+    # [:, :, c] is the transposed bounded-vector map of tensor c
+    b = np.tensordot(sf.solve_right_matrix.T, g.right_apply(vecs), axes=1)
+    composed = np.einsum("ira,jra->aij", b[..., :n].conj(), b[..., n:])
+    want = np.array([(y1.adjoint() * t_map(x1.adjoint() * x2) * y2).vec()
+                     for x1, y1, x2, y2 in draws])
+    return np.linalg.norm(composed - np.tensordot(want, sf.lmult_basis, axes=1), 2, axis=(1, 2))
 
 
 def verify_map(

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -201,18 +202,20 @@ def _amplification(tl: TruncatedLimit, k: int, op: TruncatedOperator):
     return target, op.level, op.matrix @ tl.frame_inverse[op.level]
 
 
-def _amplify(tl: TruncatedLimit, target: int, cut: int, y: np.ndarray,
+def _amplify(tl: TruncatedLimit, target: int, cut: int, ys: np.ndarray,
              w: np.ndarray) -> np.ndarray:
-    """C (Y (x) 1) C* w for the collapse C of the target cell at the cut.
+    """C (Y (x) 1) C* w for the collapse C of the target cell at the cut, for a stack of Y.
 
     One step per factor on the columns of w: C* and C through
     `CellSystem.apply_collapse`, which forms no collapse of the target
-    cell, and (Y (x) 1) on the kron rows (Y index major) by a reshape.
+    cell, and (Y (x) 1) on the kron rows (Y index major) by a reshape.  The
+    images of the n matrices Y sit side by side, Y index major, through one
+    C* and one C.
     """
     cs, p = tl.system, tl.partition_at(target)
     v = cs.apply_collapse(p, cut, w, adjoint=True)
-    v = (y @ v.reshape(len(y), -1)).reshape(v.shape)
-    return cs.apply_collapse(p, cut, v)
+    v = (ys @ v.reshape(ys.shape[-1], -1)).reshape(len(ys), *v.shape).swapaxes(0, 1)
+    return cs.apply_collapse(p, cut, v.reshape(len(v), -1))
 
 
 def dilate(tl: TruncatedLimit, t, op: TruncatedOperator) -> TruncatedOperator:
@@ -230,21 +233,27 @@ def dilate(tl: TruncatedLimit, t, op: TruncatedOperator) -> TruncatedOperator:
         return op
     target, cut, y = _amplification(tl, k, op)
     eye = np.eye(tl.spaces[target].dim, dtype=complex)
-    return TruncatedOperator(tl, target, _amplify(tl, target, cut, y, eye))
+    return TruncatedOperator(tl, target, _amplify(tl, target, cut, y[None], eye))
 
 
-def compression_defect(tl: TruncatedLimit, t, x: AlgebraElement) -> float:
-    """Defect of compressing the dilated representation back to the semigroup.
+def compression_defect(tl: TruncatedLimit, t, xs: Sequence[AlgebraElement]) -> np.ndarray:
+    """Defects of compressing the dilated representation back to the semigroup, one per element.
 
-    k0* theta_t(x) k0 is formed as the thin product k0* C (Y (x) 1) C* k0,
-    applied to the d columns of k0, so neither the top-level matrix of
-    theta_t(x) nor C is built.
+    k0* theta_t(x) k0 is formed as the thin product k0* C (Y_x (x) 1) C* k0,
+    Y_x = lmult(x) R_0(z^-1), and compared with lmult(T_t(x)) in spectral
+    norm.  C* is applied to the d columns of k0 once, C once to the stacked
+    images of all elements (`_amplify`), and one batched norm takes the
+    defects, so neither the top-level matrix of theta_t(x) nor C is built.
     """
-    target, cut, y = _amplification(tl, tl.grid_index(t), represent(tl, x))
+    target, sf = tl.grid_index(t), tl.sf
+    coords = np.array([x.vec() for x in xs])
+    ys = np.tensordot(coords, sf.lmult_basis, axes=1) @ tl.frame_inverse[0]
     k0 = tl.embed_matrix(target, 0)
-    compressed = k0.conj().T @ _amplify(tl, target, cut, y, k0)
-    expected = lmult_matrix(evaluate(tl.system.semigroup, t)(x))
-    return float(np.linalg.norm(compressed - expected, 2))
+    images = k0.conj().T @ _amplify(tl, target, 0, ys, k0)  # (d, element, d)
+    compressed = images.reshape(sf.dim, len(xs), -1).swapaxes(0, 1)
+    action = evaluate(tl.system.semigroup, t).action
+    expected = np.tensordot(coords @ action.T, sf.lmult_basis, axes=1)
+    return np.linalg.norm(compressed - expected, 2, axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -340,13 +349,15 @@ class Cocycle:
         With [V1, V2] = Q R, the spectral norm of U1 V1* - U2 V2* is that of
         [U1, -U2] R*, which has 2d columns.  The grid levels are read once per
         time, and both collapse steps of a pair come from one cached extension
-        (`CellSystem.apply_collapse`).
+        (`CellSystem.apply_collapse`).  The pairs are grouped by level k(s +
+        t), whose factors share their shapes: one stacked QR and one batched
+        norm per level.
         """
         tl = self.tl
-        worst = 0.0
         times = sorted(t for t in self.maps if t > 0)
         levels = [tl.grid_index(t) for t in times]
         at_level = dict(zip(levels, times))
+        factors: dict[int, tuple[list, list]] = {}  # level -> ([V1, V2], [U1, -U2]) per pair
         for s, ks in zip(times, levels):
             ws = self.value(s)
             for t, kt in zip(times, levels):
@@ -356,11 +367,15 @@ class Cocycle:
                     continue
                 lvl, cut, y = _amplification(tl, kt, ws)
                 e = tl.embed_matrix(lvl, kt)
-                u1 = _amplify(tl, lvl, cut, y, e @ self.maps[t])
-                v1 = e @ tl.embed_matrix(kt, 0)
-                r = np.linalg.qr(np.hstack([v1, tl.embed_matrix(lvl, 0)]), mode="r")
-                diff = np.hstack([u1, -self.maps[at_level[lvl]]]) @ r.conj().T
-                worst = max(worst, float(np.linalg.norm(diff, 2)))
+                vs, us = factors.setdefault(lvl, ([], []))
+                vs.append(np.hstack([e @ tl.embed_matrix(kt, 0), tl.embed_matrix(lvl, 0)]))
+                us.append(np.hstack([_amplify(tl, lvl, cut, y[None], e @ self.maps[t]),
+                                     -self.maps[at_level[lvl]]]))
+        worst = 0.0
+        for vs, us in factors.values():
+            r = np.linalg.qr(np.stack(vs), mode="r")
+            diff = np.stack(us) @ r.conj().swapaxes(1, 2)
+            worst = max(worst, float(np.linalg.norm(diff, 2, axis=(1, 2)).max()))
         return worst
 
 

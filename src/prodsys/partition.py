@@ -25,7 +25,9 @@ class Partition:
     parts: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if bad := [p for p in self.parts if not isinstance(p, numbers.Rational)]:
+        # exact types first: the ABC check is the slow path, kept for other rationals
+        if bad := [p for p in self.parts if type(p) is not Fraction and type(p) is not int
+                   and not isinstance(p, numbers.Rational)]:
             raise TypeError(f"parts must be rational, got {bad[0]!r}")
         object.__setattr__(self, "key", tuple((p.numerator, p.denominator) for p in self.parts))
         if any(num <= 0 for num, _ in self.key):

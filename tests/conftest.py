@@ -6,14 +6,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prodsys.algebra import block_diag, diagonal_state, make_algebra, make_state, standard_form
-from prodsys.bimodule import BimoduleMap, extend_from_family, inner
+from prodsys.algebra import (
+    block_diag,
+    diagonal_state,
+    lmult_matrix,
+    make_algebra,
+    make_state,
+    standard_form,
+)
+from prodsys.bimodule import BimoduleMap, extend_from_family, inner, pi_phi, tensor_vec
 from prodsys.cpdyn import (
+    evaluate,
     lindblad_generator,
     semigroup_from_generator,
     stochastic_pair_generator,
 )
-from prodsys.dilation import TruncatedOperator
+from prodsys.dilation import TruncatedOperator, _amplification, _amplify, represent
 from prodsys.heatmarkov import _kept_path_weights
 from prodsys.partition import Partition
 
@@ -177,6 +185,51 @@ def loop_cocycle_law_defects(theta, w, times):
                 d = (w[s + t] - theta.apply(t, w[s]) * w[t]).norm()
                 out[s + t] = max(out.get(s + t, 0.0), d)
     return out
+
+
+def loop_product_formula_defect(t_map, x1, y1, x2, y2, sf, g):
+    """Product formula defect of one draw, its two bounded-vector maps composed: the
+    reference for `bimodule.product_formula_defect`."""
+    v1 = tensor_vec(g, x1, sf.embed_left(y1))
+    v2 = tensor_vec(g, x2, sf.embed_left(y2))
+    composed = pi_phi(g, v1, sf).conj().T @ pi_phi(g, v2, sf)
+    expected = y1.adjoint() * t_map(x1.adjoint() * x2) * y2
+    return float(np.linalg.norm(composed - lmult_matrix(expected), 2))
+
+
+def loop_compression_defect(tl, t, x):
+    """Compression defect of one element, C* and C applied to its k0 alone: the reference
+    for `dilation.compression_defect`."""
+    target, cut, y = _amplification(tl, tl.grid_index(t), represent(tl, x))
+    k0 = tl.embed_matrix(target, 0)
+    compressed = k0.conj().T @ _amplify(tl, target, cut, y[None], k0)
+    expected = lmult_matrix(evaluate(tl.system.semigroup, t)(x))
+    return float(np.linalg.norm(compressed - expected, 2))
+
+
+def loop_tower_cocycle_law_defect(w):
+    """Tower cocycle law, one QR and one spectral norm per pair: the reference for
+    `dilation.Cocycle.law_defect`."""
+    tl = w.tl
+    worst = 0.0
+    times = sorted(t for t in w.maps if t > 0)
+    levels = [tl.grid_index(t) for t in times]
+    at_level = dict(zip(levels, times))
+    for s, ks in zip(times, levels):
+        ws = w.value(s)
+        for t, kt in zip(times, levels):
+            if ks + kt > tl.levels:
+                break
+            if ks + kt not in at_level:
+                continue
+            lvl, cut, y = _amplification(tl, kt, ws)
+            e = tl.embed_matrix(lvl, kt)
+            u1 = _amplify(tl, lvl, cut, y[None], e @ w.maps[t])
+            v1 = e @ tl.embed_matrix(kt, 0)
+            r = np.linalg.qr(np.hstack([v1, tl.embed_matrix(lvl, 0)]), mode="r")
+            diff = np.hstack([u1, -w.maps[at_level[lvl]]]) @ r.conj().T
+            worst = max(worst, float(np.linalg.norm(diff, 2)))
+    return worst
 
 
 def loop_conjugation_defect(alpha, beta, wt, t):

@@ -106,7 +106,7 @@ def test_criterion_2_product_formula_oracle():
     worst = 0.0
     for _ in range(100):
         xs = [random_element(sf.algebra, rng) for _ in range(4)]
-        worst = max(worst, product_formula_defect(tm, xs[0], xs[1], xs[2], xs[3], sf, g=g))
+        worst = max(worst, product_formula_defect(tm, [xs], sf, g=g)[0])
     verdict(2, worst <= 1e-10,
             f"bounded-vector product formula on 100 seeded quadruples (max defect {worst:.2e})")
 
@@ -156,7 +156,7 @@ def test_criterion_5_dilation_tower():
     worst = 0.0
     for x in cs.sf.algebra.basis():
         for k in range(1, levels):
-            worst = max(worst, compression_defect(tl, k * delta, x))
+            worst = max(worst, compression_defect(tl, k * delta, [x])[0])
     mini = minimality_evidence(tl)
     elapsed = time.monotonic() - start
     verdict(5, worst <= 1e-9 and mini.full and elapsed < 60.0,

@@ -46,8 +46,8 @@ from prodsys.heatmarkov import make_model
 from prodsys.partition import Partition, uniform
 
 from conftest import (
-    SEED, dense_bilinear_defect, dense_left, dense_maps, dense_right, load_module, mixed_semigroup,
-    random_element, random_hermitian,
+    SEED, dense_bilinear_defect, dense_left, dense_maps, dense_right, load_module,
+    loop_product_formula_defect, mixed_semigroup, random_element, random_hermitian,
 )
 
 
@@ -238,7 +238,7 @@ def test_product_formula_unitality(pair):
     sg, sf = pair
     one = sf.algebra.identity()
     tm = evaluate(sg, 0.9)
-    assert product_formula_defect(tm, one, one, one, one, sf) < 1e-12
+    assert product_formula_defect(tm, [(one, one, one, one)], sf)[0] < 1e-12
 
 
 def test_product_formula_stochastic_projection(pair):
@@ -254,7 +254,7 @@ def test_product_formula_stochastic_projection(pair):
     assert res < 1e-12
     assert abs(m.mats[0][0, 0] - 0.5) < 1e-12
     assert abs(m.mats[1][0, 0] - 0.0) < 1e-12
-    assert product_formula_defect(tm, e1, one, e1, one, sf) < 1e-12
+    assert product_formula_defect(tm, [(e1, one, e1, one)], sf)[0] < 1e-12
 
 
 def test_product_formula_random_m2(m2_lindblad, rng):
@@ -263,7 +263,29 @@ def test_product_formula_random_m2(m2_lindblad, rng):
     g = gns_tensor(tm, sf)
     for _ in range(10):
         xs = [random_element(sf.algebra, rng) for _ in range(4)]
-        assert product_formula_defect(tm, xs[0], xs[1], xs[2], xs[3], sf, g=g) < 1e-10
+        assert product_formula_defect(tm, [xs], sf, g=g)[0] < 1e-10
+
+
+@pytest.mark.parametrize("system", ["pair", "m2_lindblad", "mixed"])
+def test_stacked_product_formula_matches_the_draw_loop(request, rng, system):
+    sg, sf = mixed_semigroup() if system == "mixed" else request.getfixturevalue(system)
+    tm = evaluate(sg, 0.6)
+    g = gns_tensor(tm, sf)
+    draws = [[random_element(sf.algebra, rng) for _ in range(4)] for _ in range(6)]
+    got = product_formula_defect(tm, draws, sf, g=g)
+    want = [loop_product_formula_defect(tm, *draw, sf, g) for draw in draws]
+    assert got.shape == (6,) and np.abs(got - want).max() <= 1e-13
+    assert got.max() < 1e-10
+    # T perturbed by 1e-6 along the product x1* x2 of the second of two draws, orthogonally
+    # to that of the first: the second draw alone fails, on both routes alike
+    a0, a1 = ((x1.adjoint() * x2).vec() for x1, _, x2, _ in draws[:2])
+    q = a1 - a0 * np.vdot(a0, a1) / np.vdot(a0, a0)
+    bump = 1e-6 * np.outer(np.eye(sf.dim)[0], q.conj()) / np.vdot(q, q)
+    broken = CpMap(sf.algebra, tm.action + bump)
+    got = product_formula_defect(broken, draws[:2], sf, g=g)
+    want = [loop_product_formula_defect(broken, *draw, sf, g) for draw in draws[:2]]
+    assert np.abs(got - want).max() <= 1e-13
+    assert got[0] < 1e-10 < 1e-8 < got[1]
 
 
 def test_bounded_vector_composition_lands_in_algebra(m2_lindblad, rng):

@@ -103,16 +103,29 @@ def test_non_finite_config_exits_2(tmp_path, capsys, suite, config):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test oracle only; importing it more than doubles the start-up time
+def fresh_python(probe: str) -> str:
+    """Standard output of a fresh interpreter running the probe with this prodsys."""
     src = str(Path(prodsys.dilation.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = ("import sys, prodsys.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only; importing it more than doubles the start-up time
+    out = fresh_python("import sys, prodsys.cli; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+def test_all_on_defaults_loads_no_numpy_random(tmp_path):
+    # the probes draw from the standard library's random module: numpy.random loads
+    # OpenSSL through secrets and hmac, the largest single cost of a cold run
+    out = fresh_python("import sys, prodsys.cli; "
+                       f"rc = prodsys.cli.main(['all', '--out', {str(tmp_path)!r}]); "
+                       "print(rc, 'numpy.random' in sys.modules)")
+    assert out.splitlines()[-1] == "0 False"
 
 
 def test_bad_config_exits_2(tmp_path):

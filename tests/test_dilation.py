@@ -37,6 +37,8 @@ from conftest import (
     dense_maps,
     embedding_isometry_defect,
     load_module,
+    loop_compression_defect,
+    loop_tower_cocycle_law_defect,
     mixed_semigroup,
     random_element,
 )
@@ -245,7 +247,7 @@ def test_checks_on_a_deep_tower_assemble_no_left_stack(monkeypatch, tmp_path):
     try:
         unit = canonical_unit(cfg.cells, [k * delta for k in range(levels + 1)])
         tl = TruncatedLimit(cfg.cells, unit, delta, levels)
-        worst = max(compression_defect(tl, k * delta, x)
+        worst = max(compression_defect(tl, k * delta, [x])[0]
                     for x in cfg.algebra.basis() for k in range(1, levels + 1))
         law = cocycle_from_unit(tl, unit).law_defect()
         continuity_profile(tl)
@@ -280,14 +282,42 @@ def test_thin_compression_matches_dense(request, system, levels):
             k0 = tl.embed_matrix(k, 0)
             dense = np.linalg.norm(k0.conj().T @ theta.matrix @ k0
                                    - lmult_matrix(evaluate(cs.semigroup, t)(x)), 2)
-            assert abs(compression_defect(tl, t, x) - dense) < 1e-13
+            assert abs(compression_defect(tl, t, [x])[0] - dense) < 1e-13
+
+
+# the pair tower as deep as the pair_tower benchmark workload
+ORACLE_TOWERS = [("pair", 16), ("m2_lindblad", 3), ("mixed", 2)]
+
+
+@pytest.mark.parametrize("system, levels", ORACLE_TOWERS)
+def test_stacked_compression_matches_the_element_loop(request, monkeypatch, system, levels):
+    tl, cs, _ = tower(request, system, levels)
+    basis = list(tl.sf.algebra.basis())
+
+    def both(k):
+        got = compression_defect(tl, k * tl.delta, basis)
+        want = [loop_compression_defect(tl, k * tl.delta, x) for x in basis]
+        assert got.shape == (len(basis),) and np.abs(got - want).max() <= 1e-13
+        return got
+
+    assert max(both(k).max() for k in range(tl.levels + 1)) < 1e-9
+    # the top level's collapse C scaled by 1 + 1e-6: that level fails, on both routes alike
+    top, apply = tl.partition_at(tl.levels), cs.apply_collapse
+
+    def scaled(p, a, x, adjoint=False):
+        out = apply(p, a, x, adjoint)
+        return out * (1 + 1e-6) if p == top and not adjoint else out
+
+    monkeypatch.setattr(cs, "apply_collapse", scaled)
+    assert both(tl.levels).min() > 1e-8
+    assert both(tl.levels - 1).max() < 1e-9
 
 
 def test_compression_identity(pair):
     tl, _, _ = make_tl(pair)
     for x in tl.sf.algebra.basis():
         for k in range(0, tl.levels + 1):
-            assert compression_defect(tl, k * tl.delta, x) < 1e-9
+            assert compression_defect(tl, k * tl.delta, [x])[0] < 1e-9
 
 
 def test_compression_identity_near_log2(pair):
@@ -299,7 +329,7 @@ def test_compression_identity_near_log2(pair):
     tl = TruncatedLimit(cs, canonical_unit(cs, grid), delta, 8)
     t = Fraction(round(np.log(2.0) * 8), 8)
     e1 = sf.algebra.element([[[1.0]], [[0.0]]])
-    assert compression_defect(tl, t, e1) < 1e-9
+    assert compression_defect(tl, t, [e1])[0] < 1e-9
     theta = dilate(tl, t, represent(tl, e1))
     k0 = tl.embed_matrix(theta.level, 0)
     compressed = k0.conj().T @ theta.matrix @ k0
@@ -513,6 +543,18 @@ def test_thin_cocycle_law_matches_dense(request, system, levels):
     assert abs(defect - dense_law_defect(broken)) < 1e-12 * defect
     assert defect > 0.05 * np.linalg.norm(w.values[two].matrix, 2)
     assert abs(corner_isometry_defect(tl, broken) - dense_corner_defect(broken)) < 1e-12
+
+
+@pytest.mark.parametrize("system, levels", ORACLE_TOWERS)
+def test_stacked_cocycle_law_matches_the_pair_loop(request, system, levels):
+    tl, _, unit = tower(request, system, levels)
+    for lam in [unit, unit.scaled(0.5)]:
+        w = cocycle_from_unit(tl, lam)
+        assert w.law_defect() == loop_tower_cocycle_law_defect(w) < 1e-9
+    # one cocycle map negated: the law fails, bit for bit as on the pair loop
+    two = 2 * tl.delta
+    broken = Cocycle(tl, {**w.maps, two: -w.maps[two]})
+    assert broken.law_defect() == loop_tower_cocycle_law_defect(broken) > 1e-9
 
 
 def test_cocycle_law_and_adaptedness(pair):

@@ -70,7 +70,7 @@ def test_mixed_dilation_tower(mixed):
     tl = TruncatedLimit(cs, unit, delta, levels)
     assert embedding_isometry_defect(tl) < 1e-10
     worst = max(
-        compression_defect(tl, k * delta, x)
+        compression_defect(tl, k * delta, [x])[0]
         for x in sf.algebra.basis()
         for k in range(1, levels + 1)
     )
