@@ -54,7 +54,6 @@ class CellSystem:
         self.l2 = l2_bimodule(sf)
         self._gns: dict[tuple[int, int], Bimodule] = {}
         self._cells: dict[tuple, Bimodule] = {}
-        self._collapse: dict[tuple, np.ndarray] = {}
         self._steps: dict[tuple, BlockMap] = {}
         self._slot_maps: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
@@ -123,24 +122,20 @@ class CellSystem:
     def collapse(self, p: Partition, a: int) -> np.ndarray:
         """Matrix of the canonical map cell(p[:a]) (x) cell(p[a:]) -> cell(p).
 
-        Acts on kron coordinates (prefix index major).  For a = 0 or
-        a = len(p) this is the canonical identification with the standard
-        space, `apply_collapse` of the identity, and for a = len(p) - 1 the
-        embed of cell(p); both are cached.  An interior cut is the dense
-        form of the cached extension step that `apply_collapse` takes.
+        Acts on kron coordinates (prefix index major).  An interior cut is
+        the dense form of the cached extension step that `apply_collapse`
+        takes, the last cut a = len(p) - 1 the embed of cell(p), and an end
+        cut a = 0 or a = len(p) the canonical identification with the
+        standard space, `apply_collapse` of the identity.  No dense collapse
+        is cached.
         """
         n = len(p)
-        if a not in (0, n - 1, n):
-            return self._step(p, a).dense()
-        key = (p.key, a)
-        if key not in self._collapse:
-            if a in (0, n):
-                m = self.apply_collapse(p, a, np.eye(self.sf.dim * self.cell(p).dim))
-            else:
-                q = self.cell(p).quotient
-                m = q.embed_pairs(np.eye(q.hd), np.eye(q.kd))
-            self._collapse[key] = m
-        return self._collapse[key]
+        if a in (0, n):
+            return self.apply_collapse(p, a, np.eye(self.sf.dim * self.cell(p).dim))
+        if a == n - 1:
+            q = self.cell(p).quotient
+            return q.embed_pairs(np.eye(q.hd), np.eye(q.kd))
+        return self._step(p, a).dense()
 
     def apply_collapse(self, p: Partition, a: int, x: np.ndarray,
                        adjoint: bool = False) -> np.ndarray:

@@ -147,6 +147,8 @@ class ExperimentConfig:
 
 
 def load_config(path: str | None, seed: int | None, tol_scale: float) -> ExperimentConfig:
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise ValueError(f"the tolerance scale must be finite and positive, got {tol_scale}")
     raw = {}
     if path:
         with open(path) as fh:
@@ -186,6 +188,8 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
     grid = raw.get("grid", {})
     delta = Fraction(grid.get("delta", "1/4"))
     levels = int(grid.get("levels", 4))
+    if delta <= 0 or levels < 1:
+        raise ValueError(f"the grid needs delta > 0 and levels >= 1, configured {delta} and {levels}")
     markov = raw.get("markov", {})
     if "laplacian" in markov:
         model = make_model(markov["mu"], np.array(markov["laplacian"], dtype=float))

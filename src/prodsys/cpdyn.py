@@ -52,24 +52,15 @@ def choi_blocks(f: CpMap) -> list[np.ndarray]:
     expectation that truncates to the diagonal blocks; that extension is CP
     exactly when the original map is.  Off-diagonal matrix units are killed
     by the expectation, so the Choi matrix decomposes over pairs
-    (input block, output block).
+    (input block, output block).  Entry ((r, r'), (c, c')) of a pair's
+    Choi matrix is entry (r', c') of the image of e_rc, so each is one slice
+    of the action, rows (r', c') and columns (r, c), transposed.
     """
-    alg = f.algebra
-    out = []
-    for bi, ni in enumerate(alg.blocks):
-        images = {}
-        for r in range(ni):
-            for c in range(ni):
-                mats = [np.zeros((m, m), dtype=complex) for m in alg.blocks]
-                mats[bi][r, c] = 1.0
-                images[(r, c)] = f(AlgebraElement(alg, tuple(mats)))
-        for bo, no in enumerate(alg.blocks):
-            choi = np.zeros((ni * no, ni * no), dtype=complex)
-            for r in range(ni):
-                for c in range(ni):
-                    block = images[(r, c)].mats[bo]
-                    choi[r * no:(r + 1) * no, c * no:(c + 1) * no] = block
-            out.append(choi)
+    alg, out = f.algebra, []
+    for oi, ni in zip(alg.offsets, alg.blocks):
+        for oo, no in zip(alg.offsets, alg.blocks):
+            images = f.action[oo:oo + no * no, oi:oi + ni * ni].reshape(no, no, ni, ni)
+            out.append(images.transpose(2, 0, 3, 1).reshape(ni * no, -1).astype(complex))
     return out
 
 

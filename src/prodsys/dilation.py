@@ -9,15 +9,13 @@ shifted supports stay inside the tower, so truncation only restricts
 domains and never perturbs values.
 
 The connecting maps and the endomorphisms only ever act on vectors, so
-neither is formed through a collapse of a whole level.  The connecting
-maps follow the level recursion
-
-    iota_{k,j} = E_k (iota_{k-1,j-1} (x) I_g) L_j,
-
-with E_k the embed of level k, L_j the lift of level j and g the dimension
-of one part's GNS coupling: the collapse recursion with the unit vector put
-into the prefix slot first (`TruncatedLimit.embed_matrix`), taken on the
-per-block factors of E_k and L_j.
+neither is formed through a collapse of a whole level.  A connecting map
+is the product system's own multiplication: iota_{k,j} applied to v is the
+collapse of level k at its (k - j)-th part applied to xi_{(k-j) delta} (x)
+v (Bhat and Skeide, "Tensor product systems of Hilbert modules and
+dilations of completely positive semigroups", 2000), taken through the
+cached steps of `CellSystem.apply_collapse` that the endomorphisms use too
+(`TruncatedLimit.embed_apply`).
 
 Operators are carried with a support level: an operator at level k acts on
 the level-k space and is extended to the top through the connecting
@@ -56,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, lmult_matrix
-from .bimodule import Bimodule, extension, pi_phi, relative_tensor
+from .bimodule import Bimodule, pi_phi, relative_tensor
 from .cells import CellSystem, Unit, span_multiplicity
 from .cpdyn import evaluate
 from .partition import Partition, uniform
@@ -96,7 +94,6 @@ class TruncatedLimit:
         self.spaces: list[Bimodule] = [cs.cell(p) for p in self._partitions]
         vectors = unit_level_vectors(self, unit)
         self.unit_level: list[np.ndarray] = [vectors[t] for t in times]
-        self._embed: dict[tuple[int, int], np.ndarray] = {}
         zinv = self.sf.algebra.diagonal(1.0 / self.sf.frame_weights)
         # right action of z^-1 on each level an argument of `dilate` can live on
         self.frame_inverse: list[np.ndarray] = [s.right_matrix(zinv) for s in self.spaces[:-1]]
@@ -118,33 +115,34 @@ class TruncatedLimit:
     def partition_at(self, k: int) -> Partition:
         return self._partitions[k]
 
-    def embed_matrix(self, k: int, j: int) -> np.ndarray:
-        """Connecting isometry iota_{k,j}: v -> xi_{(k-j) delta} (x) v, level j into level k.
+    def corner(self, k: int) -> np.ndarray:
+        """The corner embedding k0 = iota_{k,0} of the standard space into level k (D_k x d)."""
+        return self.embed_apply(k, 0, np.eye(self.sf.dim, dtype=complex))
 
-        Built by the level recursion iota_{k,j} = E_k (iota_{k-1,j-1} (x)
-        I_g) L_j of the module docstring, in the block form of
-        `bimodule.extension`, from iota_{k,1}, E_k applied to xi_{(k-1)
-        delta} paired with every vector of level 1, and iota_{k,0}, the
-        bounded-vector map of xi_{k delta}.  It is exact and needs no unit
-        law, because the suffix cells of a uniform partition are the lower
-        levels; no collapse of level k is formed.
+    def embed_apply(self, k: int, j: int, x: np.ndarray) -> np.ndarray:
+        """Connecting isometry iota_{k,j}: v -> xi_{(k-j) delta} (x) v, level j into level k,
+        applied to a column block x of level j.
+
+        For 0 < j < k this is the collapse of level k at its (k - j)-th part
+        applied to xi_{(k-j) delta} (x) x through `CellSystem.apply_collapse`,
+        so no collapse of level k is formed; for j = 0 it is the bounded-vector
+        map of xi_{k delta}.  It is exact and needs no unit law.
         """
         if not 0 <= j <= k <= self.levels:
             raise TruncationError(f"invalid level pair ({k}, {j})")
         if j == k:
-            return np.eye(self.spaces[k].dim, dtype=complex)
-        key = (k, j)
-        if key not in self._embed:
-            top = self.spaces[k]
-            if j == 0:
-                b = pi_phi(top, self.unit_level[k], self.sf)
-            elif j == 1:
-                b = top.quotient.embed_pairs(self.unit_level[k - 1][:, None],
-                                             np.eye(self.spaces[1].dim))
-            else:
-                b = extension(top, self.embed_matrix(k - 1, j - 1), self.spaces[j]).dense()
-            self._embed[key] = b
-        return self._embed[key]
+            return x
+        if j == 0:
+            return pi_phi(self.spaces[k], self.unit_level[k], self.sf) @ x
+        xi = self.unit_level[k - j]
+        return self.system.apply_collapse(self.partition_at(k), k - j,
+                                          (xi[:, None, None] * x).reshape(-1, x.shape[1]))
+
+    def embed_matrix(self, k: int, j: int) -> np.ndarray:
+        """Dense connecting isometry iota_{k,j}: `embed_apply` of the identity of level j."""
+        if not 0 <= j <= k <= self.levels:
+            raise TruncationError(f"invalid level pair ({k}, {j})")
+        return self.embed_apply(k, j, np.eye(self.spaces[j].dim, dtype=complex))
 
     def split(self, level: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Fold u E and unfold L u* of a level split as (level - j, j).
@@ -173,8 +171,8 @@ class TruncatedOperator:
             raise TruncationError(f"operator lives at level {self.level}, asked for {m}")
         if m == self.level:
             return self.matrix
-        b = self.tl.embed_matrix(m, self.level)
-        return b @ self.matrix @ b.conj().T
+        half = self.tl.embed_apply(m, self.level, self.matrix)  # iota M
+        return self.tl.embed_apply(m, self.level, half.conj().T).conj().T
 
     def on_top(self) -> np.ndarray:
         return self.at_level(self.tl.levels)
@@ -248,7 +246,7 @@ def compression_defect(tl: TruncatedLimit, t, xs: Sequence[AlgebraElement]) -> n
     target, sf = tl.grid_index(t), tl.sf
     coords = np.array([x.vec() for x in xs])
     ys = np.tensordot(coords, sf.lmult_basis, axes=1) @ tl.frame_inverse[0]
-    k0 = tl.embed_matrix(target, 0)
+    k0 = tl.corner(target)
     images = k0.conj().T @ _amplify(tl, target, 0, ys, k0)  # (d, element, d)
     compressed = images.reshape(sf.dim, len(xs), -1).swapaxes(0, 1)
     action = evaluate(tl.system.semigroup, t).action
@@ -301,12 +299,13 @@ def continuity_profile(tl: TruncatedLimit) -> dict[tuple[Fraction, int], float]:
 
     Entry (t, mu) is the norm of kappa_t(x_mu xi(t)) - kappa_0(x_mu cyclic)
     at the top level, for every grid time and algebra basis element.  The
-    left parts of each level are applied to its unit vector once.
+    left parts of each level are applied to its unit vector once, and the
+    connecting maps to the top to those d columns (`embed_apply`).
     """
     top, out = tl.levels, {}
-    base = tl.embed_matrix(top, 0) @ tl.sf.embed_left_matrix
+    base = tl.embed_apply(top, 0, tl.sf.embed_left_matrix)
     for k in range(1, top + 1):
-        moved = tl.embed_matrix(top, k) @ tl.spaces[k].left_apply(tl.unit_level[k][:, None])[..., 0].T
+        moved = tl.embed_apply(top, k, tl.spaces[k].left_apply(tl.unit_level[k][:, None])[..., 0].T)
         for mu, d in enumerate(np.linalg.norm(moved - base, axis=0)):
             out[(k * tl.delta, mu)] = float(d)
     return out
@@ -334,7 +333,7 @@ class Cocycle:
     def value(self, t) -> TruncatedOperator:
         """w_t as a dense operator at its support level."""
         k = self.tl.grid_index(t)
-        return TruncatedOperator(self.tl, k, self.maps[t] @ self.tl.embed_matrix(k, 0).conj().T)
+        return TruncatedOperator(self.tl, k, self.maps[t] @ self.tl.corner(k).conj().T)
 
     @property
     def values(self) -> dict[Fraction, TruncatedOperator]:
@@ -348,28 +347,30 @@ class Cocycle:
         k(t)), and U2 V2* with U2 = b_(s+t) and V2 the corner embedding.
         With [V1, V2] = Q R, the spectral norm of U1 V1* - U2 V2* is that of
         [U1, -U2] R*, which has 2d columns.  The grid levels are read once per
-        time, and both collapse steps of a pair come from one cached extension
-        (`CellSystem.apply_collapse`).  The pairs are grouped by level k(s +
+        time and the corners once per level; E is applied once per pair to
+        [b_t, k0_t], and it and both collapse steps of theta_t(w_s) come from
+        one cached extension (`CellSystem.apply_collapse`).  The pairs are grouped by level k(s +
         t), whose factors share their shapes: one stacked QR and one batched
         norm per level.
         """
         tl = self.tl
         times = sorted(t for t in self.maps if t > 0)
         levels = [tl.grid_index(t) for t in times]
-        at_level = dict(zip(levels, times))
+        at_level, d = dict(zip(levels, times)), tl.sf.dim
+        corners = {k: tl.corner(k) for k in levels}
         factors: dict[int, tuple[list, list]] = {}  # level -> ([V1, V2], [U1, -U2]) per pair
         for s, ks in zip(times, levels):
-            ws = self.value(s)
+            ws = TruncatedOperator(tl, ks, self.maps[s] @ corners[ks].conj().T)
             for t, kt in zip(times, levels):
                 if ks + kt > tl.levels:
                     break
                 if ks + kt not in at_level:
                     continue
                 lvl, cut, y = _amplification(tl, kt, ws)
-                e = tl.embed_matrix(lvl, kt)
+                e = tl.embed_apply(lvl, kt, np.hstack([self.maps[t], corners[kt]]))
                 vs, us = factors.setdefault(lvl, ([], []))
-                vs.append(np.hstack([e @ tl.embed_matrix(kt, 0), tl.embed_matrix(lvl, 0)]))
-                us.append(np.hstack([_amplify(tl, lvl, cut, y[None], e @ self.maps[t]),
+                vs.append(np.hstack([e[:, d:], corners[lvl]]))
+                us.append(np.hstack([_amplify(tl, lvl, cut, y[None], e[:, :d]),
                                      -self.maps[at_level[lvl]]]))
         worst = 0.0
         for vs, us in factors.values():
@@ -425,7 +426,7 @@ def unit_from_cocycle(tl: TruncatedLimit, w: Cocycle) -> dict[Fraction, np.ndarr
     """Level-represented unit vectors extracted from an adapted cocycle."""
     out: dict[Fraction, np.ndarray] = {}
     for t, b in w.maps.items():
-        k0 = tl.embed_matrix(tl.grid_index(t), 0)
+        k0 = tl.corner(tl.grid_index(t))
         out[t] = b @ (k0.conj().T @ (k0 @ tl.sf.cyclic))
     return out
 
@@ -434,16 +435,16 @@ def corner_isometry_defect(tl: TruncatedLimit, w: Cocycle) -> float:
     """How far the cocycle is from preserving inner products on the corner.
 
     w_t k0 at the top is the top x d product (E b_t)((E k0_t)* k0), with E
-    the embedding of the support level into the top.
+    the embedding of the support level into the top, applied once to [b_t, k0_t].
     """
-    worst = 0.0
-    k0 = tl.embed_matrix(tl.levels, 0)
+    worst, d = 0.0, tl.sf.dim
+    k0 = tl.corner(tl.levels)
     for t, b in w.maps.items():
         if t == 0:
             continue
         k = tl.grid_index(t)
-        e = tl.embed_matrix(tl.levels, k)
-        wk = (e @ b) @ ((e @ tl.embed_matrix(k, 0)).conj().T @ k0)
+        e = tl.embed_apply(tl.levels, k, np.hstack([b, tl.corner(k)]))
+        wk = e[:, :d] @ (e[:, d:].conj().T @ k0)
         worst = max(worst, float(np.linalg.norm(
             wk.conj().T @ wk - np.eye(tl.sf.dim), 2)))
     return worst

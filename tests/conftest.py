@@ -14,7 +14,7 @@ from prodsys.algebra import (
     make_state,
     standard_form,
 )
-from prodsys.bimodule import BimoduleMap, extend_from_family, inner, pi_phi, tensor_vec
+from prodsys.bimodule import BimoduleMap, extend_from_family, extension, inner, pi_phi, tensor_vec
 from prodsys.cpdyn import (
     evaluate,
     lindblad_generator,
@@ -210,7 +210,7 @@ def loop_compression_defect(tl, t, x):
 def loop_tower_cocycle_law_defect(w):
     """Tower cocycle law, one QR and one spectral norm per pair: the reference for
     `dilation.Cocycle.law_defect`."""
-    tl = w.tl
+    tl, d = w.tl, w.tl.sf.dim
     worst = 0.0
     times = sorted(t for t in w.maps if t > 0)
     levels = [tl.grid_index(t) for t in times]
@@ -223,13 +223,47 @@ def loop_tower_cocycle_law_defect(w):
             if ks + kt not in at_level:
                 continue
             lvl, cut, y = _amplification(tl, kt, ws)
-            e = tl.embed_matrix(lvl, kt)
-            u1 = _amplify(tl, lvl, cut, y[None], e @ w.maps[t])
-            v1 = e @ tl.embed_matrix(kt, 0)
-            r = np.linalg.qr(np.hstack([v1, tl.embed_matrix(lvl, 0)]), mode="r")
+            e = tl.embed_apply(lvl, kt, np.hstack([w.maps[t], tl.corner(kt)]))
+            u1 = _amplify(tl, lvl, cut, y[None], e[:, :d])
+            r = np.linalg.qr(np.hstack([e[:, d:], tl.corner(lvl)]), mode="r")
             diff = np.hstack([u1, -w.maps[at_level[lvl]]]) @ r.conj().T
             worst = max(worst, float(np.linalg.norm(diff, 2)))
     return worst
+
+
+def level_recursion_embed(tl, k, j):
+    """The connecting map iota_{k,j} by the level recursion E_k (iota_{k-1,j-1} (x) I_g) L_j,
+    E_k the embed of level k, L_j the lift of level j and g the dimension of one part's
+    GNS coupling, in the block form of `bimodule.extension`: a reference for
+    `TruncatedLimit.embed_matrix` that forms no collapse of level k."""
+    if j == k:
+        return np.eye(tl.spaces[k].dim, dtype=complex)
+    top = tl.spaces[k]
+    if j == 0:
+        return pi_phi(top, tl.unit_level[k], tl.sf)
+    if j == 1:
+        return top.quotient.embed_pairs(tl.unit_level[k - 1][:, None], np.eye(tl.spaces[1].dim))
+    return extension(top, level_recursion_embed(tl, k - 1, j - 1), tl.spaces[j]).dense()
+
+
+def loop_choi_blocks(f):
+    """Choi matrices per (input, output) block pair, one matrix unit at a time: the
+    reference for `cpdyn.choi_blocks`."""
+    alg, out = f.algebra, []
+    for bi, ni in enumerate(alg.blocks):
+        images = {}
+        for r in range(ni):
+            for c in range(ni):
+                mats = [np.zeros((m, m), dtype=complex) for m in alg.blocks]
+                mats[bi][r, c] = 1.0
+                images[(r, c)] = f(alg.element(mats))
+        for bo, no in enumerate(alg.blocks):
+            choi = np.zeros((ni * no, ni * no), dtype=complex)
+            for r in range(ni):
+                for c in range(ni):
+                    choi[r * no:(r + 1) * no, c * no:(c + 1) * no] = images[(r, c)].mats[bo]
+            out.append(choi)
+    return out
 
 
 def loop_conjugation_defect(alpha, beta, wt, t):

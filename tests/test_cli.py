@@ -16,7 +16,7 @@ from prodsys.cells import CellSystem
 from prodsys.cli import (
     SUITES, complex_matrix, load_config, main, suite_classify, suite_dilate, suite_heat,
 )
-from prodsys.dilation import TruncatedLimit
+from prodsys.dilation import TruncatedLimit, TruncationError
 from prodsys.partition import uniform
 
 from conftest import SEED, reversible_chain
@@ -180,12 +180,44 @@ def test_tiny_tolerance_scale_fails(tmp_path):
     assert main(["cells", "--out", str(tmp_path), "--tol-scale", "1e-20"]) == 1
 
 
-def test_truncation_error_is_surfaced(tmp_path, capsys):
+def test_truncation_error_is_surfaced(tmp_path, capsys, monkeypatch):
+    # a tower of no levels is refused with the configuration; a suite that
+    # asks past the horizon reports the truncation and the admissible time
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"grid": {"delta": "1/4", "levels": 0}}))
-    assert main(["dilate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert main(["dilate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+    def beyond_horizon(cfg):
+        raise TruncationError("time 2 beyond horizon, max admissible 1", max_time=Fraction(1))
+
+    monkeypatch.setitem(prodsys.cli.RUNNERS, "dilate", beyond_horizon)
+    assert main(["dilate", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "truncation error" in err
+    assert "truncation error" in err and "max admissible time: 1" in err
+
+
+@pytest.mark.parametrize("grid, tol_scale", [
+    ({"levels": 0}, "1"),
+    ({"levels": -2}, "1"),
+    ({"delta": "0"}, "1"),
+    ({"delta": "-1/4"}, "1"),
+    ({}, "nan"),
+    ({}, "-1"),
+    ({}, "0"),
+    ({}, "inf"),
+], ids=["levels-0", "levels-negative", "delta-0", "delta-negative",
+        "tol-nan", "tol-negative", "tol-0", "tol-inf"])
+def test_bad_grid_or_tolerance_scale_is_a_configuration_error(tmp_path, capsys, grid, tol_scale):
+    # no crash, and no verdict: a nan or negative scale fails most checks and
+    # an infinite one passes every check that it scales
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": grid}))
+    out = tmp_path / "out"
+    argv = ["all", "--config", str(path), "--out", str(out), "--tol-scale", tol_scale]
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def lindblad_config(tmp_path, **fields):

@@ -7,6 +7,7 @@ import scipy.linalg
 from prodsys.algebra import ConfigurationError, make_algebra
 from prodsys.cpdyn import (
     CpMap,
+    choi_blocks,
     evaluate,
     identity_generator,
     law_defect,
@@ -17,7 +18,13 @@ from prodsys.cpdyn import (
     verify_ucp,
 )
 
-from conftest import loop_law_defect, mixed_semigroup, random_element, random_hermitian
+from conftest import (
+    loop_choi_blocks,
+    loop_law_defect,
+    mixed_semigroup,
+    random_element,
+    random_hermitian,
+)
 
 
 def test_stochastic_pair_closed_form():
@@ -38,6 +45,17 @@ def test_zero_generator_gives_identity(rng):
     x = random_element(alg, rng)
     out = evaluate(sg, 1.7)(x)
     assert max(np.linalg.norm(a - b) for a, b in zip(out.mats, x.mats)) < 1e-12
+
+
+def test_choi_blocks_are_slices_of_the_action(rng):
+    # a seeded Lindblad map on three blocks: all nine block pairs, bit for bit
+    alg = make_algebra([1, 2, 3])
+    jumps = [random_element(alg, rng) for _ in range(2)]
+    f = evaluate(semigroup_from_generator(
+        alg, lindblad_generator(alg, jumps, random_hermitian(alg, rng))), 0.3)
+    got, want = choi_blocks(f), loop_choi_blocks(f)
+    assert len(got) == len(want) == 9
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_time_zero_is_exact_identity():

@@ -36,6 +36,7 @@ from conftest import (
     dense_left,
     dense_maps,
     embedding_isometry_defect,
+    level_recursion_embed,
     load_module,
     loop_compression_defect,
     loop_tower_cocycle_law_defect,
@@ -132,22 +133,28 @@ def embed_oracle(tl, k, j):
 
 @pytest.mark.parametrize("system, levels", TOWERS)
 def test_embed_recursion_matches_collapse(request, monkeypatch, system, levels):
-    # the level recursion forms no collapse, also for a non-unital unit
+    # the connecting maps, the collapse of level k applied to xi (x) I, match
+    # the dense collapse and the level recursion, also for a non-unital unit;
+    # no collapse of level k's own partition is formed on the way
     _, cs, unit = tower(request, system, levels)
-
-    def forbidden(*args):
-        raise AssertionError("a connecting map formed a collapse")
+    collapse = CellSystem.collapse
 
     for lam in [unit, unit.scaled(0.5)]:
         tl = TruncatedLimit(cs, lam, Fraction(1, 4), levels)
-        with monkeypatch.context() as m:
-            m.setattr(CellSystem, "collapse", forbidden)
-            got = {(k, j): tl.embed_matrix(k, j)
-                   for k in range(levels + 1) for j in range(k + 1)}
+        got = {}
+        for k in range(levels + 1):
+            def no_own_collapse(self, p, a, k=k):
+                if p == tl.partition_at(k):
+                    raise AssertionError(f"a connecting map formed the collapse of level {k} at {a}")
+                return collapse(self, p, a)
+
+            with monkeypatch.context() as m:
+                m.setattr(CellSystem, "collapse", no_own_collapse)
+                got.update({(k, j): tl.embed_matrix(k, j) for j in range(k + 1)})
         for (k, j), b in got.items():
-            ref = embed_oracle(tl, k, j)
-            assert b.shape == ref.shape
-            assert np.abs(b - ref).max() < 1e-12 * max(1.0, np.abs(ref).max()), (k, j)
+            for ref in (embed_oracle(tl, k, j), level_recursion_embed(tl, k, j)):
+                assert b.shape == ref.shape
+                assert np.abs(b - ref).max() < 1e-12 * max(1.0, np.abs(ref).max()), (k, j)
 
 
 def test_dilate_corner_unit_stays_identity(request):
@@ -257,6 +264,28 @@ def test_checks_on_a_deep_tower_assemble_no_left_stack(monkeypatch, tmp_path):
     assert tl.spaces[-1].dim == 1024 and max(worst, law) < 1e-9
     assert all(space.left is None for space in tl.spaces[1:])
     assert peak < 70 * 2**20, peak
+
+
+def test_continuity_profile_memory_on_a_built_tower(monkeypatch, tmp_path):
+    # the levels-4 tower of the lindblad_m2 workload (seed 307), built: the
+    # profile applies the connecting maps to the top to d columns per level,
+    # 14.6 MiB peak; 30.9 MiB when it formed the dense maps and a 1024-square
+    # identity at the top
+    workloads = load_module(monkeypatch, "workloads")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workloads.WORKLOADS["lindblad_m2"](307)))
+    cfg = load_config(str(path), 307, 1.0)
+    delta, levels = cfg.delta, 4
+    unit = canonical_unit(cfg.cells, [k * delta for k in range(levels + 1)])
+    tl = TruncatedLimit(cfg.cells, unit, delta, levels)
+    tracemalloc.start()
+    try:
+        profile = continuity_profile(tl)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tl.spaces[-1].dim == 1024 and len(profile) == levels * cfg.sf.dim
+    assert peak < 22 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("system, levels", TOWERS)
@@ -530,7 +559,7 @@ def dense_corner_defect(w):
 
 
 @pytest.mark.parametrize("system, levels", TOWERS)
-def test_thin_cocycle_law_matches_dense(request, system, levels):
+def test_thin_cocycle_law_matches_dense(request, system, levels, rng):
     tl, _, unit = tower(request, system, levels)
     for lam in [unit, unit.scaled(0.5)]:
         w = cocycle_from_unit(tl, lam)
@@ -543,6 +572,10 @@ def test_thin_cocycle_law_matches_dense(request, system, levels):
     assert abs(defect - dense_law_defect(broken)) < 1e-12 * defect
     assert defect > 0.05 * np.linalg.norm(w.values[two].matrix, 2)
     assert abs(corner_isometry_defect(tl, broken) - dense_corner_defect(broken)) < 1e-12
+    # a value at 2 delta off the corner's range: b_t and k0_t no longer coincide
+    skewed = Cocycle(tl, {**w.maps, two: w.maps[two] + 0.1 * rng.standard_normal(w.maps[two].shape)})
+    defect = corner_isometry_defect(tl, skewed)
+    assert defect > 1e-3 and abs(defect - dense_corner_defect(skewed)) < 1e-12 * max(1.0, defect)
 
 
 @pytest.mark.parametrize("system, levels", ORACLE_TOWERS)
