@@ -481,27 +481,29 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
     return Bimodule(sf.algebra, o, None, None, Quotient(k.dim, o, tuple(factors), h))
 
 
-def extension(e: Bimodule, x: np.ndarray, sub: Bimodule) -> "BlockMap":
+def extension(e: Bimodule, x_adjoint, sub: Bimodule) -> "BlockMap":
     """E (X (x) I_k)(I_a (x) L) for two quotients of pairs over one right factor k.
 
     E is the embed of e, from pairs (h, k); L the lift of sub, from pairs
-    (h', k); X maps a (x) h' into h, with a the column count of X over
-    dim h'.  Both quotients split k through the same V_i, whose columns are
-    orthonormal, so (I (x) V_i*)(X (x) I_k)(I (x) V_j) = delta_ij X (x)
-    I_(n m), and the product is (+)_i Z_i (x) I_m in the block coordinates
-    of e and of a (x) sub, with Z_i = W_i (X (x) I_n)(I_a (x) L_i) of shape
-    (kk_i, a, kk'_i) and L_i = W'_i* / w'_i the lift factor of sub.
+    (h', k); X maps a (x) h' into h and is given applied, x_adjoint(y) = X*
+    y for a column block y.  Both quotients split k through the same V_i,
+    whose columns are orthonormal, so (I (x) V_i*)(X (x) I_k)(I (x) V_j) =
+    delta_ij X (x) I_(n m), and the product is (+)_i Z_i (x) I_m in the
+    block coordinates of e and of a (x) sub, with Z_i = W_i (X (x) I_n)(I_a
+    (x) L_i) of shape (kk_i, a, kk'_i), L_i = W'_i* / w'_i the lift factor of
+    sub.  Z_i[:, a] = ((W'_i / w'_i) Y_a)* for the a-th row block Y_a of Y =
+    X* (W_i (x) I_n)*, columns (n, kk_i): a is read off the rows of Y.
     """
     qe, qs = e.quotient, sub.quotient
-    da, out = x.shape[1] // qs.hd, []
+    out = []
     for (q, _, wm, v, _), (q2, w2, wm2, v2, _) in zip(qe.blocks, qs.blocks):
         if v is not v2:
             raise ValueError("the quotients do not share their right factor")
         kk, n = len(wm), v.shape[1]
-        z = wm.reshape(kk, qe.hd, n).transpose(0, 2, 1).reshape(kk * n, -1) @ x
-        lm = wm2.conj().T / w2
-        z = z.reshape(kk, n, da, qs.hd).transpose(0, 2, 3, 1).reshape(kk * da, -1) @ lm
-        out.append((q, q2, z.reshape(kk, da, -1), v.shape[2]))
+        y = x_adjoint(wm.conj().reshape(kk, qe.hd, n).transpose(1, 2, 0).reshape(qe.hd, -1))
+        da = len(y) // qs.hd
+        y = np.matmul(wm2 / w2[:, None], y.reshape(da, -1, kk))  # conj Z_i, (a, kk'_i, kk_i)
+        out.append((q, q2, np.ascontiguousarray(np.conj(y, out=y).transpose(2, 0, 1)), v.shape[2]))
     return BlockMap(e.dim, da, sub.dim, tuple(out))
 
 

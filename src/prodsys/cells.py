@@ -9,10 +9,10 @@ of the length-k prefix.  A cell's quotient maps are per-block factors
 collapse of cell(prefix) (x) cell(suffix) onto cell(p) is one step from
 the collapse of p without its last part, which contracts those factors
 (`bimodule.extension`) and is block diagonal in the multiplicity index;
-`CellSystem.apply_collapse` takes that step on a column block instead, so
-the collapse of p is applied without being formed.  Each step is built
-once per partition and cut and cached, and so are the slot maps that the
-refinement isometries put into each part.
+`CellSystem.apply_collapse` takes that step on a column block, so no
+collapse is formed: each step is built once per partition and cut, from
+the applied collapse of its prefix, and cached, and so are the slot maps
+that the refinement isometries put into each part.
 
 On top of the cells this module provides the coarse-to-fine refinement
 isometries, the multiplication unitaries joining two cells into the cell
@@ -122,12 +122,12 @@ class CellSystem:
     def collapse(self, p: Partition, a: int) -> np.ndarray:
         """Matrix of the canonical map cell(p[:a]) (x) cell(p[a:]) -> cell(p).
 
-        Acts on kron coordinates (prefix index major).  An interior cut is
-        the dense form of the cached extension step that `apply_collapse`
-        takes, the last cut a = len(p) - 1 the embed of cell(p), and an end
-        cut a = 0 or a = len(p) the canonical identification with the
-        standard space, `apply_collapse` of the identity.  No dense collapse
-        is cached.
+        The dense form, for tests and small towers; the library applies it
+        (`apply_collapse`).  Acts on kron coordinates (prefix index major).
+        An interior cut is the dense form of the cached extension step, the
+        last cut a = len(p) - 1 the embed of cell(p), and an end cut a = 0
+        or a = len(p) the canonical identification with the standard space,
+        `apply_collapse` of the identity.  No dense collapse is cached.
         """
         n = len(p)
         if a in (0, n):
@@ -173,13 +173,13 @@ class CellSystem:
 
         E is the embed of cell(p), g the dimension of the GNS coupling of its
         last part, L the lift of cell(p[a:]) and C' the cut-a collapse of p
-        without its last part; both cells end in that coupling
-        (`bimodule.extension`).
+        without its last part, applied, never formed: the prefix's own cached
+        step, or its embed.  Both cells end in that coupling (`bimodule.extension`).
         """
-        key = (p.key, a)
+        key, prefix = (p.key, a), Partition(p.parts[:-1])
         if key not in self._steps:
-            self._steps[key] = extension(self.cell(p), self.collapse(Partition(p.parts[:-1]), a),
-                                         self.cell(Partition(p.parts[a:])))
+            self._steps[key] = extension(self.cell(p), lambda y: self.apply_collapse(
+                prefix, a, y, adjoint=True), self.cell(Partition(p.parts[a:])))
         return self._steps[key]
 
     # -- product structure --------------------------------------------
@@ -187,8 +187,8 @@ class CellSystem:
     def multiply(self, q: Partition, p: Partition) -> BimoduleMap:
         """Unitary from cell(q) (x)_M cell(p) onto cell(q joined with p)."""
         r = relative_tensor(self.cell(q), self.cell(p), self.sf)
-        j = self.collapse(join(q, p), len(q))
-        return BimoduleMap(r, self.cell(join(q, p)), j @ r.quotient.lift_apply(np.eye(r.dim)))
+        j = self.apply_collapse(join(q, p), len(q), r.quotient.lift_apply(np.eye(r.dim)))
+        return BimoduleMap(r, self.cell(join(q, p)), j)
 
     def refinement(self, p: Partition, q: Partition) -> BimoduleMap:
         """Isometry from the coarse cell(q) into the fine cell(p)."""

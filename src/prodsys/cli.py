@@ -111,18 +111,31 @@ class Report:
         return all(c.passed for c in self.checks)
 
 
-def complex_matrix(data) -> np.ndarray:
-    """Row-major nested lists of [re, im] pairs to a complex matrix."""
-    rows = []
-    for row in data:
-        rows.append([complex(entry[0], entry[1]) for entry in row])
-    return np.array(rows, dtype=complex)
+def complex_matrix(data, n: int | None = None) -> np.ndarray:
+    """Row-major nested lists of [re, im] pairs to a complex matrix, n x n if n is given."""
+    try:
+        m = np.array(data, dtype=float)
+    except (TypeError, ValueError):
+        m = np.zeros(0)
+    if m.ndim != 3 or m.shape[2] != 2 or n is not None and m.shape[:2] != (n, n):
+        raise ValueError(f"expected {n or 'm'} x {n or 'n'} [re, im] pairs, got {data!r:.80}")
+    return m.view(complex)[..., 0]
 
 
 def element_from_config(algebra: Algebra, data):
-    if len(algebra.blocks) == 1 and data and not isinstance(data[0][0][0], list):
-        return algebra.element([complex_matrix(data)])
-    return algebra.element([complex_matrix(b) for b in data])
+    """One matrix per algebra block; a one-block algebra also takes its bare matrix."""
+    blocks = [data] if len(algebra.blocks) == 1 and np.ndim(data) == 3 else data
+    if not isinstance(blocks, list) or len(blocks) != len(algebra.blocks):
+        raise ValueError(f"expected a matrix per block of {list(algebra.blocks)}, got {data!r:.60}")
+    return algebra.element([complex_matrix(b, n) for b, n in zip(blocks, algebra.blocks)])
+
+
+def _field(raw: dict, key: str, default, kind: type = dict):
+    """The value under key, default if absent; a value not of the kind is a configuration error."""
+    value = raw.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(f"'{key}' must be of JSON type {kind.__name__}, got {value!r:.80}")
+    return value
 
 
 @dataclass
@@ -149,20 +162,19 @@ class ExperimentConfig:
 def load_config(path: str | None, seed: int | None, tol_scale: float) -> ExperimentConfig:
     if not (math.isfinite(tol_scale) and tol_scale > 0):
         raise ValueError(f"the tolerance scale must be finite and positive, got {tol_scale}")
-    raw = {}
-    if path:
-        with open(path) as fh:
-            raw = json.load(fh)
-    blocks = raw.get("algebra", [1, 1])
+    raw = json.loads(Path(path).read_text()) if path else {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"the configuration must be a JSON object, got {raw!r:.80}")
+    blocks = _field(raw, "algebra", [1, 1], list)
     algebra = make_algebra(blocks)
-    state_cfg = raw.get("state", {"weights": [1.0 / len(blocks)] * len(blocks)})
+    state_cfg = _field(raw, "state", {"weights": [1.0 / len(blocks)] * len(blocks)})
     if "weights" in state_cfg:
         state = diagonal_state(algebra, state_cfg["weights"])
     else:
         state = make_state(algebra, [complex_matrix(b) for b in state_cfg["density"]])
     sf = standard_form(algebra, state)
 
-    sg_cfg = raw.get("semigroup", {"builtin": "stochastic_pair"})
+    sg_cfg = _field(raw, "semigroup", {"builtin": "stochastic_pair"})
     builtin = sg_cfg.get("builtin")
     if builtin == "stochastic_pair":
         pair, gen = stochastic_pair_generator()
@@ -175,7 +187,7 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
         h = element_from_config(algebra, sg_cfg["hamiltonian"])
         gen = unitary_conjugation_generator(algebra, h)
     elif builtin == "lindblad":
-        jumps = [element_from_config(algebra, j) for j in sg_cfg["jumps"]]
+        jumps = [element_from_config(algebra, j) for j in _field(sg_cfg, "jumps", None, list)]
         ham = element_from_config(algebra, sg_cfg["hamiltonian"]) if "hamiltonian" in sg_cfg else None
         gen = lindblad_generator(algebra, jumps, ham)
     elif builtin is None and "generator" in sg_cfg:
@@ -185,12 +197,11 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
     semigroup = semigroup_from_generator(algebra, gen)
 
     partitions = [parse_partition(p) for p in raw.get("partitions", ["1", "1/2,1/2", "1/4,1/4,1/4,1/4"])]
-    grid = raw.get("grid", {})
-    delta = Fraction(grid.get("delta", "1/4"))
-    levels = int(grid.get("levels", 4))
+    grid = _field(raw, "grid", {})
+    delta, levels = Fraction(grid.get("delta", "1/4")), _field(grid, "levels", 4, int)
     if delta <= 0 or levels < 1:
         raise ValueError(f"the grid needs delta > 0 and levels >= 1, configured {delta} and {levels}")
-    markov = raw.get("markov", {})
+    markov = _field(raw, "markov", {})
     if "laplacian" in markov:
         model = make_model(markov["mu"], np.array(markov["laplacian"], dtype=float))
     else:

@@ -76,6 +76,17 @@ class TruncationError(RuntimeError):
         self.max_time = max_time
 
 
+def grid_index(t, delta: Fraction, levels: int) -> int:
+    """The level k = t / delta of a grid time on a tower of step delta, the rule of both towers."""
+    k = Fraction(t) / delta
+    if k.denominator != 1 or k < 0:
+        raise TruncationError(f"time {t} is not on the grid of step {delta}")
+    if k > levels:
+        raise TruncationError(f"time {t} beyond horizon, max admissible {levels * delta}",
+                              max_time=levels * delta)
+    return int(k)
+
+
 class TruncatedLimit:
     """Finite tower of uniform-partition cells with connecting isometries."""
 
@@ -101,16 +112,7 @@ class TruncatedLimit:
     # -- bookkeeping ----------------------------------------------------
 
     def grid_index(self, t) -> int:
-        t = Fraction(t)
-        k = t / self.delta
-        if k.denominator != 1 or k < 0:
-            raise TruncationError(f"time {t} is not on the grid of step {self.delta}")
-        if k > self.levels:
-            raise TruncationError(
-                f"time {t} beyond horizon, max admissible {self.levels * self.delta}",
-                max_time=self.levels * self.delta,
-            )
-        return int(k)
+        return grid_index(t, self.delta, self.levels)
 
     def partition_at(self, k: int) -> Partition:
         return self._partitions[k]
@@ -151,10 +153,11 @@ class TruncatedLimit:
         lift, and u = C L its collapse unitary, C the collapse of the level
         at the cut.  This is the definition of the dilation, fold (op (x) 1)
         unfold, kept as the reference for `dilate`, which forms no relative
-        tensor; E and L are applied through the quotient factors of r.
+        tensor; E, L and C are applied, not formed, C by `apply_collapse`.
         """
         q = relative_tensor(self.spaces[level - j], self.spaces[j], self.sf).quotient
-        u = self.system.collapse(self.partition_at(level), level - j) @ q.lift_apply(np.eye(q.dim))
+        u = self.system.apply_collapse(self.partition_at(level), level - j,
+                                       q.lift_apply(np.eye(q.dim)))
         return q.embed_apply(u.conj().T, adjoint=True).conj().T, q.lift_apply(u.conj().T)
 
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .algebra import Algebra, StandardForm, diagonal_state, expm, make_algebra, standard_form
 from .bimodule import GRAM_RTOL, Bimodule, _kept
+from .dilation import grid_index
 from .partition import Partition
 
 
@@ -295,12 +296,6 @@ class HeatDilation:
         if any((w <= 0).any() for w in self.weights):
             raise ModelError("path weights must be strictly positive for the dilation tower")
 
-    def grid_index(self, t) -> int:
-        k = Fraction(t) / self.delta
-        if k.denominator != 1 or k < 0:
-            raise ValueError(f"time {t} not on the grid of step {self.delta}")
-        return int(k)
-
     def embed_matrix(self, k: int, j: int) -> np.ndarray:
         """Connecting isometry from level j to level k in weighted coordinates."""
         if not 0 <= j <= k <= self.levels:
@@ -319,7 +314,7 @@ class HeatDilation:
         columns, at level op_level + j, are reshaped so that A acts on their
         leading variables; the target-level matrix is never formed.
         """
-        j = self.grid_index(t)
+        j = grid_index(t, self.delta, self.levels)
         target = op_level + j
         if target > self.levels:
             raise ValueError(f"horizon exceeded, max level {self.levels}")
@@ -348,7 +343,7 @@ def heat_dilation_defect(mdl: MarkovModel, delta, levels: int, t,
     """
     f = np.asarray(f, dtype=complex)
     hd = HeatDilation(mdl, delta, levels)
-    j = hd.grid_index(t)
+    j = grid_index(t, hd.delta, hd.levels)
     level = hd.levels - j
     k0 = hd.embed_matrix(hd.levels, 0)
     compressed = k0.conj().T @ hd.theta(hd.represent(f, level), level, t, k0)

@@ -243,7 +243,8 @@ def level_recursion_embed(tl, k, j):
         return pi_phi(top, tl.unit_level[k], tl.sf)
     if j == 1:
         return top.quotient.embed_pairs(tl.unit_level[k - 1][:, None], np.eye(tl.spaces[1].dim))
-    return extension(top, level_recursion_embed(tl, k - 1, j - 1), tl.spaces[j]).dense()
+    x = level_recursion_embed(tl, k - 1, j - 1)
+    return extension(top, lambda y: x.conj().T @ y, tl.spaces[j]).dense()
 
 
 def loop_choi_blocks(f):

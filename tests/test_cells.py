@@ -18,6 +18,7 @@ from prodsys.cells import (
 )
 from prodsys.cli import load_config, suite_cells, suite_dilate, suite_roundtrip
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
+from prodsys.dilation import TruncatedLimit
 import prodsys.bimodule
 import prodsys.cells
 import prodsys.cli
@@ -686,9 +687,39 @@ def test_collapse_memory_at_an_interior_cut(m2_lindblad):
         tracemalloc.stop()
     assert m.shape == (256, 1024)
     assert peak < 6 * m.nbytes
-    # the contraction runs over row blocks sized from the shapes, so the
-    # peak is the result plus one block no larger than it
+    # `BlockMap.dense` writes each Z_i into the zeroed result, and the step it
+    # reads is built from the prefix's embed applied to a block far smaller
+    # than the result, so the peak is the result plus little
     assert peak < 2 * m.nbytes + 2**16
+
+
+def test_no_dense_collapse_on_the_production_path(m2_lindblad, monkeypatch, rng):
+    # every collapse step is built from the applied collapse of its prefix, so
+    # with the dense forms forbidden each applied route runs on a fresh system
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense collapse was formed")
+
+    monkeypatch.setattr(CellSystem, "collapse", forbidden)
+    monkeypatch.setattr(prodsys.bimodule.BlockMap, "dense", forbidden)
+    sg, sf = m2_lindblad
+    cs, p = CellSystem(sg, sf), uniform(1, 4)
+    for a in range(1, len(p)):
+        rows = cs.cell(Partition(p.parts[:a])).dim * cs.cell(Partition(p.parts[a:])).dim
+        x = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+        y = rng.standard_normal((cs.cell(p).dim, 2)) + 1j * rng.standard_normal((cs.cell(p).dim, 2))
+        cx, cy = cs.apply_collapse(p, a, x), cs.apply_collapse(p, a, y, adjoint=True)
+        lhs, rhs = cx.conj().T @ y, x.conj().T @ cy  # <C x, y> = <x, C* y>
+        assert np.abs(lhs - rhs).max() < 1e-12 * np.abs(lhs).max(), a
+    q = uniform(1, 2)
+    x = rng.standard_normal((cs.cell(q).dim, 3)) + 1j * rng.standard_normal((cs.cell(q).dim, 3))
+    assert np.allclose(np.linalg.norm(cs.refine_apply(p, q, x), axis=0), np.linalg.norm(x, axis=0))
+    u = cs.multiply(Partition((Fraction(1, 4),)), uniform(Fraction(1, 2), 2)).matrix
+    assert np.abs(u.conj().T @ u - np.eye(len(u))).max() < 1e-12
+    tl = TruncatedLimit(cs, canonical_unit(cs, [k * Fraction(1, 4) for k in range(4)]),
+                        Fraction(1, 4), 3)
+    for j in (1, 2):
+        fold, unfold = tl.split(3, j)
+        assert np.abs(fold @ unfold - np.eye(len(fold))).max() < 1e-12, j
 
 
 def test_refinement_rejects_partitions_that_do_not_refine(pair_system):

@@ -13,8 +13,10 @@ import pytest
 import prodsys.cli
 import prodsys.dilation
 from prodsys.cells import CellSystem
+from prodsys.algebra import make_algebra
 from prodsys.cli import (
-    SUITES, complex_matrix, load_config, main, suite_classify, suite_dilate, suite_heat,
+    SUITES, complex_matrix, element_from_config, load_config, main, suite_classify, suite_dilate,
+    suite_heat,
 )
 from prodsys.dilation import TruncatedLimit, TruncationError
 from prodsys.partition import uniform
@@ -23,10 +25,15 @@ from conftest import SEED, reversible_chain
 
 
 def test_complex_matrix_parsing():
-    m = complex_matrix([[[1.0, 2.0], [0.0, -1.0]], [[0.5, 0.0], [3.0, 4.0]]])
+    data = [[[1.0, 2.0], [0.0, -1.0]], [[0.5, 0.0], [3.0, 4.0]]]
+    m = complex_matrix(data)
     assert m.shape == (2, 2)
     assert m[0, 0] == 1 + 2j
     assert m[1, 1] == 3 + 4j
+    # a one-block element is its bare matrix, or the list of its one block
+    alg = make_algebra([2])
+    for layout in (data, [data]):
+        assert np.array_equal(element_from_config(alg, layout).mats[0], m)
 
 
 def test_default_config_is_stochastic_pair():
@@ -216,6 +223,28 @@ def test_bad_grid_or_tolerance_scale_is_a_configuration_error(tmp_path, capsys, 
     out = tmp_path / "out"
     argv = ["all", "--config", str(path), "--out", str(out), "--tol-scale", tol_scale]
     assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"algebra": [1], "semigroup": {"builtin": "unitary_conjugation", "hamiltonian": [[1, 0]]}},
+    {"algebra": [2], "semigroup": {"builtin": "lindblad", "jumps": 5}},
+    [{"algebra": [2]}],
+    {"grid": {"levels": 2.5}},
+    {"semigroup": "stochastic_pair"},
+    {"algebra": 2},
+    {"algebra": [1, 1], "semigroup": {"builtin": "unitary_conjugation",
+                                      "hamiltonian": [[[[1, 0]]], [[[1, 0], [0, 0]]]]}},
+], ids=["entry-not-a-pair", "jumps-not-a-list", "top-level-array", "levels-not-an-integer",
+        "section-not-an-object", "algebra-not-a-list", "block-of-the-wrong-size"])
+def test_malformed_config_is_a_configuration_error(tmp_path, capsys, config):
+    # a malformed field stops the run before any suite: no traceback, and
+    # no run on a silently truncated value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
 

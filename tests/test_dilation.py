@@ -698,9 +698,9 @@ def test_cocycle_law_builds_one_extension_per_target_and_cut(pair, monkeypatch):
     w = cocycle_from_unit(tl, unit)
     built, extension = [], prodsys.cells.extension
 
-    def counting_extension(e, x, sub):
+    def counting_extension(e, x_adjoint, sub):
         built.append((id(e), id(sub)))  # one cell per target, one suffix cell per cut
-        return extension(e, x, sub)
+        return extension(e, x_adjoint, sub)
 
     monkeypatch.setattr(prodsys.cells, "extension", counting_extension)
     assert w.law_defect() < 1e-9

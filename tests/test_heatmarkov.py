@@ -11,6 +11,7 @@ from prodsys.bimodule import GRAM_RTOL
 from prodsys.cells import CellSystem
 from prodsys.cli import Check
 from prodsys.cpdyn import semigroup_from_generator
+from prodsys.dilation import TruncationError, grid_index
 from prodsys.heatmarkov import (
     HeatDilation,
     ModelError,
@@ -67,7 +68,7 @@ def dense_cell_match_oracle(mdl, p, cs):
 
 def dense_theta(hd, op, op_level, t):
     """Target-level matrix of the shifted operator, lifted by np.kron."""
-    j = hd.grid_index(t)
+    j = grid_index(t, hd.delta, hd.levels)
     pre = np.sqrt(hd.weights[op_level])
     a_func = np.kron((op / pre[:, None]) * pre[None, :], np.eye(hd.m ** j))
     w = np.sqrt(hd.weights[op_level + j])
@@ -419,6 +420,22 @@ def test_heat_dilation_at_full_horizon(two_state, rng):
     direct, formula = heat_dilation_defect(two_state, Fraction(1, 4), 3, Fraction(3, 4), f)
     assert direct < 1e-10
     assert formula < 1e-12
+
+
+def test_heat_time_beyond_the_horizon_is_a_truncation_error(cycle3):
+    # both towers share one grid rule: a time past the horizon is a
+    # truncation error that carries the largest admissible time
+    delta = Fraction(1, 4)
+    hd = HeatDilation(cycle3, delta, 2)
+    with pytest.raises(TruncationError) as err:
+        hd.theta(np.eye(3), 0, 9 * delta, np.eye(27))
+    assert err.value.max_time == 2 * delta
+    with pytest.raises(TruncationError) as err:
+        heat_dilation_defect(cycle3, delta, 2, 3 * delta, np.ones(3))
+    assert err.value.max_time == 2 * delta
+    assert grid_index(2 * delta, delta, 2) == 2
+    with pytest.raises(TruncationError, match="not on the grid"):
+        grid_index(delta / 2, delta, 2)
 
 
 def test_single_state_chain_is_trivial():
