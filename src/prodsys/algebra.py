@@ -160,6 +160,9 @@ def make_algebra(blocks: Sequence[int]) -> Algebra:
 
 def make_state(algebra: Algebra, density: Sequence[np.ndarray]) -> State:
     mats = tuple(np.asarray(d, dtype=complex) for d in density)
+    if [d.shape for d in mats] != [(n, n) for n in algebra.blocks]:
+        raise ConfigurationError(f"density shapes {[d.shape for d in mats]} do not match "
+                                 f"blocks {list(algebra.blocks)}")
     herm = max(np.linalg.norm(d - d.conj().T) for d in mats)
     if herm > 1e-12:
         raise ConfigurationError(f"density not Hermitian, defect {herm:.3e}")

@@ -30,7 +30,7 @@ from .algebra import (
     make_state,
     standard_form,
 )
-from .bimodule import inner, product_formula_defect, verify_map
+from .bimodule import NotCompletelyPositiveError, inner, product_formula_defect, verify_map
 from .cells import (
     CellSystem,
     canonical_unit,
@@ -122,6 +122,17 @@ def complex_matrix(data, n: int | None = None) -> np.ndarray:
     return m.view(complex)[..., 0]
 
 
+def real_matrix(data) -> np.ndarray:
+    """Row-major nested lists of numbers to a real matrix."""
+    try:
+        m = np.array(data, dtype=float)
+    except (TypeError, ValueError):
+        m = np.zeros(0)
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix of numbers, got {data!r:.80}")
+    return m
+
+
 def element_from_config(algebra: Algebra, data):
     """One matrix per algebra block; a one-block algebra also takes its bare matrix."""
     blocks = [data] if len(algebra.blocks) == 1 and np.ndim(data) == 3 else data
@@ -130,12 +141,22 @@ def element_from_config(algebra: Algebra, data):
     return algebra.element([complex_matrix(b, n) for b, n in zip(blocks, algebra.blocks)])
 
 
-def _field(raw: dict, key: str, default, kind: type = dict):
-    """The value under key, default if absent; a value not of the kind is a configuration error."""
+_JSON_TYPES = {dict: "object", list: "array", int: "integer", str: "string",
+               (int, float): "number", (str, int, float): "string or number"}
+
+
+def _field(raw: dict, key: str, default, kind=dict, items=None):
+    """The value under key, default if absent, of the kind, and with items a list of entries
+    of that kind (a boolean is no number); any other value is a configuration error."""
     value = raw.get(key, default)
-    if not isinstance(value, kind):
-        raise ValueError(f"'{key}' must be of JSON type {kind.__name__}, got {value!r:.80}")
+    if not _is(value, kind) or items is not None and not all(_is(v, items) for v in value):
+        want = _JSON_TYPES[kind] + (f" of {_JSON_TYPES[items]}s" if items else "")
+        raise ValueError(f"'{key}' must be a JSON {want}, got {value!r:.80}")
     return value
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -165,13 +186,14 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
     raw = json.loads(Path(path).read_text()) if path else {}
     if not isinstance(raw, dict):
         raise ValueError(f"the configuration must be a JSON object, got {raw!r:.80}")
-    blocks = _field(raw, "algebra", [1, 1], list)
+    blocks = _field(raw, "algebra", [1, 1], list, items=int)
     algebra = make_algebra(blocks)
     state_cfg = _field(raw, "state", {"weights": [1.0 / len(blocks)] * len(blocks)})
     if "weights" in state_cfg:
-        state = diagonal_state(algebra, state_cfg["weights"])
+        state = diagonal_state(algebra, _field(state_cfg, "weights", None, list, items=(int, float)))
     else:
-        state = make_state(algebra, [complex_matrix(b) for b in state_cfg["density"]])
+        density = _field(state_cfg, "density", None, list)
+        state = make_state(algebra, [complex_matrix(b) for b in density])
     sf = standard_form(algebra, state)
 
     sg_cfg = _field(raw, "semigroup", {"builtin": "stochastic_pair"})
@@ -196,20 +218,23 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
         raise ValueError(f"unknown semigroup specification {sg_cfg}")
     semigroup = semigroup_from_generator(algebra, gen)
 
-    partitions = [parse_partition(p) for p in raw.get("partitions", ["1", "1/2,1/2", "1/4,1/4,1/4,1/4"])]
+    parts = _field(raw, "partitions", ["1", "1/2,1/2", "1/4,1/4,1/4,1/4"], list, items=str)
+    partitions = [parse_partition(p) for p in parts]
     grid = _field(raw, "grid", {})
-    delta, levels = Fraction(grid.get("delta", "1/4")), _field(grid, "levels", 4, int)
+    delta = Fraction(_field(grid, "delta", "1/4", (str, int, float)))  # a float reads exactly
+    levels = _field(grid, "levels", 4, int)
     if delta <= 0 or levels < 1:
         raise ValueError(f"the grid needs delta > 0 and levels >= 1, configured {delta} and {levels}")
     markov = _field(raw, "markov", {})
     if "laplacian" in markov:
-        model = make_model(markov["mu"], np.array(markov["laplacian"], dtype=float))
+        model = make_model(_field(markov, "mu", None, list, items=(int, float)),
+                           real_matrix(_field(markov, "laplacian", None, list)))
     else:
-        model = graph_model(markov.get("graph", "cycle"), int(markov.get("states", 5)))
+        model = graph_model(_field(markov, "graph", "cycle", str), _field(markov, "states", 5, int))
+    config_seed = _field(raw, "seed", DEFAULT_SEED, int)
     return ExperimentConfig(
         algebra=algebra, sf=sf, semigroup=semigroup, partitions=partitions,
-        delta=delta, levels=levels,
-        seed=seed if seed is not None else int(raw.get("seed", DEFAULT_SEED)),
+        delta=delta, levels=levels, seed=seed if seed is not None else config_seed,
         tol_scale=tol_scale, markov=model,
     )
 
@@ -302,7 +327,8 @@ def suite_refine(cfg: ExperimentConfig) -> Report:
 
 
 def suite_roundtrip(cfg: ExperimentConfig) -> Report:
-    rep = Report("roundtrip", cfg.seed)
+    parts = min(cfg.levels, 3)
+    rep = Report("roundtrip", cfg.seed, meta={"rank-parts": str(parts)})
     cs = cfg.cells
     grid = [k * cfg.delta for k in range(cfg.levels + 1)]
     unit = canonical_unit(cs, grid)
@@ -316,8 +342,7 @@ def suite_roundtrip(cfg: ExperimentConfig) -> Report:
     )
     rep.add("induced-semigroup", "unit-semigroup-correspondence", worst, cfg.tol(1e-10))
     rep.add("induced-law", "semigroup-law", semigroup_defect(family), cfg.tol(1e-10))
-    rank, dim = generating_rank(unit, uniform(cfg.delta * min(cfg.levels, 3),
-                                              min(cfg.levels, 3)))
+    rank, dim = generating_rank(unit, uniform(cfg.delta * parts, parts))
     rep.add("generating-rank", "generating-unit", float(abs(dim - rank)), 0.5)
     return rep
 
@@ -398,7 +423,8 @@ def _hermitian(rng: random.Random, n: int) -> np.ndarray:
 
 
 def suite_heat(cfg: ExperimentConfig) -> Report:
-    rep = Report("heat", cfg.seed)
+    levels = min(cfg.levels, 3)
+    rep = Report("heat", cfg.seed, meta={"levels": str(levels)})
     mdl = cfg.markov
     kernel_delta, _ = heat_kernel(mdl, float(cfg.delta))
     rep.artifacts["heat_kernel"] = (
@@ -421,7 +447,7 @@ def suite_heat(cfg: ExperimentConfig) -> Report:
     p2 = uniform(1, 2)
     base = embed_base_adjoint(mdl, p2, np.ones((mdl.states,) * 3))
     rep.add("adjoint-mass", "base-projection", float(np.abs(base - 1.0).max()), cfg.tol(1e-12))
-    direct, formula = heat_dilation_defect(mdl, cfg.delta, min(cfg.levels, 3),
+    direct, formula = heat_dilation_defect(mdl, cfg.delta, levels,
                                            cfg.delta, _normal(random.Random(cfg.seed), mdl.states))
     rep.add("dilation-direct", "dilation-compression", direct, cfg.tol(1e-10))
     rep.add("dilation-formula", "base-projection", formula, cfg.tol(1e-10))
@@ -484,7 +510,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, args.seed, args.tol_scale)
-    except (ValueError, OSError, KeyError) as exc:
+        Path(args.out).mkdir(parents=True, exist_ok=True)  # an --out naming a file stops here
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
@@ -497,6 +524,10 @@ def main(argv=None) -> int:
             print(f"suite {name}: truncation error: {exc}", file=sys.stderr)
             if exc.max_time is not None:
                 print(f"  max admissible time: {exc.max_time}", file=sys.stderr)
+            ok = False
+            continue
+        except NotCompletelyPositiveError as exc:
+            print(f"suite {name}: not completely positive: {exc}", file=sys.stderr)
             ok = False
             continue
         print_report(report)

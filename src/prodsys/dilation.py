@@ -37,6 +37,12 @@ L_v L_u* to A_v A_u* with A_v = C (v (x) 1), and summing over the frame
 gives the formula.  No relative tensor product is formed;
 `TruncatedLimit.split` keeps that definition as the reference.
 
+The checks need R(z^-1) on the standard space only, 1 / tau_i on the
+coordinates of block i (`_standard_zinv`): the corner k0 is right-linear,
+R_k(y) k0 = k0 R_0(y), so for every argument they dilate, lmult(x) or a
+cocycle value b k0*, (b k0*) R_k(z^-1) = b R_0(z^-1) k0*.  Only `dilate`,
+the public dense form, places R_k(z^-1).
+
 The two checks on the whole tower work on factors of the size of the
 spaces.  Minimality forms no theta: the orbit of the corner spans a tensor
 power of span(M xi_delta M), whose dimension is a product of multiplicity
@@ -105,9 +111,6 @@ class TruncatedLimit:
         self.spaces: list[Bimodule] = [cs.cell(p) for p in self._partitions]
         vectors = unit_level_vectors(self, unit)
         self.unit_level: list[np.ndarray] = [vectors[t] for t in times]
-        zinv = self.sf.algebra.diagonal(1.0 / self.sf.frame_weights)
-        # right action of z^-1 on each level an argument of `dilate` can live on
-        self.frame_inverse: list[np.ndarray] = [s.right_matrix(zinv) for s in self.spaces[:-1]]
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -186,71 +189,61 @@ def represent(tl: TruncatedLimit, x: AlgebraElement) -> TruncatedOperator:
     return TruncatedOperator(tl, 0, lmult_matrix(x))
 
 
-def _amplification(tl: TruncatedLimit, k: int, op: TruncatedOperator):
-    """(target level, cut, Y) with theta_(k delta)(op) = C (Y (x) 1) C* at the target.
-
-    C is the collapse of the target cell at the cut, the argument's level,
-    and Y = op R(z^-1); the target must stay inside the tower.
-    """
-    target = op.level + k
-    if target > tl.levels:
-        max_t = (tl.levels - op.level) * tl.delta
-        raise TruncationError(
-            f"dilating a level-{op.level} operator by {k * tl.delta} exceeds the horizon, "
-            f"max admissible {max_t}",
-            max_time=max_t,
-        )
-    return target, op.level, op.matrix @ tl.frame_inverse[op.level]
+def _standard_zinv(sf) -> np.ndarray:
+    """R_0(z^-1) as the d numbers it scales the standard space by: 1 / tau_i on block i."""
+    return np.repeat(1.0 / sf.frame_weights, [n * n for n in sf.algebra.blocks])
 
 
-def _amplify(tl: TruncatedLimit, target: int, cut: int, ys: np.ndarray,
-             w: np.ndarray) -> np.ndarray:
+def _amplify(tl: TruncatedLimit, target: int, cut: int, apply_y, w: np.ndarray) -> np.ndarray:
     """C (Y (x) 1) C* w for the collapse C of the target cell at the cut, for a stack of Y.
 
-    One step per factor on the columns of w: C* and C through
-    `CellSystem.apply_collapse`, which forms no collapse of the target
-    cell, and (Y (x) 1) on the kron rows (Y index major) by a reshape.  The
-    images of the n matrices Y sit side by side, Y index major, through one
-    C* and one C.
+    apply_y sends a column block of the cut level to the stack (n, rows, cols)
+    of its images under the n maps Y.  C* and C go through one extension step
+    each (`CellSystem.apply_collapse`), (Y (x) 1) acts on the kron rows by a
+    reshape, and the n images sit side by side, Y index major.
     """
     cs, p = tl.system, tl.partition_at(target)
     v = cs.apply_collapse(p, cut, w, adjoint=True)
-    v = (ys @ v.reshape(ys.shape[-1], -1)).reshape(len(ys), *v.shape).swapaxes(0, 1)
+    ys = apply_y(v.reshape(tl.spaces[cut].dim, -1))
+    v = ys.reshape(len(ys), *v.shape).swapaxes(0, 1)
     return cs.apply_collapse(p, cut, v.reshape(len(v), -1))
 
 
 def dilate(tl: TruncatedLimit, t, op: TruncatedOperator) -> TruncatedOperator:
-    """Shift an operator by the endomorphism at a grid time.
+    """Shift an operator by the endomorphism at a grid time: the public dense form.
 
-    theta_t(op) = C ((op R_k(z^-1)) (x) 1) C*, with k the argument's support
-    level, C the collapse of cell k + t / delta at its k-th part and z from
-    `StandardForm.frame_weights` (see the module docstring for the frame
-    argument).  The dense result is `_amplify` applied to the identity.  The
-    argument's support level moves up by t / delta; the result is only
-    defined while that stays inside the tower.
+    theta_t(op) = C ((op R_k(z^-1)) (x) 1) C* (module docstring), k the
+    argument's support level, which moves up by t / delta and must stay
+    inside the tower.  R_k(z^-1) is placed by `Bimodule.right_matrix`, and
+    the result is `_amplify` of the identity; no check calls it.
     """
     k = tl.grid_index(t)
     if k == 0:
         return op
-    target, cut, y = _amplification(tl, k, op)
+    target = op.level + k
+    if target > tl.levels:
+        max_t = (tl.levels - op.level) * tl.delta
+        raise TruncationError(f"dilating a level-{op.level} operator by {k * tl.delta} exceeds "
+                              f"the horizon, max admissible {max_t}", max_time=max_t)
+    y = op.matrix @ tl.spaces[op.level].right_matrix(tl.sf.algebra.diagonal(1.0 / tl.sf.frame_weights))
     eye = np.eye(tl.spaces[target].dim, dtype=complex)
-    return TruncatedOperator(tl, target, _amplify(tl, target, cut, y[None], eye))
+    return TruncatedOperator(tl, target, _amplify(tl, target, op.level, lambda v: (y @ v)[None], eye))
 
 
 def compression_defect(tl: TruncatedLimit, t, xs: Sequence[AlgebraElement]) -> np.ndarray:
     """Defects of compressing the dilated representation back to the semigroup, one per element.
 
-    k0* theta_t(x) k0 is formed as the thin product k0* C (Y_x (x) 1) C* k0,
-    Y_x = lmult(x) R_0(z^-1), and compared with lmult(T_t(x)) in spectral
-    norm.  C* is applied to the d columns of k0 once, C once to the stacked
-    images of all elements (`_amplify`), and one batched norm takes the
-    defects, so neither the top-level matrix of theta_t(x) nor C is built.
+    k0* theta_t(x) k0 is the thin product k0* C (Y_x (x) 1) C* k0, Y_x =
+    lmult(x) R_0(z^-1) (d x d, `_standard_zinv`), compared with lmult(T_t(x))
+    in spectral norm.  C* goes to the d columns of k0 once, C once to the
+    stacked images of all elements (`_amplify`), and one batched norm takes
+    the defects, so neither the top-level matrix of theta_t(x) nor C is built.
     """
     target, sf = tl.grid_index(t), tl.sf
     coords = np.array([x.vec() for x in xs])
-    ys = np.tensordot(coords, sf.lmult_basis, axes=1) @ tl.frame_inverse[0]
+    ys = np.tensordot(coords, sf.lmult_basis, axes=1) * _standard_zinv(sf)
     k0 = tl.corner(target)
-    images = k0.conj().T @ _amplify(tl, target, 0, ys, k0)  # (d, element, d)
+    images = k0.conj().T @ _amplify(tl, target, 0, lambda v: ys @ v, k0)  # (d, element, d)
     compressed = images.reshape(sf.dim, len(xs), -1).swapaxes(0, 1)
     action = evaluate(tl.system.semigroup, t).action
     expected = np.tensordot(coords @ action.T, sf.lmult_basis, axes=1)
@@ -349,32 +342,34 @@ class Cocycle:
         U1 = theta_t(w_s) E b_t and V1 = E k0_t (E the embedding of level
         k(t)), and U2 V2* with U2 = b_(s+t) and V2 the corner embedding.
         With [V1, V2] = Q R, the spectral norm of U1 V1* - U2 V2* is that of
-        [U1, -U2] R*, which has 2d columns.  The grid levels are read once per
-        time and the corners once per level; E is applied once per pair to
+        [U1, -U2] R*, which has 2d columns.  theta_t(w_s) amplifies Y =
+        b_s R_0(z^-1) k0_s* (module docstring), applied as its rank-d
+        factors with R_0(z^-1) k0_s* formed once per s, so no w_s is formed.
+        The corners are read once per level; E is applied once per pair to
         [b_t, k0_t], and it and both collapse steps of theta_t(w_s) come from
-        one cached extension (`CellSystem.apply_collapse`).  The pairs are grouped by level k(s +
-        t), whose factors share their shapes: one stacked QR and one batched
-        norm per level.
+        one cached extension (`CellSystem.apply_collapse`).  The pairs are
+        grouped by level k(s + t): one stacked QR and one batched norm each.
         """
         tl = self.tl
         times = sorted(t for t in self.maps if t > 0)
         levels = [tl.grid_index(t) for t in times]
         at_level, d = dict(zip(levels, times)), tl.sf.dim
         corners = {k: tl.corner(k) for k in levels}
+        zinv = _standard_zinv(tl.sf)
         factors: dict[int, tuple[list, list]] = {}  # level -> ([V1, V2], [U1, -U2]) per pair
         for s, ks in zip(times, levels):
-            ws = TruncatedOperator(tl, ks, self.maps[s] @ corners[ks].conj().T)
+            bs, zk0 = self.maps[s], zinv[:, None] * corners[ks].conj().T
             for t, kt in zip(times, levels):
-                if ks + kt > tl.levels:
+                lvl = ks + kt
+                if lvl > tl.levels:
                     break
-                if ks + kt not in at_level:
+                if lvl not in at_level:
                     continue
-                lvl, cut, y = _amplification(tl, kt, ws)
                 e = tl.embed_apply(lvl, kt, np.hstack([self.maps[t], corners[kt]]))
                 vs, us = factors.setdefault(lvl, ([], []))
                 vs.append(np.hstack([e[:, d:], corners[lvl]]))
-                us.append(np.hstack([_amplify(tl, lvl, cut, y[None], e[:, :d]),
-                                     -self.maps[at_level[lvl]]]))
+                u1 = _amplify(tl, lvl, ks, lambda v: (bs @ (zk0 @ v))[None], e[:, :d])
+                us.append(np.hstack([u1, -self.maps[at_level[lvl]]]))
         worst = 0.0
         for vs, us in factors.values():
             r = np.linalg.qr(np.stack(vs), mode="r")

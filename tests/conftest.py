@@ -14,14 +14,22 @@ from prodsys.algebra import (
     make_state,
     standard_form,
 )
-from prodsys.bimodule import BimoduleMap, extend_from_family, extension, inner, pi_phi, tensor_vec
+from prodsys.bimodule import (
+    BimoduleMap,
+    extend_from_family,
+    extension,
+    inner,
+    l2_bimodule,
+    pi_phi,
+    tensor_vec,
+)
 from prodsys.cpdyn import (
     evaluate,
     lindblad_generator,
     semigroup_from_generator,
     stochastic_pair_generator,
 )
-from prodsys.dilation import TruncatedOperator, _amplification, _amplify, represent
+from prodsys.dilation import TruncatedOperator, _amplify, _standard_zinv
 from prodsys.heatmarkov import _kept_path_weights
 from prodsys.partition import Partition
 
@@ -198,17 +206,20 @@ def loop_product_formula_defect(t_map, x1, y1, x2, y2, sf, g):
 
 
 def loop_compression_defect(tl, t, x):
-    """Compression defect of one element, C* and C applied to its k0 alone: the reference
-    for `dilation.compression_defect`."""
-    target, cut, y = _amplification(tl, tl.grid_index(t), represent(tl, x))
+    """Compression defect of one element, C* and C applied to its k0 alone and
+    Y = lmult(x) R_0(z^-1) from l2's dense `right_matrix`: the reference for
+    `dilation.compression_defect`."""
+    target, sf = tl.grid_index(t), tl.sf
+    y = lmult_matrix(x) @ l2_bimodule(sf).right_matrix(sf.algebra.diagonal(1.0 / sf.frame_weights))
     k0 = tl.embed_matrix(target, 0)
-    compressed = k0.conj().T @ _amplify(tl, target, cut, y[None], k0)
+    compressed = k0.conj().T @ _amplify(tl, target, 0, lambda v: (y @ v)[None], k0)
     expected = lmult_matrix(evaluate(tl.system.semigroup, t)(x))
     return float(np.linalg.norm(compressed - expected, 2))
 
 
 def loop_tower_cocycle_law_defect(w):
-    """Tower cocycle law, one QR and one spectral norm per pair: the reference for
+    """Tower cocycle law, one QR and one spectral norm per pair, theta_t(w_s) amplifying
+    the thin Y = b_s (R_0(z^-1) k0_s*) of each pair: the reference for
     `dilation.Cocycle.law_defect`."""
     tl, d = w.tl, w.tl.sf.dim
     worst = 0.0
@@ -216,15 +227,14 @@ def loop_tower_cocycle_law_defect(w):
     levels = [tl.grid_index(t) for t in times]
     at_level = dict(zip(levels, times))
     for s, ks in zip(times, levels):
-        ws = w.value(s)
         for t, kt in zip(times, levels):
             if ks + kt > tl.levels:
                 break
             if ks + kt not in at_level:
                 continue
-            lvl, cut, y = _amplification(tl, kt, ws)
+            lvl, zk0 = ks + kt, _standard_zinv(tl.sf)[:, None] * tl.corner(ks).conj().T
             e = tl.embed_apply(lvl, kt, np.hstack([w.maps[t], tl.corner(kt)]))
-            u1 = _amplify(tl, lvl, cut, y[None], e[:, :d])
+            u1 = _amplify(tl, lvl, ks, lambda v: (w.maps[s] @ (zk0 @ v))[None], e[:, :d])
             r = np.linalg.qr(np.hstack([e[:, d:], tl.corner(lvl)]), mode="r")
             diff = np.hstack([u1, -w.maps[at_level[lvl]]]) @ r.conj().T
             worst = max(worst, float(np.linalg.norm(diff, 2)))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from prodsys.cells import CellSystem
 from prodsys.algebra import make_algebra
 from prodsys.cli import (
     SUITES, complex_matrix, element_from_config, load_config, main, suite_classify, suite_dilate,
-    suite_heat,
+    suite_heat, suite_roundtrip,
 )
 from prodsys.dilation import TruncatedLimit, TruncationError
 from prodsys.partition import uniform
@@ -247,6 +248,68 @@ def test_malformed_config_is_a_configuration_error(tmp_path, capsys, config):
     assert main(["all", "--config", str(path), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, out_is_file", [
+    ({"algebra": [2.7], "semigroup": {"builtin": "identity"}}, False),
+    ({"markov": {"states": 2.9}}, False),
+    ({"markov": {"states": "4"}}, False),
+    ({"seed": 2.5}, False),
+    ({"grid": {"levels": True}}, False),
+    ({"partitions": 5}, False),
+    ({"partitions": [5]}, False),
+    ({"seed": [1]}, False),
+    ({"grid": {"delta": [1]}}, False),
+    ({"state": {"weights": "ab"}}, False),
+    ({"state": {"density": [[[[1, 0]]]]}}, False),
+    ({}, True),
+], ids=["block-size-not-an-integer", "states-not-an-integer", "states-a-string",
+        "seed-not-an-integer", "levels-a-boolean", "partitions-not-a-list",
+        "partition-not-a-string", "seed-a-list", "delta-a-list", "weights-a-string",
+        "density-one-block-short", "out-names-a-file"])
+def test_value_of_the_wrong_kind_stops_before_any_suite(tmp_path, capsys, config, out_is_file):
+    # each value is checked where it is read: no suite runs on a truncated
+    # value, and none ends in a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    if out_is_file:
+        out.write_text("kept")
+    assert main(["all", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+    assert out.read_text() == "kept" if out_is_file else not out.exists()
+
+
+def test_float_delta_reads_exactly(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": {"delta": 0.25}}))
+    assert load_config(str(path), None, 1.0).delta == Fraction(1, 4)
+
+
+def test_non_cp_semigroup_ends_only_the_suites_that_build_its_cells(tmp_path, capsys):
+    # the generator [[1, -1], [0, 0]] on the two-point algebra gives
+    # T_t(x)_0 = e^t x_0 + (1 - e^t) x_1, not positive: check-cp records FAIL
+    # rows, the cell suites stop on its GNS coupling, and classify and heat,
+    # which build their own semigroups, still run
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"semigroup": {"generator": [[[1, 0], [-1, 0]], [[0, 0], [0, 0]]]}}))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "suite cells: not completely positive" in err
+    assert {f.name for f in out.glob("*.csv")} == {
+        "check-cp.csv", "classify.csv", "heat.csv", "heat_kernel.csv"}
+    assert ",FAIL" in (out / "check-cp.csv").read_text()
+
+
+@pytest.mark.parametrize("levels", [2, 4])
+def test_capped_depths_are_recorded(levels):
+    # roundtrip ranks, and heat builds its tower, at no more than 3 parts:
+    # the depth used is in the meta lines, not silently below the grid's
+    cfg = replace(load_config(None, None, 1.0), levels=levels)
+    assert suite_roundtrip(cfg).meta == {"rank-parts": str(min(levels, 3))}
+    assert suite_heat(cfg).meta == {"levels": str(min(levels, 3))}
 
 
 def lindblad_config(tmp_path, **fields):

@@ -1,21 +1,23 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from prodsys.algebra import diagonal_state, lmult_matrix, make_algebra, standard_form
-from prodsys.bimodule import l2_bimodule, numerical_rank, pi_phi, tensor_vec
+from prodsys.bimodule import Bimodule, l2_bimodule, numerical_rank, pi_phi, tensor_vec
 import prodsys.cells
 from prodsys.cells import CellSystem, Unit, canonical_unit, generating_rank
-from prodsys.cli import load_config
+from prodsys.cli import load_config, suite_dilate
 from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
 from prodsys.dilation import (
     Cocycle,
     TruncatedLimit,
     TruncatedOperator,
     TruncationError,
+    _standard_zinv,
     cocycle_from_levels,
     cocycle_from_unit,
     compression_defect,
@@ -202,15 +204,20 @@ def test_frame_sum_is_right_action_of_center(request, system, levels):
 
 
 @pytest.mark.parametrize("system, levels", TOWERS)
-def test_frame_inverse_assembles_no_right_stack(request, system, levels):
+def test_frame_inverse_passes_through_the_corner(request, system, levels):
+    # the corner is right-linear, R_k(z^-1) k0 = k0 R_0(z^-1), which is all that
+    # lets theta apply R(z^-1) on the standard space only (`_standard_zinv`);
     # no quotient carries a right stack: R(x) is read off its blocks,
     # (+)_i I_kk (x) R_i(x), and must be the right factor's action carried
     # through the pair space, E (I (x) R_k(x)) L
     tl, _, _ = tower(request, system, levels)
     assert all(space.right is None for space in tl.spaces[1:])
     zinv = tl.sf.algebra.diagonal(1.0 / tl.sf.frame_weights)
-    for space, got in zip(tl.spaces, tl.frame_inverse):
-        assert np.array_equal(got, space.right_matrix(zinv))
+    assert np.array_equal(np.diag(_standard_zinv(tl.sf)), tl.spaces[0].right_matrix(zinv))
+    for k, space in enumerate(tl.spaces):
+        k0 = tl.corner(k)
+        want = k0 * _standard_zinv(tl.sf)
+        assert np.abs(space.right_matrix(zinv) @ k0 - want).max() <= 1e-12 * np.abs(want).max()
     for k, space in enumerate(tl.spaces[1:], 1):
         factor, (embed, lift) = tl.spaces[1] if k > 1 else l2_bimodule(tl.sf), dense_maps(space)
         for x in tl.sf.algebra.basis():  # no basis element is symmetric on every block
@@ -286,6 +293,41 @@ def test_continuity_profile_memory_on_a_built_tower(monkeypatch, tmp_path):
         tracemalloc.stop()
     assert tl.spaces[-1].dim == 1024 and len(profile) == levels * cfg.sf.dim
     assert peak < 22 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_warm_cocycle_law_forms_no_dense_value(monkeypatch, tmp_path):
+    # the levels-4 tower of the lindblad_m2 workload (seed 307), its collapse
+    # steps built by a first call: the law applies each w_s as its rank-d
+    # factors b_s (R_0(z^-1) k0_s*), 2.8 MiB peak; 19.2 MiB when each w_s was
+    # formed as a level-sized matrix and multiplied by the level's R(z^-1)
+    workloads = load_module(monkeypatch, "workloads")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workloads.WORKLOADS["lindblad_m2"](307)))
+    cfg = load_config(str(path), 307, 1.0)
+    delta, levels = cfg.delta, 4
+    unit = canonical_unit(cfg.cells, [k * delta for k in range(levels + 1)])
+    tl = TruncatedLimit(cfg.cells, unit, delta, levels)
+    w = cocycle_from_unit(tl, unit)
+    cold = w.law_defect()
+    tracemalloc.start()
+    try:
+        warm = w.law_defect()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tl.spaces[-1].dim == 1024 and warm == cold < 1e-9
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("system", ["pair", "m2_lindblad"])
+def test_dilate_suite_forms_no_right_action(request, monkeypatch, system):
+    # R(z^-1) is applied on the standard space only: no check places a level's
+    # right action, which `dilate`, the public dense form, still does
+    sg, sf = request.getfixturevalue(system)
+    cfg = replace(load_config(None, 307, 1.0), algebra=sf.algebra, sf=sf, semigroup=sg, levels=3)
+    monkeypatch.setattr(Bimodule, "right_matrix", lambda *args: pytest.fail("right_matrix formed"))
+    rep = suite_dilate(cfg)
+    assert rep.meta["levels"] == "3" and len(rep.checks) == 6 and rep.passed
 
 
 @pytest.mark.parametrize("system, levels", TOWERS)
@@ -576,6 +618,9 @@ def test_thin_cocycle_law_matches_dense(request, system, levels, rng):
     skewed = Cocycle(tl, {**w.maps, two: w.maps[two] + 0.1 * rng.standard_normal(w.maps[two].shape)})
     defect = corner_isometry_defect(tl, skewed)
     assert defect > 1e-3 and abs(defect - dense_corner_defect(skewed)) < 1e-12 * max(1.0, defect)
+    # the law's thin Y needs only the corner to be right-linear, not b_t
+    defect = skewed.law_defect()
+    assert defect > 1e-3 and abs(defect - dense_law_defect(skewed)) < 1e-12 * max(1.0, defect)
 
 
 @pytest.mark.parametrize("system, levels", ORACLE_TOWERS)
