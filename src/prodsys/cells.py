@@ -11,8 +11,9 @@ the collapse of p without its last part, which contracts those factors
 (`bimodule.extension`) and is block diagonal in the multiplicity index;
 `CellSystem.apply_collapse` takes that step on a column block, so no
 collapse is formed: each step is built once per partition and cut, from
-the applied collapse of its prefix, and cached, and so are the slot maps
-that the refinement isometries put into each part.
+the applied collapse of its prefix, and cached, and so is the isometry of
+each group of a refinement: `family` of the canonical unit's slots times
+the lift of the coupling it refines.
 
 On top of the cells this module provides the coarse-to-fine refinement
 isometries, the multiplication unitaries joining two cells into the cell
@@ -55,7 +56,10 @@ class CellSystem:
         self._gns: dict[tuple[int, int], Bimodule] = {}
         self._cells: dict[tuple, Bimodule] = {}
         self._steps: dict[tuple, BlockMap] = {}
-        self._slot_maps: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self._groups: dict[tuple, np.ndarray] = {}
+        # the slot columns of `_group`: every basis element, the identity, the cyclic vector
+        self._unit_columns = (np.eye(sf.dim), sf.algebra.identity().vec()[:, None],
+                              sf.cyclic[:, None])
 
     # -- spaces -------------------------------------------------------
 
@@ -201,60 +205,41 @@ class CellSystem:
         With the parts of p grouped into those of q, the isometry of the
         first i groups is A_i = J (A_(i-1) (x) F) L: L the lift of
         cell(q[:i]), F the isometry of the GNS coupling at q's part i into
-        the cell of its group (`_group_apply`) and J the collapse of p at
-        the start of that group (`apply_collapse`).  Each A_i is applied to
-        the identity, the last one to x, so no collapse of p is formed.
+        the cell of its group (`_group`) and J the collapse of p at the
+        start of that group (`apply_collapse`).  Each A_i is applied to the
+        identity, the last one to x, so no collapse of p is formed.
         """
         groups = grouping(p, q)
         if not groups:
             return x
         last, done = len(groups) - 1, len(groups[0])
-        a = self._group_apply(groups[0], q.parts[0],
-                              x if last == 0 else np.eye(self.gns(q.parts[0]).dim))
+        a = self._group(groups[0], q.parts[0])
         for i, sub in enumerate(groups[1:], 1):
             cell = self.cell(Partition(q.parts[:i + 1]))
             cols = x if i == last else np.eye(cell.dim)
             g, c = self.gns(q.parts[i]).dim, cols.shape[1]
             y = (a @ cell.quotient.lift_apply(cols).reshape(a.shape[1], -1)).reshape(-1, g, c)
-            head = len(y)
-            y = self._group_apply(sub, q.parts[i], y.transpose(1, 0, 2).reshape(g, -1))
-            y = y.reshape(-1, head, c).transpose(1, 0, 2).reshape(-1, c)
-            a = self.apply_collapse(Partition(p.parts[:done + len(sub)]), done, y)
+            y = self._group(sub, q.parts[i]) @ y  # F on the coupling axis: (head, D_sub, c)
+            a = self.apply_collapse(Partition(p.parts[:done + len(sub)]), done, y.reshape(-1, c))
             done += len(sub)
-        return a
+        return a if last else a @ x
 
-    def _group_apply(self, sub: Partition, t: Fraction, x: np.ndarray) -> np.ndarray:
-        """Isometry of the GNS coupling at t into the cell of a partition sub of t, on columns.
+    def _group(self, sub: Partition, t: Fraction) -> np.ndarray:
+        """Isometry F of the GNS coupling at t into cell(sub), sub a partition of t, cached.
 
-        An elementary tensor with slots (y, eta) goes to the elementary
-        tensor of the sub-partition with y in the first algebra slot, the
-        cyclic vector in every intermediate slot and eta in the last one.
-        Column c of x is the sum of lam[y, eta, c] (y, eta), lam = lift x:
-        lam folds into the first slot, and the first and last slots that
-        share eta are paired in one column of pair coordinates of cell(sub).
+        The elementary tensor (y, eta) goes to the elementary tensor of sub
+        with y in the first algebra slot, eta in the last standard-space slot
+        and the unit's (1, Omega) in every other slot (Bhat and Skeide 2000):
+        F is `family` of those slots on the d^2 pairs (y, eta) times the
+        coupling's lift, a read-only dim cell(sub) x dim gns(t) matrix.
         """
-        n, d, cols = len(sub), self.sf.dim, x.shape[1]
-        if n == 1:
-            return x
-        lam = self.gns(t).quotient.lift_apply(x).reshape(d, -1)
-        first = self._slots(sub.parts[0])[0] @ lam
-        slots = [first.reshape(-1, d, cols).transpose(0, 2, 1).reshape(len(first), -1)]
-        slots += [self._slots(r)[1] for r in sub.parts[1:-1]]
-        u = self.fuse(sub.parts[:-1], slots)
-        last = self._slots(sub.parts[-1])[2]
-        pairs = (u.reshape(len(u), cols, d) @ last.T).transpose(0, 2, 1)
-        return self.cell(sub).quotient.embed_apply(pairs.reshape(-1, cols))
-
-    def _slots(self, t: Fraction) -> tuple[np.ndarray, ...]:
-        """The slots of `_group_apply` in the GNS coupling at t, cached: the embeds of
-        (y, Omega) for every basis element y, of (1, Omega), and of (1, eta) for every eta."""
-        key = (t.numerator, t.denominator)
-        if key not in self._slot_maps:
-            q, eye = self.gns(t).quotient, np.eye(self.sf.dim)
-            one, omega = self.sf.algebra.identity().vec()[:, None], self.sf.cyclic[:, None]
-            pairs = ((eye, omega), (one, omega), (one, eye))
-            self._slot_maps[key] = tuple(q.embed_pairs(u, w) for u, w in pairs)
-        return self._slot_maps[key]
+        if sub.key not in self._groups:
+            (eye, one, omega), n, q = self._unit_columns, len(sub), self.gns(t).quotient
+            f = self.family(sub.parts, [eye] + [one] * (n - 1), [omega] * (n - 1) + [eye])
+            f = f @ q.lift_apply(np.eye(q.dim))
+            f.flags.writeable = False
+            self._groups[sub.key] = f
+        return self._groups[sub.key]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +302,7 @@ def unit_report(unit: Unit) -> UnitReport:
         s, t, st = times[i], times[j], keys[k]
         p = Partition((s, t))
         v = cs.cell(p).quotient.embed_pairs(unit.vectors[s][:, None], unit.vectors[t][:, None])
-        w = cs._group_apply(p, st, unit.vectors[st][:, None])
+        w = cs._group(p, st) @ unit.vectors[st][:, None]
         fact = max(fact, float(np.linalg.norm(v - w)))
     return UnitReport(unital, excess, fact)
 

@@ -221,10 +221,13 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
     parts = _field(raw, "partitions", ["1", "1/2,1/2", "1/4,1/4,1/4,1/4"], list, items=str)
     partitions = [parse_partition(p) for p in parts]
     grid = _field(raw, "grid", {})
-    delta = Fraction(_field(grid, "delta", "1/4", (str, int, float)))  # a float reads exactly
+    raw_delta = _field(grid, "delta", "1/4", (str, int, float))
+    delta = Fraction(raw_delta)  # a float reads exactly
     levels = _field(grid, "levels", 4, int)
-    if delta <= 0 or levels < 1:
-        raise ValueError(f"the grid needs delta > 0 and levels >= 1, configured {delta} and {levels}")
+    # times are also keyed and evaluated as floats, so delta must be one: finite and nonzero
+    if not 0 < delta <= sys.float_info.max or float(delta) == 0 or levels < 1:
+        raise ValueError("the grid needs delta > 0 with a finite nonzero float value and "
+                         f"levels >= 1, configured {raw_delta} and {levels}")
     markov = _field(raw, "markov", {})
     if "laplacian" in markov:
         model = make_model(_field(markov, "mu", None, list, items=(int, float)),

@@ -693,6 +693,46 @@ def test_collapse_memory_at_an_interior_cut(m2_lindblad):
     assert peak < 2 * m.nbytes + 2**16
 
 
+def test_warm_refinement_memory(m2_lindblad):
+    # the cached group isometry acts on the coupling axis of the lifted block:
+    # a warm 4 <- 2 refinement (a 1024 x 64 result, 1 MiB) holds that block's
+    # 4 MiB image and the collapse's temporaries, little more
+    cs = CellSystem(*m2_lindblad)
+    p, q = uniform(1, 4), uniform(1, 2)
+    cs.refinement(p, q)
+    tracemalloc.start()
+    try:
+        a = cs.refinement(p, q).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.shape == (1024, 64)
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("system", ["pair", "m2_lindblad", "mixed"])
+def test_group_isometry_sends_each_pair_to_its_unit_tensor(request, system, parts):
+    # y (.) eta in the coupling at t goes to the tensor of sub with y first,
+    # eta last and the unit's (1, Omega) between.  The map is family times the
+    # coupling's lift, so this holds only if the lift's null directions go to
+    # zero in cell(sub)
+    cs = CellSystem(*_system(request, system))
+    sf, sub = cs.sf, partition([Fraction(1, 3)] + [Fraction(1, 4)] * (parts - 1))
+    t, eye = sub.total, np.eye(sf.dim)
+    one, omega = sf.algebra.identity().vec()[:, None], sf.cyclic[:, None]
+    f = cs._group(sub, t)
+    assert f.shape == (cs.cell(sub).dim, cs.gns(t).dim)
+    mapped, tensors = [], []
+    for y, eta in np.ndindex(sf.dim, sf.dim):
+        mapped.append(f @ cs.gns(t).quotient.embed_pairs(eye[:, [y]], eye[:, [eta]]))
+        tensors.append(cs.family(sub.parts, [eye[:, [y]]] + [one] * (parts - 1),
+                                 [omega] * (parts - 1) + [eye[:, [eta]]]))
+    mapped, tensors = np.hstack(mapped), np.hstack(tensors)
+    assert np.abs(mapped - tensors).max() < 1e-12 * np.abs(tensors).max()
+    assert np.abs(f.conj().T @ f - np.eye(f.shape[1])).max() < 1e-12
+
+
 def test_no_dense_collapse_on_the_production_path(m2_lindblad, monkeypatch, rng):
     # every collapse step is built from the applied collapse of its prefix, so
     # with the dense forms forbidden each applied route runs on a fresh system

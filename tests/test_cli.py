@@ -287,6 +287,20 @@ def test_float_delta_reads_exactly(tmp_path):
     assert load_config(str(path), None, 1.0).delta == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("delta", ["1e-400", "1e400"], ids=["rounds-to-zero", "overflows"])
+def test_grid_step_that_is_no_usable_float_is_a_configuration_error(tmp_path, capsys, delta):
+    # grid times are keyed and evaluated as floats: at 1e-400 every time would
+    # evaluate to the identity map, and 1e400 overflows
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": {"delta": delta}}))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error: the grid needs delta > 0" in captured.err
+    assert delta in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_non_cp_semigroup_ends_only_the_suites_that_build_its_cells(tmp_path, capsys):
     # the generator [[1, -1], [0, 0]] on the two-point algebra gives
     # T_t(x)_0 = e^t x_0 + (1 - e^t) x_1, not positive: check-cp records FAIL
