@@ -34,10 +34,10 @@ right action has one form, parts (kk, R) with right(y) = (+) I_kk (x) R(y)
 (`Bimodule.right_parts`): a quotient reads its parts off its right
 factor's multiplicity spaces and carries no right stack, and readers
 apply the parts to their own vectors (`Bimodule.right_apply`).  The left
-action is the mirror, parts (A, m) with left(x) = (+) A(x) (x) I_m
-(`Bimodule.left_parts`, applied by `Bimodule.left_apply`): a quotient
-reads its parts off its left factor's parts and carries no left stack.
-The left parts of a quotient, and the multiplicity decompositions of the
+action is one map from C^d (x) module onto it (`Bimodule.left_map`,
+applied by `Bimodule.left_apply`); a quotient's is an `extension` step,
+the construction of the collapse steps, and it carries no left stack.
+The left map of a quotient, and the multiplicity decompositions of the
 two actions, are computed each on its first read and cached read-only.
 """
 
@@ -79,10 +79,10 @@ class Quotient:
     from the kept eigenpairs (w_i, u_i) of its Gram block: embed = (+)_i
     W_i (x) I_m and lift = (+)_i (W_i* / w_i) (x) I_m.  The right action is
     (+)_i I_kk (x) R_i, R_i = k.right_on_multiplicity[i], and the left
-    action (+)_i A_i (x) I_m, A_i(x) = W_i (left_h(x) (x) I_n)(W_i* / w_i)
-    (`Bimodule.left_parts`).  `blocks` holds (q_i, w_i, W_i, V_i, R_i), and
-    `h` is the left factor; readers apply the factors to column blocks, and
-    a dense map is the contraction with an identity.
+    action (+)_i A_i(x) (x) I_m, A_i(x) = W_i (left_h(x) (x) I_n)(W_i* / w_i),
+    the factors Z_i of `Bimodule.left_map`.  `blocks` holds (q_i, w_i, W_i,
+    V_i, R_i), and `h` is the left factor; readers apply the factors to
+    column blocks, and a dense map is the contraction with an identity.
     """
 
     kd: int
@@ -146,9 +146,9 @@ class Bimodule:
     is the left action matrix of the k-th coordinate basis element of the
     algebra, and `right[k]` the right one.  A quotient of kron pairs
     carries its quotient maps as per-block factors (`quotient`), and
-    `left` and `right` None: its actions are parts read off its blocks.
-    Readers go through `left_parts` and `right_parts`, and apply them to
-    column blocks with `left_apply` and `right_apply`.
+    `left` and `right` None: its actions are read off its blocks.  Readers
+    go through `left_map` and `right_parts`, and apply them to column
+    blocks with `left_apply` and `right_apply`.
     """
 
     algebra: Algebra
@@ -165,29 +165,26 @@ class Bimodule:
             [np.zeros(0), *(np.repeat(w, v.shape[2]) for _, w, _, v, _ in q.blocks)])
 
     @cached_property
-    def left_parts(self) -> tuple[tuple[np.ndarray, int], ...]:
-        """The left action as parts (A, m), left(x) = (+) A(x) (x) I_m in row order: a
-        quotient's blocks' (A_i, m_i), A_i(e_mu) = W_i (left_h(e_mu) (x) I_n)(W_i* / w_i)
-        applied through the parts of its left factor h, read-only; else the one part (left, 1)."""
+    def left_map(self) -> BlockMap:
+        """The left action as one read-only map from C^d (x) module onto it, e_mu (x) v to
+        left(e_mu) v: a quotient's the extension step over X(e_mu (x) v) = left_h(e_mu) v, h its
+        left factor, X* applied as left_h(e_mu)* = left_h(e_mu*); else its stack, one block."""
         q = self.quotient
         if q is None:
-            return ((self.left, 1),)
-        out = []
-        for _, w, wm, v, _ in q.blocks:
-            lift = (wm.conj().T / w).reshape(q.hd, -1)  # W* / w, rows (h index, n)
-            a = wm @ q.h.left_apply(lift).reshape(self.algebra.dim, -1, len(w))
-            a.flags.writeable = False
-            out.append((a, v.shape[2]))
-        return tuple(out)
+            z, rows = self.left.transpose(1, 0, 2), slice(0, self.dim)
+            z.flags.writeable = False
+            return BlockMap(self.dim, self.algebra.dim, self.dim, ((rows, rows, z, 1),))
+        star = self.algebra.star
+        return extension(self, lambda y: q.h.left_apply(y)[star].reshape(-1, y.shape[1]), self)
 
     def left_apply(self, x: np.ndarray) -> np.ndarray:
         """left(e_mu) @ x for every basis element e_mu and a column block x: shape
-        (d, dim, cols), each part applied to its own rows."""
-        out, o = np.empty((self.algebra.dim, *x.shape), dtype=complex), 0
-        for a, m in self.left_parts:
-            rows = slice(o, o + a.shape[1] * m)
-            y = a @ x[rows].reshape(a.shape[1], -1)  # (d, kk, m cols)
-            out[:, rows], o = y.reshape(out[:, rows].shape), rows.stop
+        (d, dim, cols), each block of `left_map` applied to its own rows."""
+        lm = self.left_map
+        out = np.empty((lm.da, *x.shape), dtype=complex)
+        for q, _, z, _ in lm.blocks:
+            y = z.transpose(1, 0, 2) @ x[q].reshape(z.shape[2], -1)  # (d, kk, m cols)
+            out[:, q] = y.reshape(out[:, q].shape)
         return out
 
     @property
@@ -221,7 +218,7 @@ class Bimodule:
         V[:, r, :] = left(e_r1) B.  Its columns are orthonormal, and the
         left action of e_rc sends V[:, c', s] to delta(c, c') V[:, r, s]: on
         the span of V the left action is x (x) I_m, with m = B.shape[1].
-        It is read off the left parts applied to the identity: only a right
+        It is read off the left action applied to the identity: only a right
         factor reads it, and in production those are l2 and the one-part
         couplings, of dimension at most d^2.
         """
@@ -468,8 +465,8 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
     The quotient coordinates are (block, kept direction, multiplicity
     index).  The quotient maps are kept as per-block factors (`Quotient`)
     and never assembled, and neither action is: the left action is the
-    blocks' (+) A_i (x) I_m, read off h's parts on first read
-    (`Bimodule.left_parts`), and the right action the blocks' (+) I_kk (x) R_i.
+    blocks' (+) A_i (x) I_m, an extension step built on first read
+    (`Bimodule.left_map`), and the right action the blocks' (+) I_kk (x) R_i.
     """
     factors, o = [], 0  # (rows, w, W, V, R) per kept block
     for (w, u), v, r in zip(blocks, k.multiplicity, k.right_on_multiplicity):
@@ -492,7 +489,7 @@ def extension(e: Bimodule, x_adjoint, sub: Bimodule) -> "BlockMap":
     block coordinates of e and of a (x) sub, with Z_i = W_i (X (x) I_n)(I_a
     (x) L_i) of shape (kk_i, a, kk'_i), L_i = W'_i* / w'_i the lift factor of
     sub.  Z_i[:, a] = ((W'_i / w'_i) Y_a)* for the a-th row block Y_a of Y =
-    X* (W_i (x) I_n)*, columns (n, kk_i): a is read off the rows of Y.
+    X* (W_i (x) I_n)*, columns (n, kk_i): a is read off the rows of Y; each Z_i is read-only.
     """
     qe, qs = e.quotient, sub.quotient
     out = []
@@ -503,7 +500,9 @@ def extension(e: Bimodule, x_adjoint, sub: Bimodule) -> "BlockMap":
         y = x_adjoint(wm.conj().reshape(kk, qe.hd, n).transpose(1, 2, 0).reshape(qe.hd, -1))
         da = len(y) // qs.hd
         y = np.matmul(wm2 / w2[:, None], y.reshape(da, -1, kk))  # conj Z_i, (a, kk'_i, kk_i)
-        out.append((q, q2, np.ascontiguousarray(np.conj(y, out=y).transpose(2, 0, 1)), v.shape[2]))
+        z = np.ascontiguousarray(np.conj(y, out=y).transpose(2, 0, 1))
+        z.flags.writeable = False
+        out.append((q, q2, z, v.shape[2]))
     return BlockMap(e.dim, da, sub.dim, tuple(out))
 
 
@@ -595,7 +594,7 @@ def verify_map(
 
     The bilinearity defect is the largest spectral norm of m L_s(e_mu) -
     L_t(e_mu) m and of m R_s(e_mu) - R_t(e_mu) m over the basis, one batched
-    norm per side.  Each side's parts are applied to m and m*
+    norm per side.  Each side's action is applied to m and m*
     (`Bimodule.left_apply`, `Bimodule.right_apply`), with m X_s(e_mu) =
     (X_s(e_mu*) m*)*, so no action matrix is formed.
     """

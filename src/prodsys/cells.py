@@ -148,26 +148,27 @@ class CellSystem:
         No collapse of p is formed.  An interior cut takes the last
         extension step of `collapse` on the columns, through the cached
         collapse of p without its last part; for a = len(p) - 1, C is the
-        embed of cell(p), applied through its factors.  The end cuts are
-        mirrors: cut 0 acts on rows (standard-space index, cell index) by the
-        left action through the solve map of `solve_left`, cut len(p) on
-        rows (cell index, standard-space index) by the right action through
-        that of `solve_right`, each applying the parts of its side
-        (`Bimodule.left_apply`, `Bimodule.right_apply`).
+        embed of cell(p), applied through its factors.  Cut 0 acts on rows
+        (standard-space index, cell index) by the solve map of `solve_left`
+        and then the cell's left map (`Bimodule.left_map`); cut len(p) on
+        rows (cell index, standard-space index) by the right parts through
+        the solve map of `solve_right` (`Bimodule.right_apply`).
         """
         n, cols, sf, d = len(p), x.shape[1], self.sf, self.sf.dim
-        if a in (0, n):
-            cellp, star = self.cell(p), sf.algebra.star
-            act, solve = ((cellp.left_apply, sf.solve_left_matrix) if a == 0
-                          else (cellp.right_apply, sf.solve_right_matrix))
-            if adjoint:  # sum_mu conj(solve[mu, i]) act(e_mu)* x, act(e_mu)* = act(e_mu*)
-                v = np.tensordot(solve.conj()[star], act(x), axes=(0, 0))  # (i, cell index, col)
-                return (v if a == 0 else v.transpose(1, 0, 2)).reshape(-1, cols)
-            # C x = sum_mu act(e_mu) y[..., mu], y[..., mu] = sum_i solve[mu, i] x[i]; one
+        if a == 0:
+            lm, solve = self.cell(p).left_map, sf.solve_left_matrix
+            if adjoint:
+                return (solve.conj().T @ lm.apply(x, adjoint=True).reshape(d, -1)).reshape(-1, cols)
+            return lm.apply((solve @ x.reshape(d, -1)).reshape(-1, cols))
+        if a == n:
+            right, solve = self.cell(p).right_apply, sf.solve_right_matrix
+            if adjoint:  # sum_mu conj(solve[mu, i]) right(e_mu)* x, right(e_mu)* = right(e_mu*)
+                v = np.tensordot(solve.conj()[sf.algebra.star], right(x), axes=(0, 0))
+                return v.transpose(1, 0, 2).reshape(-1, cols)
+            # C x = sum_mu right(e_mu) y[..., mu], y[..., mu] = sum_i solve[mu, i] x[i]; one
             # mu at a time, so no d x d stack of products is held
-            xs = x.reshape(d, -1, cols) if a == 0 else x.reshape(-1, d, cols).transpose(1, 0, 2)
-            y = np.tensordot(xs, solve, axes=(0, 1))
-            return sum(act(y[..., mu])[mu] for mu in range(d))
+            y = np.tensordot(x.reshape(-1, d, cols).transpose(1, 0, 2), solve, axes=(0, 1))
+            return sum(right(y[..., mu])[mu] for mu in range(d))
         if a == n - 1:
             return self.cell(p).quotient.embed_apply(x, adjoint)
         return self._step(p, a).apply(x, adjoint)
@@ -180,8 +181,9 @@ class CellSystem:
         without its last part, applied, never formed: the prefix's own cached
         step, or its embed.  Both cells end in that coupling (`bimodule.extension`).
         """
-        key, prefix = (p.key, a), Partition(p.parts[:-1])
+        key = (p.key, a)
         if key not in self._steps:
+            prefix = Partition(p.parts[:-1])
             self._steps[key] = extension(self.cell(p), lambda y: self.apply_collapse(
                 prefix, a, y, adjoint=True), self.cell(Partition(p.parts[a:])))
         return self._steps[key]

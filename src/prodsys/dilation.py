@@ -60,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, lmult_matrix
-from .bimodule import Bimodule, pi_phi, relative_tensor
+from .bimodule import Bimodule, inner, pi_phi, relative_tensor
 from .cells import CellSystem, Unit, span_multiplicity
 from .cpdyn import evaluate
 from .partition import Partition, uniform
@@ -404,19 +404,17 @@ def cocycle_from_unit(tl: TruncatedLimit, lam: Unit) -> Cocycle:
 
 
 def cocycle_from_levels(tl: TruncatedLimit, vectors: dict[Fraction, np.ndarray]) -> Cocycle:
-    """Cocycle built from unit vectors already represented on the levels."""
+    """Cocycle built from contractive unit vectors already represented on the levels."""
     maps: dict[Fraction, np.ndarray] = {}
     for t, v in vectors.items():
         k = tl.grid_index(t)
         if k == 0:
             maps[t] = np.eye(tl.sf.dim, dtype=complex)
             continue
-        b = pi_phi(tl.spaces[k], v, tl.sf)
-        # <v, v> is the element whose left multiplication is b* b; b maps cyclic to v
-        m = tl.sf.algebra.from_vec(tl.sf.solve_left_matrix @ (b.conj().T @ v))
+        m = tl.sf.algebra.from_vec(inner(tl.spaces[k], v[:, None], v[:, None], tl.sf)[0][0, 0])
         if m.norm() > 1.0 + CONTRACTIVE_TOL:
             raise ValueError(f"unit is not contractive at {t} (norm {m.norm():.6f})")
-        maps[t] = b
+        maps[t] = pi_phi(tl.spaces[k], v, tl.sf)
     return Cocycle(tl, maps)
 
 

@@ -100,10 +100,26 @@ def dense_right(module):
 
 
 def dense_left(module):
-    """The left action stack, left(e_mu) for every basis element: the parts (A, m) placed
-    as (+) A (x) I_m."""
-    d = module.algebra.dim
-    return block_diag(np.zeros((d, 0, 0)), *(np.kron(a, np.eye(m)) for a, m in module.left_parts))
+    """The left action stack, left(e_mu) for every basis element, read off the dense
+    `left_map`: its column (mu, v) is left(e_mu) v."""
+    d, dim = module.algebra.dim, module.dim
+    return module.left_map.dense().reshape(dim, d, dim).transpose(1, 0, 2)
+
+
+def formula_left_parts(module):
+    """The left action stack of a quotient from its factors, block by block: A_i(e_mu) =
+    W_i (left_h(e_mu) (x) I_n)(W_i* / w_i), h the left factor, placed as (+) A_i (x) I_m.
+
+    This is how a quotient built its left action before it was an extension
+    step; the reference for `Bimodule.left_map`.
+    """
+    q, d = module.quotient, module.algebra.dim
+    h_left, parts = dense_left(q.h), []
+    for _, w, wm, v, _ in q.blocks:
+        n, m = v.shape[1:]
+        a = wm @ np.kron(h_left, np.eye(n)) @ (wm.conj().T / w)
+        parts.append(np.kron(a, np.eye(m)))
+    return block_diag(np.zeros((d, 0, 0)), *parts)
 
 
 def dense_maps(cell):

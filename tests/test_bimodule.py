@@ -46,8 +46,8 @@ from prodsys.heatmarkov import make_model
 from prodsys.partition import Partition, uniform
 
 from conftest import (
-    SEED, dense_bilinear_defect, dense_left, dense_maps, dense_right, load_module,
-    loop_product_formula_defect, mixed_semigroup, random_element, random_hermitian,
+    SEED, dense_bilinear_defect, dense_left, dense_maps, dense_right, formula_left_parts,
+    load_module, loop_product_formula_defect, mixed_semigroup, random_element, random_hermitian,
 )
 
 
@@ -397,8 +397,8 @@ def test_relative_tensor_matches_dense_oracle(system, parts, request):
 
 
 def assembled(cell):
-    """Whether the left parts of a cell have been computed."""
-    return "left_parts" in vars(cell)
+    """Whether the left map of a cell has been computed."""
+    return "left_map" in vars(cell)
 
 
 def pre_change_quotient_maps(r):
@@ -441,6 +441,17 @@ def test_factor_contractions_match_the_dense_quotient_maps(system, request, rng)
         assert close(dense_embed, embed) and close(dense_lift, lift)
 
 
+@pytest.mark.parametrize("system", ["pair", "mixed_block", "m2_lindblad", "chain6"])
+def test_left_map_matches_the_per_block_formula(system, request):
+    # a quotient's left map is the extension step of its left factor's left
+    # action; the per-block formula it replaced is the oracle
+    sg, sf = request.getfixturevalue(system)
+    cs = CellSystem(sg, sf)
+    for cell in (cs.gns(Fraction(1, 4)), cs.cell(uniform(Fraction(1, 2), 2)),
+                 cs.cell(uniform(Fraction(3, 4), 3))):
+        assert close(dense_left(cell), formula_left_parts(cell))
+
+
 def recorded_range_widths(monkeypatch):
     """Widths of the matrices `projection_range` is called on, recorded in a list."""
     widths, real = [], bimodule.projection_range
@@ -456,7 +467,7 @@ def recorded_range_widths(monkeypatch):
 @pytest.mark.parametrize("system, parts", [("m2_lindblad", 2), ("pair", 3), ("mixed_block", 2)])
 def test_fused_cell_assembles_its_actions_only_when_read(system, parts, request, monkeypatch):
     # the last part is fused onto a built prefix: the prefix's right side is
-    # read off its own right factor, so its left parts are not computed, no
+    # read off its own right factor, so its left map is not built, no
     # quotient carries a left or right stack at all, and every range is
     # decided on a matrix no wider than the last coupling
     sg, sf = request.getfixturevalue(system)
@@ -489,7 +500,7 @@ def test_fusing_onto_the_dim256_lindblad_prefix_stays_small(monkeypatch, tmp_pat
     cs = CellSystem(cfg.semigroup, cfg.sf)
     p = uniform(1, 4)
     prefix, last = cs.cell(Partition(p.parts[:-1])), cs.gns(p.parts[-1])
-    last.left_parts  # the coupling's own parts are not the fusion's
+    last.left_map  # the coupling's own left map is not the fusion's
     widths = recorded_range_widths(monkeypatch)
     tracemalloc.start()
     try:
@@ -824,19 +835,22 @@ def test_verify_map_bilinearity_matches_the_dense_route(request, system, rng, mo
 
 @pytest.mark.parametrize("system", ["pair", "mixed", "m2_lindblad"])
 def test_verify_map_fails_on_a_conjugated_left_part(request, system, rng):
-    # the widest left part A_i of the refinement's target, conjugated by a
-    # random unitary, is still a representation, but the map no longer
-    # intertwines it; the parts are read, so the cached ones are replaced
+    # the widest block Z_i of the refinement's target's left map, conjugated
+    # on its kk indices by a random unitary, is still a representation, but
+    # the map no longer intertwines it; the left map is read, so the cached
+    # one is replaced
     sg, sf = mixed_semigroup() if system == "mixed" else request.getfixturevalue(system)
     a = CellSystem(sg, sf).refinement(uniform(Fraction(1, 2), 3), uniform(Fraction(1, 2), 1))
     assert verify_map(a, bilinear=True).passed
-    parts = list(a.target.left_parts)
-    i = max(range(len(parts)), key=lambda j: parts[j][0].shape[1])
-    z = rng.standard_normal((2,) + parts[i][0].shape[1:])
-    u = np.linalg.qr(z[0] + 1j * z[1])[0]
-    parts[i] = (u @ parts[i][0] @ u.conj().T, parts[i][1])
+    left_map = a.target.left_map
+    blocks = list(left_map.blocks)
+    i = max(range(len(blocks)), key=lambda j: len(blocks[j][2]))
+    q, q2, z, m = blocks[i]
+    g = rng.standard_normal((2, len(z), len(z)))
+    u = np.linalg.qr(g[0] + 1j * g[1])[0]
+    blocks[i] = (q, q2, np.einsum("ka,abc,lc->kbl", u, z, u.conj()), m)
     target = dataclasses.replace(a.target)
-    vars(target)["left_parts"] = tuple(parts)
+    vars(target)["left_map"] = dataclasses.replace(left_map, blocks=tuple(blocks))
     broken = BimoduleMap(a.source, target, a.matrix)
     rep, want = verify_map(broken, bilinear=True), dense_bilinear_defect(broken)
     assert not rep.passed and rep.bilinear_defect > 0.01

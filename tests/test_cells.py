@@ -675,6 +675,28 @@ def test_warm_cell_caches_hash_no_fraction(pair_system, monkeypatch):
     assert hashes == []
 
 
+def test_warm_interior_collapse_builds_no_partition(pair_system, monkeypatch):
+    # a cached step is looked up by its key; the partitions of its prefix
+    # and suffix are built only when the step is
+    cs, _ = pair_system
+    p = uniform(1, 8)
+    x = np.ones((cs.cell(Partition(p.parts[:3])).dim * cs.cell(Partition(p.parts[3:])).dim, 1))
+    cs.apply_collapse(p, 3, x)
+    built, post_init = [], Partition.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counting_post_init)
+    Partition((1,))
+    assert len(built) == 1  # the counter sees every construction
+    built.clear()
+    cs.apply_collapse(p, 3, x)
+    cs.apply_collapse(p, 3, np.ones((cs.cell(p).dim, 1)), adjoint=True)
+    assert built == []
+
+
 def test_collapse_memory_at_an_interior_cut(m2_lindblad):
     cs = CellSystem(*m2_lindblad)
     p = uniform(Fraction(3, 4), 3)
@@ -773,15 +795,18 @@ def test_refinement_rejects_partitions_that_do_not_refine(pair_system):
 
 
 def test_cached_cell_actions_are_read_only(pair_system):
-    # a quotient carries no action stack: its left parts are computed on
-    # first read and its right parts are shared by every quotient over the
-    # same right factor, so an in-place write must fail instead of changing them
+    # a quotient carries no action stack: its left map is built on first
+    # read, its right parts are shared by every quotient over the same right
+    # factor, and the collapse steps are cached, so an in-place write must
+    # fail instead of changing them
     cs, _ = pair_system
-    p = uniform(1, 2)
-    for cell in (cs.gns(Fraction(1, 2)), cs.cell(p)):
+    p = uniform(1, 3)
+    steps = cs._step(p, 1).blocks
+    for cell in (cs.gns(Fraction(1, 3)), cs.cell(p)):
         assert cell.left is None and cell.right is None
-        assert cell.left_parts is cell.left_parts
-        for arr in (*(a for a, _ in cell.left_parts), *(r for _, r in cell.right_parts)):
+        assert cell.left_map is cell.left_map
+        for arr in (*(z for _, _, z, _ in cell.left_map.blocks + steps),
+                    *(r for _, r in cell.right_parts)):
             before = arr.copy()
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0, 0] = 1.0

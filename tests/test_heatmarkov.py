@@ -292,8 +292,9 @@ def test_l2_cell_actions_are_read_only_diagonal_stacks(model, parts, request):
         with pytest.raises(ValueError, match="read-only"):
             got[0, 0, 0] = 2.0
         assert np.array_equal(got, want)
-    ((a, m),) = cell.left_parts  # no quotient: the one part is its stack
-    assert a is cell.left and m == 1
+    ((q, q2, z, m),) = cell.left_map.blocks  # no quotient: the one block is its stack
+    assert z.base is cell.left and np.array_equal(z.transpose(1, 0, 2), cell.left)
+    assert q == q2 == slice(0, cell.dim) and m == 1 and not z.flags.writeable
 
 
 def test_cell_match_allocates_no_action_stacks(chain6):
