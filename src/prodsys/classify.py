@@ -1,23 +1,24 @@
 """Endomorphism semigroups, twisted cells and cocycle classification.
 
-An endomorphism semigroup acting on the standard space by a twisted left
-action gives, for each time, a copy of the standard space whose left action
-is routed through the endomorphism.  These twisted cells multiply by
-materializing the first factor and pushing it through the endomorphism,
-which makes the cyclic vectors a generating unital unit.  Two semigroups
-are cocycle equivalent exactly when their twisted systems are isomorphic.
-On a grid the solver decides it by the integer multiplicity matrices of
-the two endomorphisms at the grid step; a positive answer carries the
-matrix-unit intertwiner there, extended by the cocycle law and certified
-by the conjugation identity at every grid time.  The grid checks are
-stacked: the action matrices and cocycle values of the grid times are
-stacked once per call, the grid pairs of the law are rows of one product,
-and every defect is one batched operator norm per block size.
+An inner semigroup is `cpdyn.evaluate` of a conjugation generator, so its
+actions share the semigroup cache.  An endomorphism semigroup acting on the
+standard space by a twisted left action gives, for each time, a copy of the
+standard space whose left action is routed through the endomorphism.  These
+twisted cells multiply by materializing the first factor and pushing it
+through the endomorphism, which makes the cyclic vectors a generating
+unital unit.  Two semigroups are cocycle equivalent exactly when their
+twisted systems are isomorphic.  On a grid the solver decides it by the
+integer multiplicity matrices of the two endomorphisms at the grid step; a
+positive answer carries the matrix-unit intertwiner there, extended by the
+cocycle law and certified by the conjugation identity at every grid
+time.  The grid checks are stacked: the action matrices and cocycle values
+of the grid times are stacked once per call, the grid pairs of the law are
+rows of one product, and every defect is one batched operator norm per
+block size.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
@@ -26,11 +27,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (
-    Algebra, AlgebraElement, StandardForm, block_diag, expm, lmult_matrix, projection_range,
-    rmult_matrix,
+    Algebra, AlgebraElement, StandardForm, lmult_matrix, projection_range, rmult_matrix,
 )
 from .bimodule import Bimodule, BimoduleMap, extend_from_family
 from .cells import CellSystem
+from .cpdyn import evaluate, semigroup_from_generator, unitary_conjugation_generator
 from .partition import Partition, sum_pairs
 
 
@@ -50,22 +51,9 @@ class E0Semigroup:
 
 
 def inner_semigroup(algebra: Algebra, h: AlgebraElement) -> E0Semigroup:
-    """Conjugation by the unitary group of a Hermitian element."""
-    herm = max(np.linalg.norm(m - m.conj().T) for m in h.mats)
-    if herm > 1e-12:
-        raise ValueError("inner semigroup needs a Hermitian element")
-
-    @functools.cache
-    def action(t: Fraction) -> np.ndarray:
-        blocks = []
-        for hb, n in zip(h.mats, algebra.blocks):
-            u = expm(1j * float(t) * hb)
-            blocks.append(np.kron(u.conj().T, u.T))
-        out = block_diag(*blocks)
-        out.flags.writeable = False  # cached, shared by every map_at at t
-        return out
-
-    return E0Semigroup(algebra, action, label="inner")
+    """Conjugation by the unitary group of a Hermitian element: `evaluate` of its generator."""
+    sg = semigroup_from_generator(algebra, unitary_conjugation_generator(algebra, h))
+    return E0Semigroup(algebra, lambda t: evaluate(sg, t).action, label="inner")
 
 
 def identity_semigroup(algebra: Algebra) -> E0Semigroup:

@@ -59,7 +59,7 @@ from .dilation import (
     TruncatedLimit,
     TruncationError,
     UnitLawError,
-    cocycle_from_levels,
+    cocycle_from_unit,
     compression_defect,
     continuity_profile,
     corner_isometry_defect,
@@ -374,7 +374,7 @@ def suite_dilate(cfg: ExperimentConfig) -> Report:
     rep.add("minimality", "orbit-span", rank_defect, 0.5)
     prof = continuity_profile(tl)
     rep.add("continuity-sup", "unit-continuity", max(prof.values()), 10.0)
-    w = cocycle_from_levels(tl, {k * cfg.delta: v for k, v in enumerate(tl.unit_level)})
+    w = cocycle_from_unit(tl, unit)
     rep.add("cocycle-law", "cocycle-unit-correspondence", w.law_defect(), cfg.tol(1e-9))
     back = unit_from_cocycle(tl, w)
     expected = tl.unit_level
@@ -440,9 +440,7 @@ def suite_heat(cfg: ExperimentConfig) -> Report:
         rep.add(f"kernel-composition[{t}]", "kernel-properties", kr.composition_defect, cfg.tol(1e-12))
     pm = path_measure(mdl, uniform(1, 2))
     rep.add("path-mass", "path-measure", abs(pm.mass - 1.0), cfg.tol(1e-12))
-    sf = mdl.standard_form()
-    sg = semigroup_from_generator(sf.algebra, -mdl.laplacian.astype(complex))
-    cs = CellSystem(sg, sf)
+    cs = CellSystem(mdl.semigroup, mdl.standard_form())
     for p in [Partition((Fraction(1),)), uniform(1, 2)]:
         defect, dc, dp = cell_match_defect(mdl, p, cs)
         rep.add(f"cell-match{p}", "path-space-cells", defect, cfg.tol(1e-10))

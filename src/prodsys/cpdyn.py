@@ -1,11 +1,11 @@
 """Unital completely positive maps and one-parameter semigroups of them.
 
-Maps act on algebra coordinates as dense complex matrices.  Semigroups are
-always of exponential type: they are specified by a generator L with
-L(1) = 0 and evaluated as matrix exponentials.  Complete positivity is
-verified a posteriori through the Choi matrix, assembled per block pair of
-the algebra after extending the map by the block-diagonal conditional
-expectation.
+Maps act on algebra coordinates as dense complex matrices, real for a real
+generator.  Semigroups are of exponential type: a generator L with L(1) = 0,
+whose e^{tL} `evaluate` computes once per time and caches read-only.
+Complete positivity is verified a posteriori through the Choi matrix,
+assembled per block pair of the algebra after extending the map by the
+block-diagonal conditional expectation.
 """
 
 from __future__ import annotations
@@ -88,8 +88,9 @@ class CpSemigroup:
 
 
 def semigroup_from_generator(algebra: Algebra, generator: np.ndarray) -> CpSemigroup:
-    """Wrap a coordinate generator as a semigroup; requires L(1) = 0."""
-    gen = np.asarray(generator, dtype=complex)
+    """Wrap a coordinate generator as a semigroup; requires L(1) = 0.  A real one stays real."""
+    gen = np.asarray(generator)
+    gen = gen.astype(np.result_type(gen.dtype, float), copy=False)
     d = algebra.dim
     if gen.shape != (d, d):
         raise ConfigurationError(f"generator shape {gen.shape} != ({d}, {d})")
@@ -103,7 +104,8 @@ def semigroup_from_generator(algebra: Algebra, generator: np.ndarray) -> CpSemig
 
 
 def evaluate(sg: CpSemigroup, t) -> CpMap:
-    """The semigroup element at time t >= 0."""
+    """The semigroup element e^{tL} at time t >= 0 in the generator's dtype, computed
+    once per float(t): every caller at t shares its cached read-only action."""
     tf = float(t)
     if tf < 0:
         raise ValueError(f"negative time {t}")
@@ -113,9 +115,10 @@ def evaluate(sg: CpSemigroup, t) -> CpMap:
     if hit is not None:
         return hit
     if tf == 0.0:
-        action = np.eye(sg.algebra.dim, dtype=complex)
+        action = np.eye(sg.algebra.dim, dtype=sg.generator.dtype)
     else:
         action = expm(tf * sg.generator)
+    action.flags.writeable = False
     result = CpMap(sg.algebra, action)
     with sg._lock:
         sg._cache[key] = result

@@ -1,9 +1,10 @@
 """Reversible Markov heat kernels and the path-space picture of the cells.
 
 A model is a finite state space with a positive probability weight and a
-weight-symmetric Laplacian.  The heat kernel is the density of the
-semigroup against the weight; it is symmetric, has unit mass and composes
-by the weighted convolution law.  For a partition, the kernel defines a
+weight-symmetric Laplacian Δ.  Its heat semigroup e^{-tΔ} is
+`cpdyn.evaluate` of the real generator -Δ, and the heat kernel is its
+density against the weight; it is symmetric, has unit mass and composes by
+the weighted convolution law.  For a partition, the kernel defines a
 probability weight on paths, and the square-integrable path functions form
 a two-sided module over the function algebra: the left action multiplies
 through the first path variable, the right action through the last.
@@ -22,14 +23,16 @@ applied to the columns of the corner isometry, never formed at the top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import Algebra, StandardForm, diagonal_state, expm, make_algebra, standard_form
+from .algebra import Algebra, StandardForm, diagonal_state, make_algebra, standard_form
 from .bimodule import GRAM_RTOL, Bimodule, _kept
+from .cpdyn import CpSemigroup, evaluate, semigroup_from_generator
 from .dilation import grid_index
 from .partition import Partition
 
@@ -40,22 +43,23 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class MarkovModel:
-    """Finite reversible chain: weights mu and a mu-symmetric Laplacian."""
+    """Finite reversible chain: weights mu, a mu-symmetric Laplacian Δ and the real
+    `semigroup` e^{-tΔ} on functions, which the heat cells share."""
 
     mu: np.ndarray
     laplacian: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def states(self) -> int:
         return self.mu.size
 
+    @cached_property
+    def semigroup(self) -> CpSemigroup:
+        return semigroup_from_generator(self.algebra(), -self.laplacian)
+
     def transition(self, t: float) -> np.ndarray:
-        """Matrix of the semigroup on functions at time t, cached read-only per float(t)."""
-        if (t := float(t)) not in self._cache:
-            self._cache[t] = m = expm(-t * self.laplacian)
-            m.flags.writeable = False
-        return self._cache[t]
+        """e^{-tΔ} on functions: `evaluate`'s real read-only action, cached per float(t)."""
+        return evaluate(self.semigroup, t).action
 
     def algebra(self) -> Algebra:
         return make_algebra([1] * self.states)

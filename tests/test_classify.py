@@ -67,6 +67,12 @@ def test_inner_semigroup_is_endomorphism_family(m2_inner):
     assert law_defect(theta.map_at, [(s, t) for s in ts for t in ts]) < 1e-10
 
 
+def test_inner_semigroup_refuses_a_non_hermitian_element():
+    alg = make_algebra([2])
+    with pytest.raises(ValueError, match="Hermitian"):
+        inner_semigroup(alg, alg.element([np.array([[0.0, 1.0], [0.0, 0.0]])]))
+
+
 def loop_endomorphism_defects(theta, t):
     """Basis-pair loop over Python-level products, the reference."""
     alg = theta.algebra

@@ -14,7 +14,7 @@ import pytest
 import prodsys.cli
 import prodsys.dilation
 from prodsys.cells import CellSystem
-from prodsys.algebra import make_algebra
+from prodsys.algebra import expm, make_algebra
 from prodsys.cli import (
     SUITES, complex_matrix, element_from_config, load_config, main, suite_classify, suite_dilate,
     suite_heat, suite_roundtrip,
@@ -315,6 +315,25 @@ def test_non_cp_semigroup_ends_only_the_suites_that_build_its_cells(tmp_path, ca
     assert {f.name for f in out.glob("*.csv")} == {
         "check-cp.csv", "classify.csv", "heat.csv", "heat_kernel.csv"}
     assert ",FAIL" in (out / "check-cp.csv").read_text()
+
+
+def test_heat_suite_exponentiates_each_time_once(monkeypatch):
+    """Kernels, path measures, cells and the dilation share one e^{tL} per time."""
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a)
+        return expm(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("prodsys") and getattr(module, "expm", None) is expm:
+            monkeypatch.setattr(module, "expm", counting_expm)
+    cfg = load_config(None, None, 1.0)
+    suite_heat(cfg)
+    assert len(calls) == 4
+    lap, d = cfg.markov.laplacian, float(cfg.delta)
+    times = sorted(float(a[0, 0].real / -lap[0, 0]) for a in calls)
+    assert times == pytest.approx(sorted([d, d / 2, 1.0, 0.5]), rel=1e-15)
 
 
 @pytest.mark.parametrize("levels", [2, 4])

@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import prodsys
 from prodsys.algebra import ConfigurationError, make_algebra
 from prodsys.cpdyn import (
     CpMap,
@@ -24,6 +27,7 @@ from conftest import (
     mixed_semigroup,
     random_element,
     random_hermitian,
+    reversible_chain,
 )
 
 
@@ -193,6 +197,30 @@ def test_commutative_semigroup_is_row_stochastic():
         action = evaluate(sg, t).action.real
         assert np.abs(action @ np.ones(2) - np.ones(2)).max() < 1e-12
         assert action.min() > -1e-12
+
+
+def test_real_generator_gives_read_only_real_actions():
+    _, lap = reversible_chain(5, 6)
+    algebra = make_algebra([1] * 6)
+    real, cplx = (semigroup_from_generator(algebra, g) for g in (-lap, -lap.astype(complex)))
+    for t in [0.0, 0.3, 2.5]:
+        action, reference = evaluate(real, t).action, evaluate(cplx, t).action
+        assert action.dtype == np.float64
+        assert evaluate(real, t).action is action
+        assert np.abs(action - reference).max() <= 1e-15
+        for cached in (action, reference):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 0.0
+
+
+def test_only_cpdyn_names_expm():
+    """`evaluate` is the one route to a matrix exponential inside the package."""
+    src = Path(prodsys.__file__).parent
+    names = sorted(path.name for path in src.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.alias) and node.name == "expm"
+                   or isinstance(node, ast.Attribute) and node.attr == "expm")
+    assert names == ["cpdyn.py"]
 
 
 @pytest.mark.parametrize("system", ["pair", "mixed", "m2_lindblad"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import prodsys.heatmarkov
+import prodsys.cpdyn
 from prodsys.algebra import expm
 from prodsys.bimodule import GRAM_RTOL
 from prodsys.cells import CellSystem
@@ -178,7 +178,7 @@ def test_transition_is_computed_once_per_time(chain6, monkeypatch):
         calls.append(a)
         return expm(a)
 
-    monkeypatch.setattr(prodsys.heatmarkov, "expm", counting_expm)
+    monkeypatch.setattr(prodsys.cpdyn, "expm", counting_expm)
     first = chain6.transition(Fraction(1, 4))
     assert len(calls) == 1
     assert chain6.transition(0.25) is first
