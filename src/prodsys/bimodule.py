@@ -21,8 +21,9 @@ the direct sum over blocks of one small matrix of algebra-element entries
 tensored with the identity on the multiplicity space.  In the GNS
 tensor the small matrices hold the Choi data of T, are diagonalized, and
 the rank rule decides what is kept.  In the relative tensor product they
-are tau_j times the projection given by the left factor's right
-multiplicity (`relative_tensor` proves it): no eigh, no rank decided.
+are tau_j times a projection read off the left factor's right parts, part
+by part (`relative_tensor` proves it): no eigh, no rank decided, and the
+factor is built once per left factor and state.
 `gram_quotient` diagonalizes an assembled Gram matrix whole; it is the
 dense reference the block quotient is tested against.
 
@@ -37,8 +38,10 @@ apply the parts to their own vectors (`Bimodule.right_apply`).  The left
 action is one map from C^d (x) module onto it (`Bimodule.left_map`,
 applied by `Bimodule.left_apply`); a quotient's is an `extension` step,
 the construction of the collapse steps, and it carries no left stack.
-The left map of a quotient, and the multiplicity decompositions of the
-two actions, are computed each on its first read and cached read-only.
+The left map of a quotient, the left multiplicity decomposition, and the
+checked right multiplicity of each right part, kept by the module that
+makes the part (`Bimodule.right_ranges`), are computed each on its first
+read and cached read-only.
 """
 
 from __future__ import annotations
@@ -78,21 +81,28 @@ class Quotient:
     rows q_i.  Block i keeps one factor W_i = sqrt(w_i) u_i* (kk x hd n)
     from the kept eigenpairs (w_i, u_i) of its Gram block: embed = (+)_i
     W_i (x) I_m and lift = (+)_i (W_i* / w_i) (x) I_m.  The right action is
-    (+)_i I_kk (x) R_i, R_i = k.right_on_multiplicity[i], and the left
-    action (+)_i A_i(x) (x) I_m, A_i(x) = W_i (left_h(x) (x) I_n)(W_i* / w_i),
-    the factors Z_i of `Bimodule.left_map`.  `blocks` holds (q_i, w_i, W_i,
-    V_i, R_i), and `h` is the left factor; readers apply the factors to
-    column blocks, and a dense map is the contraction with an identity.
+    (+)_i I_kk (x) R_i, R_i = k.right_on_multiplicity[i], so the parts of a
+    quotient are made by its right factor k, and so are their checked
+    decompositions (`Bimodule.right_ranges`).  The left action is (+)_i
+    A_i(x) (x) I_m, A_i(x) = W_i (left_h(x) (x) I_n)(W_i* / w_i), the
+    factors Z_i of `Bimodule.left_map`.  `blocks` holds (q_i, w_i, W_i,
+    V_i, R_i), `h` is the left factor and `k` the right one; readers apply
+    the factors to column blocks, and a dense map is the contraction with an
+    identity.
     """
 
-    kd: int
     dim: int
     blocks: tuple
     h: Bimodule
+    k: Bimodule
 
     @property
     def hd(self) -> int:
         return self.h.dim
+
+    @property
+    def kd(self) -> int:
+        return self.k.dim
 
     def embed_pairs(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """embed @ kron(u, w) for column blocks u of h and w of k, in kron column order.
@@ -237,39 +247,57 @@ class Bimodule:
         return out
 
     @cached_property
-    def right_multiplicity(self) -> tuple[np.ndarray, ...]:
-        """Multiplicity decomposition of the right action, one array per block.
+    def right_ranges(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The checked right multiplicity of each R of `right_on_multiplicity` (`_right_ranges`).
 
-        The mirror of `multiplicity`: X[:, c, :] = right(e_1c) B, with B the
-        range of right(e_11), so X[:, c, p] is copy p of the row vector e_c^T
-        of M_n.  The right action is a sum of parts I_kk (x) R: a quotient's
-        blocks' (kk, R_i), read off its right factor (Paschke 1973), or the
-        one part (1, right) of any other module; X is the sum of the I_kk (x)
-        X_R.  `relative_tensor` reads its Gram off X, so each X_R is checked:
-        its columns must form a unitary, and each matrix unit y must send
-        X_R[:, c, p] to sum_k y_ck X_R[:, k, p].  Past 1e-8 that raises, on
-        every call: the bounded-vector compositions are no left multiplications.
+        Every quotient over this module as its right factor carries these R as
+        its right parts, so each is decomposed and checked once, here, and not
+        per quotient; a failing R raises on every read, as nothing is cached.
         """
-        parts, alg = self.right_parts, self.algebra
-        decs, defect = [_multiplicity(r, alg, left=False) for _, r in parts], 0.0
-        for (_, r), dec in zip(parts, decs):
-            d = r.shape[1]
-            x = np.hstack([v.reshape(d, -1) for v in dec])
-            defect = max(defect, np.linalg.norm(x.conj().T @ x - np.eye(d))
-                         if x.shape == (d, d) else np.inf)
-            for y, act in zip(self.algebra.basis(), r):
-                moved = np.hstack([np.einsum("ck,akp->acp", b, v).reshape(d, -1)
-                                   for b, v in zip(y.mats, dec)])
-                defect = max(defect, np.linalg.norm(act @ x - moved, axis=0).max(initial=0.0))
-        if defect > 1e-8:
-            raise NotCompletelyPositiveError("bounded-vector composition is not a left "
-                                             f"multiplication (right-action defect {defect:.3e})")
-        copies = [c for (kk, _), dec in zip(parts, decs) for c in [dec] * kk]
-        out = tuple(block_diag(np.zeros((n, 0, 0)), *(x[j].transpose(1, 0, 2) for x in copies))
-                    .transpose(1, 0, 2) for j, n in enumerate(alg.blocks))
-        for x in out:
-            x.flags.writeable = False
-        return out
+        return tuple(_right_ranges(r, self.algebra) for r in self.right_on_multiplicity)
+
+    @cached_property
+    def _stack_ranges(self) -> tuple[np.ndarray, ...]:
+        """The checked right multiplicity of the right stack of a module that is no quotient."""
+        return _right_ranges(self.right, self.algebra)
+
+    @property
+    def part_ranges(self) -> list[tuple[np.ndarray, ...]]:
+        """The checked right multiplicity of each of `right_parts`, read where the part is made:
+        a quotient's off its right factor (`right_ranges`), any other module's off its stack."""
+        q = self.quotient
+        if q is None:
+            return [self._stack_ranges]
+        made = dict(zip(map(id, q.k.right_on_multiplicity), q.k.right_ranges))
+        return [made[id(r)] for *_, r in q.blocks]
+
+    @cached_property
+    def _gram_factors(self) -> dict:
+        """The Gram factor of the relative tensors over this module, per state."""
+        return {}
+
+
+def _right_ranges(r: np.ndarray, alg: Algebra) -> tuple[np.ndarray, ...]:
+    """Multiplicity decomposition of one right part's stack R, one array per block, checked.
+
+    The mirror of `Bimodule.multiplicity`: X[:, c, :] = R(e_1c) B, with B the
+    range of R(e_11), so X[:, c, p] is copy p of the row vector e_c^T of
+    M_n.  `relative_tensor` reads its Gram off X, so X is checked: its
+    columns must form a unitary, and each matrix unit y must send X[:, c, p]
+    to sum_k y_ck X[:, k, p].  Past 1e-8 that raises: the bounded-vector
+    compositions are no left multiplications.
+    """
+    dec, d = _multiplicity(r, alg, left=False), r.shape[1]
+    x = np.hstack([v.reshape(d, v.shape[1] * v.shape[2]) for v in dec])
+    defect = np.linalg.norm(x.conj().T @ x - np.eye(d)) if x.shape == (d, d) else np.inf
+    for y, act in zip(alg.basis(), r):
+        moved = np.hstack([np.einsum("ck,akp->acp", b, v).reshape(d, v.shape[1] * v.shape[2])
+                           for b, v in zip(y.mats, dec)])
+        defect = max(defect, np.linalg.norm(act @ x - moved, axis=0).max(initial=0.0))
+    if defect > 1e-8:
+        raise NotCompletelyPositiveError("bounded-vector composition is not a left "
+                                         f"multiplication (right-action defect {defect:.3e})")
+    return dec
 
 
 def _multiplicity(stack: np.ndarray, alg: Algebra, left: bool) -> tuple[np.ndarray, ...]:
@@ -389,7 +417,7 @@ def inner(h: Bimodule, xs: np.ndarray, ys: np.ndarray,
     return elements, residual, max(1.0, float(np.abs(comp).max(initial=0.0)))
 
 
-def gns_tensor(t_map, sf: StandardForm) -> Bimodule:
+def gns_tensor(t_map, sf: StandardForm, l2: Bimodule | None = None) -> Bimodule:
     """Couple the algebra to its standard space through a UCP map.
 
     Spanning family: elementary tensors over the matrix-unit basis of the
@@ -401,7 +429,10 @@ def gns_tensor(t_map, sf: StandardForm) -> Bimodule:
     e_a* e_b, because lmult(x*) = lmult(x)*.  The E hold the Choi data of
     T, so this is the one quotient that decides a rank: the rank rule
     (`_kept`) runs once over the eigenvalues of all blocks.  A non-CP input
-    shows up as a genuinely negative eigenvalue and is rejected.
+    shows up as a genuinely negative eigenvalue and is rejected.  `l2` is
+    the standard space of sf as a module, both factors of the coupling; a
+    `CellSystem` passes its own, so that every coupling it builds shares
+    one right factor, whose parts are then decomposed once per state.
     """
     elements, d, blocks = sf.lmult_basis.conj() @ t_map.action.T, sf.dim, sf.algebra.blocks
     parts = np.split(elements, sf.algebra.offsets[1:], axis=2)
@@ -412,8 +443,9 @@ def gns_tensor(t_map, sf: StandardForm) -> Bimodule:
     except NotCompletelyPositiveError as exc:
         raise NotCompletelyPositiveError(f"GNS coupling failed, map is not CP: {exc}") from exc
     keeps = np.split(keep, np.cumsum([w.size for w, _ in eigs])[:-1])
-    l2 = l2_bimodule(sf)
-    return _block_quotient([(w[kp], u[:, kp]) for (w, u), kp in zip(eigs, keeps)], l2, l2, sf)
+    l2 = l2_bimodule(sf) if l2 is None else l2
+    return _block_quotient([(w[kp], np.sqrt(w[kp])[:, None] * u[:, kp].conj().T)
+                            for (w, u), kp in zip(eigs, keeps)], l2, l2, sf)
 
 
 def tensor_vec(g: Bimodule, x: AlgebraElement, xi: np.ndarray) -> np.ndarray:
@@ -429,28 +461,57 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     the algebra elements of L_a* L_b (L_a the bounded-vector map of
     coordinate vector a of h, `inner`), are fixed by the right module
     structure of h alone (Paschke 1973, "Inner product modules over
-    B*-algebras"): with X = h.right_multiplicity, for a cell read off its
-    last part, and tau_j = Tr(rho_j^-1) (`StandardForm.frame_weights`),
+    B*-algebras"), which is a sum of parts (kk, R), right(y) = (+) I_kk (x)
+    R(y) (`Bimodule.right_parts`).  With X the checked right multiplicity
+    of a part's R on block M_n (`Bimodule.part_ranges`) and tau_j =
+    Tr(rho_j^-1) (`StandardForm.frame_weights`), E_j = tau_j U_j U_j*, where
+    U_j is the direct sum over the parts, each on its own rows of h and its
+    own columns, of
 
-        E_j = tau_j U_j U_j*,  U_j[(a, r), p] = sum_c X_j[a, c, p] (rho_j^-1/2)_rc / sqrt(tau_j).
+        I_kk (x) U_R,  U_R[(a, r), p] = sum_c X[a, c, p] (rho_j^-1/2)_rc / sqrt(tau_j).
 
-    Proof: x_cp = X_j[:, c, p] is copy p of the row vector e_c^T of M_n.
-    L_xi sends eta to xi solve_right(eta), and solve_right multiplies by
-    rho^-1/2 from the left, so L_x_cp sends eta to copy p of e_c^T
+    Proof, part by part: x_cp = X[:, c, p] is copy p of the row vector
+    e_c^T of M_n, and so is e_kappa (x) x_cp on the part's rows C^kk (x)
+    C^m.  L_xi sends eta to xi solve_right(eta), and solve_right multiplies
+    by rho^-1/2 from the left, so L_x_cp sends eta to copy p of e_c^T
     rho_j^-1/2 eta_j, and L_x_cp* L_x_c'p' is left multiplication by
-    delta(p, p') rho_j^-1/2 e_cc' rho_j^-1/2.  Coordinate vector a is
-    sum_cp conj(X_j[a, c, p]) x_cp on block j, so E_j = sum_p u_p u_p*
-    with u_p = sqrt(tau_j) U_j[:, p]; the x_cp are orthonormal, so the u_p
-    are orthogonal of squared norm sum_c (rho_j^-1)_cc = tau_j.  Hence E_j
-    has the one nonzero eigenvalue tau_j, on the columns of U_j, and there
-    is no rank to decide.
+    delta(p, p') rho_j^-1/2 e_cc' rho_j^-1/2; copies in another part or
+    another kappa are orthogonal and compose to zero.  Each part's X is
+    unitary, so coordinate vector a of h is sum_cp conj(X[a', c, p])
+    (e_kappa (x) x_cp) within its own part and copy kappa, a = (kappa, a'),
+    and E_j = sum u u* over the columns of U_j, u = sqrt(tau_j) U_j[:, col];
+    the x_cp are orthonormal, so the u are orthogonal of squared norm
+    sum_c (rho_j^-1)_cc = tau_j.  Hence E_j has the one nonzero eigenvalue
+    tau_j, on the columns of U_j, and there is no rank to decide.
+
+    The stored factor W_j = sqrt(tau_j) U_j* is filled part by part with
+    I_kk (x) sqrt(tau_j) U_R*; no dense X or U_j is formed.  It depends on h
+    and the state alone, so it is built once per left factor and
+    StandardForm, and every relative tensor over h shares it read-only.
     """
-    blocks = []
-    for x, root_inv, tau in zip(h.right_multiplicity, sf.root_inv, sf.frame_weights):
-        hd, n, m = x.shape
-        u = np.einsum("acp,rc->arp", x, root_inv).reshape(hd * n, m) / np.sqrt(tau)
-        blocks.append((np.full(m, tau), u))
-    return _block_quotient(blocks, h, k, sf)
+    cache = h._gram_factors
+    if id(sf) not in cache:  # the entry holds sf, so no other state can take its id
+        cache[id(sf)] = sf, _gram_factor(h, sf)
+    return _block_quotient(cache[id(sf)][1], h, k, sf)
+
+
+def _gram_factor(h: Bimodule, sf: StandardForm) -> tuple:
+    """(w_j, W_j) of `relative_tensor` per algebra block, W_j read-only."""
+    parts, ranges, out = h.right_parts, h.part_ranges, []
+    for j, (root_inv, tau) in enumerate(zip(sf.root_inv, sf.frame_weights)):
+        kept, n = sum(kk * x[j].shape[2] for (kk, _), x in zip(parts, ranges)), len(root_inv)
+        wm, rows, cols = np.zeros((kept, h.dim, n), dtype=complex), 0, 0
+        for (kk, _), x in zip(parts, ranges):
+            m, _, p = x[j].shape
+            u = np.einsum("acp,rc->arp", x[j], root_inv) / np.sqrt(tau)
+            copy = np.arange(kk)[:, None, None]  # copy kappa meets copy kappa only
+            wm[rows + copy * p + np.arange(p)[:, None], cols + copy * m + np.arange(m)] = (
+                np.sqrt(tau) * u.conj()).transpose(2, 0, 1)
+            rows, cols = rows + kk * p, cols + kk * m
+        wm = wm.reshape(kept, h.dim * n)
+        wm.flags.writeable = False
+        out.append((np.full(kept, tau), wm))
+    return tuple(out)
 
 
 def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
@@ -460,22 +521,23 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
     left(e_mu) of k, in kron order (a major).  In the coordinates of
     `k.multiplicity` that sum is the direct sum over blocks M_n of E (x)
     I_m, with E[(a, r), (b, c)] the (r, c) entry of the block part of
-    elements[a, b].  `blocks` gives each E by its kept eigenpairs (w, u),
-    w > 0 and u orthonormal; a block with none, or with m = 0, adds nothing.
-    The quotient coordinates are (block, kept direction, multiplicity
-    index).  The quotient maps are kept as per-block factors (`Quotient`)
-    and never assembled, and neither action is: the left action is the
-    blocks' (+) A_i (x) I_m, an extension step built on first read
-    (`Bimodule.left_map`), and the right action the blocks' (+) I_kk (x) R_i.
+    elements[a, b].  `blocks` gives each E by its kept eigenvalues w > 0 and
+    the factor W = sqrt(w) u* of its orthonormal eigenvectors u; a block
+    with none, or with m = 0, adds nothing.  The quotient coordinates are
+    (block, kept direction, multiplicity index).  The quotient maps are kept
+    as per-block factors (`Quotient`) and never assembled, and neither
+    action is: the left action is the blocks' (+) A_i (x) I_m, an extension
+    step built on first read (`Bimodule.left_map`), and the right action the
+    blocks' (+) I_kk (x) R_i.
     """
     factors, o = [], 0  # (rows, w, W, V, R) per kept block
-    for (w, u), v, r in zip(blocks, k.multiplicity, k.right_on_multiplicity):
+    for (w, wm), v, r in zip(blocks, k.multiplicity, k.right_on_multiplicity):
         if not (w.size and v.shape[2]):
             continue
         q = slice(o, o + w.size * v.shape[2])
         o = q.stop
-        factors.append((q, w, np.sqrt(w)[:, None] * u.conj().T, v, r))
-    return Bimodule(sf.algebra, o, None, None, Quotient(k.dim, o, tuple(factors), h))
+        factors.append((q, w, wm, v, r))
+    return Bimodule(sf.algebra, o, None, None, Quotient(o, tuple(factors), h, k))
 
 
 def extension(e: Bimodule, x_adjoint, sub: Bimodule) -> "BlockMap":

@@ -46,6 +46,15 @@ from .cpdyn import CpMap, CpSemigroup, evaluate, law_defect
 from .partition import Partition, grouping, join, sum_pairs
 
 
+class EmptyCouplingError(ValueError):
+    """Raised for a GNS coupling that kept no direction.
+
+    The coupling of a unital map holds 1 (x) Omega, of norm 1, so an empty
+    one means T_t was evaluated as zero, as `cpdyn.evaluate` does far past
+    the semigroup's time scale; no cell, unit or tower can be built on it.
+    """
+
+
 class CellSystem:
     """Cells, collapses and refinement isometries for one semigroup."""
 
@@ -67,7 +76,11 @@ class CellSystem:
         t = Fraction(t)
         key = (t.numerator, t.denominator)
         if key not in self._gns:
-            self._gns[key] = gns_tensor(evaluate(self.semigroup, t), self.sf)
+            g = gns_tensor(evaluate(self.semigroup, t), self.sf, self.l2)
+            if g.dim == 0:
+                raise EmptyCouplingError(f"the GNS coupling at t = {t} kept no direction: "
+                                         "T_t evaluated to the zero map")
+            self._gns[key] = g
         return self._gns[key]
 
     def cell(self, p: Partition) -> Bimodule:
@@ -288,8 +301,16 @@ class UnitReport:
 def unit_report(unit: Unit) -> UnitReport:
     """Unitality, contractivity and multiplicativity defects of a unit.
 
-    Factorization compares xi_s (x) xi_t with xi_(s+t) refined into
-    cell((s, t)), one group of `refine_apply`, at every grid pair."""
+    Factorization compares xi_s (x) xi_t with F xi_(s+t) at every grid
+    pair, F the isometry of the coupling at s + t into cell((s, t)), one
+    group of `refine_apply`, without forming F (`_group`).  F is `family`
+    of the slots (y, Omega), (1, eta) times the coupling's lift L, so with
+    C = L xi_(s+t) as a d x d matrix over (y, eta), A_s = embed_s(y (x)
+    Omega) and B_t = embed_t(1 (x) eta) as columns over y and eta,
+    xi_s (x) xi_t - F xi_(s+t) is the embed of cell((s, t)) applied to
+    xi_s xi_t^T - A_s C B_t^T.  A and B are built once per time, C once
+    per sum.
+    """
     cs, sf = unit.system, unit.system.sf
     one = sf.algebra.identity()
     unital, excess, fact = 0.0, 0.0, 0.0
@@ -300,12 +321,17 @@ def unit_report(unit: Unit) -> UnitReport:
         m = sf.algebra.from_vec(elements[0, 0])
         unital = max(unital, (m - one).norm(), res)
         excess = max(excess, m.norm() - 1.0)
-    for i, j, k in sum_pairs(times, keys):
-        s, t, st = times[i], times[j], keys[k]
-        p = Partition((s, t))
-        v = cs.cell(p).quotient.embed_pairs(unit.vectors[s][:, None], unit.vectors[t][:, None])
-        w = cs._group(p, st) @ unit.vectors[st][:, None]
-        fact = max(fact, float(np.linalg.norm(v - w)))
+    (eye, identity, omega), d = cs._unit_columns, sf.dim
+    xis = [unit.vectors[t] for t in times]
+    a = [cs.gns(t).quotient.embed_pairs(eye, omega) for t in times]
+    b = [cs.gns(t).quotient.embed_pairs(identity, eye) for t in times]
+    pairs = sum_pairs(times, keys)
+    c = {k: cs.gns(keys[k]).quotient.lift_apply(unit.vectors[keys[k]][:, None]).reshape(d, d)
+         for k in {k for _, _, k in pairs}}
+    for i, j, k in pairs:
+        miss = np.outer(xis[i], xis[j]) - a[i] @ c[k] @ b[j].T
+        v = cs.cell(Partition((times[i], times[j]))).quotient.embed_apply(miss.reshape(-1, 1))
+        fact = max(fact, float(np.linalg.norm(v)))
     return UnitReport(unital, excess, fact)
 
 

@@ -33,6 +33,7 @@ from .algebra import (
 from .bimodule import NotCompletelyPositiveError, inner, product_formula_defect, verify_map
 from .cells import (
     CellSystem,
+    EmptyCouplingError,
     canonical_unit,
     cp_from_unit,
     generating_rank,
@@ -529,6 +530,10 @@ def main(argv=None) -> int:
             continue
         except NotCompletelyPositiveError as exc:
             print(f"suite {name}: not completely positive: {exc}", file=sys.stderr)
+            ok = False
+            continue
+        except EmptyCouplingError as exc:
+            print(f"suite {name}: {exc}", file=sys.stderr)
             ok = False
             continue
         print_report(report)

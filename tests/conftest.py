@@ -16,6 +16,7 @@ from prodsys.algebra import (
 )
 from prodsys.bimodule import (
     BimoduleMap,
+    _block_quotient,
     extend_from_family,
     extension,
     inner,
@@ -126,6 +127,30 @@ def dense_maps(cell):
     """Dense embed and lift of a block quotient: its factors contracted with identities."""
     q = cell.quotient
     return q.embed_pairs(np.eye(q.hd), np.eye(q.kd)), q.lift_apply(np.eye(q.dim))
+
+
+def right_multiplicity(module):
+    """Dense right multiplicity X per algebra block, X[:, c, :] = right(e_1c) B: the checked
+    decomposition of every right part, placed as (+) I_kk (x) X_R in row and column order.
+
+    This is what `relative_tensor` read before it filled its factor from the
+    parts; the dense-placement reference for it.
+    """
+    copies = [x for (kk, _), x in zip(module.right_parts, module.part_ranges) for x in [x] * kk]
+    return tuple(block_diag(np.zeros((n, 0, 0)), *(x[j].transpose(1, 0, 2) for x in copies))
+                 .transpose(1, 0, 2) for j, n in enumerate(module.algebra.blocks))
+
+
+def dense_relative_tensor(h, k, sf):
+    """h fused with k through the dense placement: U_j from the whole X_j, then
+    W_j = sqrt(tau_j) U_j*, the route `relative_tensor` took before it read the parts."""
+    blocks = []
+    for x, root_inv, tau in zip(right_multiplicity(h), sf.root_inv, sf.frame_weights):
+        hd, n, m = x.shape
+        u = np.einsum("acp,rc->arp", x, root_inv).reshape(hd * n, m) / np.sqrt(tau)
+        w = np.full(m, tau)
+        blocks.append((w, np.sqrt(w)[:, None] * u.conj().T))
+    return _block_quotient(blocks, h, k, sf)
 
 
 def left_materialization(h, sf):

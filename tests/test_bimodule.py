@@ -46,8 +46,9 @@ from prodsys.heatmarkov import make_model
 from prodsys.partition import Partition, uniform
 
 from conftest import (
-    SEED, dense_bilinear_defect, dense_left, dense_maps, dense_right, formula_left_parts,
-    load_module, loop_product_formula_defect, mixed_semigroup, random_element, random_hermitian,
+    SEED, dense_bilinear_defect, dense_left, dense_maps, dense_relative_tensor, dense_right,
+    formula_left_parts, load_module, loop_product_formula_defect, mixed_semigroup, random_element,
+    random_hermitian, right_multiplicity,
 )
 
 
@@ -396,6 +397,50 @@ def test_relative_tensor_matches_dense_oracle(system, parts, request):
         assert_matches_oracle(relative_tensor(h, k, sf), *relative_oracle(h, k, sf))
 
 
+@pytest.mark.parametrize("system", ["pair", "mixed_block", "m2_lindblad", "chain6"])
+def test_relative_tensor_is_the_dense_placement_bit_for_bit(system, request):
+    # the factor W filled part by part from the parts' small factors equals
+    # the one read off the dense right multiplicity X through U; every
+    # relative tensor over one left factor shares it
+    sg, sf = request.getfixturevalue(system)
+    cs = CellSystem(sg, sf)
+    k = cs.gns(Fraction(1, 4))
+    for n in (1, 2, 3):
+        h = cs.cell(uniform(Fraction(n, 4), n))
+        got, want = relative_tensor(h, k, sf), dense_relative_tensor(h, k, sf)
+        assert got.dim == want.dim and np.array_equal(got.gram_eigs, want.gram_eigs)
+        for a, b in zip(got.quotient.blocks, want.quotient.blocks, strict=True):
+            assert a[0] == b[0] and a[3] is b[3] and a[4] is b[4]
+            assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2]), n
+        other = relative_tensor(h, cs.gns(Fraction(1, 3)), sf)
+        assert all(a[2] is b[2] for a, b in zip(got.quotient.blocks, other.quotient.blocks))
+
+
+@pytest.mark.parametrize("system", ["pair", "mixed_block", "m2_lindblad", "chain6"])
+def test_each_coupling_part_is_decomposed_once(system, request, monkeypatch):
+    # the cells of uniform(1/4, n), n = 1..4, and of (1/3, 1/4) read their
+    # parts off the modules that make them: the couplings at 1/4 and 1/3,
+    # whose parts are those of their shared right factor l2, and the
+    # coupling at 1/4 as the right factor of the deeper cells
+    sg, sf = request.getfixturevalue(system)
+    right, real = [], bimodule._multiplicity
+
+    def recorded(stack, alg, left):
+        if not left:
+            right.append(stack)
+        return real(stack, alg, left)
+
+    monkeypatch.setattr(bimodule, "_multiplicity", recorded)
+    cs = CellSystem(sg, sf)
+    for p in (*(uniform(Fraction(n, 4), n) for n in range(1, 5)),
+              Partition((Fraction(1, 3), Fraction(1, 4)))):
+        cs.cell(p)
+    g = cs.gns(Fraction(1, 4))
+    assert g.quotient.k is cs.gns(Fraction(1, 3)).quotient.k is cs.l2
+    parts = (*cs.l2.right_on_multiplicity, *g.right_on_multiplicity)
+    assert len(right) == len(parts) and all(s is r for s, r in zip(right, parts))
+
+
 def assembled(cell):
     """Whether the left map of a cell has been computed."""
     return "left_map" in vars(cell)
@@ -489,29 +534,50 @@ def test_fused_cell_assembles_its_actions_only_when_read(system, parts, request,
         assert module.left is None and module.right is None
 
 
-def test_fusing_onto_the_dim256_lindblad_prefix_stays_small(monkeypatch, tmp_path):
-    # the dim-1024 cell of the lindblad_m2 workload (seed 307) from its built
-    # 3-part prefix: measured 4.1 MiB peak and 2.0 MiB kept; assembling the
-    # prefix's right stack to decompose it took 9.0 and 7.0
+def fused_lindblad_cell(monkeypatch, tmp_path, parts):
+    """The uniform(1, parts) cell of the lindblad_m2 workload (seed 307), fused onto its built
+    prefix: the prefix, the cell, the tracemalloc (kept, peak) of the fusion, and the widths
+    of every range decided during it."""
     workloads = load_module(monkeypatch, "workloads")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(workloads.WORKLOADS["lindblad_m2"](307)))
     cfg = load_config(str(path), 307, 1.0)
     cs = CellSystem(cfg.semigroup, cfg.sf)
-    p = uniform(1, 4)
-    prefix, last = cs.cell(Partition(p.parts[:-1])), cs.gns(p.parts[-1])
-    last.left_map  # the coupling's own left map is not the fusion's
+    p = uniform(1, parts)
+    prefix = cs.cell(Partition(p.parts[:-1]))
+    cs.gns(p.parts[-1]).left_map  # the coupling's own left map is not the fusion's
     widths = recorded_range_widths(monkeypatch)
     tracemalloc.start()
     try:
         cell = cs.cell(p)
-        kept, peak = tracemalloc.get_traced_memory()
+        memory = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return prefix, cell, memory, widths
+
+
+def test_fusing_onto_the_dim256_lindblad_prefix_stays_small(monkeypatch, tmp_path):
+    # measured 1.03 MiB peak and 1.00 MiB kept, the Gram factor W; the
+    # prefix's parts were decomposed when the prefix was built, so no range
+    # is decided.  Reading a dense right multiplicity took 4.1 and 2.0, and
+    # assembling the prefix's right stack to decompose it 9.0 and 7.0
+    prefix, cell, (kept, peak), widths = fused_lindblad_cell(monkeypatch, tmp_path, 4)
     assert (prefix.dim, cell.dim) == (256, 1024)
     assert not assembled(prefix)
-    assert widths and max(widths) <= last.dim
-    assert peak < 6 * 2**20 and kept < 3 * 2**20, (peak, kept)
+    assert widths == []
+    assert peak < 1.25 * 2**20 and kept < 1.125 * 2**20, (peak, kept)
+
+
+def test_fusing_onto_the_dim1024_lindblad_prefix_keeps_one_factor(monkeypatch, tmp_path):
+    # measured 16.08 MiB peak and 16.01 MiB kept: the factor W, 512 x 2048
+    # complex entries filled in place.  Through a dense right multiplicity X,
+    # U and W the fusion peaked at 64.1 MiB and kept 32.0
+    prefix, cell, (kept, peak), widths = fused_lindblad_cell(monkeypatch, tmp_path, 5)
+    assert (prefix.dim, cell.dim) == (1024, 4096)
+    assert widths == []
+    ((_, _, wm, _, _),) = cell.quotient.blocks
+    assert wm.shape == (512, 2048)
+    assert peak < 17 * 2**20 and kept < 16.5 * 2**20, (peak, kept)
 
 
 @pytest.mark.parametrize("system", ["m2_lindblad", "mixed_block"])
@@ -577,7 +643,7 @@ def test_right_multiplicity_has_the_ranges_of_the_dense_decomposition(case, requ
     # basis, but not other ranges or partial isometries
     for module in right_multiplicity_cases(case, request):
         dense = bimodule._multiplicity(dense_right(module), module.algebra, left=False)
-        got = module.right_multiplicity
+        got = right_multiplicity(module)
         assert [x.shape for x in got] == [x.shape for x in dense]
         for a, b in zip(right_ranges(got), right_ranges(dense), strict=True):
             assert np.abs(a - b).max(initial=0.0) <= 1e-12
@@ -585,20 +651,22 @@ def test_right_multiplicity_has_the_ranges_of_the_dense_decomposition(case, requ
 
 @pytest.mark.parametrize("system", ["m2_lindblad", "mixed_block"])
 def test_a_bent_part_of_a_quotient_raises_on_every_call(system, request):
-    # a quotient's right action is (+) I_kk (x) R_i by construction, so the
-    # check runs on its parts; right(e_22) of the last part, the last basis
-    # element, enters no decomposition
+    # a quotient's right action is (+) I_kk (x) R_i by construction, and
+    # its right factor, which made the R_i, checks them; right(e_22) of the
+    # last part, the last basis element, enters no decomposition
     sg, sf = request.getfixturevalue(system)
     cs = CellSystem(sg, sf)
-    cell = cs.cell(uniform(Fraction(1, 2), 2))
-    *rest, (q, w, wm, v, r) = cell.quotient.blocks
+    g = cs.gns(Fraction(1, 4))
+    *rest, r = g.right_on_multiplicity
     bent = r.copy()
     bent[-1] += 0.1 * np.eye(len(bent[-1]))
-    quotient = dataclasses.replace(cell.quotient, blocks=(*rest, (q, w, wm, v, bent)))
-    broken = bimodule.Bimodule(sf.algebra, cell.dim, None, None, quotient=quotient)
+    k = dataclasses.replace(g)  # the same coupling with nothing read yet
+    vars(k)["right_on_multiplicity"] = (*rest, bent)
+    cell = relative_tensor(g, k, sf)
     for _ in range(2):
         with pytest.raises(NotCompletelyPositiveError, match="not a left multiplication"):
-            relative_tensor(broken, cs.gns(Fraction(1, 4)), sf)
+            relative_tensor(cell, g, sf)
+    assert "right_ranges" not in vars(k) and not cell._gram_factors
 
 
 def test_failing_left_factor_raises_on_every_call(pair):

@@ -546,8 +546,8 @@ def test_cell_dimension_check_fails_on_a_lossy_relative_tensor(monkeypatch):
 
     def one_direction_short(blocks, h, k, sf):
         j = max(i for i, (w, _) in enumerate(blocks) if w.size)
-        w, u = blocks[j]
-        return real_quotient([*blocks[:j], (w[:-1], u[:, :-1]), *blocks[j + 1:]], h, k, sf)
+        w, wm = blocks[j]
+        return real_quotient([*blocks[:j], (w[:-1], wm[:-1]), *blocks[j + 1:]], h, k, sf)
 
     def lossy(h, k, sf):
         with monkeypatch.context() as m:
@@ -812,8 +812,12 @@ def test_cached_cell_actions_are_read_only(pair_system):
                 arr[0, 0, 0] = 1.0
             assert np.array_equal(arr, before)
     # every relative tensor with the coupling on the left reads its Gram
-    # off the cached right multiplicity
-    for x in cs.gns(Fraction(1, 2)).right_multiplicity:
+    # off the right multiplicity of its parts, cached on the right factor
+    # that made them, and shares one Gram factor W per block
+    g = cs.gns(Fraction(1, 2))
+    fused = cs.cell(Partition((Fraction(1, 2), Fraction(1, 3)))).quotient.blocks
+    for x in (*(x for ranges in g.part_ranges for x in ranges),
+              *(wm[None] for *_, wm, _, _ in fused)):
         with pytest.raises(ValueError, match="read-only"):
             x[0, 0, 0] = 1.0
 
@@ -840,7 +844,9 @@ def test_collapse_steps_give_the_same_bits_cold_and_cached(request, system, p, r
 def test_unit_factorization_matches_the_pair_loop(request, system, delta, levels):
     cs = CellSystem(*_system(request, system))
     unit = canonical_unit(cs, [k * delta for k in range(levels + 1)])
-    assert abs(unit_report(unit).factorization_defect - loop_factorization_defect(unit)) < 1e-13
+    fact = unit_report(unit).factorization_defect
+    assert cs._groups == {}  # the group map is applied, not formed
+    assert abs(fact - loop_factorization_defect(unit)) < 1e-13
     # xi negated at 2 delta: every level stays a unit vector, and the pairs
     # whose sum or part is 2 delta break
     flipped = Unit(cs, {**unit.vectors, 2 * delta: -unit.vectors[2 * delta]})

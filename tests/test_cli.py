@@ -317,6 +317,26 @@ def test_non_cp_semigroup_ends_only_the_suites_that_build_its_cells(tmp_path, ca
     assert ",FAIL" in (out / "check-cp.csv").read_text()
 
 
+@pytest.mark.parametrize("suite", ["roundtrip", "dilate", "all"])
+def test_an_empty_coupling_ends_its_suite_with_one_line_naming_the_time(
+        tmp_path, capsys, monkeypatch, suite):
+    # at delta = 1e30 e^{tL} evaluates to the zero map, whose GNS coupling
+    # keeps nothing: each suite that builds on it prints one line naming the
+    # time and counts as failed, and the next suite still runs.  classify and
+    # heat fail on that step in their own ways, so `all` stops before them
+    monkeypatch.setattr(prodsys.cli, "SUITES", SUITES[:5])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": {"delta": "1e30", "levels": 2}}))
+    out = tmp_path / "out"
+    assert main([suite, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    failed = ["cells", "roundtrip", "dilate"] if suite == "all" else [suite]
+    assert err == [f"suite {name}: the GNS coupling at t = {10**30} kept no direction: "
+                   "T_t evaluated to the zero map" for name in failed]
+    assert {f.name for f in out.glob("*.csv")} == (
+        {"check-cp.csv", "refine.csv"} if suite == "all" else set())
+
+
 def test_heat_suite_exponentiates_each_time_once(monkeypatch):
     """Kernels, path measures, cells and the dilation share one e^{tL} per time."""
     calls = []
