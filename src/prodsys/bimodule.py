@@ -28,19 +28,14 @@ factor is built once per left factor and state.
 dense reference the block quotient is tested against.
 
 A module pays only for what its readers use.  A quotient keeps one factor
-per block (`Quotient`), and every reader contracts it against its own
-vectors: `embed` applied to the kron pairs of two column blocks, to a
-column block and its adjoint, and `lift` applied to a column block.  The
-right action has one form, parts (kk, R) with right(y) = (+) I_kk (x) R(y)
-(`Bimodule.right_parts`): a quotient reads its parts off its right
-factor's multiplicity spaces and carries no right stack, and readers
-apply the parts to their own vectors (`Bimodule.right_apply`).  The left
-action is one map from C^d (x) module onto it (`Bimodule.left_map`,
-applied by `Bimodule.left_apply`); a quotient's is an `extension` step,
-the construction of the collapse steps, and it carries no left stack.
-The left map of a quotient, the left multiplicity decomposition, and the
-checked right multiplicity of each right part, kept by the module that
-makes the part (`Bimodule.right_ranges`), are computed each on its first
+per block (`Quotient`), and one class contracts such factors, `BlockMap`:
+a quotient's embed after a basis change of its right factor, with lift its
+adjoint over the kept weights, and the left action from C^d (x) module
+(`Bimodule.left_map`), for a quotient an `extension` step like the collapse
+steps.  The right action is parts (kk, R), right(y) = (+) I_kk (x) R(y)
+(`Bimodule.right_parts`), which a quotient reads off its right factor.
+Views, decompositions and each part's checked right multiplicity, kept by
+the module that makes it (`Bimodule.right_ranges`), are computed on first
 read and cached read-only.
 """
 
@@ -78,17 +73,15 @@ class Quotient:
     With V_i = k.multiplicity[i] (kd x n x m_i), I (x) V splits the pair
     space h (x) k into the direct sum over blocks of (h (x) C^n) (x) C^m,
     and the quotient coordinates are the direct sum of C^kk (x) C^m, in
-    rows q_i.  Block i keeps one factor W_i = sqrt(w_i) u_i* (kk x hd n)
-    from the kept eigenpairs (w_i, u_i) of its Gram block: embed = (+)_i
-    W_i (x) I_m and lift = (+)_i (W_i* / w_i) (x) I_m.  The right action is
-    (+)_i I_kk (x) R_i, R_i = k.right_on_multiplicity[i], so the parts of a
-    quotient are made by its right factor k, and so are their checked
-    decompositions (`Bimodule.right_ranges`).  The left action is (+)_i
-    A_i(x) (x) I_m, A_i(x) = W_i (left_h(x) (x) I_n)(W_i* / w_i), the
-    factors Z_i of `Bimodule.left_map`.  `blocks` holds (q_i, w_i, W_i,
-    V_i, R_i), `h` is the left factor and `k` the right one; readers apply
-    the factors to column blocks, and a dense map is the contraction with an
-    identity.
+    rows q_i.  Block i keeps W_i = sqrt(w_i) u_i* (kk x hd n) from the kept
+    eigenpairs (w_i, u_i) of its Gram block.  embed is the `BlockMap` (+)_i
+    W_i (x) I_m after I (x) V*, V the V_i side by side (`embed_map`), and
+    lift = (+)_i (W_i* / w_i) (x) I_m is embed* of x / w_i row by row
+    (`weights`).  The right action is (+)_i I_kk (x) R_i, R_i =
+    k.right_on_multiplicity[i], parts made and checked by k; the left
+    action is (+)_i A_i(x) (x) I_m, A_i(x) = W_i (left_h(x) (x) I_n)(W_i* /
+    w_i), the factors Z_i of `Bimodule.left_map`.  `blocks` holds (q_i, w_i,
+    W_i, V_i, R_i), `h` is the left factor and `k` the right one.
     """
 
     dim: int
@@ -104,48 +97,36 @@ class Quotient:
     def kd(self) -> int:
         return self.k.dim
 
-    def embed_pairs(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """embed @ kron(u, w) for column blocks u of h and w of k, in kron column order.
+    @cached_property
+    def embed_map(self) -> BlockMap:
+        """embed after I (x) V* (`Bimodule.multiplicity_basis`), from h (x) (+)_i C^n (x) C^m:
+        each W_i viewed as (kk, hd, n), not copied, on the columns of V_i in V."""
+        o = 0
+        cols = {id(v): slice(o, o := o + v[0].size) for v in self.k.multiplicity}
+        return BlockMap(self.dim, self.hd, o, tuple((q, cols[id(v)], wm.reshape(
+            len(wm), self.hd, -1), v.shape[2]) for q, _, wm, v, _ in self.blocks))
 
-        Block i sends column pair (c, e) to sum_r Y[:, r, c] (x) X[r, :, e],
-        with Y = W_i (u (x) I_n) and X = V_i* w; no kron product is formed.
-        """
-        nu, nw = u.shape[1], w.shape[1]
-        out = np.empty((self.dim, nu * nw), dtype=complex)
-        for q, _, wm, v, _ in self.blocks:
-            kk, (_, n, m) = len(wm), v.shape
-            y = wm.reshape(kk, self.hd, n).transpose(0, 2, 1).reshape(kk * n, -1) @ u
-            x = (v.reshape(self.kd, n * m).conj().T @ w).reshape(n, m, nw)
-            np.matmul(y.reshape(kk, n, nu).transpose(0, 2, 1)[:, None], x.transpose(1, 0, 2)[None],
-                      out=out[q].reshape(kk, m, nu, nw))
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The kept Gram eigenvalue w_i at each row (k, s) of q_i; read-only."""
+        out = np.concatenate([np.repeat(w, v.shape[2]) for _, w, _, v, _ in self.blocks] or [[]])
+        out.flags.writeable = False
         return out
+
+    def embed_pairs(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """embed @ kron(u, w) for column blocks u of h and w of k, in kron column order."""
+        return self.embed_map.apply_pairs(u, self.k.multiplicity_basis.conj().T @ w)
 
     def embed_apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """embed @ x for a column block x of pair coordinates, or embed* @ x with `adjoint`."""
+        v, cols = self.k.multiplicity_basis, x.shape[1]
         if adjoint:
-            return self._from_blocks(x, lift=False)
-        cols, xr = x.shape[1], x.reshape(self.hd, self.kd, -1)
-        out = np.empty((self.dim, cols), dtype=complex)
-        for q, _, wm, v, _ in self.blocks:
-            n, m = v.shape[1:]
-            t = v.reshape(self.kd, n * m).conj().T @ xr  # (hd, n m, cols)
-            out[q] = (wm @ t.reshape(-1, m * cols)).reshape(-1, cols)
-        return out
+            return (v @ self.embed_map.apply(x, True).reshape(self.hd, -1, cols)).reshape(-1, cols)
+        return self.embed_map.apply((v.conj().T @ x.reshape(self.hd, len(v), -1)).reshape(-1, cols))
 
     def lift_apply(self, x: np.ndarray) -> np.ndarray:
-        """lift @ x for a column block x of quotient coordinates."""
-        return self._from_blocks(x, lift=True)
-
-    def _from_blocks(self, x: np.ndarray, lift: bool) -> np.ndarray:
-        """(I (x) V)((+)_i M_i (x) I_m) x, with M_i = W_i* / w_i (lift) or W_i* (embed*)."""
-        cols = x.shape[1]
-        out = np.zeros((self.hd, cols, self.kd), dtype=complex)
-        for q, w, wm, v, _ in self.blocks:
-            n, m = v.shape[1:]
-            mat = wm.conj().T / w if lift else wm.conj().T
-            t = (mat @ x[q].reshape(-1, m * cols)).reshape(self.hd, n * m, cols)
-            out += t.transpose(0, 2, 1) @ v.reshape(self.kd, n * m).T
-        return out.transpose(0, 2, 1).reshape(-1, cols)
+        """lift @ x for a column block x of quotient coordinates: embed* of x / w, row by row."""
+        return self.embed_apply(x / self.weights[:, None], adjoint=True)
 
 
 @dataclass(frozen=True)
@@ -169,10 +150,8 @@ class Bimodule:
 
     @property
     def gram_eigs(self) -> np.ndarray | None:
-        """A quotient's kept Gram eigenvalue at each coordinate; None for no quotient."""
-        q = self.quotient
-        return None if q is None else np.concatenate(
-            [np.zeros(0), *(np.repeat(w, v.shape[2]) for _, w, _, v, _ in q.blocks)])
+        """A quotient's kept Gram eigenvalue at each coordinate (`Quotient.weights`), or None."""
+        return None if self.quotient is None else self.quotient.weights
 
     @cached_property
     def left_map(self) -> BlockMap:
@@ -182,20 +161,14 @@ class Bimodule:
         q = self.quotient
         if q is None:
             z, rows = self.left.transpose(1, 0, 2), slice(0, self.dim)
-            z.flags.writeable = False
             return BlockMap(self.dim, self.algebra.dim, self.dim, ((rows, rows, z, 1),))
         star = self.algebra.star
         return extension(self, lambda y: q.h.left_apply(y)[star].reshape(-1, y.shape[1]), self)
 
     def left_apply(self, x: np.ndarray) -> np.ndarray:
         """left(e_mu) @ x for every basis element e_mu and a column block x: shape
-        (d, dim, cols), each block of `left_map` applied to its own rows."""
-        lm = self.left_map
-        out = np.empty((lm.da, *x.shape), dtype=complex)
-        for q, _, z, _ in lm.blocks:
-            y = z.transpose(1, 0, 2) @ x[q].reshape(z.shape[2], -1)  # (d, kk, m cols)
-            out[:, q] = y.reshape(out[:, q].shape)
-        return out
+        (d, dim, cols), `left_map` applied to each e_mu (x) x (`BlockMap.apply_each`)."""
+        return self.left_map.apply_each(x)
 
     @property
     def right_parts(self) -> list[tuple[int, np.ndarray]]:
@@ -233,6 +206,13 @@ class Bimodule:
         couplings, of dimension at most d^2.
         """
         return _multiplicity(self.left_apply(np.eye(self.dim)), self.algebra, left=True)
+
+    @cached_property
+    def multiplicity_basis(self) -> np.ndarray:
+        """V, the arrays of `multiplicity` side by side as dim x (n m) columns; read-only."""
+        out = np.hstack([v.reshape(self.dim, -1) for v in self.multiplicity])
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def right_on_multiplicity(self) -> tuple[np.ndarray, ...]:
@@ -524,11 +504,8 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
     elements[a, b].  `blocks` gives each E by its kept eigenvalues w > 0 and
     the factor W = sqrt(w) u* of its orthonormal eigenvectors u; a block
     with none, or with m = 0, adds nothing.  The quotient coordinates are
-    (block, kept direction, multiplicity index).  The quotient maps are kept
-    as per-block factors (`Quotient`) and never assembled, and neither
-    action is: the left action is the blocks' (+) A_i (x) I_m, an extension
-    step built on first read (`Bimodule.left_map`), and the right action the
-    blocks' (+) I_kk (x) R_i.
+    (block, kept direction, multiplicity index).  The quotient keeps the
+    blocks' factors (`Quotient`), and no map or action of it is assembled.
     """
     factors, o = [], 0  # (rows, w, W, V, R) per kept block
     for (w, wm), v, r in zip(blocks, k.multiplicity, k.right_on_multiplicity):
@@ -562,9 +539,7 @@ def extension(e: Bimodule, x_adjoint, sub: Bimodule) -> "BlockMap":
         y = x_adjoint(wm.conj().reshape(kk, qe.hd, n).transpose(1, 2, 0).reshape(qe.hd, -1))
         da = len(y) // qs.hd
         y = np.matmul(wm2 / w2[:, None], y.reshape(da, -1, kk))  # conj Z_i, (a, kk'_i, kk_i)
-        z = np.ascontiguousarray(np.conj(y, out=y).transpose(2, 0, 1))
-        z.flags.writeable = False
-        out.append((q, q2, z, v.shape[2]))
+        out.append((q, q2, np.ascontiguousarray(np.conj(y, out=y).transpose(2, 0, 1)), v.shape[2]))
     return BlockMap(e.dim, da, sub.dim, tuple(out))
 
 
@@ -573,13 +548,19 @@ class BlockMap:
     """Map (+)_i Z_i (x) I_m from a (x) C^cols to C^rows, in block coordinates.
 
     Block i holds (q_i, q'_i, Z_i, m_i): row (k, s) of q_i and column
-    (alpha, (k', s')) of q'_i meet in Z_i[k, alpha, k'] when s = s'.
+    (alpha, (k', s')) of q'_i meet in Z_i[k, alpha, k'] when s = s'; each Z_i
+    is made read-only.  The one class that contracts a block factor: a
+    quotient's embed, a left map and a collapse step are each one.
     """
 
     rows: int
     da: int
     cols: int
     blocks: tuple
+
+    def __post_init__(self):
+        for _, _, z, _ in self.blocks:
+            z.flags.writeable = False
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.da, self.cols), dtype=complex)
@@ -602,6 +583,25 @@ class BlockMap:
         out = np.empty((self.rows, cols), dtype=complex)
         for q, q2, z, m in self.blocks:
             out[q] = (z.reshape(len(z), -1) @ x[:, q2].reshape(-1, m * cols)).reshape(-1, cols)
+        return out
+
+    def apply_each(self, x: np.ndarray) -> np.ndarray:
+        """The map applied to e_alpha (x) x for each alpha, x a column block: (da, rows, cols)."""
+        out = np.empty((self.da, self.rows, x.shape[1]), dtype=complex)
+        for q, q2, z, _ in self.blocks:
+            y = z.transpose(1, 0, 2) @ x[q2].reshape(z.shape[2], -1)  # (da, kk, m cols)
+            out[:, q] = y.reshape(out[:, q].shape)
+        return out
+
+    def apply_pairs(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The map applied to kron(u, y) for column blocks u and y, in kron column order;
+        block i sends columns (c, e) to sum_k' Z_i[:, :, k'] u[:, c] (x) y[(k', :), e]."""
+        nu, ny = u.shape[1], y.shape[1]
+        out = np.empty((self.rows, nu * ny), dtype=complex)
+        for q, q2, z, m in self.blocks:
+            a = (z.transpose(0, 2, 1).reshape(-1, self.da) @ u).reshape(len(z), -1, nu)
+            np.matmul(a.swapaxes(1, 2)[:, None], y[q2].reshape(-1, m, ny).swapaxes(0, 1),
+                      out=out[q].reshape(len(z), m, nu, ny))
         return out
 
 

@@ -47,6 +47,7 @@ from .classify import (
     inner_semigroup,
 )
 from .cpdyn import (
+    NonFiniteActionError,
     evaluate,
     identity_generator,
     law_defect,
@@ -68,6 +69,7 @@ from .dilation import (
     unit_from_cocycle,
 )
 from .heatmarkov import (
+    ModelError,
     cell_match_defect,
     embed_base_adjoint,
     graph_model,
@@ -532,7 +534,7 @@ def main(argv=None) -> int:
             print(f"suite {name}: not completely positive: {exc}", file=sys.stderr)
             ok = False
             continue
-        except EmptyCouplingError as exc:
+        except (EmptyCouplingError, NonFiniteActionError, ModelError) as exc:
             print(f"suite {name}: {exc}", file=sys.stderr)
             ok = False
             continue

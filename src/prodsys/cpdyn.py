@@ -19,6 +19,10 @@ import numpy as np
 from .algebra import Algebra, AlgebraElement, ConfigurationError, expm, lmult_matrix, rmult_matrix
 
 
+class NonFiniteActionError(ValueError):
+    """Raised for an e^{tL} with NaN or infinite entries, naming t."""
+
+
 @dataclass(frozen=True)
 class CpMap:
     """A linear map on algebra coordinates, expected to be unital CP."""
@@ -105,7 +109,8 @@ def semigroup_from_generator(algebra: Algebra, generator: np.ndarray) -> CpSemig
 
 def evaluate(sg: CpSemigroup, t) -> CpMap:
     """The semigroup element e^{tL} at time t >= 0 in the generator's dtype, computed
-    once per float(t): every caller at t shares its cached read-only action."""
+    once per float(t): every caller at t shares its cached read-only action.  An action
+    with NaN or infinite entries raises `NonFiniteActionError`, and nothing is cached."""
     tf = float(t)
     if tf < 0:
         raise ValueError(f"negative time {t}")
@@ -117,7 +122,10 @@ def evaluate(sg: CpSemigroup, t) -> CpMap:
     if tf == 0.0:
         action = np.eye(sg.algebra.dim, dtype=sg.generator.dtype)
     else:
-        action = expm(tf * sg.generator)
+        with np.errstate(over="ignore", invalid="ignore"):
+            action = expm(tf * sg.generator)
+        if not np.isfinite(action).all():
+            raise NonFiniteActionError(f"e^(tL) at t = {t} has NaN or infinite entries")
     action.flags.writeable = False
     result = CpMap(sg.algebra, action)
     with sg._lock:

@@ -21,7 +21,9 @@ from prodsys.algebra import (
 from prodsys.bimodule import (
     Bimodule,
     BimoduleMap,
+    BlockMap,
     NotCompletelyPositiveError,
+    Quotient,
     gns_tensor,
     gram_quotient,
     inner,
@@ -468,12 +470,23 @@ def close(got, want, rtol=1e-13):
     return got.shape == want.shape and np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-@pytest.mark.parametrize("system", ["pair", "mixed_block", "m2_lindblad", "chain6"])
-def test_factor_contractions_match_the_dense_quotient_maps(system, request, rng):
-    sg, sf = request.getfixturevalue(system)
-    cs = CellSystem(sg, sf)
-    for cell in (cs.gns(Fraction(1, 4)), cs.cell(uniform(Fraction(1, 2), 2)),
-                 cs.cell(uniform(Fraction(3, 4), 3))):
+@pytest.mark.parametrize("system", ["pair", "mixed_block", "m2_lindblad", "chain6", "cutoff"])
+def test_factor_contractions_match_the_dense_quotient_maps(system, request, rng, monkeypatch):
+    # "cutoff" is the coupling of `test_gns_cutoff_runs_over_all_blocks_and_may_empty_one`,
+    # which skips the scalar block of its right factor, and the relative
+    # tensors on either side of it: the blocks a quotient keeps must find their
+    # own columns of the right factor's multiplicity basis and their own weights
+    if system == "cutoff":
+        g, sf = cutoff_coupling(monkeypatch)
+        l2 = g.quotient.k
+        cells = (g, relative_tensor(g, l2, sf), relative_tensor(l2, g, sf))
+        assert len(g.quotient.blocks) < len(l2.multiplicity)
+    else:
+        sg, sf = request.getfixturevalue(system)
+        cs = CellSystem(sg, sf)
+        cells = (cs.gns(Fraction(1, 4)), cs.cell(uniform(Fraction(1, 2), 2)),
+                 cs.cell(uniform(Fraction(3, 4), 3)))
+    for cell in cells:
         q = cell.quotient
         embed, lift = pre_change_quotient_maps(cell)
         u, w, x, y = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
@@ -484,6 +497,33 @@ def test_factor_contractions_match_the_dense_quotient_maps(system, request, rng)
         assert close(q.lift_apply(y), lift @ y)
         dense_embed, dense_lift = dense_maps(cell)
         assert close(dense_embed, embed) and close(dense_lift, lift)
+
+
+def test_every_block_factor_is_contracted_by_blockmap(m2_lindblad, monkeypatch, rng):
+    # a quotient's embed, embed*, lift and pair embed, and a module's left
+    # action, hand their data to `BlockMap`, the one class that contracts a
+    # block factor: each read is one call of one of its three appliers
+    calls, real = [], {name: getattr(BlockMap, name) for name in ("apply", "apply_each", "apply_pairs")}
+    monkeypatch.setattr(BlockMap, "apply", lambda self, x, adjoint=False: calls.append(
+        ("apply", id(self), adjoint)) or real["apply"](self, x, adjoint))
+    monkeypatch.setattr(BlockMap, "apply_each", lambda self, x: calls.append(
+        ("apply_each", id(self), False)) or real["apply_each"](self, x))
+    monkeypatch.setattr(BlockMap, "apply_pairs", lambda self, u, y: calls.append(
+        ("apply_pairs", id(self), False)) or real["apply_pairs"](self, u, y))
+    cell = CellSystem(*m2_lindblad).cell(uniform(Fraction(1, 2), 2))
+    q = cell.quotient
+    x, y = (rng.standard_normal((s, 3)) + 0j for s in (q.hd * q.kd, cell.dim))
+    embed, left = id(q.embed_map), id(cell.left_map)
+    reads = [(lambda: q.embed_pairs(x[:q.hd, :2], x[:q.kd, :2]), ("apply_pairs", embed, False)),
+             (lambda: q.embed_apply(x), ("apply", embed, False)),
+             (lambda: q.embed_apply(y, adjoint=True), ("apply", embed, True)),
+             (lambda: q.lift_apply(y), ("apply", embed, True)),
+             (lambda: cell.left_apply(y), ("apply_each", left, False))]
+    for read, want in reads:
+        calls.clear()
+        read()
+        assert calls == [want]
+    assert not hasattr(Quotient, "_from_blocks")
 
 
 @pytest.mark.parametrize("system", ["pair", "mixed_block", "m2_lindblad", "chain6"])
@@ -729,19 +769,22 @@ def test_relative_tensor_with_zero_multiplicity_block(weights):
         assert_matches_oracle(relative_tensor(h, g, sf), *relative_oracle(h, g, sf))
 
 
+def cutoff_coupling(monkeypatch):
+    """The GNS coupling of the identity map on [1, 3] under a cutoff of 1/2, and its state."""
+    alg = make_algebra([1, 3])
+    sf = standard_form(alg, diagonal_state(alg, [0.99, 0.01]))
+    monkeypatch.setattr(bimodule, "GRAM_RTOL", 0.5)
+    return gns_tensor(CpMap(alg, np.eye(alg.dim, dtype=complex)), sf), sf
+
+
 def test_gns_cutoff_runs_over_all_blocks_and_may_empty_one(monkeypatch):
     # the identity map on [1, 3] has Gram eigenvalue 1 on the scalar block
     # and 3 on the matrix block: under a cutoff of 1/2 of the largest over
     # all blocks, the scalar block keeps nothing and the quotient skips it
-    alg = make_algebra([1, 3])
-    sf = standard_form(alg, diagonal_state(alg, [0.99, 0.01]))
-    tm = CpMap(alg, np.eye(alg.dim, dtype=complex))
-    rtol = 0.5
-    gram = gns_oracle(tm, sf)[0]
-    eigs = gram_quotient(gram, rtol)[2]
+    g, sf = cutoff_coupling(monkeypatch)
+    gram = gns_oracle(CpMap(sf.algebra, np.eye(sf.dim, dtype=complex)), sf)[0]
+    eigs = gram_quotient(gram, 0.5)[2]
     assert np.allclose(np.linalg.eigvalsh(gram)[-10:], [1] + [3] * 9)
-    monkeypatch.setattr(bimodule, "GRAM_RTOL", rtol)
-    g = gns_tensor(tm, sf)
     assert g.dim == eigs.size == 9
     assert np.allclose(g.gram_eigs, 3.0)
     assert len(g.quotient.blocks) == 1

@@ -318,23 +318,35 @@ def test_non_cp_semigroup_ends_only_the_suites_that_build_its_cells(tmp_path, ca
 
 
 @pytest.mark.parametrize("suite", ["roundtrip", "dilate", "all"])
-def test_an_empty_coupling_ends_its_suite_with_one_line_naming_the_time(
-        tmp_path, capsys, monkeypatch, suite):
+def test_an_empty_coupling_ends_its_suite_with_one_line_naming_the_time(tmp_path, capsys, suite):
     # at delta = 1e30 e^{tL} evaluates to the zero map, whose GNS coupling
     # keeps nothing: each suite that builds on it prints one line naming the
-    # time and counts as failed, and the next suite still runs.  classify and
-    # heat fail on that step in their own ways, so `all` stops before them
-    monkeypatch.setattr(prodsys.cli, "SUITES", SUITES[:5])
+    # time and counts as failed, and the next suite still runs.  classify's
+    # inner semigroups and heat's chain evaluate to non-finite maps at that
+    # time, and their suites end the same way, each with one line
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"grid": {"delta": "1e30", "levels": 2}}))
     out = tmp_path / "out"
     assert main([suite, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     failed = ["cells", "roundtrip", "dilate"] if suite == "all" else [suite]
+    non_finite = [f"suite classify: e^(tL) at t = {10**30} has NaN or infinite entries",
+                  "suite heat: e^(tL) at t = 1e+30 has NaN or infinite entries"]
     assert err == [f"suite {name}: the GNS coupling at t = {10**30} kept no direction: "
-                   "T_t evaluated to the zero map" for name in failed]
+                   "T_t evaluated to the zero map" for name in failed] + (
+        non_finite if suite == "all" else [])
     assert {f.name for f in out.glob("*.csv")} == (
         {"check-cp.csv", "refine.csv"} if suite == "all" else set())
+
+
+def test_a_model_error_ends_the_heat_suite_with_one_line(tmp_path, capsys):
+    # at delta = 1e20 the chain's kernel is finite but its path weights are not
+    # all positive: the heat suite prints the model's message and counts as failed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": {"delta": "1e20", "levels": 2}}))
+    assert main(["heat", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "suite heat: path weights must be strictly positive for the dilation tower"]
 
 
 def test_heat_suite_exponentiates_each_time_once(monkeypatch):

@@ -10,6 +10,7 @@ import prodsys
 from prodsys.algebra import ConfigurationError, make_algebra
 from prodsys.cpdyn import (
     CpMap,
+    NonFiniteActionError,
     choi_blocks,
     evaluate,
     identity_generator,
@@ -29,6 +30,21 @@ from conftest import (
     random_hermitian,
     reversible_chain,
 )
+
+
+def test_a_non_finite_action_raises_naming_the_time():
+    # a conjugation semigroup's e^{tL} overflows in the squarings at t = 1e30:
+    # `evaluate` raises, with no RuntimeWarning, caches nothing and raises
+    # again; the pair's e^{tL} at that time is the finite zero map, returned
+    alg = make_algebra([2])
+    h = alg.element([np.array([[1, 0.5], [0.5, -1]], dtype=complex)])
+    sg = semigroup_from_generator(alg, unitary_conjugation_generator(alg, h))
+    for _ in range(2):
+        with pytest.raises(NonFiniteActionError, match=r"at t = 1e\+30 has NaN"):
+            evaluate(sg, 1e30)
+    assert sg._cache == {}
+    pair = semigroup_from_generator(*stochastic_pair_generator())
+    assert np.array_equal(evaluate(pair, 1e30).action, np.zeros((2, 2)))
 
 
 def test_stochastic_pair_closed_form():
