@@ -599,8 +599,7 @@ class BlockMap:
         nu, ny = u.shape[1], y.shape[1]
         out = np.empty((self.rows, nu * ny), dtype=complex)
         for q, q2, z, m in self.blocks:
-            a = (z.transpose(0, 2, 1).reshape(-1, self.da) @ u).reshape(len(z), -1, nu)
-            np.matmul(a.swapaxes(1, 2)[:, None], y[q2].reshape(-1, m, ny).swapaxes(0, 1),
+            np.matmul((u.T @ z)[:, None], y[q2].reshape(-1, m, ny).swapaxes(0, 1),
                       out=out[q].reshape(len(z), m, nu, ny))
         return out
 

@@ -110,8 +110,12 @@ def semigroup_from_generator(algebra: Algebra, generator: np.ndarray) -> CpSemig
 def evaluate(sg: CpSemigroup, t) -> CpMap:
     """The semigroup element e^{tL} at time t >= 0 in the generator's dtype, computed
     once per float(t): every caller at t shares its cached read-only action.  An action
-    with NaN or infinite entries raises `NonFiniteActionError`, and nothing is cached."""
-    tf = float(t)
+    with NaN or infinite entries, or none to compute because t or tL overflows a float,
+    raises `NonFiniteActionError`, and nothing is cached."""
+    try:
+        tf = float(t)
+    except OverflowError:
+        raise NonFiniteActionError(f"e^(tL) at t = {t} has no float time to evaluate") from None
     if tf < 0:
         raise ValueError(f"negative time {t}")
     key = tf
@@ -123,8 +127,9 @@ def evaluate(sg: CpSemigroup, t) -> CpMap:
         action = np.eye(sg.algebra.dim, dtype=sg.generator.dtype)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            action = expm(tf * sg.generator)
-        if not np.isfinite(action).all():
+            tl = tf * sg.generator  # expm refuses a tL whose 1-norm overflows
+            action = expm(tl) if np.isfinite(np.abs(tl).sum(axis=0)).all() else None
+        if action is None or not np.isfinite(action).all():
             raise NonFiniteActionError(f"e^(tL) at t = {t} has NaN or infinite entries")
     action.flags.writeable = False
     result = CpMap(sg.algebra, action)

@@ -175,8 +175,6 @@ class TruncatedOperator:
     def at_level(self, m: int) -> np.ndarray:
         if m < self.level:
             raise TruncationError(f"operator lives at level {self.level}, asked for {m}")
-        if m == self.level:
-            return self.matrix
         half = self.tl.embed_apply(m, self.level, self.matrix)  # iota M
         return self.tl.embed_apply(m, self.level, half.conj().T).conj().T
 

@@ -272,8 +272,6 @@ def embed_base_adjoint(mdl: MarkovModel, p: Partition, f: np.ndarray) -> np.ndar
     m = mdl.states
     f = np.asarray(f, dtype=complex).reshape((m,) * (n + 1))
     kernel = (mdl.transition(p.parts[-1]) / mdl.mu[None, :]).astype(complex)
-    if n == 1:
-        return np.einsum("ay,ay,a->y", f, kernel, mdl.mu.astype(complex))
     sub = path_measure(mdl, Partition(p.parts[:-1])).weights
     f3 = f.reshape(m ** (n - 1), m, m)
     w2 = sub.reshape(m ** (n - 1), m).astype(complex)

@@ -161,6 +161,13 @@ def test_expm_matches_scipy_on_hard_matrices(rng):
         np.zeros((3, 3)),
         np.array([[-0.7]]),
     ]
+    # around the 1-norm bounds theta_m of the degrees 3, 5, 7 and 9 that the
+    # degree-13 approximant replaced, and around its own theta_13
+    thetas = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+              2.097847961257068e0, 5.371920351148152e0)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    g /= np.abs(g).sum(axis=0).max()
+    cases += [c * theta * g for theta in thetas for c in (0.5, 0.99, 1.01, 2.0)]
     for a in cases:
         assert _expm_rel_defect(a) <= 1e-13, a
     u = expm(30j * h)

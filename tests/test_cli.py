@@ -339,6 +339,31 @@ def test_an_empty_coupling_ends_its_suite_with_one_line_naming_the_time(tmp_path
         {"check-cp.csv", "refine.csv"} if suite == "all" else set())
 
 
+@pytest.mark.parametrize("config", [
+    {"grid": {"delta": "1e154", "levels": 2}},
+    {"grid": {"delta": "1e200", "levels": 2}},
+    {"grid": {"delta": "1e300", "levels": 2}},
+    {"grid": {"delta": "5e307", "levels": 3}},
+    {"grid": {"delta": "1e308", "levels": 2}},
+    {"grid": {"delta": "1e308", "levels": 1},
+     "semigroup": {"generator": [[[-2, 0], [2, 0]], [[0, 0], [0, 0]]]}},
+], ids=["1e154", "1e200", "1e300", "5e307-levels3", "1e308", "tL-overflows"])
+def test_a_grid_near_the_float_range_ends_each_suite_in_records_or_one_line(
+        tmp_path, capsys, config):
+    # the square of an unscaled tL overflows from ||tL||_1 ~ 3.6e154 on, and a
+    # time past the float range (2 delta + 3 delta, or 2 delta) or a tL with
+    # an infinite entry has no e^{tL} to compute: no suite ends in a traceback,
+    # each one writes its CSV or prints one line, and the run exits 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    written = {f.stem for f in out.glob("*.csv")}
+    assert sorted(line.split(":")[0] for line in err) == sorted(
+        f"suite {name}" for name in SUITES if name not in written)
+
+
 def test_a_model_error_ends_the_heat_suite_with_one_line(tmp_path, capsys):
     # at delta = 1e20 the chain's kernel is finite but its path weights are not
     # all positive: the heat suite prints the model's message and counts as failed

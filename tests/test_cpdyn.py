@@ -47,6 +47,19 @@ def test_a_non_finite_action_raises_naming_the_time():
     assert np.array_equal(evaluate(pair, 1e30).action, np.zeros((2, 2)))
 
 
+def test_a_time_beyond_the_float_range_raises_naming_the_time():
+    # 2 x 1e308 has no float value, so e^{tL} has none to compute: `evaluate`
+    # raises the non-finite error naming t, not an OverflowError, as does a
+    # finite time whose tL overflows
+    pair = semigroup_from_generator(*stochastic_pair_generator())
+    t = 2 * Fraction(10) ** 308
+    with pytest.raises(NonFiniteActionError, match=f"at t = {t} "):
+        evaluate(pair, t)
+    with pytest.raises(NonFiniteActionError, match=r"at t = 1e\+308 "):
+        evaluate(semigroup_from_generator(pair.algebra, 2 * pair.generator), 1e308)
+    assert pair._cache == {}
+
+
 def test_stochastic_pair_closed_form():
     algebra, gen = stochastic_pair_generator()
     sg = semigroup_from_generator(algebra, gen)
