@@ -11,7 +11,6 @@ inner product of coordinate vectors equals the trace inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Sequence
@@ -31,22 +30,22 @@ class FaithfulnessError(ValueError):
 FAITHFUL_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
 class Algebra:
-    """Direct sum of full matrix blocks, identified by the block sizes."""
+    """Direct sum of full matrix blocks, identified (equal and hashed) by the block sizes;
+    `dim`, the coordinate dimension, is the sum of their squares."""
 
-    blocks: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: tuple[int, ...]):
+        if not blocks:
             raise ConfigurationError("algebra needs at least one block")
-        if any(n < 1 for n in self.blocks):
-            raise ConfigurationError(f"block sizes must be >= 1, got {self.blocks}")
+        if any(n < 1 for n in blocks):
+            raise ConfigurationError(f"block sizes must be >= 1, got {blocks}")
+        self.blocks, self.dim = blocks, sum(n * n for n in blocks)
 
-    @property
-    def dim(self) -> int:
-        """Coordinate dimension of the algebra, sum of squared block sizes."""
-        return sum(n * n for n in self.blocks)
+    def __eq__(self, other) -> bool:
+        return self.blocks == other.blocks if isinstance(other, Algebra) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.blocks)
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
@@ -97,12 +96,11 @@ class Algebra:
                                           for o, n in zip(self.offsets, self.blocks)))
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
     """Blockwise matrix element of an `Algebra`."""
 
-    algebra: Algebra
-    mats: tuple[np.ndarray, ...]
+    def __init__(self, algebra: Algebra, mats: tuple[np.ndarray, ...]):
+        self.algebra, self.mats = algebra, mats
 
     def vec(self) -> np.ndarray:
         return np.concatenate([m.reshape(-1) for m in self.mats])
@@ -132,22 +130,19 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, tuple(scalar * m for m in self.mats))
 
 
-@dataclass(frozen=True)
 class State:
     """Faithful normal state, stored as its blockwise density."""
 
-    algebra: Algebra
-    density: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        eigs = np.concatenate([np.linalg.eigvalsh((d + d.conj().T) / 2) for d in self.density])
+    def __init__(self, algebra: Algebra, density: tuple[np.ndarray, ...]):
+        eigs = np.concatenate([np.linalg.eigvalsh((d + d.conj().T) / 2) for d in density])
         if eigs.min() <= FAITHFUL_RTOL * eigs.max():
             raise FaithfulnessError(
                 f"state is not faithful: min/max eigenvalue {eigs.min():.3e}/{eigs.max():.3e}"
             )
-        total = sum(np.trace(d).real for d in self.density)
+        total = sum(np.trace(d).real for d in density)
         if abs(total - 1.0) > 1e-12:
             raise ConfigurationError(f"density trace {total} != 1")
+        self.algebra, self.density = algebra, density
 
     def __call__(self, x: AlgebraElement) -> complex:
         return sum(np.trace(d @ m) for d, m in zip(self.density, x.mats))
@@ -254,28 +249,21 @@ def projection_range(p: np.ndarray) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-@dataclass(frozen=True)
 class StandardForm:
     """The algebra represented on block Hilbert-Schmidt space.
 
-    `cyclic` is the coordinate vector of the square root of the density.
-    Left and right multiplication both act on the same coordinate space and
-    commute exactly.  For a faithful state both maps ``x -> x . cyclic`` and
-    ``x -> cyclic . x`` are linear bijections onto the whole space.
+    `cyclic` is the coordinate vector of the square root of the density,
+    read-only.  Left and right multiplication both act on the same
+    coordinate space (`dim`, the algebra's) and commute exactly.  For a
+    faithful state both maps ``x -> x . cyclic`` and ``x -> cyclic . x``
+    are linear bijections onto the whole space.
     """
 
-    algebra: Algebra
-    state: State
-    root: tuple[np.ndarray, ...]
-    root_inv: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-    @property
-    def cyclic(self) -> np.ndarray:
-        return np.concatenate([r.reshape(-1) for r in self.root])
+    def __init__(self, algebra: Algebra, state: State, root: tuple[np.ndarray, ...],
+                 root_inv: tuple[np.ndarray, ...]):
+        self.algebra, self.state, self.root, self.root_inv = algebra, state, root, root_inv
+        self.dim, self.cyclic = algebra.dim, np.concatenate([r.reshape(-1) for r in root])
+        self.cyclic.flags.writeable = False
 
     @cached_property
     def embed_left_matrix(self) -> np.ndarray:

@@ -41,9 +41,8 @@ read and cached read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,7 +65,6 @@ class NotCompletelyPositiveError(ValueError):
     """Raised for a negative Gram eigenvalue, or a right action that is no module's."""
 
 
-@dataclass(frozen=True)
 class Quotient:
     """Per-block factors of the quotient of the kron pairs of h and k.
 
@@ -84,10 +82,8 @@ class Quotient:
     W_i, V_i, R_i), `h` is the left factor and `k` the right one.
     """
 
-    dim: int
-    blocks: tuple
-    h: Bimodule
-    k: Bimodule
+    def __init__(self, dim: int, blocks: tuple, h: Bimodule, k: Bimodule):
+        self.dim, self.blocks, self.h, self.k = dim, blocks, h, k
 
     @property
     def hd(self) -> int:
@@ -129,7 +125,6 @@ class Quotient:
         return self.embed_apply(x / self.weights[:, None], adjoint=True)
 
 
-@dataclass(frozen=True)
 class Bimodule:
     """Hilbert space with commuting left and right algebra actions.
 
@@ -142,11 +137,10 @@ class Bimodule:
     blocks with `left_apply` and `right_apply`.
     """
 
-    algebra: Algebra
-    dim: int
-    left: np.ndarray | None
-    right: np.ndarray | None
-    quotient: Quotient | None = None
+    def __init__(self, algebra: Algebra, dim: int, left: np.ndarray | None,
+                 right: np.ndarray | None, quotient: Quotient | None = None):
+        self.algebra, self.dim, self.left, self.right = algebra, dim, left, right
+        self.quotient = quotient
 
     @property
     def gram_eigs(self) -> np.ndarray | None:
@@ -291,15 +285,13 @@ def _multiplicity(stack: np.ndarray, alg: Algebra, left: bool) -> tuple[np.ndarr
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BimoduleMap:
+class BimoduleMap(NamedTuple):
     source: Bimodule
     target: Bimodule
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class MapReport:
+class MapReport(NamedTuple):
     bilinear_defect: float | None
     isometry_defect: float | None
     unitary_defect: float | None
@@ -543,7 +535,6 @@ def extension(e: Bimodule, x_adjoint, sub: Bimodule) -> "BlockMap":
     return BlockMap(e.dim, da, sub.dim, tuple(out))
 
 
-@dataclass(frozen=True)
 class BlockMap:
     """Map (+)_i Z_i (x) I_m from a (x) C^cols to C^rows, in block coordinates.
 
@@ -553,14 +544,10 @@ class BlockMap:
     quotient's embed, a left map and a collapse step are each one.
     """
 
-    rows: int
-    da: int
-    cols: int
-    blocks: tuple
-
-    def __post_init__(self):
-        for _, _, z, _ in self.blocks:
+    def __init__(self, rows: int, da: int, cols: int, blocks: tuple):
+        for _, _, z, _ in blocks:
             z.flags.writeable = False
+        self.rows, self.da, self.cols, self.blocks = rows, da, cols, blocks
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.da, self.cols), dtype=complex)

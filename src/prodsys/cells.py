@@ -23,9 +23,8 @@ positive semigroup induced by a unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,12 +260,11 @@ class CellSystem:
 # Units
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Unit:
     """A section of single-part cells, with the cyclic vector at time zero."""
 
-    system: CellSystem
-    vectors: dict[Fraction, np.ndarray]
+    def __init__(self, system: CellSystem, vectors: dict[Fraction, np.ndarray]):
+        self.system, self.vectors = system, vectors
 
     @property
     def times(self) -> list[Fraction]:
@@ -291,8 +289,7 @@ def canonical_unit(cs: CellSystem, grid: Sequence) -> Unit:
     return Unit(cs, vectors)
 
 
-@dataclass(frozen=True)
-class UnitReport:
+class UnitReport(NamedTuple):
     unital_defect: float
     contraction_excess: float
     factorization_defect: float

@@ -19,10 +19,9 @@ block size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,13 +34,12 @@ from .cpdyn import evaluate, semigroup_from_generator, unitary_conjugation_gener
 from .partition import Partition, sum_pairs
 
 
-@dataclass
 class E0Semigroup:
     """Family of unital endomorphisms given by a coordinate-action callable."""
 
-    algebra: Algebra
-    action_at: Callable[[Fraction], np.ndarray]
-    label: str = "custom"
+    def __init__(self, algebra: Algebra, action_at: Callable[[Fraction], np.ndarray],
+                 label: str = "custom"):
+        self.algebra, self.action_at, self.label = algebra, action_at, label
 
     def map_at(self, t) -> np.ndarray:
         return self.action_at(Fraction(t))
@@ -87,8 +85,7 @@ def block_permutation_semigroup(algebra: Algebra, perm: Sequence[int], delta) ->
     return E0Semigroup(algebra, action, label="block_permutation")
 
 
-@dataclass(frozen=True)
-class EndomorphismReport:
+class EndomorphismReport(NamedTuple):
     multiplicative_defect: float
     adjoint_defect: float
     unital_defect: float
@@ -206,15 +203,14 @@ def canonical_iso(theta: E0Semigroup, cs: CellSystem, p: Partition,
 # Cocycle equivalence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     equivalent: bool
     cocycle: dict[Fraction, AlgebraElement] | None
     conjugation_defect: float
     cocycle_law_defect: float
-    failures: tuple = ()
+    failures: tuple
     # for an equivalent pair, per grid time: the conjugation and unitarity defect of w_t
-    conjugation_defects: dict[Fraction, float] = field(default_factory=dict)
+    conjugation_defects: dict[Fraction, float]
 
     @property
     def first_failing_time(self) -> Fraction | None:
@@ -277,7 +273,7 @@ def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
     times = [delta * k for k in range(1, levels + 1)]
 
     def refused(t, reason, defect=np.inf, conj=np.inf, law=np.inf):
-        return EquivalenceReport(False, None, conj, law, ((t, reason, defect),))
+        return EquivalenceReport(False, None, conj, law, ((t, reason, defect),), {})
 
     # reshaped, not stacked, here and below: an empty grid gives an empty stack
     beta_maps = np.reshape([beta.map_at(t) for t in times], (-1, algebra.dim, algebra.dim))
@@ -317,8 +313,7 @@ def cocycle_equivalence(alpha: E0Semigroup, beta: E0Semigroup,
         first = min(st for st, d in defects.items() if d > tol)
         return refused(first, "cocycle law fails", law, conj=conj_defect, law=law)
 
-    return EquivalenceReport(True, w, conj_defect, law,
-                             conjugation_defects=dict(zip(times, conj.tolist())))
+    return EquivalenceReport(True, w, conj_defect, law, (), dict(zip(times, conj.tolist())))
 
 
 def _conjugation_defects(alpha: E0Semigroup, beta: E0Semigroup, w: dict,

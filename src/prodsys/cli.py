@@ -16,10 +16,10 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +85,7 @@ DEFAULT_SEED = 20250808
 SUITES = ("check-cp", "cells", "refine", "roundtrip", "dilate", "classify", "heat")
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     suite: str
     check_id: str
     anchor: str
@@ -98,13 +97,10 @@ class Check:
         return self.defect <= self.tolerance
 
 
-@dataclass
 class Report:
-    suite: str
-    seed: int
-    checks: list[Check] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-    artifacts: dict = field(default_factory=dict)
+    def __init__(self, suite: str, seed: int, meta: dict | None = None):
+        self.suite, self.seed, self.meta = suite, seed, {} if meta is None else meta
+        self.checks, self.artifacts = [], {}
 
     def add(self, check_id: str, anchor: str, defect: float, tolerance: float):
         self.checks.append(Check(self.suite, check_id, anchor, float(defect), tolerance))
@@ -162,17 +158,12 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-@dataclass
 class ExperimentConfig:
-    algebra: Algebra
-    sf: object
-    semigroup: object
-    partitions: list[Partition]
-    delta: Fraction
-    levels: int
-    seed: int
-    tol_scale: float
-    markov: object
+    def __init__(self, algebra: Algebra, sf, semigroup, partitions: list[Partition],
+                 delta: Fraction, levels: int, seed: int, tol_scale: float, markov):
+        self.algebra, self.sf, self.semigroup, self.partitions = algebra, sf, semigroup, partitions
+        self.delta, self.levels, self.seed, self.tol_scale = delta, levels, seed, tol_scale
+        self.markov = markov
 
     def tol(self, value: float) -> float:
         return value * self.tol_scale

@@ -11,8 +11,7 @@ block-diagonal conditional expectation.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -23,8 +22,7 @@ class NonFiniteActionError(ValueError):
     """Raised for an e^{tL} with NaN or infinite entries, naming t."""
 
 
-@dataclass(frozen=True)
-class CpMap:
+class CpMap(NamedTuple):
     """A linear map on algebra coordinates, expected to be unital CP."""
 
     algebra: Algebra
@@ -37,8 +35,7 @@ class CpMap:
         return CpMap(self.algebra, self.action @ other.action)
 
 
-@dataclass(frozen=True)
-class UcpReport:
+class UcpReport(NamedTuple):
     unital_defect: float
     choi_min_eigenvalue: float
     tol: float
@@ -78,14 +75,12 @@ def verify_ucp(f: CpMap, tol: float = 1e-10) -> UcpReport:
     return UcpReport(unital_defect, float(min_eig), tol)
 
 
-@dataclass
 class CpSemigroup:
     """Exponential semigroup of maps on algebra coordinates."""
 
-    algebra: Algebra
-    generator: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    def __init__(self, algebra: Algebra, generator: np.ndarray):
+        self.algebra, self.generator = algebra, generator
+        self._cache, self._lock = {}, threading.Lock()
 
     def __call__(self, t) -> CpMap:
         return evaluate(self, t)

@@ -53,9 +53,8 @@ sums of rank-d products U V* through a QR of the 2d right factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -164,8 +163,7 @@ class TruncatedLimit:
         return q.embed_apply(u.conj().T, adjoint=True).conj().T, q.lift_apply(u.conj().T)
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
+class TruncatedOperator(NamedTuple):
     """Right-linear operator on the tower, supported at a level."""
 
     tl: TruncatedLimit
@@ -248,8 +246,7 @@ def compression_defect(tl: TruncatedLimit, t, xs: Sequence[AlgebraElement]) -> n
     return np.linalg.norm(compressed - expected, 2, axis=(1, 2))
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     span_rank: int
     top_dim: int
 
@@ -311,7 +308,6 @@ def continuity_profile(tl: TruncatedLimit) -> dict[tuple[Fraction, int], float]:
 
 CONTRACTIVE_TOL = 1e-10  # slack above norm 1 of <v, v> before a unit is refused
 
-@dataclass
 class Cocycle:
     """Adapted cocycle kept as bounded-vector maps indexed by grid times.
 
@@ -321,8 +317,8 @@ class Cocycle:
     at most d.  Every check works on these thin factors.
     """
 
-    tl: TruncatedLimit
-    maps: dict[Fraction, np.ndarray]
+    def __init__(self, tl: TruncatedLimit, maps: dict[Fraction, np.ndarray]):
+        self.tl, self.maps = tl, maps
 
     def value(self, t) -> TruncatedOperator:
         """w_t as a dense operator at its support level."""

@@ -23,10 +23,9 @@ applied to the columns of the corner isometry, never formed at the top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,13 +40,12 @@ class ModelError(ValueError):
     """Raised for inconsistent Markov model data."""
 
 
-@dataclass(frozen=True)
 class MarkovModel:
     """Finite reversible chain: weights mu, a mu-symmetric Laplacian Δ and the real
     `semigroup` e^{-tΔ} on functions, which the heat cells share."""
 
-    mu: np.ndarray
-    laplacian: np.ndarray
+    def __init__(self, mu: np.ndarray, laplacian: np.ndarray):
+        self.mu, self.laplacian = mu, laplacian
 
     @property
     def states(self) -> int:
@@ -109,8 +107,7 @@ def graph_model(name: str, m: int) -> MarkovModel:
     return make_model(np.ones(m) / m, lap)
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     symmetry_defect: float
     mass_defect: float
     composition_defect: float
@@ -133,8 +130,7 @@ def heat_kernel(mdl: MarkovModel, t) -> tuple[np.ndarray, KernelReport]:
     return p, KernelReport(sym, mass, comp)
 
 
-@dataclass(frozen=True)
-class PathMeasure:
+class PathMeasure(NamedTuple):
     """Probability weights on paths of length one more than the partition."""
 
     partition: Partition

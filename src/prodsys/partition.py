@@ -13,25 +13,32 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True, order=True)
 class Partition:
-    """Positive rational parts; `key`, the exact cache key, holds them as (num, den) pairs."""
-    parts: tuple[Fraction, ...]
+    """Positive rational parts, equal and hashed by them; `key`, the exact cache key, holds
+    them as (num, den) pairs."""
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple[Fraction, ...]):
         # exact types first: the ABC check is the slow path, kept for other rationals
-        if bad := [p for p in self.parts if type(p) is not Fraction and type(p) is not int
+        if bad := [p for p in parts if type(p) is not Fraction and type(p) is not int
                    and not isinstance(p, numbers.Rational)]:
             raise TypeError(f"parts must be rational, got {bad[0]!r}")
-        object.__setattr__(self, "key", tuple((p.numerator, p.denominator) for p in self.parts))
+        self.parts, self.key = parts, tuple((p.numerator, p.denominator) for p in parts)
         if any(num <= 0 for num, _ in self.key):
-            raise ValueError(f"parts must be positive, got {self.parts}")
+            raise ValueError(f"parts must be positive, got {parts}")
+
+    def __eq__(self, other) -> bool:
+        return self.parts == other.parts if isinstance(other, Partition) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Partition({self.parts!r})"
 
     @property
     def total(self) -> Fraction:

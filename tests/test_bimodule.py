@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
@@ -712,7 +711,7 @@ def test_a_bent_part_of_a_quotient_raises_on_every_call(system, request):
     *rest, r = g.right_on_multiplicity
     bent = r.copy()
     bent[-1] += 0.1 * np.eye(len(bent[-1]))
-    k = dataclasses.replace(g)  # the same coupling with nothing read yet
+    k = Bimodule(g.algebra, g.dim, g.left, g.right, g.quotient)  # the same coupling, nothing read
     vars(k)["right_on_multiplicity"] = (*rest, bent)
     cell = relative_tensor(g, k, sf)
     for _ in range(2):
@@ -972,8 +971,9 @@ def test_verify_map_fails_on_a_conjugated_left_part(request, system, rng):
     g = rng.standard_normal((2, len(z), len(z)))
     u = np.linalg.qr(g[0] + 1j * g[1])[0]
     blocks[i] = (q, q2, np.einsum("ka,abc,lc->kbl", u, z, u.conj()), m)
-    target = dataclasses.replace(a.target)
-    vars(target)["left_map"] = dataclasses.replace(left_map, blocks=tuple(blocks))
+    t = a.target
+    target = Bimodule(t.algebra, t.dim, t.left, t.right, t.quotient)
+    vars(target)["left_map"] = BlockMap(left_map.rows, left_map.da, left_map.cols, tuple(blocks))
     broken = BimoduleMap(a.source, target, a.matrix)
     rep, want = verify_map(broken, bilinear=True), dense_bilinear_defect(broken)
     assert not rep.passed and rep.bilinear_defect > 0.01

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 from prodsys.algebra import lmult_matrix, make_algebra, make_state, standard_form, uniform_state
-from prodsys.bimodule import numerical_rank, pi_phi, verify_map
+from prodsys.bimodule import Bimodule, Quotient, numerical_rank, pi_phi, verify_map
 from prodsys.cells import (
     CellSystem,
     Unit,
@@ -386,8 +385,9 @@ def test_cp_from_unit_rejects_broken_right_module():
     cell = cs.cell(p)
     *rest, (q, w, wm, v, r) = cell.quotient.blocks
     blocks = (*rest, (q, w, wm, v, r.transpose(0, 2, 1)))
-    cs._cells[p.key] = dataclasses.replace(
-        cell, quotient=dataclasses.replace(cell.quotient, blocks=blocks))
+    quo = cell.quotient
+    cs._cells[p.key] = Bimodule(cell.algebra, cell.dim, cell.left, cell.right,
+                                Quotient(quo.dim, blocks, quo.h, quo.k))
     with pytest.raises(ValueError, match="not well defined"):
         cp_from_unit(unit)
 
@@ -682,13 +682,13 @@ def test_warm_interior_collapse_builds_no_partition(pair_system, monkeypatch):
     p = uniform(1, 8)
     x = np.ones((cs.cell(Partition(p.parts[:3])).dim * cs.cell(Partition(p.parts[3:])).dim, 1))
     cs.apply_collapse(p, 3, x)
-    built, post_init = [], Partition.__post_init__
+    built, init = [], Partition.__init__
 
-    def counting_post_init(self):
+    def counting_init(self, parts):
         built.append(self)
-        post_init(self)
+        init(self, parts)
 
-    monkeypatch.setattr(Partition, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Partition, "__init__", counting_init)
     Partition((1,))
     assert len(built) == 1  # the counter sees every construction
     built.clear()

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -397,7 +396,8 @@ def test_heat_suite_exponentiates_each_time_once(monkeypatch):
 def test_capped_depths_are_recorded(levels):
     # roundtrip ranks, and heat builds its tower, at no more than 3 parts:
     # the depth used is in the meta lines, not silently below the grid's
-    cfg = replace(load_config(None, None, 1.0), levels=levels)
+    cfg = load_config(None, None, 1.0)
+    cfg.levels = levels
     assert suite_roundtrip(cfg).meta == {"rank-parts": str(min(levels, 3))}
     assert suite_heat(cfg).meta == {"levels": str(min(levels, 3))}
 

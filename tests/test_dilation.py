@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -324,7 +323,8 @@ def test_dilate_suite_forms_no_right_action(request, monkeypatch, system):
     # R(z^-1) is applied on the standard space only: no check places a level's
     # right action, which `dilate`, the public dense form, still does
     sg, sf = request.getfixturevalue(system)
-    cfg = replace(load_config(None, 307, 1.0), algebra=sf.algebra, sf=sf, semigroup=sg, levels=3)
+    cfg = load_config(None, 307, 1.0)
+    vars(cfg).update(algebra=sf.algebra, sf=sf, semigroup=sg, levels=3)
     monkeypatch.setattr(Bimodule, "right_matrix", lambda *args: pytest.fail("right_matrix formed"))
     rep = suite_dilate(cfg)
     assert rep.meta["levels"] == "3" and len(rep.checks) == 6 and rep.passed
