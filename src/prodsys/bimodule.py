@@ -27,13 +27,15 @@ factor is built once per left factor and state.
 `gram_quotient` diagonalizes an assembled Gram matrix whole; it is the
 dense reference the block quotient is tested against.
 
-A module pays only for what its readers use.  A quotient keeps one factor
-per block (`Quotient`), and one class contracts such factors, `BlockMap`:
-a quotient's embed after a basis change of its right factor, with lift its
-adjoint over the kept weights, and the left action from C^d (x) module
-(`Bimodule.left_map`), for a quotient an `extension` step like the collapse
-steps.  The right action is parts (kk, R), right(y) = (+) I_kk (x) R(y)
-(`Bimodule.right_parts`), which a quotient reads off its right factor.
+A module pays only for what its readers use.  `Bimodule` holds its
+actions as stacks; its subclass `Quotient`, the form of every cell, keeps
+one factor per algebra block and reads V, R and the checked right
+multiplicity of each block off its right factor by the block's index.  One
+class contracts such factors, `BlockMap`: a quotient's embed after a basis
+change of its right factor, with lift its adjoint over the kept weights,
+and the left action from C^d (x) module (`Bimodule.left_map`), for a
+quotient an `extension` step like the collapse steps.  The right action
+is parts (kk, R), right(y) = (+) I_kk (x) R(y) (`Bimodule.right_parts`).
 Views, decompositions and each part's checked right multiplicity, kept by
 the module that makes it (`Bimodule.right_ranges`), are computed on first
 read and cached read-only.
@@ -42,6 +44,7 @@ read and cached read-only.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,99 +68,26 @@ class NotCompletelyPositiveError(ValueError):
     """Raised for a negative Gram eigenvalue, or a right action that is no module's."""
 
 
-class Quotient:
-    """Per-block factors of the quotient of the kron pairs of h and k.
-
-    With V_i = k.multiplicity[i] (kd x n x m_i), I (x) V splits the pair
-    space h (x) k into the direct sum over blocks of (h (x) C^n) (x) C^m,
-    and the quotient coordinates are the direct sum of C^kk (x) C^m, in
-    rows q_i.  Block i keeps W_i = sqrt(w_i) u_i* (kk x hd n) from the kept
-    eigenpairs (w_i, u_i) of its Gram block.  embed is the `BlockMap` (+)_i
-    W_i (x) I_m after I (x) V*, V the V_i side by side (`embed_map`), and
-    lift = (+)_i (W_i* / w_i) (x) I_m is embed* of x / w_i row by row
-    (`weights`).  The right action is (+)_i I_kk (x) R_i, R_i =
-    k.right_on_multiplicity[i], parts made and checked by k; the left
-    action is (+)_i A_i(x) (x) I_m, A_i(x) = W_i (left_h(x) (x) I_n)(W_i* /
-    w_i), the factors Z_i of `Bimodule.left_map`.  `blocks` holds (q_i, w_i,
-    W_i, V_i, R_i), `h` is the left factor and `k` the right one.
-    """
-
-    def __init__(self, dim: int, blocks: tuple, h: Bimodule, k: Bimodule):
-        self.dim, self.blocks, self.h, self.k = dim, blocks, h, k
-
-    @property
-    def hd(self) -> int:
-        return self.h.dim
-
-    @property
-    def kd(self) -> int:
-        return self.k.dim
-
-    @cached_property
-    def embed_map(self) -> BlockMap:
-        """embed after I (x) V* (`Bimodule.multiplicity_basis`), from h (x) (+)_i C^n (x) C^m:
-        each W_i viewed as (kk, hd, n), not copied, on the columns of V_i in V."""
-        o = 0
-        cols = {id(v): slice(o, o := o + v[0].size) for v in self.k.multiplicity}
-        return BlockMap(self.dim, self.hd, o, tuple((q, cols[id(v)], wm.reshape(
-            len(wm), self.hd, -1), v.shape[2]) for q, _, wm, v, _ in self.blocks))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """The kept Gram eigenvalue w_i at each row (k, s) of q_i; read-only."""
-        out = np.concatenate([np.repeat(w, v.shape[2]) for _, w, _, v, _ in self.blocks] or [[]])
-        out.flags.writeable = False
-        return out
-
-    def embed_pairs(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """embed @ kron(u, w) for column blocks u of h and w of k, in kron column order."""
-        return self.embed_map.apply_pairs(u, self.k.multiplicity_basis.conj().T @ w)
-
-    def embed_apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """embed @ x for a column block x of pair coordinates, or embed* @ x with `adjoint`."""
-        v, cols = self.k.multiplicity_basis, x.shape[1]
-        if adjoint:
-            return (v @ self.embed_map.apply(x, True).reshape(self.hd, -1, cols)).reshape(-1, cols)
-        return self.embed_map.apply((v.conj().T @ x.reshape(self.hd, len(v), -1)).reshape(-1, cols))
-
-    def lift_apply(self, x: np.ndarray) -> np.ndarray:
-        """lift @ x for a column block x of quotient coordinates: embed* of x / w, row by row."""
-        return self.embed_apply(x / self.weights[:, None], adjoint=True)
-
-
 class Bimodule:
-    """Hilbert space with commuting left and right algebra actions.
+    """Hilbert space with commuting left and right algebra actions, held as stacks.
 
-    A module that is no quotient carries each action as a stack: `left[k]`
-    is the left action matrix of the k-th coordinate basis element of the
-    algebra, and `right[k]` the right one.  A quotient of kron pairs
-    carries its quotient maps as per-block factors (`quotient`), and
-    `left` and `right` None: its actions are read off its blocks.  Readers
-    go through `left_map` and `right_parts`, and apply them to column
-    blocks with `left_apply` and `right_apply`.
+    `left[k]` is the left action matrix of the k-th coordinate basis
+    element of the algebra, and `right[k]` the right one.  A quotient of
+    kron pairs is the subclass `Quotient`, which holds no stack and reads
+    its actions off its blocks.  Readers go through `left_map` and
+    `right_parts`, and apply them to column blocks with `left_apply` and
+    `right_apply`.
     """
 
-    def __init__(self, algebra: Algebra, dim: int, left: np.ndarray | None,
-                 right: np.ndarray | None, quotient: Quotient | None = None):
+    def __init__(self, algebra: Algebra, dim: int, left: np.ndarray, right: np.ndarray):
         self.algebra, self.dim, self.left, self.right = algebra, dim, left, right
-        self.quotient = quotient
-
-    @property
-    def gram_eigs(self) -> np.ndarray | None:
-        """A quotient's kept Gram eigenvalue at each coordinate (`Quotient.weights`), or None."""
-        return None if self.quotient is None else self.quotient.weights
 
     @cached_property
     def left_map(self) -> BlockMap:
         """The left action as one read-only map from C^d (x) module onto it, e_mu (x) v to
-        left(e_mu) v: a quotient's the extension step over X(e_mu (x) v) = left_h(e_mu) v, h its
-        left factor, X* applied as left_h(e_mu)* = left_h(e_mu*); else its stack, one block."""
-        q = self.quotient
-        if q is None:
-            z, rows = self.left.transpose(1, 0, 2), slice(0, self.dim)
-            return BlockMap(self.dim, self.algebra.dim, self.dim, ((rows, rows, z, 1),))
-        star = self.algebra.star
-        return extension(self, lambda y: q.h.left_apply(y)[star].reshape(-1, y.shape[1]), self)
+        left(e_mu) v: the stack, one block."""
+        z, rows = self.left.transpose(1, 0, 2), slice(0, self.dim)
+        return BlockMap(self.dim, self.algebra.dim, self.dim, ((rows, rows, z, 1),))
 
     def left_apply(self, x: np.ndarray) -> np.ndarray:
         """left(e_mu) @ x for every basis element e_mu and a column block x: shape
@@ -167,9 +97,8 @@ class Bimodule:
     @property
     def right_parts(self) -> list[tuple[int, np.ndarray]]:
         """The right action as parts (kk, R), right(y) = (+) I_kk (x) R(y) in row order:
-        a quotient's blocks' (kk_i, R_i), none if it kept no block; else the one part (1, right)."""
-        q = self.quotient
-        return [(len(w), r) for _, w, _, _, r in q.blocks] if q else [(1, self.right)]
+        the one part (1, right)."""
+        return [(1, self.right)]
 
     def right_matrix(self, x: AlgebraElement) -> np.ndarray:
         """The right action of x, (+) I_kk (x) R(x) over the parts."""
@@ -231,24 +160,89 @@ class Bimodule:
         return tuple(_right_ranges(r, self.algebra) for r in self.right_on_multiplicity)
 
     @cached_property
-    def _stack_ranges(self) -> tuple[np.ndarray, ...]:
-        """The checked right multiplicity of the right stack of a module that is no quotient."""
-        return _right_ranges(self.right, self.algebra)
-
-    @property
     def part_ranges(self) -> list[tuple[np.ndarray, ...]]:
-        """The checked right multiplicity of each of `right_parts`, read where the part is made:
-        a quotient's off its right factor (`right_ranges`), any other module's off its stack."""
-        q = self.quotient
-        if q is None:
-            return [self._stack_ranges]
-        made = dict(zip(map(id, q.k.right_on_multiplicity), q.k.right_ranges))
-        return [made[id(r)] for *_, r in q.blocks]
+        """The checked right multiplicity of each of `right_parts`, read where the part is
+        made: the stack's own (`_right_ranges`), which raises on every read if it fails."""
+        return [_right_ranges(self.right, self.algebra)]
 
     @cached_property
     def _gram_factors(self) -> dict:
         """The Gram factor of the relative tensors over this module, per state."""
         return {}
+
+
+class Quotient(Bimodule):
+    """The quotient of the kron pairs of h and k under one Gram form, as per-block factors.
+
+    With V_j = k.multiplicity[j] (k.dim x n x m) for block M_n of the
+    algebra, I (x) V splits the pair space h (x) k into the direct sum over
+    j of (h (x) C^n) (x) C^m, and the quotient coordinates are the direct
+    sum of C^kk (x) C^m, in rows q_j.  `blocks` holds (q_j, j, w_j, W_j)
+    for each block j that kept a direction, W_j = sqrt(w_j) u_j* (kk x
+    h.dim n) from the kept eigenpairs (w_j, u_j) of its Gram block; V_j,
+    R_j = k.right_on_multiplicity[j] and its checked right multiplicity
+    k.right_ranges[j] are read off k by j.  embed is the `BlockMap` (+)_j
+    W_j (x) I_m after I (x) V* (`embed_map`), and lift = (+)_j (W_j* / w_j)
+    (x) I_m is embed* of x / w_j row by row (`gram_eigs`).  The right
+    action is (+)_j I_kk (x) R_j; the left action is (+)_j A_j(x) (x) I_m,
+    A_j(x) = W_j (left_h(x) (x) I_n)(W_j* / w_j), the factors Z_j of
+    `left_map`.  A quotient holds no action stack.
+    """
+
+    def __init__(self, algebra: Algebra, dim: int, blocks: tuple, h: Bimodule, k: Bimodule):
+        self.algebra, self.dim, self.blocks, self.h, self.k = algebra, dim, blocks, h, k
+
+    @cached_property
+    def left_map(self) -> BlockMap:
+        """The left action as the extension step over X(e_mu (x) v) = left_h(e_mu) v, h the
+        left factor, X* applied as left_h(e_mu)* = left_h(e_mu*)."""
+        star = self.algebra.star
+        return extension(self, lambda y: self.h.left_apply(y)[star].reshape(-1, y.shape[1]), self)
+
+    @property
+    def right_parts(self) -> list[tuple[int, np.ndarray]]:
+        """The blocks' parts (kk_j, R_j), none if no block was kept."""
+        r = self.k.right_on_multiplicity
+        return [(len(w), r[j]) for _, j, w, _ in self.blocks]
+
+    @property
+    def part_ranges(self) -> list[tuple[np.ndarray, ...]]:
+        """The checked right multiplicity of each part, read off the right factor that made
+        it (`Bimodule.right_ranges`)."""
+        x = self.k.right_ranges
+        return [x[j] for _, j, _, _ in self.blocks]
+
+    @cached_property
+    def gram_eigs(self) -> np.ndarray:
+        """The kept Gram eigenvalue w_j at each row (kk, s) of q_j; read-only."""
+        v = self.k.multiplicity
+        out = np.concatenate([np.repeat(w, v[j].shape[2]) for _, j, w, _ in self.blocks] or [[]])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def embed_map(self) -> BlockMap:
+        """embed after I (x) V* (`Bimodule.multiplicity_basis`), from h (x) (+)_j C^n (x) C^m:
+        each W_j viewed as (kk, h.dim, n), not copied, on the columns of V_j in V."""
+        v, hd = self.k.multiplicity, self.h.dim
+        o = [0, *accumulate(x[0].size for x in v)]
+        return BlockMap(self.dim, hd, o[-1], tuple((q, slice(o[j], o[j + 1]), wm.reshape(
+            len(wm), hd, -1), v[j].shape[2]) for q, j, _, wm in self.blocks))
+
+    def embed_pairs(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """embed @ kron(u, w) for column blocks u of h and w of k, in kron column order."""
+        return self.embed_map.apply_pairs(u, self.k.multiplicity_basis.conj().T @ w)
+
+    def embed_apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """embed @ x for a column block x of pair coordinates, or embed* @ x with `adjoint`."""
+        v, hd, cols = self.k.multiplicity_basis, self.h.dim, x.shape[1]
+        if adjoint:
+            return (v @ self.embed_map.apply(x, True).reshape(hd, -1, cols)).reshape(-1, cols)
+        return self.embed_map.apply((v.conj().T @ x.reshape(hd, len(v), -1)).reshape(-1, cols))
+
+    def lift_apply(self, x: np.ndarray) -> np.ndarray:
+        """lift @ x for a column block x of quotient coordinates: embed* of x / w, row by row."""
+        return self.embed_apply(x / self.gram_eigs[:, None], adjoint=True)
 
 
 def _right_ranges(r: np.ndarray, alg: Algebra) -> tuple[np.ndarray, ...]:
@@ -422,7 +416,7 @@ def gns_tensor(t_map, sf: StandardForm, l2: Bimodule | None = None) -> Bimodule:
 
 def tensor_vec(g: Bimodule, x: AlgebraElement, xi: np.ndarray) -> np.ndarray:
     """Coordinates of the elementary tensor of x and xi in a GNS coupling."""
-    return g.quotient.embed_pairs(x.vec()[:, None], xi[:, None])[:, 0]
+    return g.embed_pairs(x.vec()[:, None], xi[:, None])[:, 0]
 
 
 def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
@@ -486,7 +480,7 @@ def _gram_factor(h: Bimodule, sf: StandardForm) -> tuple:
     return tuple(out)
 
 
-def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
+def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Quotient:
     """Quotient of the family of pairs (coordinate of h, coordinate of k) under one Gram form.
 
     The Gram matrix is the sum over the algebra basis of elements[a, b, mu]
@@ -499,17 +493,17 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimod
     (block, kept direction, multiplicity index).  The quotient keeps the
     blocks' factors (`Quotient`), and no map or action of it is assembled.
     """
-    factors, o = [], 0  # (rows, w, W, V, R) per kept block
-    for (w, wm), v, r in zip(blocks, k.multiplicity, k.right_on_multiplicity):
+    factors, o = [], 0  # (rows, j, w, W) per kept block
+    for j, ((w, wm), v) in enumerate(zip(blocks, k.multiplicity)):
         if not (w.size and v.shape[2]):
             continue
         q = slice(o, o + w.size * v.shape[2])
         o = q.stop
-        factors.append((q, w, wm, v, r))
-    return Bimodule(sf.algebra, o, None, None, Quotient(o, tuple(factors), h, k))
+        factors.append((q, j, w, wm))
+    return Quotient(sf.algebra, o, tuple(factors), h, k)
 
 
-def extension(e: Bimodule, x_adjoint, sub: Bimodule) -> "BlockMap":
+def extension(e: Quotient, x_adjoint, sub: Quotient) -> BlockMap:
     """E (X (x) I_k)(I_a (x) L) for two quotients of pairs over one right factor k.
 
     E is the embed of e, from pairs (h, k); L the lift of sub, from pairs
@@ -522,16 +516,15 @@ def extension(e: Bimodule, x_adjoint, sub: Bimodule) -> "BlockMap":
     sub.  Z_i[:, a] = ((W'_i / w'_i) Y_a)* for the a-th row block Y_a of Y =
     X* (W_i (x) I_n)*, columns (n, kk_i): a is read off the rows of Y; each Z_i is read-only.
     """
-    qe, qs = e.quotient, sub.quotient
-    out = []
-    for (q, _, wm, v, _), (q2, w2, wm2, v2, _) in zip(qe.blocks, qs.blocks):
-        if v is not v2:
-            raise ValueError("the quotients do not share their right factor")
-        kk, n = len(wm), v.shape[1]
-        y = x_adjoint(wm.conj().reshape(kk, qe.hd, n).transpose(1, 2, 0).reshape(qe.hd, -1))
-        da = len(y) // qs.hd
+    if sub.k is not e.k or [b[1] for b in e.blocks] != [b[1] for b in sub.blocks]:
+        raise ValueError("the quotients do not share their right factor and its kept blocks")
+    hd, out = e.h.dim, []
+    for (q, j, _, wm), (q2, _, w2, wm2) in zip(e.blocks, sub.blocks):
+        kk, (n, m) = len(wm), e.k.multiplicity[j].shape[1:]
+        y = x_adjoint(wm.conj().reshape(kk, hd, n).transpose(1, 2, 0).reshape(hd, -1))
+        da = len(y) // sub.h.dim
         y = np.matmul(wm2 / w2[:, None], y.reshape(da, -1, kk))  # conj Z_i, (a, kk'_i, kk_i)
-        out.append((q, q2, np.ascontiguousarray(np.conj(y, out=y).transpose(2, 0, 1)), v.shape[2]))
+        out.append((q, q2, np.ascontiguousarray(np.conj(y, out=y).transpose(2, 0, 1)), m))
     return BlockMap(e.dim, da, sub.dim, tuple(out))
 
 
@@ -619,7 +612,7 @@ def product_formula_defect(t_map, draws: Sequence[Sequence[AlgebraElement]], sf:
         g = gns_tensor(t_map, sf)
     coords = np.array([[e.vec() for e in draw] for draw in draws]).T  # (d, slot, draw)
     d, n = coords.shape[0], coords.shape[2]
-    embed = g.quotient.embed_pairs(np.eye(d), np.eye(d)).reshape(g.dim, d, d)
+    embed = g.embed_pairs(np.eye(d), np.eye(d)).reshape(g.dim, d, d)
     # column c < n pairs x1 with y1 Omega of draw c, column n + c x2 with y2 Omega
     vecs = np.einsum("iab,ac,bc->ic", embed, coords[:, [0, 2]].reshape(d, -1),
                      sf.embed_left_matrix @ coords[:, [1, 3]].reshape(d, -1))

@@ -4,8 +4,8 @@ For a partition p = (t_1, ..., t_n) the cell is the iterated relative
 tensor product of the GNS couplings at the part values, built left to
 right.  Cells are cached per partition under exact integer keys, so the
 first k intermediate spaces of a cell coincide (as objects) with the cell
-of the length-k prefix.  A cell's quotient maps are per-block factors
-(`bimodule.Quotient`), and every reader contracts them.  The canonical
+of the length-k prefix.  A cell is a quotient of kron pairs whose maps are
+per-block factors, and every reader contracts them.  The canonical
 collapse of cell(prefix) (x) cell(suffix) onto cell(p) is one step from
 the collapse of p without its last part, which contracts those factors
 (`bimodule.extension`) and is block diagonal in the multiplicity index;
@@ -116,7 +116,7 @@ class CellSystem:
         xs[i] holds algebra coordinate vectors and vs[i] standard-space
         vectors as columns; part i takes every pair, algebra index major.
         """
-        return self.fuse(parts, [self.gns(t).quotient.embed_pairs(x, v)
+        return self.fuse(parts, [self.gns(t).embed_pairs(x, v)
                                  for t, x, v in zip(parts, xs, vs)])
 
     def fuse(self, parts: Sequence[Fraction], slots: Sequence[np.ndarray]) -> np.ndarray:
@@ -125,12 +125,12 @@ class CellSystem:
         The columns of slots[i] are vectors of the single-part cell at
         parts[i]; the result has a column for every choice of one column per
         slot, in np.kron order.  Each step contracts against the factors of
-        the cell's embed (`Quotient.embed_pairs`), so no pre-quotient kron
+        the cell's embed (`embed_pairs`), so no pre-quotient kron
         product is formed.
         """
         u = slots[0]
         for i, w in enumerate(slots[1:], 2):
-            u = self.cell(Partition(tuple(parts[:i]))).quotient.embed_pairs(u, w)
+            u = self.cell(Partition(tuple(parts[:i]))).embed_pairs(u, w)
         return u
 
     # -- canonical collapse -------------------------------------------
@@ -149,8 +149,8 @@ class CellSystem:
         if a in (0, n):
             return self.apply_collapse(p, a, np.eye(self.sf.dim * self.cell(p).dim))
         if a == n - 1:
-            q = self.cell(p).quotient
-            return q.embed_pairs(np.eye(q.hd), np.eye(q.kd))
+            q = self.cell(p)
+            return q.embed_pairs(np.eye(q.h.dim), np.eye(q.k.dim))
         return self._step(p, a).dense()
 
     def apply_collapse(self, p: Partition, a: int, x: np.ndarray,
@@ -182,7 +182,7 @@ class CellSystem:
             y = np.tensordot(x.reshape(-1, d, cols).transpose(1, 0, 2), solve, axes=(0, 1))
             return sum(right(y[..., mu])[mu] for mu in range(d))
         if a == n - 1:
-            return self.cell(p).quotient.embed_apply(x, adjoint)
+            return self.cell(p).embed_apply(x, adjoint)
         return self._step(p, a).apply(x, adjoint)
 
     def _step(self, p: Partition, a: int) -> BlockMap:
@@ -205,7 +205,7 @@ class CellSystem:
     def multiply(self, q: Partition, p: Partition) -> BimoduleMap:
         """Unitary from cell(q) (x)_M cell(p) onto cell(q joined with p)."""
         r = relative_tensor(self.cell(q), self.cell(p), self.sf)
-        j = self.apply_collapse(join(q, p), len(q), r.quotient.lift_apply(np.eye(r.dim)))
+        j = self.apply_collapse(join(q, p), len(q), r.lift_apply(np.eye(r.dim)))
         return BimoduleMap(r, self.cell(join(q, p)), j)
 
     def refinement(self, p: Partition, q: Partition) -> BimoduleMap:
@@ -232,7 +232,7 @@ class CellSystem:
             cell = self.cell(Partition(q.parts[:i + 1]))
             cols = x if i == last else np.eye(cell.dim)
             g, c = self.gns(q.parts[i]).dim, cols.shape[1]
-            y = (a @ cell.quotient.lift_apply(cols).reshape(a.shape[1], -1)).reshape(-1, g, c)
+            y = (a @ cell.lift_apply(cols).reshape(a.shape[1], -1)).reshape(-1, g, c)
             y = self._group(sub, q.parts[i]) @ y  # F on the coupling axis: (head, D_sub, c)
             a = self.apply_collapse(Partition(p.parts[:done + len(sub)]), done, y.reshape(-1, c))
             done += len(sub)
@@ -248,7 +248,7 @@ class CellSystem:
         coupling's lift, a read-only dim cell(sub) x dim gns(t) matrix.
         """
         if sub.key not in self._groups:
-            (eye, one, omega), n, q = self._unit_columns, len(sub), self.gns(t).quotient
+            (eye, one, omega), n, q = self._unit_columns, len(sub), self.gns(t)
             f = self.family(sub.parts, [eye] + [one] * (n - 1), [omega] * (n - 1) + [eye])
             f = f @ q.lift_apply(np.eye(q.dim))
             f.flags.writeable = False
@@ -320,14 +320,14 @@ def unit_report(unit: Unit) -> UnitReport:
         excess = max(excess, m.norm() - 1.0)
     (eye, identity, omega), d = cs._unit_columns, sf.dim
     xis = [unit.vectors[t] for t in times]
-    a = [cs.gns(t).quotient.embed_pairs(eye, omega) for t in times]
-    b = [cs.gns(t).quotient.embed_pairs(identity, eye) for t in times]
+    a = [cs.gns(t).embed_pairs(eye, omega) for t in times]
+    b = [cs.gns(t).embed_pairs(identity, eye) for t in times]
     pairs = sum_pairs(times, keys)
-    c = {k: cs.gns(keys[k]).quotient.lift_apply(unit.vectors[keys[k]][:, None]).reshape(d, d)
+    c = {k: cs.gns(keys[k]).lift_apply(unit.vectors[keys[k]][:, None]).reshape(d, d)
          for k in {k for _, _, k in pairs}}
     for i, j, k in pairs:
         miss = np.outer(xis[i], xis[j]) - a[i] @ c[k] @ b[j].T
-        v = cs.cell(Partition((times[i], times[j]))).quotient.embed_apply(miss.reshape(-1, 1))
+        v = cs.cell(Partition((times[i], times[j]))).embed_apply(miss.reshape(-1, 1))
         fact = max(fact, float(np.linalg.norm(v)))
     return UnitReport(unital, excess, fact)
 

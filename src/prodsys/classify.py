@@ -37,9 +37,8 @@ from .partition import Partition, sum_pairs
 class E0Semigroup:
     """Family of unital endomorphisms given by a coordinate-action callable."""
 
-    def __init__(self, algebra: Algebra, action_at: Callable[[Fraction], np.ndarray],
-                 label: str = "custom"):
-        self.algebra, self.action_at, self.label = algebra, action_at, label
+    def __init__(self, algebra: Algebra, action_at: Callable[[Fraction], np.ndarray]):
+        self.algebra, self.action_at = algebra, action_at
 
     def map_at(self, t) -> np.ndarray:
         return self.action_at(Fraction(t))
@@ -51,12 +50,12 @@ class E0Semigroup:
 def inner_semigroup(algebra: Algebra, h: AlgebraElement) -> E0Semigroup:
     """Conjugation by the unitary group of a Hermitian element: `evaluate` of its generator."""
     sg = semigroup_from_generator(algebra, unitary_conjugation_generator(algebra, h))
-    return E0Semigroup(algebra, lambda t: evaluate(sg, t).action, label="inner")
+    return E0Semigroup(algebra, lambda t: evaluate(sg, t).action)
 
 
 def identity_semigroup(algebra: Algebra) -> E0Semigroup:
     eye = np.eye(algebra.dim, dtype=complex)
-    return E0Semigroup(algebra, lambda t: eye, label="identity")
+    return E0Semigroup(algebra, lambda t: eye)
 
 
 def block_permutation_semigroup(algebra: Algebra, perm: Sequence[int], delta) -> E0Semigroup:
@@ -82,7 +81,7 @@ def block_permutation_semigroup(algebra: Algebra, perm: Sequence[int], delta) ->
             raise ValueError(f"time {t} is not a multiple of the grid step {delta}")
         return np.linalg.matrix_power(base, int(k))
 
-    return E0Semigroup(algebra, action, label="block_permutation")
+    return E0Semigroup(algebra, action)
 
 
 class EndomorphismReport(NamedTuple):

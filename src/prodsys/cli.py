@@ -158,6 +158,18 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _read_only(raw: dict, where: str, *keys: str):
+    """Refuse a key of a configuration section that is not read for its chosen variant."""
+    if unread := sorted(set(raw) - set(keys)):
+        raise ValueError(f"{where} has keys that are not read: {', '.join(map(repr, unread))}; "
+                         f"it reads {', '.join(map(repr, keys))}")
+
+
+# the keys each semigroup variant reads besides 'builtin', by builtin name (None: a generator)
+_SEMIGROUP_KEYS = {"stochastic_pair": (), "identity": (), "unitary_conjugation": ("hamiltonian",),
+                   "lindblad": ("jumps", "hamiltonian"), None: ("generator",)}
+
+
 class ExperimentConfig:
     def __init__(self, algebra: Algebra, sf, semigroup, partitions: list[Partition],
                  delta: Fraction, levels: int, seed: int, tol_scale: float, markov):
@@ -180,9 +192,12 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
     raw = json.loads(Path(path).read_text()) if path else {}
     if not isinstance(raw, dict):
         raise ValueError(f"the configuration must be a JSON object, got {raw!r:.80}")
+    _read_only(raw, "the configuration", "algebra", "state", "semigroup", "partitions", "grid",
+               "markov", "seed")
     blocks = _field(raw, "algebra", [1, 1], list, items=int)
     algebra = make_algebra(blocks)
     state_cfg = _field(raw, "state", {"weights": [1.0 / len(blocks)] * len(blocks)})
+    _read_only(state_cfg, "'state'", "weights" if "weights" in state_cfg else "density")
     if "weights" in state_cfg:
         state = diagonal_state(algebra, _field(state_cfg, "weights", None, list, items=(int, float)))
     else:
@@ -192,6 +207,7 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
 
     sg_cfg = _field(raw, "semigroup", {"builtin": "stochastic_pair"})
     builtin = sg_cfg.get("builtin")
+    _read_only(sg_cfg, "'semigroup'", "builtin", *_SEMIGROUP_KEYS.get(builtin, ()))
     if builtin == "stochastic_pair":
         pair, gen = stochastic_pair_generator()
         if algebra != pair:
@@ -215,6 +231,7 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
     parts = _field(raw, "partitions", ["1", "1/2,1/2", "1/4,1/4,1/4,1/4"], list, items=str)
     partitions = [parse_partition(p) for p in parts]
     grid = _field(raw, "grid", {})
+    _read_only(grid, "'grid'", "delta", "levels")
     raw_delta = _field(grid, "delta", "1/4", (str, int, float))
     delta = Fraction(raw_delta)  # a float reads exactly
     levels = _field(grid, "levels", 4, int)
@@ -223,6 +240,8 @@ def load_config(path: str | None, seed: int | None, tol_scale: float) -> Experim
         raise ValueError("the grid needs delta > 0 with a finite nonzero float value and "
                          f"levels >= 1, configured {raw_delta} and {levels}")
     markov = _field(raw, "markov", {})
+    _read_only(markov, "'markov'", *(("mu", "laplacian") if "laplacian" in markov
+                                     else ("graph", "states")))
     if "laplacian" in markov:
         model = make_model(_field(markov, "mu", None, list, items=(int, float)),
                            real_matrix(_field(markov, "laplacian", None, list)))
@@ -262,15 +281,15 @@ def suite_cells(cfg: ExperimentConfig) -> Report:
         # canonical unit vectors generate their parts: n^T (prod_t m_t) n is the cell's dim
         predicted, _ = generating_rank(canonical_unit(cs, p.parts), p)
         rep.add(f"dim{p}={cell.dim}", "cell-construction", abs(cell.dim - predicted), 0.5)
-        if cell.gram_eigs is not None and cell.gram_eigs.size:
+        if cell.gram_eigs.size:
             ratio = float(cell.gram_eigs.min() / cell.gram_eigs.max())
             rep.add(f"gram-spread{p}", "cell-construction", 0.0 if ratio > 0 else 1.0, 0.5)
         # composition checked on generator vectors (spanning-family images)
-        pre = cell.quotient.hd * cell.quotient.kd
+        pre = cell.h.dim * cell.k.dim
         cols = random.Random(cfg.seed).sample(range(pre), min(4, pre))
         basis = np.zeros((pre, len(cols)))
         basis[cols, range(len(cols))] = 1.0
-        vecs = cell.quotient.embed_apply(basis)
+        vecs = cell.embed_apply(basis)
         _, worst_res, _ = inner(cell, vecs, vecs, cfg.sf)
         rep.add(f"bounded-vector{p}", "bounded-vector-composition", worst_res, cfg.tol(1e-10))
     rng = random.Random(cfg.seed)
@@ -506,7 +525,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.seed, args.tol_scale)
         Path(args.out).mkdir(parents=True, exist_ok=True)  # an --out naming a file stops here
-    except (ValueError, OverflowError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -157,7 +157,7 @@ class TruncatedLimit:
         unfold, kept as the reference for `dilate`, which forms no relative
         tensor; E, L and C are applied, not formed, C by `apply_collapse`.
         """
-        q = relative_tensor(self.spaces[level - j], self.spaces[j], self.sf).quotient
+        q = relative_tensor(self.spaces[level - j], self.spaces[j], self.sf)
         u = self.system.apply_collapse(self.partition_at(level), level - j,
                                        q.lift_apply(np.eye(q.dim)))
         return q.embed_apply(u.conj().T, adjoint=True).conj().T, q.lift_apply(u.conj().T)
@@ -277,7 +277,7 @@ def minimality_evidence(tl: TruncatedLimit) -> MinimalityReport:
     """
     xi = tl.unit_level[1]
     for k in range(2, tl.levels + 1):
-        fused = tl.spaces[k].quotient.embed_pairs(tl.unit_level[k - 1][:, None], xi[:, None])[:, 0]
+        fused = tl.spaces[k].embed_pairs(tl.unit_level[k - 1][:, None], xi[:, None])[:, 0]
         law = np.linalg.norm(fused - tl.unit_level[k])
         if law > 1e-8:
             raise UnitLawError(k, float(law))

@@ -114,10 +114,10 @@ def formula_left_parts(module):
     This is how a quotient built its left action before it was an extension
     step; the reference for `Bimodule.left_map`.
     """
-    q, d = module.quotient, module.algebra.dim
-    h_left, parts = dense_left(q.h), []
-    for _, w, wm, v, _ in q.blocks:
-        n, m = v.shape[1:]
+    d = module.algebra.dim
+    h_left, parts = dense_left(module.h), []
+    for _, j, w, wm in module.blocks:
+        n, m = module.k.multiplicity[j].shape[1:]
         a = wm @ np.kron(h_left, np.eye(n)) @ (wm.conj().T / w)
         parts.append(np.kron(a, np.eye(m)))
     return block_diag(np.zeros((d, 0, 0)), *parts)
@@ -125,8 +125,8 @@ def formula_left_parts(module):
 
 def dense_maps(cell):
     """Dense embed and lift of a block quotient: its factors contracted with identities."""
-    q = cell.quotient
-    return q.embed_pairs(np.eye(q.hd), np.eye(q.kd)), q.lift_apply(np.eye(q.dim))
+    embed = cell.embed_pairs(np.eye(cell.h.dim), np.eye(cell.k.dim))
+    return embed, cell.lift_apply(np.eye(cell.dim))
 
 
 def right_multiplicity(module):
@@ -293,7 +293,7 @@ def level_recursion_embed(tl, k, j):
     if j == 0:
         return pi_phi(top, tl.unit_level[k], tl.sf)
     if j == 1:
-        return top.quotient.embed_pairs(tl.unit_level[k - 1][:, None], np.eye(tl.spaces[1].dim))
+        return top.embed_pairs(tl.unit_level[k - 1][:, None], np.eye(tl.spaces[1].dim))
     x = level_recursion_embed(tl, k - 1, j - 1)
     return extension(top, lambda y: x.conj().T @ y, tl.spaces[j]).dense()
 

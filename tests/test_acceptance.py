@@ -266,7 +266,7 @@ def test_criterion_8_classifier():
             mat[:, mu] = (conj * alpha.apply(t, x) * wt).vec()
         return mat
 
-    beta = E0Semigroup(alg, beta_action, label="perturbed")
+    beta = E0Semigroup(alg, beta_action)
     rep = cocycle_equivalence(alpha, beta, delta, levels, tol=1e-9)
 
     hp = herm()
@@ -277,7 +277,7 @@ def test_criterion_8_classifier():
         u = scipy.linalg.expm(1j * (float(t) + shift) * hp.mats[0])
         return np.kron(u.conj().T, u.T)
 
-    broken = E0Semigroup(alg, broken_action, label="broken")
+    broken = E0Semigroup(alg, broken_action)
     rep2 = cocycle_equivalence(alpha, broken, delta, levels, tol=1e-9)
     ok = (rep.equivalent and rep.conjugation_defect <= 1e-9
           and rep.cocycle_law_defect <= 1e-9

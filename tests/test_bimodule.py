@@ -1,6 +1,8 @@
+import ast
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodsys
 from prodsys import bimodule
 from prodsys.algebra import (
     diagonal_state,
@@ -23,6 +26,7 @@ from prodsys.bimodule import (
     BlockMap,
     NotCompletelyPositiveError,
     Quotient,
+    extension,
     gns_tensor,
     gram_quotient,
     inner,
@@ -410,11 +414,12 @@ def test_relative_tensor_is_the_dense_placement_bit_for_bit(system, request):
         h = cs.cell(uniform(Fraction(n, 4), n))
         got, want = relative_tensor(h, k, sf), dense_relative_tensor(h, k, sf)
         assert got.dim == want.dim and np.array_equal(got.gram_eigs, want.gram_eigs)
-        for a, b in zip(got.quotient.blocks, want.quotient.blocks, strict=True):
-            assert a[0] == b[0] and a[3] is b[3] and a[4] is b[4]
-            assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2]), n
+        assert got.k is want.k
+        for a, b in zip(got.blocks, want.blocks, strict=True):
+            assert a[0] == b[0] and a[1] == b[1]
+            assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3]), n
         other = relative_tensor(h, cs.gns(Fraction(1, 3)), sf)
-        assert all(a[2] is b[2] for a, b in zip(got.quotient.blocks, other.quotient.blocks))
+        assert all(a[3] is b[3] for a, b in zip(got.blocks, other.blocks))
 
 
 @pytest.mark.parametrize("system", ["pair", "mixed_block", "m2_lindblad", "chain6"])
@@ -437,7 +442,7 @@ def test_each_coupling_part_is_decomposed_once(system, request, monkeypatch):
               Partition((Fraction(1, 3), Fraction(1, 4)))):
         cs.cell(p)
     g = cs.gns(Fraction(1, 4))
-    assert g.quotient.k is cs.gns(Fraction(1, 3)).quotient.k is cs.l2
+    assert g.k is cs.gns(Fraction(1, 3)).k is cs.l2
     parts = (*cs.l2.right_on_multiplicity, *g.right_on_multiplicity)
     assert len(right) == len(parts) and all(s is r for s, r in zip(right, parts))
 
@@ -453,14 +458,15 @@ def pre_change_quotient_maps(r):
     This is how the quotient built them before it kept its factors; the
     reference for the factor contractions and for `dense_maps`.
     """
-    q = r.quotient
-    embed = np.zeros((r.dim, q.hd * q.kd), dtype=complex)
-    lift = np.zeros((q.hd * q.kd, r.dim), dtype=complex)
-    for rows, w, wmat, v, _ in q.blocks:
+    hd, kd = r.h.dim, r.k.dim
+    embed = np.zeros((r.dim, hd * kd), dtype=complex)
+    lift = np.zeros((hd * kd, r.dim), dtype=complex)
+    for rows, j, w, wmat in r.blocks:
+        v = r.k.multiplicity[j]
         n, kk, m, lmat = v.shape[1], wmat.shape[0], v.shape[2], wmat.conj().T / w
-        embed[rows] = np.tensordot(wmat.reshape(kk, q.hd, n), v.conj(), axes=([2], [1])
+        embed[rows] = np.tensordot(wmat.reshape(kk, hd, n), v.conj(), axes=([2], [1])
                                    ).transpose(0, 3, 1, 2).reshape(kk * m, -1)
-        lift[:, rows] = np.tensordot(lmat.reshape(q.hd, n, kk), v, axes=([1], [1])
+        lift[:, rows] = np.tensordot(lmat.reshape(hd, n, kk), v, axes=([1], [1])
                                      ).transpose(0, 2, 1, 3).reshape(-1, kk * m)
     return embed, lift
 
@@ -477,24 +483,23 @@ def test_factor_contractions_match_the_dense_quotient_maps(system, request, rng,
     # own columns of the right factor's multiplicity basis and their own weights
     if system == "cutoff":
         g, sf = cutoff_coupling(monkeypatch)
-        l2 = g.quotient.k
+        l2 = g.k
         cells = (g, relative_tensor(g, l2, sf), relative_tensor(l2, g, sf))
-        assert len(g.quotient.blocks) < len(l2.multiplicity)
+        assert len(g.blocks) < len(l2.multiplicity)
     else:
         sg, sf = request.getfixturevalue(system)
         cs = CellSystem(sg, sf)
         cells = (cs.gns(Fraction(1, 4)), cs.cell(uniform(Fraction(1, 2), 2)),
                  cs.cell(uniform(Fraction(3, 4), 3)))
-    for cell in cells:
-        q = cell.quotient
-        embed, lift = pre_change_quotient_maps(cell)
+    for q in cells:
+        embed, lift = pre_change_quotient_maps(q)
         u, w, x, y = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
-                      for s in ((q.hd, 3), (q.kd, 2), (q.hd * q.kd, 4), (cell.dim, 5)))
+                      for s in ((q.h.dim, 3), (q.k.dim, 2), (q.h.dim * q.k.dim, 4), (q.dim, 5)))
         assert close(q.embed_pairs(u, w), embed @ np.kron(u, w))
         assert close(q.embed_apply(x), embed @ x)
         assert close(q.embed_apply(y, adjoint=True), embed.conj().T @ y)
         assert close(q.lift_apply(y), lift @ y)
-        dense_embed, dense_lift = dense_maps(cell)
+        dense_embed, dense_lift = dense_maps(q)
         assert close(dense_embed, embed) and close(dense_lift, lift)
 
 
@@ -510,13 +515,13 @@ def test_every_block_factor_is_contracted_by_blockmap(m2_lindblad, monkeypatch, 
     monkeypatch.setattr(BlockMap, "apply_pairs", lambda self, u, y: calls.append(
         ("apply_pairs", id(self), False)) or real["apply_pairs"](self, u, y))
     cell = CellSystem(*m2_lindblad).cell(uniform(Fraction(1, 2), 2))
-    q = cell.quotient
-    x, y = (rng.standard_normal((s, 3)) + 0j for s in (q.hd * q.kd, cell.dim))
-    embed, left = id(q.embed_map), id(cell.left_map)
-    reads = [(lambda: q.embed_pairs(x[:q.hd, :2], x[:q.kd, :2]), ("apply_pairs", embed, False)),
-             (lambda: q.embed_apply(x), ("apply", embed, False)),
-             (lambda: q.embed_apply(y, adjoint=True), ("apply", embed, True)),
-             (lambda: q.lift_apply(y), ("apply", embed, True)),
+    hd, kd = cell.h.dim, cell.k.dim
+    x, y = (rng.standard_normal((s, 3)) + 0j for s in (hd * kd, cell.dim))
+    embed, left = id(cell.embed_map), id(cell.left_map)
+    reads = [(lambda: cell.embed_pairs(x[:hd, :2], x[:kd, :2]), ("apply_pairs", embed, False)),
+             (lambda: cell.embed_apply(x), ("apply", embed, False)),
+             (lambda: cell.embed_apply(y, adjoint=True), ("apply", embed, True)),
+             (lambda: cell.lift_apply(y), ("apply", embed, True)),
              (lambda: cell.left_apply(y), ("apply_each", left, False))]
     for read, want in reads:
         calls.clear()
@@ -570,7 +575,7 @@ def test_fused_cell_assembles_its_actions_only_when_read(system, parts, request,
     assert_matches_oracle(cell, *relative_oracle(prefix, cs.gns(p.parts[-1]), sf))
     assert assembled(cell)
     for module in (cell, prefix, last):
-        assert module.left is None and module.right is None
+        assert not hasattr(module, "left") and not hasattr(module, "right")
 
 
 def fused_lindblad_cell(monkeypatch, tmp_path, parts):
@@ -614,21 +619,21 @@ def test_fusing_onto_the_dim1024_lindblad_prefix_keeps_one_factor(monkeypatch, t
     prefix, cell, (kept, peak), widths = fused_lindblad_cell(monkeypatch, tmp_path, 5)
     assert (prefix.dim, cell.dim) == (1024, 4096)
     assert widths == []
-    ((_, _, wm, _, _),) = cell.quotient.blocks
+    ((_, _, _, wm),) = cell.blocks
     assert wm.shape == (512, 2048)
     assert peak < 17 * 2**20 and kept < 16.5 * 2**20, (peak, kept)
     # embedding one pair into the cell reads W in place: measured 0.08 MiB
     # peak; copying W transposed for the contraction peaked at 16.08 MiB
-    q, rng = cell.quotient, np.random.default_rng(SEED)
-    u, w = rng.standard_normal((q.hd, 1)), rng.standard_normal((q.kd, 1))
+    rng = np.random.default_rng(SEED)
+    u, w = rng.standard_normal((cell.h.dim, 1)), rng.standard_normal((cell.k.dim, 1))
     tracemalloc.start()
     try:
-        fused = q.embed_pairs(u, w)
+        fused = cell.embed_pairs(u, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
-    assert np.allclose(fused, q.embed_apply(np.kron(u, w))), "embed of the kron"
+    assert np.allclose(fused, cell.embed_apply(np.kron(u, w))), "embed of the kron"
 
 
 @pytest.mark.parametrize("system", ["m2_lindblad", "mixed_block"])
@@ -711,7 +716,7 @@ def test_a_bent_part_of_a_quotient_raises_on_every_call(system, request):
     *rest, r = g.right_on_multiplicity
     bent = r.copy()
     bent[-1] += 0.1 * np.eye(len(bent[-1]))
-    k = Bimodule(g.algebra, g.dim, g.left, g.right, g.quotient)  # the same coupling, nothing read
+    k = Quotient(g.algebra, g.dim, g.blocks, g.h, g.k)  # the same coupling, nothing read
     vars(k)["right_on_multiplicity"] = (*rest, bent)
     cell = relative_tensor(g, k, sf)
     for _ in range(2):
@@ -798,7 +803,7 @@ def test_gns_cutoff_runs_over_all_blocks_and_may_empty_one(monkeypatch):
     assert np.allclose(np.linalg.eigvalsh(gram)[-10:], [1] + [3] * 9)
     assert g.dim == eigs.size == 9
     assert np.allclose(g.gram_eigs, 3.0)
-    assert len(g.quotient.blocks) == 1
+    assert len(g.blocks) == 1
     # the relative tensor decides no rank: the cutoff does not reach it
     assert relative_tensor(g, l2_bimodule(sf), sf).dim == g.dim
 
@@ -972,7 +977,7 @@ def test_verify_map_fails_on_a_conjugated_left_part(request, system, rng):
     u = np.linalg.qr(g[0] + 1j * g[1])[0]
     blocks[i] = (q, q2, np.einsum("ka,abc,lc->kbl", u, z, u.conj()), m)
     t = a.target
-    target = Bimodule(t.algebra, t.dim, t.left, t.right, t.quotient)
+    target = Quotient(t.algebra, t.dim, t.blocks, t.h, t.k)
     vars(target)["left_map"] = BlockMap(left_map.rows, left_map.da, left_map.cols, tuple(blocks))
     broken = BimoduleMap(a.source, target, a.matrix)
     rep, want = verify_map(broken, bilinear=True), dense_bilinear_defect(broken)
@@ -996,3 +1001,48 @@ def test_frame_weights_are_kept_once_per_standard_form(monkeypatch):
     cs = CellSystem(sg, sf)
     assert cs.cell(uniform(1, 3)).dim > 0  # two relative tensors, no density inverted
     assert inverses == []
+
+
+def test_extension_refuses_quotients_over_another_right_factor(pair):
+    # the blocks of two quotients meet through one right factor's
+    # multiplicity bases: an equal copy of that factor is another factor
+    sg, sf = pair
+    g, copy = (CellSystem(sg, sf).gns(Fraction(1, 4)) for _ in range(2))
+    e, sub = relative_tensor(g, g, sf), relative_tensor(g, copy, sf)
+    assert [b[1] for b in e.blocks] == [b[1] for b in sub.blocks]
+    with pytest.raises(ValueError, match="do not share their right factor"):
+        extension(e, lambda y: y, sub)
+    assert close(extension(e, lambda y: y, e).dense(), np.eye(e.dim))  # E L, X the identity
+
+
+def test_extension_refuses_quotients_that_kept_other_blocks():
+    # quotients over one right factor, built directly, that keep other
+    # algebra blocks: each block of one must meet the same block of the other
+    sg, sf = mixed_semigroup()
+    g = CellSystem(sg, sf).gns(Fraction(1, 2))
+    assert [b[1] for b in g.blocks] == [0, 1]
+
+    def kept(j):
+        (q, _, w, wm), = (b for b in g.blocks if b[1] == j)
+        rows = q.stop - q.start
+        return Quotient(g.algebra, rows, ((slice(0, rows), j, w, wm),), g.h, g.k)
+
+    for e, sub in ((g, kept(1)), (kept(1), g), (kept(0), kept(1))):
+        with pytest.raises(ValueError, match="kept blocks"):
+            extension(e, lambda y: y, sub)
+    one = kept(1)
+    assert close(extension(one, lambda y: y, one).dense(), np.eye(one.dim))
+
+
+def test_only_bimodule_reads_the_block_format():
+    """No module of the package reads an attribute `quotient`, and only bimodule.py names
+    `Quotient`, so how a quotient stores its blocks is known to bimodule.py alone."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(prodsys.__file__).parent.glob("*.py")}
+    reads = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "quotient")
+    names = sorted({name for name, tree in trees.items() for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id == "Quotient"
+                    or isinstance(node, ast.alias) and node.name == "Quotient"
+                    or isinstance(node, ast.Attribute) and node.attr == "Quotient"})
+    assert reads == [] and names == ["bimodule.py"]

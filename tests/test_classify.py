@@ -492,7 +492,7 @@ def test_broken_semigroup_law_detected_at_first_bad_time(rng):
         u = scipy.linalg.expm(1j * (float(t) + shift) * hp.mats[0])
         return np.kron(u.conj().T, u.T)
 
-    beta = E0Semigroup(alg, broken_action, label="broken")
+    beta = E0Semigroup(alg, broken_action)
     rep = cocycle_equivalence(alpha, beta, delta, 4)
     assert not rep.equivalent
     assert rep.first_failing_time == 2 * delta

@@ -213,8 +213,9 @@ def test_truncation_error_is_surfaced(tmp_path, capsys, monkeypatch):
     ({}, "-1"),
     ({}, "0"),
     ({}, "inf"),
+    ({"delta": "1/0"}, "1"),
 ], ids=["levels-0", "levels-negative", "delta-0", "delta-negative",
-        "tol-nan", "tol-negative", "tol-0", "tol-inf"])
+        "tol-nan", "tol-negative", "tol-0", "tol-inf", "delta-zero-denominator"])
 def test_bad_grid_or_tolerance_scale_is_a_configuration_error(tmp_path, capsys, grid, tol_scale):
     # no crash, and no verdict: a nan or negative scale fails most checks and
     # an infinite one passes every check that it scales
@@ -236,17 +237,39 @@ def test_bad_grid_or_tolerance_scale_is_a_configuration_error(tmp_path, capsys, 
     {"algebra": 2},
     {"algebra": [1, 1], "semigroup": {"builtin": "unitary_conjugation",
                                       "hamiltonian": [[[[1, 0]]], [[[1, 0], [0, 0]]]]}},
+    {"partitions": ["1/0"]},
+    {"grid": {"delta": "1/4", "level": 2}},
+    {"state": {"weights": [0.5, 0.5], "density": [[[[1, 0]]], [[[0, 0]]]]}},
+    {"algebra": [1, 1], "semigroup": {"builtin": "identity", "generator": [[[0, 0]] * 2] * 2}},
 ], ids=["entry-not-a-pair", "jumps-not-a-list", "top-level-array", "levels-not-an-integer",
-        "section-not-an-object", "algebra-not-a-list", "block-of-the-wrong-size"])
+        "section-not-an-object", "algebra-not-a-list", "block-of-the-wrong-size",
+        "partition-zero-denominator", "grid-key-not-read", "state-weights-and-density",
+        "identity-with-a-generator"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, config):
-    # a malformed field stops the run before any suite: no traceback, and
-    # no run on a silently truncated value
+    # a malformed field stops the run before any suite: no traceback, no
+    # run on a silently truncated value, and no key silently left unread
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["all", "--config", str(path), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"grid": {"delta": "1/4", "level": 2}}, "'level'"),
+    ({"state": {"weights": [0.5, 0.5], "density": []}}, "'density'"),
+    ({"semigroup": {"builtin": "identity", "generator": []}}, "'generator'"),
+    ({"semigroup": {"builtin": "lindblad", "jumps": [], "hamiltonain": []}}, "'hamiltonain'"),
+    ({"markov": {"graph": "cycle", "mu": [1.0]}}, "'mu'"),
+    ({"partition": ["1"]}, "'partition'"),
+])
+def test_a_key_that_is_not_read_is_named(tmp_path, config, key):
+    # each section is read for one variant, and any other key in it is refused by name
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=f"not read: {key}"):
+        load_config(str(path), None, 1.0)
 
 
 @pytest.mark.parametrize("config, out_is_file", [
