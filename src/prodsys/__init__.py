@@ -55,7 +55,6 @@ from .dilation import (
 from .heatmarkov import (
     HeatDilation,
     MarkovModel,
-    box,
     graph_model,
     heat_kernel,
     l2_cell,

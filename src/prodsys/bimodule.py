@@ -186,11 +186,13 @@ class Quotient(Bimodule):
     (x) I_m is embed* of x / w_j row by row (`gram_eigs`).  The right
     action is (+)_j I_kk (x) R_j; the left action is (+)_j A_j(x) (x) I_m,
     A_j(x) = W_j (left_h(x) (x) I_n)(W_j* / w_j), the factors Z_j of
-    `left_map`.  A quotient holds no action stack.
+    `left_map`.  A quotient holds no action stack.  Its algebra is that of
+    h, and its dimension the number of rows its blocks fill.
     """
 
-    def __init__(self, algebra: Algebra, dim: int, blocks: tuple, h: Bimodule, k: Bimodule):
-        self.algebra, self.dim, self.blocks, self.h, self.k = algebra, dim, blocks, h, k
+    def __init__(self, blocks: tuple, h: Bimodule, k: Bimodule):
+        self.algebra, self.dim = h.algebra, sum(q.stop - q.start for q, *_ in blocks)
+        self.blocks, self.h, self.k = blocks, h, k
 
     @cached_property
     def left_map(self) -> BlockMap:
@@ -411,7 +413,7 @@ def gns_tensor(t_map, sf: StandardForm, l2: Bimodule | None = None) -> Bimodule:
     keeps = np.split(keep, np.cumsum([w.size for w, _ in eigs])[:-1])
     l2 = l2_bimodule(sf) if l2 is None else l2
     return _block_quotient([(w[kp], np.sqrt(w[kp])[:, None] * u[:, kp].conj().T)
-                            for (w, u), kp in zip(eigs, keeps)], l2, l2, sf)
+                            for (w, u), kp in zip(eigs, keeps)], l2, l2)
 
 
 def tensor_vec(g: Bimodule, x: AlgebraElement, xi: np.ndarray) -> np.ndarray:
@@ -458,7 +460,7 @@ def relative_tensor(h: Bimodule, k: Bimodule, sf: StandardForm) -> Bimodule:
     cache = h._gram_factors
     if id(sf) not in cache:  # the entry holds sf, so no other state can take its id
         cache[id(sf)] = sf, _gram_factor(h, sf)
-    return _block_quotient(cache[id(sf)][1], h, k, sf)
+    return _block_quotient(cache[id(sf)][1], h, k)
 
 
 def _gram_factor(h: Bimodule, sf: StandardForm) -> tuple:
@@ -480,7 +482,7 @@ def _gram_factor(h: Bimodule, sf: StandardForm) -> tuple:
     return tuple(out)
 
 
-def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Quotient:
+def _block_quotient(blocks, h: Bimodule, k: Bimodule) -> Quotient:
     """Quotient of the family of pairs (coordinate of h, coordinate of k) under one Gram form.
 
     The Gram matrix is the sum over the algebra basis of elements[a, b, mu]
@@ -500,7 +502,7 @@ def _block_quotient(blocks, h: Bimodule, k: Bimodule, sf: StandardForm) -> Quoti
         q = slice(o, o + w.size * v.shape[2])
         o = q.stop
         factors.append((q, j, w, wm))
-    return Quotient(sf.algebra, o, tuple(factors), h, k)
+    return Quotient(tuple(factors), h, k)
 
 
 def extension(e: Quotient, x_adjoint, sub: Quotient) -> BlockMap:
@@ -519,10 +521,10 @@ def extension(e: Quotient, x_adjoint, sub: Quotient) -> BlockMap:
     if sub.k is not e.k or [b[1] for b in e.blocks] != [b[1] for b in sub.blocks]:
         raise ValueError("the quotients do not share their right factor and its kept blocks")
     hd, out = e.h.dim, []
+    da = len(x_adjoint(np.zeros((hd, 1), dtype=complex))) // sub.h.dim  # X* has rows a (x) h'
     for (q, j, _, wm), (q2, _, w2, wm2) in zip(e.blocks, sub.blocks):
         kk, (n, m) = len(wm), e.k.multiplicity[j].shape[1:]
         y = x_adjoint(wm.conj().reshape(kk, hd, n).transpose(1, 2, 0).reshape(hd, -1))
-        da = len(y) // sub.h.dim
         y = np.matmul(wm2 / w2[:, None], y.reshape(da, -1, kk))  # conj Z_i, (a, kk'_i, kk_i)
         out.append((q, q2, np.ascontiguousarray(np.conj(y, out=y).transpose(2, 0, 1)), m))
     return BlockMap(e.dim, da, sub.dim, tuple(out))
@@ -548,7 +550,7 @@ class BlockMap:
             view = out[q, :, q2].reshape(len(z), m, self.da, -1, m)
             for s in range(m):
                 view[:, s, :, :, s] = z
-        return out.reshape(self.rows, -1)
+        return out.reshape(self.rows, self.da * self.cols)
 
     def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """The map applied to a column block x, or its adjoint with `adjoint`."""

@@ -261,32 +261,27 @@ class CellSystem:
 # ---------------------------------------------------------------------------
 
 class Unit:
-    """A section of single-part cells, with the cyclic vector at time zero."""
+    """A unit t -> xi_t in the single-part cells, at positive times: xi_0 = Omega is not stored."""
 
     def __init__(self, system: CellSystem, vectors: dict[Fraction, np.ndarray]):
+        if bad := [t for t in vectors if t <= 0]:
+            raise ValueError(f"a unit holds positive times only, got {bad[0]}")
         self.system, self.vectors = system, vectors
 
     @property
     def times(self) -> list[Fraction]:
-        return sorted(t for t in self.vectors if t > 0)
+        return sorted(self.vectors)
 
     def scaled(self, rate: float) -> "Unit":
         """Damped unit t -> exp(-rate t) xi(t); contractive for rate >= 0."""
-        out = {t: np.exp(-rate * float(t)) * v for t, v in self.vectors.items()}
-        out[Fraction(0)] = self.vectors[Fraction(0)]
-        return Unit(self.system, out)
+        return Unit(self.system, {t: np.exp(-rate * float(t)) * v for t, v in self.vectors.items()})
 
 
 def canonical_unit(cs: CellSystem, grid: Sequence) -> Unit:
-    """The unit generated by the identity slot over the cyclic vector."""
-    vectors: dict[Fraction, np.ndarray] = {Fraction(0): cs.sf.cyclic.copy()}
+    """The unit generated by the identity slot over the cyclic vector, at the positive grid
+    times; a grid may start at 0, which holds no vector."""
     one = cs.sf.algebra.identity()
-    for t in grid:
-        t = Fraction(t)
-        if t == 0:
-            continue
-        vectors[t] = tensor_vec(cs.gns(t), one, cs.sf.cyclic)
-    return Unit(cs, vectors)
+    return Unit(cs, {t: tensor_vec(cs.gns(t), one, cs.sf.cyclic) for t in map(Fraction, grid) if t})
 
 
 class UnitReport(NamedTuple):
@@ -311,7 +306,7 @@ def unit_report(unit: Unit) -> UnitReport:
     cs, sf = unit.system, unit.system.sf
     one = sf.algebra.identity()
     unital, excess, fact = 0.0, 0.0, 0.0
-    times, keys = unit.times, list(unit.vectors)
+    times = unit.times
     for t in times:
         xi = unit.vectors[t][:, None]
         elements, res, _ = inner(cs.cell(Partition((t,))), xi, xi, sf)
@@ -322,8 +317,8 @@ def unit_report(unit: Unit) -> UnitReport:
     xis = [unit.vectors[t] for t in times]
     a = [cs.gns(t).embed_pairs(eye, omega) for t in times]
     b = [cs.gns(t).embed_pairs(identity, eye) for t in times]
-    pairs = sum_pairs(times, keys)
-    c = {k: cs.gns(keys[k]).lift_apply(unit.vectors[keys[k]][:, None]).reshape(d, d)
+    pairs = sum_pairs(times, times)
+    c = {k: cs.gns(times[k]).lift_apply(unit.vectors[times[k]][:, None]).reshape(d, d)
          for k in {k for _, _, k in pairs}}
     for i, j, k in pairs:
         miss = np.outer(xis[i], xis[j]) - a[i] @ c[k] @ b[j].T
@@ -333,18 +328,16 @@ def unit_report(unit: Unit) -> UnitReport:
 
 
 def cp_from_unit(unit: Unit) -> dict[Fraction, CpMap]:
-    """The completely positive family induced by a unit.
+    """The completely positive family induced by a unit, at the unit's times.
 
     T_t(x) is the algebra-valued inner product of xi(t) with x acting on
-    xi(t); column mu of the action is that of the basis element x_mu.
+    xi(t); column mu of the action is that of the basis element x_mu.  T_0 =
+    id is fixed by the semigroup axioms and not returned.
     """
     cs, sf = unit.system, unit.system.sf
     alg = sf.algebra
     out: dict[Fraction, CpMap] = {}
     for t in unit.vectors:
-        if t == 0:
-            out[t] = CpMap(alg, np.eye(alg.dim, dtype=complex))
-            continue
         cell = cs.cell(Partition((t,)))
         xi = unit.vectors[t]
         elements, res, scale = inner(cell, xi[:, None], cell.left_apply(xi[:, None])[..., 0].T, sf)
@@ -358,9 +351,9 @@ def cp_from_unit(unit: Unit) -> dict[Fraction, CpMap]:
 
 def semigroup_defect(maps: dict[Fraction, CpMap]) -> float:
     """Largest composition defect over grid pairs with representable sums."""
-    times = [t for t in maps if t > 0]
+    times = list(maps)
     return law_defect(lambda t: maps[t].action,
-                      [(times[i], times[j]) for i, j, _ in sum_pairs(times, list(maps))])
+                      [(times[i], times[j]) for i, j, _ in sum_pairs(times, times)])
 
 
 def span_multiplicity(g: Bimodule, xi: np.ndarray) -> np.ndarray:

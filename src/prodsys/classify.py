@@ -354,7 +354,7 @@ def unit_to_cocycle(theta: E0Semigroup, xi: dict,
     cyclic vector; the family then satisfies the cocycle law for theta.
     """
     a = {Fraction(t): sf.solve_left(np.asarray(v, dtype=complex)) for t, v in xi.items()}
-    defects = cocycle_law_defects(theta, a, sorted(t for t in a if t > 0))
+    defects = cocycle_law_defects(theta, a, sorted(a))
     return a, max(defects.values(), default=0.0)
 
 

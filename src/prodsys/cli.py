@@ -371,7 +371,7 @@ def suite_dilate(cfg: ExperimentConfig) -> Report:
                        "horizon": str(levels * cfg.delta)})
     grid = [k * cfg.delta for k in range(levels + 1)]
     unit = canonical_unit(cs, grid)
-    tl = TruncatedLimit(cs, unit, cfg.delta, levels)
+    tl = TruncatedLimit(unit, cfg.delta, levels)
     basis = list(cfg.algebra.basis())
     defects = [compression_defect(tl, k * cfg.delta, basis) for k in range(1, levels + 1)]
     rep.artifacts["dilate_residuals"] = [["t", "basis_index", "defect"]] + [

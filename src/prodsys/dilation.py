@@ -60,7 +60,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, lmult_matrix
 from .bimodule import Bimodule, inner, pi_phi, relative_tensor
-from .cells import CellSystem, Unit, span_multiplicity
+from .cells import Unit, span_multiplicity
 from .cpdyn import evaluate
 from .partition import Partition, uniform
 
@@ -93,23 +93,24 @@ def grid_index(t, delta: Fraction, levels: int) -> int:
 
 
 class TruncatedLimit:
-    """Finite tower of uniform-partition cells with connecting isometries."""
+    """Finite tower of uniform-partition cells with connecting isometries, on the cells of
+    its unit's `CellSystem`; level 0, the standard space, holds Omega."""
 
-    def __init__(self, cs: CellSystem, unit: Unit, delta, levels: int):
-        self.system = cs
+    def __init__(self, unit: Unit, delta, levels: int):
+        self.system = cs = unit.system
         self.sf = cs.sf
         self.delta = Fraction(delta)
         self.levels = int(levels)
         if self.levels < 1:
             raise TruncationError("at least one level is required")
-        times = [k * self.delta for k in range(self.levels + 1)]
-        for t in times[1:]:
+        times = [k * self.delta for k in range(1, self.levels + 1)]
+        for t in times:
             if t not in unit.vectors:
                 raise TruncationError(f"unit has no vector at grid time {t}")
-        self._partitions = [Partition(())] + [uniform(t, k) for k, t in enumerate(times) if k]
+        self._partitions = [Partition(())] + [uniform(t, k) for k, t in enumerate(times, 1)]
         self.spaces: list[Bimodule] = [cs.cell(p) for p in self._partitions]
         vectors = unit_level_vectors(self, unit)
-        self.unit_level: list[np.ndarray] = [vectors[t] for t in times]
+        self.unit_level: list[np.ndarray] = [self.sf.cyclic.copy()] + [vectors[t] for t in times]
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -309,12 +310,12 @@ def continuity_profile(tl: TruncatedLimit) -> dict[tuple[Fraction, int], float]:
 CONTRACTIVE_TOL = 1e-10  # slack above norm 1 of <v, v> before a unit is refused
 
 class Cocycle:
-    """Adapted cocycle kept as bounded-vector maps indexed by grid times.
+    """Adapted cocycle kept as bounded-vector maps indexed by positive grid times.
 
     maps[t] is the bounded-vector map b_t of the unit vector at level k =
     t / delta, from the standard space to that level (D_k x d); the value
     w_t = b_t k0_t*, with k0_t the corner embedding into level k, has rank
-    at most d.  Every check works on these thin factors.
+    at most d.  Every check works on these thin factors; w_0 = 1 is not stored.
     """
 
     def __init__(self, tl: TruncatedLimit, maps: dict[Fraction, np.ndarray]):
@@ -345,7 +346,7 @@ class Cocycle:
         grouped by level k(s + t): one stacked QR and one batched norm each.
         """
         tl = self.tl
-        times = sorted(t for t in self.maps if t > 0)
+        times = sorted(self.maps)
         levels = [tl.grid_index(t) for t in times]
         at_level, d = dict(zip(levels, times)), tl.sf.dim
         corners = {k: tl.corner(k) for k in levels}
@@ -373,8 +374,10 @@ class Cocycle:
 
 
 def unit_level_vectors(tl: TruncatedLimit, unit: Unit) -> dict[Fraction, np.ndarray]:
-    """Represent a unit on the tower levels."""
-    out = {Fraction(0): tl.sf.cyclic.copy()}
+    """Represent a unit of the tower's own `CellSystem` on the levels, at its grid times."""
+    if unit.system is not tl.system:
+        raise ValueError("the unit belongs to another CellSystem than the tower")
+    out = {}
     for k in range(1, tl.levels + 1):
         t = k * tl.delta
         if t not in unit.vectors:
@@ -388,7 +391,7 @@ def unit_level_vectors(tl: TruncatedLimit, unit: Unit) -> dict[Fraction, np.ndar
 
 
 def cocycle_from_unit(tl: TruncatedLimit, lam: Unit) -> Cocycle:
-    """The adapted cocycle of a contractive unit.
+    """The adapted cocycle of a contractive unit of the tower's `CellSystem`.
 
     At level k the operator is the bounded-vector map of the unit vector
     composed with the adjoint of the corner embedding; it moves the
@@ -398,13 +401,13 @@ def cocycle_from_unit(tl: TruncatedLimit, lam: Unit) -> Cocycle:
 
 
 def cocycle_from_levels(tl: TruncatedLimit, vectors: dict[Fraction, np.ndarray]) -> Cocycle:
-    """Cocycle built from contractive unit vectors already represented on the levels."""
+    """Cocycle built from contractive unit vectors already represented on the levels, at
+    positive grid times: w_0 = 1 is fixed by the cocycle law, and a vector at 0 is refused."""
     maps: dict[Fraction, np.ndarray] = {}
     for t, v in vectors.items():
         k = tl.grid_index(t)
         if k == 0:
-            maps[t] = np.eye(tl.sf.dim, dtype=complex)
-            continue
+            raise ValueError(f"a cocycle holds positive times only, got {t}")
         m = tl.sf.algebra.from_vec(inner(tl.spaces[k], v[:, None], v[:, None], tl.sf)[0][0, 0])
         if m.norm() > 1.0 + CONTRACTIVE_TOL:
             raise ValueError(f"unit is not contractive at {t} (norm {m.norm():.6f})")
@@ -430,8 +433,6 @@ def corner_isometry_defect(tl: TruncatedLimit, w: Cocycle) -> float:
     worst, d = 0.0, tl.sf.dim
     k0 = tl.corner(tl.levels)
     for t, b in w.maps.items():
-        if t == 0:
-            continue
         k = tl.grid_index(t)
         e = tl.embed_apply(tl.levels, k, np.hstack([b, tl.corner(k)]))
         wk = e[:, :d] @ (e[:, d:].conj().T @ k0)

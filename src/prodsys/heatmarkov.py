@@ -148,31 +148,6 @@ def path_measure(mdl: MarkovModel, p: Partition) -> PathMeasure:
     return PathMeasure(p, w)
 
 
-def box(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Glued product of path functions sharing one boundary variable.
-
-    Two path functions are glued along the last variable of the first and
-    the first variable of the second.  A plain state function multiplies a
-    path function through its last (first) variable when given as second
-    (first) argument.
-    """
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.ndim >= 2 and g.ndim >= 2:
-        m = f.shape[-1]
-        if g.shape[0] != m:
-            raise ValueError("shared variable dimensions differ")
-        a = f.reshape(-1, m)
-        b = g.reshape(m, -1)
-        out = np.einsum("aj,jb->ajb", a, b)
-        return out.reshape(f.shape + g.shape[1:])
-    if f.ndim >= 2 and g.ndim == 1:
-        return f * g
-    if f.ndim == 1 and g.ndim >= 2:
-        return g * f.reshape((f.size,) + (1,) * (g.ndim - 1))
-    raise ValueError("at least one argument must be a path function")
-
-
 def _kept_path_weights(mdl: MarkovModel, p: Partition) -> np.ndarray:
     """Path weights of p in path order, set to zero on the paths that the cells drop.
 

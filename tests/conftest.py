@@ -150,7 +150,7 @@ def dense_relative_tensor(h, k, sf):
         u = np.einsum("acp,rc->arp", x, root_inv).reshape(hd * n, m) / np.sqrt(tau)
         w = np.full(m, tau)
         blocks.append((w, np.sqrt(w)[:, None] * u.conj().T))
-    return _block_quotient(blocks, h, k, sf)
+    return _block_quotient(blocks, h, k)
 
 
 def left_materialization(h, sf):
@@ -264,7 +264,7 @@ def loop_tower_cocycle_law_defect(w):
     `dilation.Cocycle.law_defect`."""
     tl, d = w.tl, w.tl.sf.dim
     worst = 0.0
-    times = sorted(t for t in w.maps if t > 0)
+    times = sorted(w.maps)
     levels = [tl.grid_index(t) for t in times]
     at_level = dict(zip(levels, times))
     for s, ks in zip(times, levels):

@@ -716,7 +716,7 @@ def test_a_bent_part_of_a_quotient_raises_on_every_call(system, request):
     *rest, r = g.right_on_multiplicity
     bent = r.copy()
     bent[-1] += 0.1 * np.eye(len(bent[-1]))
-    k = Quotient(g.algebra, g.dim, g.blocks, g.h, g.k)  # the same coupling, nothing read
+    k = Quotient(g.blocks, g.h, g.k)  # the same coupling, nothing read
     vars(k)["right_on_multiplicity"] = (*rest, bent)
     cell = relative_tensor(g, k, sf)
     for _ in range(2):
@@ -977,7 +977,7 @@ def test_verify_map_fails_on_a_conjugated_left_part(request, system, rng):
     u = np.linalg.qr(g[0] + 1j * g[1])[0]
     blocks[i] = (q, q2, np.einsum("ka,abc,lc->kbl", u, z, u.conj()), m)
     t = a.target
-    target = Quotient(t.algebra, t.dim, t.blocks, t.h, t.k)
+    target = Quotient(t.blocks, t.h, t.k)
     vars(target)["left_map"] = BlockMap(left_map.rows, left_map.da, left_map.cols, tuple(blocks))
     broken = BimoduleMap(a.source, target, a.matrix)
     rep, want = verify_map(broken, bilinear=True), dense_bilinear_defect(broken)
@@ -1025,13 +1025,26 @@ def test_extension_refuses_quotients_that_kept_other_blocks():
     def kept(j):
         (q, _, w, wm), = (b for b in g.blocks if b[1] == j)
         rows = q.stop - q.start
-        return Quotient(g.algebra, rows, ((slice(0, rows), j, w, wm),), g.h, g.k)
+        return Quotient(((slice(0, rows), j, w, wm),), g.h, g.k)
 
     for e, sub in ((g, kept(1)), (kept(1), g), (kept(0), kept(1))):
         with pytest.raises(ValueError, match="kept blocks"):
             extension(e, lambda y: y, sub)
     one = kept(1)
     assert close(extension(one, lambda y: y, one).dense(), np.eye(one.dim))
+
+
+def test_a_quotient_that_kept_no_block_has_an_empty_left_map():
+    # the left map's dimension a is read off X*, so an extension needs no block
+    sg, sf = mixed_semigroup()
+    g = CellSystem(sg, sf).gns(Fraction(1, 2))
+    empty = Quotient((), g.h, g.k)
+    lm = empty.left_map
+    assert (empty.algebra, empty.dim) == (g.algebra, 0)
+    assert (lm.rows, lm.da, lm.cols, lm.blocks) == (0, sf.dim, 0, ())
+    none = np.zeros((0, 2))
+    assert lm.apply(none).shape == lm.apply(none, adjoint=True).shape == (0, 2)
+    assert lm.dense().shape == (0, 0)
 
 
 def test_only_bimodule_reads_the_block_format():

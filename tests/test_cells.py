@@ -305,21 +305,33 @@ def test_cp_from_unit_recovers_lindblad(m2_lindblad):
     grid = [Fraction(k, 4) for k in range(0, 5)]
     unit = canonical_unit(cs, grid)
     family = cp_from_unit(unit)
+    assert unit.times == list(family) == grid[1:]  # the grid's 0 holds no vector and no map
     for t, tm in family.items():
         expected = evaluate(sg, t).action
         assert np.linalg.norm(tm.action - expected, 2) < 1e-11
+
+
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(-1, 2)])
+def test_a_unit_refuses_a_time_that_is_not_positive(pair_system, t):
+    cs, _ = pair_system
+    v = canonical_unit(cs, [Fraction(1, 4)]).vectors[Fraction(1, 4)]
+    with pytest.raises(ValueError, match=f"positive times only, got {t}"):
+        Unit(cs, {Fraction(1, 4): v, t: v})
 
 
 def test_cp_from_scaled_unit_scales_quadratically(pair_system):
     cs, _ = pair_system
     grid = [Fraction(k, 4) for k in range(0, 5)]
     rate = 0.37
-    unit = canonical_unit(cs, grid).scaled(rate)
-    family = cp_from_unit(unit)
-    for t, tm in family.items():
-        expected = np.exp(-2 * rate * float(t)) * evaluate(cs.semigroup, t).action
-        assert np.linalg.norm(tm.action - expected, 2) < 1e-11
-    assert semigroup_defect(family) < 1e-10
+    unit = canonical_unit(cs, grid)
+    # and a unit built at two times only: no xi_0 is stored, so none is restored
+    for lam in (unit, Unit(cs, {t: unit.vectors[t] for t in grid[1:3]})):
+        family = cp_from_unit(lam.scaled(rate))
+        assert list(family) == lam.times
+        for t, tm in family.items():
+            expected = np.exp(-2 * rate * float(t)) * evaluate(cs.semigroup, t).action
+            assert np.linalg.norm(tm.action - expected, 2) < 1e-11
+        assert semigroup_defect(family) < 1e-10
 
 
 def test_dimension_law_stable_at_fine_grid(pair_system):
@@ -365,7 +377,7 @@ def test_cp_from_unit_accepts_small_state_weights(rng):
     cell = cs.cell(Partition((t,)))
     v = rng.standard_normal(cell.dim) + 1j * rng.standard_normal(cell.dim)
     v /= np.linalg.norm(v)
-    family = cp_from_unit(Unit(cs, {Fraction(0): sf.cyclic.copy(), t: v}))
+    family = cp_from_unit(Unit(cs, {t: v}))
     # T(1) = <v, v> is the left multiplication b* b, b the bounded-vector map of v
     b = pi_phi(cell, v, sf)
     comp = b.conj().T @ b
@@ -388,7 +400,7 @@ def test_cp_from_unit_rejects_broken_right_module():
     parts[j] = parts[j].transpose(0, 2, 1)
     k = Bimodule(l2.algebra, l2.dim, l2.left, l2.right)
     vars(k)["right_on_multiplicity"] = tuple(parts)
-    cs._cells[p.key] = Quotient(cell.algebra, cell.dim, cell.blocks, cell.h, k)
+    cs._cells[p.key] = Quotient(cell.blocks, cell.h, k)
     with pytest.raises(ValueError, match="not well defined"):
         cp_from_unit(unit)
 
@@ -545,10 +557,10 @@ def test_cell_dimension_check_fails_on_a_lossy_relative_tensor(monkeypatch):
     assert all(c.passed for c in dims)
     real_quotient, real_tensor = prodsys.bimodule._block_quotient, prodsys.cells.relative_tensor
 
-    def one_direction_short(blocks, h, k, sf):
+    def one_direction_short(blocks, h, k):
         j = max(i for i, (w, _) in enumerate(blocks) if w.size)
         w, wm = blocks[j]
-        return real_quotient([*blocks[:j], (w[:-1], wm[:-1]), *blocks[j + 1:]], h, k, sf)
+        return real_quotient([*blocks[:j], (w[:-1], wm[:-1]), *blocks[j + 1:]], h, k)
 
     def lossy(h, k, sf):
         with monkeypatch.context() as m:
@@ -560,10 +572,11 @@ def test_cell_dimension_check_fails_on_a_lossy_relative_tensor(monkeypatch):
     dims = [c for c in suite_cells(cfg).checks if c.check_id.startswith("dim")]
     assert [c.passed for c in dims] == [len(p) == 1 for p in cfg.partitions]
     # the 4-part cell lost every block: its right action has no part, and
-    # applies to a column block of no rows
+    # each action applies to a column block of no rows
     empty = cfg.cells.cell(cfg.partitions[-1])
     assert (empty.dim, empty.right_parts) == (0, [])
     assert empty.right_apply(np.zeros((0, 3))).shape == (cfg.algebra.dim, 0, 3)
+    assert empty.left_apply(np.zeros((0, 3))).shape == (cfg.algebra.dim, 0, 3)
 
 
 def test_tower_rank_checks_fail_on_a_rank_above_the_cell(monkeypatch):
@@ -778,8 +791,8 @@ def test_no_dense_collapse_on_the_production_path(m2_lindblad, monkeypatch, rng)
     assert np.allclose(np.linalg.norm(cs.refine_apply(p, q, x), axis=0), np.linalg.norm(x, axis=0))
     u = cs.multiply(Partition((Fraction(1, 4),)), uniform(Fraction(1, 2), 2)).matrix
     assert np.abs(u.conj().T @ u - np.eye(len(u))).max() < 1e-12
-    tl = TruncatedLimit(cs, canonical_unit(cs, [k * Fraction(1, 4) for k in range(4)]),
-                        Fraction(1, 4), 3)
+    unit = canonical_unit(cs, [k * Fraction(1, 4) for k in range(4)])
+    tl = TruncatedLimit(unit, Fraction(1, 4), 3)
     for j in (1, 2):
         fold, unfold = tl.split(3, j)
         assert np.abs(fold @ unfold - np.eye(len(fold))).max() < 1e-12, j

@@ -10,7 +10,12 @@ from prodsys.bimodule import Bimodule, l2_bimodule, numerical_rank, pi_phi, tens
 import prodsys.cells
 from prodsys.cells import CellSystem, Unit, canonical_unit, generating_rank
 from prodsys.cli import load_config, suite_dilate
-from prodsys.cpdyn import evaluate, identity_generator, semigroup_from_generator
+from prodsys.cpdyn import (
+    evaluate,
+    identity_generator,
+    semigroup_from_generator,
+    stochastic_pair_generator,
+)
 from prodsys.dilation import (
     Cocycle,
     TruncatedLimit,
@@ -51,7 +56,7 @@ def make_tl(pair, delta=Fraction(1, 4), levels=4):
     cs = CellSystem(sg, sf)
     grid = [k * delta for k in range(levels + 1)]
     unit = canonical_unit(cs, grid)
-    return TruncatedLimit(cs, unit, delta, levels), cs, unit
+    return TruncatedLimit(unit, delta, levels), cs, unit
 
 
 def test_tower_dimensions(pair):
@@ -82,7 +87,7 @@ def test_identity_semigroup_tower_is_flat():
     cs = CellSystem(sg, sf)
     delta = Fraction(1, 4)
     unit = canonical_unit(cs, [k * delta for k in range(5)])
-    tl = TruncatedLimit(cs, unit, delta, 4)
+    tl = TruncatedLimit(unit, delta, 4)
     assert all(s.dim == sf.dim for s in tl.spaces)
     for k in range(5):
         b = tl.embed_matrix(4, k)
@@ -94,9 +99,9 @@ def test_non_unital_unit_breaks_embedding_isometry(pair):
     cs = CellSystem(sg, sf)
     delta = Fraction(1, 4)
     grid = [k * delta for k in range(4)]
-    unital_tl = TruncatedLimit(cs, canonical_unit(cs, grid), delta, 3)
+    unital_tl = TruncatedLimit(canonical_unit(cs, grid), delta, 3)
     assert embedding_isometry_defect(unital_tl) < 1e-10
-    damped_tl = TruncatedLimit(cs, canonical_unit(cs, grid).scaled(0.5), delta, 3)
+    damped_tl = TruncatedLimit(canonical_unit(cs, grid).scaled(0.5), delta, 3)
     assert embedding_isometry_defect(damped_tl) > 1e-2
 
 
@@ -141,7 +146,7 @@ def test_embed_recursion_matches_collapse(request, monkeypatch, system, levels):
     collapse = CellSystem.collapse
 
     for lam in [unit, unit.scaled(0.5)]:
-        tl = TruncatedLimit(cs, lam, Fraction(1, 4), levels)
+        tl = TruncatedLimit(lam, Fraction(1, 4), levels)
         got = {}
         for k in range(levels + 1):
             def no_own_collapse(self, p, a, k=k):
@@ -182,7 +187,8 @@ def test_dilate_matches_relative_tensor_formula(m2_lindblad):
             for level in range(tl.levels - j + 1):
                 fold, unfold = tl.split(level + j, j)
                 ops = [represent(tl, x).at_level(level) for x in tl.sf.algebra.basis()]
-                ops.append(w.values[level * tl.delta].matrix)
+                if level:  # w_0 = 1 is not stored; represent covers it
+                    ops.append(w.values[level * tl.delta].matrix)
                 for op in ops:
                     expected = fold @ np.kron(op, np.eye(tl.spaces[j].dim)) @ unfold
                     got = dilate(tl, j * tl.delta, TruncatedOperator(tl, level, op))
@@ -234,7 +240,7 @@ def test_corner_maps_of_a_deep_tower_stay_small(monkeypatch, tmp_path):
     cfg = load_config(str(path), 307, 1.0)
     delta, levels = cfg.delta, 4
     unit = canonical_unit(cfg.cells, [k * delta for k in range(levels + 1)])
-    tl = TruncatedLimit(cfg.cells, unit, delta, levels)
+    tl = TruncatedLimit(unit, delta, levels)
     tracemalloc.start()
     try:
         k0 = tl.embed_matrix(levels, 0)
@@ -259,7 +265,7 @@ def test_checks_on_a_deep_tower_assemble_no_left_stack(monkeypatch, tmp_path):
     tracemalloc.start()
     try:
         unit = canonical_unit(cfg.cells, [k * delta for k in range(levels + 1)])
-        tl = TruncatedLimit(cfg.cells, unit, delta, levels)
+        tl = TruncatedLimit(unit, delta, levels)
         worst = max(compression_defect(tl, k * delta, [x])[0]
                     for x in cfg.algebra.basis() for k in range(1, levels + 1))
         law = cocycle_from_unit(tl, unit).law_defect()
@@ -283,7 +289,7 @@ def test_continuity_profile_memory_on_a_built_tower(monkeypatch, tmp_path):
     cfg = load_config(str(path), 307, 1.0)
     delta, levels = cfg.delta, 4
     unit = canonical_unit(cfg.cells, [k * delta for k in range(levels + 1)])
-    tl = TruncatedLimit(cfg.cells, unit, delta, levels)
+    tl = TruncatedLimit(unit, delta, levels)
     tracemalloc.start()
     try:
         profile = continuity_profile(tl)
@@ -305,7 +311,7 @@ def test_warm_cocycle_law_forms_no_dense_value(monkeypatch, tmp_path):
     cfg = load_config(str(path), 307, 1.0)
     delta, levels = cfg.delta, 4
     unit = canonical_unit(cfg.cells, [k * delta for k in range(levels + 1)])
-    tl = TruncatedLimit(cfg.cells, unit, delta, levels)
+    tl = TruncatedLimit(unit, delta, levels)
     w = cocycle_from_unit(tl, unit)
     cold = w.law_defect()
     tracemalloc.start()
@@ -397,7 +403,7 @@ def test_compression_identity_near_log2(pair):
     cs = CellSystem(sg, sf)
     delta = Fraction(1, 8)
     grid = [k * delta for k in range(9)]
-    tl = TruncatedLimit(cs, canonical_unit(cs, grid), delta, 8)
+    tl = TruncatedLimit(canonical_unit(cs, grid), delta, 8)
     t = Fraction(round(np.log(2.0) * 8), 8)
     e1 = sf.algebra.element([[[1.0]], [[0.0]]])
     assert compression_defect(tl, t, [e1])[0] < 1e-9
@@ -486,7 +492,7 @@ def test_minimality_identity_semigroup():
     cs = CellSystem(sg, sf)
     delta = Fraction(1, 2)
     unit = canonical_unit(cs, [k * delta for k in range(4)])
-    tl = TruncatedLimit(cs, unit, delta, 3)
+    tl = TruncatedLimit(unit, delta, 3)
     rep = minimality_evidence(tl)
     assert rep.full and rep.top_dim == sf.dim
 
@@ -500,9 +506,9 @@ def test_minimality_of_a_block_unit_of_the_identity_semigroup():
     delta = Fraction(1, 2)
     p1 = alg.diagonal([1.0, 0.0])
     vectors = {k * delta: tensor_vec(cs.gns(k * delta), p1, sf.cyclic) for k in range(1, 5)}
-    unit = Unit(cs, {Fraction(0): sf.cyclic, **vectors})
+    unit = Unit(cs, vectors)
     for levels in range(1, 5):
-        tl = TruncatedLimit(cs, unit, delta, levels)
+        tl = TruncatedLimit(unit, delta, levels)
         rep = minimality_evidence(tl)
         oracle = numerical_rank(cell_target_elementary(cs, unit, tl.partition_at(levels).parts))
         assert (rep.span_rank, rep.top_dim) == (oracle, 2) == (1, 2)
@@ -524,7 +530,7 @@ def test_continuity_profile_identity_semigroup_vanishes():
     cs = CellSystem(sg, sf)
     delta = Fraction(1, 4)
     unit = canonical_unit(cs, [k * delta for k in range(5)])
-    tl = TruncatedLimit(cs, unit, delta, 4)
+    tl = TruncatedLimit(unit, delta, 4)
     prof = continuity_profile(tl)
     assert max(prof.values()) < 1e-12
 
@@ -551,7 +557,7 @@ def test_continuity_profile_decreases_when_halving(pair):
         delta = Fraction(1, 2 ** k)
         cs = CellSystem(sg, sf)
         unit = canonical_unit(cs, [j * delta for j in range(3)])
-        tl = TruncatedLimit(cs, unit, delta, 2)
+        tl = TruncatedLimit(unit, delta, 2)
         prof = continuity_profile(tl)
         values[delta] = [prof[(delta, mu)] for mu in range(sf.dim)]
     for mu in range(sf.dim):
@@ -563,8 +569,6 @@ def test_cocycle_of_unit_moves_corner_to_unit_line(pair):
     w = cocycle_from_unit(tl, unit)
     levels = unit_level_vectors(tl, unit)
     for t, op in w.values.items():
-        if t == 0:
-            continue
         k = tl.grid_index(t)
         for x in tl.sf.algebra.basis():
             lhs = op.at_level(k) @ tl.embed_matrix(k, 0) @ tl.sf.embed_right(x)
@@ -576,7 +580,7 @@ def dense_law_defect(w):
     """Cocycle law on dense top-level products theta_t(w_s) w_t, the reference."""
     tl, values = w.tl, w.values
     worst = 0.0
-    times = sorted(t for t in values if t > 0)
+    times = sorted(values)
     for s in times:
         for t in times:
             if s + t not in values or values[s].level + tl.grid_index(t) > tl.levels:
@@ -593,10 +597,9 @@ def dense_corner_defect(w):
     tl = w.tl
     k0 = tl.embed_matrix(tl.levels, 0)
     worst = 0.0
-    for t, op in w.values.items():
-        if t > 0:
-            wk = op.on_top() @ k0
-            worst = max(worst, float(np.linalg.norm(wk.conj().T @ wk - np.eye(tl.sf.dim), 2)))
+    for op in w.values.values():
+        wk = op.on_top() @ k0
+        worst = max(worst, float(np.linalg.norm(wk.conj().T @ wk - np.eye(tl.sf.dim), 2)))
     return worst
 
 
@@ -648,8 +651,6 @@ def test_scaled_unit_scales_cocycle(pair):
     w1 = cocycle_from_unit(tl, unit)
     w2 = cocycle_from_unit(tl, unit.scaled(0.5))
     for t in w1.values:
-        if t == 0:
-            continue
         scale = np.exp(-0.5 * float(t))
         assert np.linalg.norm(w2.values[t].matrix - scale * w1.values[t].matrix, 2) < 1e-10
     assert w2.law_defect() < 1e-9
@@ -668,12 +669,34 @@ def test_unit_cocycle_roundtrips(pair, rng):
         w = cocycle_from_unit(tl, lam)
         back = unit_from_cocycle(tl, w)
         expected = unit_level_vectors(tl, lam)
+        # positive times only: w_0 = 1 and xi_0 = Omega are fixed, not stored
+        assert list(w.maps) == list(back) == list(expected) == [
+            k * tl.delta for k in range(1, tl.levels + 1)]
         for t in back:
             assert np.linalg.norm(back[t] - expected[t]) < 1e-9
         again = cocycle_from_levels(tl, back)
         for t in w.values:
             lvl = w.values[t].level
             assert np.linalg.norm(again.values[t].matrix - w.values[t].matrix, 2) < 1e-9
+    with pytest.raises(ValueError, match="positive times only, got 0"):
+        cocycle_from_levels(tl, {Fraction(0): tl.unit_level[0], **back})
+
+
+def test_cocycle_from_unit_refuses_a_unit_of_another_cell_system(pair):
+    # the pair run twice as fast (generator 2L) has the same algebra, state and
+    # grid, so only the systems tell the two units apart
+    tl, cs, _ = make_tl(pair, levels=3)
+    algebra, gen = stochastic_pair_generator()
+    fast = CellSystem(semigroup_from_generator(algebra, 2 * gen), cs.sf)
+    unit = canonical_unit(fast, [k * tl.delta for k in range(4)])
+    with pytest.raises(ValueError, match="another CellSystem"):
+        cocycle_from_unit(tl, unit)
+    # a tower on that unit reads the unit's own system, and its checks pass
+    own = TruncatedLimit(unit, tl.delta, 3)
+    assert own.system is fast
+    assert compression_defect(own, 3 * tl.delta, list(algebra.basis())).max() < 1e-9
+    assert minimality_evidence(own).full
+    assert cocycle_from_unit(own, unit).law_defect() < 1e-9
 
 
 def word_loop_family(tl):
@@ -731,7 +754,7 @@ def test_minimality_needs_the_unit_law(pair):
     delta = Fraction(1, 4)
     unit = canonical_unit(cs, [k * delta for k in range(4)])
     unit.vectors[2 * delta] = -unit.vectors[2 * delta]
-    tl = TruncatedLimit(cs, unit, delta, 3)
+    tl = TruncatedLimit(unit, delta, 3)
     with pytest.raises(ValueError, match="unit law fails at level 2"):
         minimality_evidence(tl)
 

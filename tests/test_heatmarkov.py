@@ -16,7 +16,6 @@ from prodsys.heatmarkov import (
     HeatDilation,
     ModelError,
     _glued_columns,
-    box,
     cell_match_defect,
     embed_base_adjoint,
     graph_model,
@@ -237,25 +236,6 @@ def test_path_measure_interior_marginalization(cycle5):
     assert np.abs(pm3.weights.sum(axis=1) - merged.weights).max() < 1e-12
     merged_last = path_measure(cycle5, partition([Fraction(1, 4), Fraction(3, 4)]))
     assert np.abs(pm3.weights.sum(axis=2) - merged_last.weights).max() < 1e-12
-
-
-def test_box_with_constants_and_points(two_state, rng):
-    f = rng.standard_normal((2, 2, 2))
-    ones = np.ones(2)
-    assert np.abs(box(f, ones) - f).max() == 0.0
-    g = rng.standard_normal((2, 2))
-    glued = box(f, g)
-    assert glued.shape == (2, 2, 2, 2)
-    assert abs(glued[1, 0, 1, 1] - f[1, 0, 1] * g[1, 1]) < 1e-14
-
-
-def test_box_associativity(cycle5, rng):
-    f = rng.standard_normal((5, 5))
-    g = rng.standard_normal((5, 5, 5))
-    h = rng.standard_normal((5, 5))
-    lhs = box(box(f, g), h)
-    rhs = box(f, box(g, h))
-    assert np.abs(lhs - rhs).max() < 1e-14
 
 
 def test_l2_cell_dimension_and_actions(two_state):

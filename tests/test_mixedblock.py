@@ -67,7 +67,7 @@ def test_mixed_dilation_tower(mixed):
     cs, sf = mixed
     delta, levels = Fraction(1, 4), 2
     unit = canonical_unit(cs, [k * delta for k in range(levels + 1)])
-    tl = TruncatedLimit(cs, unit, delta, levels)
+    tl = TruncatedLimit(unit, delta, levels)
     assert embedding_isometry_defect(tl) < 1e-10
     worst = max(
         compression_defect(tl, k * delta, [x])[0]
